@@ -255,12 +255,8 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
-    library = library_from_payload(read_artifact(args.library, "library"))
-    policy, _value = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
-    terrain = _load_terrain(args.terrain)
-    robot = RobotConfig()
-    cfg = plan_mod.PlannerConfig(
+def _planner_config(args) -> plan_mod.PlannerConfig:
+    return plan_mod.PlannerConfig(
         knots=args.knots,
         knot_dt=args.dt,
         goal_x=args.goal_x,
@@ -270,6 +266,14 @@ def cmd_plan(args) -> int:
         episodes=args.episodes,
         seed=args.seed,
     )
+
+
+def cmd_plan(args) -> int:
+    library = library_from_payload(read_artifact(args.library, "library"))
+    policy, _value = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
+    terrain = _load_terrain(args.terrain)
+    robot = RobotConfig()
+    cfg = _planner_config(args)
     cfg_hash = config_hash(dataclasses.asdict(cfg))
     print(
         f"planning: {cfg.knots} knots x {cfg.knot_dt}s, goal "
@@ -307,6 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
         "mode encoder, adaptive-sampling policy training, and mode planning.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # Flags that set a config field take its default from the dataclass.
+    enc_d = enc_mod.EncoderTrainConfig()
+    ppo_d = pol_mod.PpoConfig()
+    train_d = train_mod.TrainConfig()
+    plan_d = plan_mod.PlannerConfig()
 
     g = sub.add_parser("gen-refs", help="build a reference-motion library")
     g.add_argument("--modeset", required=True,
@@ -317,29 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train-encoder", help="fit latent modes to a library")
     t.add_argument("--library", required=True)
     t.add_argument("--out", default=None)
-    t.add_argument("--epochs", type=int, default=3000)
-    t.add_argument("--lr", type=float, default=5e-3)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--epochs", type=int, default=enc_d.epochs)
+    t.add_argument("--lr", type=float, default=enc_d.learning_rate)
+    t.add_argument("--seed", type=int, default=enc_d.seed)
     t.set_defaults(fn=cmd_train_encoder)
 
     tp = sub.add_parser("train-policy", help="train the multimodal policy")
     tp.add_argument("--library", required=True)
     tp.add_argument("--out", default=None)
     tp.add_argument("--terrain", default="flat")
-    tp.add_argument("--sampler", choices=("adaptive", "uniform"), default="adaptive")
-    tp.add_argument("--gamma-i", type=float, default=0.4, dest="gamma_i")
-    tp.add_argument("--gamma-f", type=float, default=0.4, dest="gamma_f")
-    tp.add_argument("--epsilon", type=float, default=0.2)
-    tp.add_argument("--updates", type=int, default=150)
-    tp.add_argument("--episodes-per-update", type=int, default=4)
-    tp.add_argument("--horizon", type=int, default=200)
-    tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--workers", type=int, default=1)
+    tp.add_argument("--sampler", choices=("adaptive", "uniform"), default=train_d.sampler)
+    tp.add_argument("--gamma-i", type=float, default=train_d.mode_decay, dest="gamma_i")
+    tp.add_argument("--gamma-f", type=float, default=train_d.transition_decay, dest="gamma_f")
+    tp.add_argument("--epsilon", type=float, default=train_d.floor)
+    tp.add_argument("--updates", type=int, default=train_d.updates)
+    tp.add_argument("--episodes-per-update", type=int, default=train_d.episodes_per_update)
+    tp.add_argument("--horizon", type=int, default=ppo_d.horizon)
+    tp.add_argument("--seed", type=int, default=train_d.seed)
+    tp.add_argument("--workers", type=int, default=train_d.workers)
     tp.add_argument("--modeset", default=None, help="selects default reward gains")
     tp.add_argument("--reward-weights", default=None,
                     help="three comma-separated tracking weights")
     tp.add_argument("--checkpoint", default=None)
-    tp.add_argument("--checkpoint-every", type=int, default=25)
+    tp.add_argument("--checkpoint-every", type=int, default=train_d.checkpoint_every)
     tp.add_argument("--resume", default=None)
     tp.add_argument("--log", default=None)
     tp.set_defaults(fn=cmd_train_policy)
@@ -360,16 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--library", required=True)
     pl.add_argument("--policy", required=True)
     pl.add_argument("--terrain", default="gap")
-    pl.add_argument("--knots", type=int, default=11)
-    pl.add_argument("--dt", type=float, default=0.3)
-    pl.add_argument("--goal-x", type=float, default=2.0, dest="goal_x")
-    pl.add_argument("--goal-z", type=float, default=0.5, dest="goal_z")
-    pl.add_argument("--alpha", type=float, default=0.1)
-    pl.add_argument("--explore", type=float, default=0.2)
-    pl.add_argument("--episodes", type=int, default=100)
+    pl.add_argument("--knots", type=int, default=plan_d.knots)
+    pl.add_argument("--dt", type=float, default=plan_d.knot_dt)
+    pl.add_argument("--goal-x", type=float, default=plan_d.goal_x, dest="goal_x")
+    pl.add_argument("--goal-z", type=float, default=plan_d.goal_z, dest="goal_z")
+    pl.add_argument("--alpha", type=float, default=plan_d.alpha)
+    pl.add_argument("--explore", type=float, default=plan_d.explore)
+    pl.add_argument("--episodes", type=int, default=plan_d.episodes)
     pl.add_argument("--trials", type=int, default=5)
     pl.add_argument("--workers", type=int, default=1)
-    pl.add_argument("--seed", type=int, default=0)
+    pl.add_argument("--seed", type=int, default=plan_d.seed)
     pl.add_argument("--out", default=None)
     pl.set_defaults(fn=cmd_plan)
     return p

@@ -560,42 +560,18 @@ def evaluate_modes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized mean returns per mode and per transition, deterministic policy.
 
-    Mode scores use same-mode scripts; transition scores cycle the switch-time
-    grid. Every entry is a mean of per-episode returns normalized by the
-    episode ceiling, so 1.0 is perfect tracking and 0.0 is immediate failure.
+    Transition scores cycle the switch-time grid. A same-mode script is the
+    diagonal case of that grid, so the mode scores are the diagonal of the
+    transition table. Every entry is a mean of per-episode returns normalized
+    by the episode ceiling, so 1.0 is perfect tracking and 0.0 is immediate
+    failure.
     """
     from .sampler import SWITCH_CLIPS, SWITCH_PHASES, switch_step_for
 
     n = library.n
     cycle_steps = round(robot_cfg.cycle_duration / robot_cfg.control_dt)
     combos = [(c, p) for c in SWITCH_CLIPS for p in SWITCH_PHASES]
-    mode_scores = np.zeros(n)
     transition_scores = np.zeros((n, n))
-    for i in range(n):
-        vals = []
-        for k in range(rollouts_per_case):
-            clip_s, phase_s = combos[k % len(combos)]
-            script = EpisodeScript(
-                mode_from=i,
-                mode_to=i,
-                switch_phase=phase_s,
-                switch_clip=clip_s,
-                switch_step=switch_step_for(clip_s, phase_s, cycle_steps),
-                horizon=horizon,
-            )
-            tr = rollout(
-                policy,
-                None,
-                library,
-                script,
-                terrain,
-                robot_cfg,
-                reward_cfg,
-                stochastic=False,
-                clock_rate=clock_rate,
-            )
-            vals.append(normalized_return(tr, reward_cfg))
-        mode_scores[i] = np.mean(vals)
     for i in range(n):
         for j in range(n):
             vals = []
@@ -622,7 +598,7 @@ def evaluate_modes(
                 )
                 vals.append(normalized_return(tr, reward_cfg))
             transition_scores[i, j] = np.mean(vals)
-    return mode_scores, transition_scores
+    return np.diag(transition_scores).copy(), transition_scores
 
 
 # --- serialization -------------------------------------------------------------

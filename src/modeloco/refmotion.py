@@ -363,6 +363,20 @@ def _modeset_spec(selector: str) -> dict:
     }
 
 
+def _spec_field(entry, key: str, where: str):
+    """entry[key] of a modeset spec; InvalidInputError if entry has no such key."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise InvalidInputError(f"modeset spec: {where} has no '{key}' entry")
+    return entry[key]
+
+
+def _spec_list(entry, key: str, where: str) -> list:
+    value = _spec_field(entry, key, where)
+    if not isinstance(value, list):
+        raise InvalidInputError(f"modeset spec: '{key}' of {where} must be a list")
+    return value
+
+
 def modeset_from_spec(spec: dict) -> ModeLibrary:
     """Build a library from a modeset definition (the gen-refs input schema).
 
@@ -370,28 +384,33 @@ def modeset_from_spec(spec: dict) -> ModeLibrary:
     "keyframes": [{"time", "x", "z", "pitch"}],
     "contact_phases": null | [{"start", "end", "left", "right"}]}]}
     """
+    modes = _spec_list(spec, "modes", "the modeset")
     dt = float(spec.get("dt", DEFAULT_DT))
     motions = []
-    for mode in spec["modes"]:
+    for i, mode in enumerate(modes):
+        where = f"mode {i}"
+        name = _spec_field(mode, "name", where)
+        kind = _spec_field(mode, "kind", where)
         keys = [
             Keyframe(
-                time=float(k["time"]),
+                time=float(_spec_field(k, "time", f"a keyframe of {where}")),
                 base_x=float(k.get("x", 0.0)),
                 base_z=float(k.get("z", NOMINAL_HEIGHT)),
                 base_pitch=float(k.get("pitch", 0.0)),
             )
-            for k in mode["keyframes"]
+            for k in _spec_list(mode, "keyframes", where)
         ]
-        motion = interpolate_keyframes(keys, dt=dt, name=mode["name"], kind=mode["kind"])
+        motion = interpolate_keyframes(keys, dt=dt, name=name, kind=kind)
         if mode.get("contact_phases"):
+            at = f"a contact phase of {where}"
             phases = [
                 ContactPhase(
-                    start_phase=float(p["start"]),
-                    end_phase=float(p["end"]),
-                    left=bool(p["left"]),
-                    right=bool(p["right"]),
+                    start_phase=float(_spec_field(p, "start", at)),
+                    end_phase=float(_spec_field(p, "end", at)),
+                    left=bool(_spec_field(p, "left", at)),
+                    right=bool(_spec_field(p, "right", at)),
                 )
-                for p in mode["contact_phases"]
+                for p in _spec_list(mode, "contact_phases", where)
             ]
             motion = apply_contact_schedule(motion, phases)
         motions.append(motion)

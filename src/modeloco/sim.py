@@ -12,6 +12,15 @@ integrate with plain scalar arithmetic.
 Physics substeps use velocity-Verlet (kick-drift-kick), which reproduces
 ballistic flight exactly; control runs at 50 Hz over 20 substeps of 1 ms.
 State in, state out: stepping is a pure function and bit-deterministic.
+
+step() keeps a fixed floating-point operation order, so that trajectories,
+checkpoints and resumed runs replay bit for bit across versions of this
+module. Do not reorder or regroup its arithmetic: force and torque sums start
+from 0.0 (which fixes the sign of a zero total), a joint acceleration is
+(tau - damping * qdot + (jx * ft + jz * fn)) / inertia, accelerations divide
+by the mass and inertias rather than multiply by reciprocals, and the
+half-kick uses 0.5 * h. tests/test_sim.py holds the plain-loop reference
+that step() must match byte for byte.
 """
 
 from __future__ import annotations
@@ -66,6 +75,7 @@ class RobotConfig:
             "torque_limit",
             "contact_stiffness",
             "control_dt",
+            "substeps",
             "cycle_duration",
         ):
             if getattr(self, name) <= 0.0:
@@ -309,37 +319,15 @@ def contact_force(
     return fn, ft
 
 
-def _accelerations(q, qdot, action, terrain: Terrain, cfg: RobotConfig):
-    """Generalized accelerations under PD torques, gravity, and contact."""
-    m = cfg.base_mass
-    fx_sum = 0.0
-    fz_sum = 0.0
-    torque_sum = 0.0
-    acc = [0.0] * 7
-    feet = _foot_states(q, qdot, cfg)
-    for leg, (fx, fz, fvx, fvz, jxh, jzh, jxk, jzk, _, _) in enumerate(feet):
-        pen = terrain.height(fx) - fz
-        fn, ft = contact_force(pen, fvx, fvz, cfg)
-        fx_sum += ft
-        fz_sum += fn
-        torque_sum += (fx - q[0]) * fn - (fz - q[1]) * ft
-        ih, ik = 3 + 2 * leg, 4 + 2 * leg
-        for j, (jx, jz) in ((ih, (jxh, jzh)), (ik, (jxk, jzk))):
-            tau = cfg.kp * (action[j - 3] - q[j]) - cfg.kd * qdot[j]
-            if tau > cfg.torque_limit:
-                tau = cfg.torque_limit
-            elif tau < -cfg.torque_limit:
-                tau = -cfg.torque_limit
-            contact_load = jx * ft + jz * fn
-            acc[j] = (tau - cfg.joint_damping * qdot[j] + contact_load) / cfg.joint_inertia
-    acc[0] = fx_sum / m
-    acc[1] = fz_sum / m - GRAVITY
-    acc[2] = torque_sum / cfg.base_inertia
-    return acc
-
-
 def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig) -> SimState:
     """Advance one control period of physics substeps and the phase clock.
+
+    Each substep is a kick-drift-kick: the loop evaluates the forces
+    2 * substeps times, half-kicks the velocities after every evaluation and
+    drifts the positions after every first evaluation of a pair. Both legs
+    are written out inline; their force and torque terms are those of
+    contact_force and pd_torque, in the operation order the module docstring
+    fixes.
 
     A non-finite outcome is returned as-is; termination() classifies it as a
     blowup so the caller can cut the episode.
@@ -347,24 +335,137 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
     action = [float(a) for a in np.asarray(action, dtype=float)]
     if len(action) != NUM_JOINTS:
         raise ValueError(f"action must have {NUM_JOINTS} entries")
-    q = [float(v) for v in state.q]
-    qdot = [float(v) for v in state.qdot]
+    uhl, ukl, uhr, ukr = action
+    x, z, p, hl, kl, hr, kr = state.q.tolist()
+    vx, vz, vp, dhl, dkl, dhr, dkr = state.qdot.tolist()
+    m, ib = cfg.base_mass, cfg.base_inertia
+    ji, jd = cfg.joint_inertia, cfg.joint_damping
+    kp, kd, lim = cfg.kp, cfg.kd, cfg.torque_limit
+    ks, cd, mu = cfg.contact_stiffness, cfg.contact_damping, cfg.friction
+    d, l1, l2 = cfg.hip_offset, cfg.thigh_length, cfg.shank_length
+    height = terrain.height
+    sin, cos = math.sin, math.cos
     h = cfg.control_dt / cfg.substeps
-    for _ in range(cfg.substeps):
-        a1 = _accelerations(q, qdot, action, terrain, cfg)
-        v_half = [qdot[i] + 0.5 * h * a1[i] for i in range(7)]
-        q = [q[i] + h * v_half[i] for i in range(7)]
-        a2 = _accelerations(q, v_half, action, terrain, cfg)
-        qdot = [v_half[i] + 0.5 * h * a2[i] for i in range(7)]
+    hh = 0.5 * h
+    drift = True
+    for _ in range(2 * cfg.substeps):
+        s0, c0 = sin(p), cos(p)
+        ds0 = d * s0
+        dc0 = d * c0
 
-    q_arr = np.array(q)
-    qdot_arr = np.array(qdot)
+        # Left leg: foot kinematics, contact force, joint accelerations.
+        a1 = p + hl
+        a2 = a1 + kl
+        s1, c1 = sin(a1), cos(a1)
+        s2, c2 = sin(a2), cos(a2)
+        lc1 = l1 * c1
+        ls1 = l1 * s1
+        jxk = l2 * c2
+        jzk = l2 * s2
+        jxh = lc1 + jxk
+        jzh = ls1 + jzk
+        fxl = x + ds0 + ls1 + jzk
+        fzl = z - dc0 - lc1 - jxk
+        gl = height(fxl)
+        pen = gl - fzl
+        if pen <= 0.0:
+            fnl = ftl = 0.0
+        else:
+            fvz = vz + (ds0 + ls1 + jzk) * vp + jzh * dhl + jzk * dkl
+            fnl = ks * pen - cd * fvz
+            if fnl <= 0.0:
+                fnl = ftl = 0.0
+            else:
+                fvx = vx + (dc0 + lc1 + jxk) * vp + jxh * dhl + jxk * dkl
+                cap = mu * fnl
+                ftl = -cd * fvx
+                if ftl > cap:
+                    ftl = cap
+                elif ftl < -cap:
+                    ftl = -cap
+        tau = kp * (uhl - hl) - kd * dhl
+        if tau > lim:
+            tau = lim
+        elif tau < -lim:
+            tau = -lim
+        ahl = (tau - jd * dhl + (jxh * ftl + jzh * fnl)) / ji
+        tau = kp * (ukl - kl) - kd * dkl
+        if tau > lim:
+            tau = lim
+        elif tau < -lim:
+            tau = -lim
+        akl = (tau - jd * dkl + (jxk * ftl + jzk * fnl)) / ji
+
+        # Right leg: the same, on the right joints.
+        a1 = p + hr
+        a2 = a1 + kr
+        s1, c1 = sin(a1), cos(a1)
+        s2, c2 = sin(a2), cos(a2)
+        lc1 = l1 * c1
+        ls1 = l1 * s1
+        jxk = l2 * c2
+        jzk = l2 * s2
+        jxh = lc1 + jxk
+        jzh = ls1 + jzk
+        fxr = x + ds0 + ls1 + jzk
+        fzr = z - dc0 - lc1 - jxk
+        gr = height(fxr)
+        pen = gr - fzr
+        if pen <= 0.0:
+            fnr = ftr = 0.0
+        else:
+            fvz = vz + (ds0 + ls1 + jzk) * vp + jzh * dhr + jzk * dkr
+            fnr = ks * pen - cd * fvz
+            if fnr <= 0.0:
+                fnr = ftr = 0.0
+            else:
+                fvx = vx + (dc0 + lc1 + jxk) * vp + jxh * dhr + jxk * dkr
+                cap = mu * fnr
+                ftr = -cd * fvx
+                if ftr > cap:
+                    ftr = cap
+                elif ftr < -cap:
+                    ftr = -cap
+        tau = kp * (uhr - hr) - kd * dhr
+        if tau > lim:
+            tau = lim
+        elif tau < -lim:
+            tau = -lim
+        ahr = (tau - jd * dhr + (jxh * ftr + jzh * fnr)) / ji
+        tau = kp * (ukr - kr) - kd * dkr
+        if tau > lim:
+            tau = lim
+        elif tau < -lim:
+            tau = -lim
+        akr = (tau - jd * dkr + (jxk * ftr + jzk * fnr)) / ji
+
+        # Base: the 0.0 starts of the sums fix the sign of a zero total.
+        torque = 0.0 + ((fxl - x) * fnl - (fzl - z) * ftl) + ((fxr - x) * fnr - (fzr - z) * ftr)
+        vx = vx + hh * ((0.0 + ftl + ftr) / m)
+        vz = vz + hh * ((0.0 + fnl + fnr) / m - GRAVITY)
+        vp = vp + hh * (torque / ib)
+        dhl = dhl + hh * ahl
+        dkl = dkl + hh * akl
+        dhr = dhr + hh * ahr
+        dkr = dkr + hh * akr
+        if drift:
+            x = x + h * vx
+            z = z + h * vz
+            p = p + h * vp
+            hl = hl + h * dhl
+            kl = kl + h * dkl
+            hr = hr + h * dhr
+            kr = kr + h * dkr
+        drift = not drift
+
+    q_arr = np.array([x, z, p, hl, kl, hr, kr])
+    qdot_arr = np.array([vx, vz, vp, dhl, dkl, dhr, dkr])
     phase = (state.phase + state.clock_rate * cfg.control_dt / cfg.cycle_duration) % 1.0
     if np.isfinite(q_arr).all() and np.isfinite(qdot_arr).all():
-        left, right = _foot_states(q_arr, qdot_arr, cfg)
-        contact_l = left[1] < terrain.height(left[0])
-        contact_r = right[1] < terrain.height(right[0])
-        support = terrain.height(q[0])
+        # The last force evaluation ran at the final positions.
+        contact_l = fzl < gl
+        contact_r = fzr < gr
+        support = height(x)
     else:
         contact_l = contact_r = False
         support = state.support

@@ -56,7 +56,7 @@ class TrainConfig:
     seed: int = 0
     workers: int = 1
     clock_rate: float = 1.0
-    checkpoint_every: int = 0  # updates between checkpoints; 0 disables
+    checkpoint_every: int = 25  # updates between checkpoints; 0 disables
 
     def __post_init__(self):
         if self.sampler not in (ADAPTIVE, UNIFORM):

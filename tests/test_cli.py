@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from modeloco import cli
+from modeloco.encoder import EncoderTrainConfig
 from modeloco.fileio import read_artifact
+from modeloco.planner import PlannerConfig
+from modeloco.policy import PpoConfig
+from modeloco.training import TrainConfig
 
 
 TWO_MODE_SPEC = {
@@ -68,6 +72,24 @@ def test_gen_refs_from_spec_file(workdir):
     assert run("gen-refs", "--modeset", str(spec_path), "--out", str(out)) == 0
     payload = read_artifact(out, "library")
     assert [m["name"] for m in payload["modes"]] == ["idle", "walk_f"]
+
+
+def test_gen_refs_spec_without_modes_is_validation_error(workdir, capsys):
+    spec_path = workdir / "nomodes.json"
+    spec_path.write_text(json.dumps({"name": "tiny", "dt": 0.02}))
+    assert run("gen-refs", "--modeset", str(spec_path)) == cli.EXIT_VALIDATION
+    assert "no 'modes' entry" in capsys.readouterr().err
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    tp = parser.parse_args(["train-policy", "--library", "lib.json"])
+    assert cli._train_configs(tp) == (PpoConfig(), TrainConfig())
+    pl = parser.parse_args(["plan", "--library", "lib.json", "--policy", "pol.json"])
+    assert cli._planner_config(pl) == PlannerConfig()
+    te = parser.parse_args(["train-encoder", "--library", "lib.json"])
+    enc = EncoderTrainConfig()
+    assert (te.epochs, te.lr, te.seed) == (enc.epochs, enc.learning_rate, enc.seed)
 
 
 def _gen_and_encode(workdir, epochs="120"):

@@ -327,3 +327,22 @@ def test_evaluate_modes_shapes_and_range():
     assert transitions.shape == (4, 4)
     assert np.all(modes >= 0.0) and np.all(modes <= 1.0)
     assert np.all(transitions >= 0.0) and np.all(transitions <= 1.0)
+
+
+def test_evaluate_modes_runs_each_case_once(monkeypatch):
+    lib = library_with_latents()
+    policy = pol.init_policy(np.random.default_rng(4), OBS_DIM)
+    scripts = []
+    real_rollout = pol.rollout
+
+    def counting_rollout(*args, **kwargs):
+        scripts.append(args[3])
+        return real_rollout(*args, **kwargs)
+
+    monkeypatch.setattr(pol, "rollout", counting_rollout)
+    modes, transitions = pol.evaluate_modes(
+        policy, lib, sim.Terrain.flat(), ROBOT, REWARD, horizon=30, rollouts_per_case=2,
+    )
+    assert len(scripts) == lib.n * lib.n * 2
+    assert len(set(scripts)) == len(scripts)
+    assert modes.tobytes() == np.diag(transitions).tobytes()

@@ -108,6 +108,146 @@ def test_step_determinism_bit_identical():
     assert a.phase == b.phase
 
 
+# --- reference step ------------------------------------------------------------
+#
+# The plain-loop form of the physics: forces through sim._foot_states and
+# sim.contact_force, lists for the state. sim.step inlines the same arithmetic
+# in the same order and must match it byte for byte.
+
+
+def _reference_accelerations(q, qdot, action, terrain, cfg, hits):
+    m = cfg.base_mass
+    fx_sum = 0.0
+    fz_sum = 0.0
+    torque_sum = 0.0
+    acc = [0.0] * 7
+    feet = sim._foot_states(q, qdot, cfg)
+    for leg, (fx, fz, fvx, fvz, jxh, jzh, jxk, jzk, _, _) in enumerate(feet):
+        pen = terrain.height(fx) - fz
+        fn, ft = sim.contact_force(pen, fvx, fvz, cfg)
+        hits["airborne_foot"] += pen <= 0.0
+        hits["friction_capped"] += fn > 0.0 and abs(ft) == cfg.friction * fn
+        fx_sum += ft
+        fz_sum += fn
+        torque_sum += (fx - q[0]) * fn - (fz - q[1]) * ft
+        ih, ik = 3 + 2 * leg, 4 + 2 * leg
+        for j, (jx, jz) in ((ih, (jxh, jzh)), (ik, (jxk, jzk))):
+            tau = cfg.kp * (action[j - 3] - q[j]) - cfg.kd * qdot[j]
+            hits["torque_saturated"] += abs(tau) > cfg.torque_limit
+            if tau > cfg.torque_limit:
+                tau = cfg.torque_limit
+            elif tau < -cfg.torque_limit:
+                tau = -cfg.torque_limit
+            contact_load = jx * ft + jz * fn
+            acc[j] = (tau - cfg.joint_damping * qdot[j] + contact_load) / cfg.joint_inertia
+    acc[0] = fx_sum / m
+    acc[1] = fz_sum / m - sim.GRAVITY
+    acc[2] = torque_sum / cfg.base_inertia
+    return acc
+
+
+def _reference_step(state, action, terrain, cfg, hits):
+    action = [float(a) for a in np.asarray(action, dtype=float)]
+    q = [float(v) for v in state.q]
+    qdot = [float(v) for v in state.qdot]
+    h = cfg.control_dt / cfg.substeps
+    for _ in range(cfg.substeps):
+        a1 = _reference_accelerations(q, qdot, action, terrain, cfg, hits)
+        v_half = [qdot[i] + 0.5 * h * a1[i] for i in range(7)]
+        q = [q[i] + h * v_half[i] for i in range(7)]
+        a2 = _reference_accelerations(q, v_half, action, terrain, cfg, hits)
+        qdot = [v_half[i] + 0.5 * h * a2[i] for i in range(7)]
+
+    q_arr = np.array(q)
+    qdot_arr = np.array(qdot)
+    phase = (state.phase + state.clock_rate * cfg.control_dt / cfg.cycle_duration) % 1.0
+    if np.isfinite(q_arr).all() and np.isfinite(qdot_arr).all():
+        left, right = sim._foot_states(q_arr, qdot_arr, cfg)
+        contact_l = left[1] < terrain.height(left[0])
+        contact_r = right[1] < terrain.height(right[0])
+        support = terrain.height(q[0])
+    else:
+        hits["blowup"] += 1
+        contact_l = contact_r = False
+        support = state.support
+    return sim.SimState(
+        q=q_arr, qdot=qdot_arr, t=state.t + cfg.control_dt, phase=phase,
+        clock_rate=state.clock_rate, contact_left=contact_l, contact_right=contact_r,
+        support=support,
+    )
+
+
+def _outcome(step_fn, *args):
+    try:
+        s = step_fn(*args)
+    except ValueError as exc:  # math.sin of an infinite angle
+        return ("raised", str(exc))
+    return (s.q.tobytes(), s.qdot.tobytes(), s.contact_left, s.contact_right,
+            s.support, s.t, s.phase)
+
+
+def _random_case(rng, terrain, kind):
+    """A (state, action) pair; kind picks the regime the forces land in."""
+    x = rng.uniform(-0.3, 2.6)
+    ground = terrain.height(x)
+    z = ground + CFG.nominal_height + rng.uniform(-0.03, 0.01)
+    q = np.concatenate([[x, z, rng.uniform(-0.3, 0.3)], rng.uniform(-0.6, 0.6, 4)])
+    qd = rng.normal(0.0, 0.5, 7)
+    action = q[3:] + rng.uniform(-0.5, 0.5, 4)
+    if kind == "airborne":
+        q[1] += rng.uniform(0.1, 0.4)
+    elif kind == "sliding":  # fast feet in contact: friction hits its cap
+        qd[0] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 4.0)
+    elif kind == "saturated":
+        action = q[3:] + rng.choice([-1.0, 1.0], 4) * rng.uniform(1.2, 3.0, 4)
+    elif kind == "wild":
+        qd = rng.normal(0.0, 3.0, 7)
+        action = rng.uniform(-2.0, 2.0, 4)
+    elif kind == "resting":  # exact zeros, either sign: fixes the sign-of-zero paths
+        q[1] = ground + CFG.nominal_height - CFG.settle_depth
+        q[2:] = 0.0
+        qd = rng.choice([0.0, -0.0], 7)
+        action = np.zeros(4)
+    elif kind == "folded":  # airborne, feet above the base
+        q[1] += 1.0
+        q[3] = q[5] = math.pi
+        qd = rng.choice([0.0, -0.0], 7)
+        action = q[3:].copy()
+    elif kind == "non_finite":
+        bad = (np.nan, np.inf, -np.inf)[rng.integers(3)]
+        (q if rng.integers(2) else qd)[rng.integers(7)] = bad
+    state = sim.SimState(
+        q=q, qdot=qd, t=rng.uniform(0.0, 3.0), phase=rng.uniform(), clock_rate=1.0,
+        contact_left=False, contact_right=False, support=ground,
+    )
+    return state, action
+
+
+def test_step_matches_reference_bit_for_bit():
+    from collections import Counter
+
+    rng = np.random.default_rng(11)
+    kinds = ("standing", "airborne", "sliding", "saturated", "wild", "resting", "folded",
+             "non_finite")
+    # Masses and inertias that are not powers of two, so that a division
+    # replaced by a reciprocal multiplication changes the result.
+    odd = sim.RobotConfig(base_mass=7.3, base_inertia=0.13, joint_inertia=0.047)
+    hits = Counter()
+    cases = 0
+    for make_terrain in sim.TERRAIN_PRESETS.values():
+        terrain = make_terrain()
+        for i in range(240):
+            state, action = _random_case(rng, terrain, kinds[i % len(kinds)])
+            cfg = odd if (i // len(kinds)) % 2 else CFG
+            want = _outcome(_reference_step, state, action, terrain, cfg, hits)
+            got = _outcome(sim.step, state, action, terrain, cfg)
+            assert got == want, (state, action, cfg)
+            cases += 1
+    assert cases >= 1000
+    for regime in ("airborne_foot", "friction_capped", "torque_saturated", "blowup"):
+        assert hits[regime] > 0, regime
+
+
 def test_unilateral_contact_forces():
     rng = np.random.default_rng(0)
     for _ in range(2000):
