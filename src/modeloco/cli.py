@@ -184,10 +184,13 @@ def cmd_train_policy(args) -> int:
     log_path = Path(args.log or str(out) + ".train.csv")
     _write_training_log(log_path, result.rows, library.n)
     returns = [r.normalized_return for r in result.rows[-4 * library.n :]]
+    recent = (
+        f"recent normalized return {np.mean(returns):.3f}" if returns
+        else "no episodes were run"
+    )
     print(
         f"trained policy for {result.state.update_count} updates "
-        f"({result.state.episode_count} episodes); recent normalized return "
-        f"{np.mean(returns):.3f}; wrote {out}, log {log_path}"
+        f"({result.state.episode_count} episodes); {recent}; wrote {out}, log {log_path}"
     )
     return EXIT_OK
 

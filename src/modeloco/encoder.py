@@ -9,6 +9,14 @@ the mean squared reconstruction error in a per-channel normalized space.
 Everything runs in float64 numpy with handwritten backpropagation through
 time, so training is bit-reproducible from a seed and gradients can be
 checked against central finite differences.
+
+Training runs one forward pass per epoch: each proposed step is scored by
+autoencoder_gradient, whose loss decides acceptance and whose gradient, when
+the step is kept, drives the next step. A rejected step reuses the current
+gradient, since the parameters it was computed at did not change. The LSTM
+loops keep a fixed floating-point operation order, so losses, weights and
+latents replay bit for bit across versions of this module;
+tests/test_encoder.py holds the per-step reference they must match.
 """
 
 from __future__ import annotations
@@ -107,8 +115,12 @@ class EncoderTrainConfig:
     rollback_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning rate must be positive and finite")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.hidden < 1 or self.latent_dim < 1:
+            raise ValueError("hidden and latent_dim must be >= 1")
         if not 0.0 < self.final_lr_fraction <= 1.0:
             raise ValueError("final_lr_fraction must lie in (0, 1]")
 
@@ -158,73 +170,81 @@ def init_params(
     return enc, dec
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _lstm_forward(w_x, w_h, b, xs, x_proj=None):
+    """Run the cell over xs of shape (T, B, D); returns hidden states and caches.
 
-
-def _lstm_forward(w_x, w_h, b, xs):
-    """Run the cell over xs of shape (T, B, D); returns hidden states and caches."""
+    x_proj, when given, is the input projection xs[t] @ w_x.T that every
+    step shares (a repeated input such as the decoder's latent); xs then only
+    sets the shapes and may be a broadcast view.
+    """
     T, B, _ = xs.shape
     H = w_h.shape[1]
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    w_xT = w_x.T
+    w_hT = w_h.T
     hs = np.zeros((T + 1, B, H))
     cs = np.zeros((T + 1, B, H))
     gates = np.zeros((T, B, 4 * H))
     for t in range(T):
-        a = xs[t] @ w_x.T + h @ w_h.T + b
-        i = _sigmoid(a[:, :H])
-        f = _sigmoid(a[:, H : 2 * H])
-        g = np.tanh(a[:, 2 * H : 3 * H])
-        o = _sigmoid(a[:, 3 * H :])
-        c = f * cs[t] + i * g
-        h = o * np.tanh(c)
-        hs[t + 1] = h
-        cs[t + 1] = c
-        gates[t] = np.concatenate([i, f, g, o], axis=1)
+        proj = xs[t] @ w_xT if x_proj is None else x_proj
+        a = proj + hs[t] @ w_hT + b
+        # Sigmoid 0.5 * (1 + tanh(0.5 * a)) over all four blocks, then tanh
+        # overwrites the g block.
+        gt = gates[t]
+        np.multiply(a, 0.5, out=gt)
+        np.tanh(gt, out=gt)
+        gt += 1.0
+        gt *= 0.5
+        np.tanh(a[:, 2 * H : 3 * H], out=gt[:, 2 * H : 3 * H])
+        c = cs[t + 1]
+        np.multiply(gt[:, H : 2 * H], cs[t], out=c)
+        c += gt[:, :H] * gt[:, 2 * H : 3 * H]
+        h = hs[t + 1]
+        np.tanh(c, out=h)
+        h *= gt[:, 3 * H :]
     return hs, cs, gates
 
 
-def _lstm_backward(w_x, w_h, xs, hs, cs, gates, dhs):
+def _lstm_backward(w_x, w_h, xs, hs, cs, gates, dhs, input_grad=True):
     """Backpropagate through time.
 
     dhs has shape (T, B, H): the gradient arriving at each step's hidden
     output from outside the recurrence. Returns gradients for the cell
-    weights and for the inputs xs.
+    weights and for the inputs xs; the last is None when input_grad is
+    false, as for the encoder, whose inputs are data.
     """
-    T, B, D = xs.shape
+    T, B, _ = xs.shape
     H = w_h.shape[1]
     d_wx = np.zeros_like(w_x)
     d_wh = np.zeros_like(w_h)
     d_b = np.zeros(4 * H)
-    d_xs = np.zeros_like(xs)
+    # np.zeros, not zeros_like: a broadcast xs would give d_xs its strides,
+    # which changes the order of a later sum over time.
+    d_xs = np.zeros(xs.shape) if input_grad else None
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
+    da = np.empty((B, 4 * H))
     for t in range(T - 1, -1, -1):
-        i = gates[t][:, :H]
-        f = gates[t][:, H : 2 * H]
-        g = gates[t][:, 2 * H : 3 * H]
-        o = gates[t][:, 3 * H :]
+        gt = gates[t]
+        i = gt[:, :H]
+        f = gt[:, H : 2 * H]
+        g = gt[:, 2 * H : 3 * H]
         tanh_c = np.tanh(cs[t + 1])
         dh = dhs[t] + dh_next
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
-        df = dc * cs[t]
-        di = dc * g
-        dg = dc * i
-        da = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
+        dc = dh * gt[:, 3 * H :] * (1.0 - tanh_c * tanh_c) + dc_next
+        # Gate pre-activation gradients: sigmoid blocks get
+        # (d * s) * (1 - s) at full width, then the g block is overwritten
+        # with its tanh derivative.
+        np.multiply(dc, g, out=da[:, :H])
+        np.multiply(dc, cs[t], out=da[:, H : 2 * H])
+        np.multiply(dh, tanh_c, out=da[:, 3 * H :])
+        da *= gt
+        da *= 1.0 - gt
+        np.multiply(dc * i, 1.0 - g * g, out=da[:, 2 * H : 3 * H])
         d_wx += da.T @ xs[t]
         d_wh += da.T @ hs[t]
         d_b += da.sum(axis=0)
-        d_xs[t] = da @ w_x
+        if input_grad:
+            d_xs[t] = da @ w_x
         dh_next = da @ w_h
         dc_next = dc * f
     return d_wx, d_wh, d_b, d_xs
@@ -270,8 +290,8 @@ def decode(params: DecoderParams, z: LatentMode | np.ndarray, T: int) -> np.ndar
     if T < 1:
         raise ValueError("T must be >= 1")
     zv = np.asarray(z.z if isinstance(z, LatentMode) else z, dtype=float)
-    xs = np.broadcast_to(zv, (T, 1, zv.shape[0])).copy()
-    hs, _, _ = _lstm_forward(params.w_x, params.w_h, params.b, xs)
+    xs = np.broadcast_to(zv, (T, 1, zv.shape[0]))
+    hs, _, _ = _lstm_forward(params.w_x, params.w_h, params.b, xs, xs[0] @ params.w_x.T)
     ys = hs[1:, 0] @ params.w_y.T
     return denormalize(ys, params.norm_mean, params.norm_scale)
 
@@ -291,8 +311,8 @@ def _forward_batch(enc: EncoderParams, dec: DecoderParams, xs: np.ndarray):
     T = xs.shape[0]
     e_hs, e_cs, e_gates = _lstm_forward(enc.w_x, enc.w_h, enc.b, xs)
     z = e_hs[-1] @ enc.w_z.T  # (B, latent)
-    d_in = np.broadcast_to(z, (T,) + z.shape).copy()
-    d_hs, d_cs, d_gates = _lstm_forward(dec.w_x, dec.w_h, dec.b, d_in)
+    d_in = np.broadcast_to(z, (T,) + z.shape)
+    d_hs, d_cs, d_gates = _lstm_forward(dec.w_x, dec.w_h, dec.b, d_in, z @ dec.w_x.T)
     ys = d_hs[1:] @ dec.w_y.T  # (T, B, C)
     diff = ys - xs
     loss = float(np.mean(diff * diff))
@@ -351,7 +371,9 @@ def autoencoder_gradient(
         g_enc.w_z += dz.T @ e_hs[-1]
         d_ehs = np.zeros((T, B, enc.hidden))
         d_ehs[-1] = dz @ enc.w_z
-        dwx, dwh, db, _ = _lstm_backward(enc.w_x, enc.w_h, xs, e_hs, e_cs, e_gates, d_ehs)
+        dwx, dwh, db, _ = _lstm_backward(
+            enc.w_x, enc.w_h, xs, e_hs, e_cs, e_gates, d_ehs, input_grad=False
+        )
         g_enc.w_x += dwx
         g_enc.w_h += dwh
         g_enc.b += db
@@ -424,24 +446,24 @@ def train_autoencoder(library: ModeLibrary, cfg: EncoderTrainConfig) -> TrainRes
     opt = AdamState.zeros(flat.size)
     lr_scale = 1.0
 
-    loss = batch_loss(enc, dec, sequences)
+    loss, g_enc, g_dec = autoencoder_gradient(enc, dec, sequences)
+    grad = pack_params(g_enc, g_dec)
     losses = [loss]
     for epoch in range(cfg.epochs):
-        _, g_enc, g_dec = autoencoder_gradient(enc, dec, sequences)
-        grad = pack_params(g_enc, g_dec)
         if not np.isfinite(grad).all():
             raise TrainingFailure(f"non-finite gradient at epoch {len(losses) - 1}")
         cos = 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, cfg.epochs - 1)))
         lr = cfg.learning_rate * (cfg.final_lr_fraction + (1.0 - cfg.final_lr_fraction) * cos)
         flat_try, opt_try = adam_step(flat, grad, opt, lr * lr_scale)
         enc_try, dec_try = unpack_params(flat_try, enc, dec)
-        loss_try = batch_loss(enc_try, dec_try, sequences)
+        loss_try, g_enc, g_dec = autoencoder_gradient(enc_try, dec_try, sequences)
         if not math.isfinite(loss_try):
             raise TrainingFailure(f"non-finite loss at epoch {len(losses) - 1}")
         if loss_try <= loss + cfg.rollback_tolerance:
             flat, opt = flat_try, opt_try
             enc, dec = enc_try, dec_try
             loss = loss_try
+            grad = pack_params(g_enc, g_dec)
             lr_scale = min(1.0, lr_scale * 1.05)
         else:
             lr_scale *= 0.5

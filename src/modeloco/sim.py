@@ -330,7 +330,8 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
     fixes.
 
     A non-finite outcome is returned as-is; termination() classifies it as a
-    blowup so the caller can cut the episode.
+    blowup so the caller can cut the episode. An infinite angle, which
+    math.sin cannot take, ends the substeps early with a NaN pitch.
     """
     action = [float(a) for a in np.asarray(action, dtype=float)]
     if len(action) != NUM_JOINTS:
@@ -348,115 +349,123 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
     h = cfg.control_dt / cfg.substeps
     hh = 0.5 * h
     drift = True
-    for _ in range(2 * cfg.substeps):
-        s0, c0 = sin(p), cos(p)
-        ds0 = d * s0
-        dc0 = d * c0
+    try:
+        for _ in range(2 * cfg.substeps):
+            s0, c0 = sin(p), cos(p)
+            ds0 = d * s0
+            dc0 = d * c0
 
-        # Left leg: foot kinematics, contact force, joint accelerations.
-        a1 = p + hl
-        a2 = a1 + kl
-        s1, c1 = sin(a1), cos(a1)
-        s2, c2 = sin(a2), cos(a2)
-        lc1 = l1 * c1
-        ls1 = l1 * s1
-        jxk = l2 * c2
-        jzk = l2 * s2
-        jxh = lc1 + jxk
-        jzh = ls1 + jzk
-        fxl = x + ds0 + ls1 + jzk
-        fzl = z - dc0 - lc1 - jxk
-        gl = height(fxl)
-        pen = gl - fzl
-        if pen <= 0.0:
-            fnl = ftl = 0.0
-        else:
-            fvz = vz + (ds0 + ls1 + jzk) * vp + jzh * dhl + jzk * dkl
-            fnl = ks * pen - cd * fvz
-            if fnl <= 0.0:
+            # Left leg: foot kinematics, contact force, joint accelerations.
+            a1 = p + hl
+            a2 = a1 + kl
+            s1, c1 = sin(a1), cos(a1)
+            s2, c2 = sin(a2), cos(a2)
+            lc1 = l1 * c1
+            ls1 = l1 * s1
+            jxk = l2 * c2
+            jzk = l2 * s2
+            jxh = lc1 + jxk
+            jzh = ls1 + jzk
+            fxl = x + ds0 + ls1 + jzk
+            fzl = z - dc0 - lc1 - jxk
+            gl = height(fxl)
+            pen = gl - fzl
+            if pen <= 0.0:
                 fnl = ftl = 0.0
             else:
-                fvx = vx + (dc0 + lc1 + jxk) * vp + jxh * dhl + jxk * dkl
-                cap = mu * fnl
-                ftl = -cd * fvx
-                if ftl > cap:
-                    ftl = cap
-                elif ftl < -cap:
-                    ftl = -cap
-        tau = kp * (uhl - hl) - kd * dhl
-        if tau > lim:
-            tau = lim
-        elif tau < -lim:
-            tau = -lim
-        ahl = (tau - jd * dhl + (jxh * ftl + jzh * fnl)) / ji
-        tau = kp * (ukl - kl) - kd * dkl
-        if tau > lim:
-            tau = lim
-        elif tau < -lim:
-            tau = -lim
-        akl = (tau - jd * dkl + (jxk * ftl + jzk * fnl)) / ji
+                fvz = vz + (ds0 + ls1 + jzk) * vp + jzh * dhl + jzk * dkl
+                fnl = ks * pen - cd * fvz
+                if fnl <= 0.0:
+                    fnl = ftl = 0.0
+                else:
+                    fvx = vx + (dc0 + lc1 + jxk) * vp + jxh * dhl + jxk * dkl
+                    cap = mu * fnl
+                    ftl = -cd * fvx
+                    if ftl > cap:
+                        ftl = cap
+                    elif ftl < -cap:
+                        ftl = -cap
+            tau = kp * (uhl - hl) - kd * dhl
+            if tau > lim:
+                tau = lim
+            elif tau < -lim:
+                tau = -lim
+            ahl = (tau - jd * dhl + (jxh * ftl + jzh * fnl)) / ji
+            tau = kp * (ukl - kl) - kd * dkl
+            if tau > lim:
+                tau = lim
+            elif tau < -lim:
+                tau = -lim
+            akl = (tau - jd * dkl + (jxk * ftl + jzk * fnl)) / ji
 
-        # Right leg: the same, on the right joints.
-        a1 = p + hr
-        a2 = a1 + kr
-        s1, c1 = sin(a1), cos(a1)
-        s2, c2 = sin(a2), cos(a2)
-        lc1 = l1 * c1
-        ls1 = l1 * s1
-        jxk = l2 * c2
-        jzk = l2 * s2
-        jxh = lc1 + jxk
-        jzh = ls1 + jzk
-        fxr = x + ds0 + ls1 + jzk
-        fzr = z - dc0 - lc1 - jxk
-        gr = height(fxr)
-        pen = gr - fzr
-        if pen <= 0.0:
-            fnr = ftr = 0.0
-        else:
-            fvz = vz + (ds0 + ls1 + jzk) * vp + jzh * dhr + jzk * dkr
-            fnr = ks * pen - cd * fvz
-            if fnr <= 0.0:
+            # Right leg: the same, on the right joints.
+            a1 = p + hr
+            a2 = a1 + kr
+            s1, c1 = sin(a1), cos(a1)
+            s2, c2 = sin(a2), cos(a2)
+            lc1 = l1 * c1
+            ls1 = l1 * s1
+            jxk = l2 * c2
+            jzk = l2 * s2
+            jxh = lc1 + jxk
+            jzh = ls1 + jzk
+            fxr = x + ds0 + ls1 + jzk
+            fzr = z - dc0 - lc1 - jxk
+            gr = height(fxr)
+            pen = gr - fzr
+            if pen <= 0.0:
                 fnr = ftr = 0.0
             else:
-                fvx = vx + (dc0 + lc1 + jxk) * vp + jxh * dhr + jxk * dkr
-                cap = mu * fnr
-                ftr = -cd * fvx
-                if ftr > cap:
-                    ftr = cap
-                elif ftr < -cap:
-                    ftr = -cap
-        tau = kp * (uhr - hr) - kd * dhr
-        if tau > lim:
-            tau = lim
-        elif tau < -lim:
-            tau = -lim
-        ahr = (tau - jd * dhr + (jxh * ftr + jzh * fnr)) / ji
-        tau = kp * (ukr - kr) - kd * dkr
-        if tau > lim:
-            tau = lim
-        elif tau < -lim:
-            tau = -lim
-        akr = (tau - jd * dkr + (jxk * ftr + jzk * fnr)) / ji
+                fvz = vz + (ds0 + ls1 + jzk) * vp + jzh * dhr + jzk * dkr
+                fnr = ks * pen - cd * fvz
+                if fnr <= 0.0:
+                    fnr = ftr = 0.0
+                else:
+                    fvx = vx + (dc0 + lc1 + jxk) * vp + jxh * dhr + jxk * dkr
+                    cap = mu * fnr
+                    ftr = -cd * fvx
+                    if ftr > cap:
+                        ftr = cap
+                    elif ftr < -cap:
+                        ftr = -cap
+            tau = kp * (uhr - hr) - kd * dhr
+            if tau > lim:
+                tau = lim
+            elif tau < -lim:
+                tau = -lim
+            ahr = (tau - jd * dhr + (jxh * ftr + jzh * fnr)) / ji
+            tau = kp * (ukr - kr) - kd * dkr
+            if tau > lim:
+                tau = lim
+            elif tau < -lim:
+                tau = -lim
+            akr = (tau - jd * dkr + (jxk * ftr + jzk * fnr)) / ji
 
-        # Base: the 0.0 starts of the sums fix the sign of a zero total.
-        torque = 0.0 + ((fxl - x) * fnl - (fzl - z) * ftl) + ((fxr - x) * fnr - (fzr - z) * ftr)
-        vx = vx + hh * ((0.0 + ftl + ftr) / m)
-        vz = vz + hh * ((0.0 + fnl + fnr) / m - GRAVITY)
-        vp = vp + hh * (torque / ib)
-        dhl = dhl + hh * ahl
-        dkl = dkl + hh * akl
-        dhr = dhr + hh * ahr
-        dkr = dkr + hh * akr
-        if drift:
-            x = x + h * vx
-            z = z + h * vz
-            p = p + h * vp
-            hl = hl + h * dhl
-            kl = kl + h * dkl
-            hr = hr + h * dhr
-            kr = kr + h * dkr
-        drift = not drift
+            # Base: the 0.0 starts of the sums fix the sign of a zero total.
+            torque = (
+                0.0 + ((fxl - x) * fnl - (fzl - z) * ftl) + ((fxr - x) * fnr - (fzr - z) * ftr)
+            )
+            vx = vx + hh * ((0.0 + ftl + ftr) / m)
+            vz = vz + hh * ((0.0 + fnl + fnr) / m - GRAVITY)
+            vp = vp + hh * (torque / ib)
+            dhl = dhl + hh * ahl
+            dkl = dkl + hh * akl
+            dhr = dhr + hh * ahr
+            dkr = dkr + hh * akr
+            if drift:
+                x = x + h * vx
+                z = z + h * vz
+                p = p + h * vp
+                hl = hl + h * dhl
+                kl = kl + h * dkl
+                hr = hr + h * dhr
+                kr = kr + h * dkr
+            drift = not drift
+    except ValueError:
+        # math.sin or math.cos of an infinite angle: the run has blown up.
+        # A NaN pitch keeps the returned state non-finite even when the
+        # angle that overflowed was a sum of finite ones.
+        p = math.nan
 
     q_arr = np.array([x, z, p, hl, kl, hr, kr])
     qdot_arr = np.array([vx, vz, vp, dhl, dkl, dhr, dkr])

@@ -130,6 +130,20 @@ def _train_policy(workdir, lib, out, *extra):
     )
 
 
+@pytest.mark.parametrize("flag", [("--lr", "nan"), ("--epochs", "-1")])
+def test_train_encoder_rejects_bad_config(workdir, capsys, flag):
+    lib = workdir / "library.json"
+    assert run("gen-refs", "--modeset", "pi2", "--out", str(lib)) == 0
+    before = lib.read_bytes()
+    enc = workdir / "encoder.json"
+    assert run(
+        "train-encoder", "--library", str(lib), "--out", str(enc), *flag
+    ) == cli.EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+    assert not enc.exists()
+    assert lib.read_bytes() == before
+
+
 def test_train_policy_adaptive_and_uniform(workdir):
     lib, _ = _gen_and_encode(workdir)
     pol_a = workdir / "pol_a.json"
@@ -140,6 +154,18 @@ def test_train_policy_adaptive_and_uniform(workdir):
         rows = list(csv.DictReader(f))
     assert len(rows) == 6
     assert "mode_return_0" in rows[0] and "transition_return_1_1" in rows[0]
+
+
+def test_train_policy_zero_updates_reports_no_episodes(workdir, capsys):
+    lib, _ = _gen_and_encode(workdir)
+    out = workdir / "pol0.json"
+    assert run(
+        "train-policy", "--library", str(lib), "--out", str(out), "--updates", "0",
+    ) == 0
+    stdout = capsys.readouterr().out
+    assert "0 updates (0 episodes); no episodes were run" in stdout
+    assert "nan" not in stdout
+    assert out.exists()
 
 
 def test_train_policy_requires_latents(workdir):

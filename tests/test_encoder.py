@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,22 @@ def test_training_fills_latents_distinctly():
             assert np.linalg.norm(zs[i] - zs[j]) > 0.0
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": 0.0},
+        {"epochs": -1},
+        {"hidden": 0},
+        {"latent_dim": 0},
+    ],
+)
+def test_train_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        enc.EncoderTrainConfig(**bad)
+
+
 def test_empty_library_rejected():
     with pytest.raises(ValueError):
         enc.train_autoencoder(
@@ -219,3 +237,220 @@ def test_params_roundtrip(tmp_path):
     assert np.array_equal(enc.pack_params(e, d), enc.pack_params(e2, d2))
     assert np.array_equal(e.norm_mean, e2.norm_mean)
     assert np.array_equal(e.norm_scale, e2.norm_scale)
+
+
+# --- reference training loop ---------------------------------------------------
+#
+# The per-step form of the LSTM passes and the two-pass training loop, which
+# scores each trial step with a separate forward pass and recomputes the
+# gradient at the start of every epoch. encoder.train_autoencoder runs one
+# forward pass per epoch and must match this loop byte for byte.
+
+
+def _reference_sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _reference_lstm_forward(w_x, w_h, b, xs):
+    T, B, _ = xs.shape
+    H = w_h.shape[1]
+    h = np.zeros((B, H))
+    hs = np.zeros((T + 1, B, H))
+    cs = np.zeros((T + 1, B, H))
+    gates = np.zeros((T, B, 4 * H))
+    for t in range(T):
+        a = xs[t] @ w_x.T + h @ w_h.T + b
+        i = _reference_sigmoid(a[:, :H])
+        f = _reference_sigmoid(a[:, H : 2 * H])
+        g = np.tanh(a[:, 2 * H : 3 * H])
+        o = _reference_sigmoid(a[:, 3 * H :])
+        c = f * cs[t] + i * g
+        h = o * np.tanh(c)
+        hs[t + 1] = h
+        cs[t + 1] = c
+        gates[t] = np.concatenate([i, f, g, o], axis=1)
+    return hs, cs, gates
+
+
+def _reference_lstm_backward(w_x, w_h, xs, hs, cs, gates, dhs):
+    T, B, _ = xs.shape
+    H = w_h.shape[1]
+    d_wx = np.zeros_like(w_x)
+    d_wh = np.zeros_like(w_h)
+    d_b = np.zeros(4 * H)
+    d_xs = np.zeros_like(xs)
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        i = gates[t][:, :H]
+        f = gates[t][:, H : 2 * H]
+        g = gates[t][:, 2 * H : 3 * H]
+        o = gates[t][:, 3 * H :]
+        tanh_c = np.tanh(cs[t + 1])
+        dh = dhs[t] + dh_next
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+        df = dc * cs[t]
+        di = dc * g
+        dg = dc * i
+        da = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+            axis=1,
+        )
+        d_wx += da.T @ xs[t]
+        d_wh += da.T @ hs[t]
+        d_b += da.sum(axis=0)
+        d_xs[t] = da @ w_x
+        dh_next = da @ w_h
+        dc_next = dc * f
+    return d_wx, d_wh, d_b, d_xs
+
+
+def _reference_forward_batch(e, d, xs):
+    T = xs.shape[0]
+    e_hs, e_cs, e_gates = _reference_lstm_forward(e.w_x, e.w_h, e.b, xs)
+    z = e_hs[-1] @ e.w_z.T
+    d_in = np.broadcast_to(z, (T,) + z.shape).copy()
+    d_hs, d_cs, d_gates = _reference_lstm_forward(d.w_x, d.w_h, d.b, d_in)
+    diff = d_hs[1:] @ d.w_y.T - xs
+    loss = float(np.mean(diff * diff))
+    return loss, (e_hs, e_cs, e_gates, d_in, d_hs, d_cs, d_gates, diff)
+
+
+def _reference_batch_loss(e, d, seqs):
+    total = 0.0
+    for xs in enc._length_groups(seqs):
+        total += _reference_forward_batch(e, d, xs)[0] * xs.shape[1]
+    return total / len(seqs)
+
+
+def _reference_gradient(e, d, seqs):
+    g_enc, g_dec = enc.zero_params(e.hidden, e.latent_dim, e.input_dim)
+    total = 0.0
+    for xs in enc._length_groups(seqs):
+        loss, (e_hs, e_cs, e_gates, d_in, d_hs, d_cs, d_gates, diff) = (
+            _reference_forward_batch(e, d, xs)
+        )
+        T, B, C = xs.shape
+        total += loss * B
+        d_ys = 2.0 * diff / (T * C) / len(seqs)
+        g_dec.w_y += np.einsum("tbc,tbh->ch", d_ys, d_hs[1:])
+        dwx, dwh, db, d_dec_in = _reference_lstm_backward(
+            d.w_x, d.w_h, d_in, d_hs, d_cs, d_gates, d_ys @ d.w_y
+        )
+        g_dec.w_x += dwx
+        g_dec.w_h += dwh
+        g_dec.b += db
+        dz = d_dec_in.sum(axis=0)
+        g_enc.w_z += dz.T @ e_hs[-1]
+        d_ehs = np.zeros((T, B, e.hidden))
+        d_ehs[-1] = dz @ e.w_z
+        dwx, dwh, db, _ = _reference_lstm_backward(e.w_x, e.w_h, xs, e_hs, e_cs, e_gates, d_ehs)
+        g_enc.w_x += dwx
+        g_enc.w_h += dwh
+        g_enc.b += db
+    return total / len(seqs), g_enc, g_dec
+
+
+def _reference_train(library, cfg):
+    """Losses, packed parameters and latents of the two-pass loop."""
+    from modeloco.optim import AdamState, adam_step
+
+    mean, scale = enc.normalization_stats(library)
+    seqs = [enc.normalize(m.samples, mean, scale) for m in library.motions]
+    e, d = enc.init_params(np.random.default_rng(cfg.seed), cfg.hidden, cfg.latent_dim)
+    e.norm_mean = d.norm_mean = mean
+    e.norm_scale = d.norm_scale = scale
+    flat = enc.pack_params(e, d)
+    opt = AdamState.zeros(flat.size)
+    lr_scale = 1.0
+    loss = _reference_batch_loss(e, d, seqs)
+    losses = [loss]
+    for epoch in range(cfg.epochs):
+        _, g_enc, g_dec = _reference_gradient(e, d, seqs)
+        cos = 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, cfg.epochs - 1)))
+        lr = cfg.learning_rate * (cfg.final_lr_fraction + (1.0 - cfg.final_lr_fraction) * cos)
+        flat_try, opt_try = adam_step(flat, enc.pack_params(g_enc, g_dec), opt, lr * lr_scale)
+        e_try, d_try = enc.unpack_params(flat_try, e, d)
+        loss_try = _reference_batch_loss(e_try, d_try, seqs)
+        if loss_try <= loss + cfg.rollback_tolerance:
+            flat, opt, e, d, loss = flat_try, opt_try, e_try, d_try, loss_try
+            lr_scale = min(1.0, lr_scale * 1.05)
+        else:
+            lr_scale *= 0.5
+        losses.append(loss)
+    latents = [enc.encode(e, m).z for m in library.motions]
+    return losses, enc.pack_params(e, d), latents
+
+
+def _mixed_length_library():
+    return rm.ModeLibrary.from_motions(
+        list(constant_library().motions) + list(rm.builtin_library("pi2").motions[:2])
+    )
+
+
+@pytest.mark.parametrize("modeset", ["pi1", "pi2", "pi3", "mixed"])
+def test_training_matches_reference_bit_for_bit(modeset):
+    lib = _mixed_length_library() if modeset == "mixed" else rm.builtin_library(modeset)
+    rejected = 0
+    for seed in (0, 1, 7):
+        for lr in (5e-3, 5e-2):
+            cfg = enc.EncoderTrainConfig(epochs=20, seed=seed, learning_rate=lr)
+            res = enc.train_autoencoder(lib, cfg)
+            losses, flat, latents = _reference_train(lib, cfg)
+            assert np.array(res.losses).tobytes() == np.array(losses).tobytes()
+            assert enc.pack_params(res.encoder, res.decoder).tobytes() == flat.tobytes()
+            for got, want in zip(res.library.latents, latents):
+                assert got.z.tobytes() == want.tobytes()
+            rejected += sum(a == b for a, b in zip(losses, losses[1:]))
+    assert rejected > 0  # the runs cover steps whose gradient is reused
+
+
+def test_gradient_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        e, d = enc.init_params(rng, hidden=8, latent_dim=3, input_dim=4)
+        seqs = [rng.normal(size=(int(rng.integers(2, 12)), 4)) for _ in range(5)]
+        loss, ge, gd = enc.autoencoder_gradient(e, d, seqs)
+        want_loss, want_ge, want_gd = _reference_gradient(e, d, seqs)
+        assert loss == want_loss == _reference_batch_loss(e, d, seqs)
+        assert enc.pack_params(ge, gd).tobytes() == enc.pack_params(want_ge, want_gd).tobytes()
+
+
+def test_training_runs_one_forward_pass_per_epoch(monkeypatch):
+    calls = {"autoencoder_gradient": 0, "batch_loss": 0}
+
+    def counted(name):
+        fn = getattr(enc, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(enc, name, counted(name))
+    enc.train_autoencoder(rm.builtin_library("pi2"), enc.EncoderTrainConfig(epochs=12, seed=7))
+    assert calls == {"autoencoder_gradient": 13, "batch_loss": 0}
+
+
+def test_broadcast_decoder_input_matches_contiguous():
+    rng = np.random.default_rng(8)
+    _, d = enc.init_params(rng, hidden=6, latent_dim=3, input_dim=4)
+    z = rng.normal(size=(5, 3))
+    T = 9
+    view = np.broadcast_to(z, (T,) + z.shape)
+    dense = view.copy()
+    got = enc._lstm_forward(d.w_x, d.w_h, d.b, view, z @ d.w_x.T)
+    want = enc._lstm_forward(d.w_x, d.w_h, d.b, dense)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    hs, cs, gates = want
+    dhs = rng.normal(size=(T, 5, 6))
+    got = enc._lstm_backward(d.w_x, d.w_h, view, hs, cs, gates, dhs)
+    want = enc._lstm_backward(d.w_x, d.w_h, dense, hs, cs, gates, dhs)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert got[3].sum(axis=0).tobytes() == want[3].sum(axis=0).tobytes()
+    assert enc._lstm_backward(d.w_x, d.w_h, dense, hs, cs, gates, dhs, input_grad=False)[3] is None
