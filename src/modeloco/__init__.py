@@ -11,7 +11,6 @@ from .encoder import (
     DecoderParams,
     EncoderParams,
     EncoderTrainConfig,
-    LatentMode,
     decode,
     encode,
     reconstruction_loss,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .refmotion import (
     modeset_from_spec,
 )
 from .sampler import sampler_to_payload
-from .sim import RewardConfig, RobotConfig, TERRAIN_PRESETS, Terrain
+from .sim import RewardConfig, RobotConfig, TERRAIN_PRESETS, Terrain, observation_dim
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,6 +60,24 @@ def _load_terrain(spec: str) -> Terrain:
     if spec in TERRAIN_PRESETS:
         return TERRAIN_PRESETS[spec]()
     return Terrain.from_payload(read_artifact(spec, "terrain"))
+
+
+def _load_encoded_library(path: str):
+    library = library_from_payload(read_artifact(path, "library"))
+    if library.latents is None:
+        raise InvalidInputError(f"library {path} has no latents; run train-encoder first")
+    return library
+
+
+def _check_policy_fits(policy, library, policy_path: str, library_path: str) -> None:
+    """The policy's input size must be the observation size the library's latents give."""
+    latent_dim = library.latents.shape[1]
+    want = observation_dim(latent_dim)
+    if policy.net.input_dim != want:
+        raise InvalidInputError(
+            f"policy {policy_path} takes {policy.net.input_dim} observation inputs, but the "
+            f"{latent_dim}-dimensional latents of library {library_path} give {want}"
+        )
 
 
 def _reward_config(args) -> RewardConfig:
@@ -146,11 +165,7 @@ def _write_training_log(path: Path, rows, n: int) -> None:
 
 
 def cmd_train_policy(args) -> int:
-    library = library_from_payload(read_artifact(args.library, "library"))
-    if any(z is None for z in library.latents):
-        raise InvalidInputError(
-            f"library {args.library} has no latents; run train-encoder first"
-        )
+    library = _load_encoded_library(args.library)
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
     reward_cfg = _reward_config(args)
@@ -161,6 +176,7 @@ def cmd_train_policy(args) -> int:
     start = None
     if args.resume:
         start = train_mod.load_checkpoint(args.resume)
+        _check_policy_fits(start.policy, library, args.resume, args.library)
         print(f"resuming from {args.resume} at update {start.update_count}")
     out = _out_path(args.out, "policy.json")
     checkpoint_path = args.checkpoint or str(out) + ".checkpoint.json"
@@ -196,8 +212,9 @@ def cmd_train_policy(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    library = library_from_payload(read_artifact(args.library, "library"))
+    library = _load_encoded_library(args.library)
     policy, _value = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
+    _check_policy_fits(policy, library, args.policy, args.library)
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
     reward_cfg = _reward_config(args)
@@ -272,8 +289,9 @@ def _planner_config(args) -> plan_mod.PlannerConfig:
 
 
 def cmd_plan(args) -> int:
-    library = library_from_payload(read_artifact(args.library, "library"))
+    library = _load_encoded_library(args.library)
     policy, _value = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
+    _check_policy_fits(policy, library, args.policy, args.library)
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
     cfg = _planner_config(args)
@@ -314,11 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
         "mode encoder, adaptive-sampling policy training, and mode planning.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    # Flags that set a config field take its default from the dataclass.
+    # Flags that set a config field or a function argument take its default
+    # from the dataclass or the function signature.
     enc_d = enc_mod.EncoderTrainConfig()
     ppo_d = pol_mod.PpoConfig()
     train_d = train_mod.TrainConfig()
     plan_d = plan_mod.PlannerConfig()
+    eval_d = inspect.signature(pol_mod.evaluate_modes).parameters
+    trials_d = inspect.signature(plan_mod.parallel_trials).parameters
 
     g = sub.add_parser("gen-refs", help="build a reference-motion library")
     g.add_argument("--modeset", required=True,
@@ -360,9 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--library", required=True)
     e.add_argument("--policy", required=True)
     e.add_argument("--terrain", default="flat")
-    e.add_argument("--horizon", type=int, default=200)
-    e.add_argument("--rollouts", type=int, default=1)
-    e.add_argument("--clock-rate", type=float, default=1.0, dest="clock_rate")
+    e.add_argument("--horizon", type=int, default=eval_d["horizon"].default)
+    e.add_argument("--rollouts", type=int, default=eval_d["rollouts_per_case"].default)
+    e.add_argument("--clock-rate", type=float, default=eval_d["clock_rate"].default,
+                   dest="clock_rate")
     e.add_argument("--modeset", default=None)
     e.add_argument("--reward-weights", default=None)
     e.add_argument("--out", default=None)
@@ -379,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--alpha", type=float, default=plan_d.alpha)
     pl.add_argument("--explore", type=float, default=plan_d.explore)
     pl.add_argument("--episodes", type=int, default=plan_d.episodes)
-    pl.add_argument("--trials", type=int, default=5)
-    pl.add_argument("--workers", type=int, default=1)
+    pl.add_argument("--trials", type=int, default=trials_d["trials"].default)
+    pl.add_argument("--workers", type=int, default=trials_d["workers"].default)
     pl.add_argument("--seed", type=int, default=plan_d.seed)
     pl.add_argument("--out", default=None)
     pl.set_defaults(fn=cmd_plan)

@@ -38,21 +38,6 @@ class TrainingFailure(RuntimeError):
     """Raised when optimization produces a non-finite loss."""
 
 
-@dataclass(frozen=True)
-class LatentMode:
-    """Fixed-length encoding of one reference motion."""
-
-    z: np.ndarray
-    source_name: str
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if not np.isfinite(z).all():
-            raise ValueError("latent must be finite")
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-
-
 @dataclass
 class EncoderParams:
     """LSTM cell weights plus the latent projection and input normalization."""
@@ -272,7 +257,7 @@ def normalization_stats(library: ModeLibrary) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
-def encode(params: EncoderParams, motion: ReferenceMotion) -> LatentMode:
+def encode(params: EncoderParams, motion: ReferenceMotion) -> np.ndarray:
     """Deterministically map one clip to its latent vector."""
     if motion.samples.shape[1] != params.input_dim:
         raise ValueError(
@@ -281,16 +266,15 @@ def encode(params: EncoderParams, motion: ReferenceMotion) -> LatentMode:
         )
     xs = normalize(motion.samples, params.norm_mean, params.norm_scale)[:, None, :]
     hs, _, _ = _lstm_forward(params.w_x, params.w_h, params.b, xs)
-    z = hs[-1][0] @ params.w_z.T
-    return LatentMode(z=z, source_name=motion.name)
+    return hs[-1][0] @ params.w_z.T
 
 
-def decode(params: DecoderParams, z: LatentMode | np.ndarray, T: int) -> np.ndarray:
+def decode(params: DecoderParams, z: np.ndarray, T: int) -> np.ndarray:
     """Reconstruct a T-step trajectory (raw units) from one latent vector."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    zv = np.asarray(z.z if isinstance(z, LatentMode) else z, dtype=float)
-    xs = np.broadcast_to(zv, (T, 1, zv.shape[0]))
+    z = np.asarray(z, dtype=float)
+    xs = np.broadcast_to(z, (T, 1, z.shape[0]))
     hs, _, _ = _lstm_forward(params.w_x, params.w_h, params.b, xs, xs[0] @ params.w_x.T)
     ys = hs[1:, 0] @ params.w_y.T
     return denormalize(ys, params.norm_mean, params.norm_scale)
@@ -469,7 +453,7 @@ def train_autoencoder(library: ModeLibrary, cfg: EncoderTrainConfig) -> TrainRes
             lr_scale *= 0.5
         losses.append(loss)
 
-    latents = [encode(enc, motion) for motion in library.motions]
+    latents = np.array([encode(enc, motion) for motion in library.motions])
     return TrainResult(
         encoder=enc,
         decoder=dec,

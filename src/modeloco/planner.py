@@ -80,12 +80,9 @@ def plan_rollout(
     The phase clock runs continuously; knot boundaries only swap the latent
     command. A fall ends the rollout and leaves the remaining knots at zero.
     """
-    latents = []
-    for idx in plan.mode_indices:
-        z = library.latents[idx]
-        if z is None:
-            raise ValueError(f"mode {library.names[idx]} has no latent; train the encoder")
-        latents.append(np.asarray(z.z if hasattr(z, "z") else z, dtype=float))
+    if library.latents is None:
+        raise ValueError("library has no latents; train the encoder")
+    latents = library.latents[list(plan.mode_indices)]
     steps_per_knot = round(cfg.knot_dt / robot_cfg.control_dt)
     if steps_per_knot < 1:
         raise ValueError("knot duration shorter than one control step")

@@ -273,25 +273,13 @@ class PpoConfig:
             raise ValueError("clip_ratio must be positive")
 
 
-def ppo_loss(
-    policy: PolicyParams, value: ValueParams, batch: dict, cfg: PpoConfig
-) -> float:
-    """Clipped surrogate plus value regression minus the entropy bonus."""
-    mean, _ = mlp_forward(policy.net, batch["obs"])
-    lp = gaussian_log_prob(batch["actions"], mean, policy.log_std)
-    ratio = np.exp(lp - batch["old_log_probs"])
-    adv = batch["advantages"]
-    clipped = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
-    policy_loss = -float(np.minimum(ratio * adv, clipped * adv).mean())
-    v, _ = mlp_forward(value.net, batch["obs"])
-    value_loss = float(((v[:, 0] - batch["returns"]) ** 2).mean())
-    return policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy(policy)
-
-
 def ppo_loss_and_grad(
     policy: PolicyParams, value: ValueParams, batch: dict, cfg: PpoConfig
 ):
-    """Loss plus analytic gradients as flat vectors (policy, value)."""
+    """Clipped surrogate plus value regression minus the entropy bonus, with gradients.
+
+    Returns (loss, flat policy gradient, flat value gradient, surrogate, value term).
+    """
     obs = batch["obs"]
     B = obs.shape[0]
     mean, acts_p = mlp_forward(policy.net, obs)
@@ -331,7 +319,7 @@ def ppo_loss_and_grad(
     )
     g_policy = np.concatenate([_pack_mlp(g_policy_net), d_log_std])
     g_value = _pack_mlp(g_value_net)
-    return loss, g_policy, g_value
+    return loss, g_policy, g_value, policy_loss, value_loss
 
 
 @dataclass
@@ -349,6 +337,9 @@ class PpoOptState:
 
 @dataclass
 class UpdateStats:
+    """Update diagnostics; the losses are the last minibatch's from before its step
+    (0 for a rejected update)."""
+
     policy_loss: float
     value_loss: float
     entropy: float
@@ -402,7 +393,6 @@ def ppo_update(
     opt_p, opt_v = opt.policy.copy(), opt.value.copy()
     n = obs.shape[0]
     cur_policy, cur_value = policy, value
-    last_pl, last_vl = 0.0, 0.0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for chunk in np.array_split(order, cfg.minibatches):
@@ -415,29 +405,22 @@ def ppo_update(
                 "advantages": adv[chunk],
                 "returns": returns[chunk],
             }
-            loss, g_p, g_v = ppo_loss_and_grad(cur_policy, cur_value, batch, cfg)
+            loss, g_p, g_v, policy_loss, value_loss = ppo_loss_and_grad(
+                cur_policy, cur_value, batch, cfg
+            )
             if not (
                 math.isfinite(loss)
                 and np.isfinite(g_p).all()
                 and np.isfinite(g_v).all()
             ):
+                stats.policy_loss = stats.value_loss = 0.0
                 stats.rejected = True
                 return policy, value, opt, stats
+            stats.policy_loss, stats.value_loss = policy_loss, value_loss
             flat_p, opt_p = adam_step(flat_p, g_p, opt_p, cfg.learning_rate)
             flat_v, opt_v = adam_step(flat_v, g_v, opt_v, cfg.learning_rate)
             cur_policy = unpack_policy(flat_p, policy)
             cur_value = unpack_value(flat_v, value)
-            mean, _ = mlp_forward(cur_policy.net, batch["obs"])
-            lp = gaussian_log_prob(batch["actions"], mean, cur_policy.log_std)
-            ratio = np.exp(lp - batch["old_log_probs"])
-            clipped = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
-            last_pl = -float(
-                np.minimum(ratio * batch["advantages"], clipped * batch["advantages"]).mean()
-            )
-            v, _ = mlp_forward(cur_value.net, batch["obs"])
-            last_vl = float(((v[:, 0] - batch["returns"]) ** 2).mean())
-    stats.policy_loss = last_pl
-    stats.value_loss = last_vl
     stats.entropy = entropy(cur_policy)
     return cur_policy, cur_value, PpoOptState(policy=opt_p, value=opt_v), stats
 
@@ -469,12 +452,9 @@ def rollout(
     """
     if script.mode_from >= library.n or script.mode_to >= library.n:
         raise ValueError("script modes outside the library")
-    latents = []
-    for idx in (script.mode_from, script.mode_to):
-        z = library.latents[idx]
-        if z is None:
-            raise ValueError(f"mode {library.names[idx]} has no latent; train the encoder")
-        latents.append(np.asarray(z.z if hasattr(z, "z") else z, dtype=float))
+    if library.latents is None:
+        raise ValueError("library has no latents; train the encoder")
+    latents = library.latents[[script.mode_from, script.mode_to]]
 
     state = initial_state(robot_cfg, terrain, x=start_x, clock_rate=clock_rate)
     tracker = ModeTracker(

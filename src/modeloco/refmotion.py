@@ -12,6 +12,7 @@ periodic clips and repeats the preceding step otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -129,18 +130,29 @@ class ModeLibrary:
     """Ordered set of reference motions; the order defines the mode indices."""
 
     motions: tuple[ReferenceMotion, ...]
-    latents: tuple
+    latents: np.ndarray | None = None  # (n, latent_dim), row i encodes motions[i]
 
     def __post_init__(self):
         names = [m.name for m in self.motions]
         if len(set(names)) != len(names):
             raise InvalidInputError(f"mode names must be unique, got {names}")
-        if len(self.latents) != len(self.motions):
-            raise InvalidInputError("latents must match motions one-to-one")
+        if self.latents is not None:
+            try:
+                z = _frozen(np.array(self.latents, dtype=float))
+            except (TypeError, ValueError):
+                z = None
+            if z is None or z.ndim != 2 or z.shape[0] != len(self.motions) or z.shape[1] < 1:
+                raise InvalidInputError(
+                    f"latents must be numbers, one row of equal length for each of the "
+                    f"{len(self.motions)} modes"
+                )
+            if not np.isfinite(z).all():
+                raise InvalidInputError("latents must be finite")
+            object.__setattr__(self, "latents", z)
 
     @staticmethod
     def from_motions(motions: Sequence[ReferenceMotion]) -> "ModeLibrary":
-        return ModeLibrary(tuple(motions), (None,) * len(motions))
+        return ModeLibrary(tuple(motions))
 
     @property
     def n(self) -> int:
@@ -156,8 +168,8 @@ class ModeLibrary:
         except ValueError:
             raise KeyError(f"no mode named {name!r} in library {self.names}") from None
 
-    def with_latents(self, latents: Sequence) -> "ModeLibrary":
-        return ModeLibrary(self.motions, tuple(latents))
+    def with_latents(self, latents: np.ndarray) -> "ModeLibrary":
+        return ModeLibrary(self.motions, latents)
 
 
 def interpolate_keyframes(
@@ -363,11 +375,22 @@ def _modeset_spec(selector: str) -> dict:
     }
 
 
-def _spec_field(entry, key: str, where: str):
-    """entry[key] of a modeset spec; InvalidInputError if entry has no such key."""
-    if not isinstance(entry, dict) or key not in entry:
+def _spec_field(entry, key: str, where: str, default=None, number: bool = False):
+    """entry[key] of a modeset spec, or default when given and the key is absent.
+
+    InvalidInputError if a key without a default is missing, or if number is set
+    and the value is not a finite number; a number is returned as a float.
+    """
+    if not isinstance(entry, dict) or (key not in entry and default is None):
         raise InvalidInputError(f"modeset spec: {where} has no '{key}' entry")
-    return entry[key]
+    value = entry.get(key, default)
+    if not number:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InvalidInputError(
+            f"modeset spec: '{key}' of {where} must be a finite number, got {value!r}"
+        )
+    return float(value)
 
 
 def _spec_list(entry, key: str, where: str) -> list:
@@ -385,18 +408,19 @@ def modeset_from_spec(spec: dict) -> ModeLibrary:
     "contact_phases": null | [{"start", "end", "left", "right"}]}]}
     """
     modes = _spec_list(spec, "modes", "the modeset")
-    dt = float(spec.get("dt", DEFAULT_DT))
+    dt = _spec_field(spec, "dt", "the modeset", DEFAULT_DT, number=True)
     motions = []
     for i, mode in enumerate(modes):
         where = f"mode {i}"
         name = _spec_field(mode, "name", where)
         kind = _spec_field(mode, "kind", where)
+        key_at = f"a keyframe of {where}"
         keys = [
             Keyframe(
-                time=float(_spec_field(k, "time", f"a keyframe of {where}")),
-                base_x=float(k.get("x", 0.0)),
-                base_z=float(k.get("z", NOMINAL_HEIGHT)),
-                base_pitch=float(k.get("pitch", 0.0)),
+                time=_spec_field(k, "time", key_at, number=True),
+                base_x=_spec_field(k, "x", key_at, 0.0, number=True),
+                base_z=_spec_field(k, "z", key_at, NOMINAL_HEIGHT, number=True),
+                base_pitch=_spec_field(k, "pitch", key_at, 0.0, number=True),
             )
             for k in _spec_list(mode, "keyframes", where)
         ]
@@ -405,8 +429,8 @@ def modeset_from_spec(spec: dict) -> ModeLibrary:
             at = f"a contact phase of {where}"
             phases = [
                 ContactPhase(
-                    start_phase=float(_spec_field(p, "start", at)),
-                    end_phase=float(_spec_field(p, "end", at)),
+                    start_phase=_spec_field(p, "start", at, number=True),
+                    end_phase=_spec_field(p, "end", at, number=True),
                     left=bool(_spec_field(p, "left", at)),
                     right=bool(_spec_field(p, "right", at)),
                 )
@@ -435,31 +459,27 @@ def library_to_payload(library: ModeLibrary) -> dict:
                 "kind": m.kind,
                 "dt": m.dt,
                 "samples": m.samples.tolist(),
-                "latent": None
-                if z is None
-                else np.asarray(getattr(z, "z", z), dtype=float).tolist(),
+                "latent": None if library.latents is None else library.latents[i].tolist(),
             }
-            for m, z in zip(library.motions, library.latents)
+            for i, m in enumerate(library.motions)
         ],
     }
 
 
 def library_from_payload(payload: dict) -> ModeLibrary:
-    from .encoder import LatentMode  # deferred: encoder depends on this module
-
-    motions = []
-    latents = []
-    for mode in payload["modes"]:
-        motions.append(
-            ReferenceMotion(
-                name=mode["name"],
-                samples=np.array(mode["samples"], dtype=float),
-                dt=float(mode["dt"]),
-                kind=mode["kind"],
-            )
+    motions = tuple(
+        ReferenceMotion(
+            name=mode["name"],
+            samples=np.array(mode["samples"], dtype=float),
+            dt=float(mode["dt"]),
+            kind=mode["kind"],
         )
-        z = mode.get("latent")
-        latents.append(
-            None if z is None else LatentMode(np.array(z, dtype=float), mode["name"])
-        )
-    return ModeLibrary(tuple(motions), tuple(latents))
+        for mode in payload["modes"]
+    )
+    latents = [mode.get("latent") for mode in payload["modes"]]
+    missing = [m.name for m, z in zip(motions, latents) if z is None]
+    if len(missing) == len(motions):
+        return ModeLibrary(motions)
+    if missing:
+        raise InvalidInputError(f"library: modes {missing} have no latent but others do")
+    return ModeLibrary(motions, latents)

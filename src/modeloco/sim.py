@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .refmotion import PERIODIC, TRANSIENT, ReferenceMotion
+from .refmotion import DEFAULT_CLIP_DURATION, DEFAULT_DT, PERIODIC, TRANSIENT, ReferenceMotion
 
 GRAVITY = 9.81
 
@@ -59,9 +59,9 @@ class RobotConfig:
     contact_stiffness: float = 2.0e4
     contact_damping: float = 200.0
     friction: float = 0.8
-    control_dt: float = 0.02
+    control_dt: float = DEFAULT_DT  # the reference clips' sample step
     substeps: int = 20
-    cycle_duration: float = 1.0  # wall-clock seconds per phase cycle at rate 1
+    cycle_duration: float = DEFAULT_CLIP_DURATION  # wall-clock seconds per phase cycle at rate 1
 
     def __post_init__(self):
         for name in (

@@ -29,7 +29,7 @@ from .sampler import (
     uniform_script,
     update_records,
 )
-from .sim import RewardConfig, RobotConfig, Terrain
+from .sim import RewardConfig, RobotConfig, Terrain, observation_dim
 
 ADAPTIVE = "adaptive"
 UNIFORM = "uniform"
@@ -118,13 +118,9 @@ def _run_episode(args) -> pol.Trajectory:
     )
 
 
-def fresh_train_state(
-    library: ModeLibrary, ppo_cfg: pol.PpoConfig, cfg: TrainConfig, latent_dim: int
-) -> TrainState:
+def fresh_train_state(library: ModeLibrary, cfg: TrainConfig) -> TrainState:
     rng = derived_rng(cfg.seed, _STREAM_INIT, 0)
-    from .sim import observation_dim
-
-    obs_dim = observation_dim(latent_dim)
+    obs_dim = observation_dim(library.latents.shape[1])
     policy = pol.init_policy(rng, obs_dim)
     value = pol.init_value(rng, obs_dim)
     return TrainState(
@@ -149,12 +145,9 @@ def run_training(
     on_checkpoint=None,
 ) -> TrainResult:
     """Run cfg.updates training iterations, resuming from `start` if given."""
-    if any(z is None for z in library.latents):
+    if library.latents is None:
         raise ValueError("library has empty latents; run the encoder first")
-    latent_dim = np.asarray(
-        library.latents[0].z if hasattr(library.latents[0], "z") else library.latents[0]
-    ).shape[0]
-    state = start or fresh_train_state(library, ppo_cfg, cfg, latent_dim)
+    state = start or fresh_train_state(library, cfg)
     cycle_steps = round(robot_cfg.cycle_duration / robot_cfg.control_dt)
     latest_switch = switch_step_for(max(SWITCH_CLIPS), max(SWITCH_PHASES), cycle_steps)
     if ppo_cfg.horizon <= latest_switch:

@@ -1,4 +1,6 @@
+import copy
 import csv
+import inspect
 import json
 from pathlib import Path
 
@@ -7,9 +9,9 @@ import pytest
 
 from modeloco import cli
 from modeloco.encoder import EncoderTrainConfig
-from modeloco.fileio import read_artifact
-from modeloco.planner import PlannerConfig
-from modeloco.policy import PpoConfig
+from modeloco.fileio import read_artifact, write_artifact
+from modeloco.planner import PlannerConfig, parallel_trials
+from modeloco.policy import PpoConfig, evaluate_modes
 from modeloco.training import TrainConfig
 
 
@@ -81,6 +83,21 @@ def test_gen_refs_spec_without_modes_is_validation_error(workdir, capsys):
     assert "no 'modes' entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, where", [("time", "a keyframe of mode 1"), ("z", "a keyframe of mode 1"),
+                     ("dt", "the modeset")],
+)
+def test_gen_refs_spec_null_number_is_validation_error(workdir, capsys, field, where):
+    spec = copy.deepcopy(TWO_MODE_SPEC)
+    entry = spec if field == "dt" else spec["modes"][1]["keyframes"][0]
+    entry[field] = None
+    spec_path = workdir / "null.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run("gen-refs", "--modeset", str(spec_path)) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{field}' of {where} must be a finite number, got None" in err
+
+
 def test_parser_defaults_are_the_config_defaults():
     parser = cli.build_parser()
     tp = parser.parse_args(["train-policy", "--library", "lib.json"])
@@ -90,6 +107,13 @@ def test_parser_defaults_are_the_config_defaults():
     te = parser.parse_args(["train-encoder", "--library", "lib.json"])
     enc = EncoderTrainConfig()
     assert (te.epochs, te.lr, te.seed) == (enc.epochs, enc.learning_rate, enc.seed)
+    ev = parser.parse_args(["eval", "--library", "lib.json", "--policy", "pol.json"])
+    eval_d = inspect.signature(evaluate_modes).parameters
+    assert (ev.horizon, ev.rollouts, ev.clock_rate) == tuple(
+        eval_d[k].default for k in ("horizon", "rollouts_per_case", "clock_rate")
+    )
+    trials_d = inspect.signature(parallel_trials).parameters
+    assert (pl.trials, pl.workers) == (trials_d["trials"].default, trials_d["workers"].default)
 
 
 def _gen_and_encode(workdir, epochs="120"):
@@ -172,6 +196,50 @@ def test_train_policy_requires_latents(workdir):
     lib = workdir / "raw.json"
     assert run("gen-refs", "--modeset", "pi2", "--out", str(lib)) == 0
     assert _train_policy(workdir, lib, workdir / "p.json") == cli.EXIT_VALIDATION
+
+
+def _library_with_latents(workdir, latents, name="library.json"):
+    """The two-mode library, with the given per-mode latents written into it."""
+    spec_path = workdir / "tiny.modes.json"
+    spec_path.write_text(json.dumps(TWO_MODE_SPEC))
+    lib = workdir / name
+    assert run("gen-refs", "--modeset", str(spec_path), "--out", str(lib)) == 0
+    payload = read_artifact(lib, "library")
+    for mode, z in zip(payload["modes"], latents):
+        mode["latent"] = z
+    write_artifact(lib, "library", payload)
+    return lib
+
+
+@pytest.mark.parametrize(
+    "second, problem",
+    [(None, "['walk_f'] have no latent"), ([0.1, 0.2, 0.3], "equal length"),
+     ([0.1, float("nan"), 0.3, 0.4], "latents must be finite")],
+)
+def test_eval_rejects_bad_library_latents(workdir, capsys, second, problem):
+    good = _library_with_latents(workdir, [[0.1, 0.2, 0.3, 0.4]] * 2, "good.json")
+    pol = workdir / "policy.json"
+    assert run("train-policy", "--library", str(good), "--out", str(pol), "--updates", "0") == 0
+    lib = _library_with_latents(workdir, [[0.1, 0.2, 0.3, 0.4], second])
+    assert run("eval", "--library", str(lib), "--policy", str(pol)) == cli.EXIT_VALIDATION
+    assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "plan", "train-policy"])
+def test_policy_must_fit_the_library_latents(workdir, capsys, command):
+    small = _library_with_latents(workdir, [[0.1, 0.2, 0.3]] * 2, "small.json")
+    pol = workdir / "small_policy.json"
+    assert run("train-policy", "--library", str(small), "--out", str(pol), "--updates", "0") == 0
+    lib = _library_with_latents(workdir, [[0.1, 0.2, 0.3, 0.4]] * 2)
+    if command == "train-policy":
+        argv = ["--resume", str(pol) + ".checkpoint.json", "--out", str(workdir / "p.json")]
+    else:
+        argv = ["--policy", str(pol), "--out", str(workdir / "out.json")]
+    capsys.readouterr()
+    assert run(command, "--library", str(lib), *argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "takes 18 observation inputs" in err and "give 19" in err
+    assert not (workdir / "p.json").exists() and not (workdir / "out.json").exists()
 
 
 def test_train_policy_checkpoint_resume_identical(workdir):

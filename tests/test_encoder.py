@@ -27,16 +27,15 @@ def test_encode_deterministic_and_shape():
     walk = lib.motions[lib.index_of("walk_f")]
     z1 = enc.encode(e, walk)
     z2 = enc.encode(e, walk)
-    assert np.array_equal(z1.z, z2.z)
-    assert z1.z.shape == (4,)
-    assert z1.source_name == "walk_f"
+    assert np.array_equal(z1, z2)
+    assert z1.shape == (4,)
 
 
 def test_encode_zero_params_gives_zero_latent():
     e, _ = enc.zero_params(hidden=8, latent_dim=4, input_dim=5)
     lib = rm.builtin_library("pi2")
     z = enc.encode(e, lib.motions[0])
-    np.testing.assert_array_equal(z.z, np.zeros(4))
+    np.testing.assert_array_equal(z, np.zeros(4))
 
 
 def test_encode_length_robust():
@@ -44,7 +43,7 @@ def test_encode_length_robust():
     rng = np.random.default_rng(0)
     short = motion_from(np.hstack([rng.normal(size=(5, 3)), np.zeros((5, 2))]))
     long = motion_from(np.hstack([rng.normal(size=(40, 3)), np.zeros((40, 2))]))
-    assert enc.encode(e, short).z.shape == enc.encode(e, long).z.shape == (4,)
+    assert enc.encode(e, short).shape == enc.encode(e, long).shape == (4,)
 
 
 def test_encode_channel_mismatch():
@@ -177,8 +176,7 @@ def test_training_deterministic_given_seed():
     r1 = enc.train_autoencoder(lib, cfg)
     r2 = enc.train_autoencoder(lib, cfg)
     assert r1.losses == r2.losses
-    for z1, z2 in zip(r1.library.latents, r2.library.latents):
-        assert np.array_equal(z1.z, z2.z)
+    assert np.array_equal(r1.library.latents, r2.library.latents)
 
 
 def test_training_loss_non_increasing():
@@ -193,8 +191,8 @@ def test_training_fills_latents_distinctly():
     res = enc.train_autoencoder(
         lib, enc.EncoderTrainConfig(epochs=400, seed=0)
     )
-    assert all(z is not None for z in res.library.latents)
-    zs = [z.z for z in res.library.latents]
+    zs = res.library.latents
+    assert zs.shape == (lib.n, 4)
     for i in range(len(zs)):
         for j in range(i + 1, len(zs)):
             assert np.linalg.norm(zs[i] - zs[j]) > 0.0
@@ -379,7 +377,7 @@ def _reference_train(library, cfg):
         else:
             lr_scale *= 0.5
         losses.append(loss)
-    latents = [enc.encode(e, m).z for m in library.motions]
+    latents = np.array([enc.encode(e, m) for m in library.motions])
     return losses, enc.pack_params(e, d), latents
 
 
@@ -400,8 +398,7 @@ def test_training_matches_reference_bit_for_bit(modeset):
             losses, flat, latents = _reference_train(lib, cfg)
             assert np.array(res.losses).tobytes() == np.array(losses).tobytes()
             assert enc.pack_params(res.encoder, res.decoder).tobytes() == flat.tobytes()
-            for got, want in zip(res.library.latents, latents):
-                assert got.z.tobytes() == want.tobytes()
+            assert res.library.latents.tobytes() == latents.tobytes()
             rejected += sum(a == b for a, b in zip(losses, losses[1:]))
     assert rejected > 0  # the runs cover steps whose gradient is reused
 

@@ -8,7 +8,6 @@ from modeloco import planner as pl
 from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
-from modeloco.encoder import LatentMode
 
 
 def test_goal_step_reward_values():
@@ -80,9 +79,7 @@ def test_greedy_tie_break_lowest_index():
 def library_with_latents():
     lib = rm.builtin_library("pi2")
     rng = np.random.default_rng(0)
-    return lib.with_latents(
-        [LatentMode(rng.normal(size=4), m.name) for m in lib.motions]
-    )
+    return lib.with_latents(rng.normal(size=(lib.n, 4)))
 
 
 ROBOT = sim.RobotConfig()

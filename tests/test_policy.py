@@ -6,16 +6,13 @@ import pytest
 from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
-from modeloco.encoder import LatentMode
 from modeloco.sampler import EpisodeScript
 
 
 def library_with_latents(selector="pi2", seed=0):
     lib = rm.builtin_library(selector)
     rng = np.random.default_rng(seed)
-    return lib.with_latents(
-        [LatentMode(rng.normal(size=4), m.name) for m in lib.motions]
-    )
+    return lib.with_latents(rng.normal(size=(lib.n, 4)))
 
 
 OBS_DIM = sim.observation_dim(4)
@@ -120,8 +117,8 @@ def test_clipped_surrogate_equals_unclipped_inside_trust_region():
     }
     value = pol.init_value(rng, 3, hidden=(4,))
     loose = pol.PpoConfig(clip_ratio=1e9)
-    assert pol.ppo_loss(policy, value, batch, cfg) == pytest.approx(
-        pol.ppo_loss(policy, value, batch, loose), abs=1e-12
+    assert pol.ppo_loss_and_grad(policy, value, batch, cfg)[0] == pytest.approx(
+        pol.ppo_loss_and_grad(policy, value, batch, loose)[0], abs=1e-12
     )
 
 
@@ -142,7 +139,7 @@ def test_surrogate_gradient_matches_finite_differences():
             "advantages": rng.normal(size=B),
             "returns": rng.normal(size=B),
         }
-        _, g_p, g_v = pol.ppo_loss_and_grad(policy, value, batch, cfg)
+        _, g_p, g_v, _, _ = pol.ppo_loss_and_grad(policy, value, batch, cfg)
         h = 1e-6
         for pack, unpack, grad, which in (
             (pol.pack_policy, pol.unpack_policy, g_p, "p"),
@@ -156,11 +153,11 @@ def test_surrogate_gradient_matches_finite_differences():
                 minus = base.copy()
                 minus[i] -= h
                 if which == "p":
-                    lp_ = pol.ppo_loss(unpack(plus, policy), value, batch, cfg)
-                    lm_ = pol.ppo_loss(unpack(minus, policy), value, batch, cfg)
+                    lp_ = pol.ppo_loss_and_grad(unpack(plus, policy), value, batch, cfg)[0]
+                    lm_ = pol.ppo_loss_and_grad(unpack(minus, policy), value, batch, cfg)[0]
                 else:
-                    lp_ = pol.ppo_loss(policy, unpack(plus, value), batch, cfg)
-                    lm_ = pol.ppo_loss(policy, unpack(minus, value), batch, cfg)
+                    lp_ = pol.ppo_loss_and_grad(policy, unpack(plus, value), batch, cfg)[0]
+                    lm_ = pol.ppo_loss_and_grad(policy, unpack(minus, value), batch, cfg)[0]
                 fd[i] = (lp_ - lm_) / (2 * h)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
             worst = max(worst, rel.max())
@@ -253,8 +250,8 @@ def test_rollout_latent_switch_exact_step():
         policy, None, lib, script, sim.Terrain.flat(), ROBOT, REWARD,
         stochastic=False,
     )
-    z_from = lib.latents[0].z
-    z_to = lib.latents[2].z
+    z_from = lib.latents[0]
+    z_to = lib.latents[2]
     assert tr.length == 80
     np.testing.assert_array_equal(tr.obs[61, 2:6], z_from)
     np.testing.assert_array_equal(tr.obs[62, 2:6], z_to)
@@ -273,7 +270,7 @@ def test_rollout_same_mode_keeps_latent_constant():
         stochastic=False,
     )
     for t in range(tr.length):
-        np.testing.assert_array_equal(tr.obs[t, 2:6], lib.latents[1].z)
+        np.testing.assert_array_equal(tr.obs[t, 2:6], lib.latents[1])
 
 
 def test_rollout_fall_truncates_with_zero_bootstrap():

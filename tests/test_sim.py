@@ -20,6 +20,12 @@ def airborne_state(qdot=None):
     )
 
 
+def test_robot_stands_at_the_reference_height():
+    # Reference clips sketch the base at NOMINAL_HEIGHT; the robot's straight-leg
+    # height must be the same number, since rewards compare the two directly.
+    assert CFG.nominal_height == rm.NOMINAL_HEIGHT
+
+
 # --- PD torque ---------------------------------------------------------------
 
 

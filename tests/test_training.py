@@ -5,7 +5,6 @@ from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
 from modeloco import training as tm
-from modeloco.encoder import LatentMode
 
 
 def two_mode_library(seed=0):
@@ -13,8 +12,7 @@ def two_mode_library(seed=0):
     keep = [lib.index_of("idle"), lib.index_of("walk_f")]
     motions = [lib.motions[i] for i in keep]
     rng = np.random.default_rng(seed)
-    latents = [LatentMode(rng.normal(size=4), m.name) for m in motions]
-    return rm.ModeLibrary(tuple(motions), tuple(latents))
+    return rm.ModeLibrary(tuple(motions), rng.normal(size=(len(motions), 4)))
 
 
 ROBOT = sim.RobotConfig()
