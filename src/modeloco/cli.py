@@ -177,6 +177,12 @@ def cmd_train_policy(args) -> int:
     if args.resume:
         start = train_mod.load_checkpoint(args.resume)
         _check_policy_fits(start.policy, library, args.resume, args.library)
+        sampled = start.sampler_state.mode_returns.shape[0]
+        if sampled != library.n:
+            raise InvalidInputError(
+                f"checkpoint {args.resume} has sampler records for {sampled} modes, but "
+                f"library {args.library} has {library.n}"
+            )
         print(f"resuming from {args.resume} at update {start.update_count}")
     out = _out_path(args.out, "policy.json")
     checkpoint_path = args.checkpoint or str(out) + ".checkpoint.json"
@@ -218,6 +224,7 @@ def cmd_eval(args) -> int:
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
     reward_cfg = _reward_config(args)
+    traces: dict = {}
     mode_scores, transition_scores = pol_mod.evaluate_modes(
         policy,
         library,
@@ -227,6 +234,7 @@ def cmd_eval(args) -> int:
         horizon=args.horizon,
         rollouts_per_case=args.rollouts,
         clock_rate=args.clock_rate,
+        traces=traces,
     )
     report = {
         "mode_names": list(library.names),
@@ -239,19 +247,8 @@ def cmd_eval(args) -> int:
     }
     out = _out_path(args.out, "eval.json")
     # Per-mode traces: base height and heading velocity profiles.
-    from .sampler import EpisodeScript, switch_step_for
-
-    cycle_steps = round(robot.cycle_duration / robot.control_dt)
     for i, name in enumerate(library.names):
-        script = EpisodeScript(
-            mode_from=i, mode_to=i, switch_phase=0.5, switch_clip=1,
-            switch_step=switch_step_for(1, 0.5, cycle_steps), horizon=args.horizon,
-        )
-        trace: list = []
-        pol_mod.rollout(
-            policy, None, library, script, terrain, robot, reward_cfg,
-            stochastic=False, clock_rate=args.clock_rate, trace=trace,
-        )
+        trace = traces[i]
         trace_path = Path(str(out) + f".{name}.csv")
         with open(trace_path, "w", newline="") as f:
             w = csv.writer(f)

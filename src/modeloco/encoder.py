@@ -160,14 +160,16 @@ def _lstm_forward(w_x, w_h, b, xs, x_proj=None):
 
     x_proj, when given, is the input projection xs[t] @ w_x.T that every
     step shares (a repeated input such as the decoder's latent); xs then only
-    sets the shapes and may be a broadcast view.
+    sets the shapes and may be a broadcast view. The cell cache cs holds
+    c_t in cs[0] and tanh(c_t), which the backward pass reuses, in cs[1].
     """
     T, B, _ = xs.shape
     H = w_h.shape[1]
     w_xT = w_x.T
     w_hT = w_h.T
     hs = np.zeros((T + 1, B, H))
-    cs = np.zeros((T + 1, B, H))
+    cs = np.zeros((2, T + 1, B, H))
+    cells, tanh_cells = cs
     gates = np.zeros((T, B, 4 * H))
     for t in range(T):
         proj = xs[t] @ w_xT if x_proj is None else x_proj
@@ -180,12 +182,11 @@ def _lstm_forward(w_x, w_h, b, xs, x_proj=None):
         gt += 1.0
         gt *= 0.5
         np.tanh(a[:, 2 * H : 3 * H], out=gt[:, 2 * H : 3 * H])
-        c = cs[t + 1]
-        np.multiply(gt[:, H : 2 * H], cs[t], out=c)
+        c = cells[t + 1]
+        np.multiply(gt[:, H : 2 * H], cells[t], out=c)
         c += gt[:, :H] * gt[:, 2 * H : 3 * H]
-        h = hs[t + 1]
-        np.tanh(c, out=h)
-        h *= gt[:, 3 * H :]
+        np.tanh(c, out=tanh_cells[t + 1])
+        np.multiply(tanh_cells[t + 1], gt[:, 3 * H :], out=hs[t + 1])
     return hs, cs, gates
 
 
@@ -208,19 +209,20 @@ def _lstm_backward(w_x, w_h, xs, hs, cs, gates, dhs, input_grad=True):
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
     da = np.empty((B, 4 * H))
+    cells, tanh_cells = cs
     for t in range(T - 1, -1, -1):
         gt = gates[t]
         i = gt[:, :H]
         f = gt[:, H : 2 * H]
         g = gt[:, 2 * H : 3 * H]
-        tanh_c = np.tanh(cs[t + 1])
+        tanh_c = tanh_cells[t + 1]
         dh = dhs[t] + dh_next
         dc = dh * gt[:, 3 * H :] * (1.0 - tanh_c * tanh_c) + dc_next
         # Gate pre-activation gradients: sigmoid blocks get
         # (d * s) * (1 - s) at full width, then the g block is overwritten
         # with its tanh derivative.
         np.multiply(dc, g, out=da[:, :H])
-        np.multiply(dc, cs[t], out=da[:, H : 2 * H])
+        np.multiply(dc, cells[t], out=da[:, H : 2 * H])
         np.multiply(dh, tanh_c, out=da[:, 3 * H :])
         da *= gt
         da *= 1.0 - gt

@@ -6,6 +6,17 @@ k-1; the action is the mode commanded during that knot, and the reward is the
 goal-distance shaping accumulated while the knot is active. The planner sees
 nothing but per-knot rewards from whole-plan rollouts, so the resulting plan
 is purely time-indexed: no terrain or robot state feedback.
+
+Plan rollouts share their prefixes. A deterministic policy in a deterministic
+simulator reaches the same state after the same knot prefix, and every knot's
+reward bucket starts at 0. So a prefix cache keyed by mode-index prefix (the
+state at the knot boundary, that knot's bucket, and whether the rollout ended
+there) runs each distinct prefix once, and rewards, Q-tables, plans and best
+returns stay bit-identical. Cached states are frozen with read-only arrays, so
+entries are shared safely. One cache serves all trials of a `parallel_trials`
+call and their greedy rollouts; with several workers, each process keeps its
+own cache for its block of trials, so results do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -18,9 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .policy import PolicyParams, act
+from .policy import PolicyParams, policy_mean
 from .refmotion import ModeLibrary
-from .sim import RUNNING, RobotConfig, Terrain, initial_state, observe, step, termination
+from .sim import RUNNING, RobotConfig, SimState, Terrain, initial_state, observe, step, termination
+
+# Mode-index prefix -> (state at the end of its last knot, that knot's reward
+# bucket, whether the rollout ended in that knot).
+PrefixCache = dict[tuple[int, ...], tuple[SimState, float, bool]]
 
 
 @dataclass(frozen=True)
@@ -74,31 +89,46 @@ def plan_rollout(
     robot_cfg: RobotConfig,
     cfg: PlannerConfig,
     trace: list | None = None,
+    cache: PrefixCache | None = None,
 ) -> np.ndarray:
     """Execute a plan with the deterministic policy; per-knot reward buckets.
 
     The phase clock runs continuously; knot boundaries only swap the latent
     command. A fall ends the rollout and leaves the remaining knots at zero.
+    A knot whose prefix is in `cache` is read from it instead of simulated,
+    and a simulated knot is added to it. A trace needs every step, so a
+    rollout with a trace does not use the cache.
     """
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
-    latents = library.latents[list(plan.mode_indices)]
     steps_per_knot = round(cfg.knot_dt / robot_cfg.control_dt)
     if steps_per_knot < 1:
         raise ValueError("knot duration shorter than one control step")
+    if trace is not None:
+        cache = None
 
     state = initial_state(robot_cfg, terrain)
     rewards = np.zeros(plan.k)
-    for knot in range(plan.k):
-        for _ in range(steps_per_knot):
-            obs = observe(state, latents[knot])
-            a, _ = act(policy, obs, stochastic=False)
-            state = step(state, a, terrain, robot_cfg)
-            rewards[knot] += goal_step_reward(state.x, state.z, cfg.goal_x, cfg.goal_z)
-            if trace is not None:
-                trace.append((state, rewards[knot], plan.mode_indices[knot]))
-            if termination(state, robot_cfg) != RUNNING:
-                return rewards
+    for knot, mode in enumerate(plan.mode_indices):
+        prefix = plan.mode_indices[: knot + 1]
+        if cache is not None and prefix in cache:
+            state, rewards[knot], ended = cache[prefix]
+        else:
+            latent = library.latents[mode]
+            ended = False
+            for _ in range(steps_per_knot):
+                action = policy_mean(policy, observe(state, latent))
+                state = step(state, action, terrain, robot_cfg)
+                rewards[knot] += goal_step_reward(state.x, state.z, cfg.goal_x, cfg.goal_z)
+                if trace is not None:
+                    trace.append((state, rewards[knot], mode))
+                if termination(state, robot_cfg) != RUNNING:
+                    ended = True
+                    break
+            if cache is not None:
+                cache[prefix] = (state, rewards[knot], ended)
+        if ended:
+            break
     return rewards
 
 
@@ -164,19 +194,29 @@ def q_learn(
     robot_cfg: RobotConfig,
     cfg: PlannerConfig,
     provenance: str = "",
+    cache: PrefixCache | None = None,
 ) -> QLearnResult:
-    """Q-learning over whole-plan rollouts in the biped environment."""
+    """Q-learning over whole-plan rollouts in the biped environment.
+
+    Rollouts share `cache` (a fresh one if None) with any other run of the
+    same policy, library, terrain, robot and knot settings.
+    """
     rng = np.random.default_rng(cfg.seed)
+    cache = {} if cache is None else cache
 
     def rollout_fn(plan: ModePlan) -> np.ndarray:
-        return plan_rollout(plan, policy, library, terrain, robot_cfg, cfg)
+        return plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, cache=cache)
 
     return q_learn_core(rollout_fn, cfg.knots, library.n, cfg, rng, provenance)
 
 
-def _trial(args) -> QLearnResult:
-    policy, library, terrain, robot_cfg, cfg, provenance = args
-    return q_learn(policy, library, terrain, robot_cfg, cfg, provenance)
+def _trials(args) -> list[QLearnResult]:
+    """A block of trials that share one prefix cache."""
+    policy, library, terrain, robot_cfg, configs, provenance = args
+    cache: PrefixCache = {}
+    return [
+        q_learn(policy, library, terrain, robot_cfg, c, provenance, cache) for c in configs
+    ]
 
 
 def parallel_trials(
@@ -193,17 +233,23 @@ def parallel_trials(
 
     Trial i uses seed cfg.seed + i. Aggregation is by evaluated plan return
     with ties going to the earliest trial, so the result does not depend on
-    the worker count.
+    the worker count. The trials share one prefix cache; with workers > 1,
+    each process runs a contiguous block of trials with its own cache.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     configs = [replace(cfg, seed=cfg.seed + i) for i in range(trials)]
-    jobs = [(policy, library, terrain, robot_cfg, c, provenance) for c in configs]
+    size = -(-trials // max(workers, 1))
+    blocks = [
+        (policy, library, terrain, robot_cfg, configs[a : a + size], provenance)
+        for a in range(0, trials, size)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial, jobs))
+            done = list(pool.map(_trials, blocks))
     else:
-        results = [_trial(j) for j in jobs]
+        done = [_trials(b) for b in blocks]
+    results = [r for block in done for r in block]
     best = results[0]
     for r in results[1:]:
         if r.best_return > best.best_return:

@@ -26,6 +26,7 @@ from .sim import (
     ModeTracker,
     RewardConfig,
     RobotConfig,
+    SimState,
     Terrain,
     initial_state,
     observe,
@@ -528,6 +529,50 @@ def normalized_return(tr: Trajectory, reward_cfg: RewardConfig) -> float:
     return tr.episode_return / ceiling if ceiling > 0 else 0.0
 
 
+# Switch of the same-mode case that `evaluate_modes` hands back as a per-step
+# trace: the middle of the second clip.
+TRACE_SWITCH = (1, 0.5)
+
+
+def _advance(
+    policy: PolicyParams,
+    latent: np.ndarray,
+    state: SimState,
+    steps: int,
+    terrain: Terrain,
+    robot_cfg: RobotConfig,
+) -> list[SimState]:
+    """States of the deterministic policy under one latent, the start state first.
+
+    Stops after `steps` control steps or at a fall or blowup, as `rollout` does.
+    """
+    states = [state]
+    for _ in range(steps):
+        state = step(state, policy_mean(policy, observe(state, latent)), terrain, robot_cfg)
+        states.append(state)
+        if termination(state, robot_cfg) != RUNNING:
+            break
+    return states
+
+
+def _tracking_rewards(
+    states: list[SimState], motion, reward_cfg: RewardConfig
+) -> list[float]:
+    """Per-step rewards along `states` for a tracker anchored at the first state.
+
+    This is `rollout`'s reward bookkeeping from an anchoring on: completed
+    clips count from 0 and grow at each wrap of the phase clock.
+    """
+    tracker = ModeTracker(motion, anchor_x=states[0].x, anchor_phase=states[0].phase)
+    clips_done = 0
+    rewards = []
+    for prev, state in zip(states, states[1:]):
+        if state.phase < prev.phase:
+            clips_done += 1
+        rewards.append(reward(state, tracker.at(state.phase, clips_done), reward_cfg)[0])
+    return rewards
+
+
 def evaluate_modes(
     policy: PolicyParams,
     library: ModeLibrary,
@@ -537,47 +582,80 @@ def evaluate_modes(
     horizon: int = 200,
     rollouts_per_case: int = 1,
     clock_rate: float = 1.0,
+    traces: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized mean returns per mode and per transition, deterministic policy.
 
-    Transition scores cycle the switch-time grid. A same-mode script is the
-    diagonal case of that grid, so the mode scores are the diagonal of the
-    transition table. Every entry is a mean of per-episode returns normalized
-    by the episode ceiling, so 1.0 is perfect tracking and 0.0 is immediate
-    failure.
+    Rollout k of case i -> j switches at entry k of the switch-time grid,
+    cycled. A same-mode script is the diagonal case of that grid, so the mode
+    scores are the diagonal of the transition table. Every entry is a mean of
+    per-episode returns normalized by the episode ceiling, so 1.0 is perfect
+    tracking and 0.0 is immediate failure.
+
+    Rollouts share their prefixes, and every score is bit-identical to the
+    one a `rollout` of the case's script would give. The deterministic
+    dynamics depend only on the latent schedule, and the tracker is
+    re-anchored only at the switch. So each source mode i runs one trunk
+    under latent i, to the horizon or a fall. An i -> j case with j != i
+    branches from the trunk's state at its switch step, with a tracker
+    re-anchored there. An i -> i case reuses the trunk's states and only
+    recomputes the rewards after its switch, with no physics. A case whose
+    episode ends before its switch is the trunk. Returns are summed from the
+    per-step reward array, as `Trajectory.episode_return` does, and only one
+    trunk is held at a time.
+
+    When `traces` is a dict, traces[i] receives the per-step (state, reward,
+    mode index) records of the i -> i case that switches at TRACE_SWITCH,
+    which need not be in the grid; they equal `rollout`'s trace of that case.
     """
     from .sampler import SWITCH_CLIPS, SWITCH_PHASES, switch_step_for
 
+    if library.latents is None:
+        raise ValueError("library has no latents; train the encoder")
+    if rollouts_per_case < 1:
+        raise ValueError("need at least one rollout per case")
     n = library.n
     cycle_steps = round(robot_cfg.cycle_duration / robot_cfg.control_dt)
+
+    def switch_at(clip: int, phase: float) -> int:
+        # EpisodeScript rejects a switch outside the episode.
+        return EpisodeScript(
+            0, 0, phase, clip, switch_step_for(clip, phase, cycle_steps), horizon
+        ).switch_step
+
     combos = [(c, p) for c in SWITCH_CLIPS for p in SWITCH_PHASES]
+    switches = [switch_at(c, p) for c, p in combos[:rollouts_per_case]]
+    trace_switch = switch_at(*TRACE_SWITCH) if traces is not None else None
+    ceiling = horizon * reward_cfg.max_step_reward
+    start = initial_state(robot_cfg, terrain, clock_rate=clock_rate)
     transition_scores = np.zeros((n, n))
     for i in range(n):
+        trunk = _advance(policy, library.latents[i], start, horizon, terrain, robot_cfg)
+        trunk_rewards = _tracking_rewards(trunk, library.motions[i], reward_cfg)
+
+        def case_rewards(j: int, switch: int) -> list[float]:
+            if switch >= len(trunk) - 1:  # the trunk ended before the switch
+                return trunk_rewards
+            after = trunk[switch:] if j == i else _advance(
+                policy, library.latents[j], trunk[switch], horizon - switch,
+                terrain, robot_cfg,
+            )
+            return trunk_rewards[:switch] + _tracking_rewards(
+                after, library.motions[j], reward_cfg
+            )
+
         for j in range(n):
-            vals = []
-            for k in range(rollouts_per_case):
-                clip_s, phase_s = combos[k % len(combos)]
-                script = EpisodeScript(
-                    mode_from=i,
-                    mode_to=j,
-                    switch_phase=phase_s,
-                    switch_clip=clip_s,
-                    switch_step=switch_step_for(clip_s, phase_s, cycle_steps),
-                    horizon=horizon,
-                )
-                tr = rollout(
-                    policy,
-                    None,
-                    library,
-                    script,
-                    terrain,
-                    robot_cfg,
-                    reward_cfg,
-                    stochastic=False,
-                    clock_rate=clock_rate,
-                )
-                vals.append(normalized_return(tr, reward_cfg))
-            transition_scores[i, j] = np.mean(vals)
+            scores = []
+            for switch in switches:
+                total = float(np.array(case_rewards(j, switch)).sum())
+                scores.append(total / ceiling if ceiling > 0 else 0.0)
+            # Rollout k reuses the score of switch k, cycling the grid.
+            transition_scores[i, j] = np.mean(
+                [scores[k % len(scores)] for k in range(rollouts_per_case)]
+            )
+        if traces is not None:
+            rewards = case_rewards(i, trace_switch)
+            traces[i] = [(state, r, i) for state, r in zip(trunk[1:], rewards)]
     return np.diag(transition_scores).copy(), transition_scores
 
 

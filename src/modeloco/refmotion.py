@@ -84,6 +84,8 @@ class ReferenceMotion:
     kind: str
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidInputError(f"a mode name must be a string, got {self.name!r}")
         object.__setattr__(self, "samples", _frozen(self.samples))
         s = self.samples
         if s.ndim != 2 or s.shape[1] != NUM_CHANNELS:
@@ -375,28 +377,32 @@ def _modeset_spec(selector: str) -> dict:
     }
 
 
-def _spec_field(entry, key: str, where: str, default=None, number: bool = False):
-    """entry[key] of a modeset spec, or default when given and the key is absent.
+def _spec_field(
+    entry, key: str, where: str, default=None, number: bool = False,
+    source: str = "modeset spec",
+):
+    """entry[key] of a modeset spec (or another `source`), or default when given
+    and the key is absent.
 
     InvalidInputError if a key without a default is missing, or if number is set
     and the value is not a finite number; a number is returned as a float.
     """
     if not isinstance(entry, dict) or (key not in entry and default is None):
-        raise InvalidInputError(f"modeset spec: {where} has no '{key}' entry")
+        raise InvalidInputError(f"{source}: {where} has no '{key}' entry")
     value = entry.get(key, default)
     if not number:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise InvalidInputError(
-            f"modeset spec: '{key}' of {where} must be a finite number, got {value!r}"
+            f"{source}: '{key}' of {where} must be a finite number, got {value!r}"
         )
     return float(value)
 
 
-def _spec_list(entry, key: str, where: str) -> list:
-    value = _spec_field(entry, key, where)
+def _spec_list(entry, key: str, where: str, source: str = "modeset spec") -> list:
+    value = _spec_field(entry, key, where, source=source)
     if not isinstance(value, list):
-        raise InvalidInputError(f"modeset spec: '{key}' of {where} must be a list")
+        raise InvalidInputError(f"{source}: '{key}' of {where} must be a list")
     return value
 
 
@@ -467,16 +473,23 @@ def library_to_payload(library: ModeLibrary) -> dict:
 
 
 def library_from_payload(payload: dict) -> ModeLibrary:
+    """The library a `library_to_payload` payload describes; InvalidInputError
+    names the first missing or malformed entry."""
+    modes = _spec_list(payload, "modes", "the library", source="library")
+
+    def field(i: int, key: str, number: bool = False):
+        return _spec_field(modes[i], key, f"mode {i}", number=number, source="library")
+
     motions = tuple(
         ReferenceMotion(
-            name=mode["name"],
-            samples=np.array(mode["samples"], dtype=float),
-            dt=float(mode["dt"]),
-            kind=mode["kind"],
+            name=field(i, "name"),
+            samples=np.array(field(i, "samples"), dtype=float),
+            dt=field(i, "dt", number=True),
+            kind=field(i, "kind"),
         )
-        for mode in payload["modes"]
+        for i in range(len(modes))
     )
-    latents = [mode.get("latent") for mode in payload["modes"]]
+    latents = [mode.get("latent") for mode in modes]
     missing = [m.name for m, z in zip(motions, latents) if z is None]
     if len(missing) == len(motions):
         return ModeLibrary(motions)

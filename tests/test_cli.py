@@ -242,6 +242,57 @@ def test_policy_must_fit_the_library_latents(workdir, capsys, command):
     assert not (workdir / "p.json").exists() and not (workdir / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("modes", None, "library: the library has no 'modes' entry"),
+        ("modes", {}, "library: 'modes' of the library must be a list"),
+        ("name", None, "library: mode 1 has no 'name' entry"),
+        ("name", ["walk_f"], "a mode name must be a string, got ['walk_f']"),
+        ("samples", None, "library: mode 1 has no 'samples' entry"),
+        ("dt", None, "library: mode 1 has no 'dt' entry"),
+        ("dt", "0.02", "library: 'dt' of mode 1 must be a finite number, got '0.02'"),
+        ("kind", None, "library: mode 1 has no 'kind' entry"),
+    ],
+)
+def test_library_schema_is_checked(workdir, capsys, key, value, problem):
+    lib = _library_with_latents(workdir, [[0.1, 0.2, 0.3, 0.4]] * 2)
+    payload = read_artifact(lib, "library")
+    entry = payload if key == "modes" else payload["modes"][1]
+    if value is None:
+        del entry[key]
+    else:
+        entry[key] = value
+    write_artifact(lib, "library", payload)
+    capsys.readouterr()
+    out = workdir / "p.json"
+    argv = ["--library", str(lib), "--updates", "0", "--out", str(out)]
+    assert run("train-policy", *argv) == cli.EXIT_VALIDATION
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_rejects_a_checkpoint_for_another_mode_count(workdir, capsys):
+    two = _library_with_latents(workdir, [[0.1, 0.2, 0.3, 0.4]] * 2, "two.json")
+    pol = workdir / "two_policy.json"
+    assert run("train-policy", "--library", str(two), "--out", str(pol), "--updates", "0") == 0
+    four = workdir / "four.json"
+    assert run("gen-refs", "--modeset", "pi2", "--out", str(four)) == 0
+    payload = read_artifact(four, "library")
+    for i, mode in enumerate(payload["modes"]):
+        mode["latent"] = [0.1 * i, 0.2, 0.3, 0.4]
+    write_artifact(four, "library", payload)
+    out = workdir / "p.json"
+    capsys.readouterr()
+    assert run(
+        "train-policy", "--library", str(four), "--resume", str(pol) + ".checkpoint.json",
+        "--updates", "1", "--out", str(out),
+    ) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "sampler records for 2 modes" in err and f"library {four} has 4" in err
+    assert not out.exists() and not Path(str(out) + ".train.csv").exists()
+
+
 def test_train_policy_checkpoint_resume_identical(workdir):
     lib, _ = _gen_and_encode(workdir)
     full = workdir / "full.json"
@@ -307,6 +358,23 @@ def test_plan_writes_k_knots_and_echoes_config(workdir, capsys):
     assert all(name in ("idle", "walk_f") for name in payload["mode_names"])
     assert np.array(payload["q_table"]).shape == (11, 2)
     assert Path(str(out) + ".trace.csv").exists()
+
+
+def test_plan_workers_write_the_same_plan(workdir):
+    lib = _library_with_latents(workdir, [[0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 0.0]])
+    pol = workdir / "policy.json"
+    assert run("train-policy", "--library", str(lib), "--out", str(pol), "--updates", "0") == 0
+    written = []
+    for workers in ("1", "2"):
+        out = workdir / f"plan{workers}.json"
+        assert run(
+            "plan", "--library", str(lib), "--policy", str(pol), "--knots", "4",
+            "--episodes", "6", "--trials", "3", "--workers", workers, "--out", str(out),
+        ) == 0
+        payload = read_artifact(out, "plan")
+        del payload["solve_seconds"]
+        written.append((payload, Path(str(out) + ".trace.csv").read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_block_task_shape(workdir):

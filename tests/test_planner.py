@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +162,132 @@ def test_parallel_trials_worker_independent():
     parallel = pl.parallel_trials(policy, lib, sim.Terrain.flat(), ROBOT, cfg, trials=3, workers=2)
     assert serial.plan == parallel.plan
     assert serial.best_return == parallel.best_return
+
+
+def _reference_plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, trace=None):
+    """The uncached plan rollout, as it ran before plans shared their prefixes."""
+    latents = library.latents[list(plan.mode_indices)]
+    steps_per_knot = round(cfg.knot_dt / robot_cfg.control_dt)
+    state = sim.initial_state(robot_cfg, terrain)
+    rewards = np.zeros(plan.k)
+    for knot in range(plan.k):
+        for _ in range(steps_per_knot):
+            obs = sim.observe(state, latents[knot])
+            a, _ = pol.act(policy, obs, stochastic=False)
+            state = sim.step(state, a, terrain, robot_cfg)
+            rewards[knot] += pl.goal_step_reward(state.x, state.z, cfg.goal_x, cfg.goal_z)
+            if trace is not None:
+                trace.append((state, rewards[knot], plan.mode_indices[knot]))
+            if sim.termination(state, robot_cfg) != sim.RUNNING:
+                return rewards
+    return rewards
+
+
+def _count_steps(monkeypatch) -> list:
+    """Count the simulator steps the planner takes; returns a one-item counter."""
+    count = [0]
+    real_step = pl.step
+
+    def counting_step(*args, **kwargs):
+        count[0] += 1
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "step", counting_step)
+    return count
+
+
+def _falling_policy():
+    """A constant hard pitch-forward target: the robot falls at step 15."""
+    policy = pol.init_policy(np.random.default_rng(2), sim.observation_dim(4))
+    for w in policy.net.weights:
+        w[:] = 0.0
+    policy.net.biases[-1][:] = np.array([3.0, -2.5, -3.0, 2.5])
+    return policy
+
+
+def _assert_same_trace(got, want):
+    assert len(got) == len(want)
+    for (state, r, mode), (w_state, w_r, w_mode) in zip(got, want):
+        assert state.q.tobytes() == w_state.q.tobytes()
+        assert state.t == w_state.t and mode == w_mode
+        assert np.float64(r).tobytes() == np.float64(w_r).tobytes()
+
+
+@pytest.mark.parametrize("terrain", ["flat", "gap"])
+def test_trials_match_the_uncached_reference(monkeypatch, terrain):
+    lib = library_with_latents()
+    policy = pol.init_policy(np.random.default_rng(5), sim.observation_dim(4))
+    world = sim.TERRAIN_PRESETS[terrain]()
+    cfg = pl.PlannerConfig(knots=6, knot_dt=0.4, episodes=12, explore=0.3, seed=3)
+    configs = [replace(cfg, seed=cfg.seed + i) for i in range(3)]
+    runs = []  # (mode indices, env-steps) of every reference rollout, in order
+
+    def reference_fn(plan):
+        trace = []
+        rewards = _reference_plan_rollout(plan, policy, lib, world, ROBOT, cfg, trace)
+        runs.append((plan.mode_indices, len(trace)))
+        return rewards
+
+    want = [
+        pl.q_learn_core(reference_fn, c.knots, lib.n, c, np.random.default_rng(c.seed))
+        for c in configs
+    ]
+    assert any(n < cfg.knots * 20 for _, n in runs)  # some plans fall
+
+    steps = _count_steps(monkeypatch)
+    cache: pl.PrefixCache = {}
+    got = [pl.q_learn(policy, lib, world, ROBOT, c, cache=cache) for c in configs]
+    for g, w in zip(got, want):
+        assert g.plan == w.plan
+        assert g.q_table.tobytes() == w.q_table.tobytes()
+        assert repr(g.best_return) == repr(w.best_return)
+
+    # Each distinct executed knot prefix is simulated once, across all trials
+    # and their greedy rollouts.
+    spk = round(cfg.knot_dt / ROBOT.control_dt)
+    knot_steps = {}
+    for modes, n in runs:
+        for knot in range(-(-n // spk)):
+            knot_steps[modes[: knot + 1]] = min(spk, n - knot * spk)
+    assert steps[0] == sum(knot_steps.values())
+    assert steps[0] < sum(n for _, n in runs)
+    assert set(cache) == set(knot_steps)
+
+    best = pl.parallel_trials(policy, lib, world, ROBOT, cfg, trials=3)
+    winner = max(want, key=lambda r: r.best_return)  # the earliest of equal returns
+    assert best.plan == winner.plan
+    assert best.q_table.tobytes() == winner.q_table.tobytes()
+    assert repr(best.best_return) == repr(winner.best_return)
+
+
+@pytest.mark.parametrize("falls", [False, True])
+def test_a_cached_plan_reruns_no_steps(monkeypatch, falls):
+    lib = library_with_latents()
+    policy = (
+        _falling_policy() if falls
+        else pol.init_policy(np.random.default_rng(6), sim.observation_dim(4))
+    )
+    cfg = pl.PlannerConfig(knots=4, knot_dt=0.2, episodes=1)
+    plan = pl.ModePlan((1, 3, 0, 2))
+    want_trace = []
+    want = _reference_plan_rollout(plan, policy, lib, sim.Terrain.gap(), ROBOT, cfg, want_trace)
+    assert (len(want_trace) < 40) == falls
+
+    steps = _count_steps(monkeypatch)
+    cache: pl.PrefixCache = {}
+    args = (plan, policy, lib, sim.Terrain.gap(), ROBOT, cfg)
+    first = pl.plan_rollout(*args, cache=cache)
+    assert steps[0] == len(want_trace)
+    second = pl.plan_rollout(*args, cache=cache)
+    assert steps[0] == len(want_trace)
+    assert first.tobytes() == second.tobytes() == want.tobytes()
+    assert len(cache) == -(-len(want_trace) // 10)
+    # A trace needs every step, so it does not read the cache.
+    trace = []
+    traced = pl.plan_rollout(*args, trace=trace, cache=cache)
+    assert steps[0] == 2 * len(want_trace)
+    assert traced.tobytes() == want.tobytes()
+    _assert_same_trace(trace, want_trace)
 
 
 def test_plan_serialization_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
-from modeloco.sampler import EpisodeScript
+from modeloco.sampler import EpisodeScript, switch_step_for
 
 
 def library_with_latents(selector="pi2", seed=0):
@@ -326,20 +326,154 @@ def test_evaluate_modes_shapes_and_range():
     assert np.all(transitions >= 0.0) and np.all(transitions <= 1.0)
 
 
-def test_evaluate_modes_runs_each_case_once(monkeypatch):
+def _reference_evaluate_modes(
+    policy, library, terrain, robot_cfg, reward_cfg, horizon, rollouts_per_case, clock_rate
+):
+    """The per-case loop evaluate_modes ran before rollouts shared their prefixes.
+
+    Returns the mode scores, the transition table and, in order, every case
+    as (i, j, switch step, trajectory).
+    """
+    from modeloco.sampler import SWITCH_CLIPS, SWITCH_PHASES
+
+    n = library.n
+    cycle_steps = round(robot_cfg.cycle_duration / robot_cfg.control_dt)
+    combos = [(c, p) for c in SWITCH_CLIPS for p in SWITCH_PHASES]
+    transition_scores = np.zeros((n, n))
+    cases = []
+    for i in range(n):
+        for j in range(n):
+            vals = []
+            for k in range(rollouts_per_case):
+                clip_s, phase_s = combos[k % len(combos)]
+                script = EpisodeScript(
+                    mode_from=i,
+                    mode_to=j,
+                    switch_phase=phase_s,
+                    switch_clip=clip_s,
+                    switch_step=switch_step_for(clip_s, phase_s, cycle_steps),
+                    horizon=horizon,
+                )
+                tr = pol.rollout(
+                    policy, None, library, script, terrain, robot_cfg, reward_cfg,
+                    stochastic=False, clock_rate=clock_rate,
+                )
+                cases.append((i, j, script.switch_step, tr))
+                vals.append(pol.normalized_return(tr, reward_cfg))
+            transition_scores[i, j] = np.mean(vals)
+    return np.diag(transition_scores).copy(), transition_scores, cases
+
+
+def _falling_policy():
+    """A constant hard pitch-forward target: every episode falls at step 15."""
+    policy = pol.init_policy(np.random.default_rng(2), OBS_DIM)
+    for w in policy.net.weights:
+        w[:] = 0.0
+    policy.net.biases[-1][:] = np.array([3.0, -2.5, -3.0, 2.5])
+    return policy
+
+
+def _count_steps(monkeypatch) -> list:
+    """Count the simulator steps the policy module takes; returns a one-item counter."""
+    count = [0]
+    real_step = pol.step
+
+    def counting_step(*args, **kwargs):
+        count[0] += 1
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(pol, "step", counting_step)
+    return count
+
+
+@pytest.mark.parametrize(
+    "terrain, policy_seed, rollouts, horizon, clock_rate, cycle_duration, ending",
+    [
+        ("flat", 4, 1, 200, 1.0, 1.0, "falls"),
+        ("gap", 5, 6, 200, 1.0, 1.0, "falls"),
+        ("flat", 4, 8, 100, 1.3, 1.0, "horizon"),
+        ("flat", None, 6, 200, 1.0, 1.0, "before_switch"),
+        ("flat", None, 6, 200, 1.0, 1.2, "at_switch"),
+    ],
+    ids=[
+        "flat-r1-falls", "gap-r6-falls", "flat-r8-horizon", "flat-r6-before-switch",
+        "flat-r6-at-switch",
+    ],
+)
+def test_evaluate_modes_matches_per_case_rollouts(
+    monkeypatch, terrain, policy_seed, rollouts, horizon, clock_rate, cycle_duration, ending
+):
+    # Three modes keep the per-case reference cheap; the grid still wraps at 8.
+    full = library_with_latents()
+    lib = rm.ModeLibrary(full.motions[:3], full.latents[:3])
+    policy = (
+        _falling_policy() if policy_seed is None
+        else pol.init_policy(np.random.default_rng(policy_seed), OBS_DIM)
+    )
+    # A 1.2 s cycle puts the first switch at step 15, where the falling policy falls.
+    robot = sim.RobotConfig(cycle_duration=cycle_duration)
+    world = sim.TERRAIN_PRESETS[terrain]()
+    args = (policy, lib, world, robot, REWARD)
+    want_modes, want_table, cases = _reference_evaluate_modes(
+        *args, horizon, rollouts, clock_rate
+    )
+    if ending == "falls":
+        assert all(tr.fell for *_, tr in cases)
+    elif ending == "horizon":
+        assert all(tr.length == horizon for *_, tr in cases)
+    elif ending == "before_switch":
+        assert any(s > tr.length for _, _, s, tr in cases)
+    else:
+        assert any(s == tr.length and tr.fell for _, _, s, tr in cases)
+    cycle_steps = round(cycle_duration / robot.control_dt)
+    want_traces = {}
+    for i in range(lib.n):
+        script = EpisodeScript(i, i, 0.5, 1, switch_step_for(1, 0.5, cycle_steps), horizon)
+        want_traces[i] = []
+        pol.rollout(
+            policy, None, lib, script, world, robot, REWARD,
+            stochastic=False, clock_rate=clock_rate, trace=want_traces[i],
+        )
+
+    steps = _count_steps(monkeypatch)
+    traces: dict = {}
+    modes, table = pol.evaluate_modes(
+        *args, horizon=horizon, rollouts_per_case=rollouts, clock_rate=clock_rate,
+        traces=traces,
+    )
+    assert table.tobytes() == want_table.tobytes()
+    assert modes.tobytes() == want_modes.tobytes()
+
+    # One trunk per source mode, plus one branch per distinct switch to
+    # another mode that the trunk reaches; same-mode cases take no steps.
+    trunk = {i: tr.length for i, j, _, tr in cases if i == j}
+    branches = {(i, j, s): tr.length - s for i, j, s, tr in cases if j != i and s < trunk[i]}
+    assert steps[0] == sum(trunk.values()) + sum(branches.values())
+    assert steps[0] < sum(tr.length for *_, tr in cases)
+
+    assert sorted(traces) == list(range(lib.n))
+    for i, want in want_traces.items():
+        assert len(traces[i]) == len(want)
+        for (state, r, mode), (w_state, w_r, w_mode) in zip(traces[i], want):
+            assert state.q.tobytes() == w_state.q.tobytes()
+            assert state.qdot.tobytes() == w_state.qdot.tobytes()
+            assert (state.t, state.phase, state.contact_left, state.contact_right) == (
+                w_state.t, w_state.phase, w_state.contact_left, w_state.contact_right
+            )
+            assert (repr(r), mode) == (repr(w_r), w_mode)
+
+
+def test_evaluate_modes_rejects_a_switch_outside_the_episode():
     lib = library_with_latents()
     policy = pol.init_policy(np.random.default_rng(4), OBS_DIM)
-    scripts = []
-    real_rollout = pol.rollout
-
-    def counting_rollout(*args, **kwargs):
-        scripts.append(args[3])
-        return real_rollout(*args, **kwargs)
-
-    monkeypatch.setattr(pol, "rollout", counting_rollout)
-    modes, transitions = pol.evaluate_modes(
-        policy, lib, sim.Terrain.flat(), ROBOT, REWARD, horizon=30, rollouts_per_case=2,
-    )
-    assert len(scripts) == lib.n * lib.n * 2
-    assert len(set(scripts)) == len(scripts)
-    assert modes.tobytes() == np.diag(transitions).tobytes()
+    args = (policy, lib, sim.Terrain.flat(), ROBOT, REWARD)
+    # A horizon shorter than the first switch step: as the per-case loop did.
+    with pytest.raises(ValueError, match="got 12 of 10"):
+        _reference_evaluate_modes(*args, 10, 1, 1.0)
+    with pytest.raises(ValueError, match="got 12 of 10"):
+        pol.evaluate_modes(*args, horizon=10)
+    # The trace case switches at step 75 even when the grid stops earlier.
+    with pytest.raises(ValueError, match="got 75 of 60"):
+        pol.evaluate_modes(*args, horizon=60, traces={})
+    with pytest.raises(ValueError, match="at least one rollout"):
+        pol.evaluate_modes(*args, rollouts_per_case=0)
