@@ -202,7 +202,6 @@ def cmd_train_policy(args) -> int:
         pol_mod.policy_to_payload(result.state.policy, result.state.value),
         cfg_hash,
     )
-    train_mod.save_checkpoint(checkpoint_path, result.state)
     log_path = Path(args.log or str(out) + ".train.csv")
     _write_training_log(log_path, result.rows, library.n)
     returns = [r.normalized_return for r in result.rows[-4 * library.n :]]

@@ -118,19 +118,17 @@ def mlp_forward(p: MlpParams, x: np.ndarray):
 
 def mlp_backward(p: MlpParams, acts: list[np.ndarray], d_out: np.ndarray) -> MlpParams:
     """Gradients of a scalar loss given d loss / d output."""
-    grads = MlpParams(
-        weights=[np.zeros_like(w) for w in p.weights],
-        biases=[np.zeros_like(b) for b in p.biases],
-    )
+    weights, biases = [], []
     last = len(p.weights) - 1
     d = d_out
     for i in range(last, -1, -1):
         if i < last:
             d = d * (1.0 - acts[i + 1] * acts[i + 1])
-        grads.weights[i] = d.T @ acts[i]
-        grads.biases[i] = d.sum(axis=0)
-        d = d @ p.weights[i]
-    return grads
+        weights.append(d.T @ acts[i])
+        biases.append(d.sum(axis=0))
+        if i > 0:  # the gradient with respect to the input is not needed
+            d = d @ p.weights[i]
+    return MlpParams(weights=weights[::-1], biases=biases[::-1])
 
 
 def policy_mean(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
@@ -139,8 +137,17 @@ def policy_mean(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
 
 
 def value_of(params: ValueParams, obs: np.ndarray) -> float | np.ndarray:
-    out, _ = mlp_forward(params.net, np.atleast_2d(obs))
-    return float(out[0, 0]) if obs.ndim == 1 else out[:, 0]
+    """The value of one observation, or of each row of a (B, in) batch.
+
+    A batch runs as a (B, 1, in) stack of one-row matmuls, so row i equals the
+    value of obs[i] alone, bit for bit, whatever B is; a plain (B, in) matmul
+    may round differently.
+    """
+    if obs.ndim == 1:
+        out, _ = mlp_forward(params.net, obs[None, :])
+        return float(out[0, 0])
+    out, _ = mlp_forward(params.net, obs[:, None, :])
+    return out[:, 0, 0]
 
 
 def gaussian_log_prob(
@@ -152,24 +159,6 @@ def gaussian_log_prob(
     std = np.exp(log_std)
     y = (action - mean) / std
     return -0.5 * (y * y).sum(axis=1) - log_std.sum() - 0.5 * action.shape[1] * LOG_2PI
-
-
-def act(
-    params: PolicyParams,
-    obs: np.ndarray,
-    stochastic: bool,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, float]:
-    """Sample (or take the mean of) the action distribution at one observation."""
-    mean = policy_mean(params, obs)
-    if stochastic:
-        if rng is None:
-            raise ValueError("stochastic sampling needs an rng")
-        action = mean + np.exp(params.log_std) * rng.standard_normal(params.action_dim)
-    else:
-        action = mean.copy()
-    log_prob = float(gaussian_log_prob(action, mean, params.log_std)[0])
-    return action, log_prob
 
 
 def entropy(params: PolicyParams) -> float:
@@ -450,11 +439,23 @@ def rollout(
     re-anchored at the robot's current x and the running phase, so the new
     mode's reference continues from where the robot actually is. Falls and
     blowups truncate the episode with a zero bootstrap value.
+
+    A stochastic rollout draws horizon x act_dim standard normals from `rng`
+    up front, one row per step, whether or not the episode runs to the
+    horizon. The loop keeps only what the next step needs; the log-probs and
+    the values, bootstrap included, are computed after it in one batched call
+    each, and equal per-step calls bit for bit.
     """
     if script.mode_from >= library.n or script.mode_to >= library.n:
         raise ValueError("script modes outside the library")
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
+    if stochastic:
+        if rng is None:
+            raise ValueError("stochastic sampling needs an rng")
+        noise = np.exp(policy.log_std) * rng.standard_normal(
+            (script.horizon, policy.action_dim)
+        )
     latents = library.latents[[script.mode_from, script.mode_to]]
 
     state = initial_state(robot_cfg, terrain, x=start_x, clock_rate=clock_rate)
@@ -465,10 +466,9 @@ def rollout(
     current = 0  # index into latents / script modes
 
     obs_list = []
+    mean_list = []
     act_list = []
     rew_list = []
-    lp_list = []
-    val_list = []
     fell = False
     blew_up = False
     for t in range(script.horizon):
@@ -481,14 +481,11 @@ def rollout(
             )
             clips_done = 0
         o = observe(state, latents[current])
-        a, lp = act(policy, o, stochastic, rng)
+        mean = policy_mean(policy, o)
+        a = mean + noise[t] if stochastic else mean
         obs_list.append(o)
+        mean_list.append(mean)
         act_list.append(a)
-        lp_list.append(lp)
-        if value is not None:
-            val_list.append(value_of(value, o))
-        else:
-            val_list.append(0.0)
         new_state = step(state, a, terrain, robot_cfg)
         if new_state.phase < state.phase:
             clips_done += 1
@@ -504,17 +501,21 @@ def rollout(
             blew_up = status == BLOWUP
             break
 
-    final_obs = observe(state, latents[current])
-    if fell or blew_up:
-        bootstrap = 0.0
+    obs_list.append(observe(state, latents[current]))
+    obs = np.vstack(obs_list)
+    actions = np.vstack(act_list)
+    if value is None:
+        values = np.zeros(obs.shape[0])
     else:
-        bootstrap = value_of(value, final_obs) if value is not None else 0.0
+        values = value_of(value, obs)
+        if fell or blew_up:
+            values[-1] = 0.0
     return Trajectory(
-        obs=np.vstack(obs_list + [final_obs]),
-        actions=np.vstack(act_list),
+        obs=obs,
+        actions=actions,
         rewards=np.array(rew_list),
-        log_probs=np.array(lp_list),
-        values=np.array(val_list + [bootstrap]),
+        log_probs=gaussian_log_prob(actions, np.vstack(mean_list), policy.log_std),
+        values=values,
         script=script,
         fell=fell,
         blew_up=blew_up,
@@ -607,6 +608,7 @@ def evaluate_modes(
     When `traces` is a dict, traces[i] receives the per-step (state, reward,
     mode index) records of the i -> i case that switches at TRACE_SWITCH,
     which need not be in the grid; they equal `rollout`'s trace of that case.
+    When that switch lies past the episode's end, the trace is the trunk's.
     """
     from .sampler import SWITCH_CLIPS, SWITCH_PHASES, switch_step_for
 
@@ -625,7 +627,8 @@ def evaluate_modes(
 
     combos = [(c, p) for c in SWITCH_CLIPS for p in SWITCH_PHASES]
     switches = [switch_at(c, p) for c, p in combos[:rollouts_per_case]]
-    trace_switch = switch_at(*TRACE_SWITCH) if traces is not None else None
+    # The trace case needs no check: a switch past the trunk's end gives the trunk.
+    trace_switch = switch_step_for(*TRACE_SWITCH, cycle_steps)
     ceiling = horizon * reward_cfg.max_step_reward
     start = initial_state(robot_cfg, terrain, clock_rate=clock_rate)
     transition_scores = np.zeros((n, n))

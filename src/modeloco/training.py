@@ -56,7 +56,9 @@ class TrainConfig:
     seed: int = 0
     workers: int = 1
     clock_rate: float = 1.0
-    checkpoint_every: int = 25  # updates between checkpoints; 0 disables
+    # Updates between periodic checkpoints; 0 disables only those, and the
+    # final state is still saved.
+    checkpoint_every: int = 25
 
     def __post_init__(self):
         if self.sampler not in (ADAPTIVE, UNIFORM):
@@ -142,9 +144,13 @@ def run_training(
     cfg: TrainConfig,
     start: TrainState | None = None,
     checkpoint_path: str | None = None,
-    on_checkpoint=None,
 ) -> TrainResult:
-    """Run cfg.updates training iterations, resuming from `start` if given."""
+    """Run cfg.updates training iterations, resuming from `start` if given.
+
+    With a `checkpoint_path`, the state is saved there every
+    `cfg.checkpoint_every` updates and once after the last update, unless that
+    update just saved it; zero updates save the starting state.
+    """
     if library.latents is None:
         raise ValueError("library has empty latents; run the encoder first")
     state = start or fresh_train_state(library, cfg)
@@ -156,6 +162,7 @@ def run_training(
             f"(latest switch step {latest_switch}); use at least two clips"
         )
     rows: list[EpisodeRow] = []
+    saved = False
 
     pool = None
     if cfg.workers > 1:
@@ -225,17 +232,18 @@ def run_training(
                 )
             state.episode_count += cfg.episodes_per_update
             state.update_count += 1
-            if (
+            saved = bool(
                 checkpoint_path
                 and cfg.checkpoint_every
                 and state.update_count % cfg.checkpoint_every == 0
-            ):
+            )
+            if saved:
                 save_checkpoint(checkpoint_path, state)
-                if on_checkpoint is not None:
-                    on_checkpoint(state)
     finally:
         if pool is not None:
             pool.shutdown()
+    if checkpoint_path and not saved:
+        save_checkpoint(checkpoint_path, state)
     return TrainResult(state=state, rows=rows)
 
 

@@ -340,6 +340,51 @@ def test_eval_report_shape(workdir):
         assert Path(report["traces"][name]["file"]).exists()
 
 
+def test_eval_short_horizon_needs_only_the_grid_inside_the_episode(workdir, capsys):
+    lib = _library_with_latents(workdir, [[0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 0.0]])
+    pol = workdir / "policy.json"
+    assert run("train-policy", "--library", str(lib), "--out", str(pol), "--updates", "0") == 0
+    out = workdir / "eval60.json"
+    # The trace case switches at step 75; a 60-step episode traces its trunk.
+    assert run(
+        "eval", "--library", str(lib), "--policy", str(pol), "--horizon", "60",
+        "--rollouts", "1", "--out", str(out),
+    ) == 0
+    report = read_artifact(out, "eval")
+    for name in ("idle", "walk_f"):
+        with open(report["traces"][name]["file"]) as f:
+            assert 0 < len(list(csv.DictReader(f))) <= 60
+    # The first grid switch, step 12, lies outside a 10-step episode.
+    assert run(
+        "eval", "--library", str(lib), "--policy", str(pol), "--horizon", "10",
+        "--rollouts", "1", "--out", str(workdir / "eval10.json"),
+    ) == cli.EXIT_VALIDATION
+    assert "got 12 of 10" in capsys.readouterr().err
+
+
+def test_every_artifact_is_the_indented_json_text(workdir):
+    """Each artifact the CLI writes is json.dumps(doc, sort_keys=True, indent=1)."""
+    lib, enc = _gen_and_encode(workdir, epochs="5")
+    pol = workdir / "policy.json"
+    ckpt = workdir / "policy.ckpt.json"
+    assert _train_policy(workdir, lib, pol, "--checkpoint", str(ckpt)) == 0
+    assert run(
+        "eval", "--library", str(lib), "--policy", str(pol), "--horizon", "100",
+        "--rollouts", "1", "--out", str(workdir / "eval.json"),
+    ) == 0
+    assert run(
+        "plan", "--library", str(lib), "--policy", str(pol), "--knots", "3",
+        "--episodes", "2", "--trials", "1", "--out", str(workdir / "plan.json"),
+    ) == 0
+    kinds = set()
+    for path in (lib, enc, pol, ckpt, workdir / "eval.json", workdir / "plan.json"):
+        text = path.read_text()
+        doc = json.loads(text)
+        kinds.add(doc["format"])
+        assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n", path.name
+    assert len(kinds) == 6
+
+
 def test_plan_writes_k_knots_and_echoes_config(workdir, capsys):
     lib, _ = _gen_and_encode(workdir)
     pol = workdir / "policy.json"

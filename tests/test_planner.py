@@ -173,8 +173,7 @@ def _reference_plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, trac
     for knot in range(plan.k):
         for _ in range(steps_per_knot):
             obs = sim.observe(state, latents[knot])
-            a, _ = pol.act(policy, obs, stochastic=False)
-            state = sim.step(state, a, terrain, robot_cfg)
+            state = sim.step(state, pol.policy_mean(policy, obs), terrain, robot_cfg)
             rewards[knot] += pl.goal_step_reward(state.x, state.z, cfg.goal_x, cfg.goal_z)
             if trace is not None:
                 trace.append((state, rewards[knot], plan.mode_indices[knot]))

@@ -18,6 +18,20 @@ def library_with_latents(selector="pi2", seed=0):
 OBS_DIM = sim.observation_dim(4)
 
 
+def _act(params, obs, stochastic, rng=None):
+    """One step of the per-step sampling `rollout` did before it batched its passes:
+    sample (or take the mean of) the action distribution at one observation."""
+    mean = pol.policy_mean(params, obs)
+    if stochastic:
+        if rng is None:
+            raise ValueError("stochastic sampling needs an rng")
+        action = mean + np.exp(params.log_std) * rng.standard_normal(params.action_dim)
+    else:
+        action = mean.copy()
+    log_prob = float(pol.gaussian_log_prob(action, mean, params.log_std)[0])
+    return action, log_prob
+
+
 # --- acting -------------------------------------------------------------------
 
 
@@ -27,7 +41,7 @@ def test_zero_network_deterministic_action_is_zero():
         biases=[np.zeros(8), np.zeros(4)],
     )
     params = pol.PolicyParams(net=net, log_std=np.zeros(4))
-    a, _ = pol.act(params, np.ones(OBS_DIM), stochastic=False)
+    a, _ = _act(params, np.ones(OBS_DIM), stochastic=False)
     np.testing.assert_array_equal(a, np.zeros(4))
 
 
@@ -35,8 +49,8 @@ def test_act_deterministic_given_seed():
     rng = np.random.default_rng(0)
     params = pol.init_policy(rng, OBS_DIM)
     obs = np.random.default_rng(1).normal(size=OBS_DIM)
-    a1, lp1 = pol.act(params, obs, stochastic=True, rng=np.random.default_rng(7))
-    a2, lp2 = pol.act(params, obs, stochastic=True, rng=np.random.default_rng(7))
+    a1, lp1 = _act(params, obs, stochastic=True, rng=np.random.default_rng(7))
+    a2, lp2 = _act(params, obs, stochastic=True, rng=np.random.default_rng(7))
     assert np.array_equal(a1, a2) and lp1 == lp2
 
 
@@ -44,7 +58,7 @@ def test_log_prob_matches_closed_form_density():
     rng = np.random.default_rng(2)
     params = pol.init_policy(rng, OBS_DIM)
     obs = rng.normal(size=OBS_DIM)
-    a, lp = pol.act(params, obs, stochastic=True, rng=rng)
+    a, lp = _act(params, obs, stochastic=True, rng=rng)
     mean = pol.policy_mean(params, obs)
     std = np.exp(params.log_std)
     # independent evaluation of the diagonal Gaussian density
@@ -208,7 +222,7 @@ def test_bandit_policy_mean_converges():
     for update in range(200):
         trajs = []
         for _ in range(32):
-            a, lp = pol.act(policy, obs, stochastic=True, rng=rng)
+            a, lp = _act(policy, obs, stochastic=True, rng=rng)
             r = -float((a[0] - 1.0) ** 2)
             v = float(pol.value_of(value, obs))
             trajs.append(_single_step_traj(obs, a, r, lp, v))
@@ -312,6 +326,132 @@ def test_rollout_reward_bookkeeping_is_exact():
     )
     assert stats.mean_return == tr.rewards.sum()
     assert stats.returns_by_pair[(0, 1)] == tr.rewards.sum()
+
+
+def _reference_rollout(
+    policy, value, library, script, terrain, robot_cfg, reward_cfg,
+    rng=None, stochastic=True, clock_rate=1.0, start_x=0.0, trace=None,
+):
+    """The rollout loop before its passes were batched: `_act` and `value_of` at
+    every step, the bootstrap value on its own."""
+    latents = library.latents[[script.mode_from, script.mode_to]]
+    state = sim.initial_state(robot_cfg, terrain, x=start_x, clock_rate=clock_rate)
+    tracker = sim.ModeTracker(
+        library.motions[script.mode_from], anchor_x=state.x, anchor_phase=state.phase
+    )
+    clips_done = 0
+    current = 0
+    obs_list, act_list, rew_list, lp_list, val_list = [], [], [], [], []
+    fell = blew_up = False
+    for t in range(script.horizon):
+        if t == script.switch_step and current == 0:
+            current = 1
+            tracker = sim.ModeTracker(
+                library.motions[script.mode_to], anchor_x=state.x, anchor_phase=state.phase
+            )
+            clips_done = 0
+        o = sim.observe(state, latents[current])
+        a, lp = _act(policy, o, stochastic, rng)
+        obs_list.append(o)
+        act_list.append(a)
+        lp_list.append(lp)
+        val_list.append(pol.value_of(value, o) if value is not None else 0.0)
+        new_state = sim.step(state, a, terrain, robot_cfg)
+        if new_state.phase < state.phase:
+            clips_done += 1
+        r, _ = sim.reward(new_state, tracker.at(new_state.phase, clips_done), reward_cfg)
+        rew_list.append(r)
+        if trace is not None:
+            trace.append((new_state, r, script.mode_from if current == 0 else script.mode_to))
+        state = new_state
+        status = sim.termination(state, robot_cfg)
+        if status != sim.RUNNING:
+            fell = status == sim.FALLEN
+            blew_up = status == sim.BLOWUP
+            break
+    final_obs = sim.observe(state, latents[current])
+    if fell or blew_up or value is None:
+        bootstrap = 0.0
+    else:
+        bootstrap = pol.value_of(value, final_obs)
+    return pol.Trajectory(
+        obs=np.vstack(obs_list + [final_obs]),
+        actions=np.vstack(act_list),
+        rewards=np.array(rew_list),
+        log_probs=np.array(lp_list),
+        values=np.array(val_list + [bootstrap]),
+        script=script,
+        fell=fell,
+        blew_up=blew_up,
+    )
+
+
+@pytest.mark.parametrize(
+    "terrain, start_x, seed, stochastic, with_value, horizon, ending",
+    [
+        ("flat", 0.0, 0, True, True, 200, "falls"),
+        ("gap", 0.7, 0, True, True, 200, "falls"),
+        ("flat", 0.0, 1, True, True, 26, "horizon"),
+        ("flat", 0.0, 2, False, True, 200, "falls"),
+        ("flat", 0.0, 3, False, True, 100, "horizon"),
+        ("gap", 0.8, 0, False, False, 200, "horizon"),
+        ("flat", 0.0, 4, True, False, 200, "falls"),
+    ],
+    ids=[
+        "flat-stochastic-falls", "gap-stochastic-falls", "flat-stochastic-horizon",
+        "flat-deterministic-falls", "flat-deterministic-horizon",
+        "gap-deterministic-horizon-no-value", "flat-stochastic-falls-no-value",
+    ],
+)
+def test_rollout_matches_per_step_reference(
+    terrain, start_x, seed, stochastic, with_value, horizon, ending
+):
+    lib = library_with_latents()
+    rng = np.random.default_rng(seed)
+    policy = pol.init_policy(rng, OBS_DIM)
+    value = pol.init_value(rng, OBS_DIM) if with_value else None
+    script = EpisodeScript(
+        mode_from=seed % 4, mode_to=(seed + 1) % 4, switch_phase=0.5, switch_clip=0,
+        switch_step=12 if horizon < 50 else 25, horizon=horizon,
+    )
+    args = (policy, value, lib, script, sim.TERRAIN_PRESETS[terrain](), ROBOT, REWARD)
+
+    def run(fn, trace):
+        rollout_rng = np.random.default_rng(100 + seed) if stochastic else None
+        return fn(*args, rng=rollout_rng, stochastic=stochastic, start_x=start_x, trace=trace)
+
+    want_trace, got_trace = [], []
+    want = run(_reference_rollout, want_trace)
+    got = run(pol.rollout, got_trace)
+    if ending == "falls":
+        assert want.fell and want.length < horizon
+    else:
+        assert not want.fell and want.length == horizon
+    for name in ("obs", "actions", "rewards", "log_probs", "values"):
+        w, g = getattr(want, name), getattr(got, name)
+        assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), name
+    assert (got.fell, got.blew_up, got.script) == (want.fell, want.blew_up, want.script)
+    assert len(got_trace) == len(want_trace)
+    for (state, r, mode), (w_state, w_r, w_mode) in zip(got_trace, want_trace):
+        assert state.q.tobytes() == w_state.q.tobytes()
+        assert (repr(r), mode) == (repr(w_r), w_mode)
+
+
+def test_stochastic_rollout_needs_an_rng():
+    lib = library_with_latents()
+    policy = pol.init_policy(np.random.default_rng(0), OBS_DIM)
+    script = EpisodeScript(0, 1, 0.5, 0, 25, 50)
+    with pytest.raises(ValueError, match="needs an rng"):
+        pol.rollout(policy, None, lib, script, sim.Terrain.flat(), ROBOT, REWARD)
+
+
+def test_batched_values_equal_single_rows():
+    rng = np.random.default_rng(11)
+    value = pol.init_value(rng, OBS_DIM)
+    obs = rng.normal(size=(256, OBS_DIM))
+    single = np.array([pol.value_of(value, o) for o in obs])
+    for B in range(1, 257):
+        assert pol.value_of(value, obs[:B]).tobytes() == single[:B].tobytes(), B
 
 
 def test_evaluate_modes_shapes_and_range():
@@ -472,8 +612,20 @@ def test_evaluate_modes_rejects_a_switch_outside_the_episode():
         _reference_evaluate_modes(*args, 10, 1, 1.0)
     with pytest.raises(ValueError, match="got 12 of 10"):
         pol.evaluate_modes(*args, horizon=10)
-    # The trace case switches at step 75 even when the grid stops earlier.
-    with pytest.raises(ValueError, match="got 75 of 60"):
-        pol.evaluate_modes(*args, horizon=60, traces={})
+    # The trace case switches at step 75, past a 60-step episode: its trace is
+    # the trunk, as a rollout that would switch only after step 60 gives.
+    traces: dict = {}
+    pol.evaluate_modes(*args, horizon=60, traces=traces)
+    for i in range(lib.n):
+        want = []
+        _reference_rollout(
+            policy, None, lib, EpisodeScript(i, i, 0.5, 1, 60, 61), *args[2:],
+            stochastic=False, trace=want,
+        )
+        want = want[:60]
+        assert len(traces[i]) == len(want)
+        for (state, r, mode), (w_state, w_r, w_mode) in zip(traces[i], want):
+            assert state.q.tobytes() == w_state.q.tobytes()
+            assert (repr(r), mode) == (repr(w_r), w_mode)
     with pytest.raises(ValueError, match="at least one rollout"):
         pol.evaluate_modes(*args, rollouts_per_case=0)

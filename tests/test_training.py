@@ -87,6 +87,25 @@ def test_checkpoint_resume_replays_identically(tmp_path):
     assert full.state.episode_count == resumed.state.episode_count
 
 
+@pytest.mark.parametrize(
+    "updates, every, saves",
+    [(5, 5, [5]), (7, 5, [5, 7]), (0, 5, [0]), (3, 0, [3]), (4, 2, [2, 4])],
+)
+def test_checkpoint_saved_once_per_save_point(monkeypatch, updates, every, saves):
+    saved = []
+    monkeypatch.setattr(tm, "save_checkpoint", lambda path, state: saved.append(
+        (path, state.update_count)
+    ))
+    lib = two_mode_library()
+    cfg = tm.TrainConfig(updates=updates, episodes_per_update=1, seed=3,
+                         checkpoint_every=every)
+    tm.run_training(
+        lib, sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(horizon=100), cfg,
+        checkpoint_path="ckpt.json",
+    )
+    assert saved == [("ckpt.json", n) for n in saves]
+
+
 def test_latents_required():
     lib = rm.builtin_library("pi2")  # no latents
     with pytest.raises(ValueError, match="latent"):
