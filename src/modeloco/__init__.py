@@ -28,7 +28,7 @@ from .refmotion import (
     interpolate_keyframes,
 )
 from .sampler import EpisodeScript, SamplerState, returns_to_probs, sample_script, update_records
-from .sim import RewardConfig, RobotConfig, SimState, Terrain, observe, pd_torque, reward, step
+from .sim import RewardConfig, RobotConfig, SimState, Terrain, observe, reward, step
 from .training import TrainConfig, run_training
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 Every command is deterministic given its configuration and seed, writes
 artifacts with a config-hash header, and exits 0 on success, 1 on input
-validation problems, and 2 on runtime failures. The output directory
-defaults to the MODELOCO_OUT environment variable, then the current
-directory.
+validation problems (usage errors included), and 2 on runtime failures. The
+output directory defaults to the MODELOCO_OUT environment variable, then the
+current directory.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ def _train_configs(args):
         updates=args.updates,
         episodes_per_update=args.episodes_per_update,
         seed=args.seed,
-        workers=args.workers,
         checkpoint_every=args.checkpoint_every,
     )
     return ppo, tc
@@ -298,7 +297,7 @@ def cmd_plan(args) -> int:
     )
     result = plan_mod.parallel_trials(
         policy, library, terrain, robot, cfg,
-        trials=args.trials, workers=args.workers, provenance=cfg_hash,
+        trials=args.trials, provenance=cfg_hash,
     )
     out = _out_path(args.out, "plan.json")
     payload = plan_mod.plan_to_payload(result.plan, library, cfg)
@@ -363,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--episodes-per-update", type=int, default=train_d.episodes_per_update)
     tp.add_argument("--horizon", type=int, default=ppo_d.horizon)
     tp.add_argument("--seed", type=int, default=train_d.seed)
-    tp.add_argument("--workers", type=int, default=train_d.workers)
     tp.add_argument("--modeset", default=None, help="selects default reward gains")
     tp.add_argument("--reward-weights", default=None,
                     help="three comma-separated tracking weights")
@@ -398,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--explore", type=float, default=plan_d.explore)
     pl.add_argument("--episodes", type=int, default=plan_d.episodes)
     pl.add_argument("--trials", type=int, default=trials_d["trials"].default)
-    pl.add_argument("--workers", type=int, default=trials_d["workers"].default)
     pl.add_argument("--seed", type=int, default=plan_d.seed)
     pl.add_argument("--out", default=None)
     pl.set_defaults(fn=cmd_plan)
@@ -406,7 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return EXIT_VALIDATION  # argparse has printed the usage error
     try:
         return args.fn(args)
     except (InvalidInputError, ArtifactError, ValueError) as exc:

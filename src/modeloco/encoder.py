@@ -81,10 +81,6 @@ class DecoderParams:
     def latent_dim(self) -> int:
         return self.w_x.shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.w_y.shape[0]
-
 
 @dataclass
 class EncoderTrainConfig:

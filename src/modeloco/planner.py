@@ -14,16 +14,13 @@ state at the knot boundary, that knot's bucket, and whether the rollout ended
 there) runs each distinct prefix once, and rewards, Q-tables, plans and best
 returns stay bit-identical. Cached states are frozen with read-only arrays, so
 entries are shared safely. One cache serves all trials of a `parallel_trials`
-call and their greedy rollouts; with several workers, each process keeps its
-own cache for its block of trials, so results do not depend on the worker
-count.
+call and their greedy rollouts.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -210,15 +207,6 @@ def q_learn(
     return q_learn_core(rollout_fn, cfg.knots, library.n, cfg, rng, provenance)
 
 
-def _trials(args) -> list[QLearnResult]:
-    """A block of trials that share one prefix cache."""
-    policy, library, terrain, robot_cfg, configs, provenance = args
-    cache: PrefixCache = {}
-    return [
-        q_learn(policy, library, terrain, robot_cfg, c, provenance, cache) for c in configs
-    ]
-
-
 def parallel_trials(
     policy: PolicyParams,
     library: ModeLibrary,
@@ -226,30 +214,22 @@ def parallel_trials(
     robot_cfg: RobotConfig,
     cfg: PlannerConfig,
     trials: int = 5,
-    workers: int = 1,
     provenance: str = "",
 ) -> QLearnResult:
     """Independent seeded Q-learning runs; the best-evaluated plan wins.
 
-    Trial i uses seed cfg.seed + i. Aggregation is by evaluated plan return
-    with ties going to the earliest trial, so the result does not depend on
-    the worker count. The trials share one prefix cache; with workers > 1,
-    each process runs a contiguous block of trials with its own cache.
+    Trial i uses seed cfg.seed + i, and the trials run one after another
+    through one prefix cache. Aggregation is by evaluated plan return with
+    ties going to the earliest trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    configs = [replace(cfg, seed=cfg.seed + i) for i in range(trials)]
-    size = -(-trials // max(workers, 1))
-    blocks = [
-        (policy, library, terrain, robot_cfg, configs[a : a + size], provenance)
-        for a in range(0, trials, size)
+    cache: PrefixCache = {}
+    results = [
+        q_learn(policy, library, terrain, robot_cfg, replace(cfg, seed=cfg.seed + i),
+                provenance, cache)
+        for i in range(trials)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_trials, blocks))
-    else:
-        done = [_trials(b) for b in blocks]
-    results = [r for block in done for r in block]
     best = results[0]
     for r in results[1:]:
         if r.best_return > best.best_return:

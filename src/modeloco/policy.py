@@ -49,10 +49,6 @@ class MlpParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
 
 @dataclass
 class PolicyParams:
@@ -420,19 +416,15 @@ def ppo_update(
 
 def rollout(
     policy: PolicyParams,
-    value: ValueParams | None,
+    value: ValueParams,
     library: ModeLibrary,
     script: EpisodeScript,
     terrain: Terrain,
     robot_cfg: RobotConfig,
     reward_cfg: RewardConfig,
-    rng: np.random.Generator | None = None,
-    stochastic: bool = True,
-    clock_rate: float = 1.0,
-    start_x: float = 0.0,
-    trace: list | None = None,
+    rng: np.random.Generator,
 ) -> Trajectory:
-    """Run one scripted episode in the biped environment.
+    """Run one scripted training episode of the stochastic policy.
 
     The latent command follows the script: the start mode until the switch
     step, the end mode after. At the switch the reference tracker is
@@ -440,25 +432,20 @@ def rollout(
     mode's reference continues from where the robot actually is. Falls and
     blowups truncate the episode with a zero bootstrap value.
 
-    A stochastic rollout draws horizon x act_dim standard normals from `rng`
-    up front, one row per step, whether or not the episode runs to the
-    horizon. The loop keeps only what the next step needs; the log-probs and
-    the values, bootstrap included, are computed after it in one batched call
-    each, and equal per-step calls bit for bit.
+    The rollout draws horizon x act_dim standard normals from `rng` up front,
+    one row per step, whether or not the episode runs to the horizon. The
+    loop keeps only what the next step needs; the log-probs and the values,
+    bootstrap included, are computed after it in one batched call each, and
+    equal per-step calls bit for bit.
     """
     if script.mode_from >= library.n or script.mode_to >= library.n:
         raise ValueError("script modes outside the library")
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
-    if stochastic:
-        if rng is None:
-            raise ValueError("stochastic sampling needs an rng")
-        noise = np.exp(policy.log_std) * rng.standard_normal(
-            (script.horizon, policy.action_dim)
-        )
+    noise = np.exp(policy.log_std) * rng.standard_normal((script.horizon, policy.action_dim))
     latents = library.latents[[script.mode_from, script.mode_to]]
 
-    state = initial_state(robot_cfg, terrain, x=start_x, clock_rate=clock_rate)
+    state = initial_state(robot_cfg, terrain)
     tracker = ModeTracker(
         library.motions[script.mode_from], anchor_x=state.x, anchor_phase=state.phase
     )
@@ -482,18 +469,15 @@ def rollout(
             clips_done = 0
         o = observe(state, latents[current])
         mean = policy_mean(policy, o)
-        a = mean + noise[t] if stochastic else mean
+        a = mean + noise[t]
         obs_list.append(o)
         mean_list.append(mean)
         act_list.append(a)
         new_state = step(state, a, terrain, robot_cfg)
         if new_state.phase < state.phase:
             clips_done += 1
-        ref = tracker.at(new_state.phase, clips_done)
-        r, _ = reward(new_state, ref, reward_cfg)
+        r, _ = reward(new_state, tracker.at(new_state.phase, clips_done), reward_cfg)
         rew_list.append(r)
-        if trace is not None:
-            trace.append((new_state, r, script.mode_from if current == 0 else script.mode_to))
         state = new_state
         status = termination(state, robot_cfg)
         if status != RUNNING:
@@ -504,12 +488,9 @@ def rollout(
     obs_list.append(observe(state, latents[current]))
     obs = np.vstack(obs_list)
     actions = np.vstack(act_list)
-    if value is None:
-        values = np.zeros(obs.shape[0])
-    else:
-        values = value_of(value, obs)
-        if fell or blew_up:
-            values[-1] = 0.0
+    values = value_of(value, obs)
+    if fell or blew_up:
+        values[-1] = 0.0
     return Trajectory(
         obs=obs,
         actions=actions,
@@ -594,7 +575,7 @@ def evaluate_modes(
     tracking and 0.0 is immediate failure.
 
     Rollouts share their prefixes, and every score is bit-identical to the
-    one a `rollout` of the case's script would give. The deterministic
+    one a deterministic per-case episode would give. The deterministic
     dynamics depend only on the latent schedule, and the tracker is
     re-anchored only at the switch. So each source mode i runs one trunk
     under latent i, to the horizon or a fall. An i -> j case with j != i
@@ -607,7 +588,7 @@ def evaluate_modes(
 
     When `traces` is a dict, traces[i] receives the per-step (state, reward,
     mode index) records of the i -> i case that switches at TRACE_SWITCH,
-    which need not be in the grid; they equal `rollout`'s trace of that case.
+    which need not be in the grid; they equal that case's per-case episode.
     When that switch lies past the episode's end, the trace is the trunk's.
     """
     from .sampler import SWITCH_CLIPS, SWITCH_PHASES, switch_step_for

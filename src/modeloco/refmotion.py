@@ -390,13 +390,24 @@ def _spec_field(
     if not isinstance(entry, dict) or (key not in entry and default is None):
         raise InvalidInputError(f"{source}: {where} has no '{key}' entry")
     value = entry.get(key, default)
-    if not number:
-        return value
+    return finite_number(value, f"'{key}' of {where}", source) if number else value
+
+
+def finite_number(value, what: str, source: str) -> float:
+    """value as a float; InvalidInputError unless it is a finite JSON number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise InvalidInputError(
-            f"{source}: '{key}' of {where} must be a finite number, got {value!r}"
-        )
+        raise InvalidInputError(f"{source}: {what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _spec_flag(entry, key: str, where: str) -> bool:
+    """A stance flag of a modeset spec: JSON true or false, nothing else."""
+    value = _spec_field(entry, key, where)
+    if not isinstance(value, bool):
+        raise InvalidInputError(
+            f"modeset spec: '{key}' of {where} must be true or false, got {value!r}"
+        )
+    return value
 
 
 def _spec_list(entry, key: str, where: str, source: str = "modeset spec") -> list:
@@ -437,8 +448,8 @@ def modeset_from_spec(spec: dict) -> ModeLibrary:
                 ContactPhase(
                     start_phase=_spec_field(p, "start", at, number=True),
                     end_phase=_spec_field(p, "end", at, number=True),
-                    left=bool(_spec_field(p, "left", at)),
-                    right=bool(_spec_field(p, "right", at)),
+                    left=_spec_flag(p, "left", at),
+                    right=_spec_flag(p, "right", at),
                 )
                 for p in _spec_list(mode, "contact_phases", where)
             ]

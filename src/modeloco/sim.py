@@ -31,7 +31,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .refmotion import DEFAULT_CLIP_DURATION, DEFAULT_DT, PERIODIC, TRANSIENT, ReferenceMotion
+from .refmotion import (
+    DEFAULT_CLIP_DURATION,
+    DEFAULT_DT,
+    TRANSIENT,
+    InvalidInputError,
+    ReferenceMotion,
+    finite_number,
+)
 
 GRAVITY = 9.81
 
@@ -39,7 +46,6 @@ RUNNING = "running"
 FALLEN = "fallen"
 BLOWUP = "blowup"
 
-JOINT_NAMES = ("hip_l", "knee_l", "hip_r", "knee_r")
 NUM_JOINTS = 4
 BASE_DOF = 3  # x, z, pitch
 
@@ -162,10 +168,25 @@ class Terrain:
 
     @staticmethod
     def from_payload(payload: dict) -> "Terrain":
-        return Terrain(
-            [(p[0], p[1]) for p in payload.get("breakpoints", [])],
-            payload.get("base_height", 0.0),
-        )
+        """The terrain of a terrain file; InvalidInputError unless every
+        breakpoint is an [x, height] pair of finite numbers and the base height
+        is finite."""
+        if not isinstance(payload, dict):
+            raise InvalidInputError(
+                f"terrain file: the payload must be an object, got {payload!r}"
+            )
+        points = payload.get("breakpoints", [])
+        if not isinstance(points, list):
+            raise InvalidInputError("terrain file: 'breakpoints' must be a list")
+        for i, p in enumerate(points):
+            if not (isinstance(p, list) and len(p) == 2):
+                raise InvalidInputError(
+                    f"terrain file: breakpoint {i} must be an [x, height] pair, got {p!r}"
+                )
+            for what, v in zip(("x", "height"), p):
+                finite_number(v, f"the {what} of breakpoint {i}", "terrain file")
+        base = finite_number(payload.get("base_height", 0.0), "'base_height'", "terrain file")
+        return Terrain([(x, h) for x, h in points], base)
 
 
 TERRAIN_PRESETS = {
@@ -211,14 +232,6 @@ class SimState:
         return float(self.q[2])
 
     @property
-    def joints(self) -> np.ndarray:
-        return self.q[3:]
-
-    @property
-    def joint_rates(self) -> np.ndarray:
-        return self.qdot[3:]
-
-    @property
     def height_above_support(self) -> float:
         return self.z - self.support
 
@@ -226,17 +239,14 @@ class SimState:
 def initial_state(
     cfg: RobotConfig,
     terrain: Terrain | None = None,
-    x: float = 0.0,
     clock_rate: float = 1.0,
     settled: bool = True,
 ) -> SimState:
-    """Nominal standing pose; settled=True pre-compresses the contact springs."""
+    """Nominal standing pose at x = 0; settled=True pre-compresses the contact springs."""
     terrain = terrain or Terrain.flat()
-    ground = terrain.height(x)
-    z = ground + cfg.nominal_height - (cfg.settle_depth if settled else 0.0)
+    ground = terrain.height(0.0)
     q = np.zeros(BASE_DOF + NUM_JOINTS)
-    q[0] = x
-    q[1] = z
+    q[1] = ground + cfg.nominal_height - (cfg.settle_depth if settled else 0.0)
     left, right = _foot_states(q, np.zeros(7), cfg)
     return SimState(
         q=q,
@@ -248,19 +258,6 @@ def initial_state(
         contact_right=right[1] < terrain.height(right[0]),
         support=ground,
     )
-
-
-def pd_torque(
-    action: np.ndarray, joint_q: np.ndarray, joint_qdot: np.ndarray, cfg: RobotConfig
-) -> np.ndarray:
-    """Joint torques from position targets; clipped at the actuator limit.
-
-    No angle limits are applied to the targets; they are set points, not
-    strict position commands.
-    """
-    tau = cfg.kp * (np.asarray(action, dtype=float) - np.asarray(joint_q, dtype=float))
-    tau = tau - cfg.kd * np.asarray(joint_qdot, dtype=float)
-    return np.clip(tau, -cfg.torque_limit, cfg.torque_limit)
 
 
 def _foot_states(q: np.ndarray, qdot: np.ndarray, cfg: RobotConfig):
@@ -296,38 +293,17 @@ def _foot_states(q: np.ndarray, qdot: np.ndarray, cfg: RobotConfig):
     return out
 
 
-def foot_positions(state: SimState, cfg: RobotConfig) -> list[tuple[float, float]]:
-    left, right = _foot_states(state.q, state.qdot, cfg)
-    return [(left[0], left[1]), (right[0], right[1])]
-
-
-def contact_force(
-    penetration: float, foot_vx: float, foot_vz: float, cfg: RobotConfig
-) -> tuple[float, float]:
-    """Unilateral spring-damper normal force and Coulomb-capped tangential drag."""
-    if penetration <= 0.0:
-        return 0.0, 0.0
-    fn = cfg.contact_stiffness * penetration - cfg.contact_damping * foot_vz
-    if fn <= 0.0:
-        return 0.0, 0.0
-    cap = cfg.friction * fn
-    ft = -cfg.contact_damping * foot_vx
-    if ft > cap:
-        ft = cap
-    elif ft < -cap:
-        ft = -cap
-    return fn, ft
-
-
 def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig) -> SimState:
     """Advance one control period of physics substeps and the phase clock.
 
     Each substep is a kick-drift-kick: the loop evaluates the forces
     2 * substeps times, half-kicks the velocities after every evaluation and
     drifts the positions after every first evaluation of a pair. Both legs
-    are written out inline; their force and torque terms are those of
-    contact_force and pd_torque, in the operation order the module docstring
-    fixes.
+    are written out inline: a unilateral spring-damper normal force with
+    Coulomb-capped tangential drag at each foot, and PD torques toward the
+    action's joint targets, clipped at the actuator limit but with no angle
+    limits on the targets. The operation order is the one the module
+    docstring fixes.
 
     A non-finite outcome is returned as-is; termination() classifies it as a
     blowup so the caller can cut the episode. An infinite angle, which
@@ -510,7 +486,7 @@ def observation_dim(latent_dim: int) -> int:
     return CLOCK_DIM + latent_dim + PROPRIO_DIM
 
 
-def observe(state: SimState, latent: np.ndarray, two_pi_clock: bool = True) -> np.ndarray:
+def observe(state: SimState, latent: np.ndarray) -> np.ndarray:
     """Policy observation [clock, latent command, proprioception].
 
     The base x never appears: height is support-relative and the linear
@@ -518,7 +494,7 @@ def observe(state: SimState, latent: np.ndarray, two_pi_clock: bool = True) -> n
     to horizontal translation.
     """
     latent = np.asarray(latent, dtype=float)
-    angle = (2.0 * math.pi if two_pi_clock else 1.0) * state.phase
+    angle = 2.0 * math.pi * state.phase
     pitch = state.pitch
     c, s = math.cos(pitch), math.sin(pitch)
     vx, vz = float(state.qdot[0]), float(state.qdot[1])
@@ -609,13 +585,6 @@ class ModeTracker:
         )
 
 
-def reference_at(
-    motion: ReferenceMotion, phase: float, entry_x: float, clips_completed: int = 0
-) -> ReferencePoint:
-    """Reference pose and contact at a phase, anchored at entry_x for phase 0."""
-    return ModeTracker(motion, anchor_x=entry_x, anchor_phase=0.0).at(phase, clips_completed)
-
-
 def reward(
     state: SimState, ref: ReferencePoint, cfg: RewardConfig
 ) -> tuple[float, TrackingError]:
@@ -634,12 +603,3 @@ def reward(
     )
     return r, TrackingError(position=(dx, dz), orientation=dpitch, contact=(ec_l, ec_r))
 
-
-def base_energy(state: SimState, cfg: RobotConfig) -> float:
-    """Kinetic plus gravitational energy of the base body alone."""
-    vx, vz, vp = state.qdot[0], state.qdot[1], state.qdot[2]
-    return float(
-        0.5 * cfg.base_mass * (vx * vx + vz * vz)
-        + 0.5 * cfg.base_inertia * vp * vp
-        + cfg.base_mass * GRAVITY * state.z
-    )

@@ -3,14 +3,12 @@
 Each iteration samples a batch of episode scripts from the current return
 records (or uniformly), rolls them out, applies one PPO update, and folds the
 episode returns back into the records in submission order. All randomness is
-derived from (seed, counter) pairs, so a run is bit-reproducible, resumable
-from a checkpoint, and independent of how many rollout workers execute the
-batch.
+derived from (seed, counter) pairs, so a run is bit-reproducible and resumable
+from a checkpoint.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +52,6 @@ class TrainConfig:
     updates: int = 100
     episodes_per_update: int = 4
     seed: int = 0
-    workers: int = 1
-    clock_rate: float = 1.0
     # Updates between periodic checkpoints; 0 disables only those, and the
     # final state is still saved.
     checkpoint_every: int = 25
@@ -102,24 +98,6 @@ class TrainResult:
     rows: list[EpisodeRow] = field(default_factory=list)
 
 
-def _run_episode(args) -> pol.Trajectory:
-    (policy, value, library, script, terrain, robot_cfg, reward_cfg, seed, episode_index,
-     clock_rate) = args
-    rng = derived_rng(seed, _STREAM_EPISODE, episode_index)
-    return pol.rollout(
-        policy,
-        value,
-        library,
-        script,
-        terrain,
-        robot_cfg,
-        reward_cfg,
-        rng=rng,
-        stochastic=True,
-        clock_rate=clock_rate,
-    )
-
-
 def fresh_train_state(library: ModeLibrary, cfg: TrainConfig) -> TrainState:
     rng = derived_rng(cfg.seed, _STREAM_INIT, 0)
     obs_dim = observation_dim(library.latents.shape[1])
@@ -164,84 +142,58 @@ def run_training(
     rows: list[EpisodeRow] = []
     saved = False
 
-    pool = None
-    if cfg.workers > 1:
-        pool = ProcessPoolExecutor(max_workers=cfg.workers)
-    try:
-        for _ in range(cfg.updates):
-            scripts = []
-            for b in range(cfg.episodes_per_update):
-                ep_idx = state.episode_count + b
-                rng = derived_rng(cfg.seed, _STREAM_SCRIPT, ep_idx)
-                if cfg.sampler == ADAPTIVE:
-                    scripts.append(
-                        sample_script(state.sampler_state, cycle_steps, ppo_cfg.horizon, rng)
-                    )
-                else:
-                    scripts.append(
-                        uniform_script(library.n, rng, cycle_steps, ppo_cfg.horizon)
-                    )
-            jobs = [
-                (
-                    state.policy,
-                    state.value,
-                    library,
-                    script,
-                    terrain,
-                    robot_cfg,
-                    reward_cfg,
-                    cfg.seed,
-                    state.episode_count + b,
-                    cfg.clock_rate,
+    for _ in range(cfg.updates):
+        scripts = []
+        for b in range(cfg.episodes_per_update):
+            rng = derived_rng(cfg.seed, _STREAM_SCRIPT, state.episode_count + b)
+            if cfg.sampler == ADAPTIVE:
+                scripts.append(
+                    sample_script(state.sampler_state, cycle_steps, ppo_cfg.horizon, rng)
                 )
-                for b, script in enumerate(scripts)
-            ]
-            if pool is not None:
-                trajectories = list(pool.map(_run_episode, jobs))
             else:
-                trajectories = [_run_episode(j) for j in jobs]
-
-            update_rng = derived_rng(cfg.seed, _STREAM_UPDATE, state.update_count)
-            new_policy, new_value, new_opt, stats = pol.ppo_update(
-                state.policy, state.value, state.opt, trajectories, ppo_cfg, update_rng
+                scripts.append(uniform_script(library.n, rng, cycle_steps, ppo_cfg.horizon))
+        trajectories = [
+            pol.rollout(
+                state.policy, state.value, library, script, terrain, robot_cfg, reward_cfg,
+                derived_rng(cfg.seed, _STREAM_EPISODE, state.episode_count + b),
             )
-            state.policy, state.value, state.opt = new_policy, new_value, new_opt
+            for b, script in enumerate(scripts)
+        ]
 
-            for b, (script, tr) in enumerate(zip(scripts, trajectories)):
-                state.sampler_state = update_records(
-                    state.sampler_state, script, tr.episode_return
+        update_rng = derived_rng(cfg.seed, _STREAM_UPDATE, state.update_count)
+        new_policy, new_value, new_opt, stats = pol.ppo_update(
+            state.policy, state.value, state.opt, trajectories, ppo_cfg, update_rng
+        )
+        state.policy, state.value, state.opt = new_policy, new_value, new_opt
+
+        for b, (script, tr) in enumerate(zip(scripts, trajectories)):
+            state.sampler_state = update_records(state.sampler_state, script, tr.episode_return)
+            rows.append(
+                EpisodeRow(
+                    update=state.update_count,
+                    episode=state.episode_count + b,
+                    mode_from=script.mode_from,
+                    mode_to=script.mode_to,
+                    switch_step=script.switch_step,
+                    episode_return=tr.episode_return,
+                    normalized_return=pol.normalized_return(tr, reward_cfg),
+                    fell=tr.fell,
+                    policy_loss=stats.policy_loss,
+                    value_loss=stats.value_loss,
+                    entropy=stats.entropy,
+                    mode_returns=np.array(state.sampler_state.mode_returns),
+                    transition_returns=np.array(state.sampler_state.transition_returns),
                 )
-                rows.append(
-                    EpisodeRow(
-                        update=state.update_count,
-                        episode=state.episode_count + b,
-                        mode_from=script.mode_from,
-                        mode_to=script.mode_to,
-                        switch_step=script.switch_step,
-                        episode_return=tr.episode_return,
-                        normalized_return=pol.normalized_return(tr, reward_cfg),
-                        fell=tr.fell,
-                        policy_loss=stats.policy_loss,
-                        value_loss=stats.value_loss,
-                        entropy=stats.entropy,
-                        mode_returns=np.array(state.sampler_state.mode_returns),
-                        transition_returns=np.array(
-                            state.sampler_state.transition_returns
-                        ),
-                    )
-                )
-            state.episode_count += cfg.episodes_per_update
-            state.update_count += 1
-            saved = bool(
-                checkpoint_path
-                and cfg.checkpoint_every
-                and state.update_count % cfg.checkpoint_every == 0
             )
-            if saved:
-                save_checkpoint(checkpoint_path, state)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        state.episode_count += cfg.episodes_per_update
+        state.update_count += 1
+        saved = bool(
+            checkpoint_path
+            and cfg.checkpoint_every
+            and state.update_count % cfg.checkpoint_every == 0
+        )
+        if saved:
+            save_checkpoint(checkpoint_path, state)
     if checkpoint_path and not saved:
         save_checkpoint(checkpoint_path, state)
     return TrainResult(state=state, rows=rows)

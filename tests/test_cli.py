@@ -112,8 +112,31 @@ def test_parser_defaults_are_the_config_defaults():
     assert (ev.horizon, ev.rollouts, ev.clock_rate) == tuple(
         eval_d[k].default for k in ("horizon", "rollouts_per_case", "clock_rate")
     )
-    trials_d = inspect.signature(parallel_trials).parameters
-    assert (pl.trials, pl.workers) == (trials_d["trials"].default, trials_d["workers"].default)
+    assert pl.trials == inspect.signature(parallel_trials).parameters["trials"].default
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train-policy", "--library", "lib.json", "--workers", "2"],
+         "unrecognized arguments: --workers 2"),
+        (["plan", "--library", "lib.json", "--policy", "pol.json", "--workers", "2"],
+         "unrecognized arguments: --workers 2"),
+        (["train-policy", "--library", "lib.json", "--updates", "ten"],
+         "argument --updates: invalid int value: 'ten'"),
+    ],
+    ids=["train-policy-workers", "plan-workers", "updates-not-an-int"],
+)
+def test_usage_errors_are_validation_errors(capsys, argv, message):
+    assert run(*argv) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("plan", "--help")
+    assert exc.value.code == 0
+    assert "--trials" in capsys.readouterr().out
 
 
 def _gen_and_encode(workdir, epochs="120"):
@@ -405,21 +428,49 @@ def test_plan_writes_k_knots_and_echoes_config(workdir, capsys):
     assert Path(str(out) + ".trace.csv").exists()
 
 
-def test_plan_workers_write_the_same_plan(workdir):
+@pytest.mark.parametrize(
+    "payload, problem",
+    [
+        ({"breakpoints": [[0.8]]}, "breakpoint 0 must be an [x, height] pair, got [0.8]"),
+        ({"breakpoints": [[0.8, float("nan")]]},
+         "the height of breakpoint 0 must be a finite number, got nan"),
+        ({"breakpoints": [[0.0, 0.0], [float("nan"), -1.0]]},
+         "the x of breakpoint 1 must be a finite number, got nan"),
+        ({"breakpoints": [], "base_height": float("inf")},
+         "'base_height' must be a finite number, got inf"),
+        ([[0.8, -1.0]], "the payload must be an object, got [[0.8, -1.0]]"),
+    ],
+    ids=["one-element-breakpoint", "nan-height", "nan-x", "infinite-base-height",
+         "payload-not-an-object"],
+)
+def test_plan_rejects_a_bad_terrain_file(workdir, capsys, payload, problem):
     lib = _library_with_latents(workdir, [[0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 0.0]])
     pol = workdir / "policy.json"
     assert run("train-policy", "--library", str(lib), "--out", str(pol), "--updates", "0") == 0
-    written = []
-    for workers in ("1", "2"):
-        out = workdir / f"plan{workers}.json"
-        assert run(
-            "plan", "--library", str(lib), "--policy", str(pol), "--knots", "4",
-            "--episodes", "6", "--trials", "3", "--workers", workers, "--out", str(out),
-        ) == 0
-        payload = read_artifact(out, "plan")
-        del payload["solve_seconds"]
-        written.append((payload, Path(str(out) + ".trace.csv").read_bytes()))
-    assert written[0] == written[1]
+    capsys.readouterr()
+    terrain = workdir / "terrain.json"
+    write_artifact(terrain, "terrain", payload)
+    assert run(
+        "plan", "--library", str(lib), "--policy", str(pol), "--terrain", str(terrain),
+        "--episodes", "1", "--trials", "1",
+    ) == cli.EXIT_VALIDATION
+    assert f"terrain file: {problem}" in capsys.readouterr().err
+    assert not (workdir / "plan.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_gen_refs_contact_flags_must_be_booleans(workdir, capsys, flag):
+    spec = copy.deepcopy(TWO_MODE_SPEC)
+    spec["modes"][1]["contact_phases"] = [
+        {"start": 0.0, "end": 0.5, "left": True, "right": flag},
+        {"start": 0.5, "end": 1.0, "left": False, "right": True},
+    ]
+    spec_path = workdir / "flags.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run("gen-refs", "--modeset", str(spec_path)) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'right' of a contact phase of mode 1 must be true or false, got {flag!r}" in err
+    assert not (workdir / "library.json").exists()
 
 
 def test_block_task_shape(workdir):

@@ -26,30 +26,72 @@ def test_robot_stands_at_the_reference_height():
     assert CFG.nominal_height == rm.NOMINAL_HEIGHT
 
 
+# --- reference forces and energy -----------------------------------------------
+#
+# sim.step writes these terms out inline; the tests keep them as plain functions.
+
+
+def _pd_torque(action, joint_q, joint_qdot, cfg):
+    """Joint torques from position targets; clipped at the actuator limit.
+
+    No angle limits are applied to the targets; they are set points, not
+    strict position commands.
+    """
+    tau = cfg.kp * (np.asarray(action, dtype=float) - np.asarray(joint_q, dtype=float))
+    tau = tau - cfg.kd * np.asarray(joint_qdot, dtype=float)
+    return np.clip(tau, -cfg.torque_limit, cfg.torque_limit)
+
+
+def _contact_force(penetration, foot_vx, foot_vz, cfg):
+    """Unilateral spring-damper normal force and Coulomb-capped tangential drag."""
+    if penetration <= 0.0:
+        return 0.0, 0.0
+    fn = cfg.contact_stiffness * penetration - cfg.contact_damping * foot_vz
+    if fn <= 0.0:
+        return 0.0, 0.0
+    cap = cfg.friction * fn
+    ft = -cfg.contact_damping * foot_vx
+    if ft > cap:
+        ft = cap
+    elif ft < -cap:
+        ft = -cap
+    return fn, ft
+
+
+def _base_energy(state, cfg):
+    """Kinetic plus gravitational energy of the base body alone."""
+    vx, vz, vp = state.qdot[0], state.qdot[1], state.qdot[2]
+    return float(
+        0.5 * cfg.base_mass * (vx * vx + vz * vz)
+        + 0.5 * cfg.base_inertia * vp * vp
+        + cfg.base_mass * sim.GRAVITY * state.z
+    )
+
+
 # --- PD torque ---------------------------------------------------------------
 
 
 def test_pd_torque_hand_case():
-    tau = sim.pd_torque(np.full(4, 0.5), np.full(4, 0.2), np.full(4, 1.0), CFG)
+    tau = _pd_torque(np.full(4, 0.5), np.full(4, 0.2), np.full(4, 1.0), CFG)
     np.testing.assert_allclose(tau, 8.5, atol=1e-12)
 
 
 def test_pd_torque_equilibrium():
     q = np.array([0.1, -0.2, 0.3, 0.0])
-    tau = sim.pd_torque(q, q, np.zeros(4), CFG)
+    tau = _pd_torque(q, q, np.zeros(4), CFG)
     np.testing.assert_allclose(tau, 0.0, atol=1e-15)
 
 
 def test_pd_torque_clips_at_limit():
-    tau = sim.pd_torque(np.full(4, 2.0), np.zeros(4), np.zeros(4), CFG)
+    tau = _pd_torque(np.full(4, 2.0), np.zeros(4), np.zeros(4), CFG)
     np.testing.assert_allclose(tau, 30.0, atol=1e-12)
-    tau = sim.pd_torque(np.full(4, -2.0), np.zeros(4), np.zeros(4), CFG)
+    tau = _pd_torque(np.full(4, -2.0), np.zeros(4), np.zeros(4), CFG)
     np.testing.assert_allclose(tau, -30.0, atol=1e-12)
 
 
 def test_pd_torque_no_angle_limits():
     # targets far outside any plausible joint range are accepted as-is
-    tau = sim.pd_torque(np.full(4, 9.0), np.full(4, 8.9), np.zeros(4), CFG)
+    tau = _pd_torque(np.full(4, 9.0), np.full(4, 8.9), np.zeros(4), CFG)
     np.testing.assert_allclose(tau, 3.0, atol=1e-12)
 
 
@@ -68,11 +110,11 @@ def test_ballistic_arc():
 
 def test_ballistic_energy_conservation():
     state = airborne_state([1.2, 0.8, 0.5, 0, 0, 0, 0])
-    e0 = sim.base_energy(state, CFG)
+    e0 = _base_energy(state, CFG)
     steps = 25
     for _ in range(steps):
         state = sim.step(state, np.zeros(4), FLAT, CFG)
-    drift_per_substep = abs(sim.base_energy(state, CFG) - e0) / (steps * CFG.substeps)
+    drift_per_substep = abs(_base_energy(state, CFG) - e0) / (steps * CFG.substeps)
     assert drift_per_substep < 1e-6
 
 
@@ -117,7 +159,7 @@ def test_step_determinism_bit_identical():
 # --- reference step ------------------------------------------------------------
 #
 # The plain-loop form of the physics: forces through sim._foot_states and
-# sim.contact_force, lists for the state. sim.step inlines the same arithmetic
+# _contact_force, lists for the state. sim.step inlines the same arithmetic
 # in the same order and must match it byte for byte.
 
 
@@ -130,7 +172,7 @@ def _reference_accelerations(q, qdot, action, terrain, cfg, hits):
     feet = sim._foot_states(q, qdot, cfg)
     for leg, (fx, fz, fvx, fvz, jxh, jzh, jxk, jzk, _, _) in enumerate(feet):
         pen = terrain.height(fx) - fz
-        fn, ft = sim.contact_force(pen, fvx, fvz, cfg)
+        fn, ft = _contact_force(pen, fvx, fvz, cfg)
         hits["airborne_foot"] += pen <= 0.0
         hits["friction_capped"] += fn > 0.0 and abs(ft) == cfg.friction * fn
         fx_sum += ft
@@ -267,7 +309,7 @@ def test_unilateral_contact_forces():
     for _ in range(2000):
         pen = rng.uniform(-0.05, 0.05)
         vx, vz = rng.normal(size=2)
-        fn, ft = sim.contact_force(pen, vx, vz, CFG)
+        fn, ft = _contact_force(pen, vx, vz, CFG)
         assert fn >= 0.0
         if pen <= 0.0:
             assert fn == 0.0 and ft == 0.0
@@ -406,7 +448,7 @@ def test_reference_idle_constant():
     lib = rm.builtin_library("pi2")
     idle = lib.motions[lib.index_of("idle")]
     for phase in (0.0, 0.3, 0.77):
-        ref = sim.reference_at(idle, phase, entry_x=2.0)
+        ref = sim.ModeTracker(idle, anchor_x=2.0).at(phase)
         assert ref.x == pytest.approx(2.0, abs=1e-15)
         assert ref.z == pytest.approx(0.5, abs=1e-15)
 
@@ -415,22 +457,22 @@ def test_reference_walk_midpoint():
     lib = rm.builtin_library("pi2")
     walk = lib.motions[lib.index_of("walk_f")]
     assert walk.displacement == pytest.approx(0.5, abs=1e-12)
-    ref = sim.reference_at(walk, 0.5, entry_x=1.0)
+    ref = sim.ModeTracker(walk, anchor_x=1.0).at(0.5)
     assert ref.x == pytest.approx(1.25, abs=1e-12)
 
 
 def test_reference_accumulates_over_clips():
     lib = rm.builtin_library("pi2")
     walk = lib.motions[lib.index_of("walk_f")]
-    ref = sim.reference_at(walk, 0.5, entry_x=1.0, clips_completed=2)
+    ref = sim.ModeTracker(walk, anchor_x=1.0).at(0.5, 2)
     assert ref.x == pytest.approx(1.0 + 2 * 0.5 + 0.25, abs=1e-12)
 
 
 def test_transient_holds_final_sample_after_clip():
     lib = rm.builtin_library("pi2")
     launch = lib.motions[lib.index_of("launch")]
-    end = sim.reference_at(launch, 0.0, entry_x=0.0, clips_completed=1)
-    again = sim.reference_at(launch, 0.6, entry_x=0.0, clips_completed=3)
+    end = sim.ModeTracker(launch).at(0.0, 1)
+    again = sim.ModeTracker(launch).at(0.6, 3)
     assert end == again
     assert end.x == pytest.approx(launch.displacement, abs=1e-12)
     assert end.z == pytest.approx(launch.samples[-1, 1], abs=1e-12)

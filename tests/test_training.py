@@ -19,7 +19,7 @@ ROBOT = sim.RobotConfig()
 REWARD = sim.RewardConfig()
 
 
-def small_run(sampler="adaptive", seed=3, updates=3, workers=1, start=None, **kw):
+def small_run(sampler="adaptive", seed=3, updates=3, start=None, **kw):
     lib = two_mode_library()
     ppo = pol.PpoConfig(horizon=100, seed=seed)
     cfg = tm.TrainConfig(
@@ -27,7 +27,6 @@ def small_run(sampler="adaptive", seed=3, updates=3, workers=1, start=None, **kw
         updates=updates,
         episodes_per_update=4,
         seed=seed,
-        workers=workers,
         **kw,
     )
     return tm.run_training(
@@ -40,13 +39,6 @@ def test_training_is_deterministic():
     r2 = small_run()
     assert np.array_equal(pol.pack_policy(r1.state.policy), pol.pack_policy(r2.state.policy))
     assert np.array_equal(pol.pack_value(r1.state.value), pol.pack_value(r2.state.value))
-    assert [row.episode_return for row in r1.rows] == [row.episode_return for row in r2.rows]
-
-
-def test_worker_count_does_not_change_results():
-    r1 = small_run(workers=1, updates=2)
-    r2 = small_run(workers=2, updates=2)
-    assert np.array_equal(pol.pack_policy(r1.state.policy), pol.pack_policy(r2.state.policy))
     assert [row.episode_return for row in r1.rows] == [row.episode_return for row in r2.rows]
 
 
