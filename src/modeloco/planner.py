@@ -5,7 +5,8 @@ per knot. The planning MDP walks the knot index deterministically from 0 to
 k-1; the action is the mode commanded during that knot, and the reward is the
 goal-distance shaping accumulated while the knot is active. The planner sees
 nothing but per-knot rewards from whole-plan rollouts, so the resulting plan
-is purely time-indexed: no terrain or robot state feedback.
+is purely time-indexed: no terrain or robot state feedback. Every knot steps
+through `policy._advance`, the loop that training and evaluation episodes run.
 
 Plan rollouts share their prefixes. A deterministic policy in a deterministic
 simulator reaches the same state after the same knot prefix, and every knot's
@@ -26,9 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .policy import PolicyParams, policy_mean
+from .policy import PolicyParams, _advance
 from .refmotion import ModeLibrary
-from .sim import RUNNING, RobotConfig, SimState, Terrain, initial_state, observe, step, termination
+from .sim import RUNNING, RobotConfig, SimState, Terrain, initial_state
 
 # Mode-index prefix -> (state at the end of its last knot, that knot's reward
 # bucket, whether the rollout ended in that knot).
@@ -90,11 +91,12 @@ def plan_rollout(
 ) -> np.ndarray:
     """Execute a plan with the deterministic policy; per-knot reward buckets.
 
-    The phase clock runs continuously; knot boundaries only swap the latent
-    command. A fall ends the rollout and leaves the remaining knots at zero.
-    A knot whose prefix is in `cache` is read from it instead of simulated,
-    and a simulated knot is added to it. A trace needs every step, so a
-    rollout with a trace does not use the cache.
+    Each knot is one `_advance` segment under the knot's latent. The phase
+    clock runs continuously; knot boundaries only swap the latent command. A
+    fall ends the rollout and leaves the remaining knots at zero. A knot whose
+    prefix is in `cache` is read from it instead of simulated, and a simulated
+    knot is added to it. A trace needs every step, so a rollout with a trace
+    does not use the cache.
     """
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
@@ -111,17 +113,14 @@ def plan_rollout(
         if cache is not None and prefix in cache:
             state, rewards[knot], ended = cache[prefix]
         else:
-            latent = library.latents[mode]
-            ended = False
-            for _ in range(steps_per_knot):
-                action = policy_mean(policy, observe(state, latent))
-                state = step(state, action, terrain, robot_cfg)
+            run = _advance(
+                policy, library.latents[mode], state, steps_per_knot, terrain, robot_cfg
+            )
+            for state in run.states[1:]:
                 rewards[knot] += goal_step_reward(state.x, state.z, cfg.goal_x, cfg.goal_z)
                 if trace is not None:
                     trace.append((state, rewards[knot], mode))
-                if termination(state, robot_cfg) != RUNNING:
-                    ended = True
-                    break
+            ended = run.status != RUNNING
             if cache is not None:
                 cache[prefix] = (state, rewards[knot], ended)
         if ended:

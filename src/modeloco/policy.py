@@ -18,7 +18,7 @@ import numpy as np
 from .fileio import array_from_payload, array_to_payload
 from .optim import AdamState, adam_step
 from .refmotion import ModeLibrary
-from .sampler import EpisodeScript
+from .sampler import SWITCH_CLIPS, SWITCH_PHASES, EpisodeScript, switch_step_for
 from .sim import (
     BLOWUP,
     FALLEN,
@@ -269,12 +269,9 @@ def ppo_loss_and_grad(
     obs = batch["obs"]
     B = obs.shape[0]
     mean, acts_p = mlp_forward(policy.net, obs)
-    std = np.exp(policy.log_std)
-    var = std * std
+    var = np.exp(policy.log_std) ** 2
     diff = batch["actions"] - mean
-    lp = -0.5 * ((diff / std) ** 2).sum(axis=1) - policy.log_std.sum() - 0.5 * mean.shape[
-        1
-    ] * LOG_2PI
+    lp = gaussian_log_prob(batch["actions"], mean, policy.log_std)
     ratio = np.exp(lp - batch["old_log_probs"])
     adv = batch["advantages"]
     clipped = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
@@ -414,6 +411,68 @@ def ppo_update(
 # --- episode rollout ----------------------------------------------------------
 
 
+@dataclass
+class _Run:
+    """What `_advance` stepped through: the states, the start state first, and
+    per step the observation, the policy mean and the action taken."""
+
+    states: list[SimState]
+    obs: list[np.ndarray]
+    means: list[np.ndarray]
+    actions: list[np.ndarray]
+    status: str  # termination status of the last state
+
+
+def _advance(
+    policy: PolicyParams,
+    latent: np.ndarray,
+    state: SimState,
+    steps: int,
+    terrain: Terrain,
+    robot_cfg: RobotConfig,
+    noise: np.ndarray | None = None,
+) -> _Run:
+    """Step the policy under one latent for `steps` control steps or until a
+    fall or blowup.
+
+    The action is the policy mean, plus noise[t] at step t when noise is given.
+    Every episode in the package, in training, evaluation and planning, runs
+    through this loop.
+    """
+    run = _Run(states=[state], obs=[], means=[], actions=[], status=RUNNING)
+    for t in range(steps):
+        o = observe(state, latent)
+        mean = policy_mean(policy, o)
+        a = mean if noise is None else mean + noise[t]
+        run.obs.append(o)
+        run.means.append(mean)
+        run.actions.append(a)
+        state = step(state, a, terrain, robot_cfg)
+        run.states.append(state)
+        run.status = termination(state, robot_cfg)
+        if run.status != RUNNING:
+            break
+    return run
+
+
+def _tracking_rewards(
+    states: list[SimState], motion, reward_cfg: RewardConfig
+) -> list[float]:
+    """Per-step imitation rewards along `states` for a tracker anchored at the
+    first state.
+
+    Completed clips count from 0 and grow at each wrap of the phase clock.
+    """
+    tracker = ModeTracker(motion, anchor_x=states[0].x, anchor_phase=states[0].phase)
+    clips_done = 0
+    rewards = []
+    for prev, state in zip(states, states[1:]):
+        if state.phase < prev.phase:
+            clips_done += 1
+        rewards.append(reward(state, tracker.at(state.phase, clips_done), reward_cfg))
+    return rewards
+
+
 def rollout(
     policy: PolicyParams,
     value: ValueParams,
@@ -426,76 +485,51 @@ def rollout(
 ) -> Trajectory:
     """Run one scripted training episode of the stochastic policy.
 
-    The latent command follows the script: the start mode until the switch
-    step, the end mode after. At the switch the reference tracker is
-    re-anchored at the robot's current x and the running phase, so the new
-    mode's reference continues from where the robot actually is. Falls and
-    blowups truncate the episode with a zero bootstrap value.
+    The episode is two `_advance` segments: `switch_step` steps under the
+    start mode's latent, then, unless it has ended, the rest of the horizon
+    under the end mode's. Each segment's reference tracker is anchored at the
+    segment's first state, so at the switch the new mode's reference
+    continues from where the robot actually is. Falls and blowups truncate
+    the episode with a zero bootstrap value.
 
     The rollout draws horizon x act_dim standard normals from `rng` up front,
     one row per step, whether or not the episode runs to the horizon. The
-    loop keeps only what the next step needs; the log-probs and the values,
-    bootstrap included, are computed after it in one batched call each, and
-    equal per-step calls bit for bit.
+    log-probs and the values, bootstrap included, are computed after the
+    episode in one batched call each, and equal per-step calls bit for bit.
     """
     if script.mode_from >= library.n or script.mode_to >= library.n:
         raise ValueError("script modes outside the library")
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
     noise = np.exp(policy.log_std) * rng.standard_normal((script.horizon, policy.action_dim))
-    latents = library.latents[[script.mode_from, script.mode_to]]
+    switch = script.switch_step
 
-    state = initial_state(robot_cfg, terrain)
-    tracker = ModeTracker(
-        library.motions[script.mode_from], anchor_x=state.x, anchor_phase=state.phase
-    )
-    clips_done = 0
-    current = 0  # index into latents / script modes
+    start = initial_state(robot_cfg, terrain)
+    latent = library.latents[script.mode_from]
+    run = _advance(policy, latent, start, switch, terrain, robot_cfg, noise[:switch])
+    runs = [run]
+    rewards = _tracking_rewards(run.states, library.motions[script.mode_from], reward_cfg)
+    if run.status == RUNNING:
+        latent = library.latents[script.mode_to]
+        run = _advance(
+            policy, latent, run.states[-1], script.horizon - switch, terrain, robot_cfg,
+            noise[switch:],
+        )
+        runs.append(run)
+        rewards += _tracking_rewards(run.states, library.motions[script.mode_to], reward_cfg)
 
-    obs_list = []
-    mean_list = []
-    act_list = []
-    rew_list = []
-    fell = False
-    blew_up = False
-    for t in range(script.horizon):
-        if t == script.switch_step and current == 0:
-            current = 1
-            tracker = ModeTracker(
-                library.motions[script.mode_to],
-                anchor_x=state.x,
-                anchor_phase=state.phase,
-            )
-            clips_done = 0
-        o = observe(state, latents[current])
-        mean = policy_mean(policy, o)
-        a = mean + noise[t]
-        obs_list.append(o)
-        mean_list.append(mean)
-        act_list.append(a)
-        new_state = step(state, a, terrain, robot_cfg)
-        if new_state.phase < state.phase:
-            clips_done += 1
-        r, _ = reward(new_state, tracker.at(new_state.phase, clips_done), reward_cfg)
-        rew_list.append(r)
-        state = new_state
-        status = termination(state, robot_cfg)
-        if status != RUNNING:
-            fell = status == FALLEN
-            blew_up = status == BLOWUP
-            break
-
-    obs_list.append(observe(state, latents[current]))
-    obs = np.vstack(obs_list)
-    actions = np.vstack(act_list)
+    obs = np.vstack([o for r in runs for o in r.obs] + [observe(run.states[-1], latent)])
+    actions = np.vstack([a for r in runs for a in r.actions])
+    means = np.vstack([m for r in runs for m in r.means])
+    fell, blew_up = run.status == FALLEN, run.status == BLOWUP
     values = value_of(value, obs)
     if fell or blew_up:
         values[-1] = 0.0
     return Trajectory(
         obs=obs,
         actions=actions,
-        rewards=np.array(rew_list),
-        log_probs=gaussian_log_prob(actions, np.vstack(mean_list), policy.log_std),
+        rewards=np.array(rewards),
+        log_probs=gaussian_log_prob(actions, means, policy.log_std),
         values=values,
         script=script,
         fell=fell,
@@ -514,45 +548,6 @@ def normalized_return(tr: Trajectory, reward_cfg: RewardConfig) -> float:
 # Switch of the same-mode case that `evaluate_modes` hands back as a per-step
 # trace: the middle of the second clip.
 TRACE_SWITCH = (1, 0.5)
-
-
-def _advance(
-    policy: PolicyParams,
-    latent: np.ndarray,
-    state: SimState,
-    steps: int,
-    terrain: Terrain,
-    robot_cfg: RobotConfig,
-) -> list[SimState]:
-    """States of the deterministic policy under one latent, the start state first.
-
-    Stops after `steps` control steps or at a fall or blowup, as `rollout` does.
-    """
-    states = [state]
-    for _ in range(steps):
-        state = step(state, policy_mean(policy, observe(state, latent)), terrain, robot_cfg)
-        states.append(state)
-        if termination(state, robot_cfg) != RUNNING:
-            break
-    return states
-
-
-def _tracking_rewards(
-    states: list[SimState], motion, reward_cfg: RewardConfig
-) -> list[float]:
-    """Per-step rewards along `states` for a tracker anchored at the first state.
-
-    This is `rollout`'s reward bookkeeping from an anchoring on: completed
-    clips count from 0 and grow at each wrap of the phase clock.
-    """
-    tracker = ModeTracker(motion, anchor_x=states[0].x, anchor_phase=states[0].phase)
-    clips_done = 0
-    rewards = []
-    for prev, state in zip(states, states[1:]):
-        if state.phase < prev.phase:
-            clips_done += 1
-        rewards.append(reward(state, tracker.at(state.phase, clips_done), reward_cfg)[0])
-    return rewards
 
 
 def evaluate_modes(
@@ -580,19 +575,18 @@ def evaluate_modes(
     re-anchored only at the switch. So each source mode i runs one trunk
     under latent i, to the horizon or a fall. An i -> j case with j != i
     branches from the trunk's state at its switch step, with a tracker
-    re-anchored there. An i -> i case reuses the trunk's states and only
-    recomputes the rewards after its switch, with no physics. A case whose
-    episode ends before its switch is the trunk. Returns are summed from the
-    per-step reward array, as `Trajectory.episode_return` does, and only one
-    trunk is held at a time.
+    re-anchored there. Trunks and branches step through `_advance`, as
+    `rollout`'s segments do. An i -> i case reuses the trunk's states and
+    only recomputes the rewards after its switch, with no physics. A case
+    whose episode ends before its switch is the trunk. Returns are summed
+    from the per-step reward array, as `Trajectory.episode_return` does, and
+    only one trunk is held at a time.
 
     When `traces` is a dict, traces[i] receives the per-step (state, reward,
     mode index) records of the i -> i case that switches at TRACE_SWITCH,
     which need not be in the grid; they equal that case's per-case episode.
     When that switch lies past the episode's end, the trace is the trunk's.
     """
-    from .sampler import SWITCH_CLIPS, SWITCH_PHASES, switch_step_for
-
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
     if rollouts_per_case < 1:
@@ -614,7 +608,7 @@ def evaluate_modes(
     start = initial_state(robot_cfg, terrain, clock_rate=clock_rate)
     transition_scores = np.zeros((n, n))
     for i in range(n):
-        trunk = _advance(policy, library.latents[i], start, horizon, terrain, robot_cfg)
+        trunk = _advance(policy, library.latents[i], start, horizon, terrain, robot_cfg).states
         trunk_rewards = _tracking_rewards(trunk, library.motions[i], reward_cfg)
 
         def case_rewards(j: int, switch: int) -> list[float]:
@@ -623,7 +617,7 @@ def evaluate_modes(
             after = trunk[switch:] if j == i else _advance(
                 policy, library.latents[j], trunk[switch], horizon - switch,
                 terrain, robot_cfg,
-            )
+            ).states
             return trunk_rewards[:switch] + _tracking_rewards(
                 after, library.motions[j], reward_cfg
             )

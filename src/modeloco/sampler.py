@@ -113,14 +113,10 @@ def switch_step_for(switch_clip: int, switch_phase: float, cycle_steps: int) -> 
     return round((switch_clip + switch_phase) * cycle_steps)
 
 
-def sample_script(
-    state: SamplerState, cycle_steps: int, horizon: int, rng: np.random.Generator
+def _script(
+    mode_from: int, mode_to: int, rng: np.random.Generator, cycle_steps: int, horizon: int
 ) -> EpisodeScript:
-    """Draw an episode script from the adaptive distributions."""
-    p_start = returns_to_probs(state.mode_returns, state.floor)
-    mode_from = int(rng.choice(state.n, p=p_start))
-    p_end = returns_to_probs(state.transition_returns[mode_from], state.floor)
-    mode_to = int(rng.choice(state.n, p=p_end))
+    """The script for drawn modes; draws the switch phase, then the switch clip."""
     switch_phase = float(rng.choice(SWITCH_PHASES))
     switch_clip = int(rng.choice(SWITCH_CLIPS))
     return EpisodeScript(
@@ -131,6 +127,17 @@ def sample_script(
         switch_step=switch_step_for(switch_clip, switch_phase, cycle_steps),
         horizon=horizon,
     )
+
+
+def sample_script(
+    state: SamplerState, cycle_steps: int, horizon: int, rng: np.random.Generator
+) -> EpisodeScript:
+    """Draw an episode script from the adaptive distributions."""
+    p_start = returns_to_probs(state.mode_returns, state.floor)
+    mode_from = int(rng.choice(state.n, p=p_start))
+    p_end = returns_to_probs(state.transition_returns[mode_from], state.floor)
+    mode_to = int(rng.choice(state.n, p=p_end))
+    return _script(mode_from, mode_to, rng, cycle_steps, horizon)
 
 
 def uniform_script(
@@ -141,16 +148,7 @@ def uniform_script(
         raise ValueError("need at least one mode")
     mode_from = int(rng.integers(n))
     mode_to = int(rng.integers(n))
-    switch_phase = float(rng.choice(SWITCH_PHASES))
-    switch_clip = int(rng.choice(SWITCH_CLIPS))
-    return EpisodeScript(
-        mode_from=mode_from,
-        mode_to=mode_to,
-        switch_phase=switch_phase,
-        switch_clip=switch_clip,
-        switch_step=switch_step_for(switch_clip, switch_phase, cycle_steps),
-        horizon=horizon,
-    )
+    return _script(mode_from, mode_to, rng, cycle_steps, horizon)
 
 
 def update_records(

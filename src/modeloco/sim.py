@@ -528,13 +528,6 @@ class ReferencePoint:
     contact_right: float
 
 
-@dataclass(frozen=True)
-class TrackingError:
-    position: tuple[float, float]  # (dx, dz)
-    orientation: float
-    contact: tuple[float, float]  # per-leg mismatch, 0 or 1
-
-
 class ModeTracker:
     """Phase-indexed view of one reference motion, anchored in world x.
 
@@ -585,9 +578,7 @@ class ModeTracker:
         )
 
 
-def reward(
-    state: SimState, ref: ReferencePoint, cfg: RewardConfig
-) -> tuple[float, TrackingError]:
+def reward(state: SimState, ref: ReferencePoint, cfg: RewardConfig) -> float:
     """Imitation reward: weighted exponentials of pose and contact errors."""
     dx = state.x - ref.x
     dz = state.height_above_support - ref.z
@@ -596,10 +587,9 @@ def reward(
     ec_r = float(float(state.contact_right) != ref.contact_right)
     wp, wo, wc = cfg.weights
     kp, ko, kc = cfg.sensitivities
-    r = (
+    return (
         wp * math.exp(-kp * math.hypot(dx, dz))
         + wo * math.exp(-ko * abs(dpitch))
         + wc * math.exp(-kc * math.hypot(ec_l, ec_r))
     )
-    return r, TrackingError(position=(dx, dz), orientation=dpitch, contact=(ec_l, ec_r))
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policy as pol
-from .fileio import array_from_payload, array_to_payload
+from .fileio import array_from_payload, array_to_payload, read_artifact, write_artifact
+from .optim import AdamState
 from .refmotion import ModeLibrary
 from .sampler import (
     SWITCH_CLIPS,
@@ -207,8 +208,6 @@ def _opt_payload(s) -> dict:
 
 
 def _opt_from_payload(p):
-    from .optim import AdamState
-
     return AdamState(m=array_from_payload(p["m"]), v=array_from_payload(p["v"]), t=p["t"])
 
 
@@ -239,12 +238,8 @@ def checkpoint_from_payload(payload: dict) -> TrainState:
 
 
 def save_checkpoint(path: str, state: TrainState) -> None:
-    from .fileio import write_artifact
-
     write_artifact(path, "checkpoint", checkpoint_payload(state))
 
 
 def load_checkpoint(path: str) -> TrainState:
-    from .fileio import read_artifact
-
     return checkpoint_from_payload(read_artifact(path, "checkpoint"))

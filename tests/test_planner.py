@@ -173,15 +173,18 @@ def _reference_plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, trac
 
 
 def _count_steps(monkeypatch) -> list:
-    """Count the simulator steps the planner takes; returns a one-item counter."""
+    """Count the simulator steps the planner takes; returns a one-item counter.
+
+    Plan knots step through `policy._advance`, so the count patches the policy
+    module's `step`."""
     count = [0]
-    real_step = pl.step
+    real_step = pol.step
 
     def counting_step(*args, **kwargs):
         count[0] += 1
         return real_step(*args, **kwargs)
 
-    monkeypatch.setattr(pl, "step", counting_step)
+    monkeypatch.setattr(pol, "step", counting_step)
     return count
 
 

@@ -362,7 +362,7 @@ def _reference_rollout(
         new_state = sim.step(state, a, terrain, robot_cfg)
         if new_state.phase < state.phase:
             clips_done += 1
-        r, _ = sim.reward(new_state, tracker.at(new_state.phase, clips_done), reward_cfg)
+        r = sim.reward(new_state, tracker.at(new_state.phase, clips_done), reward_cfg)
         rew_list.append(r)
         if trace is not None:
             trace.append((new_state, r, script.mode_from if current == 0 else script.mode_to))
@@ -415,6 +415,41 @@ def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
         assert want.fell and want.length < horizon
     else:
         assert not want.fell and want.length == horizon
+    for name in ("obs", "actions", "rewards", "log_probs", "values"):
+        w, g = getattr(want, name), getattr(got, name)
+        assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), name
+    assert (got.fell, got.blew_up, got.script) == (want.fell, want.blew_up, want.script)
+
+
+@pytest.mark.parametrize(
+    "fall_after_switch", [-1, 0], ids=["falls-at-switch-minus-1", "falls-at-switch"]
+)
+def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_switch):
+    # `rollout` runs up to the switch step, then the rest of the horizon. A
+    # fall on the last step before the switch ends the episode in the first
+    # run; a fall on the switch step ends the second run after one step.
+    lib = library_with_latents()
+    policy = _falling_policy()
+    value = pol.init_value(np.random.default_rng(8), OBS_DIM)
+
+    def episode(switch_step, reference):
+        script = EpisodeScript(
+            mode_from=1, mode_to=3, switch_phase=0.5, switch_clip=0,
+            switch_step=switch_step, horizon=200,
+        )
+        run = _reference_rollout if reference else pol.rollout
+        return run(
+            policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD,
+            np.random.default_rng(21),
+        )
+
+    # The constant policy ignores its observation, so its fall does not
+    # depend on the switch step; the switch is placed around it.
+    fall_step = episode(150, reference=True).length - 1
+    switch_step = fall_step - fall_after_switch
+    want = episode(switch_step, reference=True)
+    got = episode(switch_step, reference=False)
+    assert want.fell and want.length == fall_step + 1
     for name in ("obs", "actions", "rewards", "log_probs", "values"):
         w, g = getattr(want, name), getattr(got, name)
         assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), name

@@ -395,15 +395,14 @@ def _state_at(x=0.0, z=0.5, pitch=0.0, cl=True, cr=True, support=0.0):
 
 def test_reward_perfect_tracking():
     ref = sim.ReferencePoint(x=0.0, z=0.5, pitch=0.0, contact_left=1.0, contact_right=1.0)
-    r, err = sim.reward(_state_at(), ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
+    r = sim.reward(_state_at(), ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
     assert r == pytest.approx(1.0, abs=1e-12)
-    assert err.position == (0.0, 0.0) and err.orientation == 0.0
 
 
 def test_reward_position_error_hand_case():
     # |er_p| = 0.2 with k_p = 5: 0.5 e^-1 + 0.5
     ref = sim.ReferencePoint(x=0.2, z=0.5, pitch=0.0, contact_left=1.0, contact_right=1.0)
-    r, _ = sim.reward(_state_at(), ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
+    r = sim.reward(_state_at(), ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
     assert r == pytest.approx(0.5 * math.exp(-1.0) + 0.5, abs=1e-12)
     assert r == pytest.approx(0.6839397205857212, abs=1e-12)
 
@@ -411,10 +410,9 @@ def test_reward_position_error_hand_case():
 def test_reward_contact_mismatch_hand_case():
     # both feet wrong with pi3 gains: 0.35 + 0.35 + 0.3 e^{-2 sqrt(2)}
     ref = sim.ReferencePoint(x=0.0, z=0.5, pitch=0.0, contact_left=0.0, contact_right=0.0)
-    r, err = sim.reward(
+    r = sim.reward(
         _state_at(cl=True, cr=True), ref, sim.RewardConfig(weights=(0.35, 0.35, 0.3))
     )
-    assert err.contact == (1.0, 1.0)
     assert r == pytest.approx(0.7 + 0.3 * math.exp(-2.0 * math.sqrt(2.0)), abs=1e-12)
     assert r == pytest.approx(0.7177317239685869, abs=1e-12)
 
@@ -429,7 +427,7 @@ def test_reward_bounds_and_translation_equivariance():
             contact_left=float(rng.integers(2)), contact_right=float(rng.integers(2)),
         )
         state = _state_at(x=x, z=0.5 + z * 0.1, pitch=p * 0.3)
-        r, _ = sim.reward(state, ref, cfg)
+        r = sim.reward(state, ref, cfg)
         assert 0.0 <= r <= cfg.max_step_reward + 1e-12
         shift = rng.normal() * 10.0
         shifted_state = _state_at(x=x + shift, z=0.5 + z * 0.1, pitch=p * 0.3)
@@ -437,7 +435,7 @@ def test_reward_bounds_and_translation_equivariance():
             x=ref.x + shift, z=ref.z, pitch=ref.pitch,
             contact_left=ref.contact_left, contact_right=ref.contact_right,
         )
-        r2, _ = sim.reward(shifted_state, shifted_ref, cfg)
+        r2 = sim.reward(shifted_state, shifted_ref, cfg)
         assert r2 == pytest.approx(r, abs=1e-9)
 
 
