@@ -16,6 +16,7 @@ import inspect
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +34,15 @@ from .refmotion import (
     library_to_payload,
     modeset_from_spec,
 )
-from .sampler import sampler_to_payload
 from .sim import RewardConfig, RobotConfig, TERRAIN_PRESETS, Terrain, observation_dim
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-# Reward gains per built-in mode set: contact tracking is only rewarded for
-# the mode set that ships contact schedules.
-MODESET_REWARD_WEIGHTS = {
-    "pi1": (0.5, 0.5, 0.0),
-    "pi2": (0.5, 0.5, 0.0),
-    "pi3": (0.35, 0.35, 0.3),
-}
+# Reward gains of the mode sets that differ from RewardConfig's: contact
+# tracking is only rewarded for the mode set that ships contact schedules.
+MODESET_REWARD_WEIGHTS = {"pi3": (0.35, 0.35, 0.3)}
 
 
 def _out_path(arg: str | None, default_name: str) -> Path:
@@ -86,7 +82,9 @@ def _reward_config(args) -> RewardConfig:
         if len(w) != 3:
             raise InvalidInputError("reward weights must be three comma-separated values")
         return RewardConfig(weights=w)
-    return RewardConfig(weights=MODESET_REWARD_WEIGHTS.get(args.modeset, (0.5, 0.5, 0.0)))
+    if args.modeset in MODESET_REWARD_WEIGHTS:
+        return RewardConfig(weights=MODESET_REWARD_WEIGHTS[args.modeset])
+    return RewardConfig()
 
 
 def cmd_gen_refs(args) -> int:
@@ -131,7 +129,7 @@ def cmd_train_encoder(args) -> int:
 
 
 def _train_configs(args):
-    ppo = pol_mod.PpoConfig(horizon=args.horizon, seed=args.seed)
+    ppo = pol_mod.PpoConfig()
     tc = train_mod.TrainConfig(
         sampler=args.sampler,
         mode_decay=args.gamma_i,
@@ -139,6 +137,7 @@ def _train_configs(args):
         floor=args.epsilon,
         updates=args.updates,
         episodes_per_update=args.episodes_per_update,
+        horizon=args.horizon,
         seed=args.seed,
         checkpoint_every=args.checkpoint_every,
     )
@@ -261,7 +260,7 @@ def cmd_eval(args) -> int:
         heading = [float(np.cos(s.pitch) * s.qdot[0] + np.sin(s.pitch) * s.qdot[1])
                    for s, _, _ in trace]
         report["traces"][name] = {
-            "file": str(trace_path),
+            "file": trace_path.name,  # beside the report
             "mean_heading_velocity": float(np.mean(heading)) if heading else 0.0,
         }
     write_artifact(out, "eval", report, config_hash({"clock_rate": args.clock_rate}))
@@ -295,14 +294,13 @@ def cmd_plan(args) -> int:
         f"planning: {cfg.knots} knots x {cfg.knot_dt}s, goal "
         f"({cfg.goal_x}, {cfg.goal_z}), {args.trials} trials x {cfg.episodes} episodes"
     )
-    result = plan_mod.parallel_trials(
-        policy, library, terrain, robot, cfg,
-        trials=args.trials, provenance=cfg_hash,
-    )
+    t0 = time.monotonic()
+    result = plan_mod.parallel_trials(policy, library, terrain, robot, cfg, trials=args.trials)
+    solve_seconds = time.monotonic() - t0
     out = _out_path(args.out, "plan.json")
-    payload = plan_mod.plan_to_payload(result.plan, library, cfg)
+    payload = plan_mod.plan_to_payload(result.plan, library, cfg, cfg_hash)
     payload["best_return"] = result.best_return
-    payload["solve_seconds"] = result.solve_seconds
+    payload["solve_seconds"] = solve_seconds
     payload["q_table"] = result.q_table.tolist()
     write_artifact(out, "plan", payload, cfg_hash)
     trace: list = []
@@ -330,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags that set a config field or a function argument take its default
     # from the dataclass or the function signature.
     enc_d = enc_mod.EncoderTrainConfig()
-    ppo_d = pol_mod.PpoConfig()
     train_d = train_mod.TrainConfig()
     plan_d = plan_mod.PlannerConfig()
     eval_d = inspect.signature(pol_mod.evaluate_modes).parameters
@@ -360,14 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--epsilon", type=float, default=train_d.floor)
     tp.add_argument("--updates", type=int, default=train_d.updates)
     tp.add_argument("--episodes-per-update", type=int, default=train_d.episodes_per_update)
-    tp.add_argument("--horizon", type=int, default=ppo_d.horizon)
+    tp.add_argument("--horizon", type=int, default=train_d.horizon)
     tp.add_argument("--seed", type=int, default=train_d.seed)
     tp.add_argument("--modeset", default=None, help="selects default reward gains")
     tp.add_argument("--reward-weights", default=None,
                     help="three comma-separated tracking weights")
     tp.add_argument("--checkpoint", default=None)
     tp.add_argument("--checkpoint-every", type=int, default=train_d.checkpoint_every)
-    tp.add_argument("--resume", default=None)
+    tp.add_argument(
+        "--resume", default=None,
+        help="continue from this checkpoint; the checkpoint holds state only, so this "
+        "run's own flags (seed, sampler, --gamma-i/--gamma-f/--epsilon, episodes per "
+        "update, horizon) apply to the resumed run: pass the original flags to replay "
+        "it exactly",
+    )
     tp.add_argument("--log", default=None)
     tp.set_defaults(fn=cmd_train_policy)
 

@@ -32,6 +32,11 @@ from .refmotion import NUM_CHANNELS, ModeLibrary, ReferenceMotion
 
 DEFAULT_HIDDEN = 32
 DEFAULT_LATENT_DIM = 4
+# Training cosine-decays the step size to this fraction of the learning rate
+# by the final epoch.
+FINAL_LR_FRACTION = 0.02
+# Loss-increase tolerance for the per-step rollback check.
+ROLLBACK_TOLERANCE = 1e-9
 
 
 class TrainingFailure(RuntimeError):
@@ -87,23 +92,12 @@ class EncoderTrainConfig:
     learning_rate: float = 5e-3
     epochs: int = 3000
     seed: int = 0
-    hidden: int = DEFAULT_HIDDEN
-    latent_dim: int = DEFAULT_LATENT_DIM
-    # Cosine-decay the step size to this fraction of learning_rate by the
-    # final epoch; 1.0 keeps it constant.
-    final_lr_fraction: float = 0.02
-    # Loss-increase tolerance for the per-step rollback check.
-    rollback_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning rate must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.hidden < 1 or self.latent_dim < 1:
-            raise ValueError("hidden and latent_dim must be >= 1")
-        if not 0.0 < self.final_lr_fraction <= 1.0:
-            raise ValueError("final_lr_fraction must lie in (0, 1]")
 
 
 def zero_params(
@@ -410,7 +404,7 @@ def train_autoencoder(library: ModeLibrary, cfg: EncoderTrainConfig) -> TrainRes
     """Fit the autoencoder on every clip in the library and fill in the latents.
 
     Full-batch Adam, deterministic from cfg.seed. Each proposed step is kept
-    only if it does not increase the loss beyond cfg.rollback_tolerance;
+    only if it does not increase the loss beyond ROLLBACK_TOLERANCE;
     rejected steps halve an internal step-size scale, so the recorded loss
     history is non-increasing.
     """
@@ -420,7 +414,7 @@ def train_autoencoder(library: ModeLibrary, cfg: EncoderTrainConfig) -> TrainRes
     sequences = [normalize(m.samples, mean, scale) for m in library.motions]
 
     rng = np.random.default_rng(cfg.seed)
-    enc, dec = init_params(rng, cfg.hidden, cfg.latent_dim)
+    enc, dec = init_params(rng)
     enc.norm_mean = dec.norm_mean = mean
     enc.norm_scale = dec.norm_scale = scale
 
@@ -435,13 +429,13 @@ def train_autoencoder(library: ModeLibrary, cfg: EncoderTrainConfig) -> TrainRes
         if not np.isfinite(grad).all():
             raise TrainingFailure(f"non-finite gradient at epoch {len(losses) - 1}")
         cos = 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, cfg.epochs - 1)))
-        lr = cfg.learning_rate * (cfg.final_lr_fraction + (1.0 - cfg.final_lr_fraction) * cos)
+        lr = cfg.learning_rate * (FINAL_LR_FRACTION + (1.0 - FINAL_LR_FRACTION) * cos)
         flat_try, opt_try = adam_step(flat, grad, opt, lr * lr_scale)
         enc_try, dec_try = unpack_params(flat_try, enc, dec)
         loss_try, g_enc, g_dec = autoencoder_gradient(enc_try, dec_try, sequences)
         if not math.isfinite(loss_try):
             raise TrainingFailure(f"non-finite loss at epoch {len(losses) - 1}")
-        if loss_try <= loss + cfg.rollback_tolerance:
+        if loss_try <= loss + ROLLBACK_TOLERANCE:
             flat, opt = flat_try, opt_try
             enc, dec = enc_try, dec_try
             loss = loss_try

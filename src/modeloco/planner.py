@@ -21,7 +21,6 @@ call and their greedy rollouts.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -50,8 +49,10 @@ class PlannerConfig:
     def __post_init__(self):
         if self.knots < 1:
             raise ValueError("need at least one knot")
-        if self.knot_dt <= 0.0:
-            raise ValueError("knot duration must be positive")
+        if not (math.isfinite(self.knot_dt) and self.knot_dt > 0.0):
+            raise ValueError(f"knot duration must be positive and finite, got {self.knot_dt}")
+        if not (math.isfinite(self.goal_x) and math.isfinite(self.goal_z)):
+            raise ValueError(f"goal must be finite, got ({self.goal_x}, {self.goal_z})")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.explore <= 1.0:
@@ -60,10 +61,9 @@ class PlannerConfig:
 
 @dataclass(frozen=True)
 class ModePlan:
-    """One mode index per knot, plus the hash of the config that produced it."""
+    """One mode index per knot."""
 
     mode_indices: tuple[int, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         if any(i < 0 for i in self.mode_indices):
@@ -133,17 +133,13 @@ class QLearnResult:
     q_table: np.ndarray  # (knots, n_modes)
     plan: ModePlan
     best_return: float
-    episodes: int
-    solve_seconds: float
 
 
 def q_learn_core(
     rollout_fn: Callable[[ModePlan], np.ndarray],
-    knots: int,
     n_modes: int,
     cfg: PlannerConfig,
     rng: np.random.Generator,
-    provenance: str = "",
 ) -> QLearnResult:
     """Episodic Q-learning on the knot-index chain.
 
@@ -154,7 +150,7 @@ def q_learn_core(
     1/visits down to the configured floor alpha; alpha = 0 disables learning
     entirely. Greedy extraction breaks ties toward the lowest mode index.
     """
-    t0 = time.monotonic()
+    knots = cfg.knots
     q = np.zeros((knots + 1, n_modes))  # terminal row stays zero
     visits = np.zeros((knots, n_modes), dtype=int)
     for _ in range(cfg.episodes):
@@ -164,7 +160,7 @@ def q_learn_core(
                 actions.append(int(rng.integers(n_modes)))
             else:
                 actions.append(int(np.argmax(q[s])))
-        plan = ModePlan(tuple(actions), provenance)
+        plan = ModePlan(tuple(actions))
         rewards = rollout_fn(plan)
         for s in range(knots - 1, -1, -1):
             a = actions[s]
@@ -172,15 +168,9 @@ def q_learn_core(
             step_size = 0.0 if cfg.alpha == 0.0 else max(cfg.alpha, 1.0 / visits[s, a])
             target = rewards[s] + q[s + 1].max()
             q[s, a] += step_size * (target - q[s, a])
-    best = ModePlan(tuple(int(np.argmax(q[s])) for s in range(knots)), provenance)
+    best = ModePlan(tuple(int(np.argmax(q[s])) for s in range(knots)))
     best_return = float(rollout_fn(best).sum())
-    return QLearnResult(
-        q_table=q[:knots],
-        plan=best,
-        best_return=best_return,
-        episodes=cfg.episodes,
-        solve_seconds=time.monotonic() - t0,
-    )
+    return QLearnResult(q_table=q[:knots], plan=best, best_return=best_return)
 
 
 def q_learn(
@@ -189,7 +179,6 @@ def q_learn(
     terrain: Terrain,
     robot_cfg: RobotConfig,
     cfg: PlannerConfig,
-    provenance: str = "",
     cache: PrefixCache | None = None,
 ) -> QLearnResult:
     """Q-learning over whole-plan rollouts in the biped environment.
@@ -203,7 +192,7 @@ def q_learn(
     def rollout_fn(plan: ModePlan) -> np.ndarray:
         return plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, cache=cache)
 
-    return q_learn_core(rollout_fn, cfg.knots, library.n, cfg, rng, provenance)
+    return q_learn_core(rollout_fn, library.n, cfg, rng)
 
 
 def parallel_trials(
@@ -213,7 +202,6 @@ def parallel_trials(
     robot_cfg: RobotConfig,
     cfg: PlannerConfig,
     trials: int = 5,
-    provenance: str = "",
 ) -> QLearnResult:
     """Independent seeded Q-learning runs; the best-evaluated plan wins.
 
@@ -225,8 +213,7 @@ def parallel_trials(
         raise ValueError("need at least one trial")
     cache: PrefixCache = {}
     results = [
-        q_learn(policy, library, terrain, robot_cfg, replace(cfg, seed=cfg.seed + i),
-                provenance, cache)
+        q_learn(policy, library, terrain, robot_cfg, replace(cfg, seed=cfg.seed + i), cache)
         for i in range(trials)
     ]
     best = results[0]
@@ -240,8 +227,9 @@ def parallel_trials(
 
 
 def plan_to_payload(
-    plan: ModePlan, library: ModeLibrary, cfg: PlannerConfig
+    plan: ModePlan, library: ModeLibrary, cfg: PlannerConfig, provenance: str
 ) -> dict:
+    """The plan artifact's payload; `provenance` is the planning config's hash."""
     return {
         "k": plan.k,
         "knot_dt": cfg.knot_dt,
@@ -249,9 +237,9 @@ def plan_to_payload(
         "knot_times": [round(i * cfg.knot_dt, 9) for i in range(plan.k)],
         "mode_indices": list(plan.mode_indices),
         "mode_names": [library.names[i] for i in plan.mode_indices],
-        "provenance": plan.provenance,
+        "provenance": provenance,
     }
 
 
 def plan_from_payload(payload: dict) -> ModePlan:
-    return ModePlan(tuple(payload["mode_indices"]), payload.get("provenance", ""))
+    return ModePlan(tuple(payload["mode_indices"]))

@@ -18,7 +18,7 @@ import numpy as np
 from .fileio import array_from_payload, array_to_payload
 from .optim import AdamState, adam_step
 from .refmotion import ModeLibrary
-from .sampler import SWITCH_CLIPS, SWITCH_PHASES, EpisodeScript, switch_step_for
+from .sampler import EpisodeScript, switch_steps
 from .sim import (
     BLOWUP,
     FALLEN,
@@ -212,7 +212,7 @@ class Trajectory:
     rewards: np.ndarray  # (T,)
     log_probs: np.ndarray  # (T,)
     values: np.ndarray  # (T+1,), last entry is the bootstrap value
-    script: EpisodeScript | None = None
+    script: EpisodeScript
     fell: bool = False
     blew_up: bool = False
 
@@ -249,8 +249,6 @@ class PpoConfig:
     learning_rate: float = 3e-4
     entropy_coef: float = 0.0
     value_coef: float = 0.5
-    horizon: int = 200  # control steps per episode (4 clips by default)
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.discount <= 1.0 and 0.0 < self.gae_lambda <= 1.0):
@@ -326,8 +324,6 @@ class UpdateStats:
     policy_loss: float
     value_loss: float
     entropy: float
-    mean_return: float
-    returns_by_pair: dict
     rejected: bool = False
 
 
@@ -358,18 +354,7 @@ def ppo_update(
     returns = adv + np.concatenate([tr.values[:-1] for tr in trajectories])
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-    pair_returns: dict = {}
-    for tr in trajectories:
-        if tr.script is not None:
-            key = (tr.script.mode_from, tr.script.mode_to)
-            pair_returns.setdefault(key, []).append(tr.episode_return)
-    stats = UpdateStats(
-        policy_loss=0.0,
-        value_loss=0.0,
-        entropy=entropy(policy),
-        mean_return=float(np.mean([tr.episode_return for tr in trajectories])),
-        returns_by_pair={k: float(np.mean(v)) for k, v in pair_returns.items()},
-    )
+    stats = UpdateStats(policy_loss=0.0, value_loss=0.0, entropy=entropy(policy))
 
     flat_p = pack_policy(policy)
     flat_v = pack_value(value)
@@ -539,15 +524,13 @@ def rollout(
 
 def normalized_return(tr: Trajectory, reward_cfg: RewardConfig) -> float:
     """Episode return divided by the best possible sum over the full horizon."""
-    ceiling = tr.script.horizon * reward_cfg.max_step_reward if tr.script else (
-        tr.length * reward_cfg.max_step_reward
-    )
+    ceiling = tr.script.horizon * reward_cfg.max_step_reward
     return tr.episode_return / ceiling if ceiling > 0 else 0.0
 
 
 # Switch of the same-mode case that `evaluate_modes` hands back as a per-step
-# trace: the middle of the second clip.
-TRACE_SWITCH = (1, 0.5)
+# trace, in phase cycles: the middle of the second clip.
+TRACE_SWITCH = 1.5
 
 
 def evaluate_modes(
@@ -592,18 +575,13 @@ def evaluate_modes(
     if rollouts_per_case < 1:
         raise ValueError("need at least one rollout per case")
     n = library.n
-    cycle_steps = round(robot_cfg.cycle_duration / robot_cfg.control_dt)
-
-    def switch_at(clip: int, phase: float) -> int:
-        # EpisodeScript rejects a switch outside the episode.
-        return EpisodeScript(
-            0, 0, phase, clip, switch_step_for(clip, phase, cycle_steps), horizon
-        ).switch_step
-
-    combos = [(c, p) for c in SWITCH_CLIPS for p in SWITCH_PHASES]
-    switches = [switch_at(c, p) for c, p in combos[:rollouts_per_case]]
+    # EpisodeScript rejects a switch outside the episode.
+    switches = [
+        EpisodeScript(0, 0, switch, horizon).switch_step
+        for switch in switch_steps(robot_cfg.cycle_steps)[:rollouts_per_case]
+    ]
     # The trace case needs no check: a switch past the trunk's end gives the trunk.
-    trace_switch = switch_step_for(*TRACE_SWITCH, cycle_steps)
+    trace_switch = round(TRACE_SWITCH * robot_cfg.cycle_steps)
     ceiling = horizon * reward_cfg.max_step_reward
     start = initial_state(robot_cfg, terrain, clock_rate=clock_rate)
     transition_scores = np.zeros((n, n))

@@ -6,17 +6,20 @@ the policy earns the least are drawn more often; a floor offset keeps even
 the best-mastered mode at a small nonzero probability so it is never starved
 and forgotten. A uniform sampler with the same episode shape serves as the
 baseline.
+
+The return records are state: `SamplerState` holds them and a checkpoint
+saves them. The decays and the floor are config: the caller passes them from
+`TrainConfig`, so a resumed run samples with the settings it was started with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 SWITCH_PHASES = (0.25, 0.5, 0.75)
 SWITCH_CLIPS = (0, 1)
-DEFAULT_FLOOR = 0.2
 
 
 @dataclass(frozen=True)
@@ -25,8 +28,6 @@ class EpisodeScript:
 
     mode_from: int
     mode_to: int
-    switch_phase: float
-    switch_clip: int
     switch_step: int
     horizon: int
 
@@ -44,38 +45,20 @@ class SamplerState:
 
     mode_returns: np.ndarray  # (n,)
     transition_returns: np.ndarray  # (n, n), row = start mode
-    mode_decay: float = 0.4
-    transition_decay: float = 0.4
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         r = np.asarray(self.mode_returns, dtype=float)
         t = np.asarray(self.transition_returns, dtype=float)
         if r.ndim != 1 or t.shape != (r.shape[0], r.shape[0]):
             raise ValueError(f"record shapes inconsistent: {r.shape} vs {t.shape}")
-        if not (0.0 <= self.mode_decay <= 1.0 and 0.0 <= self.transition_decay <= 1.0):
-            raise ValueError("decay factors must lie in [0, 1]")
-        if self.floor < 0.0:
-            raise ValueError("floor must be non-negative")
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "mode_returns", r)
         object.__setattr__(self, "transition_returns", t)
 
     @staticmethod
-    def fresh(
-        n: int,
-        mode_decay: float = 0.4,
-        transition_decay: float = 0.4,
-        floor: float = DEFAULT_FLOOR,
-    ) -> "SamplerState":
-        return SamplerState(
-            mode_returns=np.zeros(n),
-            transition_returns=np.zeros((n, n)),
-            mode_decay=mode_decay,
-            transition_decay=transition_decay,
-            floor=floor,
-        )
+    def fresh(n: int) -> "SamplerState":
+        return SamplerState(mode_returns=np.zeros(n), transition_returns=np.zeros((n, n)))
 
     @property
     def n(self) -> int:
@@ -108,40 +91,41 @@ def returns_to_probs(returns: np.ndarray, floor: float) -> np.ndarray:
     return np.full(r.size, 1.0 / r.size)
 
 
-def switch_step_for(switch_clip: int, switch_phase: float, cycle_steps: int) -> int:
-    """Control step of the command switch; round-half-even like the sampler grid."""
-    return round((switch_clip + switch_phase) * cycle_steps)
+def switch_steps(cycle_steps: int) -> list[int]:
+    """The switch-time grid in control steps, clip-major: every phase of clip 0,
+    then every phase of clip 1. Steps round half to even."""
+    return [
+        round((clip + phase) * cycle_steps) for clip in SWITCH_CLIPS for phase in SWITCH_PHASES
+    ]
 
 
 def _script(
     mode_from: int, mode_to: int, rng: np.random.Generator, cycle_steps: int, horizon: int
 ) -> EpisodeScript:
     """The script for drawn modes; draws the switch phase, then the switch clip."""
-    switch_phase = float(rng.choice(SWITCH_PHASES))
-    switch_clip = int(rng.choice(SWITCH_CLIPS))
-    return EpisodeScript(
-        mode_from=mode_from,
-        mode_to=mode_to,
-        switch_phase=switch_phase,
-        switch_clip=switch_clip,
-        switch_step=switch_step_for(switch_clip, switch_phase, cycle_steps),
-        horizon=horizon,
-    )
+    phase = int(rng.choice(len(SWITCH_PHASES)))
+    clip = int(rng.choice(len(SWITCH_CLIPS)))
+    switch = switch_steps(cycle_steps)[clip * len(SWITCH_PHASES) + phase]
+    return EpisodeScript(mode_from, mode_to, switch, horizon)
 
 
 def sample_script(
-    state: SamplerState, cycle_steps: int, horizon: int, rng: np.random.Generator
+    state: SamplerState,
+    floor: float,
+    cycle_steps: int,
+    horizon: int,
+    rng: np.random.Generator,
 ) -> EpisodeScript:
     """Draw an episode script from the adaptive distributions."""
-    p_start = returns_to_probs(state.mode_returns, state.floor)
+    p_start = returns_to_probs(state.mode_returns, floor)
     mode_from = int(rng.choice(state.n, p=p_start))
-    p_end = returns_to_probs(state.transition_returns[mode_from], state.floor)
+    p_end = returns_to_probs(state.transition_returns[mode_from], floor)
     mode_to = int(rng.choice(state.n, p=p_end))
     return _script(mode_from, mode_to, rng, cycle_steps, horizon)
 
 
 def uniform_script(
-    n: int, rng: np.random.Generator, cycle_steps: int = 50, horizon: int = 200
+    n: int, cycle_steps: int, horizon: int, rng: np.random.Generator
 ) -> EpisodeScript:
     """Baseline: modes drawn uniformly, same switch-time grid as sample_script."""
     if n < 1:
@@ -152,7 +136,11 @@ def uniform_script(
 
 
 def update_records(
-    state: SamplerState, script: EpisodeScript, episode_return: float
+    state: SamplerState,
+    script: EpisodeScript,
+    episode_return: float,
+    mode_decay: float,
+    transition_decay: float,
 ) -> SamplerState:
     """Fold one episode's return into its mode and transition records.
 
@@ -164,26 +152,23 @@ def update_records(
     modes = np.array(state.mode_returns)
     trans = np.array(state.transition_returns)
     i, j = script.mode_from, script.mode_to
-    modes[i] = state.mode_decay * modes[i] + episode_return
-    trans[i, j] = state.transition_decay * trans[i, j] + episode_return
-    return replace(state, mode_returns=modes, transition_returns=trans)
+    modes[i] = mode_decay * modes[i] + episode_return
+    trans[i, j] = transition_decay * trans[i, j] + episode_return
+    return SamplerState(modes, trans)
 
 
 def sampler_to_payload(state: SamplerState) -> dict:
     return {
         "mode_returns": state.mode_returns.tolist(),
         "transition_returns": state.transition_returns.tolist(),
-        "mode_decay": state.mode_decay,
-        "transition_decay": state.transition_decay,
-        "floor": state.floor,
     }
 
 
 def sampler_from_payload(payload: dict) -> SamplerState:
+    """The records of a checkpoint's sampler payload. Checkpoints written before
+    the decays and floor moved to `TrainConfig` also hold `mode_decay`,
+    `transition_decay` and `floor`; those keys are ignored."""
     return SamplerState(
         mode_returns=np.array(payload["mode_returns"], dtype=float),
         transition_returns=np.array(payload["transition_returns"], dtype=float),
-        mode_decay=float(payload["mode_decay"]),
-        transition_decay=float(payload["transition_decay"]),
-        floor=float(payload["floor"]),
     )

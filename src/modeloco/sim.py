@@ -97,19 +97,27 @@ class RobotConfig:
         """Static foot penetration with weight shared by both feet."""
         return self.base_mass * GRAVITY / (2.0 * self.contact_stiffness)
 
+    @property
+    def cycle_steps(self) -> int:
+        """Control steps per phase cycle at clock rate 1."""
+        return round(self.cycle_duration / self.control_dt)
+
+
+# Sensitivities of the position, pitch and contact reward terms.
+REWARD_SENSITIVITIES = (5.0, 5.0, 2.0)
+
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Tracking reward gains: weights per term, sensitivities fixed by default."""
+    """Tracking reward weights per term."""
 
     weights: tuple[float, float, float] = (0.5, 0.5, 0.0)
-    sensitivities: tuple[float, float, float] = (5.0, 5.0, 2.0)
 
     def __post_init__(self):
-        if len(self.weights) != 3 or len(self.sensitivities) != 3:
-            raise ValueError("weights and sensitivities must have 3 entries")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
+        if len(self.weights) != 3:
+            raise ValueError("weights must have 3 entries")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ValueError(f"weights must be finite and non-negative, got {self.weights}")
 
     @property
     def max_step_reward(self) -> float:
@@ -240,13 +248,12 @@ def initial_state(
     cfg: RobotConfig,
     terrain: Terrain | None = None,
     clock_rate: float = 1.0,
-    settled: bool = True,
 ) -> SimState:
-    """Nominal standing pose at x = 0; settled=True pre-compresses the contact springs."""
+    """Nominal standing pose at x = 0, with the contact springs pre-compressed."""
     terrain = terrain or Terrain.flat()
     ground = terrain.height(0.0)
     q = np.zeros(BASE_DOF + NUM_JOINTS)
-    q[1] = ground + cfg.nominal_height - (cfg.settle_depth if settled else 0.0)
+    q[1] = ground + cfg.nominal_height - cfg.settle_depth
     left, right = _foot_states(q, np.zeros(7), cfg)
     return SimState(
         q=q,
@@ -586,7 +593,7 @@ def reward(state: SimState, ref: ReferencePoint, cfg: RewardConfig) -> float:
     ec_l = float(float(state.contact_left) != ref.contact_left)
     ec_r = float(float(state.contact_right) != ref.contact_right)
     wp, wo, wc = cfg.weights
-    kp, ko, kc = cfg.sensitivities
+    kp, ko, kc = REWARD_SENSITIVITIES
     return (
         wp * math.exp(-kp * math.hypot(dx, dz))
         + wo * math.exp(-ko * abs(dpitch))

@@ -5,10 +5,16 @@ records (or uniformly), rolls them out, applies one PPO update, and folds the
 episode returns back into the records in submission order. All randomness is
 derived from (seed, counter) pairs, so a run is bit-reproducible and resumable
 from a checkpoint.
+
+A checkpoint holds state only: parameters, optimizer moments, the sampler's
+return records and the counters. Every setting, the sampler's decays and floor
+included, comes from the `TrainConfig` of the run that loads it, so a run
+resumed with its original config replays the uninterrupted run exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,13 +24,11 @@ from .fileio import array_from_payload, array_to_payload, read_artifact, write_a
 from .optim import AdamState
 from .refmotion import ModeLibrary
 from .sampler import (
-    SWITCH_CLIPS,
-    SWITCH_PHASES,
     SamplerState,
     sample_script,
     sampler_from_payload,
     sampler_to_payload,
-    switch_step_for,
+    switch_steps,
     uniform_script,
     update_records,
 )
@@ -52,6 +56,7 @@ class TrainConfig:
     floor: float = 0.2
     updates: int = 100
     episodes_per_update: int = 4
+    horizon: int = 200  # control steps per episode (4 clips by default)
     seed: int = 0
     # Updates between periodic checkpoints; 0 disables only those, and the
     # final state is still saved.
@@ -62,6 +67,13 @@ class TrainConfig:
             raise ValueError(f"sampler must be '{ADAPTIVE}' or '{UNIFORM}'")
         if self.episodes_per_update < 1 or self.updates < 0:
             raise ValueError("need a positive episode batch and non-negative updates")
+        if not (0.0 <= self.mode_decay <= 1.0 and 0.0 <= self.transition_decay <= 1.0):
+            raise ValueError(
+                f"decay factors must lie in [0, 1], got {self.mode_decay} and "
+                f"{self.transition_decay}"
+            )
+        if not (math.isfinite(self.floor) and self.floor >= 0.0):
+            raise ValueError(f"floor must be finite and non-negative, got {self.floor}")
 
 
 @dataclass
@@ -108,9 +120,7 @@ def fresh_train_state(library: ModeLibrary, cfg: TrainConfig) -> TrainState:
         policy=policy,
         value=value,
         opt=pol.PpoOptState.fresh(policy, value),
-        sampler_state=SamplerState.fresh(
-            library.n, cfg.mode_decay, cfg.transition_decay, cfg.floor
-        ),
+        sampler_state=SamplerState.fresh(library.n),
     )
 
 
@@ -133,11 +143,11 @@ def run_training(
     if library.latents is None:
         raise ValueError("library has empty latents; run the encoder first")
     state = start or fresh_train_state(library, cfg)
-    cycle_steps = round(robot_cfg.cycle_duration / robot_cfg.control_dt)
-    latest_switch = switch_step_for(max(SWITCH_CLIPS), max(SWITCH_PHASES), cycle_steps)
-    if ppo_cfg.horizon <= latest_switch:
+    cycle_steps = robot_cfg.cycle_steps
+    latest_switch = max(switch_steps(cycle_steps))
+    if cfg.horizon <= latest_switch:
         raise ValueError(
-            f"episode horizon {ppo_cfg.horizon} cannot contain the switch grid "
+            f"episode horizon {cfg.horizon} cannot contain the switch grid "
             f"(latest switch step {latest_switch}); use at least two clips"
         )
     rows: list[EpisodeRow] = []
@@ -149,10 +159,10 @@ def run_training(
             rng = derived_rng(cfg.seed, _STREAM_SCRIPT, state.episode_count + b)
             if cfg.sampler == ADAPTIVE:
                 scripts.append(
-                    sample_script(state.sampler_state, cycle_steps, ppo_cfg.horizon, rng)
+                    sample_script(state.sampler_state, cfg.floor, cycle_steps, cfg.horizon, rng)
                 )
             else:
-                scripts.append(uniform_script(library.n, rng, cycle_steps, ppo_cfg.horizon))
+                scripts.append(uniform_script(library.n, cycle_steps, cfg.horizon, rng))
         trajectories = [
             pol.rollout(
                 state.policy, state.value, library, script, terrain, robot_cfg, reward_cfg,
@@ -168,7 +178,10 @@ def run_training(
         state.policy, state.value, state.opt = new_policy, new_value, new_opt
 
         for b, (script, tr) in enumerate(zip(scripts, trajectories)):
-            state.sampler_state = update_records(state.sampler_state, script, tr.episode_return)
+            state.sampler_state = update_records(
+                state.sampler_state, script, tr.episode_return,
+                cfg.mode_decay, cfg.transition_decay,
+            )
             rows.append(
                 EpisodeRow(
                     update=state.update_count,

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from modeloco import cli
+from modeloco import planner as plan_mod
+from modeloco import sampler
 from modeloco.encoder import EncoderTrainConfig
 from modeloco.fileio import read_artifact, write_artifact
 from modeloco.planner import PlannerConfig, parallel_trials
@@ -360,7 +362,25 @@ def test_eval_report_shape(workdir):
     assert all(0.0 <= v <= 1.0 for v in flat)
     assert set(report["traces"]) == {"idle", "walk_f"}
     for name in report["traces"]:
-        assert Path(report["traces"][name]["file"]).exists()
+        assert (out.parent / report["traces"][name]["file"]).exists()
+
+
+def test_eval_report_bytes_do_not_depend_on_the_output_path(workdir, monkeypatch):
+    lib = _library_with_latents(workdir, [[0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 0.0]])
+    pol = workdir / "policy.json"
+    assert run("train-policy", "--library", str(lib), "--out", str(pol), "--updates", "0") == 0
+    monkeypatch.chdir(workdir)
+    outs = [workdir / "a" / "eval.json", workdir / "b" / "eval.json", Path("c") / "eval.json"]
+    for out in outs:
+        out.parent.mkdir()
+        assert run(
+            "eval", "--library", str(lib), "--policy", str(pol), "--horizon", "100",
+            "--rollouts", "1", "--out", str(out),
+        ) == 0
+    first = outs[0].read_bytes()
+    assert all(out.read_bytes() == first for out in outs[1:])
+    for name, trace in read_artifact(outs[2], "eval")["traces"].items():
+        assert trace["file"] == f"eval.json.{name}.csv"
 
 
 def test_eval_short_horizon_needs_only_the_grid_inside_the_episode(workdir, capsys):
@@ -375,7 +395,7 @@ def test_eval_short_horizon_needs_only_the_grid_inside_the_episode(workdir, caps
     ) == 0
     report = read_artifact(out, "eval")
     for name in ("idle", "walk_f"):
-        with open(report["traces"][name]["file"]) as f:
+        with open(out.parent / report["traces"][name]["file"]) as f:
             assert 0 < len(list(csv.DictReader(f))) <= 60
     # The first grid switch, step 12, lies outside a 10-step episode.
     assert run(
@@ -473,6 +493,27 @@ def test_gen_refs_contact_flags_must_be_booleans(workdir, capsys, flag):
     assert not (workdir / "library.json").exists()
 
 
+def test_plan_solve_seconds_time_every_trial(workdir, monkeypatch):
+    lib = _library_with_latents(workdir, [[0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 0.0]])
+    pol = workdir / "policy.json"
+    assert run("train-policy", "--library", str(lib), "--out", str(pol), "--updates", "0") == 0
+    clock = [0.0]
+    real_q_learn = plan_mod.q_learn
+
+    def q_learn(*args, **kwargs):
+        clock[0] += 1.0
+        return real_q_learn(*args, **kwargs)
+
+    monkeypatch.setattr(plan_mod, "q_learn", q_learn)
+    monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
+    out = workdir / "plan.json"
+    assert run(
+        "plan", "--library", str(lib), "--policy", str(pol), "--knots", "3",
+        "--episodes", "2", "--trials", "3", "--out", str(out),
+    ) == 0
+    assert read_artifact(out, "plan")["solve_seconds"] == 3.0
+
+
 def test_block_task_shape(workdir):
     lib, _ = _gen_and_encode(workdir)
     pol = workdir / "policy.json"
@@ -500,3 +541,103 @@ def test_missing_file_is_validation_error(workdir):
     assert run(
         "train-encoder", "--library", str(workdir / "nope.json")
     ) == cli.EXIT_VALIDATION
+
+
+def _two_mode_policy(workdir):
+    lib = _library_with_latents(workdir, [[0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 0.0]])
+    pol = workdir / "policy.json"
+    assert run("train-policy", "--library", str(lib), "--out", str(pol), "--updates", "0") == 0
+    return lib, pol
+
+
+@pytest.mark.parametrize(
+    "command, flags, problem",
+    [
+        ("eval", ["--reward-weights", "nan,0.5,0.5"], "weights must be finite"),
+        ("train-policy", ["--reward-weights", "inf,0,0"], "weights must be finite"),
+        ("plan", ["--goal-x", "nan"], "goal must be finite"),
+        ("plan", ["--dt", "nan"], "knot duration must be positive and finite"),
+        ("train-policy", ["--epsilon", "nan"], "floor must be finite"),
+        ("train-policy", ["--epsilon", "inf"], "floor must be finite"),
+        ("train-policy", ["--gamma-f", "nan"], "decay factors must lie in [0, 1]"),
+    ],
+    ids=["eval-nan-weight", "train-inf-weight", "plan-nan-goal", "plan-nan-dt",
+         "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f"],
+)
+def test_non_finite_settings_are_validation_errors(workdir, capsys, command, flags, problem):
+    lib, pol = _two_mode_policy(workdir)
+    capsys.readouterr()
+    out = workdir / "out.json"
+    inputs = ["--library", str(lib), "--out", str(out)]
+    inputs += ["--updates", "1"] if command == "train-policy" else ["--policy", str(pol)]
+    assert run(command, *inputs, *flags) == cli.EXIT_VALIDATION
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _resume(workdir, lib, ckpt, out, *flags):
+    return run(
+        "train-policy", "--library", str(lib), "--resume", str(ckpt), "--out", str(out),
+        "--updates", "2", "--episodes-per-update", "2", "--seed", "4", *flags,
+    )
+
+
+def test_resumed_run_samples_with_its_own_settings(workdir, monkeypatch):
+    lib, pol = _two_mode_policy(workdir)
+    half = workdir / "half.json"
+    assert run(
+        "train-policy", "--library", str(lib), "--out", str(half), "--updates", "2",
+        "--episodes-per-update", "2", "--seed", "4", "--gamma-i", "0.4",
+    ) == 0
+    ckpt = Path(str(half) + ".checkpoint.json")
+    records = read_artifact(ckpt, "checkpoint")["sampler"]
+    floors = []
+    probs = sampler.returns_to_probs
+    monkeypatch.setattr(
+        sampler, "returns_to_probs", lambda r, floor: floors.append(floor) or probs(r, floor)
+    )
+    out = workdir / "resumed.json"
+    flags = ("--gamma-i", "0.9", "--gamma-f", "0.6", "--epsilon", "0.7")
+    assert _resume(workdir, lib, ckpt, out, *flags) == 0
+    assert len(floors) == 8 and set(floors) == {0.7}  # two draws per episode
+    # The records fold each resumed episode with the resumed run's decays.
+    modes = np.array(records["mode_returns"])
+    trans = np.array(records["transition_returns"])
+    with open(str(out) + ".train.csv") as f:
+        for row in csv.DictReader(f):
+            i, j, ret = int(row["mode_from"]), int(row["mode_to"]), float(row["episode_return"])
+            modes[i] = 0.9 * modes[i] + ret
+            trans[i, j] = 0.6 * trans[i, j] + ret
+    after = read_artifact(str(out) + ".checkpoint.json", "checkpoint")["sampler"]
+    assert after == {"mode_returns": modes.tolist(), "transition_returns": trans.tolist()}
+
+
+def test_resume_rejects_an_out_of_range_decay(workdir, capsys):
+    lib, pol = _two_mode_policy(workdir)
+    capsys.readouterr()
+    out = workdir / "resumed.json"
+    ckpt = str(pol) + ".checkpoint.json"
+    assert _resume(workdir, lib, ckpt, out, "--gamma-i", "1.5") == cli.EXIT_VALIDATION
+    assert "decay factors must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_reads_a_checkpoint_that_holds_sampler_settings(workdir):
+    """Checkpoints once saved the decays and floor beside the records; those
+    keys are ignored, and such a checkpoint resumes as a records-only one."""
+    lib, pol = _two_mode_policy(workdir)
+    half = workdir / "half.json"
+    assert run(
+        "train-policy", "--library", str(lib), "--out", str(half), "--updates", "1",
+        "--episodes-per-update", "2", "--seed", "4",
+    ) == 0
+    ckpt = Path(str(half) + ".checkpoint.json")
+    doc = json.loads(ckpt.read_text())
+    doc["payload"]["sampler"].update(mode_decay=0.9, transition_decay=0.9, floor=5.0)
+    old = workdir / "old.checkpoint.json"
+    old.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    assert _resume(workdir, lib, ckpt, workdir / "new.json") == 0
+    assert _resume(workdir, lib, old, workdir / "old.json") == 0
+    for suffix in ("", ".checkpoint.json", ".train.csv"):
+        new_bytes = Path(str(workdir / "new.json") + suffix).read_bytes()
+        assert Path(str(workdir / "old.json") + suffix).read_bytes() == new_bytes

@@ -205,8 +205,6 @@ def test_training_fills_latents_distinctly():
         {"learning_rate": float("inf")},
         {"learning_rate": 0.0},
         {"epochs": -1},
-        {"hidden": 0},
-        {"latent_dim": 0},
     ],
 )
 def test_train_config_rejects_bad_values(bad):
@@ -356,7 +354,7 @@ def _reference_train(library, cfg):
 
     mean, scale = enc.normalization_stats(library)
     seqs = [enc.normalize(m.samples, mean, scale) for m in library.motions]
-    e, d = enc.init_params(np.random.default_rng(cfg.seed), cfg.hidden, cfg.latent_dim)
+    e, d = enc.init_params(np.random.default_rng(cfg.seed))
     e.norm_mean = d.norm_mean = mean
     e.norm_scale = d.norm_scale = scale
     flat = enc.pack_params(e, d)
@@ -367,11 +365,11 @@ def _reference_train(library, cfg):
     for epoch in range(cfg.epochs):
         _, g_enc, g_dec = _reference_gradient(e, d, seqs)
         cos = 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, cfg.epochs - 1)))
-        lr = cfg.learning_rate * (cfg.final_lr_fraction + (1.0 - cfg.final_lr_fraction) * cos)
+        lr = cfg.learning_rate * (enc.FINAL_LR_FRACTION + (1.0 - enc.FINAL_LR_FRACTION) * cos)
         flat_try, opt_try = adam_step(flat, enc.pack_params(g_enc, g_dec), opt, lr * lr_scale)
         e_try, d_try = enc.unpack_params(flat_try, e, d)
         loss_try = _reference_batch_loss(e_try, d_try, seqs)
-        if loss_try <= loss + cfg.rollback_tolerance:
+        if loss_try <= loss + enc.ROLLBACK_TOLERANCE:
             flat, opt, e, d, loss = flat_try, opt_try, e_try, d_try, loss_try
             lr_scale = min(1.0, lr_scale * 1.05)
         else:

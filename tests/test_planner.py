@@ -51,7 +51,7 @@ def test_q_learning_matches_enumeration_on_reward_tables():
         n = int(rng.integers(2, 4))
         table = rng.uniform(0.0, 1.0, size=(cfg.knots, n))
         fn = table_stub(table)
-        res = pl.q_learn_core(fn, cfg.knots, n, cfg, np.random.default_rng(100 + i))
+        res = pl.q_learn_core(fn, n, cfg, np.random.default_rng(100 + i))
         _, best_val = brute_force_best(fn, cfg.knots, n)
         assert res.best_return == pytest.approx(best_val, rel=1e-12)
 
@@ -59,7 +59,7 @@ def test_q_learning_matches_enumeration_on_reward_tables():
 def test_zero_alpha_learns_nothing():
     cfg = pl.PlannerConfig(knots=3, episodes=50, alpha=0.0, seed=0)
     table = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-    res = pl.q_learn_core(table_stub(table), 3, 2, cfg, np.random.default_rng(0))
+    res = pl.q_learn_core(table_stub(table), 2, cfg, np.random.default_rng(0))
     assert np.all(res.q_table == 0.0)
     assert res.plan.mode_indices == (0, 0, 0)  # argmax tie-break: lowest index
 
@@ -69,7 +69,7 @@ def test_greedy_tie_break_lowest_index():
     # exactly equal values and argmax must pick the lowest index
     cfg = pl.PlannerConfig(knots=2, episodes=100, alpha=1.0, seed=0)
     table = np.array([[0.5, 0.5, 0.2], [0.7, 0.7, 0.7]])
-    res = pl.q_learn_core(table_stub(table), 2, 3, cfg, np.random.default_rng(1))
+    res = pl.q_learn_core(table_stub(table), 3, cfg, np.random.default_rng(1))
     assert res.plan.mode_indices[0] == 0
     assert res.plan.mode_indices[1] == 0
 
@@ -127,7 +127,6 @@ def test_q_table_shape_matches_task():
     res = pl.q_learn(policy, lib, sim.Terrain.gap(), ROBOT, cfg)
     assert res.q_table.shape == (11, 4)
     assert res.plan.k == 11
-    assert res.solve_seconds > 0.0
 
 
 def test_parallel_trials_deterministic_and_degenerate():
@@ -135,9 +134,7 @@ def test_parallel_trials_deterministic_and_degenerate():
     table = np.random.default_rng(8).uniform(size=(3, 2))
 
     def run_q(c):
-        return pl.q_learn_core(
-            table_stub(table), c.knots, 2, c, np.random.default_rng(c.seed)
-        )
+        return pl.q_learn_core(table_stub(table), 2, c, np.random.default_rng(c.seed))
 
     single = run_q(cfg)
     # trials=1 equals a plain q_learn run with the same seed
@@ -221,7 +218,7 @@ def test_trials_match_the_uncached_reference(monkeypatch, terrain):
         return rewards
 
     want = [
-        pl.q_learn_core(reference_fn, c.knots, lib.n, c, np.random.default_rng(c.seed))
+        pl.q_learn_core(reference_fn, lib.n, c, np.random.default_rng(c.seed))
         for c in configs
     ]
     assert any(n < cfg.knots * 20 for _, n in runs)  # some plans fall
@@ -290,8 +287,9 @@ def test_plan_serialization_roundtrip(tmp_path):
 
     lib = library_with_latents()
     cfg = pl.PlannerConfig(knots=5, knot_dt=0.3)
-    plan = pl.ModePlan((0, 1, 1, 2, 3), provenance="abc123")
+    plan = pl.ModePlan((0, 1, 1, 2, 3))
     path = tmp_path / "plan.json"
-    write_artifact(path, "plan", pl.plan_to_payload(plan, lib, cfg))
-    back = pl.plan_from_payload(read_artifact(path, "plan"))
-    assert back == plan
+    write_artifact(path, "plan", pl.plan_to_payload(plan, lib, cfg, "abc123"))
+    payload = read_artifact(path, "plan")
+    assert payload["provenance"] == "abc123"
+    assert pl.plan_from_payload(payload) == plan

@@ -6,7 +6,7 @@ import pytest
 from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
-from modeloco.sampler import EpisodeScript, switch_step_for
+from modeloco.sampler import EpisodeScript
 
 
 def library_with_latents(selector="pi2", seed=0):
@@ -185,6 +185,7 @@ def _single_step_traj(obs, action, rew, lp, value_hat):
         rewards=np.array([rew]),
         log_probs=np.array([lp]),
         values=np.array([value_hat, 0.0]),
+        script=EpisodeScript(0, 0, 1, 2),  # ppo_update does not read the script
     )
 
 
@@ -213,7 +214,7 @@ def test_bandit_policy_mean_converges():
     # one-step environment, reward -(a-1)^2: optimal deterministic action is 1
     rng = np.random.default_rng(8)
     cfg = pol.PpoConfig(
-        epochs=4, minibatches=2, learning_rate=5e-3, entropy_coef=0.0, horizon=1
+        epochs=4, minibatches=2, learning_rate=5e-3, entropy_coef=0.0
     )
     obs = np.zeros(1)
     policy = pol.init_policy(rng, 1, act_dim=1, hidden=(8,), log_std_init=-0.7)
@@ -263,10 +264,7 @@ def test_rollout_latent_switch_exact_step():
     policy = _near_deterministic(pol.init_policy(rng, OBS_DIM))
     value = pol.init_value(rng, OBS_DIM)
     # clip_s=1, phi_s=0.25, 50-step cycle: switch at round(1.25 * 50) = 62
-    script = EpisodeScript(
-        mode_from=0, mode_to=2, switch_phase=0.25, switch_clip=1,
-        switch_step=62, horizon=80,
-    )
+    script = EpisodeScript(mode_from=0, mode_to=2, switch_step=62, horizon=80)
     tr = pol.rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     z_from = lib.latents[0]
     z_to = lib.latents[2]
@@ -281,10 +279,7 @@ def test_rollout_same_mode_keeps_latent_constant():
     rng = np.random.default_rng(1)
     policy = _near_deterministic(pol.init_policy(rng, OBS_DIM))
     value = pol.init_value(rng, OBS_DIM)
-    script = EpisodeScript(
-        mode_from=1, mode_to=1, switch_phase=0.5, switch_clip=0,
-        switch_step=25, horizon=60,
-    )
+    script = EpisodeScript(mode_from=1, mode_to=1, switch_step=25, horizon=60)
     tr = pol.rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     assert tr.length == 60
     for t in range(tr.length):
@@ -298,32 +293,11 @@ def test_rollout_fall_truncates_with_zero_bootstrap():
     # huge log-std makes the robot thrash and fall quickly
     policy.log_std[:] = 2.0
     value = pol.init_value(rng, OBS_DIM)
-    script = EpisodeScript(
-        mode_from=0, mode_to=0, switch_phase=0.5, switch_clip=0,
-        switch_step=25, horizon=200,
-    )
+    script = EpisodeScript(mode_from=0, mode_to=0, switch_step=25, horizon=200)
     tr = pol.rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     assert tr.fell
     assert tr.length < 200
     assert tr.values[-1] == 0.0
-
-
-def test_rollout_reward_bookkeeping_is_exact():
-    lib = library_with_latents()
-    rng = np.random.default_rng(3)
-    policy = pol.init_policy(rng, OBS_DIM)
-    value = pol.init_value(rng, OBS_DIM)
-    script = EpisodeScript(
-        mode_from=0, mode_to=1, switch_phase=0.5, switch_clip=0,
-        switch_step=25, horizon=50,
-    )
-    tr = pol.rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
-    _, _, _, stats = pol.ppo_update(
-        policy, value, pol.PpoOptState.fresh(policy, value), [tr],
-        pol.PpoConfig(), np.random.default_rng(0),
-    )
-    assert stats.mean_return == tr.rewards.sum()
-    assert stats.returns_by_pair[(0, 1)] == tr.rewards.sum()
 
 
 def _reference_rollout(
@@ -405,7 +379,7 @@ def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
     policy = pol.init_policy(rng, OBS_DIM)
     value = pol.init_value(rng, OBS_DIM)
     script = EpisodeScript(
-        mode_from=seed % 4, mode_to=(seed + 1) % 4, switch_phase=0.5, switch_clip=0,
+        mode_from=seed % 4, mode_to=(seed + 1) % 4,
         switch_step=12 if horizon < 50 else 25, horizon=horizon,
     )
     args = (policy, value, lib, script, terrain, ROBOT, REWARD)
@@ -433,10 +407,7 @@ def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_swi
     value = pol.init_value(np.random.default_rng(8), OBS_DIM)
 
     def episode(switch_step, reference):
-        script = EpisodeScript(
-            mode_from=1, mode_to=3, switch_phase=0.5, switch_clip=0,
-            switch_step=switch_step, horizon=200,
-        )
+        script = EpisodeScript(mode_from=1, mode_to=3, switch_step=switch_step, horizon=200)
         run = _reference_rollout if reference else pol.rollout
         return run(
             policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD,
@@ -500,9 +471,7 @@ def _reference_evaluate_modes(
                 script = EpisodeScript(
                     mode_from=i,
                     mode_to=j,
-                    switch_phase=phase_s,
-                    switch_clip=clip_s,
-                    switch_step=switch_step_for(clip_s, phase_s, cycle_steps),
+                    switch_step=round((clip_s + phase_s) * cycle_steps),
                     horizon=horizon,
                 )
                 tr = _reference_rollout(
@@ -579,7 +548,7 @@ def test_evaluate_modes_matches_per_case_rollouts(
     cycle_steps = round(cycle_duration / robot.control_dt)
     want_traces = {}
     for i in range(lib.n):
-        script = EpisodeScript(i, i, 0.5, 1, switch_step_for(1, 0.5, cycle_steps), horizon)
+        script = EpisodeScript(i, i, round(1.5 * cycle_steps), horizon)
         want_traces[i] = []
         _reference_rollout(
             policy, None, lib, script, world, robot, REWARD,
@@ -630,7 +599,7 @@ def test_evaluate_modes_rejects_a_switch_outside_the_episode():
     for i in range(lib.n):
         want = []
         _reference_rollout(
-            policy, None, lib, EpisodeScript(i, i, 0.5, 1, 60, 61), *args[2:],
+            policy, None, lib, EpisodeScript(i, i, 60, 61), *args[2:],
             stochastic=False, trace=want,
         )
         want = want[:60]

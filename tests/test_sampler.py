@@ -3,6 +3,8 @@ import pytest
 
 from modeloco import sampler as sa
 
+FLOOR = 0.2  # TrainConfig's default floor
+
 
 # --- returns_to_probs -------------------------------------------------------
 
@@ -106,7 +108,8 @@ def test_floor_lower_bound_property():
     ],
 )
 def test_switch_step_grid(clip, phase, expected):
-    assert sa.switch_step_for(clip, phase, 50) == expected
+    grid = sa.switch_steps(50)  # clip-major
+    assert grid[clip * len(sa.SWITCH_PHASES) + sa.SWITCH_PHASES.index(phase)] == expected
 
 
 def test_fresh_state_samples_uniformly():
@@ -115,7 +118,7 @@ def test_fresh_state_samples_uniformly():
     counts = np.zeros(4)
     draws = 100_000
     for _ in range(draws):
-        s = sa.sample_script(state, 50, 200, rng)
+        s = sa.sample_script(state, FLOOR, 50, 200, rng)
         counts[s.mode_from] += 1
     p = 1.0 / 4.0
     sigma = np.sqrt(draws * p * (1 - p))
@@ -131,11 +134,11 @@ def test_mastered_mode_sampled_least_but_still_sampled():
     counts = np.zeros(4)
     draws = 100_000
     for _ in range(draws):
-        counts[sa.sample_script(state, 50, 200, rng).mode_from] += 1
+        counts[sa.sample_script(state, FLOOR, 50, 200, rng).mode_from] += 1
     assert counts[0] > 0
     assert counts[0] < counts[1:].min()
     # analytic check of the sampling law itself
-    p = sa.returns_to_probs(state.mode_returns, state.floor)
+    p = sa.returns_to_probs(state.mode_returns, FLOOR)
     assert p[0] == min(p) and p[0] > 0.0
 
 
@@ -143,10 +146,9 @@ def test_script_fields_within_bounds():
     rng = np.random.default_rng(7)
     state = sa.SamplerState.fresh(3)
     for _ in range(500):
-        s = sa.sample_script(state, 50, 200, rng)
+        s = sa.sample_script(state, FLOOR, 50, 200, rng)
         assert 0 <= s.mode_from < 3 and 0 <= s.mode_to < 3
-        assert s.switch_phase in sa.SWITCH_PHASES
-        assert s.switch_clip in sa.SWITCH_CLIPS
+        assert s.switch_step in sa.switch_steps(50)
         assert 0 < s.switch_step < s.horizon
 
 
@@ -157,11 +159,9 @@ def test_update_records_hand_case():
     state = sa.SamplerState(
         mode_returns=np.array([1.0, 0.0]),
         transition_returns=np.zeros((2, 2)),
-        mode_decay=0.8,
-        transition_decay=0.8,
     )
-    script = sa.EpisodeScript(0, 1, 0.5, 0, 25, 200)
-    new = sa.update_records(state, script, 2.0)
+    script = sa.EpisodeScript(0, 1, 25, 200)
+    new = sa.update_records(state, script, 2.0, 0.8, 0.8)
     assert new.mode_returns[0] == pytest.approx(0.8 * 1.0 + 2.0, abs=1e-15)
     assert new.transition_returns[0, 1] == pytest.approx(2.0, abs=1e-15)
 
@@ -170,11 +170,9 @@ def test_zero_decay_is_myopic():
     state = sa.SamplerState(
         mode_returns=np.array([5.0, 1.0]),
         transition_returns=np.full((2, 2), 9.0),
-        mode_decay=0.0,
-        transition_decay=0.0,
     )
-    script = sa.EpisodeScript(1, 0, 0.5, 0, 25, 200)
-    new = sa.update_records(state, script, 3.5)
+    script = sa.EpisodeScript(1, 0, 25, 200)
+    new = sa.update_records(state, script, 3.5, 0.0, 0.0)
     assert new.mode_returns[1] == 3.5
     assert new.transition_returns[1, 0] == 3.5
 
@@ -183,24 +181,21 @@ def test_records_decay_geometrically():
     state = sa.SamplerState(
         mode_returns=np.array([8.0]),
         transition_returns=np.array([[8.0]]),
-        mode_decay=0.5,
-        transition_decay=0.5,
     )
-    script = sa.EpisodeScript(0, 0, 0.5, 0, 25, 200)
+    script = sa.EpisodeScript(0, 0, 25, 200)
     for k in range(1, 6):
-        state = sa.update_records(state, script, 0.0)
+        state = sa.update_records(state, script, 0.0, 0.5, 0.5)
         assert state.mode_returns[0] == pytest.approx(8.0 * 0.5**k, abs=1e-12)
 
 
 def test_update_touches_exactly_one_entry_each():
     rng = np.random.default_rng(8)
-    state = sa.SamplerState.fresh(5)
     state = sa.SamplerState(
         mode_returns=rng.normal(size=5),
         transition_returns=rng.normal(size=(5, 5)),
     )
-    script = sa.EpisodeScript(2, 4, 0.25, 1, 62, 200)
-    new = sa.update_records(state, script, 1.23)
+    script = sa.EpisodeScript(2, 4, 62, 200)
+    new = sa.update_records(state, script, 1.23, 0.4, 0.4)
     changed_modes = np.flatnonzero(new.mode_returns != state.mode_returns)
     changed_trans = np.argwhere(new.transition_returns != state.transition_returns)
     assert changed_modes.tolist() == [2]
@@ -216,7 +211,7 @@ def test_uniform_pair_frequencies():
     counts = np.zeros((n, n))
     draws = 100_000
     for _ in range(draws):
-        s = sa.uniform_script(n, rng, 50, 200)
+        s = sa.uniform_script(n, 50, 200, rng)
         counts[s.mode_from, s.mode_to] += 1
     p = 1.0 / 16.0
     sigma = np.sqrt(draws * p * (1 - p))
@@ -226,12 +221,12 @@ def test_uniform_pair_frequencies():
 def test_uniform_singleton():
     rng = np.random.default_rng(10)
     for _ in range(10):
-        s = sa.uniform_script(1, rng, 50, 200)
+        s = sa.uniform_script(1, 50, 200, rng)
         assert (s.mode_from, s.mode_to) == (0, 0)
 
 
 def test_uniform_ignores_records():
     # identical rng seeds give identical scripts regardless of any records
-    s1 = sa.uniform_script(4, np.random.default_rng(11), 50, 200)
-    s2 = sa.uniform_script(4, np.random.default_rng(11), 50, 200)
+    s1 = sa.uniform_script(4, 50, 200, np.random.default_rng(11))
+    s2 = sa.uniform_script(4, 50, 200, np.random.default_rng(11))
     assert s1 == s2

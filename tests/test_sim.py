@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +120,10 @@ def test_ballistic_energy_conservation():
 
 
 def test_static_stand_settles_to_spring_compression():
-    state = sim.initial_state(CFG, FLAT, settled=False)
+    settled = sim.initial_state(CFG, FLAT)
+    q = settled.q.copy()
+    q[1] += CFG.settle_depth  # straight legs with uncompressed contact springs
+    state = replace(settled, q=q)
     for _ in range(100):
         state = sim.step(state, np.zeros(4), FLAT, CFG)
     expected = CFG.nominal_height - CFG.settle_depth
@@ -127,7 +131,7 @@ def test_static_stand_settles_to_spring_compression():
 
 
 def test_static_stand_drift_from_equilibrium():
-    state = sim.initial_state(CFG, FLAT, settled=True)
+    state = sim.initial_state(CFG, FLAT)
     z0 = state.z
     for _ in range(100):
         state = sim.step(state, np.zeros(4), FLAT, CFG)

@@ -21,16 +21,16 @@ REWARD = sim.RewardConfig()
 
 def small_run(sampler="adaptive", seed=3, updates=3, start=None, **kw):
     lib = two_mode_library()
-    ppo = pol.PpoConfig(horizon=100, seed=seed)
     cfg = tm.TrainConfig(
         sampler=sampler,
         updates=updates,
         episodes_per_update=4,
+        horizon=100,
         seed=seed,
         **kw,
     )
     return tm.run_training(
-        lib, sim.Terrain.flat(), ROBOT, REWARD, ppo, cfg, start=start
+        lib, sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(), cfg, start=start
     )
 
 
@@ -89,10 +89,10 @@ def test_checkpoint_saved_once_per_save_point(monkeypatch, updates, every, saves
         (path, state.update_count)
     ))
     lib = two_mode_library()
-    cfg = tm.TrainConfig(updates=updates, episodes_per_update=1, seed=3,
+    cfg = tm.TrainConfig(updates=updates, episodes_per_update=1, horizon=100, seed=3,
                          checkpoint_every=every)
     tm.run_training(
-        lib, sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(horizon=100), cfg,
+        lib, sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(), cfg,
         checkpoint_path="ckpt.json",
     )
     assert saved == [("ckpt.json", n) for n in saves]
@@ -102,8 +102,8 @@ def test_latents_required():
     lib = rm.builtin_library("pi2")  # no latents
     with pytest.raises(ValueError, match="latent"):
         tm.run_training(
-            lib, sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(horizon=100),
-            tm.TrainConfig(updates=1),
+            lib, sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(),
+            tm.TrainConfig(updates=1, horizon=100),
         )
 
 
@@ -111,6 +111,6 @@ def test_short_horizon_rejected():
     lib = two_mode_library()
     with pytest.raises(ValueError, match="switch grid"):
         tm.run_training(
-            lib, sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(horizon=60),
-            tm.TrainConfig(updates=1),
+            lib, sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(),
+            tm.TrainConfig(updates=1, horizon=60),
         )
