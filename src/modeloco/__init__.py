@@ -17,7 +17,7 @@ from .encoder import (
     train_autoencoder,
 )
 from .planner import ModePlan, PlannerConfig, parallel_trials, plan_rollout, q_learn
-from .policy import PolicyParams, PpoConfig, Trajectory, ValueParams, evaluate_modes, ppo_update, rollout
+from .policy import PolicyParams, PpoConfig, Trajectory, evaluate_modes, ppo_update, rollout
 from .refmotion import (
     ContactPhase,
     Keyframe,

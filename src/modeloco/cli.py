@@ -10,7 +10,6 @@ current directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import inspect
 import json
@@ -25,7 +24,7 @@ from . import encoder as enc_mod
 from . import planner as plan_mod
 from . import policy as pol_mod
 from . import training as train_mod
-from .fileio import ArtifactError, config_hash, read_artifact, write_artifact
+from .fileio import ArtifactError, config_hash, read_artifact, write_artifact, write_table
 from .refmotion import (
     InvalidInputError,
     MODESET_NAMES,
@@ -69,9 +68,9 @@ def _check_policy_fits(policy, library, policy_path: str, library_path: str) -> 
     """The policy's input size must be the observation size the library's latents give."""
     latent_dim = library.latents.shape[1]
     want = observation_dim(latent_dim)
-    if policy.net.input_dim != want:
+    if policy.dims[0] != want:
         raise InvalidInputError(
-            f"policy {policy_path} takes {policy.net.input_dim} observation inputs, but the "
+            f"policy {policy_path} takes {policy.dims[0]} observation inputs, but the "
             f"{latent_dim}-dimensional latents of library {library_path} give {want}"
         )
 
@@ -116,11 +115,9 @@ def cmd_train_encoder(args) -> int:
         args.library, "library", library_to_payload(result.library), cfg_hash
     )
     log_path = Path(str(out) + ".loss.csv")
-    with open(log_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "loss"])
-        for i, loss in enumerate(result.losses):
-            w.writerow([i, repr(loss)])
+    write_table(
+        log_path, ["epoch", "loss"], ([i, repr(loss)] for i, loss in enumerate(result.losses))
+    )
     print(
         f"trained encoder on {library.n} modes: final loss {result.final_loss:.6e}; "
         f"wrote {out}, updated latents in {args.library}, loss log {log_path}"
@@ -145,21 +142,19 @@ def _train_configs(args):
 
 
 def _write_training_log(path: Path, rows, n: int) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["update", "episode", "mode_from", "mode_to", "switch_step",
-                  "episode_return", "normalized_return", "fell",
-                  "policy_loss", "value_loss", "entropy"]
-        header += [f"mode_return_{i}" for i in range(n)]
-        header += [f"transition_return_{i}_{j}" for i in range(n) for j in range(n)]
-        w.writerow(header)
-        for r in rows:
-            line = [r.update, r.episode, r.mode_from, r.mode_to, r.switch_step,
-                    repr(r.episode_return), repr(r.normalized_return), int(r.fell),
-                    repr(r.policy_loss), repr(r.value_loss), repr(r.entropy)]
-            line += [repr(v) for v in r.mode_returns]
-            line += [repr(v) for v in r.transition_returns.ravel()]
-            w.writerow(line)
+    header = ["update", "episode", "mode_from", "mode_to", "switch_step",
+              "episode_return", "normalized_return", "fell",
+              "policy_loss", "value_loss", "entropy"]
+    header += [f"mode_return_{i}" for i in range(n)]
+    header += [f"transition_return_{i}_{j}" for i in range(n) for j in range(n)]
+    write_table(path, header, (
+        [r.update, r.episode, r.mode_from, r.mode_to, r.switch_step,
+         repr(r.episode_return), repr(r.normalized_return), int(r.fell),
+         repr(r.policy_loss), repr(r.value_loss), repr(r.entropy)]
+        + [repr(v) for v in r.mode_returns]
+        + [repr(v) for v in r.transition_returns.ravel()]
+        for r in rows
+    ))
 
 
 def cmd_train_policy(args) -> int:
@@ -247,16 +242,15 @@ def cmd_eval(args) -> int:
     for i, name in enumerate(library.names):
         trace = traces[i]
         trace_path = Path(str(out) + f".{name}.csv")
-        with open(trace_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "x", "z", "pitch", "hip_l", "knee_l", "hip_r", "knee_r",
-                        "vx", "vz", "pitch_rate", "dhip_l", "dknee_l", "dhip_r",
-                        "dknee_r", "contact_l", "contact_r", "reward", "mode_index"])
-            for state, r, mode_idx in trace:
-                w.writerow([repr(state.t)] + [repr(v) for v in state.q]
-                           + [repr(v) for v in state.qdot]
-                           + [int(state.contact_left), int(state.contact_right),
-                              repr(r), mode_idx])
+        write_table(
+            trace_path,
+            ["t", "x", "z", "pitch", "hip_l", "knee_l", "hip_r", "knee_r",
+             "vx", "vz", "pitch_rate", "dhip_l", "dknee_l", "dhip_r",
+             "dknee_r", "contact_l", "contact_r", "reward", "mode_index"],
+            ([repr(state.t)] + [repr(v) for v in state.q] + [repr(v) for v in state.qdot]
+             + [int(state.contact_left), int(state.contact_right), repr(r), mode_idx]
+             for state, r, mode_idx in trace),
+        )
         heading = [float(np.cos(s.pitch) * s.qdot[0] + np.sin(s.pitch) * s.qdot[1])
                    for s, _, _ in trace]
         report["traces"][name] = {
@@ -306,12 +300,12 @@ def cmd_plan(args) -> int:
     trace: list = []
     plan_mod.plan_rollout(result.plan, policy, library, terrain, robot, cfg, trace=trace)
     trace_path = Path(str(out) + ".trace.csv")
-    with open(trace_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "x", "z", "pitch", "reward", "mode_index"])
-        for state, r, mode_idx in trace:
-            w.writerow([repr(state.t), repr(state.x), repr(state.z),
-                        repr(state.pitch), repr(r), mode_idx])
+    write_table(
+        trace_path,
+        ["t", "x", "z", "pitch", "reward", "mode_index"],
+        ([repr(state.t), repr(state.x), repr(state.z), repr(state.pitch), repr(r), mode_idx]
+         for state, r, mode_idx in trace),
+    )
     names = " ".join(library.names[i] for i in result.plan.mode_indices)
     print(f"best plan (return {result.best_return:.2f}): {names}")
     print(f"wrote {out} and {trace_path}")

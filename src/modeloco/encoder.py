@@ -10,6 +10,11 @@ Everything runs in float64 numpy with handwritten backpropagation through
 time, so training is bit-reproducible from a seed and gradients can be
 checked against central finite differences.
 
+The encoder and decoder are stored as one flat vector, the one Adam steps:
+the encoder's w_x, w_h, b and w_z, then the decoder's w_x, w_h, b and w_y,
+each raveled. Both networks' weight matrices are reshaped views into it, and
+autoencoder_gradient writes its gradient into a vector of the same layout.
+
 Training runs one forward pass per epoch: each proposed step is scored by
 autoencoder_gradient, whose loss decides acceptance and whose gradient, when
 the step is kept, drives the next step. A rejected step reuses the current
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import array_from_payload, array_to_payload
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, split_views
 from .refmotion import NUM_CHANNELS, ModeLibrary, ReferenceMotion
 
 DEFAULT_HIDDEN = 32
@@ -45,7 +50,7 @@ class TrainingFailure(RuntimeError):
 
 @dataclass
 class EncoderParams:
-    """LSTM cell weights plus the latent projection and input normalization."""
+    """LSTM cell weights plus the latent projection (views into flat) and input normalization."""
 
     w_x: np.ndarray  # (4H, C) input weights, gate order i, f, g, o
     w_h: np.ndarray  # (4H, H) recurrent weights
@@ -53,6 +58,7 @@ class EncoderParams:
     w_z: np.ndarray  # (latent_dim, H) bias-free latent projection
     norm_mean: np.ndarray  # (C,)
     norm_scale: np.ndarray  # (C,)
+    flat: np.ndarray  # the autoencoder's parameter vector, shared with the decoder
 
     @property
     def hidden(self) -> int:
@@ -69,7 +75,7 @@ class EncoderParams:
 
 @dataclass
 class DecoderParams:
-    """LSTM cell weights plus the output projection and output de-normalization."""
+    """LSTM cell weights plus the output projection (views into flat) and de-normalization."""
 
     w_x: np.ndarray  # (4H, latent_dim)
     w_h: np.ndarray  # (4H, H)
@@ -77,6 +83,7 @@ class DecoderParams:
     w_y: np.ndarray  # (C, H) bias-free output projection
     norm_mean: np.ndarray
     norm_scale: np.ndarray
+    flat: np.ndarray  # the autoencoder's parameter vector, shared with the encoder
 
     @property
     def hidden(self) -> int:
@@ -100,31 +107,36 @@ class EncoderTrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
+_ENC_FIELDS = ("w_x", "w_h", "b", "w_z")
+_DEC_FIELDS = ("w_x", "w_h", "b", "w_y")
+
+
+def view_params(
+    flat: np.ndarray | None, norm_mean: np.ndarray, norm_scale: np.ndarray,
+    hidden: int = DEFAULT_HIDDEN, latent_dim: int = DEFAULT_LATENT_DIM,
+) -> tuple[EncoderParams, DecoderParams]:
+    """The encoder and decoder whose weights are views into flat (a zero
+    vector when None), in _ENC_FIELDS then _DEC_FIELDS order; the input size
+    is the length of the normalization stats."""
+    g, c = 4 * hidden, norm_mean.shape[0]
+    shapes = [(g, c), (g, hidden), (g,), (latent_dim, hidden),
+              (g, latent_dim), (g, hidden), (g,), (c, hidden)]
+    if flat is None:
+        flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+    views = split_views(flat, shapes)
+    return (
+        EncoderParams(*views[:4], norm_mean, norm_scale, flat),
+        DecoderParams(*views[4:], norm_mean, norm_scale, flat),
+    )
+
+
 def zero_params(
     hidden: int = DEFAULT_HIDDEN,
     latent_dim: int = DEFAULT_LATENT_DIM,
     input_dim: int = NUM_CHANNELS,
 ) -> tuple[EncoderParams, DecoderParams]:
     """All-zero weights with identity normalization; mainly for tests."""
-    mean = np.zeros(input_dim)
-    scale = np.ones(input_dim)
-    enc = EncoderParams(
-        w_x=np.zeros((4 * hidden, input_dim)),
-        w_h=np.zeros((4 * hidden, hidden)),
-        b=np.zeros(4 * hidden),
-        w_z=np.zeros((latent_dim, hidden)),
-        norm_mean=mean,
-        norm_scale=scale,
-    )
-    dec = DecoderParams(
-        w_x=np.zeros((4 * hidden, latent_dim)),
-        w_h=np.zeros((4 * hidden, hidden)),
-        b=np.zeros(4 * hidden),
-        w_y=np.zeros((input_dim, hidden)),
-        norm_mean=mean,
-        norm_scale=scale,
-    )
-    return enc, dec
+    return view_params(None, np.zeros(input_dim), np.ones(input_dim), hidden, latent_dim)
 
 
 def init_params(
@@ -133,15 +145,15 @@ def init_params(
     latent_dim: int = DEFAULT_LATENT_DIM,
     input_dim: int = NUM_CHANNELS,
 ) -> tuple[EncoderParams, DecoderParams]:
+    """Uniform weights in +-1/sqrt(hidden) with identity normalization."""
     enc, dec = zero_params(hidden, latent_dim, input_dim)
     k = 1.0 / math.sqrt(hidden)
-    for p, in_dim in ((enc, input_dim), (dec, latent_dim)):
-        p.w_x = rng.uniform(-k, k, size=(4 * hidden, in_dim))
-        p.w_h = rng.uniform(-k, k, size=(4 * hidden, hidden))
-        p.b = np.zeros(4 * hidden)
+    for p in (enc, dec):
+        p.w_x[...] = rng.uniform(-k, k, size=p.w_x.shape)
+        p.w_h[...] = rng.uniform(-k, k, size=p.w_h.shape)
         p.b[hidden : 2 * hidden] = 1.0  # forget-gate bias keeps early memory open
-    enc.w_z = rng.uniform(-k, k, size=(latent_dim, hidden))
-    dec.w_y = rng.uniform(-k, k, size=(input_dim, hidden))
+    enc.w_z[...] = rng.uniform(-k, k, size=enc.w_z.shape)
+    dec.w_y[...] = rng.uniform(-k, k, size=dec.w_y.shape)
     return enc, dec
 
 
@@ -319,13 +331,10 @@ def autoencoder_gradient(
 
     sequences are normalized (T, C) arrays; lengths may differ. Returns
     (loss, encoder gradients, decoder gradients) with gradients shaped like
-    the parameter structs (normalization stats are not differentiated).
+    the parameter structs and viewing one vector laid out like their flat
+    (normalization stats are not differentiated).
     """
-    g_enc, g_dec = zero_params(enc.hidden, enc.latent_dim, enc.input_dim)
-    g_enc.norm_mean = enc.norm_mean
-    g_enc.norm_scale = enc.norm_scale
-    g_dec.norm_mean = dec.norm_mean
-    g_dec.norm_scale = dec.norm_scale
+    g_enc, g_dec = view_params(None, enc.norm_mean, enc.norm_scale, enc.hidden, enc.latent_dim)
     total = 0.0
     n_seq = len(sequences)
     for xs in _length_groups(sequences):
@@ -356,38 +365,6 @@ def autoencoder_gradient(
     return total / n_seq, g_enc, g_dec
 
 
-# --- flat parameter packing (shared by the optimizer and gradient checks) ---
-
-_ENC_FIELDS = ("w_x", "w_h", "b", "w_z")
-_DEC_FIELDS = ("w_x", "w_h", "b", "w_y")
-
-
-def pack_params(enc: EncoderParams, dec: DecoderParams) -> np.ndarray:
-    parts = [getattr(enc, f).ravel() for f in _ENC_FIELDS]
-    parts += [getattr(dec, f).ravel() for f in _DEC_FIELDS]
-    return np.concatenate(parts)
-
-
-def unpack_params(
-    flat: np.ndarray, enc_like: EncoderParams, dec_like: DecoderParams
-) -> tuple[EncoderParams, DecoderParams]:
-    enc, dec = zero_params(enc_like.hidden, enc_like.latent_dim, enc_like.input_dim)
-    enc.norm_mean = enc_like.norm_mean
-    enc.norm_scale = enc_like.norm_scale
-    dec.norm_mean = dec_like.norm_mean
-    dec.norm_scale = dec_like.norm_scale
-    at = 0
-    for obj, fields in ((enc, _ENC_FIELDS), (dec, _DEC_FIELDS)):
-        for f in fields:
-            shape = getattr(obj, f).shape
-            size = int(np.prod(shape))
-            setattr(obj, f, flat[at : at + size].reshape(shape).copy())
-            at += size
-    if at != flat.size:
-        raise ValueError("flat vector length does not match parameter shapes")
-    return enc, dec
-
-
 @dataclass
 class TrainResult:
     encoder: EncoderParams
@@ -413,33 +390,28 @@ def train_autoencoder(library: ModeLibrary, cfg: EncoderTrainConfig) -> TrainRes
     mean, scale = normalization_stats(library)
     sequences = [normalize(m.samples, mean, scale) for m in library.motions]
 
-    rng = np.random.default_rng(cfg.seed)
-    enc, dec = init_params(rng)
-    enc.norm_mean = dec.norm_mean = mean
-    enc.norm_scale = dec.norm_scale = scale
-
-    flat = pack_params(enc, dec)
-    opt = AdamState.zeros(flat.size)
+    start, _ = init_params(np.random.default_rng(cfg.seed))
+    enc, dec = view_params(start.flat, mean, scale)
+    opt = AdamState.zeros(enc.flat.size)
     lr_scale = 1.0
 
-    loss, g_enc, g_dec = autoencoder_gradient(enc, dec, sequences)
-    grad = pack_params(g_enc, g_dec)
+    loss, g_enc, _ = autoencoder_gradient(enc, dec, sequences)
+    grad = g_enc.flat
     losses = [loss]
     for epoch in range(cfg.epochs):
         if not np.isfinite(grad).all():
             raise TrainingFailure(f"non-finite gradient at epoch {len(losses) - 1}")
         cos = 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, cfg.epochs - 1)))
         lr = cfg.learning_rate * (FINAL_LR_FRACTION + (1.0 - FINAL_LR_FRACTION) * cos)
-        flat_try, opt_try = adam_step(flat, grad, opt, lr * lr_scale)
-        enc_try, dec_try = unpack_params(flat_try, enc, dec)
-        loss_try, g_enc, g_dec = autoencoder_gradient(enc_try, dec_try, sequences)
+        flat_try, opt_try = adam_step(enc.flat, grad, opt, lr * lr_scale)
+        enc_try, dec_try = view_params(flat_try, mean, scale)
+        loss_try, g_enc, _ = autoencoder_gradient(enc_try, dec_try, sequences)
         if not math.isfinite(loss_try):
             raise TrainingFailure(f"non-finite loss at epoch {len(losses) - 1}")
         if loss_try <= loss + ROLLBACK_TOLERANCE:
-            flat, opt = flat_try, opt_try
-            enc, dec = enc_try, dec_try
+            enc, dec, opt = enc_try, dec_try, opt_try
             loss = loss_try
-            grad = pack_params(g_enc, g_dec)
+            grad = g_enc.flat
             lr_scale = min(1.0, lr_scale * 1.05)
         else:
             lr_scale *= 0.5
@@ -470,13 +442,11 @@ def params_to_payload(enc: EncoderParams, dec: DecoderParams) -> dict:
 
 
 def params_from_payload(payload: dict) -> tuple[EncoderParams, DecoderParams]:
-    enc, dec = zero_params(payload["hidden"], payload["latent_dim"], payload["input_dim"])
+    flat = np.concatenate([
+        array_from_payload(payload[net][f]).ravel()
+        for net, fields in (("encoder", _ENC_FIELDS), ("decoder", _DEC_FIELDS))
+        for f in fields
+    ])
     mean = np.array(payload["norm_mean"], dtype=float)
     scale = np.array(payload["norm_scale"], dtype=float)
-    enc.norm_mean = dec.norm_mean = mean
-    enc.norm_scale = dec.norm_scale = scale
-    for f in _ENC_FIELDS:
-        setattr(enc, f, array_from_payload(payload["encoder"][f]))
-    for f in _DEC_FIELDS:
-        setattr(dec, f, array_from_payload(payload["decoder"][f]))
-    return enc, dec
+    return view_params(flat, mean, scale, payload["hidden"], payload["latent_dim"])

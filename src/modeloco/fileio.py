@@ -12,17 +12,21 @@ hands each list of scalars to the C encoder in one call.
 
 Writes are atomic: the text goes to a temporary file in the target's
 directory, which then replaces the target, so a reader sees the old artifact
-or the new one, never a partial file.
+or table or the new one, never a partial file.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
 
 import numpy as np
+
+from .refmotion import InvalidInputError, _spec_field, _spec_list
 
 TOOL_VERSION = "0.1.0"
 _INDENT = " "
@@ -95,10 +99,21 @@ def write_artifact(path: str | Path, kind: str, payload: dict, cfg_hash: str = "
         "config_hash": cfg_hash,
         "payload": payload,
     }
-    text = dumps_artifact(doc) + "\n"
+    _write_text(path, dumps_artifact(doc) + "\n")
+
+
+def write_table(path: str | Path, header: list[str], rows) -> None:
+    """A CSV file of the header row, then one line per row, each ended by CRLF."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    _write_text(path, buf.getvalue())
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write text to a temporary file beside path, then move it over path."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -116,9 +131,10 @@ def read_artifact(path: str | Path, kind: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path} is not valid JSON: {exc}") from exc
     expected = f"modeloco/{kind}"
-    if doc.get("format") != expected:
-        raise ArtifactError(f"{path}: expected format {expected}, got {doc.get('format')!r}")
-    return doc["payload"]
+    found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+    if found != expected:
+        raise ArtifactError(f"{path}: expected format {expected}, got {found!r}")
+    return _spec_field(doc, "payload", "the document", source=str(path))
 
 
 def array_to_payload(a: np.ndarray) -> dict:
@@ -126,5 +142,11 @@ def array_to_payload(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": a.ravel().tolist()}
 
 
-def array_from_payload(p: dict) -> np.ndarray:
-    return np.array(p["data"], dtype=float).reshape(p["shape"])
+def array_from_payload(p: dict, where: str = "an array") -> np.ndarray:
+    """The array of an `array_to_payload` dict; InvalidInputError names `where`
+    unless its data are numbers that fill its shape."""
+    data, shape = (_spec_list(p, k, where, source="artifact") for k in ("data", "shape"))
+    try:
+        return np.array(data, dtype=float).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"artifact: {where} is not a {shape} array: {exc}") from exc

@@ -1,7 +1,8 @@
-"""Adam on flat float64 parameter vectors."""
+"""Adam on flat float64 parameter vectors, and the views that give them shape."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,6 @@ class AdamState:
     @staticmethod
     def zeros(size: int) -> "AdamState":
         return AdamState(m=np.zeros(size), v=np.zeros(size), t=0)
-
-    def copy(self) -> "AdamState":
-        return AdamState(m=self.m.copy(), v=self.v.copy(), t=self.t)
 
 
 def adam_step(
@@ -37,3 +35,15 @@ def adam_step(
     v_hat = v / (1.0 - beta2**t)
     new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
     return new_params, AdamState(m=m, v=v, t=t)
+
+
+def split_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views into flat, one per shape; flat's size must be their total."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at : at + size].reshape(shape))
+        at += size
+    if at != flat.size:
+        raise ValueError(f"{flat.size} parameters for shapes that hold {at}")
+    return views

@@ -239,7 +239,3 @@ def plan_to_payload(
         "mode_names": [library.names[i] for i in plan.mode_indices],
         "provenance": provenance,
     }
-
-
-def plan_from_payload(payload: dict) -> ModePlan:
-    return ModePlan(tuple(payload["mode_indices"]))

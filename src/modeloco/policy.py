@@ -6,6 +6,12 @@ diagonal Gaussian over the four joint targets with a state-independent
 log-std. Everything is handwritten numpy in float64: gradients are exact,
 updates are deterministic from seeds, and the surrogate gradient can be
 checked against finite differences.
+
+Each network is stored once, as the flat vector Adam steps. An MLP's vector
+holds its layers in order, each (out, in) weight raveled and then its bias;
+the policy's vector is its mean network's followed by the act_dim log-std
+entries. The per-layer weights, biases and log_std are reshaped views into
+that vector, and every gradient is a vector with the same layout.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import array_from_payload, array_to_payload
-from .optim import AdamState, adam_step
-from .refmotion import ModeLibrary
+from .optim import AdamState, adam_step, split_views
+from .refmotion import InvalidInputError, ModeLibrary, _spec_field, _spec_list
 from .sampler import EpisodeScript, switch_steps
 from .sim import (
     BLOWUP,
@@ -40,44 +46,49 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass
 class MlpParams:
-    """Fully connected tanh network; the last layer is linear."""
+    """Fully connected tanh network; the last layer is linear. The (out, in)
+    weights and the biases are views into flat."""
 
-    weights: list[np.ndarray] = field(default_factory=list)  # (out, in) per layer
-    biases: list[np.ndarray] = field(default_factory=list)
+    flat: np.ndarray
+    dims: tuple[int, ...]  # layer widths, input first
+    weights: list[np.ndarray] = field(init=False)
+    biases: list[np.ndarray] = field(init=False)
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+    def __post_init__(self):
+        layers = zip(self.dims[:-1], self.dims[1:])
+        views = split_views(self.flat, [s for i, o in layers for s in ((o, i), (o,))])
+        self.weights, self.biases = views[0::2], views[1::2]
 
 
 @dataclass
 class PolicyParams:
-    net: MlpParams
-    log_std: np.ndarray
+    """The mean network and the state-independent log-std, views into flat."""
+
+    flat: np.ndarray
+    dims: tuple[int, ...]  # mean network widths, input first
+    net: MlpParams = field(init=False)
+    log_std: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        act_dim = self.dims[-1]
+        self.net = MlpParams(self.flat[:-act_dim], self.dims)
+        self.log_std = self.flat[-act_dim:]
 
     @property
     def action_dim(self) -> int:
         return self.log_std.shape[0]
 
 
-@dataclass
-class ValueParams:
-    net: MlpParams
-
-
-def _init_mlp(
-    rng: np.random.Generator,
-    dims: list[int],
-    final_scale: float = 1.0,
-) -> MlpParams:
-    p = MlpParams()
+def _init_mlp(rng: np.random.Generator, dims: tuple[int, ...], final_scale: float = 1.0):
+    """A network's arrays in flat order: normal weights of std 1/sqrt(fan-in),
+    the last layer's times final_scale, and zero biases."""
+    parts = []
     for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
         scale = 1.0 / math.sqrt(d_in)
         if i == len(dims) - 2:
             scale *= final_scale
-        p.weights.append(rng.normal(0.0, scale, size=(d_out, d_in)))
-        p.biases.append(np.zeros(d_out))
-    return p
+        parts += [rng.normal(0.0, scale, size=d_out * d_in), np.zeros(d_out)]
+    return parts
 
 
 def init_policy(
@@ -87,16 +98,18 @@ def init_policy(
     hidden: tuple[int, ...] = (64, 64),
     log_std_init: float = -0.7,
 ) -> PolicyParams:
+    dims = (obs_dim, *hidden, act_dim)
     # Small final layer keeps the initial mean near zero, i.e. near the
     # straight-leg nominal pose.
-    net = _init_mlp(rng, [obs_dim, *hidden, act_dim], final_scale=0.01)
-    return PolicyParams(net=net, log_std=np.full(act_dim, log_std_init))
+    parts = _init_mlp(rng, dims, final_scale=0.01)
+    return PolicyParams(np.concatenate(parts + [np.full(act_dim, log_std_init)]), dims)
 
 
 def init_value(
     rng: np.random.Generator, obs_dim: int, hidden: tuple[int, ...] = (64, 64)
-) -> ValueParams:
-    return ValueParams(net=_init_mlp(rng, [obs_dim, *hidden, 1]))
+) -> MlpParams:
+    dims = (obs_dim, *hidden, 1)
+    return MlpParams(np.concatenate(_init_mlp(rng, dims)), dims)
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray):
@@ -112,19 +125,18 @@ def mlp_forward(p: MlpParams, x: np.ndarray):
     return h, acts
 
 
-def mlp_backward(p: MlpParams, acts: list[np.ndarray], d_out: np.ndarray) -> MlpParams:
-    """Gradients of a scalar loss given d loss / d output."""
-    weights, biases = [], []
+def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grad: MlpParams) -> None:
+    """Write the gradients of a scalar loss, given d loss / d output, into
+    grad, a network of p's shape."""
     last = len(p.weights) - 1
     d = d_out
     for i in range(last, -1, -1):
         if i < last:
             d = d * (1.0 - acts[i + 1] * acts[i + 1])
-        weights.append(d.T @ acts[i])
-        biases.append(d.sum(axis=0))
+        grad.weights[i][...] = d.T @ acts[i]
+        grad.biases[i][...] = d.sum(axis=0)
         if i > 0:  # the gradient with respect to the input is not needed
             d = d @ p.weights[i]
-    return MlpParams(weights=weights[::-1], biases=biases[::-1])
 
 
 def policy_mean(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
@@ -132,7 +144,7 @@ def policy_mean(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
     return out[0] if obs.ndim == 1 else out
 
 
-def value_of(params: ValueParams, obs: np.ndarray) -> float | np.ndarray:
+def value_of(params: MlpParams, obs: np.ndarray) -> float | np.ndarray:
     """The value of one observation, or of each row of a (B, in) batch.
 
     A batch runs as a (B, 1, in) stack of one-row matmuls, so row i equals the
@@ -140,9 +152,9 @@ def value_of(params: ValueParams, obs: np.ndarray) -> float | np.ndarray:
     may round differently.
     """
     if obs.ndim == 1:
-        out, _ = mlp_forward(params.net, obs[None, :])
+        out, _ = mlp_forward(params, obs[None, :])
         return float(out[0, 0])
-    out, _ = mlp_forward(params.net, obs[:, None, :])
+    out, _ = mlp_forward(params, obs[:, None, :])
     return out[:, 0, 0]
 
 
@@ -159,45 +171,6 @@ def gaussian_log_prob(
 
 def entropy(params: PolicyParams) -> float:
     return float(params.log_std.sum() + 0.5 * params.action_dim * (1.0 + LOG_2PI))
-
-
-# --- parameter packing -------------------------------------------------------
-
-
-def _pack_mlp(p: MlpParams) -> np.ndarray:
-    parts = []
-    for w, b in zip(p.weights, p.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def _unpack_mlp(flat: np.ndarray, like: MlpParams, at: int = 0) -> tuple[MlpParams, int]:
-    out = MlpParams()
-    for w, b in zip(like.weights, like.biases):
-        out.weights.append(flat[at : at + w.size].reshape(w.shape).copy())
-        at += w.size
-        out.biases.append(flat[at : at + b.size].copy())
-        at += b.size
-    return out, at
-
-
-def pack_policy(p: PolicyParams) -> np.ndarray:
-    return np.concatenate([_pack_mlp(p.net), p.log_std])
-
-
-def unpack_policy(flat: np.ndarray, like: PolicyParams) -> PolicyParams:
-    net, at = _unpack_mlp(flat, like.net)
-    return PolicyParams(net=net, log_std=flat[at:].copy())
-
-
-def pack_value(p: ValueParams) -> np.ndarray:
-    return _pack_mlp(p.net)
-
-
-def unpack_value(flat: np.ndarray, like: ValueParams) -> ValueParams:
-    net, _ = _unpack_mlp(flat, like.net)
-    return ValueParams(net=net)
 
 
 # --- trajectories and advantage estimation -----------------------------------
@@ -258,11 +231,12 @@ class PpoConfig:
 
 
 def ppo_loss_and_grad(
-    policy: PolicyParams, value: ValueParams, batch: dict, cfg: PpoConfig
+    policy: PolicyParams, value: MlpParams, batch: dict, cfg: PpoConfig
 ):
     """Clipped surrogate plus value regression minus the entropy bonus, with gradients.
 
-    Returns (loss, flat policy gradient, flat value gradient, surrogate, value term).
+    Returns (loss, policy gradient, value gradient, surrogate, value term); each
+    gradient is a vector laid out like its network's flat.
     """
     obs = batch["obs"]
     B = obs.shape[0]
@@ -283,24 +257,24 @@ def ppo_loss_and_grad(
     d_ratio = np.where(use_first, adv, np.where(inside, adv, 0.0)) * (-1.0 / B)
     d_lp = d_ratio * ratio
     d_mean = d_lp[:, None] * diff / var
-    d_log_std = (d_lp[:, None] * ((diff * diff) / var - 1.0)).sum(axis=0)
-    d_log_std -= cfg.entropy_coef  # entropy bonus: dH/dlog_std = 1 per dim
-    g_policy_net = mlp_backward(policy.net, acts_p, d_mean)
+    g_policy = PolicyParams(np.empty_like(policy.flat), policy.dims)
+    g_policy.log_std[:] = (d_lp[:, None] * ((diff * diff) / var - 1.0)).sum(axis=0)
+    g_policy.log_std -= cfg.entropy_coef  # entropy bonus: dH/dlog_std = 1 per dim
+    mlp_backward(policy.net, acts_p, d_mean, g_policy.net)
 
-    v, acts_v = mlp_forward(value.net, obs)
+    v, acts_v = mlp_forward(value, obs)
     err = v[:, 0] - batch["returns"]
     value_loss = float((err * err).mean())
     d_v = (2.0 * cfg.value_coef / B) * err[:, None]
-    g_value_net = mlp_backward(value.net, acts_v, d_v)
+    g_value = MlpParams(np.empty_like(value.flat), value.dims)
+    mlp_backward(value, acts_v, d_v, g_value)
 
     loss = (
         policy_loss
         + cfg.value_coef * value_loss
         - cfg.entropy_coef * entropy(policy)
     )
-    g_policy = np.concatenate([_pack_mlp(g_policy_net), d_log_std])
-    g_value = _pack_mlp(g_value_net)
-    return loss, g_policy, g_value, policy_loss, value_loss
+    return loss, g_policy.flat, g_value.flat, policy_loss, value_loss
 
 
 @dataclass
@@ -309,11 +283,8 @@ class PpoOptState:
     value: AdamState
 
     @staticmethod
-    def fresh(policy: PolicyParams, value: ValueParams) -> "PpoOptState":
-        return PpoOptState(
-            policy=AdamState.zeros(pack_policy(policy).size),
-            value=AdamState.zeros(pack_value(value).size),
-        )
+    def fresh(policy: PolicyParams, value: MlpParams) -> "PpoOptState":
+        return PpoOptState(AdamState.zeros(policy.flat.size), AdamState.zeros(value.flat.size))
 
 
 @dataclass
@@ -329,16 +300,17 @@ class UpdateStats:
 
 def ppo_update(
     policy: PolicyParams,
-    value: ValueParams,
+    value: MlpParams,
     opt: PpoOptState,
     trajectories: list[Trajectory],
     cfg: PpoConfig,
     rng: np.random.Generator,
-) -> tuple[PolicyParams, ValueParams, PpoOptState, UpdateStats]:
+) -> tuple[PolicyParams, MlpParams, PpoOptState, UpdateStats]:
     """One clipped-surrogate update over a batch of trajectories.
 
     Advantages are GAE, normalized across the whole batch. A non-finite loss
-    rejects the update and returns the parameters unchanged.
+    rejects the update and returns the parameters unchanged. Each Adam step
+    makes new vectors, so the inputs are never written.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -356,9 +328,7 @@ def ppo_update(
 
     stats = UpdateStats(policy_loss=0.0, value_loss=0.0, entropy=entropy(policy))
 
-    flat_p = pack_policy(policy)
-    flat_v = pack_value(value)
-    opt_p, opt_v = opt.policy.copy(), opt.value.copy()
+    opt_p, opt_v = opt.policy, opt.value
     n = obs.shape[0]
     cur_policy, cur_value = policy, value
     for _ in range(cfg.epochs):
@@ -385,10 +355,10 @@ def ppo_update(
                 stats.rejected = True
                 return policy, value, opt, stats
             stats.policy_loss, stats.value_loss = policy_loss, value_loss
-            flat_p, opt_p = adam_step(flat_p, g_p, opt_p, cfg.learning_rate)
-            flat_v, opt_v = adam_step(flat_v, g_v, opt_v, cfg.learning_rate)
-            cur_policy = unpack_policy(flat_p, policy)
-            cur_value = unpack_value(flat_v, value)
+            flat_p, opt_p = adam_step(cur_policy.flat, g_p, opt_p, cfg.learning_rate)
+            flat_v, opt_v = adam_step(cur_value.flat, g_v, opt_v, cfg.learning_rate)
+            cur_policy = PolicyParams(flat_p, policy.dims)
+            cur_value = MlpParams(flat_v, value.dims)
     stats.entropy = entropy(cur_policy)
     return cur_policy, cur_value, PpoOptState(policy=opt_p, value=opt_v), stats
 
@@ -460,7 +430,7 @@ def _tracking_rewards(
 
 def rollout(
     policy: PolicyParams,
-    value: ValueParams,
+    value: MlpParams,
     library: ModeLibrary,
     script: EpisodeScript,
     terrain: Terrain,
@@ -574,6 +544,8 @@ def evaluate_modes(
         raise ValueError("library has no latents; train the encoder")
     if rollouts_per_case < 1:
         raise ValueError("need at least one rollout per case")
+    if not (math.isfinite(clock_rate) and clock_rate > 0.0):
+        raise ValueError(f"clock rate must be positive and finite, got {clock_rate}")
     n = library.n
     # EpisodeScript rejects a switch outside the episode.
     switches = [
@@ -618,9 +590,9 @@ def evaluate_modes(
 # --- serialization -------------------------------------------------------------
 
 
-def policy_to_payload(policy: PolicyParams, value: ValueParams) -> dict:
+def policy_to_payload(policy: PolicyParams, value: MlpParams) -> dict:
     return {
-        "obs_dim": policy.net.input_dim,
+        "obs_dim": policy.dims[0],
         "act_dim": policy.action_dim,
         "policy": {
             "weights": [array_to_payload(w) for w in policy.net.weights],
@@ -628,22 +600,42 @@ def policy_to_payload(policy: PolicyParams, value: ValueParams) -> dict:
             "log_std": array_to_payload(policy.log_std),
         },
         "value": {
-            "weights": [array_to_payload(w) for w in value.net.weights],
-            "biases": [array_to_payload(b) for b in value.net.biases],
+            "weights": [array_to_payload(w) for w in value.weights],
+            "biases": [array_to_payload(b) for b in value.biases],
         },
     }
 
 
-def policy_from_payload(payload: dict) -> tuple[PolicyParams, ValueParams]:
-    pol = MlpParams(
-        weights=[array_from_payload(w) for w in payload["policy"]["weights"]],
-        biases=[array_from_payload(b) for b in payload["policy"]["biases"]],
-    )
-    val = MlpParams(
-        weights=[array_from_payload(w) for w in payload["value"]["weights"]],
-        biases=[array_from_payload(b) for b in payload["value"]["biases"]],
-    )
-    return (
-        PolicyParams(net=pol, log_std=array_from_payload(payload["policy"]["log_std"])),
-        ValueParams(net=val),
-    )
+def _layers_from_payload(payload: dict, key: str) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """Network `key`'s arrays in flat order and its layer widths;
+    InvalidInputError unless the layers chain."""
+    net, where = _spec_field(payload, key, "the policy", source="policy"), f"'{key}'"
+    weights, biases = (_spec_list(net, k, where, source="policy") for k in ("weights", "biases"))
+    if not weights or len(weights) != len(biases):
+        raise InvalidInputError(f"policy: {where} needs one bias per weight, and a layer")
+    arrays, dims = [], []
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        w = array_from_payload(w, f"weight {i} of {where}")
+        b = array_from_payload(b, f"bias {i} of {where}")
+        if not (w.ndim == 2 and b.shape == w.shape[:1] and (not dims or w.shape[1] == dims[-1])):
+            raise InvalidInputError(f"policy: the layers of {where} do not chain: layer {i} "
+                                    f"has a {w.shape} weight and a {b.shape} bias after {dims}")
+        dims += [w.shape[0]] if dims else [w.shape[1], w.shape[0]]
+        arrays += [w.ravel(), b]
+    return arrays, tuple(dims)
+
+
+def policy_from_payload(payload: dict) -> tuple[PolicyParams, MlpParams]:
+    """The policy and value networks of a `policy_to_payload` payload;
+    InvalidInputError names the first missing or malformed entry."""
+    arrays, dims = _layers_from_payload(payload, "policy")
+    log_std = _spec_field(payload["policy"], "log_std", "'policy'", source="policy")
+    arrays.append(array_from_payload(log_std, "'log_std' of 'policy'"))
+    value_arrays, value_dims = _layers_from_payload(payload, "value")
+    if arrays[-1].shape != dims[-1:] or (value_dims[0], value_dims[-1]) != (dims[0], 1):
+        raise InvalidInputError(
+            f"policy: a policy of widths {dims} needs a log_std of shape {dims[-1:]} and a "
+            f"value net from {dims[0]} inputs to 1, got {arrays[-1].shape} and {value_dims}"
+        )
+    policy = PolicyParams(np.concatenate(arrays), dims)
+    return policy, MlpParams(np.concatenate(value_arrays), value_dims)

@@ -22,7 +22,7 @@ import numpy as np
 from . import policy as pol
 from .fileio import array_from_payload, array_to_payload, read_artifact, write_artifact
 from .optim import AdamState
-from .refmotion import ModeLibrary
+from .refmotion import InvalidInputError, ModeLibrary, _spec_field
 from .sampler import (
     SamplerState,
     sample_script,
@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError(f"sampler must be '{ADAPTIVE}' or '{UNIFORM}'")
         if self.episodes_per_update < 1 or self.updates < 0:
             raise ValueError("need a positive episode batch and non-negative updates")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if not (0.0 <= self.mode_decay <= 1.0 and 0.0 <= self.transition_decay <= 1.0):
             raise ValueError(
                 f"decay factors must lie in [0, 1], got {self.mode_decay} and "
@@ -98,7 +100,7 @@ class EpisodeRow:
 @dataclass
 class TrainState:
     policy: pol.PolicyParams
-    value: pol.ValueParams
+    value: pol.MlpParams
     opt: pol.PpoOptState
     sampler_state: SamplerState
     update_count: int = 0
@@ -220,8 +222,13 @@ def _opt_payload(s) -> dict:
     return {"m": array_to_payload(s.m), "v": array_to_payload(s.v), "t": s.t}
 
 
-def _opt_from_payload(p):
-    return AdamState(m=array_from_payload(p["m"]), v=array_from_payload(p["v"]), t=p["t"])
+def _opt_from_payload(p: dict, key: str, size: int) -> AdamState:
+    """The Adam state under `key`, for a network of `size` parameters."""
+    m, v, t = (_spec_field(p, k, f"'{key}'", source="checkpoint") for k in ("m", "v", "t"))
+    m, v = array_from_payload(m, f"'m' of '{key}'"), array_from_payload(v, f"'v' of '{key}'")
+    if m.shape != (size,) or v.shape != (size,):
+        raise InvalidInputError(f"checkpoint: '{key}' needs {size} moments, has {m.size}/{v.size}")
+    return AdamState(m=m, v=v, t=t)
 
 
 def checkpoint_payload(state: TrainState) -> dict:
@@ -236,17 +243,23 @@ def checkpoint_payload(state: TrainState) -> dict:
 
 
 def checkpoint_from_payload(payload: dict) -> TrainState:
-    policy, value = pol.policy_from_payload(payload["policy"])
+    """The state a `checkpoint_payload` payload describes; InvalidInputError
+    names the first missing or malformed entry."""
+
+    def field(key: str):
+        return _spec_field(payload, key, "the checkpoint", source="checkpoint")
+
+    policy, value = pol.policy_from_payload(field("policy"))
     return TrainState(
         policy=policy,
         value=value,
         opt=pol.PpoOptState(
-            policy=_opt_from_payload(payload["opt_policy"]),
-            value=_opt_from_payload(payload["opt_value"]),
+            policy=_opt_from_payload(field("opt_policy"), "opt_policy", policy.flat.size),
+            value=_opt_from_payload(field("opt_value"), "opt_value", value.flat.size),
         ),
-        sampler_state=sampler_from_payload(payload["sampler"]),
-        update_count=payload["update_count"],
-        episode_count=payload["episode_count"],
+        sampler_state=sampler_from_payload(field("sampler")),
+        update_count=field("update_count"),
+        episode_count=field("episode_count"),
     )
 
 

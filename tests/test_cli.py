@@ -560,9 +560,16 @@ def _two_mode_policy(workdir):
         ("train-policy", ["--epsilon", "nan"], "floor must be finite"),
         ("train-policy", ["--epsilon", "inf"], "floor must be finite"),
         ("train-policy", ["--gamma-f", "nan"], "decay factors must lie in [0, 1]"),
+        ("eval", ["--clock-rate", "nan"], "clock rate must be positive and finite, got nan"),
+        ("eval", ["--clock-rate", "inf"], "clock rate must be positive and finite, got inf"),
+        ("eval", ["--clock-rate", "0"], "clock rate must be positive and finite, got 0.0"),
+        ("eval", ["--clock-rate", "-1"], "clock rate must be positive and finite, got -1.0"),
+        ("train-policy", ["--checkpoint-every", "-1"], "checkpoint_every must be >= 0, got -1"),
     ],
     ids=["eval-nan-weight", "train-inf-weight", "plan-nan-goal", "plan-nan-dt",
-         "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f"],
+         "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f", "eval-nan-clock",
+         "eval-inf-clock", "eval-zero-clock", "eval-negative-clock",
+         "train-negative-checkpoint-every"],
 )
 def test_non_finite_settings_are_validation_errors(workdir, capsys, command, flags, problem):
     lib, pol = _two_mode_policy(workdir)
@@ -641,3 +648,93 @@ def test_resume_reads_a_checkpoint_that_holds_sampler_settings(workdir):
     for suffix in ("", ".checkpoint.json", ".train.csv"):
         new_bytes = Path(str(workdir / "new.json") + suffix).read_bytes()
         assert Path(str(workdir / "old.json") + suffix).read_bytes() == new_bytes
+
+
+def _edited(doc, keys, value):
+    """doc with the entry at the key path set to value, or deleted when value
+    is None; an empty path replaces the whole document."""
+    if not keys:
+        return value
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    if value is None:
+        del entry[keys[-1]]
+    else:
+        entry[keys[-1]] = value
+    return doc
+
+
+# The two-mode policy's network: 19 inputs, two 64-wide layers, 4 outputs.
+POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
+
+
+@pytest.mark.parametrize(
+    "target, keys, value, problem",
+    [
+        ("policy", ("payload", "value"), None, "policy: the policy has no 'value' entry"),
+        ("policy", ("payload",), None, "the document has no 'payload' entry"),
+        ("policy", (), [1, 2], "expected format modeloco/policy, got 'list'"),
+        ("policy", ("payload", "policy", "log_std"), {"shape": [3], "data": [-0.7] * 3},
+         "needs a log_std of shape (4,)"),
+        ("policy", ("payload", "policy", "weights", 1),
+         {"shape": [64, 63], "data": [0.0] * (64 * 63)},
+         "the layers of 'policy' do not chain: layer 1 has a (64, 63) weight"),
+        ("checkpoint", ("payload", "opt_policy"), None,
+         "checkpoint: the checkpoint has no 'opt_policy' entry"),
+        ("checkpoint", ("payload", "opt_policy", "m"),
+         {"shape": [POLICY_SIZE - 1], "data": [0.0] * (POLICY_SIZE - 1)},
+         f"'opt_policy' needs {POLICY_SIZE} moments, has {POLICY_SIZE - 1}/{POLICY_SIZE}"),
+    ],
+    ids=["policy-without-value", "document-without-payload", "document-is-a-list",
+         "short-log-std", "unchained-layers", "checkpoint-without-adam-state",
+         "short-adam-moment"],
+)
+def test_malformed_policy_and_checkpoint_are_validation_errors(
+    workdir, capsys, target, keys, value, problem
+):
+    lib, pol = _two_mode_policy(workdir)
+    path = pol if target == "policy" else Path(str(pol) + ".checkpoint.json")
+    path.write_text(json.dumps(_edited(json.loads(path.read_text()), keys, value)))
+    out = workdir / "out.json"
+    if target == "policy":
+        argv = ["eval", "--policy", str(pol), "--rollouts", "1"]
+    else:
+        argv = ["train-policy", "--resume", str(path), "--updates", "1"]
+    capsys.readouterr()
+    assert run(*argv, "--library", str(lib), "--out", str(out)) == cli.EXIT_VALIDATION
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _run_pipeline(out: Path) -> None:
+    out.mkdir()
+    lib, pol = str(out / "library.json"), str(out / "policy.json")
+    assert run("gen-refs", "--modeset", "pi3", "--out", lib) == 0
+    assert run("train-encoder", "--library", lib, "--out", str(out / "encoder.json"),
+               "--epochs", "5") == 0
+    assert run("train-policy", "--library", lib, "--out", pol, "--updates", "2",
+               "--episodes-per-update", "2", "--horizon", "100", "--checkpoint-every", "1") == 0
+    assert run("eval", "--library", lib, "--policy", pol, "--horizon", "100",
+               "--rollouts", "1", "--out", str(out / "eval.json")) == 0
+    assert run("plan", "--library", lib, "--policy", pol, "--knots", "3", "--episodes", "2",
+               "--trials", "2", "--out", str(out / "plan.json")) == 0
+
+
+def test_pipeline_rerun_writes_the_same_bytes(tmp_path):
+    """Every file of two runs of the five stages matches byte for byte, apart
+    from the plan's wall time."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    _run_pipeline(first)
+    _run_pipeline(second)
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    assert len(names) == 13  # 6 artifacts, the checkpoint included, and 7 tables
+
+    def content(path: Path) -> bytes:
+        lines = path.read_bytes().splitlines(keepends=True)
+        return b"".join(line for line in lines if b'"solve_seconds":' not in line)
+
+    for name in names:
+        assert content(first / name) == content(second / name), name
+    assert content(first / "plan.json") != (first / "plan.json").read_bytes()

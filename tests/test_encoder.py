@@ -104,14 +104,16 @@ def test_loss_shape_mismatch():
 
 
 def finite_difference_gradient(e, d, seqs, h=1e-5):
-    flat = enc.pack_params(e, d)
+    # Both networks' weights view flat, so moving an entry of flat moves them.
+    flat = e.flat
     fd = np.zeros_like(flat)
     for i in range(flat.size):
-        p = flat.copy()
-        p[i] += h
-        lp = enc.batch_loss(*enc.unpack_params(p, e, d), seqs)
-        p[i] -= 2 * h
-        lm = enc.batch_loss(*enc.unpack_params(p, e, d), seqs)
+        base = flat[i]
+        flat[i] = base + h
+        lp = enc.batch_loss(e, d, seqs)
+        flat[i] = base - h
+        lm = enc.batch_loss(e, d, seqs)
+        flat[i] = base
         fd[i] = (lp - lm) / (2 * h)
     return fd
 
@@ -127,7 +129,7 @@ def test_gradient_matches_finite_differences_many_configs():
         e, d = enc.init_params(rng, hidden=hidden, latent_dim=latent, input_dim=channels)
         seqs = [rng.normal(size=(T, channels)), rng.normal(size=(T + 2, channels))]
         _, ge, gd = enc.autoencoder_gradient(e, d, seqs)
-        analytic = enc.pack_params(ge, gd)
+        analytic = ge.flat
         fd = finite_difference_gradient(e, d, seqs)
         # guarded denominator: entries below 1e-6 are dominated by h^2 noise
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-6)
@@ -141,7 +143,7 @@ def test_zero_error_batch_gives_zero_gradient():
     seqs = [np.zeros((6, 3))]
     loss, ge, gd = enc.autoencoder_gradient(e, d, seqs)
     assert loss == 0.0
-    assert np.all(enc.pack_params(ge, gd) == 0.0)
+    assert np.all(ge.flat == 0.0)
 
 
 def test_dead_latent_slot_has_zero_gradient():
@@ -230,7 +232,7 @@ def test_params_roundtrip(tmp_path):
     path = tmp_path / "encoder.json"
     write_artifact(path, "encoder", enc.params_to_payload(e, d))
     e2, d2 = enc.params_from_payload(read_artifact(path, "encoder"))
-    assert np.array_equal(enc.pack_params(e, d), enc.pack_params(e2, d2))
+    assert np.array_equal(e.flat, e2.flat)
     assert np.array_equal(e.norm_mean, e2.norm_mean)
     assert np.array_equal(e.norm_scale, e2.norm_scale)
 
@@ -357,7 +359,7 @@ def _reference_train(library, cfg):
     e, d = enc.init_params(np.random.default_rng(cfg.seed))
     e.norm_mean = d.norm_mean = mean
     e.norm_scale = d.norm_scale = scale
-    flat = enc.pack_params(e, d)
+    flat = e.flat
     opt = AdamState.zeros(flat.size)
     lr_scale = 1.0
     loss = _reference_batch_loss(e, d, seqs)
@@ -366,8 +368,8 @@ def _reference_train(library, cfg):
         _, g_enc, g_dec = _reference_gradient(e, d, seqs)
         cos = 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, cfg.epochs - 1)))
         lr = cfg.learning_rate * (enc.FINAL_LR_FRACTION + (1.0 - enc.FINAL_LR_FRACTION) * cos)
-        flat_try, opt_try = adam_step(flat, enc.pack_params(g_enc, g_dec), opt, lr * lr_scale)
-        e_try, d_try = enc.unpack_params(flat_try, e, d)
+        flat_try, opt_try = adam_step(flat, g_enc.flat, opt, lr * lr_scale)
+        e_try, d_try = enc.view_params(flat_try, mean, scale, e.hidden, e.latent_dim)
         loss_try = _reference_batch_loss(e_try, d_try, seqs)
         if loss_try <= loss + enc.ROLLBACK_TOLERANCE:
             flat, opt, e, d, loss = flat_try, opt_try, e_try, d_try, loss_try
@@ -376,7 +378,7 @@ def _reference_train(library, cfg):
             lr_scale *= 0.5
         losses.append(loss)
     latents = np.array([enc.encode(e, m) for m in library.motions])
-    return losses, enc.pack_params(e, d), latents
+    return losses, e.flat, latents
 
 
 def _mixed_length_library():
@@ -395,7 +397,7 @@ def test_training_matches_reference_bit_for_bit(modeset):
             res = enc.train_autoencoder(lib, cfg)
             losses, flat, latents = _reference_train(lib, cfg)
             assert np.array(res.losses).tobytes() == np.array(losses).tobytes()
-            assert enc.pack_params(res.encoder, res.decoder).tobytes() == flat.tobytes()
+            assert res.encoder.flat.tobytes() == flat.tobytes()
             assert res.library.latents.tobytes() == latents.tobytes()
             rejected += sum(a == b for a, b in zip(losses, losses[1:]))
     assert rejected > 0  # the runs cover steps whose gradient is reused
@@ -409,7 +411,7 @@ def test_gradient_matches_reference_bit_for_bit():
         loss, ge, gd = enc.autoencoder_gradient(e, d, seqs)
         want_loss, want_ge, want_gd = _reference_gradient(e, d, seqs)
         assert loss == want_loss == _reference_batch_loss(e, d, seqs)
-        assert enc.pack_params(ge, gd).tobytes() == enc.pack_params(want_ge, want_gd).tobytes()
+        assert ge.flat.tobytes() == want_ge.flat.tobytes()
 
 
 def test_training_runs_one_forward_pass_per_epoch(monkeypatch):

@@ -67,18 +67,29 @@ def test_write_artifact_writes_the_documented_bytes(tmp_path):
 
 
 def test_write_is_atomic_when_the_replace_fails(tmp_path, monkeypatch):
-    path = tmp_path / "a.json"
-    fileio.write_artifact(path, "thing", {"v": 1})
-    before = path.read_bytes()
+    writers = {
+        "a.json": lambda path, v: fileio.write_artifact(path, "thing", {"v": v}),
+        "a.csv": lambda path, v: fileio.write_table(path, ["v"], [[v]]),
+    }
+    for name, write in writers.items():
+        write(tmp_path / name, 1)
+    before = {name: (tmp_path / name).read_bytes() for name in writers}
 
     def failing_replace(src, dst):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="disk full"):
-        fileio.write_artifact(path, "thing", {"v": 2})
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+    for name, write in writers.items():
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path / name, 2)
+        assert (tmp_path / name).read_bytes() == before[name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json"]
+
+
+def test_write_table_writes_csv_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    fileio.write_table(path, ["epoch", "loss"], ([i, repr(0.1 * i)] for i in range(2)))
+    assert path.read_bytes() == b"epoch,loss\r\n0,0.0\r\n1,0.1\r\n"
 
 
 def test_non_string_keys_are_rejected(tmp_path):

@@ -36,11 +36,8 @@ def _act(params, obs, stochastic, rng=None):
 
 
 def test_zero_network_deterministic_action_is_zero():
-    net = pol.MlpParams(
-        weights=[np.zeros((8, OBS_DIM)), np.zeros((4, 8))],
-        biases=[np.zeros(8), np.zeros(4)],
-    )
-    params = pol.PolicyParams(net=net, log_std=np.zeros(4))
+    params = pol.init_policy(np.random.default_rng(0), OBS_DIM, hidden=(8,))
+    params.flat[:] = 0.0
     a, _ = _act(params, np.ones(OBS_DIM), stochastic=False)
     np.testing.assert_array_equal(a, np.zeros(4))
 
@@ -155,23 +152,17 @@ def test_surrogate_gradient_matches_finite_differences():
         }
         _, g_p, g_v, _, _ = pol.ppo_loss_and_grad(policy, value, batch, cfg)
         h = 1e-6
-        for pack, unpack, grad, which in (
-            (pol.pack_policy, pol.unpack_policy, g_p, "p"),
-            (pol.pack_value, pol.unpack_value, g_v, "v"),
-        ):
-            base = pack(policy if which == "p" else value)
-            fd = np.zeros_like(base)
-            for i in range(base.size):
-                plus = base.copy()
-                plus[i] += h
-                minus = base.copy()
-                minus[i] -= h
-                if which == "p":
-                    lp_ = pol.ppo_loss_and_grad(unpack(plus, policy), value, batch, cfg)[0]
-                    lm_ = pol.ppo_loss_and_grad(unpack(minus, policy), value, batch, cfg)[0]
-                else:
-                    lp_ = pol.ppo_loss_and_grad(policy, unpack(plus, value), batch, cfg)[0]
-                    lm_ = pol.ppo_loss_and_grad(policy, unpack(minus, value), batch, cfg)[0]
+        for params, grad in ((policy, g_p), (value, g_v)):
+            # The weights view flat, so moving an entry of flat moves the network.
+            flat = params.flat
+            fd = np.zeros_like(flat)
+            for i in range(flat.size):
+                base = flat[i]
+                flat[i] = base + h
+                lp_ = pol.ppo_loss_and_grad(policy, value, batch, cfg)[0]
+                flat[i] = base - h
+                lm_ = pol.ppo_loss_and_grad(policy, value, batch, cfg)[0]
+                flat[i] = base
                 fd[i] = (lp_ - lm_) / (2 * h)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
             worst = max(worst, rel.max())
@@ -241,8 +232,8 @@ def test_non_finite_update_rejected():
     tr = _single_step_traj(np.zeros(3), np.zeros(2), float("nan"), 0.0, 0.0)
     new_policy, new_value, _, stats = pol.ppo_update(policy, value, opt, [tr], cfg, rng)
     assert stats.rejected
-    assert np.array_equal(pol.pack_policy(policy), pol.pack_policy(new_policy))
-    assert np.array_equal(pol.pack_value(value), pol.pack_value(new_value))
+    assert np.array_equal(policy.flat, new_policy.flat)
+    assert np.array_equal(value.flat, new_value.flat)
 
 
 # --- rollouts ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modeloco import encoder as enc
 from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
@@ -37,8 +38,8 @@ def small_run(sampler="adaptive", seed=3, updates=3, start=None, **kw):
 def test_training_is_deterministic():
     r1 = small_run()
     r2 = small_run()
-    assert np.array_equal(pol.pack_policy(r1.state.policy), pol.pack_policy(r2.state.policy))
-    assert np.array_equal(pol.pack_value(r1.state.value), pol.pack_value(r2.state.value))
+    assert np.array_equal(r1.state.policy.flat, r2.state.policy.flat)
+    assert np.array_equal(r1.state.value.flat, r2.state.value.flat)
     assert [row.episode_return for row in r1.rows] == [row.episode_return for row in r2.rows]
 
 
@@ -66,12 +67,8 @@ def test_checkpoint_resume_replays_identically(tmp_path):
     restored = tm.load_checkpoint(ckpt)
     assert restored.update_count == 2
     resumed = small_run(updates=2, start=restored)
-    assert np.array_equal(
-        pol.pack_policy(full.state.policy), pol.pack_policy(resumed.state.policy)
-    )
-    assert np.array_equal(
-        pol.pack_value(full.state.value), pol.pack_value(resumed.state.value)
-    )
+    assert np.array_equal(full.state.policy.flat, resumed.state.policy.flat)
+    assert np.array_equal(full.state.value.flat, resumed.state.value.flat)
     np.testing.assert_array_equal(
         full.state.sampler_state.mode_returns,
         resumed.state.sampler_state.mode_returns,
@@ -114,3 +111,68 @@ def test_short_horizon_rejected():
             lib, sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(),
             tm.TrainConfig(updates=1, horizon=60),
         )
+
+
+def _assert_views(flat, views, moments=()):
+    """Each view shares flat's memory, together they are all of flat, and each
+    Adam moment is flat's size."""
+    assert all(np.shares_memory(v, flat) for v in views)
+    assert sum(v.size for v in views) == flat.size
+    assert all(m.shape == flat.shape for m in moments)
+
+
+def _assert_ppo_views(policy, value, opt=None):
+    _assert_views(
+        policy.flat, policy.net.weights + policy.net.biases + [policy.log_std],
+        (opt.policy.m, opt.policy.v) if opt else (),
+    )
+    _assert_views(
+        value.flat, value.weights + value.biases, (opt.value.m, opt.value.v) if opt else ()
+    )
+
+
+def test_every_parameter_is_a_view_into_its_network_vector(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    policy = pol.init_policy(rng, 19)
+    value = pol.init_value(rng, 19)
+    _assert_ppo_views(policy, value, pol.PpoOptState.fresh(policy, value))
+    _assert_ppo_views(*pol.policy_from_payload(pol.policy_to_payload(policy, value)))
+
+    updates = []
+
+    def recorded_update(*args):
+        updates.append(ppo_update(*args))
+        return updates[-1]
+
+    ppo_update = pol.ppo_update
+    monkeypatch.setattr(pol, "ppo_update", recorded_update)
+    path = tmp_path / "ckpt.json"
+    cfg = tm.TrainConfig(updates=2, episodes_per_update=2, horizon=100)
+    result = tm.run_training(
+        two_mode_library(), sim.Terrain.flat(), ROBOT, REWARD, pol.PpoConfig(), cfg,
+        checkpoint_path=str(path),
+    )
+    assert len(updates) == 2
+    for new_policy, new_value, opt, _ in updates:
+        _assert_ppo_views(new_policy, new_value, opt)
+    state = tm.load_checkpoint(str(path))
+    _assert_ppo_views(state.policy, state.value, state.opt)
+    assert np.array_equal(state.policy.flat, result.state.policy.flat)
+
+    def assert_autoencoder_views(e, d, moments=()):
+        assert d.flat is e.flat
+        _assert_views(e.flat, [e.w_x, e.w_h, e.b, e.w_z, d.w_x, d.w_h, d.b, d.w_y], moments)
+
+    assert_autoencoder_views(*enc.init_params(rng))
+    steps = []
+
+    def recorded_step(flat, grad, state, lr):
+        steps.append((flat, state))
+        return adam_step(flat, grad, state, lr)
+
+    adam_step = enc.adam_step
+    monkeypatch.setattr(enc, "adam_step", recorded_step)
+    res = enc.train_autoencoder(rm.builtin_library("pi2"), enc.EncoderTrainConfig(epochs=3))
+    assert len(steps) == 3
+    assert all(flat.shape == s.m.shape == s.v.shape for flat, s in steps)
+    assert_autoencoder_views(res.encoder, res.decoder, (steps[-1][1].m, steps[-1][1].v))
