@@ -627,7 +627,8 @@ def _layers_from_payload(payload: dict, key: str) -> tuple[list[np.ndarray], tup
 
 def policy_from_payload(payload: dict) -> tuple[PolicyParams, MlpParams]:
     """The policy and value networks of a `policy_to_payload` payload;
-    InvalidInputError names the first missing or malformed entry."""
+    InvalidInputError names the first missing or malformed entry, or an
+    `obs_dim` or `act_dim` that differs from the network's widths."""
     arrays, dims = _layers_from_payload(payload, "policy")
     log_std = _spec_field(payload["policy"], "log_std", "'policy'", source="policy")
     arrays.append(array_from_payload(log_std, "'log_std' of 'policy'"))
@@ -637,5 +638,11 @@ def policy_from_payload(payload: dict) -> tuple[PolicyParams, MlpParams]:
             f"policy: a policy of widths {dims} needs a log_std of shape {dims[-1:]} and a "
             f"value net from {dims[0]} inputs to 1, got {arrays[-1].shape} and {value_dims}"
         )
+    for key, width in (("obs_dim", dims[0]), ("act_dim", dims[-1])):
+        stated = _spec_field(payload, key, "the policy", source="policy")
+        if isinstance(stated, bool) or stated != width:
+            raise InvalidInputError(
+                f"policy: '{key}' is {stated!r}, but the network's width there is {width}"
+            )
     policy = PolicyParams(np.concatenate(arrays), dims)
     return policy, MlpParams(np.concatenate(value_arrays), value_dims)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .refmotion import InvalidInputError, _spec_list
+
 SWITCH_PHASES = (0.25, 0.5, 0.75)
 SWITCH_CLIPS = (0, 1)
 
@@ -165,10 +167,20 @@ def sampler_to_payload(state: SamplerState) -> dict:
 
 
 def sampler_from_payload(payload: dict) -> SamplerState:
-    """The records of a checkpoint's sampler payload. Checkpoints written before
-    the decays and floor moved to `TrainConfig` also hold `mode_decay`,
-    `transition_decay` and `floor`; those keys are ignored."""
-    return SamplerState(
-        mode_returns=np.array(payload["mode_returns"], dtype=float),
-        transition_returns=np.array(payload["transition_returns"], dtype=float),
-    )
+    """The records of a checkpoint's sampler payload; InvalidInputError names a
+    missing record or one that is not an array of finite numbers. Checkpoints
+    written before the decays and floor moved to `TrainConfig` also hold
+    `mode_decay`, `transition_decay` and `floor`; those keys are ignored."""
+    records = []
+    for key in ("mode_returns", "transition_returns"):
+        value = _spec_list(payload, key, "'sampler' of the checkpoint", source="checkpoint")
+        try:
+            record = np.array(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"checkpoint: '{key}' of 'sampler' is not an array: {exc}"
+            ) from exc
+        if not np.isfinite(record).all():
+            raise InvalidInputError(f"checkpoint: '{key}' of 'sampler' must be finite")
+        records.append(record)
+    return SamplerState(*records)

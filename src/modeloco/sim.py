@@ -19,8 +19,11 @@ module. Do not reorder or regroup its arithmetic: force and torque sums start
 from 0.0 (which fixes the sign of a zero total), a joint acceleration is
 (tau - damping * qdot + (jx * ft + jz * fn)) / inertia, accelerations divide
 by the mass and inertias rather than multiply by reciprocals, and the
-half-kick uses 0.5 * h. tests/test_sim.py holds the plain-loop reference
-that step() must match byte for byte.
+half-kick uses 0.5 * h. A term that depends on the positions alone may be
+computed once per drift and reused by every evaluation at those positions,
+since its expression and inputs are the same each time; step() does so.
+tests/test_sim.py holds the plain-loop reference that step() must match byte
+for byte.
 """
 
 from __future__ import annotations
@@ -303,23 +306,28 @@ def _foot_states(q: np.ndarray, qdot: np.ndarray, cfg: RobotConfig):
 def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig) -> SimState:
     """Advance one control period of physics substeps and the phase clock.
 
-    Each substep is a kick-drift-kick: the loop evaluates the forces
-    2 * substeps times, half-kicks the velocities after every evaluation and
-    drifts the positions after every first evaluation of a pair. Both legs
-    are written out inline: a unilateral spring-damper normal force with
-    Coulomb-capped tangential drag at each foot, and PD torques toward the
-    action's joint targets, clipped at the actuator limit but with no angle
-    limits on the targets. The operation order is the one the module
-    docstring fixes.
+    Each substep is a kick-drift-kick: the loop runs 2 * substeps force
+    evaluations, half-kicks the velocities after every evaluation and drifts
+    the positions after every first evaluation of a pair, so only
+    substeps + 1 of the evaluations see new positions. The terms that depend
+    on the positions alone (the sines and cosines, foot positions, Jacobian
+    entries, terrain heights and penetrations, PD position terms and lever
+    arms) are computed when a drift has made them stale and reused by the
+    evaluation that follows; each evaluation computes the velocity terms
+    afresh. Both legs are written out inline: a unilateral spring-damper
+    normal force with Coulomb-capped tangential drag at each foot, and PD
+    torques toward the action's joint targets, clipped at the actuator limit
+    but with no angle limits on the targets. The operation order is the one
+    the module docstring fixes.
 
     A non-finite outcome is returned as-is; termination() classifies it as a
     blowup so the caller can cut the episode. An infinite angle, which
     math.sin cannot take, ends the substeps early with a NaN pitch.
     """
-    action = [float(a) for a in np.asarray(action, dtype=float)]
-    if len(action) != NUM_JOINTS:
+    action = np.asarray(action, dtype=float)
+    if action.shape != (NUM_JOINTS,):
         raise ValueError(f"action must have {NUM_JOINTS} entries")
-    uhl, ukl, uhr, ukr = action
+    uhl, ukl, uhr, ukr = action.tolist()
     x, z, p, hl, kl, hr, kr = state.q.tolist()
     vx, vz, vp, dhl, dkl, dhr, dkr = state.qdot.tolist()
     m, ib = cfg.base_mass, cfg.base_inertia
@@ -332,102 +340,119 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
     h = cfg.control_dt / cfg.substeps
     hh = 0.5 * h
     drift = True
+    stale = True
     try:
         for _ in range(2 * cfg.substeps):
-            s0, c0 = sin(p), cos(p)
-            ds0 = d * s0
-            dc0 = d * c0
+            if stale:
+                s0, c0 = sin(p), cos(p)
+                ds0 = d * s0
+                dc0 = d * c0
 
-            # Left leg: foot kinematics, contact force, joint accelerations.
-            a1 = p + hl
-            a2 = a1 + kl
-            s1, c1 = sin(a1), cos(a1)
-            s2, c2 = sin(a2), cos(a2)
-            lc1 = l1 * c1
-            ls1 = l1 * s1
-            jxk = l2 * c2
-            jzk = l2 * s2
-            jxh = lc1 + jxk
-            jzh = ls1 + jzk
-            fxl = x + ds0 + ls1 + jzk
-            fzl = z - dc0 - lc1 - jxk
-            gl = height(fxl)
-            pen = gl - fzl
-            if pen <= 0.0:
+                # Left leg: foot kinematics, penetration, PD position terms.
+                a1 = p + hl
+                a2 = a1 + kl
+                s1, c1 = sin(a1), cos(a1)
+                s2, c2 = sin(a2), cos(a2)
+                lc1 = l1 * c1
+                ls1 = l1 * s1
+                jxkl = l2 * c2
+                jzkl = l2 * s2
+                jxhl = lc1 + jxkl
+                jzhl = ls1 + jzkl
+                jxpl = dc0 + lc1 + jxkl
+                jzpl = ds0 + ls1 + jzkl
+                fxl = x + ds0 + ls1 + jzkl
+                fzl = z - dc0 - lc1 - jxkl
+                gl = height(fxl)
+                penl = gl - fzl
+                rxl = fxl - x
+                rzl = fzl - z
+                phl = kp * (uhl - hl)
+                pkl = kp * (ukl - kl)
+
+                # Right leg: the same, on the right joints.
+                a1 = p + hr
+                a2 = a1 + kr
+                s1, c1 = sin(a1), cos(a1)
+                s2, c2 = sin(a2), cos(a2)
+                lc1 = l1 * c1
+                ls1 = l1 * s1
+                jxkr = l2 * c2
+                jzkr = l2 * s2
+                jxhr = lc1 + jxkr
+                jzhr = ls1 + jzkr
+                jxpr = dc0 + lc1 + jxkr
+                jzpr = ds0 + ls1 + jzkr
+                fxr = x + ds0 + ls1 + jzkr
+                fzr = z - dc0 - lc1 - jxkr
+                gr = height(fxr)
+                penr = gr - fzr
+                rxr = fxr - x
+                rzr = fzr - z
+                phr = kp * (uhr - hr)
+                pkr = kp * (ukr - kr)
+                stale = False
+
+            # Left leg: contact force, joint accelerations.
+            if penl <= 0.0:
                 fnl = ftl = 0.0
             else:
-                fvz = vz + (ds0 + ls1 + jzk) * vp + jzh * dhl + jzk * dkl
-                fnl = ks * pen - cd * fvz
+                fvz = vz + jzpl * vp + jzhl * dhl + jzkl * dkl
+                fnl = ks * penl - cd * fvz
                 if fnl <= 0.0:
                     fnl = ftl = 0.0
                 else:
-                    fvx = vx + (dc0 + lc1 + jxk) * vp + jxh * dhl + jxk * dkl
+                    fvx = vx + jxpl * vp + jxhl * dhl + jxkl * dkl
                     cap = mu * fnl
                     ftl = -cd * fvx
                     if ftl > cap:
                         ftl = cap
                     elif ftl < -cap:
                         ftl = -cap
-            tau = kp * (uhl - hl) - kd * dhl
+            tau = phl - kd * dhl
             if tau > lim:
                 tau = lim
             elif tau < -lim:
                 tau = -lim
-            ahl = (tau - jd * dhl + (jxh * ftl + jzh * fnl)) / ji
-            tau = kp * (ukl - kl) - kd * dkl
+            ahl = (tau - jd * dhl + (jxhl * ftl + jzhl * fnl)) / ji
+            tau = pkl - kd * dkl
             if tau > lim:
                 tau = lim
             elif tau < -lim:
                 tau = -lim
-            akl = (tau - jd * dkl + (jxk * ftl + jzk * fnl)) / ji
+            akl = (tau - jd * dkl + (jxkl * ftl + jzkl * fnl)) / ji
 
             # Right leg: the same, on the right joints.
-            a1 = p + hr
-            a2 = a1 + kr
-            s1, c1 = sin(a1), cos(a1)
-            s2, c2 = sin(a2), cos(a2)
-            lc1 = l1 * c1
-            ls1 = l1 * s1
-            jxk = l2 * c2
-            jzk = l2 * s2
-            jxh = lc1 + jxk
-            jzh = ls1 + jzk
-            fxr = x + ds0 + ls1 + jzk
-            fzr = z - dc0 - lc1 - jxk
-            gr = height(fxr)
-            pen = gr - fzr
-            if pen <= 0.0:
+            if penr <= 0.0:
                 fnr = ftr = 0.0
             else:
-                fvz = vz + (ds0 + ls1 + jzk) * vp + jzh * dhr + jzk * dkr
-                fnr = ks * pen - cd * fvz
+                fvz = vz + jzpr * vp + jzhr * dhr + jzkr * dkr
+                fnr = ks * penr - cd * fvz
                 if fnr <= 0.0:
                     fnr = ftr = 0.0
                 else:
-                    fvx = vx + (dc0 + lc1 + jxk) * vp + jxh * dhr + jxk * dkr
+                    fvx = vx + jxpr * vp + jxhr * dhr + jxkr * dkr
                     cap = mu * fnr
                     ftr = -cd * fvx
                     if ftr > cap:
                         ftr = cap
                     elif ftr < -cap:
                         ftr = -cap
-            tau = kp * (uhr - hr) - kd * dhr
+            tau = phr - kd * dhr
             if tau > lim:
                 tau = lim
             elif tau < -lim:
                 tau = -lim
-            ahr = (tau - jd * dhr + (jxh * ftr + jzh * fnr)) / ji
-            tau = kp * (ukr - kr) - kd * dkr
+            ahr = (tau - jd * dhr + (jxhr * ftr + jzhr * fnr)) / ji
+            tau = pkr - kd * dkr
             if tau > lim:
                 tau = lim
             elif tau < -lim:
                 tau = -lim
-            akr = (tau - jd * dkr + (jxk * ftr + jzk * fnr)) / ji
+            akr = (tau - jd * dkr + (jxkr * ftr + jzkr * fnr)) / ji
 
             # Base: the 0.0 starts of the sums fix the sign of a zero total.
-            torque = (
-                0.0 + ((fxl - x) * fnl - (fzl - z) * ftl) + ((fxr - x) * fnr - (fzr - z) * ftr)
-            )
+            torque = 0.0 + (rxl * fnl - rzl * ftl) + (rxr * fnr - rzr * ftr)
             vx = vx + hh * ((0.0 + ftl + ftr) / m)
             vz = vz + hh * ((0.0 + fnl + fnr) / m - GRAVITY)
             vp = vp + hh * (torque / ib)
@@ -443,6 +468,7 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
                 kl = kl + h * dkl
                 hr = hr + h * dhr
                 kr = kr + h * dkr
+                stale = True
             drift = not drift
     except ValueError:
         # math.sin or math.cos of an infinite angle: the run has blown up.
@@ -450,11 +476,12 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
         # angle that overflowed was a sum of finite ones.
         p = math.nan
 
-    q_arr = np.array([x, z, p, hl, kl, hr, kr])
-    qdot_arr = np.array([vx, vz, vp, dhl, dkl, dhr, dkr])
+    q = [x, z, p, hl, kl, hr, kr]
+    qdot = [vx, vz, vp, dhl, dkl, dhr, dkr]
     phase = (state.phase + state.clock_rate * cfg.control_dt / cfg.cycle_duration) % 1.0
-    if np.isfinite(q_arr).all() and np.isfinite(qdot_arr).all():
-        # The last force evaluation ran at the final positions.
+    if _all_finite(q + qdot):
+        # The evaluation after the last drift computed the feet at the final
+        # positions.
         contact_l = fzl < gl
         contact_r = fzr < gr
         support = height(x)
@@ -462,8 +489,8 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
         contact_l = contact_r = False
         support = state.support
     return SimState(
-        q=q_arr,
-        qdot=qdot_arr,
+        q=np.array(q),
+        qdot=np.array(qdot),
         t=state.t + cfg.control_dt,
         phase=phase,
         clock_rate=state.clock_rate,
@@ -473,8 +500,13 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
     )
 
 
+def _all_finite(values: list[float]) -> bool:
+    """math.isfinite of every entry: no sum that could overflow."""
+    return all(map(math.isfinite, values))
+
+
 def termination(state: SimState, cfg: RobotConfig) -> str:
-    if not (np.isfinite(state.q).all() and np.isfinite(state.qdot).all()):
+    if not _all_finite(state.q.tolist() + state.qdot.tolist()):
         return BLOWUP
     if state.height_above_support < 0.3 * cfg.nominal_height:
         return FALLEN

@@ -222,9 +222,21 @@ def _opt_payload(s) -> dict:
     return {"m": array_to_payload(s.m), "v": array_to_payload(s.v), "t": s.t}
 
 
+def _count(entry: dict, key: str, where: str) -> int:
+    """entry[key] of a checkpoint; InvalidInputError unless it is a
+    non-negative int (a bool is not one)."""
+    value = _spec_field(entry, key, where, source="checkpoint")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InvalidInputError(
+            f"checkpoint: '{key}' of {where} must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
 def _opt_from_payload(p: dict, key: str, size: int) -> AdamState:
     """The Adam state under `key`, for a network of `size` parameters."""
-    m, v, t = (_spec_field(p, k, f"'{key}'", source="checkpoint") for k in ("m", "v", "t"))
+    m, v = (_spec_field(p, k, f"'{key}'", source="checkpoint") for k in ("m", "v"))
+    t = _count(p, "t", f"'{key}'")
     m, v = array_from_payload(m, f"'m' of '{key}'"), array_from_payload(v, f"'v' of '{key}'")
     if m.shape != (size,) or v.shape != (size,):
         raise InvalidInputError(f"checkpoint: '{key}' needs {size} moments, has {m.size}/{v.size}")
@@ -258,8 +270,8 @@ def checkpoint_from_payload(payload: dict) -> TrainState:
             value=_opt_from_payload(field("opt_value"), "opt_value", value.flat.size),
         ),
         sampler_state=sampler_from_payload(field("sampler")),
-        update_count=field("update_count"),
-        episode_count=field("episode_count"),
+        update_count=_count(payload, "update_count", "the checkpoint"),
+        episode_count=_count(payload, "episode_count", "the checkpoint"),
     )
 
 

@@ -685,10 +685,35 @@ POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
         ("checkpoint", ("payload", "opt_policy", "m"),
          {"shape": [POLICY_SIZE - 1], "data": [0.0] * (POLICY_SIZE - 1)},
          f"'opt_policy' needs {POLICY_SIZE} moments, has {POLICY_SIZE - 1}/{POLICY_SIZE}"),
+        ("policy", ("payload", "obs_dim"), 7,
+         "policy: 'obs_dim' is 7, but the network's width there is 19"),
+        ("policy", ("payload", "act_dim"), True,
+         "policy: 'act_dim' is True, but the network's width there is 4"),
+        ("policy", ("payload", "obs_dim"), None, "policy: the policy has no 'obs_dim' entry"),
+        ("checkpoint", ("payload", "sampler"), {},
+         "checkpoint: 'sampler' of the checkpoint has no 'mode_returns' entry"),
+        ("checkpoint", ("payload", "sampler", "transition_returns"), [[0.0, "x"], [0.0, 0.0]],
+         "checkpoint: 'transition_returns' of 'sampler' is not an array"),
+        ("checkpoint", ("payload", "sampler", "mode_returns"), [float("nan"), 0.0],
+         "checkpoint: 'mode_returns' of 'sampler' must be finite"),
+        ("checkpoint", ("payload", "update_count"), "three",
+         "'update_count' of the checkpoint must be a non-negative integer, got 'three'"),
+        ("checkpoint", ("payload", "update_count"), True,
+         "checkpoint: 'update_count' of the checkpoint must be a non-negative integer, got True"),
+        ("checkpoint", ("payload", "episode_count"), -2,
+         "checkpoint: 'episode_count' of the checkpoint must be a non-negative integer, got -2"),
+        ("checkpoint", ("payload", "opt_value", "t"), "six",
+         "checkpoint: 't' of 'opt_value' must be a non-negative integer, got 'six'"),
+        ("checkpoint", ("payload", "episode_count"), 4.0,
+         "checkpoint: 'episode_count' of the checkpoint must be a non-negative integer, got 4.0"),
     ],
     ids=["policy-without-value", "document-without-payload", "document-is-a-list",
          "short-log-std", "unchained-layers", "checkpoint-without-adam-state",
-         "short-adam-moment"],
+         "short-adam-moment", "wrong-obs-dim", "bool-act-dim", "policy-without-obs-dim",
+         "empty-sampler", "non-numeric-sampler-record", "nan-sampler-record",
+         "string-update-count",
+         "bool-update-count", "negative-episode-count", "string-adam-step",
+         "float-episode-count"],
 )
 def test_malformed_policy_and_checkpoint_are_validation_errors(
     workdir, capsys, target, keys, value, problem

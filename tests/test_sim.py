@@ -308,6 +308,29 @@ def test_step_matches_reference_bit_for_bit():
         assert hits[regime] > 0, regime
 
 
+class _CountingTerrain(sim.Terrain):
+    """A terrain that counts its height lookups."""
+
+    calls = 0
+
+    def height(self, x):
+        self.calls += 1
+        return super().height(x)
+
+
+def test_step_evaluates_position_terms_once_per_position():
+    # 2 * substeps force evaluations run at substeps + 1 distinct positions;
+    # each position looks up both feet once, and the final state its support.
+    rng = np.random.default_rng(3)
+    for kind in ("standing", "airborne", "sliding", "wild"):
+        terrain = _CountingTerrain(sim.Terrain.gap().breakpoints)
+        state, action = _random_case(rng, terrain, kind)
+        terrain.calls = 0
+        new = sim.step(state, action, terrain, CFG)
+        assert sim.termination(new, CFG) != sim.BLOWUP
+        assert terrain.calls == 2 * (CFG.substeps + 1) + 1 == 43, kind
+
+
 def test_unilateral_contact_forces():
     rng = np.random.default_rng(0)
     for _ in range(2000):
@@ -506,6 +529,27 @@ def test_termination_running_fallen_blowup():
         contact_left=False, contact_right=False, support=0.0,
     )
     assert sim.termination(bad, CFG) == sim.BLOWUP
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["q", "qdot"])
+@pytest.mark.parametrize("index", [0, 2, 6])
+def test_termination_calls_any_non_finite_entry_a_blowup(name, bad, index):
+    state = sim.initial_state(CFG, FLAT)
+    values = getattr(state, name).copy()
+    values[index] = bad
+    assert sim.termination(replace(state, **{name: values}), CFG) == sim.BLOWUP
+
+
+def test_termination_is_not_fooled_by_huge_finite_entries():
+    # Entries whose sum overflows to inf, or to inf - inf = nan, are finite.
+    state = sim.initial_state(CFG, FLAT)
+    qdot = np.array([1e308, 1e308, 0.0, 1e308, -1e308, 1e308, 1e308])
+    assert sim.termination(replace(state, qdot=qdot), CFG) == sim.RUNNING
+    q = state.q.copy()
+    q[0] = 1e308
+    q[3:] = [1e308, 1e308, -1e308, -1e308]
+    assert sim.termination(replace(state, q=q, qdot=qdot), CFG) == sim.RUNNING
 
 
 # --- terrain ----------------------------------------------------------------------

@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Byte identity with another commit: run one fixed pipeline on this tree's
+`src/modeloco` and on REF's, then compare every output file.
+
+    python3 tools/compare_parent.py REF
+
+REF is any git revision: a commit, a branch or a merge base. Its `src` is
+extracted with `git archive` into a temporary directory, so the check is
+local, needs no network and registers no worktree. This tree is taken as it
+is on disk, uncommitted edits included. Both trees run the same argv
+(`PIPELINE`) in fresh interpreters with one BLAS thread; the 16 outputs must
+match byte for byte, except the wall time on `plan.json`'s `solve_seconds`
+line. Digests committed to the repository would not do: they depend on the
+numpy, BLAS and libm build, while two trees on one machine share it.
+
+Prints one line per output that differs or exists in one tree only. Exits 0
+when every output matches, 1 when some differ, 2 when a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The five stages on pi3, with a checkpoint resume: 16 output files.
+PIPELINE = (
+    ("gen-refs", "--modeset", "pi3", "--out", "library.json"),
+    ("train-encoder", "--library", "library.json", "--out", "encoder.json", "--epochs", "60"),
+    ("train-policy", "--library", "library.json", "--out", "policy.json",
+     "--updates", "6", "--checkpoint-every", "2"),
+    ("train-policy", "--library", "library.json", "--out", "resumed.json",
+     "--resume", "policy.json.checkpoint.json", "--updates", "3"),
+    ("eval", "--library", "library.json", "--policy", "policy.json", "--rollouts", "6",
+     "--out", "eval.json"),
+    ("plan", "--library", "library.json", "--policy", "policy.json", "--terrain", "gap",
+     "--out", "plan.json"),
+)
+
+# The one output line that may differ: the planner's wall time.
+WALL_TIME_FILE, WALL_TIME_LINE = "plan.json", b'"solve_seconds":'
+
+
+class PipelineError(RuntimeError):
+    """A command of the pipeline failed."""
+
+
+def extract_src(repo: Path, ref: str, dest: Path) -> None:
+    """Write REF's `src` directory of the git repository `repo` under `dest`."""
+    dest.mkdir(parents=True)
+    archive = dest / "src.tar"
+    for argv in (
+        ["git", "-C", str(repo), "archive", "--output", str(archive), ref, "src"],
+        ["tar", "-xf", str(archive), "-C", str(dest)],
+    ):
+        done = subprocess.run(argv, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise PipelineError(f"{' '.join(argv)} exited {done.returncode}: {done.stderr}")
+    archive.unlink()
+
+
+def run_pipeline(tree: Path, out: Path) -> None:
+    """Run `PIPELINE` on `tree`'s `src/modeloco`, writing into `out`."""
+    out.mkdir(parents=True)
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(tree / "src"),
+        PYTHONDONTWRITEBYTECODE="1",
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    for argv in PIPELINE:
+        done = subprocess.run(
+            [sys.executable, "-m", "modeloco.cli", *argv],
+            cwd=out, env=env, capture_output=True, text=True,
+        )
+        if done.returncode != 0:
+            raise PipelineError(
+                f"{tree}: modeloco {' '.join(argv)} exited {done.returncode}: {done.stderr}"
+            )
+
+
+def _content(path: Path) -> bytes | None:
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    if path.name != WALL_TIME_FILE:
+        return data
+    return b"".join(line for line in data.splitlines(keepends=True) if WALL_TIME_LINE not in line)
+
+
+def compare_outputs(ref: Path, new: Path) -> list[tuple[str, str]]:
+    """(file name, how it differs) for each output of two runs that is not
+    the same in both."""
+    names = sorted({p.name for p in ref.iterdir()} | {p.name for p in new.iterdir()})
+    differences = []
+    for name in names:
+        a, b = _content(ref / name), _content(new / name)
+        if a is None or b is None:
+            differences.append((name, "only in " + ("this tree" if a is None else "REF")))
+        elif a != b:
+            differences.append((name, "bytes differ"))
+    return differences
+
+
+def compare_trees(
+    ref_tree: Path, new_tree: Path, work: Path
+) -> tuple[list[str], list[tuple[str, str]]]:
+    """Run the pipeline on both trees under `work`; the output names of the
+    new tree and the differences."""
+    run_pipeline(ref_tree, work / "ref")
+    run_pipeline(new_tree, work / "new")
+    names = sorted(p.name for p in (work / "new").iterdir())
+    return names, compare_outputs(work / "ref", work / "new")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="git revision to compare against, e.g. a merge base")
+    ref = parser.parse_args(argv).ref
+    with tempfile.TemporaryDirectory(prefix="compare-parent-") as tmp:
+        work = Path(tmp)
+        try:
+            extract_src(ROOT, ref, work / "ref-tree")
+            names, differences = compare_trees(work / "ref-tree", ROOT, work)
+        except PipelineError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    for name, how in differences:
+        print(f"DIFFERS {name}: {how}")
+    same = len(set(names) - {name for name, _ in differences})
+    print(f"{same} of {len(names)} outputs identical to {ref}, "
+          f"apart from the {WALL_TIME_FILE} wall time")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
