@@ -7,15 +7,8 @@ simulator, and compose trained modes into open-loop plans with tabular
 Q-learning to reach goals over gap, plateau, and block terrains.
 """
 
-from .encoder import (
-    DecoderParams,
-    EncoderParams,
-    EncoderTrainConfig,
-    decode,
-    encode,
-    reconstruction_loss,
-    train_autoencoder,
-)
+from .encoder import AutoencoderParams, EncoderTrainConfig, encode, train_autoencoder
+from .fileio import TOOL_VERSION as __version__
 from .planner import ModePlan, PlannerConfig, parallel_trials, plan_rollout, q_learn
 from .policy import PolicyParams, PpoConfig, Trajectory, evaluate_modes, ppo_update, rollout
 from .refmotion import (
@@ -30,5 +23,3 @@ from .refmotion import (
 from .sampler import EpisodeScript, SamplerState, returns_to_probs, sample_script, update_records
 from .sim import RewardConfig, RobotConfig, SimState, Terrain, observe, reward, step
 from .training import TrainConfig, run_training
-
-__version__ = "0.1.0"

@@ -87,7 +87,7 @@ def _reward_config(args) -> RewardConfig:
 
 
 def cmd_gen_refs(args) -> int:
-    if Path(args.modeset).exists():
+    if Path(args.modeset).is_file():
         spec = json.loads(Path(args.modeset).read_text())
         library = modeset_from_spec(spec)
         cfg = {"modeset_file": spec}
@@ -108,9 +108,7 @@ def cmd_train_encoder(args) -> int:
     result = enc_mod.train_autoencoder(library, cfg)
     cfg_hash = config_hash(dataclasses.asdict(cfg))
     out = _out_path(args.out, "encoder.json")
-    write_artifact(
-        out, "encoder", enc_mod.params_to_payload(result.encoder, result.decoder), cfg_hash
-    )
+    write_artifact(out, "encoder", enc_mod.params_to_payload(result.params), cfg_hash)
     write_artifact(
         args.library, "library", library_to_payload(result.library), cfg_hash
     )

@@ -1,19 +1,21 @@
 """Sequence autoencoder that compresses a reference motion into one latent vector.
 
 An LSTM encoder consumes a whole clip one sample at a time; a bias-free
-linear projection of its final hidden state is the latent mode. The decoder
+linear projection of its final hidden state is the latent mode, which
+`encode` computes for each clip of the library. During training a decoder
 receives that latent repeated T times and emits a reconstruction of the clip
-through its own LSTM plus a bias-free output projection. Training minimizes
-the mean squared reconstruction error in a per-channel normalized space.
+through its own LSTM plus a bias-free output projection; the loss is the mean
+squared reconstruction error in a per-channel normalized space.
 
 Everything runs in float64 numpy with handwritten backpropagation through
 time, so training is bit-reproducible from a seed and gradients can be
 checked against central finite differences.
 
-The encoder and decoder are stored as one flat vector, the one Adam steps:
-the encoder's w_x, w_h, b and w_z, then the decoder's w_x, w_h, b and w_y,
-each raveled. Both networks' weight matrices are reshaped views into it, and
-autoencoder_gradient writes its gradient into a vector of the same layout.
+One AutoencoderParams holds both networks: its flat vector, the one Adam
+steps, lays out the encoder's w_x, w_h, b and w_z, then the decoder's w_x,
+w_h, b and w_y, each raveled, and its weight matrices are reshaped views into
+it. autoencoder_gradient is the only forward pass of the whole autoencoder:
+it returns the loss and a gradient vector of the same layout.
 
 Training runs one forward pass per epoch: each proposed step is scored by
 autoencoder_gradient, whose loss decides acceptance and whose gradient, when
@@ -27,11 +29,11 @@ tests/test_encoder.py holds the per-step reference they must match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fileio import array_from_payload, array_to_payload
+from .fileio import array_to_payload
 from .optim import AdamState, adam_step, split_views
 from .refmotion import NUM_CHANNELS, ModeLibrary, ReferenceMotion
 
@@ -48,50 +50,42 @@ class TrainingFailure(RuntimeError):
     """Raised when optimization produces a non-finite loss."""
 
 
-@dataclass
-class EncoderParams:
-    """LSTM cell weights plus the latent projection (views into flat) and input normalization."""
+# The parameter vector's layout: the encoder's arrays, then the decoder's.
+_ENC_FIELDS = ("w_x", "w_h", "b", "w_z")
+_DEC_FIELDS = ("w_x", "w_h", "b", "w_y")
 
-    w_x: np.ndarray  # (4H, C) input weights, gate order i, f, g, o
-    w_h: np.ndarray  # (4H, H) recurrent weights
-    b: np.ndarray  # (4H,)
-    w_z: np.ndarray  # (latent_dim, H) bias-free latent projection
+
+@dataclass
+class AutoencoderParams:
+    """Both LSTMs' weights and projections, views into flat in _ENC_FIELDS then
+    _DEC_FIELDS order, and the per-channel input normalization. A None flat
+    becomes a zero vector; the input size is the length of the normalization."""
+
+    flat: np.ndarray | None
     norm_mean: np.ndarray  # (C,)
     norm_scale: np.ndarray  # (C,)
-    flat: np.ndarray  # the autoencoder's parameter vector, shared with the decoder
+    hidden: int = DEFAULT_HIDDEN
+    latent_dim: int = DEFAULT_LATENT_DIM
+    enc_w_x: np.ndarray = field(init=False)  # (4H, C) input weights, gate order i, f, g, o
+    enc_w_h: np.ndarray = field(init=False)  # (4H, H) recurrent weights
+    enc_b: np.ndarray = field(init=False)  # (4H,)
+    enc_w_z: np.ndarray = field(init=False)  # (latent_dim, H) bias-free latent projection
+    dec_w_x: np.ndarray = field(init=False)  # (4H, latent_dim)
+    dec_w_h: np.ndarray = field(init=False)  # (4H, H)
+    dec_b: np.ndarray = field(init=False)  # (4H,)
+    dec_w_y: np.ndarray = field(init=False)  # (C, H) bias-free output projection
 
-    @property
-    def hidden(self) -> int:
-        return self.w_h.shape[1]
+    def __post_init__(self):
+        g, h, c, z = 4 * self.hidden, self.hidden, self.input_dim, self.latent_dim
+        shapes = [(g, c), (g, h), (g,), (z, h), (g, z), (g, h), (g,), (c, h)]
+        if self.flat is None:
+            self.flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+        (self.enc_w_x, self.enc_w_h, self.enc_b, self.enc_w_z,
+         self.dec_w_x, self.dec_w_h, self.dec_b, self.dec_w_y) = split_views(self.flat, shapes)
 
     @property
     def input_dim(self) -> int:
-        return self.w_x.shape[1]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.w_z.shape[0]
-
-
-@dataclass
-class DecoderParams:
-    """LSTM cell weights plus the output projection (views into flat) and de-normalization."""
-
-    w_x: np.ndarray  # (4H, latent_dim)
-    w_h: np.ndarray  # (4H, H)
-    b: np.ndarray  # (4H,)
-    w_y: np.ndarray  # (C, H) bias-free output projection
-    norm_mean: np.ndarray
-    norm_scale: np.ndarray
-    flat: np.ndarray  # the autoencoder's parameter vector, shared with the encoder
-
-    @property
-    def hidden(self) -> int:
-        return self.w_h.shape[1]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.w_x.shape[1]
+        return self.norm_mean.shape[0]
 
 
 @dataclass
@@ -107,54 +101,22 @@ class EncoderTrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
-_ENC_FIELDS = ("w_x", "w_h", "b", "w_z")
-_DEC_FIELDS = ("w_x", "w_h", "b", "w_y")
-
-
-def view_params(
-    flat: np.ndarray | None, norm_mean: np.ndarray, norm_scale: np.ndarray,
-    hidden: int = DEFAULT_HIDDEN, latent_dim: int = DEFAULT_LATENT_DIM,
-) -> tuple[EncoderParams, DecoderParams]:
-    """The encoder and decoder whose weights are views into flat (a zero
-    vector when None), in _ENC_FIELDS then _DEC_FIELDS order; the input size
-    is the length of the normalization stats."""
-    g, c = 4 * hidden, norm_mean.shape[0]
-    shapes = [(g, c), (g, hidden), (g,), (latent_dim, hidden),
-              (g, latent_dim), (g, hidden), (g,), (c, hidden)]
-    if flat is None:
-        flat = np.zeros(sum(math.prod(shape) for shape in shapes))
-    views = split_views(flat, shapes)
-    return (
-        EncoderParams(*views[:4], norm_mean, norm_scale, flat),
-        DecoderParams(*views[4:], norm_mean, norm_scale, flat),
-    )
-
-
-def zero_params(
-    hidden: int = DEFAULT_HIDDEN,
-    latent_dim: int = DEFAULT_LATENT_DIM,
-    input_dim: int = NUM_CHANNELS,
-) -> tuple[EncoderParams, DecoderParams]:
-    """All-zero weights with identity normalization; mainly for tests."""
-    return view_params(None, np.zeros(input_dim), np.ones(input_dim), hidden, latent_dim)
-
-
 def init_params(
     rng: np.random.Generator,
     hidden: int = DEFAULT_HIDDEN,
     latent_dim: int = DEFAULT_LATENT_DIM,
     input_dim: int = NUM_CHANNELS,
-) -> tuple[EncoderParams, DecoderParams]:
+) -> AutoencoderParams:
     """Uniform weights in +-1/sqrt(hidden) with identity normalization."""
-    enc, dec = zero_params(hidden, latent_dim, input_dim)
+    p = AutoencoderParams(None, np.zeros(input_dim), np.ones(input_dim), hidden, latent_dim)
     k = 1.0 / math.sqrt(hidden)
-    for p in (enc, dec):
-        p.w_x[...] = rng.uniform(-k, k, size=p.w_x.shape)
-        p.w_h[...] = rng.uniform(-k, k, size=p.w_h.shape)
-        p.b[hidden : 2 * hidden] = 1.0  # forget-gate bias keeps early memory open
-    enc.w_z[...] = rng.uniform(-k, k, size=enc.w_z.shape)
-    dec.w_y[...] = rng.uniform(-k, k, size=dec.w_y.shape)
-    return enc, dec
+    for w_x, w_h, b in ((p.enc_w_x, p.enc_w_h, p.enc_b), (p.dec_w_x, p.dec_w_h, p.dec_b)):
+        w_x[...] = rng.uniform(-k, k, size=w_x.shape)
+        w_h[...] = rng.uniform(-k, k, size=w_h.shape)
+        b[hidden : 2 * hidden] = 1.0  # forget-gate bias keeps early memory open
+    p.enc_w_z[...] = rng.uniform(-k, k, size=p.enc_w_z.shape)
+    p.dec_w_y[...] = rng.uniform(-k, k, size=p.dec_w_y.shape)
+    return p
 
 
 def _lstm_forward(w_x, w_h, b, xs, x_proj=None):
@@ -243,10 +205,6 @@ def normalize(samples: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.nd
     return (samples - mean) / scale
 
 
-def denormalize(samples: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    return samples * scale + mean
-
-
 def normalization_stats(library: ModeLibrary) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and half-range spread over the whole library.
 
@@ -261,7 +219,7 @@ def normalization_stats(library: ModeLibrary) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
-def encode(params: EncoderParams, motion: ReferenceMotion) -> np.ndarray:
+def encode(params: AutoencoderParams, motion: ReferenceMotion) -> np.ndarray:
     """Deterministically map one clip to its latent vector."""
     if motion.samples.shape[1] != params.input_dim:
         raise ValueError(
@@ -269,42 +227,20 @@ def encode(params: EncoderParams, motion: ReferenceMotion) -> np.ndarray:
             f"{params.input_dim}"
         )
     xs = normalize(motion.samples, params.norm_mean, params.norm_scale)[:, None, :]
-    hs, _, _ = _lstm_forward(params.w_x, params.w_h, params.b, xs)
-    return hs[-1][0] @ params.w_z.T
+    hs, _, _ = _lstm_forward(params.enc_w_x, params.enc_w_h, params.enc_b, xs)
+    return hs[-1][0] @ params.enc_w_z.T
 
 
-def decode(params: DecoderParams, z: np.ndarray, T: int) -> np.ndarray:
-    """Reconstruct a T-step trajectory (raw units) from one latent vector."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    z = np.asarray(z, dtype=float)
-    xs = np.broadcast_to(z, (T, 1, z.shape[0]))
-    hs, _, _ = _lstm_forward(params.w_x, params.w_h, params.b, xs, xs[0] @ params.w_x.T)
-    ys = hs[1:, 0] @ params.w_y.T
-    return denormalize(ys, params.norm_mean, params.norm_scale)
-
-
-def reconstruction_loss(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Mean squared error over every trajectory entry."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    d = x - x_hat
-    return float(np.mean(d * d))
-
-
-def _forward_batch(enc: EncoderParams, dec: DecoderParams, xs: np.ndarray):
+def _forward_batch(p: AutoencoderParams, xs: np.ndarray):
     """Autoencode a normalized batch xs of shape (T, B, C); returns loss and caches."""
     T = xs.shape[0]
-    e_hs, e_cs, e_gates = _lstm_forward(enc.w_x, enc.w_h, enc.b, xs)
-    z = e_hs[-1] @ enc.w_z.T  # (B, latent)
+    e_hs, e_cs, e_gates = _lstm_forward(p.enc_w_x, p.enc_w_h, p.enc_b, xs)
+    z = e_hs[-1] @ p.enc_w_z.T  # (B, latent)
     d_in = np.broadcast_to(z, (T,) + z.shape)
-    d_hs, d_cs, d_gates = _lstm_forward(dec.w_x, dec.w_h, dec.b, d_in, z @ dec.w_x.T)
-    ys = d_hs[1:] @ dec.w_y.T  # (T, B, C)
-    diff = ys - xs
+    d_hs, d_cs, d_gates = _lstm_forward(p.dec_w_x, p.dec_w_h, p.dec_b, d_in, z @ p.dec_w_x.T)
+    diff = d_hs[1:] @ p.dec_w_y.T - xs  # (T, B, C)
     loss = float(np.mean(diff * diff))
-    return loss, (e_hs, e_cs, e_gates, z, d_in, d_hs, d_cs, d_gates, ys, diff)
+    return loss, (e_hs, e_cs, e_gates, d_in, d_hs, d_cs, d_gates, diff)
 
 
 def _length_groups(sequences: list[np.ndarray]) -> list[np.ndarray]:
@@ -315,60 +251,50 @@ def _length_groups(sequences: list[np.ndarray]) -> list[np.ndarray]:
     return [np.stack(group, axis=1) for group in by_len.values()]
 
 
-def batch_loss(enc: EncoderParams, dec: DecoderParams, sequences: list[np.ndarray]) -> float:
-    """Mean per-sequence reconstruction MSE on normalized sequences."""
-    total = 0.0
-    for xs in _length_groups(sequences):
-        loss, _ = _forward_batch(enc, dec, xs)
-        total += loss * xs.shape[1]
-    return total / len(sequences)
-
-
 def autoencoder_gradient(
-    enc: EncoderParams, dec: DecoderParams, sequences: list[np.ndarray]
-):
-    """Analytic gradient of batch_loss via backpropagation through time.
+    p: AutoencoderParams, sequences: list[np.ndarray]
+) -> tuple[float, np.ndarray]:
+    """Mean per-sequence reconstruction MSE and its gradient, by backpropagation
+    through time.
 
-    sequences are normalized (T, C) arrays; lengths may differ. Returns
-    (loss, encoder gradients, decoder gradients) with gradients shaped like
-    the parameter structs and viewing one vector laid out like their flat
-    (normalization stats are not differentiated).
+    sequences are normalized (T, C) arrays; lengths may differ. The gradient
+    is one vector laid out like p.flat (normalization stats are not
+    differentiated).
     """
-    g_enc, g_dec = view_params(None, enc.norm_mean, enc.norm_scale, enc.hidden, enc.latent_dim)
+    g = replace(p, flat=np.zeros(p.flat.size))
     total = 0.0
     n_seq = len(sequences)
     for xs in _length_groups(sequences):
-        loss, cache = _forward_batch(enc, dec, xs)
-        e_hs, e_cs, e_gates, z, d_in, d_hs, d_cs, d_gates, ys, diff = cache
+        loss, cache = _forward_batch(p, xs)
+        e_hs, e_cs, e_gates, d_in, d_hs, d_cs, d_gates, diff = cache
         T, B, C = xs.shape
         total += loss * B
         # d(mean over all sequences of per-sequence MSE)
         d_ys = 2.0 * diff / (T * C) / n_seq
-        g_dec.w_y += np.einsum("tbc,tbh->ch", d_ys, d_hs[1:])
-        d_dhs = d_ys @ dec.w_y
+        g.dec_w_y += np.einsum("tbc,tbh->ch", d_ys, d_hs[1:])
+        d_dhs = d_ys @ p.dec_w_y
         dwx, dwh, db, d_dec_in = _lstm_backward(
-            dec.w_x, dec.w_h, d_in, d_hs, d_cs, d_gates, d_dhs
+            p.dec_w_x, p.dec_w_h, d_in, d_hs, d_cs, d_gates, d_dhs
         )
-        g_dec.w_x += dwx
-        g_dec.w_h += dwh
-        g_dec.b += db
+        g.dec_w_x += dwx
+        g.dec_w_h += dwh
+        g.dec_b += db
         dz = d_dec_in.sum(axis=0)  # repeated input: gradients add over time
-        g_enc.w_z += dz.T @ e_hs[-1]
-        d_ehs = np.zeros((T, B, enc.hidden))
-        d_ehs[-1] = dz @ enc.w_z
+        g.enc_w_z += dz.T @ e_hs[-1]
+        d_ehs = np.zeros((T, B, p.hidden))
+        d_ehs[-1] = dz @ p.enc_w_z
         dwx, dwh, db, _ = _lstm_backward(
-            enc.w_x, enc.w_h, xs, e_hs, e_cs, e_gates, d_ehs, input_grad=False
+            p.enc_w_x, p.enc_w_h, xs, e_hs, e_cs, e_gates, d_ehs, input_grad=False
         )
-        g_enc.w_x += dwx
-        g_enc.w_h += dwh
-        g_enc.b += db
-    return total / n_seq, g_enc, g_dec
+        g.enc_w_x += dwx
+        g.enc_w_h += dwh
+        g.enc_b += db
+    return total / n_seq, g.flat
 
 
 @dataclass
 class TrainResult:
-    encoder: EncoderParams
-    decoder: DecoderParams
+    params: AutoencoderParams
     library: ModeLibrary
     losses: list[float] = field(default_factory=list)
 
@@ -390,63 +316,43 @@ def train_autoencoder(library: ModeLibrary, cfg: EncoderTrainConfig) -> TrainRes
     mean, scale = normalization_stats(library)
     sequences = [normalize(m.samples, mean, scale) for m in library.motions]
 
-    start, _ = init_params(np.random.default_rng(cfg.seed))
-    enc, dec = view_params(start.flat, mean, scale)
-    opt = AdamState.zeros(enc.flat.size)
+    params = replace(init_params(np.random.default_rng(cfg.seed)), norm_mean=mean, norm_scale=scale)
+    opt = AdamState.zeros(params.flat.size)
     lr_scale = 1.0
 
-    loss, g_enc, _ = autoencoder_gradient(enc, dec, sequences)
-    grad = g_enc.flat
+    loss, grad = autoencoder_gradient(params, sequences)
     losses = [loss]
     for epoch in range(cfg.epochs):
         if not np.isfinite(grad).all():
             raise TrainingFailure(f"non-finite gradient at epoch {len(losses) - 1}")
         cos = 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, cfg.epochs - 1)))
         lr = cfg.learning_rate * (FINAL_LR_FRACTION + (1.0 - FINAL_LR_FRACTION) * cos)
-        flat_try, opt_try = adam_step(enc.flat, grad, opt, lr * lr_scale)
-        enc_try, dec_try = view_params(flat_try, mean, scale)
-        loss_try, g_enc, _ = autoencoder_gradient(enc_try, dec_try, sequences)
+        flat_try, opt_try = adam_step(params.flat, grad, opt, lr * lr_scale)
+        params_try = replace(params, flat=flat_try)
+        loss_try, grad_try = autoencoder_gradient(params_try, sequences)
         if not math.isfinite(loss_try):
             raise TrainingFailure(f"non-finite loss at epoch {len(losses) - 1}")
         if loss_try <= loss + ROLLBACK_TOLERANCE:
-            enc, dec, opt = enc_try, dec_try, opt_try
-            loss = loss_try
-            grad = g_enc.flat
+            params, opt, loss, grad = params_try, opt_try, loss_try, grad_try
             lr_scale = min(1.0, lr_scale * 1.05)
         else:
             lr_scale *= 0.5
         losses.append(loss)
 
-    latents = np.array([encode(enc, motion) for motion in library.motions])
-    return TrainResult(
-        encoder=enc,
-        decoder=dec,
-        library=library.with_latents(latents),
-        losses=losses,
-    )
+    latents = np.array([encode(params, motion) for motion in library.motions])
+    return TrainResult(params=params, library=library.with_latents(latents), losses=losses)
 
 
 # --- serialization ---------------------------------------------------------
 
 
-def params_to_payload(enc: EncoderParams, dec: DecoderParams) -> dict:
+def params_to_payload(params: AutoencoderParams) -> dict:
     return {
-        "hidden": enc.hidden,
-        "latent_dim": enc.latent_dim,
-        "input_dim": enc.input_dim,
-        "norm_mean": enc.norm_mean.tolist(),
-        "norm_scale": enc.norm_scale.tolist(),
-        "encoder": {f: array_to_payload(getattr(enc, f)) for f in _ENC_FIELDS},
-        "decoder": {f: array_to_payload(getattr(dec, f)) for f in _DEC_FIELDS},
+        "hidden": params.hidden,
+        "latent_dim": params.latent_dim,
+        "input_dim": params.input_dim,
+        "norm_mean": params.norm_mean.tolist(),
+        "norm_scale": params.norm_scale.tolist(),
+        "encoder": {f: array_to_payload(getattr(params, "enc_" + f)) for f in _ENC_FIELDS},
+        "decoder": {f: array_to_payload(getattr(params, "dec_" + f)) for f in _DEC_FIELDS},
     }
-
-
-def params_from_payload(payload: dict) -> tuple[EncoderParams, DecoderParams]:
-    flat = np.concatenate([
-        array_from_payload(payload[net][f]).ravel()
-        for net, fields in (("encoder", _ENC_FIELDS), ("decoder", _DEC_FIELDS))
-        for f in fields
-    ])
-    mean = np.array(payload["norm_mean"], dtype=float)
-    scale = np.array(payload["norm_scale"], dtype=float)
-    return view_params(flat, mean, scale, payload["hidden"], payload["latent_dim"])

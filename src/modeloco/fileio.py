@@ -126,6 +126,8 @@ def read_artifact(path: str | Path, kind: str) -> dict:
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"no such file: {path}")
+    if not path.is_file():
+        raise ArtifactError(f"{path} is not a regular file")
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -134,6 +136,10 @@ def read_artifact(path: str | Path, kind: str) -> dict:
     found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
     if found != expected:
         raise ArtifactError(f"{path}: expected format {expected}, got {found!r}")
+    if doc.get("version") != TOOL_VERSION:
+        raise ArtifactError(
+            f"{path}: written by version {doc.get('version')!r}, this tool reads {TOOL_VERSION!r}"
+        )
     return _spec_field(doc, "payload", "the document", source=str(path))
 
 

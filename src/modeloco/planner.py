@@ -57,6 +57,8 @@ class PlannerConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.explore <= 1.0:
             raise ValueError("explore rate must lie in [0, 1]")
+        if self.episodes < 0:
+            raise ValueError(f"episodes must be >= 0, got {self.episodes}")
 
 
 @dataclass(frozen=True)

@@ -537,17 +537,36 @@ def test_artifact_headers_carry_hash_and_version(workdir):
         assert len(doc["config_hash"]) == 12
 
 
-def test_missing_file_is_validation_error(workdir):
-    assert run(
-        "train-encoder", "--library", str(workdir / "nope.json")
-    ) == cli.EXIT_VALIDATION
-
-
 def _two_mode_policy(workdir):
     lib = _library_with_latents(workdir, [[0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 0.0]])
     pol = workdir / "policy.json"
     assert run("train-policy", "--library", str(lib), "--out", str(pol), "--updates", "0") == 0
     return lib, pol
+
+
+def test_missing_file_is_validation_error(workdir, capsys):
+    """An input path that names no file, or names a directory, exits 1 with an
+    error that names it, for each flag that reads an input file."""
+    lib, pol = (str(path) for path in _two_mode_policy(workdir))
+    a_dir = workdir / "a_dir"
+    a_dir.mkdir()
+    out = workdir / "out.json"
+    eval_inputs = ["eval", "--library", lib, "--policy", pol, "--rollouts", "1"]
+    train_inputs = ["train-policy", "--library", lib, "--updates", "1"]
+    # A repeated flag takes its last value.
+    for argv, path in [
+        (["train-encoder", "--library"], workdir / "nope.json"),
+        (["train-encoder", "--library"], a_dir),
+        ([*eval_inputs, "--library"], a_dir),
+        ([*eval_inputs, "--policy"], a_dir),
+        ([*train_inputs, "--terrain"], a_dir),
+        ([*train_inputs, "--resume"], a_dir),
+        (["gen-refs", "--modeset"], a_dir),
+    ]:
+        capsys.readouterr()
+        assert run(*argv, str(path), "--out", str(out)) == cli.EXIT_VALIDATION, argv
+        assert str(path) in capsys.readouterr().err, argv
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -565,11 +584,12 @@ def _two_mode_policy(workdir):
         ("eval", ["--clock-rate", "0"], "clock rate must be positive and finite, got 0.0"),
         ("eval", ["--clock-rate", "-1"], "clock rate must be positive and finite, got -1.0"),
         ("train-policy", ["--checkpoint-every", "-1"], "checkpoint_every must be >= 0, got -1"),
+        ("plan", ["--episodes", "-1"], "episodes must be >= 0, got -1"),
     ],
     ids=["eval-nan-weight", "train-inf-weight", "plan-nan-goal", "plan-nan-dt",
          "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f", "eval-nan-clock",
          "eval-inf-clock", "eval-zero-clock", "eval-negative-clock",
-         "train-negative-checkpoint-every"],
+         "train-negative-checkpoint-every", "plan-negative-episodes"],
 )
 def test_non_finite_settings_are_validation_errors(workdir, capsys, command, flags, problem):
     lib, pol = _two_mode_policy(workdir)
@@ -706,6 +726,10 @@ POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
          "checkpoint: 't' of 'opt_value' must be a non-negative integer, got 'six'"),
         ("checkpoint", ("payload", "episode_count"), 4.0,
          "checkpoint: 'episode_count' of the checkpoint must be a non-negative integer, got 4.0"),
+        ("policy", ("version",), "0.0.9",
+         "written by version '0.0.9', this tool reads '0.1.0'"),
+        ("checkpoint", ("version",), None,
+         "written by version None, this tool reads '0.1.0'"),
     ],
     ids=["policy-without-value", "document-without-payload", "document-is-a-list",
          "short-log-std", "unchained-layers", "checkpoint-without-adam-state",
@@ -713,7 +737,7 @@ POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
          "empty-sampler", "non-numeric-sampler-record", "nan-sampler-record",
          "string-update-count",
          "bool-update-count", "negative-episode-count", "string-adam-step",
-         "float-episode-count"],
+         "float-episode-count", "other-version", "checkpoint-without-version"],
 )
 def test_malformed_policy_and_checkpoint_are_validation_errors(
     workdir, capsys, target, keys, value, problem

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,12 +19,12 @@ def motion_from(samples):
     )
 
 
-# --- encode / decode ----------------------------------------------------------
+# --- encode -------------------------------------------------------------------
 
 
 def test_encode_deterministic_and_shape():
     lib = rm.builtin_library("pi2")
-    e, _ = tiny_params(channels=5, hidden=8, latent=4)
+    e = tiny_params(channels=5, hidden=8, latent=4)
     walk = lib.motions[lib.index_of("walk_f")]
     z1 = enc.encode(e, walk)
     z2 = enc.encode(e, walk)
@@ -32,14 +33,14 @@ def test_encode_deterministic_and_shape():
 
 
 def test_encode_zero_params_gives_zero_latent():
-    e, _ = enc.zero_params(hidden=8, latent_dim=4, input_dim=5)
+    e = enc.AutoencoderParams(None, np.zeros(5), np.ones(5), hidden=8, latent_dim=4)
     lib = rm.builtin_library("pi2")
     z = enc.encode(e, lib.motions[0])
     np.testing.assert_array_equal(z, np.zeros(4))
 
 
 def test_encode_length_robust():
-    e, _ = tiny_params(channels=5, hidden=8, latent=4)
+    e = tiny_params(channels=5, hidden=8, latent=4)
     rng = np.random.default_rng(0)
     short = motion_from(np.hstack([rng.normal(size=(5, 3)), np.zeros((5, 2))]))
     long = motion_from(np.hstack([rng.normal(size=(40, 3)), np.zeros((40, 2))]))
@@ -47,72 +48,25 @@ def test_encode_length_robust():
 
 
 def test_encode_channel_mismatch():
-    e, _ = tiny_params(channels=2)
+    e = tiny_params(channels=2)
     lib = rm.builtin_library("pi2")
     with pytest.raises(ValueError):
         enc.encode(e, lib.motions[0])
 
 
-def test_decode_length_and_minimal():
-    _, d = tiny_params(channels=5, hidden=8, latent=4)
-    z = np.array([0.1, -0.2, 0.3, 0.0])
-    out = enc.decode(d, z, 1)
-    assert out.shape == (1, 5)
-    out = enc.decode(d, z, 17)
-    assert out.shape == (17, 5)
-    with pytest.raises(ValueError):
-        enc.decode(d, z, 0)
-
-
-def test_decode_recurrence_is_causal():
-    _, d = tiny_params(seed=3, channels=5, hidden=8, latent=4)
-    z = np.array([0.3, 0.1, -0.5, 0.2])
-    short = enc.decode(d, z, 4)
-    long = enc.decode(d, z, 9)
-    np.testing.assert_array_equal(short, long[:4])
-
-
-# --- reconstruction loss --------------------------------------------------------
-
-
-def test_loss_identity_is_zero():
-    x = np.random.default_rng(0).normal(size=(7, 5))
-    assert enc.reconstruction_loss(x, x) == 0.0
-
-
-def test_loss_single_unit_error():
-    x = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
-    x_hat = np.zeros((1, 5))
-    assert enc.reconstruction_loss(x, x_hat) == pytest.approx(0.2, abs=1e-15)
-
-
-def test_loss_quadratic_homogeneity():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(6, 5))
-    e = rng.normal(size=(6, 5))
-    l1 = enc.reconstruction_loss(x, x + e)
-    l2 = enc.reconstruction_loss(x, x + 2.0 * e)
-    assert l2 == pytest.approx(4.0 * l1, rel=1e-12)
-
-
-def test_loss_shape_mismatch():
-    with pytest.raises(ValueError):
-        enc.reconstruction_loss(np.zeros((3, 5)), np.zeros((4, 5)))
-
-
 # --- gradients -------------------------------------------------------------------
 
 
-def finite_difference_gradient(e, d, seqs, h=1e-5):
+def finite_difference_gradient(p, seqs, h=1e-5):
     # Both networks' weights view flat, so moving an entry of flat moves them.
-    flat = e.flat
+    flat = p.flat
     fd = np.zeros_like(flat)
     for i in range(flat.size):
         base = flat[i]
         flat[i] = base + h
-        lp = enc.batch_loss(e, d, seqs)
+        lp = enc.autoencoder_gradient(p, seqs)[0]
         flat[i] = base - h
-        lm = enc.batch_loss(e, d, seqs)
+        lm = enc.autoencoder_gradient(p, seqs)[0]
         flat[i] = base
         fd[i] = (lp - lm) / (2 * h)
     return fd
@@ -126,11 +80,10 @@ def test_gradient_matches_finite_differences_many_configs():
         latent = int(rng.integers(1, 3))
         channels = int(rng.integers(1, 4))
         T = int(rng.integers(2, 6))
-        e, d = enc.init_params(rng, hidden=hidden, latent_dim=latent, input_dim=channels)
+        p = enc.init_params(rng, hidden=hidden, latent_dim=latent, input_dim=channels)
         seqs = [rng.normal(size=(T, channels)), rng.normal(size=(T + 2, channels))]
-        _, ge, gd = enc.autoencoder_gradient(e, d, seqs)
-        analytic = ge.flat
-        fd = finite_difference_gradient(e, d, seqs)
+        _, analytic = enc.autoencoder_gradient(p, seqs)
+        fd = finite_difference_gradient(p, seqs)
         # guarded denominator: entries below 1e-6 are dominated by h^2 noise
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-6)
         worst = max(worst, rel.max())
@@ -139,21 +92,22 @@ def test_gradient_matches_finite_differences_many_configs():
 
 def test_zero_error_batch_gives_zero_gradient():
     # all-zero parameters reconstruct all-zero sequences exactly
-    e, d = enc.zero_params(hidden=4, latent_dim=2, input_dim=3)
+    p = enc.AutoencoderParams(None, np.zeros(3), np.ones(3), hidden=4, latent_dim=2)
     seqs = [np.zeros((6, 3))]
-    loss, ge, gd = enc.autoencoder_gradient(e, d, seqs)
+    loss, grad = enc.autoencoder_gradient(p, seqs)
     assert loss == 0.0
-    assert np.all(ge.flat == 0.0)
+    assert np.all(grad == 0.0)
 
 
 def test_dead_latent_slot_has_zero_gradient():
     rng = np.random.default_rng(5)
-    e, d = enc.init_params(rng, hidden=4, latent_dim=3, input_dim=2)
+    p = enc.init_params(rng, hidden=4, latent_dim=3, input_dim=2)
     dead = 1
-    d.w_x[:, dead] = 0.0  # decoder never reads latent slot 1
+    p.dec_w_x[:, dead] = 0.0  # decoder never reads latent slot 1
     seqs = [rng.normal(size=(5, 2))]
-    _, ge, _ = enc.autoencoder_gradient(e, d, seqs)
-    np.testing.assert_array_equal(ge.w_z[dead], np.zeros(4))
+    _, grad = enc.autoencoder_gradient(p, seqs)
+    g = dataclasses.replace(p, flat=grad)
+    np.testing.assert_array_equal(g.enc_w_z[dead], np.zeros(4))
 
 
 # --- training ---------------------------------------------------------------------
@@ -222,19 +176,26 @@ def test_empty_library_rejected():
 
 
 def test_params_roundtrip(tmp_path):
+    """The parameter vector goes into encoder.json and comes back by joining
+    its arrays in layout order."""
     from modeloco.fileio import read_artifact, write_artifact
 
-    rng = np.random.default_rng(9)
-    e, d = enc.init_params(rng)
-    e.norm_mean = rng.normal(size=5)
-    e.norm_scale = np.abs(rng.normal(size=5)) + 0.1
-    d.norm_mean, d.norm_scale = e.norm_mean, e.norm_scale
+    result = enc.train_autoencoder(rm.builtin_library("pi2"), enc.EncoderTrainConfig(epochs=3))
+    params = result.params
     path = tmp_path / "encoder.json"
-    write_artifact(path, "encoder", enc.params_to_payload(e, d))
-    e2, d2 = enc.params_from_payload(read_artifact(path, "encoder"))
-    assert np.array_equal(e.flat, e2.flat)
-    assert np.array_equal(e.norm_mean, e2.norm_mean)
-    assert np.array_equal(e.norm_scale, e2.norm_scale)
+    write_artifact(path, "encoder", enc.params_to_payload(params))
+    payload = read_artifact(path, "encoder")
+    arrays = [payload["encoder"][f] for f in enc._ENC_FIELDS]
+    arrays += [payload["decoder"][f] for f in enc._DEC_FIELDS]
+    views = [getattr(params, "enc_" + f) for f in enc._ENC_FIELDS]
+    views += [getattr(params, "dec_" + f) for f in enc._DEC_FIELDS]
+    assert [a["shape"] for a in arrays] == [list(v.shape) for v in views]
+    joined = np.concatenate([a["data"] for a in arrays])
+    assert joined.tobytes() == params.flat.tobytes()
+    assert (payload["hidden"], payload["latent_dim"], payload["input_dim"]) == (32, 4, 5)
+    assert (params.hidden, params.latent_dim, params.input_dim) == (32, 4, 5)
+    assert payload["norm_mean"] == params.norm_mean.tolist()
+    assert payload["norm_scale"] == params.norm_scale.tolist()
 
 
 # --- reference training loop ---------------------------------------------------
@@ -304,50 +265,52 @@ def _reference_lstm_backward(w_x, w_h, xs, hs, cs, gates, dhs):
     return d_wx, d_wh, d_b, d_xs
 
 
-def _reference_forward_batch(e, d, xs):
+def _reference_forward_batch(p, xs):
     T = xs.shape[0]
-    e_hs, e_cs, e_gates = _reference_lstm_forward(e.w_x, e.w_h, e.b, xs)
-    z = e_hs[-1] @ e.w_z.T
+    e_hs, e_cs, e_gates = _reference_lstm_forward(p.enc_w_x, p.enc_w_h, p.enc_b, xs)
+    z = e_hs[-1] @ p.enc_w_z.T
     d_in = np.broadcast_to(z, (T,) + z.shape).copy()
-    d_hs, d_cs, d_gates = _reference_lstm_forward(d.w_x, d.w_h, d.b, d_in)
-    diff = d_hs[1:] @ d.w_y.T - xs
+    d_hs, d_cs, d_gates = _reference_lstm_forward(p.dec_w_x, p.dec_w_h, p.dec_b, d_in)
+    diff = d_hs[1:] @ p.dec_w_y.T - xs
     loss = float(np.mean(diff * diff))
     return loss, (e_hs, e_cs, e_gates, d_in, d_hs, d_cs, d_gates, diff)
 
 
-def _reference_batch_loss(e, d, seqs):
+def _reference_batch_loss(p, seqs):
     total = 0.0
     for xs in enc._length_groups(seqs):
-        total += _reference_forward_batch(e, d, xs)[0] * xs.shape[1]
+        total += _reference_forward_batch(p, xs)[0] * xs.shape[1]
     return total / len(seqs)
 
 
-def _reference_gradient(e, d, seqs):
-    g_enc, g_dec = enc.zero_params(e.hidden, e.latent_dim, e.input_dim)
+def _reference_gradient(p, seqs):
+    g = enc.AutoencoderParams(None, p.norm_mean, p.norm_scale, p.hidden, p.latent_dim)
     total = 0.0
     for xs in enc._length_groups(seqs):
         loss, (e_hs, e_cs, e_gates, d_in, d_hs, d_cs, d_gates, diff) = (
-            _reference_forward_batch(e, d, xs)
+            _reference_forward_batch(p, xs)
         )
         T, B, C = xs.shape
         total += loss * B
         d_ys = 2.0 * diff / (T * C) / len(seqs)
-        g_dec.w_y += np.einsum("tbc,tbh->ch", d_ys, d_hs[1:])
+        g.dec_w_y += np.einsum("tbc,tbh->ch", d_ys, d_hs[1:])
         dwx, dwh, db, d_dec_in = _reference_lstm_backward(
-            d.w_x, d.w_h, d_in, d_hs, d_cs, d_gates, d_ys @ d.w_y
+            p.dec_w_x, p.dec_w_h, d_in, d_hs, d_cs, d_gates, d_ys @ p.dec_w_y
         )
-        g_dec.w_x += dwx
-        g_dec.w_h += dwh
-        g_dec.b += db
+        g.dec_w_x += dwx
+        g.dec_w_h += dwh
+        g.dec_b += db
         dz = d_dec_in.sum(axis=0)
-        g_enc.w_z += dz.T @ e_hs[-1]
-        d_ehs = np.zeros((T, B, e.hidden))
-        d_ehs[-1] = dz @ e.w_z
-        dwx, dwh, db, _ = _reference_lstm_backward(e.w_x, e.w_h, xs, e_hs, e_cs, e_gates, d_ehs)
-        g_enc.w_x += dwx
-        g_enc.w_h += dwh
-        g_enc.b += db
-    return total / len(seqs), g_enc, g_dec
+        g.enc_w_z += dz.T @ e_hs[-1]
+        d_ehs = np.zeros((T, B, p.hidden))
+        d_ehs[-1] = dz @ p.enc_w_z
+        dwx, dwh, db, _ = _reference_lstm_backward(
+            p.enc_w_x, p.enc_w_h, xs, e_hs, e_cs, e_gates, d_ehs
+        )
+        g.enc_w_x += dwx
+        g.enc_w_h += dwh
+        g.enc_b += db
+    return total / len(seqs), g.flat
 
 
 def _reference_train(library, cfg):
@@ -356,29 +319,29 @@ def _reference_train(library, cfg):
 
     mean, scale = enc.normalization_stats(library)
     seqs = [enc.normalize(m.samples, mean, scale) for m in library.motions]
-    e, d = enc.init_params(np.random.default_rng(cfg.seed))
-    e.norm_mean = d.norm_mean = mean
-    e.norm_scale = d.norm_scale = scale
-    flat = e.flat
+    p = enc.init_params(np.random.default_rng(cfg.seed))
+    p.norm_mean = mean
+    p.norm_scale = scale
+    flat = p.flat
     opt = AdamState.zeros(flat.size)
     lr_scale = 1.0
-    loss = _reference_batch_loss(e, d, seqs)
+    loss = _reference_batch_loss(p, seqs)
     losses = [loss]
     for epoch in range(cfg.epochs):
-        _, g_enc, g_dec = _reference_gradient(e, d, seqs)
+        _, grad = _reference_gradient(p, seqs)
         cos = 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, cfg.epochs - 1)))
         lr = cfg.learning_rate * (enc.FINAL_LR_FRACTION + (1.0 - enc.FINAL_LR_FRACTION) * cos)
-        flat_try, opt_try = adam_step(flat, g_enc.flat, opt, lr * lr_scale)
-        e_try, d_try = enc.view_params(flat_try, mean, scale, e.hidden, e.latent_dim)
-        loss_try = _reference_batch_loss(e_try, d_try, seqs)
+        flat_try, opt_try = adam_step(flat, grad, opt, lr * lr_scale)
+        p_try = enc.AutoencoderParams(flat_try, mean, scale, p.hidden, p.latent_dim)
+        loss_try = _reference_batch_loss(p_try, seqs)
         if loss_try <= loss + enc.ROLLBACK_TOLERANCE:
-            flat, opt, e, d, loss = flat_try, opt_try, e_try, d_try, loss_try
+            flat, opt, p, loss = flat_try, opt_try, p_try, loss_try
             lr_scale = min(1.0, lr_scale * 1.05)
         else:
             lr_scale *= 0.5
         losses.append(loss)
-    latents = np.array([enc.encode(e, m) for m in library.motions])
-    return losses, e.flat, latents
+    latents = np.array([enc.encode(p, m) for m in library.motions])
+    return losses, p.flat, latents
 
 
 def _mixed_length_library():
@@ -397,7 +360,7 @@ def test_training_matches_reference_bit_for_bit(modeset):
             res = enc.train_autoencoder(lib, cfg)
             losses, flat, latents = _reference_train(lib, cfg)
             assert np.array(res.losses).tobytes() == np.array(losses).tobytes()
-            assert res.encoder.flat.tobytes() == flat.tobytes()
+            assert res.params.flat.tobytes() == flat.tobytes()
             assert res.library.latents.tobytes() == latents.tobytes()
             rejected += sum(a == b for a, b in zip(losses, losses[1:]))
     assert rejected > 0  # the runs cover steps whose gradient is reused
@@ -406,48 +369,45 @@ def test_training_matches_reference_bit_for_bit(modeset):
 def test_gradient_matches_reference_bit_for_bit():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        e, d = enc.init_params(rng, hidden=8, latent_dim=3, input_dim=4)
+        p = enc.init_params(rng, hidden=8, latent_dim=3, input_dim=4)
         seqs = [rng.normal(size=(int(rng.integers(2, 12)), 4)) for _ in range(5)]
-        loss, ge, gd = enc.autoencoder_gradient(e, d, seqs)
-        want_loss, want_ge, want_gd = _reference_gradient(e, d, seqs)
-        assert loss == want_loss == _reference_batch_loss(e, d, seqs)
-        assert ge.flat.tobytes() == want_ge.flat.tobytes()
+        loss, grad = enc.autoencoder_gradient(p, seqs)
+        want_loss, want_grad = _reference_gradient(p, seqs)
+        assert loss == want_loss == _reference_batch_loss(p, seqs)
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_training_runs_one_forward_pass_per_epoch(monkeypatch):
-    calls = {"autoencoder_gradient": 0, "batch_loss": 0}
+    calls = []
+    forward_batch = enc._forward_batch
 
-    def counted(name):
-        fn = getattr(enc, name)
+    def counted(*args):
+        calls.append(None)
+        return forward_batch(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(enc, name, counted(name))
+    monkeypatch.setattr(enc, "_forward_batch", counted)
+    # pi2's clips share one length, so each forward pass is one batch.
     enc.train_autoencoder(rm.builtin_library("pi2"), enc.EncoderTrainConfig(epochs=12, seed=7))
-    assert calls == {"autoencoder_gradient": 13, "batch_loss": 0}
+    assert len(calls) == 13
 
 
 def test_broadcast_decoder_input_matches_contiguous():
     rng = np.random.default_rng(8)
-    _, d = enc.init_params(rng, hidden=6, latent_dim=3, input_dim=4)
+    p = enc.init_params(rng, hidden=6, latent_dim=3, input_dim=4)
+    w_x, w_h = p.dec_w_x, p.dec_w_h
     z = rng.normal(size=(5, 3))
     T = 9
     view = np.broadcast_to(z, (T,) + z.shape)
     dense = view.copy()
-    got = enc._lstm_forward(d.w_x, d.w_h, d.b, view, z @ d.w_x.T)
-    want = enc._lstm_forward(d.w_x, d.w_h, d.b, dense)
+    got = enc._lstm_forward(w_x, w_h, p.dec_b, view, z @ w_x.T)
+    want = enc._lstm_forward(w_x, w_h, p.dec_b, dense)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
     hs, cs, gates = want
     dhs = rng.normal(size=(T, 5, 6))
-    got = enc._lstm_backward(d.w_x, d.w_h, view, hs, cs, gates, dhs)
-    want = enc._lstm_backward(d.w_x, d.w_h, dense, hs, cs, gates, dhs)
+    got = enc._lstm_backward(w_x, w_h, view, hs, cs, gates, dhs)
+    want = enc._lstm_backward(w_x, w_h, dense, hs, cs, gates, dhs)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
     assert got[3].sum(axis=0).tobytes() == want[3].sum(axis=0).tobytes()
-    assert enc._lstm_backward(d.w_x, d.w_h, dense, hs, cs, gates, dhs, input_grad=False)[3] is None
+    assert enc._lstm_backward(w_x, w_h, dense, hs, cs, gates, dhs, input_grad=False)[3] is None

@@ -159,11 +159,11 @@ def test_every_parameter_is_a_view_into_its_network_vector(tmp_path, monkeypatch
     _assert_ppo_views(state.policy, state.value, state.opt)
     assert np.array_equal(state.policy.flat, result.state.policy.flat)
 
-    def assert_autoencoder_views(e, d, moments=()):
-        assert d.flat is e.flat
-        _assert_views(e.flat, [e.w_x, e.w_h, e.b, e.w_z, d.w_x, d.w_h, d.b, d.w_y], moments)
+    def assert_autoencoder_views(p, moments=()):
+        _assert_views(p.flat, [p.enc_w_x, p.enc_w_h, p.enc_b, p.enc_w_z,
+                               p.dec_w_x, p.dec_w_h, p.dec_b, p.dec_w_y], moments)
 
-    assert_autoencoder_views(*enc.init_params(rng))
+    assert_autoencoder_views(enc.init_params(rng))
     steps = []
 
     def recorded_step(flat, grad, state, lr):
@@ -175,4 +175,4 @@ def test_every_parameter_is_a_view_into_its_network_vector(tmp_path, monkeypatch
     res = enc.train_autoencoder(rm.builtin_library("pi2"), enc.EncoderTrainConfig(epochs=3))
     assert len(steps) == 3
     assert all(flat.shape == s.m.shape == s.v.shape for flat, s in steps)
-    assert_autoencoder_views(res.encoder, res.decoder, (steps[-1][1].m, steps[-1][1].v))
+    assert_autoencoder_views(res.params, (steps[-1][1].m, steps[-1][1].v))
