@@ -13,23 +13,33 @@ Physics substeps use velocity-Verlet (kick-drift-kick), which reproduces
 ballistic flight exactly; control runs at 50 Hz over 20 substeps of 1 ms.
 State in, state out: stepping is a pure function and bit-deterministic.
 
-step() keeps a fixed floating-point operation order, so that trajectories,
-checkpoints and resumed runs replay bit for bit across versions of this
-module. Do not reorder or regroup its arithmetic: force and torque sums start
-from 0.0 (which fixes the sign of a zero total), a joint acceleration is
-(tau - damping * qdot + (jx * ft + jz * fn)) / inertia, accelerations divide
-by the mass and inertias rather than multiply by reciprocals, and the
-half-kick uses 0.5 * h. A term that depends on the positions alone may be
-computed once per drift and reused by every evaluation at those positions,
-since its expression and inputs are the same each time; step() does so.
-tests/test_sim.py holds the plain-loop reference that step() must match byte
-for byte.
+The substeps run in `_physics.c`, a C kernel that step() compiles with `cc`
+on its first call and loads through ctypes for the life of the process.
+The kernel keeps a fixed floating-point operation order, so that
+trajectories, checkpoints and resumed runs replay bit for bit across
+versions of this package. Do not reorder or regroup its arithmetic: force
+and torque sums start from 0.0 (which fixes the sign of a zero total), a
+joint acceleration is (tau - damping * qdot + (jx * ft + jz * fn)) / inertia,
+accelerations divide by the mass and inertias rather than multiply by
+reciprocals, and the half-kick uses 0.5 * h. A term that depends on the
+positions alone may be computed once per drift and reused by every
+evaluation at those positions, since its expression and inputs are the same
+each time; the kernel does so. The compiler flags are part of the same
+contract: no -ffast-math, so every operation rounds as written;
+-ffp-contract=off, so no multiply-add is fused into one rounding; and
+-fno-builtin, so sin and cos stay the libm calls that math.sin and math.cos
+make and are not merged into sincos. tests/test_sim.py holds the plain-loop
+Python reference that step() must match byte for byte.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from dataclasses import dataclass, replace
+import tempfile
+from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -105,6 +115,21 @@ class RobotConfig:
         """Control steps per phase cycle at clock rate 1."""
         return round(self.cycle_duration / self.control_dt)
 
+    @cached_property
+    def _kernel_params(self) -> ctypes.Array:
+        """The parameter vector of the physics kernel, in `_physics.c`'s order."""
+        values = (
+            self.base_mass, self.base_inertia, self.joint_inertia, self.joint_damping,
+            self.kp, self.kd, self.torque_limit, self.contact_stiffness,
+            self.contact_damping, self.friction, self.hip_offset, self.thigh_length,
+            self.shank_length, self.control_dt, self.substeps, GRAVITY,
+        )
+        return (ctypes.c_double * len(values))(*values)
+
+    def __getstate__(self):
+        # ctypes arrays do not pickle; a copy rebuilds its own on first use.
+        return {k: v for k, v in self.__dict__.items() if k != "_kernel_params"}
+
 
 # Sensitivities of the position, pitch and contact reward terms.
 REWARD_SENSITIVITIES = (5.0, 5.0, 2.0)
@@ -133,6 +158,18 @@ class Terrain:
     def __init__(self, breakpoints: Sequence[tuple[float, float]] = (), base_height: float = 0.0):
         self.base_height = float(base_height)
         self.breakpoints = tuple((float(x), float(h)) for x, h in sorted(breakpoints))
+
+    @cached_property
+    def _kernel_terrain(self) -> ctypes.Array:
+        """The physics kernel's copy: the count, the base height, then the pairs."""
+        packed = [len(self.breakpoints), self.base_height]
+        for pair in self.breakpoints:
+            packed.extend(pair)
+        return (ctypes.c_double * len(packed))(*packed)
+
+    def __getstate__(self):
+        # ctypes arrays do not pickle; a copy rebuilds its own on first use.
+        return {k: v for k, v in self.__dict__.items() if k != "_kernel_terrain"}
 
     def height(self, x: float) -> float:
         h = self.base_height
@@ -306,7 +343,7 @@ def _foot_states(q: np.ndarray, qdot: np.ndarray, cfg: RobotConfig):
 def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig) -> SimState:
     """Advance one control period of physics substeps and the phase clock.
 
-    Each substep is a kick-drift-kick: the loop runs 2 * substeps force
+    Each substep is a kick-drift-kick: the kernel runs 2 * substeps force
     evaluations, half-kicks the velocities after every evaluation and drifts
     the positions after every first evaluation of a pair, so only
     substeps + 1 of the evaluations see new positions. The terms that depend
@@ -317,8 +354,10 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
     afresh. Both legs are written out inline: a unilateral spring-damper
     normal force with Coulomb-capped tangential drag at each foot, and PD
     torques toward the action's joint targets, clipped at the actuator limit
-    but with no angle limits on the targets. The operation order is the one
-    the module docstring fixes.
+    but with no angle limits on the targets. The substeps, the contacts and
+    the support of the new state run in the compiled kernel, `_physics.c`,
+    in the operation order the module docstring fixes; the first call builds
+    it, and a missing or failing `cc` raises RuntimeError.
 
     A non-finite outcome is returned as-is; termination() classifies it as a
     blowup so the caller can cut the episode. An infinite angle, which
@@ -327,170 +366,25 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
     action = np.asarray(action, dtype=float)
     if action.shape != (NUM_JOINTS,):
         raise ValueError(f"action must have {NUM_JOINTS} entries")
-    uhl, ukl, uhr, ukr = action.tolist()
-    x, z, p, hl, kl, hr, kr = state.q.tolist()
-    vx, vz, vp, dhl, dkl, dhr, dkr = state.qdot.tolist()
-    m, ib = cfg.base_mass, cfg.base_inertia
-    ji, jd = cfg.joint_inertia, cfg.joint_damping
-    kp, kd, lim = cfg.kp, cfg.kd, cfg.torque_limit
-    ks, cd, mu = cfg.contact_stiffness, cfg.contact_damping, cfg.friction
-    d, l1, l2 = cfg.hip_offset, cfg.thigh_length, cfg.shank_length
-    height = terrain.height
-    sin, cos = math.sin, math.cos
-    h = cfg.control_dt / cfg.substeps
-    hh = 0.5 * h
-    drift = True
-    stale = True
-    try:
-        for _ in range(2 * cfg.substeps):
-            if stale:
-                s0, c0 = sin(p), cos(p)
-                ds0 = d * s0
-                dc0 = d * c0
-
-                # Left leg: foot kinematics, penetration, PD position terms.
-                a1 = p + hl
-                a2 = a1 + kl
-                s1, c1 = sin(a1), cos(a1)
-                s2, c2 = sin(a2), cos(a2)
-                lc1 = l1 * c1
-                ls1 = l1 * s1
-                jxkl = l2 * c2
-                jzkl = l2 * s2
-                jxhl = lc1 + jxkl
-                jzhl = ls1 + jzkl
-                jxpl = dc0 + lc1 + jxkl
-                jzpl = ds0 + ls1 + jzkl
-                fxl = x + ds0 + ls1 + jzkl
-                fzl = z - dc0 - lc1 - jxkl
-                gl = height(fxl)
-                penl = gl - fzl
-                rxl = fxl - x
-                rzl = fzl - z
-                phl = kp * (uhl - hl)
-                pkl = kp * (ukl - kl)
-
-                # Right leg: the same, on the right joints.
-                a1 = p + hr
-                a2 = a1 + kr
-                s1, c1 = sin(a1), cos(a1)
-                s2, c2 = sin(a2), cos(a2)
-                lc1 = l1 * c1
-                ls1 = l1 * s1
-                jxkr = l2 * c2
-                jzkr = l2 * s2
-                jxhr = lc1 + jxkr
-                jzhr = ls1 + jzkr
-                jxpr = dc0 + lc1 + jxkr
-                jzpr = ds0 + ls1 + jzkr
-                fxr = x + ds0 + ls1 + jzkr
-                fzr = z - dc0 - lc1 - jxkr
-                gr = height(fxr)
-                penr = gr - fzr
-                rxr = fxr - x
-                rzr = fzr - z
-                phr = kp * (uhr - hr)
-                pkr = kp * (ukr - kr)
-                stale = False
-
-            # Left leg: contact force, joint accelerations.
-            if penl <= 0.0:
-                fnl = ftl = 0.0
-            else:
-                fvz = vz + jzpl * vp + jzhl * dhl + jzkl * dkl
-                fnl = ks * penl - cd * fvz
-                if fnl <= 0.0:
-                    fnl = ftl = 0.0
-                else:
-                    fvx = vx + jxpl * vp + jxhl * dhl + jxkl * dkl
-                    cap = mu * fnl
-                    ftl = -cd * fvx
-                    if ftl > cap:
-                        ftl = cap
-                    elif ftl < -cap:
-                        ftl = -cap
-            tau = phl - kd * dhl
-            if tau > lim:
-                tau = lim
-            elif tau < -lim:
-                tau = -lim
-            ahl = (tau - jd * dhl + (jxhl * ftl + jzhl * fnl)) / ji
-            tau = pkl - kd * dkl
-            if tau > lim:
-                tau = lim
-            elif tau < -lim:
-                tau = -lim
-            akl = (tau - jd * dkl + (jxkl * ftl + jzkl * fnl)) / ji
-
-            # Right leg: the same, on the right joints.
-            if penr <= 0.0:
-                fnr = ftr = 0.0
-            else:
-                fvz = vz + jzpr * vp + jzhr * dhr + jzkr * dkr
-                fnr = ks * penr - cd * fvz
-                if fnr <= 0.0:
-                    fnr = ftr = 0.0
-                else:
-                    fvx = vx + jxpr * vp + jxhr * dhr + jxkr * dkr
-                    cap = mu * fnr
-                    ftr = -cd * fvx
-                    if ftr > cap:
-                        ftr = cap
-                    elif ftr < -cap:
-                        ftr = -cap
-            tau = phr - kd * dhr
-            if tau > lim:
-                tau = lim
-            elif tau < -lim:
-                tau = -lim
-            ahr = (tau - jd * dhr + (jxhr * ftr + jzhr * fnr)) / ji
-            tau = pkr - kd * dkr
-            if tau > lim:
-                tau = lim
-            elif tau < -lim:
-                tau = -lim
-            akr = (tau - jd * dkr + (jxkr * ftr + jzkr * fnr)) / ji
-
-            # Base: the 0.0 starts of the sums fix the sign of a zero total.
-            torque = 0.0 + (rxl * fnl - rzl * ftl) + (rxr * fnr - rzr * ftr)
-            vx = vx + hh * ((0.0 + ftl + ftr) / m)
-            vz = vz + hh * ((0.0 + fnl + fnr) / m - GRAVITY)
-            vp = vp + hh * (torque / ib)
-            dhl = dhl + hh * ahl
-            dkl = dkl + hh * akl
-            dhr = dhr + hh * ahr
-            dkr = dkr + hh * akr
-            if drift:
-                x = x + h * vx
-                z = z + h * vz
-                p = p + h * vp
-                hl = hl + h * dhl
-                kl = kl + h * dkl
-                hr = hr + h * dhr
-                kr = kr + h * dkr
-                stale = True
-            drift = not drift
-    except ValueError:
-        # math.sin or math.cos of an infinite angle: the run has blown up.
-        # A NaN pitch keeps the returned state non-finite even when the
-        # angle that overflowed was a sum of finite ones.
-        p = math.nan
-
-    q = [x, z, p, hl, kl, hr, kr]
-    qdot = [vx, vz, vp, dhl, dkl, dhr, dkr]
+    global _kernel
+    if _kernel is None:
+        _kernel = _build_kernel()
+    io = _io_view
+    io[:7] = state.q
+    io[7:14] = state.qdot
+    io[14:18] = action
+    contacts = _kernel(_io, cfg._kernel_params, terrain._kernel_terrain)
     phase = (state.phase + state.clock_rate * cfg.control_dt / cfg.cycle_duration) % 1.0
-    if _all_finite(q + qdot):
-        # The evaluation after the last drift computed the feet at the final
-        # positions.
-        contact_l = fzl < gl
-        contact_r = fzr < gr
-        support = height(x)
-    else:
+    if contacts < 0:  # a non-finite state
         contact_l = contact_r = False
         support = state.support
+    else:
+        contact_l = bool(contacts & 1)
+        contact_r = bool(contacts & 2)
+        support = float(io[18])
     return SimState(
-        q=np.array(q),
-        qdot=np.array(qdot),
+        q=io[:7].copy(),
+        qdot=io[7:14].copy(),
         t=state.t + cfg.control_dt,
         phase=phase,
         clock_rate=state.clock_rate,
@@ -498,6 +392,44 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
         contact_right=contact_r,
         support=support,
     )
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_physics.c")
+# The compiled step function; the first step() call builds it.
+_kernel = None
+# The buffer step() hands the kernel: q, qdot and the action in, the new q
+# and qdot out, and the new support at index 18. Every step() call reuses
+# it, so step() must not run in two threads at once.
+_io_view = np.zeros(19)
+_io = (ctypes.c_double * 19).from_buffer(_io_view)
+
+
+def _build_kernel():
+    """Compile `_physics.c` into a temporary directory and load it.
+
+    RuntimeError, quoting the compiler, if `cc` is missing or fails. The
+    loaded library outlives its deleted file, so nothing stays on disk.
+    """
+    import subprocess  # imported by the build alone: importing the package skips it
+
+    with tempfile.TemporaryDirectory() as tmp:
+        library = Path(tmp) / "_physics.so"
+        argv = ["cc", "-std=c99", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
+                "-fno-builtin", "-o", str(library), str(_KERNEL_SOURCE), "-lm"]
+        try:
+            done = subprocess.run(argv, capture_output=True, text=True)
+        except OSError as exc:
+            raise RuntimeError(f"cannot build the physics kernel: cc did not run: {exc}") from exc
+        if done.returncode != 0:
+            raise RuntimeError(
+                f"cannot build the physics kernel: cc exited {done.returncode}: "
+                f"{done.stderr.strip()}"
+            )
+        kernel = ctypes.CDLL(str(library)).sim_step
+    doubles = ctypes.POINTER(ctypes.c_double)
+    kernel.argtypes = [doubles, doubles, doubles]
+    kernel.restype = ctypes.c_int
+    return kernel
 
 
 def _all_finite(values: list[float]) -> bool:

@@ -1,5 +1,9 @@
 import math
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,27 +312,65 @@ def test_step_matches_reference_bit_for_bit():
         assert hits[regime] > 0, regime
 
 
-class _CountingTerrain(sim.Terrain):
-    """A terrain that counts its height lookups."""
+@pytest.mark.parametrize("p, hl, kr", [(math.inf, 0.0, 0.0), (1e308, 1e308, 0.0),
+                                       (0.0, 0.0, -math.inf)])
+def test_infinite_angle_ends_the_step_with_a_nan_pitch(p, hl, kr):
+    # math.sin cannot take the pitch, a hip angle or a knee angle here; the
+    # step stops before the first kick, with every value but the pitch as it stood.
+    q = np.array([0.1, 2.0, p, hl, 0.2, -0.1, kr])
+    qd = np.array([0.3, -0.2, 0.1, 0.5, -0.5, 0.2, -0.2])
+    state = replace(airborne_state(qd), q=q)
+    new = sim.step(state, np.zeros(4), FLAT, CFG)
+    assert math.isnan(new.pitch)
+    assert np.delete(new.q, 2).tobytes() == np.delete(q, 2).tobytes()
+    assert new.qdot.tobytes() == qd.tobytes()
+    assert sim.termination(new, CFG) == sim.BLOWUP
 
-    calls = 0
 
-    def height(self, x):
-        self.calls += 1
-        return super().height(x)
+def test_returned_states_own_their_arrays():
+    # step() packs through a module-level buffer; a state it returned must not
+    # change when the next step reuses that buffer.
+    state = airborne_state([0.3, -0.2, 0.1, 0.5, -0.5, 0.2, -0.2])
+    first = sim.step(state, np.array([0.1, -0.3, 0.2, 0.4]), FLAT, CFG)
+    q, qdot = first.q.tobytes(), first.qdot.tobytes()
+    second = sim.step(first, np.zeros(4), FLAT, CFG)
+    assert first.q.tobytes() == q and first.qdot.tobytes() == qdot
+    assert second.q.tobytes() != q and second.qdot.tobytes() != qdot
 
 
-def test_step_evaluates_position_terms_once_per_position():
-    # 2 * substeps force evaluations run at substeps + 1 distinct positions;
-    # each position looks up both feet once, and the final state its support.
-    rng = np.random.default_rng(3)
-    for kind in ("standing", "airborne", "sliding", "wild"):
-        terrain = _CountingTerrain(sim.Terrain.gap().breakpoints)
-        state, action = _random_case(rng, terrain, kind)
-        terrain.calls = 0
-        new = sim.step(state, action, terrain, CFG)
-        assert sim.termination(new, CFG) != sim.BLOWUP
-        assert terrain.calls == 2 * (CFG.substeps + 1) + 1 == 43, kind
+def test_configs_that_have_stepped_still_pickle():
+    # The kernel's packed copies of a terrain and a config are not pickled;
+    # the copies rebuild them and step the same.
+    terrain = sim.Terrain.gap()
+    state = sim.initial_state(CFG, terrain)
+    first = sim.step(state, np.zeros(4), terrain, CFG)
+    terrain2, cfg2 = pickle.loads(pickle.dumps((terrain, CFG)))
+    assert cfg2 == CFG and terrain2.breakpoints == terrain.breakpoints
+    again = sim.step(state, np.zeros(4), terrain2, cfg2)
+    assert again.q.tobytes() == first.q.tobytes()
+
+
+def test_importing_the_cli_does_not_build_the_kernel():
+    # The first step() builds the kernel, so a command that never steps does
+    # not pay for the compile, and none pays for it at start-up.
+    src = str(Path(sim.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import modeloco.cli, modeloco.sim; "
+             "print(modeloco.sim._kernel)")
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "None"
+
+
+def test_kernel_build_without_cc_is_a_runtime_error(monkeypatch):
+    state = airborne_state([0.3, -0.2, 0.1, 0.5, -0.5, 0.2, -0.2])
+    before = sim.step(state, np.zeros(4), FLAT, CFG)
+    monkeypatch.setenv("PATH", "")
+    with pytest.raises(RuntimeError, match=r"\bcc\b"):
+        sim._build_kernel()
+    # The kernel already loaded keeps stepping.
+    after = sim.step(state, np.zeros(4), FLAT, CFG)
+    assert after.q.tobytes() == before.q.tobytes()
+    assert after.qdot.tobytes() == before.qdot.tobytes()
 
 
 def test_unilateral_contact_forces():
