@@ -1,29 +1,47 @@
-/* The physics of one control step of the planar biped: sim.step's kernel.
+/* The planar biped's control steps: the kernel of sim.step and of every
+ * lockstep batch that policy._advance runs.
  *
- * sim.py compiles this file on the first call of sim.step with
+ * sim.py compiles this file on first use with
  *
  *     cc -std=c99 -O2 -shared -fPIC -ffp-contract=off -fno-builtin ... -lm
  *
- * and calls sim_step through ctypes. The flags are part of the operation-order
- * contract that sim.py's module docstring states: no -ffast-math, so every
- * operation rounds as written; -ffp-contract=off, so no multiply-add is fused
- * into one rounding; -fno-builtin, so sin and cos stay calls into the libm
- * that Python's math module uses and are not merged into sincos.
- * tests/test_sim.py holds the plain-loop Python reference that this code
- * must match byte for byte. Do not reorder or regroup its arithmetic.
+ * and calls sim_start, sim_lockstep, sim_observe and sim_status through
+ * ctypes. The flags are part of the operation-order contract that sim.py's
+ * module docstring states: no -ffast-math, so every operation rounds as written;
+ * -ffp-contract=off, so no multiply-add is fused into one rounding;
+ * -fno-builtin, so sin, cos and fmod stay calls into the libm that Python's
+ * math module and float type use, and sin and cos are not merged into sincos.
+ * tests/test_sim.py holds the plain Python references that this code must
+ * match byte for byte. Do not reorder or regroup its arithmetic.
  */
 
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 /* The parameter vector, in the order RobotConfig packs it. */
 enum {
     BASE_MASS, BASE_INERTIA, JOINT_INERTIA, JOINT_DAMPING, KP, KD, TORQUE_LIMIT,
     CONTACT_STIFFNESS, CONTACT_DAMPING, FRICTION, HIP_OFFSET, THIGH_LENGTH,
-    SHANK_LENGTH, CONTROL_DT, SUBSTEPS, GRAVITY
+    SHANK_LENGTH, CONTROL_DT, SUBSTEPS, GRAVITY, CYCLE_DURATION
 };
 
-/* The state buffer: q, qdot, the action's joint targets and the support. */
-enum { Q = 0, QDOT = 7, ACTION = 14, SUPPORT = 18 };
+/* A state row, sim.py's ROW layout: q, qdot, the time, the phase, the clock
+ * rate, the contact flags as 0.0 or 1.0, and the support height. */
+enum {
+    Q = 0, QDOT = 7, TIME = 14, PHASE = 15, CLOCK_RATE = 16, CONTACT_LEFT = 17,
+    CONTACT_RIGHT = 18, SUPPORT = 19, ROW = 20
+};
+
+/* Termination status codes, sim.STATUSES's order. */
+enum { RUNNING, FALLEN, BLOWUP };
+
+/* The observation around the latent: the clock's sine and cosine before it,
+ * 13 proprioceptive values after it. */
+enum { CLOCK_DIM = 2, PROPRIO_DIM = 13, NUM_JOINTS = 4 };
+
+/* math.pi: the double nearest pi. */
+static const double PI = 3.141592653589793;
 
 /* Terrain.height over the packed terrain: the breakpoint count, the base
  * height, then the (start, height) pairs in ascending start order. A NaN x
@@ -41,23 +59,24 @@ static double terrain_height(const double *terrain, double x)
     return h;
 }
 
-/* Advance io's q and qdot by one control step of 2 * substeps kick-drift-kick
- * evaluations under the action's PD targets, in place.
+/* Advance the q and qdot of state row s by one control step of 2 * substeps
+ * kick-drift-kick evaluations under the PD targets in action, in place.
  *
  * Returns -1 if a value of the new q or qdot is not finite, leaving the
- * support in io as it was. Otherwise writes the terrain height under the new
- * base x to io[SUPPORT] and returns the contact flags of the final foot
+ * support in s as it was. Otherwise writes the terrain height under the new
+ * base x to s[SUPPORT] and returns the contact flags of the final foot
  * positions: bit 0 the left foot, bit 1 the right. An infinite angle, which
  * Python's math.sin rejects, ends the substeps with a NaN pitch and every
  * other value as it stood. */
-int sim_step(double *io, const double *params, const double *terrain)
+static int physics(double *s, const double *action, const double *params,
+                   const double *terrain)
 {
-    double x = io[Q], z = io[Q + 1], p = io[Q + 2];
-    double hl = io[Q + 3], kl = io[Q + 4], hr = io[Q + 5], kr = io[Q + 6];
-    double vx = io[QDOT], vz = io[QDOT + 1], vp = io[QDOT + 2];
-    double dhl = io[QDOT + 3], dkl = io[QDOT + 4], dhr = io[QDOT + 5], dkr = io[QDOT + 6];
-    const double uhl = io[ACTION], ukl = io[ACTION + 1];
-    const double uhr = io[ACTION + 2], ukr = io[ACTION + 3];
+    double x = s[Q], z = s[Q + 1], p = s[Q + 2];
+    double hl = s[Q + 3], kl = s[Q + 4], hr = s[Q + 5], kr = s[Q + 6];
+    double vx = s[QDOT], vz = s[QDOT + 1], vp = s[QDOT + 2];
+    double dhl = s[QDOT + 3], dkl = s[QDOT + 4], dhr = s[QDOT + 5], dkr = s[QDOT + 6];
+    const double uhl = action[0], ukl = action[1];
+    const double uhr = action[2], ukr = action[3];
     const double m = params[BASE_MASS], ib = params[BASE_INERTIA];
     const double ji = params[JOINT_INERTIA], jd = params[JOINT_DAMPING];
     const double kp = params[KP], kd = params[KD], lim = params[TORQUE_LIMIT];
@@ -230,26 +249,189 @@ int sim_step(double *io, const double *params, const double *terrain)
         drift = !drift;
     }
 
-    io[Q] = x;
-    io[Q + 1] = z;
-    io[Q + 2] = p;
-    io[Q + 3] = hl;
-    io[Q + 4] = kl;
-    io[Q + 5] = hr;
-    io[Q + 6] = kr;
-    io[QDOT] = vx;
-    io[QDOT + 1] = vz;
-    io[QDOT + 2] = vp;
-    io[QDOT + 3] = dhl;
-    io[QDOT + 4] = dkl;
-    io[QDOT + 5] = dhr;
-    io[QDOT + 6] = dkr;
-    for (int k = Q; k < ACTION; k++) {
-        if (!isfinite(io[k]))
+    s[Q] = x;
+    s[Q + 1] = z;
+    s[Q + 2] = p;
+    s[Q + 3] = hl;
+    s[Q + 4] = kl;
+    s[Q + 5] = hr;
+    s[Q + 6] = kr;
+    s[QDOT] = vx;
+    s[QDOT + 1] = vz;
+    s[QDOT + 2] = vp;
+    s[QDOT + 3] = dhl;
+    s[QDOT + 4] = dkl;
+    s[QDOT + 5] = dhr;
+    s[QDOT + 6] = dkr;
+    for (int k = Q; k < TIME; k++) {
+        if (!isfinite(s[k]))
             return -1;
     }
     /* The evaluation after the last drift computed the feet at the final
      * positions. */
-    io[SUPPORT] = terrain_height(terrain, x);
+    s[SUPPORT] = terrain_height(terrain, x);
     return (fzl < gl) | (fzr < gr) << 1;
+}
+
+/* CPython's float_rem: x % y for floats, the remainder taking y's sign. */
+static double python_mod(double x, double y)
+{
+    double mod = fmod(x, y);
+    if (mod) {
+        if ((y < 0) != (mod < 0))
+            mod += y;
+    } else {
+        mod = copysign(0.0, y);
+    }
+    return mod;
+}
+
+/* The termination status of state row s: a blowup if a value of q or qdot is
+ * not finite, then fallen if the base is below 0.3 of the nominal height
+ * above the support or pitched past 1 rad, else running. */
+static int64_t status_of(const double *s, const double *params)
+{
+    const double nominal = params[HIP_OFFSET] + params[THIGH_LENGTH] + params[SHANK_LENGTH];
+    for (int k = Q; k < TIME; k++) {
+        if (!isfinite(s[k]))
+            return BLOWUP;
+    }
+    if (s[Q + 1] - s[SUPPORT] < 0.3 * nominal)
+        return FALLEN;
+    if (fabs(s[Q + 2]) > 1.0)
+        return FALLEN;
+    return RUNNING;
+}
+
+/* The policy observation of state row s under a latent, into obs: the clock,
+ * the latent, then the support-relative height, the pitch, the joint angles,
+ * the heading velocity in the base frame, the vertical and pitch rates and
+ * the joint rates. */
+static void observe_row(const double *s, const double *latent, int64_t latent_dim,
+                        double *obs)
+{
+    const double angle = 2.0 * PI * s[PHASE];
+    const double pitch = s[Q + 2];
+    const double c = cos(pitch), sn = sin(pitch);
+    const double vx = s[QDOT], vz = s[QDOT + 1];
+    const double heading = c * vx + sn * vz;
+    double *at = obs + CLOCK_DIM + latent_dim;
+    obs[0] = sin(angle);
+    obs[1] = cos(angle);
+    for (int64_t k = 0; k < latent_dim; k++)
+        obs[CLOCK_DIM + k] = latent[k];
+    at[0] = s[Q + 1] - s[SUPPORT];
+    at[1] = pitch;
+    for (int k = 0; k < NUM_JOINTS; k++)
+        at[2 + k] = s[Q + 3 + k];
+    at[6] = heading;
+    at[7] = vz;
+    at[8] = s[QDOT + 2];
+    for (int k = 0; k < NUM_JOINTS; k++)
+        at[9 + k] = s[QDOT + 3 + k];
+}
+
+/* One lockstep batch of B rows, as sim.Lockstep lays it out. */
+struct batch {
+    int64_t rows;           /* B */
+    int64_t latent_dim;
+    int64_t noise_steps;    /* the noise's second dimension */
+    double *history;        /* (T + 1, B, ROW): row b's state after t steps */
+    const double *latents;  /* (B, latent_dim) */
+    const double *noise;    /* (B, noise_steps, NUM_JOINTS), or NULL */
+    const int64_t *budgets; /* (B,): the steps each row may take */
+    int64_t *live;          /* the live rows in ascending order */
+    const double *means;    /* (B, NUM_JOINTS): the live rows' policy means */
+    double *obs;            /* (B, obs_dim): the live rows' observations */
+    int64_t *lengths;       /* (B,): the steps each row took */
+    int64_t *status;        /* (B,): the status of each row's last state */
+    const double *params;
+    const double *terrain;
+};
+
+/* Step the first m live rows of batch b from step t to t + 1 and return how
+ * many stay live.
+ *
+ * Live row k, row r = live[k], acts on means[k], plus noise[r][t] if there is
+ * noise. Its state at t + 1 is its state at t after physics(), with the time
+ * advanced by control_dt, the phase by clock_rate * control_dt /
+ * cycle_duration under Python's float %, the contacts and the support from
+ * physics() (no contact and the old support for a non-finite state), and
+ * its status set. The rows that are running with steps left are compacted
+ * to the front of live, in order, and their observations at t + 1 written
+ * to the front of obs. */
+int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
+{
+    const double *params = b->params;
+    const int64_t obs_dim = CLOCK_DIM + b->latent_dim + PROPRIO_DIM;
+    double *now = b->history + t * b->rows * ROW;
+    double *next = now + b->rows * ROW;
+    int64_t kept = 0;
+
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t r = b->live[k];
+        const double *src = now + r * ROW;
+        double *dst = next + r * ROW;
+        double action[NUM_JOINTS];
+        int contacts;
+        int64_t status;
+
+        for (int j = 0; j < NUM_JOINTS; j++) {
+            action[j] = b->means[k * NUM_JOINTS + j];
+            if (b->noise)
+                action[j] = action[j] + b->noise[(r * b->noise_steps + t) * NUM_JOINTS + j];
+        }
+        memcpy(dst, src, ROW * sizeof(double));
+        contacts = physics(dst, action, params, b->terrain);
+        dst[TIME] = src[TIME] + params[CONTROL_DT];
+        dst[PHASE] = python_mod(
+            src[PHASE] + src[CLOCK_RATE] * params[CONTROL_DT] / params[CYCLE_DURATION], 1.0);
+        dst[CONTACT_LEFT] = contacts >= 0 && (contacts & 1) ? 1.0 : 0.0;
+        dst[CONTACT_RIGHT] = contacts >= 0 && (contacts & 2) ? 1.0 : 0.0;
+        status = status_of(dst, params);
+        b->lengths[r] = t + 1;
+        b->status[r] = status;
+        if (status == RUNNING && t + 1 < b->budgets[r]) {
+            b->live[kept] = r;
+            observe_row(dst, b->latents + r * b->latent_dim, b->latent_dim,
+                        b->obs + kept * obs_dim);
+            kept++;
+        }
+    }
+    return kept;
+}
+
+/* Start batch b at step 0: every row running, with no steps taken. The rows
+ * with a positive budget are live, in order, with their observations at the
+ * front of obs. Returns how many are live. */
+int64_t sim_start(const struct batch *b)
+{
+    const int64_t obs_dim = CLOCK_DIM + b->latent_dim + PROPRIO_DIM;
+    int64_t kept = 0;
+    for (int64_t r = 0; r < b->rows; r++) {
+        b->lengths[r] = 0;
+        b->status[r] = RUNNING;
+        if (b->budgets[r] > 0) {
+            b->live[kept] = r;
+            observe_row(b->history + r * ROW, b->latents + r * b->latent_dim, b->latent_dim,
+                        b->obs + kept * obs_dim);
+            kept++;
+        }
+    }
+    return kept;
+}
+
+/* The observations of n state rows, row k under latents[k], into obs. */
+void sim_observe(int64_t n, const double *rows, const double *latents, int64_t latent_dim,
+                 double *obs)
+{
+    const int64_t obs_dim = CLOCK_DIM + latent_dim + PROPRIO_DIM;
+    for (int64_t k = 0; k < n; k++)
+        observe_row(rows + k * ROW, latents + k * latent_dim, latent_dim, obs + k * obs_dim);
+}
+
+/* The termination status code of one state row. */
+int64_t sim_status(const double *row, const double *params)
+{
+    return status_of(row, params);
 }

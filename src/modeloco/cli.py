@@ -295,14 +295,13 @@ def cmd_plan(args) -> int:
     payload["solve_seconds"] = solve_seconds
     payload["q_table"] = result.q_table.tolist()
     write_artifact(out, "plan", payload, cfg_hash)
-    trace: list = []
-    plan_mod.plan_rollout(result.plan, policy, library, terrain, robot, cfg, trace=trace)
     trace_path = Path(str(out) + ".trace.csv")
+    # The reward column keeps the numpy scalar repr it has always been written with.
     write_table(
         trace_path,
         ["t", "x", "z", "pitch", "reward", "mode_index"],
-        ([repr(state.t), repr(state.x), repr(state.z), repr(state.pitch), repr(r), mode_idx]
-         for state, r, mode_idx in trace),
+        ([repr(t), repr(x), repr(z), repr(pitch), repr(np.float64(r)), mode_idx]
+         for mode_idx, knot in result.trace for t, x, z, pitch, r in knot.tolist()),
     )
     names = " ".join(library.names[i] for i in result.plan.mode_indices)
     print(f"best plan (return {result.best_return:.2f}): {names}")

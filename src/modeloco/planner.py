@@ -10,12 +10,13 @@ through `policy._advance`, the loop that training and evaluation episodes run.
 
 Plan rollouts share their prefixes. A deterministic policy in a deterministic
 simulator reaches the same state after the same knot prefix, and every knot's
-reward bucket starts at 0. So a prefix cache keyed by mode-index prefix (the
-state at the knot boundary, that knot's bucket, and whether the rollout ended
-there) runs each distinct prefix once, and rewards, Q-tables, plans and best
-returns stay bit-identical. Cached states are frozen with read-only arrays, so
-entries are shared safely. One cache serves all trials of a `parallel_trials`
-call and their greedy rollouts.
+reward bucket starts at 0. So a prefix cache keyed by mode-index prefix runs
+each distinct prefix once, and rewards, Q-tables, plans and best returns stay
+bit-identical. An entry holds the state row at the knot boundary, that knot's
+bucket, whether the rollout ended there, and the knot's per-step trace. Cached
+arrays are read-only, so entries are shared safely. One cache serves all
+trials of a `parallel_trials` call and their greedy rollouts, and the winning
+plan's trace is read from it.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from .policy import PolicyParams, _advance
+from . import policy as pol
+from .policy import PolicyParams
 from .refmotion import ModeLibrary
-from .sim import RUNNING, RobotConfig, SimState, Terrain, initial_state
+from .sim import PITCH, RUNNING, STATUSES, TIME, X, Z, RobotConfig, Terrain, initial_state
 
-# Mode-index prefix -> (state at the end of its last knot, that knot's reward
-# bucket, whether the rollout ended in that knot).
-PrefixCache = dict[tuple[int, ...], tuple[SimState, float, bool]]
+# Mode-index prefix -> (state row at the end of its last knot, that knot's
+# reward bucket, whether the rollout ended in that knot, the knot's trace).
+# A knot's trace has one row per step: t, x, z, pitch and the bucket so far.
+PrefixCache = dict[tuple[int, ...], tuple[np.ndarray, float, bool, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -93,38 +96,43 @@ def plan_rollout(
 ) -> np.ndarray:
     """Execute a plan with the deterministic policy; per-knot reward buckets.
 
-    Each knot is one `_advance` segment under the knot's latent. The phase
-    clock runs continuously; knot boundaries only swap the latent command. A
-    fall ends the rollout and leaves the remaining knots at zero. A knot whose
-    prefix is in `cache` is read from it instead of simulated, and a simulated
-    knot is added to it. A trace needs every step, so a rollout with a trace
-    does not use the cache.
+    Each knot is a one-row `_advance` batch under the knot's latent. The
+    phase clock runs continuously; knot boundaries only swap the latent
+    command. A fall ends the rollout and leaves the remaining knots at zero.
+    A knot whose prefix is in `cache` is read from it instead of simulated,
+    and a simulated knot is added to it. When `trace` is a list, it receives
+    a (mode index, knot trace) pair per knot run, cached or not; see
+    PrefixCache.
     """
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
     steps_per_knot = round(cfg.knot_dt / robot_cfg.control_dt)
     if steps_per_knot < 1:
         raise ValueError("knot duration shorter than one control step")
-    if trace is not None:
-        cache = None
 
-    state = initial_state(robot_cfg, terrain)
+    state = initial_state(robot_cfg, terrain).row
     rewards = np.zeros(plan.k)
     for knot, mode in enumerate(plan.mode_indices):
         prefix = plan.mode_indices[: knot + 1]
-        if cache is not None and prefix in cache:
-            state, rewards[knot], ended = cache[prefix]
-        else:
-            run = _advance(
-                policy, library.latents[mode], state, steps_per_knot, terrain, robot_cfg
+        entry = None if cache is None else cache.get(prefix)
+        if entry is None:
+            run = pol._advance(
+                policy, library.latents[mode : mode + 1], state[None],
+                [steps_per_knot], terrain, robot_cfg,
             )
-            for state in run.states[1:]:
-                rewards[knot] += goal_step_reward(state.x, state.z, cfg.goal_x, cfg.goal_z)
-                if trace is not None:
-                    trace.append((state, rewards[knot], mode))
-            ended = run.status != RUNNING
+            rows, bucket, knot_trace = run.rows(0), 0.0, []
+            for t, x, z, pitch in rows[1:, [TIME, X, Z, PITCH]].tolist():
+                bucket += goal_step_reward(x, z, cfg.goal_x, cfg.goal_z)
+                knot_trace.append((t, x, z, pitch, bucket))
+            end, knot_trace = rows[-1].copy(), np.array(knot_trace)
+            for a in (end, knot_trace):
+                a.setflags(write=False)
+            entry = (end, bucket, STATUSES[run.status[0]] != RUNNING, knot_trace)
             if cache is not None:
-                cache[prefix] = (state, rewards[knot], ended)
+                cache[prefix] = entry
+        state, rewards[knot], ended, knot_trace = entry
+        if trace is not None:
+            trace.append((mode, knot_trace))
         if ended:
             break
     return rewards
@@ -135,6 +143,8 @@ class QLearnResult:
     q_table: np.ndarray  # (knots, n_modes)
     plan: ModePlan
     best_return: float
+    # The plan's per-knot (mode index, knot trace) records; parallel_trials sets it.
+    trace: list | None = None
 
 
 def q_learn_core(
@@ -209,7 +219,8 @@ def parallel_trials(
 
     Trial i uses seed cfg.seed + i, and the trials run one after another
     through one prefix cache. Aggregation is by evaluated plan return with
-    ties going to the earliest trial.
+    ties going to the earliest trial. The winner's trace is read from the
+    cache, where its greedy rollout left every knot, with no stepping.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -222,6 +233,10 @@ def parallel_trials(
     for r in results[1:]:
         if r.best_return > best.best_return:
             best = r
+    best.trace = []
+    plan_rollout(
+        best.plan, policy, library, terrain, robot_cfg, cfg, trace=best.trace, cache=cache
+    )
     return best
 
 

@@ -28,17 +28,19 @@ from .sampler import EpisodeScript, switch_steps
 from .sim import (
     BLOWUP,
     FALLEN,
+    PHASE,
     RUNNING,
+    STATUSES,
+    X,
+    Lockstep,
     ModeTracker,
     RewardConfig,
     RobotConfig,
     SimState,
     Terrain,
     initial_state,
-    observe,
+    observe_rows,
     reward,
-    step,
-    termination,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -140,8 +142,17 @@ def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grad: MlpParams) -
 
 
 def policy_mean(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
-    out, _ = mlp_forward(params.net, np.atleast_2d(obs))
-    return out[0] if obs.ndim == 1 else out
+    """The action mean of one observation, or of each row of a (B, in) batch.
+
+    A batch runs as a (B, 1, in) stack of one-row matmuls, so row i equals the
+    mean of obs[i] alone, bit for bit, whatever B is; a plain (B, in) matmul
+    may round differently.
+    """
+    if obs.ndim == 1:
+        out, _ = mlp_forward(params.net, obs[None, :])
+        return out[0]
+    out, _ = mlp_forward(params.net, obs[:, None, :])
+    return out[:, 0, :]
 
 
 def value_of(params: MlpParams, obs: np.ndarray) -> float | np.ndarray:
@@ -366,65 +377,59 @@ def ppo_update(
 # --- episode rollout ----------------------------------------------------------
 
 
-@dataclass
-class _Run:
-    """What `_advance` stepped through: the states, the start state first, and
-    per step the observation, the policy mean and the action taken."""
-
-    states: list[SimState]
-    obs: list[np.ndarray]
-    means: list[np.ndarray]
-    actions: list[np.ndarray]
-    status: str  # termination status of the last state
-
-
 def _advance(
     policy: PolicyParams,
-    latent: np.ndarray,
-    state: SimState,
-    steps: int,
+    latents: np.ndarray,
+    starts: np.ndarray,
+    steps,
     terrain: Terrain,
     robot_cfg: RobotConfig,
     noise: np.ndarray | None = None,
-) -> _Run:
-    """Step the policy under one latent for `steps` control steps or until a
-    fall or blowup.
+) -> Lockstep:
+    """Step B episodes in lockstep, episode b from state row starts[b] under
+    latents[b] for steps[b] control steps or until a fall or blowup.
 
-    The action is the policy mean, plus noise[t] at step t when noise is given.
+    Each control step makes one stacked `policy_mean` call on the live rows'
+    observations and one kernel call that steps them all; episode b's action
+    at its step t is the policy mean, plus noise[b, t] when noise is given.
     Every episode in the package, in training, evaluation and planning, runs
     through this loop.
+
+    Runs are arrays: the returned batch holds the (T + 1, B, ROW) state
+    history, the steps each episode took and its final status code. The
+    inputs are checked before the kernel sees them: start rows (B, ROW),
+    latents (B, latent_dim) with the policy's latent width, noise
+    (B, at least max(steps), act_dim), all C-contiguous float64, and
+    non-negative integer steps; ValueError names a bad one.
     """
-    run = _Run(states=[state], obs=[], means=[], actions=[], status=RUNNING)
-    for t in range(steps):
-        o = observe(state, latent)
-        mean = policy_mean(policy, o)
-        a = mean if noise is None else mean + noise[t]
-        run.obs.append(o)
-        run.means.append(mean)
-        run.actions.append(a)
-        state = step(state, a, terrain, robot_cfg)
-        run.states.append(state)
-        run.status = termination(state, robot_cfg)
-        if run.status != RUNNING:
-            break
-    return run
+    batch = Lockstep(starts, latents, steps, noise, terrain, robot_cfg)
+    if batch.obs.shape[1] != policy.dims[0]:
+        raise ValueError(
+            f"latents of width {latents.shape[1]} give {batch.obs.shape[1]} observations, "
+            f"but the policy takes {policy.dims[0]}"
+        )
+    t, m = 0, batch.live_count
+    while m:
+        batch.means[:m] = policy_mean(policy, batch.obs[:m])
+        m = batch.advance(t, m)
+        t += 1
+    return batch
 
 
-def _tracking_rewards(
-    states: list[SimState], motion, reward_cfg: RewardConfig
-) -> list[float]:
-    """Per-step imitation rewards along `states` for a tracker anchored at the
-    first state.
+def _tracking_rewards(rows: np.ndarray, motion, reward_cfg: RewardConfig) -> list[float]:
+    """Per-step imitation rewards along the state rows `rows` for a tracker
+    anchored at the first.
 
     Completed clips count from 0 and grow at each wrap of the phase clock.
     """
-    tracker = ModeTracker(motion, anchor_x=states[0].x, anchor_phase=states[0].phase)
+    rows = rows.tolist()
+    tracker = ModeTracker(motion, anchor_x=rows[0][X], anchor_phase=rows[0][PHASE])
     clips_done = 0
     rewards = []
-    for prev, state in zip(states, states[1:]):
-        if state.phase < prev.phase:
+    for prev, row in zip(rows, rows[1:]):
+        if row[PHASE] < prev[PHASE]:
             clips_done += 1
-        rewards.append(reward(state, tracker.at(state.phase, clips_done), reward_cfg))
+        rewards.append(reward(row, tracker.at(row[PHASE], clips_done), reward_cfg))
     return rewards
 
 
@@ -432,64 +437,89 @@ def rollout(
     policy: PolicyParams,
     value: MlpParams,
     library: ModeLibrary,
-    script: EpisodeScript,
+    scripts: list[EpisodeScript],
     terrain: Terrain,
     robot_cfg: RobotConfig,
     reward_cfg: RewardConfig,
-    rng: np.random.Generator,
-) -> Trajectory:
-    """Run one scripted training episode of the stochastic policy.
+    rngs: list[np.random.Generator],
+) -> list[Trajectory]:
+    """Run a batch of scripted training episodes of the stochastic policy;
+    episode b follows scripts[b] and draws from rngs[b].
 
-    The episode is two `_advance` segments: `switch_step` steps under the
-    start mode's latent, then, unless it has ended, the rest of the horizon
-    under the end mode's. Each segment's reference tracker is anchored at the
-    segment's first state, so at the switch the new mode's reference
-    continues from where the robot actually is. Falls and blowups truncate
-    the episode with a zero bootstrap value.
+    The batch is two lockstep `_advance` calls: the first runs each episode
+    for its `switch_step` steps under its start mode's latent; the second
+    runs the episodes that have not ended for the rest of their horizons
+    under their end modes' latents. Each segment's reference tracker is
+    anchored at the segment's first state, so at the switch the new mode's
+    reference continues from where the robot actually is. Falls and blowups
+    truncate the episode with a zero bootstrap value.
 
-    The rollout draws horizon x act_dim standard normals from `rng` up front,
-    one row per step, whether or not the episode runs to the horizon. The
-    log-probs and the values, bootstrap included, are computed after the
-    episode in one batched call each, and equal per-step calls bit for bit.
+    Episode b draws horizon x act_dim standard normals from rngs[b] up
+    front, one row per step, whether or not it runs to the horizon. The
+    observations, means and actions are recomputed from the state history
+    after the batch, and the log-probs and values, bootstrap included, come
+    from one batched call each per episode; all equal what the stepping used
+    and what per-step calls give, bit for bit.
     """
-    if script.mode_from >= library.n or script.mode_to >= library.n:
+    if len(scripts) != len(rngs):
+        raise ValueError(f"need one rng per script, got {len(rngs)} for {len(scripts)}")
+    if any(s.mode_from >= library.n or s.mode_to >= library.n for s in scripts):
         raise ValueError("script modes outside the library")
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
-    noise = np.exp(policy.log_std) * rng.standard_normal((script.horizon, policy.action_dim))
-    switch = script.switch_step
+    act_dim = policy.action_dim
+    std = np.exp(policy.log_std)
+    noise = np.zeros((len(scripts), max((s.horizon for s in scripts), default=0), act_dim))
+    for b, (script, rng) in enumerate(zip(scripts, rngs)):
+        noise[b, : script.horizon] = std * rng.standard_normal((script.horizon, act_dim))
+    switch = np.array([s.switch_step for s in scripts], dtype=np.int64)
 
-    start = initial_state(robot_cfg, terrain)
-    latent = library.latents[script.mode_from]
-    run = _advance(policy, latent, start, switch, terrain, robot_cfg, noise[:switch])
-    runs = [run]
-    rewards = _tracking_rewards(run.states, library.motions[script.mode_from], reward_cfg)
-    if run.status == RUNNING:
-        latent = library.latents[script.mode_to]
-        run = _advance(
-            policy, latent, run.states[-1], script.horizon - switch, terrain, robot_cfg,
-            noise[switch:],
-        )
-        runs.append(run)
-        rewards += _tracking_rewards(run.states, library.motions[script.mode_to], reward_cfg)
-
-    obs = np.vstack([o for r in runs for o in r.obs] + [observe(run.states[-1], latent)])
-    actions = np.vstack([a for r in runs for a in r.actions])
-    means = np.vstack([m for r in runs for m in r.means])
-    fell, blew_up = run.status == FALLEN, run.status == BLOWUP
-    values = value_of(value, obs)
-    if fell or blew_up:
-        values[-1] = 0.0
-    return Trajectory(
-        obs=obs,
-        actions=actions,
-        rewards=np.array(rewards),
-        log_probs=gaussian_log_prob(actions, means, policy.log_std),
-        values=values,
-        script=script,
-        fell=fell,
-        blew_up=blew_up,
+    start = initial_state(robot_cfg, terrain).row
+    first = _advance(
+        policy, library.latents[[s.mode_from for s in scripts]],
+        np.tile(start, (len(scripts), 1)), switch, terrain, robot_cfg, noise,
     )
+    on = [b for b in range(len(scripts)) if STATUSES[first.status[b]] == RUNNING]
+    rest = np.array([scripts[b].horizon - switch[b] for b in on], dtype=np.int64)
+    later = np.zeros((len(on), rest.max(initial=0), act_dim))
+    for k, b in enumerate(on):
+        later[k, : rest[k]] = noise[b, switch[b] : scripts[b].horizon]
+    second = _advance(  # from each continuing episode's state at its switch step
+        policy, library.latents[[scripts[b].mode_to for b in on]],
+        first.history[switch[on], on], rest, terrain, robot_cfg, later,
+    )
+
+    trajectories = []
+    second_row = {b: k for k, b in enumerate(on)}
+    for b, script in enumerate(scripts):
+        rows, status = first.rows(b), first.status[b]
+        rewards = _tracking_rewards(rows, library.motions[script.mode_from], reward_cfg)
+        modes = [script.mode_from] * len(rows)
+        if b in second_row:
+            more, status = second.rows(second_row[b]), second.status[second_row[b]]
+            rewards += _tracking_rewards(more, library.motions[script.mode_to], reward_cfg)
+            rows = np.concatenate([rows[:-1], more])
+            modes = modes[:-1] + [script.mode_to] * len(more)
+        # The observation of each state, under the latent in force there; the
+        # last one is the bootstrap observation.
+        obs = observe_rows(rows, library.latents[modes])
+        means = policy_mean(policy, obs[:-1])
+        actions = means + noise[b, : len(rewards)]
+        fell, blew_up = STATUSES[status] == FALLEN, STATUSES[status] == BLOWUP
+        values = value_of(value, obs)
+        if fell or blew_up:
+            values[-1] = 0.0
+        trajectories.append(Trajectory(
+            obs=obs,
+            actions=actions,
+            rewards=np.array(rewards),
+            log_probs=gaussian_log_prob(actions, means, policy.log_std),
+            values=values,
+            script=script,
+            fell=fell,
+            blew_up=blew_up,
+        ))
+    return trajectories
 
 
 def normalized_return(tr: Trajectory, reward_cfg: RewardConfig) -> float:
@@ -526,14 +556,14 @@ def evaluate_modes(
     one a deterministic per-case episode would give. The deterministic
     dynamics depend only on the latent schedule, and the tracker is
     re-anchored only at the switch. So each source mode i runs one trunk
-    under latent i, to the horizon or a fall. An i -> j case with j != i
-    branches from the trunk's state at its switch step, with a tracker
-    re-anchored there. Trunks and branches step through `_advance`, as
-    `rollout`'s segments do. An i -> i case reuses the trunk's states and
-    only recomputes the rewards after its switch, with no physics. A case
-    whose episode ends before its switch is the trunk. Returns are summed
-    from the per-step reward array, as `Trajectory.episode_return` does, and
-    only one trunk is held at a time.
+    under latent i, to the horizon or a fall; the n trunks step as one
+    lockstep `_advance` batch. An i -> j case with j != i branches from the
+    trunk's state at its switch step, with a tracker re-anchored there; the
+    branches of one trunk step as one batch, one row per distinct (j, switch)
+    pair. An i -> i case reuses the trunk's states and only recomputes the
+    rewards after its switch, with no physics. A case whose episode ends
+    before its switch is the trunk. Returns are summed from the per-step
+    reward array, as `Trajectory.episode_return` does.
 
     When `traces` is a dict, traces[i] receives the per-step (state, reward,
     mode index) records of the i -> i case that switches at TRACE_SWITCH,
@@ -555,19 +585,26 @@ def evaluate_modes(
     # The trace case needs no check: a switch past the trunk's end gives the trunk.
     trace_switch = round(TRACE_SWITCH * robot_cfg.cycle_steps)
     ceiling = horizon * reward_cfg.max_step_reward
-    start = initial_state(robot_cfg, terrain, clock_rate=clock_rate)
+    start = initial_state(robot_cfg, terrain, clock_rate=clock_rate).row
+    trunks = _advance(
+        policy, library.latents, np.tile(start, (n, 1)), np.full(n, horizon), terrain, robot_cfg
+    )
     transition_scores = np.zeros((n, n))
     for i in range(n):
-        trunk = _advance(policy, library.latents[i], start, horizon, terrain, robot_cfg).states
+        trunk = trunks.rows(i)
+        steps = trunks.lengths[i]
         trunk_rewards = _tracking_rewards(trunk, library.motions[i], reward_cfg)
+        cases = [(j, s) for j in range(n) if j != i for s in dict.fromkeys(switches) if s < steps]
+        branches = _advance(
+            policy, library.latents[[j for j, _ in cases]], trunk[[s for _, s in cases]],
+            np.array([horizon - s for _, s in cases], dtype=np.int64), terrain, robot_cfg,
+        )
+        branch = {case: branches.rows(k) for k, case in enumerate(cases)}
 
         def case_rewards(j: int, switch: int) -> list[float]:
-            if switch >= len(trunk) - 1:  # the trunk ended before the switch
+            if switch >= steps:  # the trunk ended before the switch
                 return trunk_rewards
-            after = trunk[switch:] if j == i else _advance(
-                policy, library.latents[j], trunk[switch], horizon - switch,
-                terrain, robot_cfg,
-            ).states
+            after = trunk[switch:] if j == i else branch[j, switch]
             return trunk_rewards[:switch] + _tracking_rewards(
                 after, library.motions[j], reward_cfg
             )
@@ -583,7 +620,7 @@ def evaluate_modes(
             )
         if traces is not None:
             rewards = case_rewards(i, trace_switch)
-            traces[i] = [(state, r, i) for state, r in zip(trunk[1:], rewards)]
+            traces[i] = [(SimState.from_row(row), r, i) for row, r in zip(trunk[1:], rewards)]
     return np.diag(transition_scores).copy(), transition_scores
 
 

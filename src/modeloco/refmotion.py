@@ -140,7 +140,8 @@ class ModeLibrary:
             raise InvalidInputError(f"mode names must be unique, got {names}")
         if self.latents is not None:
             try:
-                z = _frozen(np.array(self.latents, dtype=float))
+                # C order: the physics kernel reads rows of it in place.
+                z = _frozen(np.array(self.latents, dtype=float, order="C"))
             except (TypeError, ValueError):
                 z = None
             if z is None or z.ndim != 2 or z.shape[0] != len(self.motions) or z.shape[1] < 1:

@@ -13,9 +13,30 @@ Physics substeps use velocity-Verlet (kick-drift-kick), which reproduces
 ballistic flight exactly; control runs at 50 Hz over 20 substeps of 1 ms.
 State in, state out: stepping is a pure function and bit-deterministic.
 
-The substeps run in `_physics.c`, a C kernel that step() compiles with `cc`
-on its first call and loads through ctypes for the life of the process.
-The kernel keeps a fixed floating-point operation order, so that
+A state is a row of ROW doubles: q (x, z, pitch, hip_l, knee_l, hip_r,
+knee_r), qdot, the time t, the phase, the clock rate, the left and right
+contact flags as 0.0 or 1.0, and the support height under the base. SimState
+is the same state as a record, for the one-state functions step, observe and
+termination.
+
+Episodes step in lockstep batches (`Lockstep`): B rows, each with its own
+start row, latent, step budget and optional action noise, advance together,
+one kernel call per control step. A call steps each live row: the action is
+the policy mean plus the row's noise at that step; the physics runs; t grows
+by control_dt; the phase becomes (phase + clock_rate * control_dt /
+cycle_duration) % 1.0, evaluated in that order under Python's float %
+(C's fmod, then the remainder takes the sign of 1.0, and a zero remainder
+is +0.0); the contacts and the support are set; and the status is set, a
+blowup (a value of q or qdot not finite) before fallen (the base below 0.3
+of the nominal height above the support, or pitched past 1 rad) before
+running. The rows still running with steps left are then compacted to the
+front of the live list, in ascending row order, and their next observations
+written in that order. A run is the (T + 1, B, ROW) history of the batch
+plus the steps and the final status of each row.
+
+The steps, observations and statuses run in `_physics.c`, a C kernel built
+with `cc` on first use and loaded through ctypes for the life of the
+process. The kernel keeps a fixed floating-point operation order, so that
 trajectories, checkpoints and resumed runs replay bit for bit across
 versions of this package. Do not reorder or regroup its arithmetic: force
 and torque sums start from 0.0 (which fixes the sign of a zero total), a
@@ -27,14 +48,16 @@ evaluation at those positions, since its expression and inputs are the same
 each time; the kernel does so. The compiler flags are part of the same
 contract: no -ffast-math, so every operation rounds as written;
 -ffp-contract=off, so no multiply-add is fused into one rounding; and
--fno-builtin, so sin and cos stay the libm calls that math.sin and math.cos
-make and are not merged into sincos. tests/test_sim.py holds the plain-loop
-Python reference that step() must match byte for byte.
+-fno-builtin, so sin, cos and fmod stay the libm calls that math.sin,
+math.cos and float % make, and sin and cos are not merged into sincos.
+tests/test_sim.py holds the plain Python references of the step, the
+observation and the termination that the kernel must match byte for byte.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import tempfile
 from dataclasses import dataclass
@@ -58,9 +81,17 @@ GRAVITY = 9.81
 RUNNING = "running"
 FALLEN = "fallen"
 BLOWUP = "blowup"
+# The termination statuses by the kernel's status code.
+STATUSES = (RUNNING, FALLEN, BLOWUP)
 
 NUM_JOINTS = 4
 BASE_DOF = 3  # x, z, pitch
+
+# The state row layout, `_physics.c`'s.
+Q, QDOT, TIME, PHASE, CLOCK_RATE, CONTACT_LEFT, CONTACT_RIGHT, SUPPORT, ROW = (
+    0, 7, 14, 15, 16, 17, 18, 19, 20
+)
+X, Z, PITCH = Q, Q + 1, Q + 2
 
 
 @dataclass(frozen=True)
@@ -122,7 +153,7 @@ class RobotConfig:
             self.base_mass, self.base_inertia, self.joint_inertia, self.joint_damping,
             self.kp, self.kd, self.torque_limit, self.contact_stiffness,
             self.contact_damping, self.friction, self.hip_offset, self.thigh_length,
-            self.shank_length, self.control_dt, self.substeps, GRAVITY,
+            self.shank_length, self.control_dt, self.substeps, GRAVITY, self.cycle_duration,
         )
         return (ctypes.c_double * len(values))(*values)
 
@@ -283,6 +314,23 @@ class SimState:
     def height_above_support(self) -> float:
         return self.z - self.support
 
+    @property
+    def row(self) -> np.ndarray:
+        """This state as a state row."""
+        return np.concatenate([self.q, self.qdot, [
+            self.t, self.phase, self.clock_rate, self.contact_left, self.contact_right,
+            self.support,
+        ]])
+
+    @staticmethod
+    def from_row(row: np.ndarray) -> "SimState":
+        """The state of a state row; q and qdot are read-only views of it."""
+        return SimState(
+            q=row[Q:QDOT], qdot=row[QDOT:TIME], t=float(row[TIME]), phase=float(row[PHASE]),
+            clock_rate=float(row[CLOCK_RATE]), contact_left=bool(row[CONTACT_LEFT]),
+            contact_right=bool(row[CONTACT_RIGHT]), support=float(row[SUPPORT]),
+        )
+
 
 def initial_state(
     cfg: RobotConfig,
@@ -354,10 +402,12 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
     afresh. Both legs are written out inline: a unilateral spring-damper
     normal force with Coulomb-capped tangential drag at each foot, and PD
     torques toward the action's joint targets, clipped at the actuator limit
-    but with no angle limits on the targets. The substeps, the contacts and
-    the support of the new state run in the compiled kernel, `_physics.c`,
-    in the operation order the module docstring fixes; the first call builds
-    it, and a missing or failing `cc` raises RuntimeError.
+    but with no angle limits on the targets.
+
+    This is a one-row `Lockstep` batch: the same kernel call that steps
+    every episode, in the operation order the module docstring fixes. The
+    kernel's first use builds it, and a missing or failing `cc` raises
+    RuntimeError.
 
     A non-finite outcome is returned as-is; termination() classifies it as a
     blowup so the caller can cut the episode. An infinite angle, which
@@ -366,42 +416,15 @@ def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig
     action = np.asarray(action, dtype=float)
     if action.shape != (NUM_JOINTS,):
         raise ValueError(f"action must have {NUM_JOINTS} entries")
-    global _kernel
-    if _kernel is None:
-        _kernel = _build_kernel()
-    io = _io_view
-    io[:7] = state.q
-    io[7:14] = state.qdot
-    io[14:18] = action
-    contacts = _kernel(_io, cfg._kernel_params, terrain._kernel_terrain)
-    phase = (state.phase + state.clock_rate * cfg.control_dt / cfg.cycle_duration) % 1.0
-    if contacts < 0:  # a non-finite state
-        contact_l = contact_r = False
-        support = state.support
-    else:
-        contact_l = bool(contacts & 1)
-        contact_r = bool(contacts & 2)
-        support = float(io[18])
-    return SimState(
-        q=io[:7].copy(),
-        qdot=io[7:14].copy(),
-        t=state.t + cfg.control_dt,
-        phase=phase,
-        clock_rate=state.clock_rate,
-        contact_left=contact_l,
-        contact_right=contact_r,
-        support=support,
-    )
+    batch = Lockstep(state.row[None], np.zeros((1, 0)), [1], None, terrain, cfg)
+    batch.means[0] = action
+    batch.advance(0, 1)
+    return SimState.from_row(batch.history[1, 0])
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_physics.c")
-# The compiled step function; the first step() call builds it.
+# The compiled kernel library; its first use builds it.
 _kernel = None
-# The buffer step() hands the kernel: q, qdot and the action in, the new q
-# and qdot out, and the new support at index 18. Every step() call reuses
-# it, so step() must not run in two threads at once.
-_io_view = np.zeros(19)
-_io = (ctypes.c_double * 19).from_buffer(_io_view)
 
 
 def _build_kernel():
@@ -425,26 +448,118 @@ def _build_kernel():
                 f"cannot build the physics kernel: cc exited {done.returncode}: "
                 f"{done.stderr.strip()}"
             )
-        kernel = ctypes.CDLL(str(library)).sim_step
-    doubles = ctypes.POINTER(ctypes.c_double)
-    kernel.argtypes = [doubles, doubles, doubles]
-    kernel.restype = ctypes.c_int
+        kernel = ctypes.CDLL(str(library))
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    for name, argtypes in (
+        ("sim_start", [pointer]),
+        ("sim_lockstep", [pointer, count, count]),
+        ("sim_observe", [count, pointer, pointer, count, pointer]),
+        ("sim_status", [pointer, pointer]),
+    ):
+        getattr(kernel, name).argtypes = argtypes
+        getattr(kernel, name).restype = count
+    kernel.sim_observe.restype = None
     return kernel
 
 
-def _all_finite(values: list[float]) -> bool:
-    """math.isfinite of every entry: no sum that could overflow."""
-    return all(map(math.isfinite, values))
+def _library():
+    global _kernel
+    if _kernel is None:
+        _kernel = _build_kernel()
+    return _kernel
+
+
+def _address(a) -> int:
+    return a.ctypes.data if isinstance(a, np.ndarray) else ctypes.addressof(a)
+
+
+def _checked(a, name: str, shape: tuple) -> np.ndarray:
+    """a, if it is a C-contiguous float64 array of `shape`, where None matches
+    any length; ValueError otherwise, before the kernel reads it."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.ndim == len(shape) and all(n in (None, m) for m, n in zip(a.shape, shape))):
+        got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+        raise ValueError(f"{name} must be a C-contiguous float64 array of shape {shape} "
+                         f"(None: any length), got {got}")
+    return a
+
+
+class _Batch(ctypes.Structure):
+    """`_physics.c`'s struct batch."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in ("rows", "latent_dim", "noise_steps")] + [
+        (name, ctypes.c_void_p) for name in (
+            "history", "latents", "noise", "budgets", "live", "means", "obs", "lengths",
+            "status", "params", "terrain",
+        )
+    ]
+
+
+class Lockstep:
+    """B state rows that step together, each under its own latent, step budget
+    and optional action noise; the module docstring gives the contract.
+
+    history[t, b] is row b's state after t steps, lengths[b] the steps row b
+    took and status[b] the status code (see STATUSES) of its last state.
+    Rows past a row's length are never written. A row is live while it is
+    running and has steps left: live[:m] holds the m live rows, ascending,
+    and obs[:m] their observations, live_count of them at the start.
+    advance(t, m) steps them from t to t + 1 on the policy means in
+    means[:m] and returns the new m.
+    """
+
+    def __init__(
+        self,
+        starts: np.ndarray,
+        latents: np.ndarray,
+        budgets,
+        noise: np.ndarray | None,
+        terrain: Terrain,
+        cfg: RobotConfig,
+    ):
+        rows = _checked(starts, "start rows", (None, ROW)).shape[0]
+        latent_dim = _checked(latents, "latents", (rows, None)).shape[1]
+        budgets = np.asarray(budgets)
+        if (budgets.shape != (rows,) or (budgets.size and budgets.dtype.kind not in "iu")
+                or (budgets < 0).any()):
+            raise ValueError(f"step budgets must be {rows} non-negative integers, got {budgets!r}")
+        self.budgets = budgets.astype(np.int64)
+        steps = int(self.budgets.max(initial=0))
+        if noise is not None:
+            _checked(noise, "noise", (rows, None, NUM_JOINTS))
+            if noise.shape[1] < steps:
+                raise ValueError(f"noise covers {noise.shape[1]} steps of {steps}")
+        self.history = np.empty((steps + 1, rows, ROW))
+        self.history[0] = starts
+        self.live, self.lengths, self.status = np.empty((3, rows), dtype=np.int64)
+        self.means = np.empty((rows, NUM_JOINTS))
+        self.obs = np.empty((rows, observation_dim(latent_dim)))
+        # Held here, so that they live as long as the pointers the kernel reads.
+        self._inputs = (latents, noise, cfg._kernel_params, terrain._kernel_terrain)
+        self._batch = _Batch(
+            rows, latent_dim, 0 if noise is None else noise.shape[1],
+            *(0 if a is None else _address(a) for a in (
+                self.history, latents, noise, self.budgets, self.live, self.means, self.obs,
+                self.lengths, self.status, cfg._kernel_params, terrain._kernel_terrain,
+            )),
+        )
+        kernel, address = _library(), ctypes.addressof(self._batch)
+        self.live_count = kernel.sim_start(address)
+        self._call = functools.partial(kernel.sim_lockstep, address)
+
+    def advance(self, t: int, m: int) -> int:
+        return self._call(m, t)
+
+    def rows(self, b: int) -> np.ndarray:
+        """Row b's states, the start first: a C-contiguous copy of
+        history[: lengths[b] + 1, b]."""
+        return self.history[: self.lengths[b] + 1, b].copy()
 
 
 def termination(state: SimState, cfg: RobotConfig) -> str:
-    if not _all_finite(state.q.tolist() + state.qdot.tolist()):
-        return BLOWUP
-    if state.height_above_support < 0.3 * cfg.nominal_height:
-        return FALLEN
-    if abs(state.pitch) > 1.0:
-        return FALLEN
-    return RUNNING
+    """The kernel's status of one state: BLOWUP, FALLEN or RUNNING."""
+    row = state.row
+    return STATUSES[_library().sim_status(_address(row), _address(cfg._kernel_params))]
 
 
 # --- observation -------------------------------------------------------------
@@ -457,32 +572,26 @@ def observation_dim(latent_dim: int) -> int:
     return CLOCK_DIM + latent_dim + PROPRIO_DIM
 
 
+def observe_rows(rows: np.ndarray, latents: np.ndarray) -> np.ndarray:
+    """The kernel's observation of each state row, row k under latents[k]."""
+    n = _checked(rows, "state rows", (None, ROW)).shape[0]
+    latent_dim = _checked(latents, "latents", (n, None)).shape[1]
+    obs = np.empty((n, observation_dim(latent_dim)))
+    _library().sim_observe(n, _address(rows), _address(latents), latent_dim, _address(obs))
+    return obs
+
+
 def observe(state: SimState, latent: np.ndarray) -> np.ndarray:
     """Policy observation [clock, latent command, proprioception].
 
-    The base x never appears: height is support-relative and the linear
-    velocity is expressed in the base frame, so the observation is invariant
-    to horizontal translation.
+    The clock is the sine and cosine of 2 pi phase. The base x never appears:
+    height is support-relative and the linear velocity is expressed in the
+    base frame, so the observation is invariant to horizontal translation.
+    An infinite phase or pitch, whose sine math.sin cannot take, gives NaN
+    in the entries computed from it.
     """
-    latent = np.asarray(latent, dtype=float)
-    angle = 2.0 * math.pi * state.phase
-    pitch = state.pitch
-    c, s = math.cos(pitch), math.sin(pitch)
-    vx, vz = float(state.qdot[0]), float(state.qdot[1])
-    heading_vel = c * vx + s * vz
-    obs = np.empty(CLOCK_DIM + latent.shape[0] + PROPRIO_DIM)
-    obs[0] = math.sin(angle)
-    obs[1] = math.cos(angle)
-    obs[2 : 2 + latent.shape[0]] = latent
-    at = 2 + latent.shape[0]
-    obs[at] = state.height_above_support
-    obs[at + 1] = pitch
-    obs[at + 2 : at + 6] = state.q[3:]
-    obs[at + 6] = heading_vel
-    obs[at + 7] = vz
-    obs[at + 8] = float(state.qdot[2])
-    obs[at + 9 : at + 13] = state.qdot[3:]
-    return obs
+    latent = np.array(latent, dtype=float, ndmin=2)
+    return observe_rows(state.row[None], latent)[0]
 
 
 # --- reference tracking and reward -------------------------------------------
@@ -515,6 +624,7 @@ class ModeTracker:
         self._pitch = motion.samples[:, 2]
         self._contacts = motion.samples[:, 3:5]
         self._top = motion.length - 1
+        self._displacement = motion.displacement
         self.anchor_x = float(anchor_x)
         self.anchor_phase = float(anchor_phase)
         self._x0 = self.anchor_x - self._interp(self._pos, anchor_phase)
@@ -533,7 +643,7 @@ class ModeTracker:
         if self.motion.kind == TRANSIENT and clips_completed >= 1:
             i = self._top
             return ReferencePoint(
-                x=self._x0 + self.motion.displacement,
+                x=self._x0 + self._displacement,
                 z=float(self._z[i]),
                 pitch=float(self._pitch[i]),
                 contact_left=float(self._contacts[i, 0]),
@@ -541,7 +651,7 @@ class ModeTracker:
             )
         ci = min(int(phase * self._top), self._top)
         return ReferencePoint(
-            x=self._x0 + clips_completed * self.motion.displacement + self._interp(self._pos, phase),
+            x=self._x0 + clips_completed * self._displacement + self._interp(self._pos, phase),
             z=self._interp(self._z, phase),
             pitch=self._interp(self._pitch, phase),
             contact_left=float(self._contacts[ci, 0]),
@@ -549,13 +659,14 @@ class ModeTracker:
         )
 
 
-def reward(state: SimState, ref: ReferencePoint, cfg: RewardConfig) -> float:
-    """Imitation reward: weighted exponentials of pose and contact errors."""
-    dx = state.x - ref.x
-    dz = state.height_above_support - ref.z
-    dpitch = state.pitch - ref.pitch
-    ec_l = float(float(state.contact_left) != ref.contact_left)
-    ec_r = float(float(state.contact_right) != ref.contact_right)
+def reward(row: Sequence[float], ref: ReferencePoint, cfg: RewardConfig) -> float:
+    """Imitation reward of a state row: weighted exponentials of pose and
+    contact errors."""
+    dx = row[X] - ref.x
+    dz = (row[Z] - row[SUPPORT]) - ref.z
+    dpitch = row[PITCH] - ref.pitch
+    ec_l = float(row[CONTACT_LEFT] != ref.contact_left)
+    ec_r = float(row[CONTACT_RIGHT] != ref.contact_right)
     wp, wo, wc = cfg.weights
     kp, ko, kc = REWARD_SENSITIVITIES
     return (
@@ -563,4 +674,3 @@ def reward(state: SimState, ref: ReferencePoint, cfg: RewardConfig) -> float:
         + wo * math.exp(-ko * abs(dpitch))
         + wc * math.exp(-kc * math.hypot(ec_l, ec_r))
     )
-

@@ -1,10 +1,10 @@
 """Policy training loop: adaptive or uniform episode sampling around PPO.
 
 Each iteration samples a batch of episode scripts from the current return
-records (or uniformly), rolls them out, applies one PPO update, and folds the
-episode returns back into the records in submission order. All randomness is
-derived from (seed, counter) pairs, so a run is bit-reproducible and resumable
-from a checkpoint.
+records (or uniformly), rolls them out as one lockstep batch, applies one PPO
+update, and folds the episode returns back into the records in submission
+order. All randomness is derived from (seed, counter) pairs, so a run is
+bit-reproducible and resumable from a checkpoint.
 
 A checkpoint holds state only: parameters, optimizer moments, the sampler's
 return records and the counters. Every setting, the sampler's decays and floor
@@ -165,13 +165,11 @@ def run_training(
                 )
             else:
                 scripts.append(uniform_script(library.n, cycle_steps, cfg.horizon, rng))
-        trajectories = [
-            pol.rollout(
-                state.policy, state.value, library, script, terrain, robot_cfg, reward_cfg,
-                derived_rng(cfg.seed, _STREAM_EPISODE, state.episode_count + b),
-            )
-            for b, script in enumerate(scripts)
-        ]
+        trajectories = pol.rollout(
+            state.policy, state.value, library, scripts, terrain, robot_cfg, reward_cfg,
+            [derived_rng(cfg.seed, _STREAM_EPISODE, state.episode_count + b)
+             for b in range(len(scripts))],
+        )
 
         update_rng = derived_rng(cfg.seed, _STREAM_UPDATE, state.update_count)
         new_policy, new_value, new_opt, stats = pol.ppo_update(

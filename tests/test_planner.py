@@ -172,16 +172,17 @@ def _reference_plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, trac
 def _count_steps(monkeypatch) -> list:
     """Count the simulator steps the planner takes; returns a one-item counter.
 
-    Plan knots step through `policy._advance`, so the count patches the policy
-    module's `step`."""
+    Plan knots step through `policy._advance`, so the count wraps it and sums
+    the steps of each batch it returns."""
     count = [0]
-    real_step = pol.step
+    real_advance = pol._advance
 
-    def counting_step(*args, **kwargs):
-        count[0] += 1
-        return real_step(*args, **kwargs)
+    def counting_advance(*args, **kwargs):
+        run = real_advance(*args, **kwargs)
+        count[0] += int(run.lengths.sum())
+        return run
 
-    monkeypatch.setattr(pol, "step", counting_step)
+    monkeypatch.setattr(pol, "_advance", counting_advance)
     return count
 
 
@@ -195,11 +196,15 @@ def _falling_policy():
 
 
 def _assert_same_trace(got, want):
-    assert len(got) == len(want)
-    for (state, r, mode), (w_state, w_r, w_mode) in zip(got, want):
-        assert state.q.tobytes() == w_state.q.tobytes()
-        assert state.t == w_state.t and mode == w_mode
-        assert np.float64(r).tobytes() == np.float64(w_r).tobytes()
+    """got, a plan_rollout trace of (mode, knot trace) pairs, has one step per
+    (state, bucket, mode) record of want, with its t, x, z, pitch and bucket."""
+    steps = [(row, mode) for mode, knot in got for row in knot]
+    assert len(steps) == len(want)
+    for (row, mode), (w_state, w_r, w_mode) in zip(steps, want):
+        assert mode == w_mode
+        assert row.tobytes() == np.array(
+            [w_state.t, w_state.x, w_state.z, w_state.pitch, w_r]
+        ).tobytes()
 
 
 @pytest.mark.parametrize("terrain", ["flat", "gap"])
@@ -242,7 +247,8 @@ def test_trials_match_the_uncached_reference(monkeypatch, terrain):
     assert steps[0] < sum(n for _, n in runs)
     assert set(cache) == set(knot_steps)
 
-    # parallel_trials shares one cache the same way.
+    # parallel_trials shares one cache the same way, and reads the winner's
+    # trace from it.
     steps[0] = 0
     best = pl.parallel_trials(policy, lib, world, ROBOT, cfg, trials=3)
     assert steps[0] == sum(knot_steps.values())
@@ -250,6 +256,9 @@ def test_trials_match_the_uncached_reference(monkeypatch, terrain):
     assert best.plan == winner.plan
     assert best.q_table.tobytes() == winner.q_table.tobytes()
     assert repr(best.best_return) == repr(winner.best_return)
+    want_trace = []
+    _reference_plan_rollout(best.plan, policy, lib, world, ROBOT, cfg, want_trace)
+    _assert_same_trace(best.trace, want_trace)
 
 
 @pytest.mark.parametrize("falls", [False, True])
@@ -274,10 +283,11 @@ def test_a_cached_plan_reruns_no_steps(monkeypatch, falls):
     assert steps[0] == len(want_trace)
     assert first.tobytes() == second.tobytes() == want.tobytes()
     assert len(cache) == -(-len(want_trace) // 10)
-    # A trace needs every step, so it does not read the cache.
+    # Each entry keeps its knot's trace, so a traced rerun takes no steps and
+    # equals the reference trace.
     trace = []
     traced = pl.plan_rollout(*args, trace=trace, cache=cache)
-    assert steps[0] == 2 * len(want_trace)
+    assert steps[0] == len(want_trace)
     assert traced.tobytes() == want.tobytes()
     _assert_same_trace(trace, want_trace)
 

@@ -243,6 +243,13 @@ ROBOT = sim.RobotConfig()
 REWARD = sim.RewardConfig()
 
 
+def _one_rollout(policy, value, library, script, terrain, robot_cfg, reward_cfg, rng):
+    """`rollout` of a batch of one script."""
+    return pol.rollout(
+        policy, value, library, [script], terrain, robot_cfg, reward_cfg, [rng]
+    )[0]
+
+
 def _near_deterministic(policy):
     """A tiny action noise, so that episodes run as the policy mean would."""
     policy.log_std[:] = -20.0
@@ -256,7 +263,7 @@ def test_rollout_latent_switch_exact_step():
     value = pol.init_value(rng, OBS_DIM)
     # clip_s=1, phi_s=0.25, 50-step cycle: switch at round(1.25 * 50) = 62
     script = EpisodeScript(mode_from=0, mode_to=2, switch_step=62, horizon=80)
-    tr = pol.rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
+    tr = _one_rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     z_from = lib.latents[0]
     z_to = lib.latents[2]
     assert tr.length == 80
@@ -271,7 +278,7 @@ def test_rollout_same_mode_keeps_latent_constant():
     policy = _near_deterministic(pol.init_policy(rng, OBS_DIM))
     value = pol.init_value(rng, OBS_DIM)
     script = EpisodeScript(mode_from=1, mode_to=1, switch_step=25, horizon=60)
-    tr = pol.rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
+    tr = _one_rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     assert tr.length == 60
     for t in range(tr.length):
         np.testing.assert_array_equal(tr.obs[t, 2:6], lib.latents[1])
@@ -285,7 +292,7 @@ def test_rollout_fall_truncates_with_zero_bootstrap():
     policy.log_std[:] = 2.0
     value = pol.init_value(rng, OBS_DIM)
     script = EpisodeScript(mode_from=0, mode_to=0, switch_step=25, horizon=200)
-    tr = pol.rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
+    tr = _one_rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     assert tr.fell
     assert tr.length < 200
     assert tr.values[-1] == 0.0
@@ -327,7 +334,7 @@ def _reference_rollout(
         new_state = sim.step(state, a, terrain, robot_cfg)
         if new_state.phase < state.phase:
             clips_done += 1
-        r = sim.reward(new_state, tracker.at(new_state.phase, clips_done), reward_cfg)
+        r = sim.reward(new_state.row, tracker.at(new_state.phase, clips_done), reward_cfg)
         rew_list.append(r)
         if trace is not None:
             trace.append((new_state, r, script.mode_from if current == 0 else script.mode_to))
@@ -375,7 +382,7 @@ def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
     )
     args = (policy, value, lib, script, terrain, ROBOT, REWARD)
     want = _reference_rollout(*args, rng=np.random.default_rng(100 + seed))
-    got = pol.rollout(*args, np.random.default_rng(100 + seed))
+    got = _one_rollout(*args, np.random.default_rng(100 + seed))
     if ending == "falls":
         assert want.fell and want.length < horizon
     else:
@@ -399,7 +406,7 @@ def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_swi
 
     def episode(switch_step, reference):
         script = EpisodeScript(mode_from=1, mode_to=3, switch_step=switch_step, horizon=200)
-        run = _reference_rollout if reference else pol.rollout
+        run = _reference_rollout if reference else _one_rollout
         return run(
             policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD,
             np.random.default_rng(21),
@@ -425,6 +432,98 @@ def test_batched_values_equal_single_rows():
     single = np.array([pol.value_of(value, o) for o in obs])
     for B in range(1, 257):
         assert pol.value_of(value, obs[:B]).tobytes() == single[:B].tobytes(), B
+
+
+def test_batched_means_equal_single_rows():
+    rng = np.random.default_rng(12)
+    policy = pol.init_policy(rng, OBS_DIM)
+    obs = rng.normal(size=(256, OBS_DIM))
+    single = np.array([pol.policy_mean(policy, o) for o in obs])
+    for B in range(1, 257):
+        assert pol.policy_mean(policy, obs[:B]).tobytes() == single[:B].tobytes(), B
+
+
+def _blowing_up_policy():
+    """The falling policy, whose mean turns NaN, and so blows the episode up,
+    under a latent whose first two entries are both 10: the first hidden
+    unit sums 1e308 * 10 and -1e308 * 10, inf - inf."""
+    policy = _falling_policy()
+    policy.net.weights[0][0, 2:4] = [1e308, -1e308]
+    return policy
+
+
+def test_a_lockstep_batch_equals_one_script_batches():
+    full = library_with_latents()
+    latents = np.random.default_rng(3).uniform(-0.5, 0.5, size=(full.n, 4))
+    latents[3, :2] = 10.0
+    lib = rm.ModeLibrary(full.motions, latents)
+    policy = _blowing_up_policy()
+    value = pol.init_value(np.random.default_rng(8), OBS_DIM)
+    world = sim.Terrain.flat()
+
+    def run(scripts, seeds):
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        with np.errstate(over="ignore", invalid="ignore"):  # the blowups' inf - inf
+            return pol.rollout(policy, value, lib, scripts, world, ROBOT, REWARD, rngs)
+
+    # The policy ignores finite observations, so a fall's step depends on the
+    # noise alone; place switches around the fall of seed 31.
+    fall = run([EpisodeScript(0, 1, 40, 60)], [31])[0].length
+    scripts = [
+        EpisodeScript(0, 1, 5, 60),  # falls after its switch
+        EpisodeScript(1, 2, 40, 60),  # falls before its switch
+        EpisodeScript(0, 2, fall, 60),  # falls on the last step before its switch
+        EpisodeScript(0, 2, fall - 1, 60),  # falls on its switch step
+        EpisodeScript(2, 3, 4, 60),  # blows up after its switch
+        EpisodeScript(3, 0, 20, 60),  # blows up on its first step
+        EpisodeScript(1, 0, 3, 8),  # runs to its horizon
+    ]
+    seeds = [30, 32, 31, 31, 33, 34, 35]
+    batch = run(scripts, seeds)
+    assert [tr.fell for tr in batch] == [True] * 4 + [False] * 3
+    assert [tr.blew_up for tr in batch] == [False] * 4 + [True] * 2 + [False]
+    assert (batch[2].length, batch[3].length, batch[-1].length) == (fall, fall, 8)
+    assert (batch[4].length, batch[5].length) == (5, 1)
+    for script, seed, got in zip(scripts, seeds, batch):
+        want = run([script], [seed])[0]
+        for name in ("obs", "actions", "rewards", "log_probs", "values"):
+            w, g = getattr(want, name), getattr(got, name)
+            assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), name
+        assert (got.fell, got.blew_up, got.script) == (want.fell, want.blew_up, want.script)
+
+
+def test_advance_checks_its_inputs_before_the_kernel():
+    policy = pol.init_policy(np.random.default_rng(0), OBS_DIM)
+    start = sim.initial_state(ROBOT, sim.Terrain.flat()).row
+    starts, latents = np.tile(start, (2, 1)), np.zeros((2, 4))
+    args = (sim.Terrain.flat(), ROBOT)
+    pol._advance(policy, latents, starts, [3, 0], *args)  # well formed
+    for bad_starts, bad_latents, steps, noise, match in [
+        (starts[:, :-1].copy(), latents, [3, 3], None, "start rows"),
+        (starts, latents.astype(np.float32), [3, 3], None, "latents"),
+        (starts, latents, [3, -1], None, "step budgets"),
+        (starts, latents, [3.0, 3.0], None, "step budgets"),
+        (starts, latents[:, :3].copy(), [3, 3], None, "policy takes"),
+        (starts, latents, [3, 3], np.zeros((2, 2, 4)), "noise covers"),
+        (starts, latents, [3, 3], np.zeros((2, 3, 3)), "noise"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            pol._advance(policy, bad_latents, bad_starts, steps, *args, noise)
+
+
+def test_fortran_ordered_latents_step_as_c_ordered_ones():
+    from modeloco import planner as pl
+
+    lib = library_with_latents()
+    flipped = lib.with_latents(np.asfortranarray(lib.latents))
+    policy = pol.init_policy(np.random.default_rng(4), OBS_DIM)
+    world = sim.Terrain.flat()
+    want = pol.evaluate_modes(policy, lib, world, ROBOT, REWARD, horizon=30)
+    got = pol.evaluate_modes(policy, flipped, world, ROBOT, REWARD, horizon=30)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    plan, cfg = pl.ModePlan((2, 0)), pl.PlannerConfig(knots=2)
+    assert (pl.plan_rollout(plan, policy, flipped, world, ROBOT, cfg).tobytes()
+            == pl.plan_rollout(plan, policy, lib, world, ROBOT, cfg).tobytes())
 
 
 def test_evaluate_modes_shapes_and_range():
@@ -485,15 +584,19 @@ def _falling_policy():
 
 
 def _count_steps(monkeypatch) -> list:
-    """Count the simulator steps the policy module takes; returns a one-item counter."""
+    """Count the simulator steps the policy module takes; returns a one-item counter.
+
+    Every episode steps through `_advance`, so the count sums the steps of
+    each batch it returns."""
     count = [0]
-    real_step = pol.step
+    real_advance = pol._advance
 
-    def counting_step(*args, **kwargs):
-        count[0] += 1
-        return real_step(*args, **kwargs)
+    def counting_advance(*args, **kwargs):
+        run = real_advance(*args, **kwargs)
+        count[0] += int(run.lengths.sum())
+        return run
 
-    monkeypatch.setattr(pol, "step", counting_step)
+    monkeypatch.setattr(pol, "_advance", counting_advance)
     return count
 
 

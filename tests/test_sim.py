@@ -10,6 +10,7 @@ import pytest
 
 from modeloco import refmotion as rm
 from modeloco import sim
+from modeloco.sim import BLOWUP, CLOCK_DIM, FALLEN, PROPRIO_DIM, RUNNING, RobotConfig, SimState
 
 
 CFG = sim.RobotConfig()
@@ -312,6 +313,106 @@ def test_step_matches_reference_bit_for_bit():
         assert hits[regime] > 0, regime
 
 
+# --- reference observation and termination ---------------------------------------
+#
+# The Python forms of sim.observe and sim.termination from before the kernel
+# computed them. The kernel's observations and statuses, which every lockstep
+# episode uses, must match them byte for byte.
+
+
+def _all_finite(values: list[float]) -> bool:
+    """math.isfinite of every entry: no sum that could overflow."""
+    return all(map(math.isfinite, values))
+
+
+def _reference_termination(state: SimState, cfg: RobotConfig) -> str:
+    if not _all_finite(state.q.tolist() + state.qdot.tolist()):
+        return BLOWUP
+    if state.height_above_support < 0.3 * cfg.nominal_height:
+        return FALLEN
+    if abs(state.pitch) > 1.0:
+        return FALLEN
+    return RUNNING
+
+
+def _reference_observe(state: SimState, latent: np.ndarray) -> np.ndarray:
+    """Policy observation [clock, latent command, proprioception].
+
+    The base x never appears: height is support-relative and the linear
+    velocity is expressed in the base frame, so the observation is invariant
+    to horizontal translation.
+    """
+    latent = np.asarray(latent, dtype=float)
+    angle = 2.0 * math.pi * state.phase
+    pitch = state.pitch
+    c, s = math.cos(pitch), math.sin(pitch)
+    vx, vz = float(state.qdot[0]), float(state.qdot[1])
+    heading_vel = c * vx + s * vz
+    obs = np.empty(CLOCK_DIM + latent.shape[0] + PROPRIO_DIM)
+    obs[0] = math.sin(angle)
+    obs[1] = math.cos(angle)
+    obs[2 : 2 + latent.shape[0]] = latent
+    at = 2 + latent.shape[0]
+    obs[at] = state.height_above_support
+    obs[at + 1] = pitch
+    obs[at + 2 : at + 6] = state.q[3:]
+    obs[at + 6] = heading_vel
+    obs[at + 7] = vz
+    obs[at + 8] = float(state.qdot[2])
+    obs[at + 9 : at + 13] = state.qdot[3:]
+    return obs
+
+
+def _non_finite_variants(state, rng):
+    """The state with a NaN or infinite phase, support, time, pitch or rate."""
+    bad = (np.nan, np.inf, -np.inf)
+    for name in ("phase", "support", "t"):
+        yield replace(state, **{name: bad[rng.integers(3)]})
+    for name, index in (("q", 2), ("qdot", 0), ("qdot", 1)):
+        values = getattr(state, name).copy()
+        values[index] = bad[rng.integers(3)]
+        yield replace(state, **{name: values})
+
+
+def test_observe_and_termination_match_reference_bit_for_bit():
+    from collections import Counter
+
+    rng = np.random.default_rng(12)
+    kinds = ("standing", "airborne", "sliding", "saturated", "wild", "resting", "folded",
+             "non_finite")
+    odd = sim.RobotConfig(base_mass=7.3, base_inertia=0.13, joint_inertia=0.047,
+                          cycle_duration=1.3)
+    hits, statuses = Counter(), Counter()
+    for make_terrain in sim.TERRAIN_PRESETS.values():
+        terrain = make_terrain()
+        for i in range(120):
+            state, action = _random_case(rng, terrain, kinds[i % len(kinds)])
+            cfg = odd if (i // len(kinds)) % 2 else CFG
+            if i % 3 == 0:  # a negative clock: the phase wraps below 0
+                state = replace(state, clock_rate=-0.7, phase=rng.uniform(0.0, 0.03))
+            want = _outcome(_reference_step, state, action, terrain, cfg, hits)
+            stepped = sim.step(state, action, terrain, cfg)
+            if want[0] != "raised":
+                assert _outcome(sim.step, state, action, terrain, cfg) == want
+                hits["wrapped"] += state.clock_rate < 0 and stepped.phase > state.phase
+            for s in (state, stepped, *_non_finite_variants(state, rng)):
+                latent = rng.normal(size=4)
+                statuses[sim.termination(s, cfg)] += 1
+                assert sim.termination(s, cfg) == _reference_termination(s, cfg), s
+                got = sim.observe(s, latent)
+                try:
+                    expected = _reference_observe(s, latent)
+                except ValueError:  # math.sin or math.cos of an infinite angle
+                    hits["observe_raised"] += 1
+                    nan = ([0, 1] if math.isinf(s.phase) else []) + (
+                        [12] if math.isinf(s.pitch) else [])
+                    assert nan and np.isnan(got[nan]).all(), s
+                    continue
+                assert got.tobytes() == expected.tobytes(), s
+    assert hits["wrapped"] > 0 and hits["observe_raised"] > 0
+    assert set(statuses) == {sim.RUNNING, sim.FALLEN, sim.BLOWUP}
+
+
 @pytest.mark.parametrize("p, hl, kr", [(math.inf, 0.0, 0.0), (1e308, 1e308, 0.0),
                                        (0.0, 0.0, -math.inf)])
 def test_infinite_angle_ends_the_step_with_a_nan_pitch(p, hl, kr):
@@ -464,14 +565,14 @@ def _state_at(x=0.0, z=0.5, pitch=0.0, cl=True, cr=True, support=0.0):
 
 def test_reward_perfect_tracking():
     ref = sim.ReferencePoint(x=0.0, z=0.5, pitch=0.0, contact_left=1.0, contact_right=1.0)
-    r = sim.reward(_state_at(), ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
+    r = sim.reward(_state_at().row, ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
     assert r == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reward_position_error_hand_case():
     # |er_p| = 0.2 with k_p = 5: 0.5 e^-1 + 0.5
     ref = sim.ReferencePoint(x=0.2, z=0.5, pitch=0.0, contact_left=1.0, contact_right=1.0)
-    r = sim.reward(_state_at(), ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
+    r = sim.reward(_state_at().row, ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
     assert r == pytest.approx(0.5 * math.exp(-1.0) + 0.5, abs=1e-12)
     assert r == pytest.approx(0.6839397205857212, abs=1e-12)
 
@@ -480,7 +581,7 @@ def test_reward_contact_mismatch_hand_case():
     # both feet wrong with pi3 gains: 0.35 + 0.35 + 0.3 e^{-2 sqrt(2)}
     ref = sim.ReferencePoint(x=0.0, z=0.5, pitch=0.0, contact_left=0.0, contact_right=0.0)
     r = sim.reward(
-        _state_at(cl=True, cr=True), ref, sim.RewardConfig(weights=(0.35, 0.35, 0.3))
+        _state_at(cl=True, cr=True).row, ref, sim.RewardConfig(weights=(0.35, 0.35, 0.3))
     )
     assert r == pytest.approx(0.7 + 0.3 * math.exp(-2.0 * math.sqrt(2.0)), abs=1e-12)
     assert r == pytest.approx(0.7177317239685869, abs=1e-12)
@@ -496,7 +597,7 @@ def test_reward_bounds_and_translation_equivariance():
             contact_left=float(rng.integers(2)), contact_right=float(rng.integers(2)),
         )
         state = _state_at(x=x, z=0.5 + z * 0.1, pitch=p * 0.3)
-        r = sim.reward(state, ref, cfg)
+        r = sim.reward(state.row, ref, cfg)
         assert 0.0 <= r <= cfg.max_step_reward + 1e-12
         shift = rng.normal() * 10.0
         shifted_state = _state_at(x=x + shift, z=0.5 + z * 0.1, pitch=p * 0.3)
@@ -504,7 +605,7 @@ def test_reward_bounds_and_translation_equivariance():
             x=ref.x + shift, z=ref.z, pitch=ref.pitch,
             contact_left=ref.contact_left, contact_right=ref.contact_right,
         )
-        r2 = sim.reward(shifted_state, shifted_ref, cfg)
+        r2 = sim.reward(shifted_state.row, shifted_ref, cfg)
         assert r2 == pytest.approx(r, abs=1e-9)
 
 
