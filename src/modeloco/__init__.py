@@ -21,5 +21,5 @@ from .refmotion import (
     interpolate_keyframes,
 )
 from .sampler import EpisodeScript, SamplerState, returns_to_probs, sample_script, update_records
-from .sim import RewardConfig, RobotConfig, SimState, Terrain, observe, reward, step
+from .sim import RewardConfig, RobotConfig, SimState, Terrain, observe, step
 from .training import TrainConfig, run_training

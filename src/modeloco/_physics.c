@@ -1,18 +1,21 @@
-/* The planar biped's control steps: the kernel of sim.step and of every
- * lockstep batch that policy._advance runs.
+/* The planar biped's control steps and rewards: the kernel of sim.step, of
+ * every lockstep batch that policy._advance runs, and of the tracking and
+ * goal rewards that score those batches' state rows.
  *
  * sim.py compiles this file on first use with
  *
  *     cc -std=c99 -O2 -shared -fPIC -ffp-contract=off -fno-builtin ... -lm
  *
- * and calls sim_start, sim_lockstep, sim_observe and sim_status through
- * ctypes. The flags are part of the operation-order contract that sim.py's
- * module docstring states: no -ffast-math, so every operation rounds as written;
- * -ffp-contract=off, so no multiply-add is fused into one rounding;
- * -fno-builtin, so sin, cos and fmod stay calls into the libm that Python's
- * math module and float type use, and sin and cos are not merged into sincos.
- * tests/test_sim.py holds the plain Python references that this code must
- * match byte for byte. Do not reorder or regroup its arithmetic.
+ * and calls sim_start, sim_lockstep, sim_observe, sim_status, sim_track and
+ * sim_goal_rewards through ctypes. The flags are part of the operation-order
+ * contract that sim.py's module docstring states: no -ffast-math, so every
+ * operation rounds as written; -ffp-contract=off, so no multiply-add is fused
+ * into one rounding; -fno-builtin, so sin, cos, exp and fmod stay calls into
+ * the libm that Python's math module and float type use, and sin and cos are
+ * not merged into sincos. math.hypot is not libm's hypot, so python_hypot
+ * below ports CPython's own. tests/test_sim.py holds the plain Python
+ * references that this code must match byte for byte. Do not reorder or
+ * regroup its arithmetic.
  */
 
 #include <math.h>
@@ -286,6 +289,94 @@ static double python_mod(double x, double y)
     return mod;
 }
 
+/* A double-length value: hi + lo, with lo below the last bit of hi. */
+struct double_length {
+    double hi, lo;
+};
+
+/* Dekker's split of x into two halves of 26 bits or fewer. */
+static struct double_length dl_split(double x)
+{
+    double t = x * 134217729.0; /* 2 ** 27 + 1 */
+    struct double_length r;
+    r.hi = t - (t - x);
+    r.lo = x - r.hi;
+    return r;
+}
+
+/* x * y as a double-length value, exact barring underflow (Dekker). */
+static struct double_length dl_mul(double x, double y)
+{
+    struct double_length xx = dl_split(x), yy = dl_split(y), r;
+    double p = xx.hi * yy.hi;
+    double q = xx.hi * yy.lo + xx.lo * yy.hi;
+    r.hi = p + q;
+    r.lo = p - r.hi + q + xx.lo * yy.lo;
+    return r;
+}
+
+/* a + b as a double-length value, for |a| >= |b|. */
+static struct double_length dl_fast_sum(double a, double b)
+{
+    struct double_length r;
+    r.hi = a + b;
+    r.lo = (a - r.hi) + b;
+    return r;
+}
+
+/* Python's math.hypot(x, y): CPython's vector_norm (Modules/mathmodule.c)
+ * for two coordinates, ported because libm's hypot rounds some results
+ * differently. An infinite argument wins over a NaN. tests/test_sim.py
+ * checks it against the running interpreter's math.hypot. */
+static double python_hypot(double x, double y)
+{
+    double v[2], max = 0.0, h, scale, csum = 1.0, frac1 = 0.0, frac2 = 0.0;
+    struct double_length pr, sm;
+    int max_e;
+
+    v[0] = fabs(x);
+    v[1] = fabs(y);
+    for (int i = 0; i < 2; i++) {
+        if (v[i] > max)
+            max = v[i];
+    }
+    if (isinf(max))
+        return max;
+    if (isnan(v[0]) || isnan(v[1]))
+        return NAN;
+    if (max == 0.0)
+        return max;
+    frexp(max, &max_e);
+    if (max_e < -1023) {
+        /* ldexp(1.0, -max_e) would overflow: divide by max instead. */
+        for (int i = 0; i < 2; i++) {
+            x = v[i] / max;
+            sm = dl_fast_sum(csum, x * x);
+            csum = sm.hi;
+            frac1 += sm.lo;
+        }
+        return max * sqrt(csum - 1.0 + frac1);
+    }
+    scale = ldexp(1.0, -max_e);
+    for (int i = 0; i < 2; i++) {
+        x = v[i] * scale;              /* lossless scaling */
+        pr = dl_mul(x, x);             /* lossless squaring */
+        sm = dl_fast_sum(csum, pr.hi); /* lossless addition */
+        csum = sm.hi;
+        frac1 += pr.lo;                /* lossy addition */
+        frac2 += sm.lo;                /* lossy addition */
+    }
+    h = sqrt(csum - 1.0 + (frac1 + frac2));
+    pr = dl_mul(-h, h);
+    sm = dl_fast_sum(csum, pr.hi);
+    csum = sm.hi;
+    frac1 += pr.lo;
+    frac2 += sm.lo;
+    x = csum - 1.0 + (frac1 + frac2);
+    h += x / (2.0 * h); /* differential correction */
+    return h / scale;
+}
+
 /* The termination status of state row s: a blowup if a value of q or qdot is
  * not finite, then fallen if the base is below 0.3 of the nominal height
  * above the support or pitched past 1 rad, else running. */
@@ -434,4 +525,114 @@ void sim_observe(int64_t n, const double *rows, const double *latents, int64_t l
 int64_t sim_status(const double *row, const double *params)
 {
     return status_of(row, params);
+}
+
+/* A library clip, as ReferenceMotion packs it: the top sample index, 1.0 for
+ * a transient clip, the displacement over one clip, then the top + 1 base
+ * positions, support-relative heights, pitches, left contacts and right
+ * contacts of its samples. */
+enum { CLIP_TOP, CLIP_TRANSIENT, CLIP_DISPLACEMENT, CLIP_SAMPLES };
+
+/* The reward parameters, as RewardConfig packs them: the position, pitch and
+ * contact weights, then their sensitivities. */
+enum { W_POSITION, W_PITCH, W_CONTACT, K_POSITION, K_PITCH, K_CONTACT };
+
+/* A channel of a clip with top index top at phase in [0, 1]: linear between
+ * the samples around phase * top, the top sample from there on. */
+static double interp(const double *channel, int64_t top, double phase)
+{
+    const double u = phase * (double)top;
+    const int64_t i = (int64_t)u;
+    double frac;
+    if (i >= top)
+        return channel[top];
+    frac = u - (double)i;
+    return channel[i] * (1.0 - frac) + channel[i + 1] * frac;
+}
+
+/* The tracking reward of state row s against the clip's reference at a
+ * finite phase after clips completed clips, for a reference whose position
+ * at clip 0, phase 0 is x0. The reference phase is phase under Python's
+ * float % 1.0 when phase lies outside [0, 1); a transient clip holds its
+ * last sample once a clip has completed. The reward is the weighted sum of
+ * exp(-k * error) over the position error (the hypot of the x and height
+ * errors), the pitch error and the contact error (the hypot of the two
+ * mismatch flags). */
+static double track_row(const double *s, const double *clip, double x0, int64_t clips,
+                        double phase, const double *reward)
+{
+    const int64_t top = (int64_t)clip[CLIP_TOP];
+    const double *pos = clip + CLIP_SAMPLES, *zs = pos + top + 1, *pitches = zs + top + 1;
+    const double *left = pitches + top + 1, *right = left + top + 1;
+    double x, z, pitch, cl, cr, dx, dz, dpitch, ec_l, ec_r;
+    int64_t ci;
+
+    if (!(0.0 <= phase && phase < 1.0))
+        phase = python_mod(phase, 1.0);
+    if (clip[CLIP_TRANSIENT] != 0.0 && clips >= 1) {
+        x = x0 + clip[CLIP_DISPLACEMENT];
+        z = zs[top];
+        pitch = pitches[top];
+        cl = left[top];
+        cr = right[top];
+    } else {
+        ci = (int64_t)(phase * (double)top);
+        if (ci > top)
+            ci = top;
+        x = x0 + (double)clips * clip[CLIP_DISPLACEMENT] + interp(pos, top, phase);
+        z = interp(zs, top, phase);
+        pitch = interp(pitches, top, phase);
+        cl = left[ci];
+        cr = right[ci];
+    }
+    dx = s[Q] - x;
+    dz = (s[Q + 1] - s[SUPPORT]) - z;
+    dpitch = s[Q + 2] - pitch;
+    ec_l = s[CONTACT_LEFT] != cl ? 1.0 : 0.0;
+    ec_r = s[CONTACT_RIGHT] != cr ? 1.0 : 0.0;
+    return reward[W_POSITION] * exp(-reward[K_POSITION] * python_hypot(dx, dz))
+        + reward[W_PITCH] * exp(-reward[K_PITCH] * fabs(dpitch))
+        + reward[W_CONTACT] * exp(-reward[K_CONTACT] * python_hypot(ec_l, ec_r));
+}
+
+/* The tracking rewards of a segment of n + 1 state rows against a packed
+ * clip: rewards[k] scores row k + 1.
+ *
+ * The reference is anchored at the first row: its position equals that
+ * row's x at that row's phase. A clip completes at each step whose phase is
+ * below the one before. Returns 0, or -1, writing nothing, when a phase is
+ * not finite or the first row's phase lies outside [0, 1]. */
+int64_t sim_track(int64_t n, const double *rows, const double *clip, const double *reward,
+                  double *rewards)
+{
+    const int64_t top = (int64_t)clip[CLIP_TOP];
+    const double anchor = rows[PHASE];
+    double x0;
+    int64_t clips = 0;
+
+    if (!(0.0 <= anchor && anchor <= 1.0))
+        return -1;
+    for (int64_t k = 1; k <= n; k++) {
+        if (!isfinite(rows[k * ROW + PHASE]))
+            return -1;
+    }
+    x0 = rows[Q] - interp(clip + CLIP_SAMPLES, top, anchor);
+    for (int64_t k = 1; k <= n; k++) {
+        const double *s = rows + k * ROW;
+        if (s[PHASE] < s[PHASE - ROW])
+            clips++;
+        rewards[k - 1] = track_row(s, clip, x0, clips, s[PHASE], reward);
+    }
+    return 0;
+}
+
+/* The planner's per-step reward of n state rows, exp(-hypot(goal_x - x,
+ * goal_z - z)) of each, into rewards. */
+void sim_goal_rewards(int64_t n, const double *rows, double goal_x, double goal_z,
+                      double *rewards)
+{
+    for (int64_t k = 0; k < n; k++) {
+        const double *s = rows + k * ROW;
+        rewards[k] = exp(-python_hypot(goal_x - s[Q], goal_z - s[Q + 1]));
+    }
 }

@@ -4,7 +4,8 @@ Every command is deterministic given its configuration and seed, writes
 artifacts with a config-hash header, and exits 0 on success, 1 on input
 validation problems (usage errors included), and 2 on runtime failures. The
 output directory defaults to the MODELOCO_OUT environment variable, then the
-current directory.
+current directory; a command whose output directory is missing exits 1
+before it does any work.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ def _out_path(arg: str | None, default_name: str) -> Path:
     return Path(root) / default_name
 
 
+def _check_out_dirs(*paths) -> None:
+    """InvalidInputError naming the first missing directory that one of the
+    output paths lies in; commands call it before any work."""
+    for path in paths:
+        directory = Path(path).parent
+        if not directory.is_dir():
+            raise InvalidInputError(f"output directory {directory} of {path} does not exist")
+
+
 def _load_terrain(spec: str) -> Terrain:
     if spec in TERRAIN_PRESETS:
         return TERRAIN_PRESETS[spec]()
@@ -87,6 +97,8 @@ def _reward_config(args) -> RewardConfig:
 
 
 def cmd_gen_refs(args) -> int:
+    out = _out_path(args.out, "library.json")
+    _check_out_dirs(out)
     if Path(args.modeset).is_file():
         spec = json.loads(Path(args.modeset).read_text())
         library = modeset_from_spec(spec)
@@ -94,25 +106,25 @@ def cmd_gen_refs(args) -> int:
     else:
         library = builtin_library(args.modeset)
         cfg = {"modeset": args.modeset}
-    out = _out_path(args.out, "library.json")
     write_artifact(out, "library", library_to_payload(library), config_hash(cfg))
     print(f"wrote {library.n}-mode library to {out}")
     return EXIT_OK
 
 
 def cmd_train_encoder(args) -> int:
+    out = _out_path(args.out, "encoder.json")
+    log_path = Path(str(out) + ".loss.csv")
+    _check_out_dirs(out, log_path)
     library = library_from_payload(read_artifact(args.library, "library"))
     cfg = enc_mod.EncoderTrainConfig(
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed
     )
     result = enc_mod.train_autoencoder(library, cfg)
     cfg_hash = config_hash(dataclasses.asdict(cfg))
-    out = _out_path(args.out, "encoder.json")
     write_artifact(out, "encoder", enc_mod.params_to_payload(result.params), cfg_hash)
     write_artifact(
         args.library, "library", library_to_payload(result.library), cfg_hash
     )
-    log_path = Path(str(out) + ".loss.csv")
     write_table(
         log_path, ["epoch", "loss"], ([i, repr(loss)] for i, loss in enumerate(result.losses))
     )
@@ -156,6 +168,10 @@ def _write_training_log(path: Path, rows, n: int) -> None:
 
 
 def cmd_train_policy(args) -> int:
+    out = _out_path(args.out, "policy.json")
+    checkpoint_path = args.checkpoint or str(out) + ".checkpoint.json"
+    log_path = Path(args.log or str(out) + ".train.csv")
+    _check_out_dirs(out, checkpoint_path, log_path)
     library = _load_encoded_library(args.library)
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
@@ -175,8 +191,6 @@ def cmd_train_policy(args) -> int:
                 f"library {args.library} has {library.n}"
             )
         print(f"resuming from {args.resume} at update {start.update_count}")
-    out = _out_path(args.out, "policy.json")
-    checkpoint_path = args.checkpoint or str(out) + ".checkpoint.json"
     result = train_mod.run_training(
         library,
         terrain,
@@ -193,7 +207,6 @@ def cmd_train_policy(args) -> int:
         pol_mod.policy_to_payload(result.state.policy, result.state.value),
         cfg_hash,
     )
-    log_path = Path(args.log or str(out) + ".train.csv")
     _write_training_log(log_path, result.rows, library.n)
     returns = [r.normalized_return for r in result.rows[-4 * library.n :]]
     recent = (
@@ -208,6 +221,8 @@ def cmd_train_policy(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _out_path(args.out, "eval.json")
+    _check_out_dirs(out)  # the trace CSVs go beside it
     library = _load_encoded_library(args.library)
     policy, _value = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
     _check_policy_fits(policy, library, args.policy, args.library)
@@ -235,7 +250,6 @@ def cmd_eval(args) -> int:
         "mean_transition_mra": float(transition_scores.mean()),
         "traces": {},
     }
-    out = _out_path(args.out, "eval.json")
     # Per-mode traces: base height and heading velocity profiles.
     for i, name in enumerate(library.names):
         trace = traces[i]
@@ -275,6 +289,9 @@ def _planner_config(args) -> plan_mod.PlannerConfig:
 
 
 def cmd_plan(args) -> int:
+    out = _out_path(args.out, "plan.json")
+    trace_path = Path(str(out) + ".trace.csv")
+    _check_out_dirs(out, trace_path)
     library = _load_encoded_library(args.library)
     policy, _value = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
     _check_policy_fits(policy, library, args.policy, args.library)
@@ -289,13 +306,11 @@ def cmd_plan(args) -> int:
     t0 = time.monotonic()
     result = plan_mod.parallel_trials(policy, library, terrain, robot, cfg, trials=args.trials)
     solve_seconds = time.monotonic() - t0
-    out = _out_path(args.out, "plan.json")
     payload = plan_mod.plan_to_payload(result.plan, library, cfg, cfg_hash)
     payload["best_return"] = result.best_return
     payload["solve_seconds"] = solve_seconds
     payload["q_table"] = result.q_table.tolist()
     write_artifact(out, "plan", payload, cfg_hash)
-    trace_path = Path(str(out) + ".trace.csv")
     # The reward column keeps the numpy scalar repr it has always been written with.
     write_table(
         trace_path,

@@ -17,20 +17,41 @@ bucket, whether the rollout ended there, and the knot's per-step trace. Cached
 arrays are read-only, so entries are shared safely. One cache serves all
 trials of a `parallel_trials` call and their greedy rollouts, and the winning
 plan's trace is read from it.
+
+Trials step in lockstep. Each trial's Q-learning is a generator that yields
+its next plan and receives that plan's rewards, so `q_learn` runs one trial
+and `parallel_trials` runs several through the same body. Each round rolls
+out the pending plan of every unfinished trial together, knot by knot, and
+at each knot every distinct uncached prefix steps in one `_advance` batch.
+Each trial sees the same rewards in the same order as it would alone, each
+distinct prefix is still simulated once, and lockstep rows never interact,
+so the results are those of trials run one after another. The per-step goal
+reward exp(-hypot(goal - (x, z))) comes from the kernel, `sim.goal_rewards`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Generator
 
 import numpy as np
 
 from . import policy as pol
 from .policy import PolicyParams
 from .refmotion import ModeLibrary
-from .sim import PITCH, RUNNING, STATUSES, TIME, X, Z, RobotConfig, Terrain, initial_state
+from .sim import (
+    PITCH,
+    RUNNING,
+    STATUSES,
+    TIME,
+    X,
+    Z,
+    RobotConfig,
+    Terrain,
+    goal_rewards,
+    initial_state,
+)
 
 # Mode-index prefix -> (state row at the end of its last knot, that knot's
 # reward bucket, whether the rollout ended in that knot, the knot's trace).
@@ -79,9 +100,88 @@ class ModePlan:
         return len(self.mode_indices)
 
 
-def goal_step_reward(x: float, z: float, goal_x: float, goal_z: float) -> float:
-    """Per-control-step reaching reward in (0, 1]."""
-    return math.exp(-math.hypot(goal_x - x, goal_z - z))
+def _step_knots(
+    starts: dict[tuple[int, ...], np.ndarray],
+    steps_per_knot: int,
+    policy: PolicyParams,
+    library: ModeLibrary,
+    terrain: Terrain,
+    robot_cfg: RobotConfig,
+    cfg: PlannerConfig,
+    cache: PrefixCache,
+) -> None:
+    """Simulate the last knot of each prefix in `starts` from its start row,
+    all in one lockstep `_advance` batch, and add each to `cache`.
+
+    One kernel call gives the goal reward of every stepped row, and a knot's
+    bucket column is their running sum, added left to right."""
+    prefixes = list(starts)
+    run = pol._advance(
+        policy, library.latents[[prefix[-1] for prefix in prefixes]],
+        np.array([starts[prefix] for prefix in prefixes]),
+        np.full(len(prefixes), steps_per_knot), terrain, robot_cfg,
+    )
+    stepped = run.history[1:]
+    rewards = goal_rewards(stepped, cfg.goal_x, cfg.goal_z)
+    for b, prefix in enumerate(prefixes):
+        n = run.lengths[b]
+        knot_trace = np.empty((n, 5))
+        knot_trace[:, :4] = stepped[:n, b][:, [TIME, X, Z, PITCH]]
+        knot_trace[:, 4] = np.cumsum(rewards[:n, b])
+        end = run.history[n, b].copy()
+        for a in (end, knot_trace):
+            a.setflags(write=False)
+        cache[prefix] = (
+            end, float(knot_trace[-1, 4]), STATUSES[run.status[b]] != RUNNING, knot_trace
+        )
+
+
+def _rollout_plans(
+    plans: list[ModePlan],
+    policy: PolicyParams,
+    library: ModeLibrary,
+    terrain: Terrain,
+    robot_cfg: RobotConfig,
+    cfg: PlannerConfig,
+    cache: PrefixCache,
+    traces: list[list] | None = None,
+) -> list[np.ndarray]:
+    """Execute plans side by side with the deterministic policy; the per-knot
+    reward buckets of each.
+
+    The plans advance knot by knot. At each knot, every distinct prefix that
+    a running plan reaches and `cache` lacks is simulated once, and all of
+    them step as one lockstep batch; every other knot is read from `cache`.
+    The phase clock runs continuously; knot boundaries only swap the latent
+    command. A fall ends a plan's rollout and leaves its remaining knots at
+    zero. When `traces` is given, traces[p] receives a (mode index, knot
+    trace) pair per knot that plan p ran; see PrefixCache.
+    """
+    if library.latents is None:
+        raise ValueError("library has no latents; train the encoder")
+    steps_per_knot = round(cfg.knot_dt / robot_cfg.control_dt)
+    if steps_per_knot < 1:
+        raise ValueError("knot duration shorter than one control step")
+    rewards = [np.zeros(plan.k) for plan in plans]
+    states = [initial_state(robot_cfg, terrain).row] * len(plans)
+    running = [p for p, plan in enumerate(plans) if plan.k]
+    knot = 0
+    while running:
+        prefixes = {p: plans[p].mode_indices[: knot + 1] for p in running}
+        starts = {}
+        for p, prefix in prefixes.items():
+            if prefix not in cache:
+                starts.setdefault(prefix, states[p])
+        if starts:
+            _step_knots(starts, steps_per_knot, policy, library, terrain, robot_cfg, cfg, cache)
+        for p, prefix in prefixes.items():
+            states[p], rewards[p][knot], ended, knot_trace = cache[prefix]
+            if traces is not None:
+                traces[p].append((prefix[-1], knot_trace))
+            if ended or knot + 1 == plans[p].k:
+                running.remove(p)
+        knot += 1
+    return rewards
 
 
 def plan_rollout(
@@ -96,46 +196,16 @@ def plan_rollout(
 ) -> np.ndarray:
     """Execute a plan with the deterministic policy; per-knot reward buckets.
 
-    Each knot is a one-row `_advance` batch under the knot's latent. The
-    phase clock runs continuously; knot boundaries only swap the latent
-    command. A fall ends the rollout and leaves the remaining knots at zero.
-    A knot whose prefix is in `cache` is read from it instead of simulated,
-    and a simulated knot is added to it. When `trace` is a list, it receives
-    a (mode index, knot trace) pair per knot run, cached or not; see
-    PrefixCache.
+    Each knot is a one-row `_advance` batch under the knot's latent, unless
+    its prefix is in `cache`, which then supplies it; a simulated knot is
+    added to `cache`. When `trace` is a list, it receives a (mode index, knot
+    trace) pair per knot run, cached or not. `_rollout_plans` gives the
+    details.
     """
-    if library.latents is None:
-        raise ValueError("library has no latents; train the encoder")
-    steps_per_knot = round(cfg.knot_dt / robot_cfg.control_dt)
-    if steps_per_knot < 1:
-        raise ValueError("knot duration shorter than one control step")
-
-    state = initial_state(robot_cfg, terrain).row
-    rewards = np.zeros(plan.k)
-    for knot, mode in enumerate(plan.mode_indices):
-        prefix = plan.mode_indices[: knot + 1]
-        entry = None if cache is None else cache.get(prefix)
-        if entry is None:
-            run = pol._advance(
-                policy, library.latents[mode : mode + 1], state[None],
-                [steps_per_knot], terrain, robot_cfg,
-            )
-            rows, bucket, knot_trace = run.rows(0), 0.0, []
-            for t, x, z, pitch in rows[1:, [TIME, X, Z, PITCH]].tolist():
-                bucket += goal_step_reward(x, z, cfg.goal_x, cfg.goal_z)
-                knot_trace.append((t, x, z, pitch, bucket))
-            end, knot_trace = rows[-1].copy(), np.array(knot_trace)
-            for a in (end, knot_trace):
-                a.setflags(write=False)
-            entry = (end, bucket, STATUSES[run.status[0]] != RUNNING, knot_trace)
-            if cache is not None:
-                cache[prefix] = entry
-        state, rewards[knot], ended, knot_trace = entry
-        if trace is not None:
-            trace.append((mode, knot_trace))
-        if ended:
-            break
-    return rewards
+    return _rollout_plans(
+        [plan], policy, library, terrain, robot_cfg, cfg, {} if cache is None else cache,
+        None if trace is None else [trace],
+    )[0]
 
 
 @dataclass
@@ -147,12 +217,12 @@ class QLearnResult:
     trace: list | None = None
 
 
-def q_learn_core(
-    rollout_fn: Callable[[ModePlan], np.ndarray],
-    n_modes: int,
-    cfg: PlannerConfig,
-    rng: np.random.Generator,
-) -> QLearnResult:
+# A Q-learning trial: it yields each plan it needs rolled out, receives that
+# plan's per-knot rewards, and returns its result.
+Trial = Generator[ModePlan, np.ndarray, QLearnResult]
+
+
+def _q_learning(n_modes: int, cfg: PlannerConfig, rng: np.random.Generator) -> Trial:
     """Episodic Q-learning on the knot-index chain.
 
     Transitions are deterministic (knot s to s+1, terminal after the last),
@@ -160,7 +230,8 @@ def q_learn_core(
     the last knot backward, letting values propagate the whole chain per
     episode. The step size starts at 1 on a pair's first visit and decays as
     1/visits down to the configured floor alpha; alpha = 0 disables learning
-    entirely. Greedy extraction breaks ties toward the lowest mode index.
+    entirely. Greedy extraction breaks ties toward the lowest mode index, and
+    the greedy plan's rollout gives the best return.
     """
     knots = cfg.knots
     q = np.zeros((knots + 1, n_modes))  # terminal row stays zero
@@ -172,8 +243,7 @@ def q_learn_core(
                 actions.append(int(rng.integers(n_modes)))
             else:
                 actions.append(int(np.argmax(q[s])))
-        plan = ModePlan(tuple(actions))
-        rewards = rollout_fn(plan)
+        rewards = yield ModePlan(tuple(actions))
         for s in range(knots - 1, -1, -1):
             a = actions[s]
             visits[s, a] += 1
@@ -181,8 +251,39 @@ def q_learn_core(
             target = rewards[s] + q[s + 1].max()
             q[s, a] += step_size * (target - q[s, a])
     best = ModePlan(tuple(int(np.argmax(q[s])) for s in range(knots)))
-    best_return = float(rollout_fn(best).sum())
+    best_return = float((yield best).sum())
     return QLearnResult(q_table=q[:knots], plan=best, best_return=best_return)
+
+
+def _run_trials(
+    trials: list[Trial], rollout_fn: Callable[[list[ModePlan]], list[np.ndarray]]
+) -> list[QLearnResult]:
+    """Run trials in lockstep: each round rolls out the pending plan of every
+    unfinished trial with one `rollout_fn` call, then sends each trial its
+    plan's rewards. Returns the trials' results, in order."""
+    results: list = [None] * len(trials)
+    pending = {i: next(trial) for i, trial in enumerate(trials)}
+    while pending:
+        order = list(pending)
+        for i, rewards in zip(order, rollout_fn([pending[i] for i in order])):
+            try:
+                pending[i] = trials[i].send(rewards)
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
+
+
+def q_learn_core(
+    rollout_fn: Callable[[ModePlan], np.ndarray],
+    n_modes: int,
+    cfg: PlannerConfig,
+    rng: np.random.Generator,
+) -> QLearnResult:
+    """One Q-learning trial (see `_q_learning`) whose plans `rollout_fn`
+    rolls out one at a time."""
+    trial = _q_learning(n_modes, cfg, rng)
+    return _run_trials([trial], lambda plans: [rollout_fn(plan) for plan in plans])[0]
 
 
 def q_learn(
@@ -195,16 +296,16 @@ def q_learn(
 ) -> QLearnResult:
     """Q-learning over whole-plan rollouts in the biped environment.
 
-    Rollouts share `cache` (a fresh one if None) with any other run of the
-    same policy, library, terrain, robot and knot settings.
+    This is one trial (see `_q_learning`) seeded with cfg.seed. Rollouts
+    share `cache` (a fresh one if None) with any other run of the same
+    policy, library, terrain, robot and knot settings.
     """
-    rng = np.random.default_rng(cfg.seed)
     cache = {} if cache is None else cache
 
     def rollout_fn(plan: ModePlan) -> np.ndarray:
         return plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, cache=cache)
 
-    return q_learn_core(rollout_fn, library.n, cfg, rng)
+    return q_learn_core(rollout_fn, library.n, cfg, np.random.default_rng(cfg.seed))
 
 
 def parallel_trials(
@@ -217,18 +318,20 @@ def parallel_trials(
 ) -> QLearnResult:
     """Independent seeded Q-learning runs; the best-evaluated plan wins.
 
-    Trial i uses seed cfg.seed + i, and the trials run one after another
-    through one prefix cache. Aggregation is by evaluated plan return with
-    ties going to the earliest trial. The winner's trace is read from the
-    cache, where its greedy rollout left every knot, with no stepping.
+    Trial i uses seed cfg.seed + i. The trials run in lockstep through one
+    prefix cache: each round rolls out the next plan of every unfinished
+    trial together (`_rollout_plans`), so a knot steps all the trials' new
+    prefixes in one batch. Aggregation is by evaluated plan return with ties
+    going to the earliest trial. The winner's trace is read from the cache,
+    where its greedy rollout left every knot, with no stepping.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     cache: PrefixCache = {}
-    results = [
-        q_learn(policy, library, terrain, robot_cfg, replace(cfg, seed=cfg.seed + i), cache)
-        for i in range(trials)
-    ]
+    results = _run_trials(
+        [_q_learning(library.n, cfg, np.random.default_rng(cfg.seed + i)) for i in range(trials)],
+        lambda plans: _rollout_plans(plans, policy, library, terrain, robot_cfg, cfg, cache),
+    )
     best = results[0]
     for r in results[1:]:
         if r.best_return > best.best_return:

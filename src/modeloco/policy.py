@@ -28,19 +28,16 @@ from .sampler import EpisodeScript, switch_steps
 from .sim import (
     BLOWUP,
     FALLEN,
-    PHASE,
     RUNNING,
     STATUSES,
-    X,
     Lockstep,
-    ModeTracker,
     RewardConfig,
     RobotConfig,
     SimState,
     Terrain,
     initial_state,
     observe_rows,
-    reward,
+    tracking_rewards,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -416,23 +413,6 @@ def _advance(
     return batch
 
 
-def _tracking_rewards(rows: np.ndarray, motion, reward_cfg: RewardConfig) -> list[float]:
-    """Per-step imitation rewards along the state rows `rows` for a tracker
-    anchored at the first.
-
-    Completed clips count from 0 and grow at each wrap of the phase clock.
-    """
-    rows = rows.tolist()
-    tracker = ModeTracker(motion, anchor_x=rows[0][X], anchor_phase=rows[0][PHASE])
-    clips_done = 0
-    rewards = []
-    for prev, row in zip(rows, rows[1:]):
-        if row[PHASE] < prev[PHASE]:
-            clips_done += 1
-        rewards.append(reward(row, tracker.at(row[PHASE], clips_done), reward_cfg))
-    return rewards
-
-
 def rollout(
     policy: PolicyParams,
     value: MlpParams,
@@ -449,10 +429,11 @@ def rollout(
     The batch is two lockstep `_advance` calls: the first runs each episode
     for its `switch_step` steps under its start mode's latent; the second
     runs the episodes that have not ended for the rest of their horizons
-    under their end modes' latents. Each segment's reference tracker is
-    anchored at the segment's first state, so at the switch the new mode's
-    reference continues from where the robot actually is. Falls and blowups
-    truncate the episode with a zero bootstrap value.
+    under their end modes' latents. Each segment is scored by one
+    `tracking_rewards` call against its mode's clip, anchored at the
+    segment's first state, so at the switch the new mode's reference
+    continues from where the robot actually is. Falls and blowups truncate
+    the episode with a zero bootstrap value.
 
     Episode b draws horizon x act_dim standard normals from rngs[b] up
     front, one row per step, whether or not it runs to the horizon. The
@@ -493,11 +474,13 @@ def rollout(
     second_row = {b: k for k, b in enumerate(on)}
     for b, script in enumerate(scripts):
         rows, status = first.rows(b), first.status[b]
-        rewards = _tracking_rewards(rows, library.motions[script.mode_from], reward_cfg)
+        rewards = tracking_rewards(rows, library.motions[script.mode_from], reward_cfg)
         modes = [script.mode_from] * len(rows)
         if b in second_row:
             more, status = second.rows(second_row[b]), second.status[second_row[b]]
-            rewards += _tracking_rewards(more, library.motions[script.mode_to], reward_cfg)
+            rewards = np.concatenate([
+                rewards, tracking_rewards(more, library.motions[script.mode_to], reward_cfg)
+            ])
             rows = np.concatenate([rows[:-1], more])
             modes = modes[:-1] + [script.mode_to] * len(more)
         # The observation of each state, under the latent in force there; the
@@ -512,7 +495,7 @@ def rollout(
         trajectories.append(Trajectory(
             obs=obs,
             actions=actions,
-            rewards=np.array(rewards),
+            rewards=rewards,
             log_probs=gaussian_log_prob(actions, means, policy.log_std),
             values=values,
             script=script,
@@ -554,16 +537,17 @@ def evaluate_modes(
 
     Rollouts share their prefixes, and every score is bit-identical to the
     one a deterministic per-case episode would give. The deterministic
-    dynamics depend only on the latent schedule, and the tracker is
+    dynamics depend only on the latent schedule, and the reference is
     re-anchored only at the switch. So each source mode i runs one trunk
     under latent i, to the horizon or a fall; the n trunks step as one
     lockstep `_advance` batch. An i -> j case with j != i branches from the
-    trunk's state at its switch step, with a tracker re-anchored there; the
-    branches of one trunk step as one batch, one row per distinct (j, switch)
-    pair. An i -> i case reuses the trunk's states and only recomputes the
-    rewards after its switch, with no physics. A case whose episode ends
-    before its switch is the trunk. Returns are summed from the per-step
-    reward array, as `Trajectory.episode_return` does.
+    trunk's state at its switch step, with the reference re-anchored there;
+    the branches of one trunk step as one batch, one row per distinct
+    (j, switch) pair. An i -> i case reuses the trunk's states and only
+    rescores them after its switch, with no physics. A case whose episode
+    ends before its switch is the trunk. Every trunk, branch and rescored
+    tail is one `tracking_rewards` call. Returns are summed from the
+    per-step reward array, as `Trajectory.episode_return` does.
 
     When `traces` is a dict, traces[i] receives the per-step (state, reward,
     mode index) records of the i -> i case that switches at TRACE_SWITCH,
@@ -593,7 +577,7 @@ def evaluate_modes(
     for i in range(n):
         trunk = trunks.rows(i)
         steps = trunks.lengths[i]
-        trunk_rewards = _tracking_rewards(trunk, library.motions[i], reward_cfg)
+        trunk_rewards = tracking_rewards(trunk, library.motions[i], reward_cfg)
         cases = [(j, s) for j in range(n) if j != i for s in dict.fromkeys(switches) if s < steps]
         branches = _advance(
             policy, library.latents[[j for j, _ in cases]], trunk[[s for _, s in cases]],
@@ -601,25 +585,25 @@ def evaluate_modes(
         )
         branch = {case: branches.rows(k) for k, case in enumerate(cases)}
 
-        def case_rewards(j: int, switch: int) -> list[float]:
+        def case_rewards(j: int, switch: int) -> np.ndarray:
             if switch >= steps:  # the trunk ended before the switch
                 return trunk_rewards
             after = trunk[switch:] if j == i else branch[j, switch]
-            return trunk_rewards[:switch] + _tracking_rewards(
-                after, library.motions[j], reward_cfg
-            )
+            return np.concatenate([
+                trunk_rewards[:switch], tracking_rewards(after, library.motions[j], reward_cfg)
+            ])
 
         for j in range(n):
             scores = []
             for switch in switches:
-                total = float(np.array(case_rewards(j, switch)).sum())
+                total = float(case_rewards(j, switch).sum())
                 scores.append(total / ceiling if ceiling > 0 else 0.0)
             # Rollout k reuses the score of switch k, cycling the grid.
             transition_scores[i, j] = np.mean(
                 [scores[k % len(scores)] for k in range(rollouts_per_case)]
             )
         if traces is not None:
-            rewards = case_rewards(i, trace_switch)
+            rewards = case_rewards(i, trace_switch).tolist()
             traces[i] = [(SimState.from_row(row), r, i) for row, r in zip(trunk[1:], rewards)]
     return np.diag(transition_scores).copy(), transition_scores
 

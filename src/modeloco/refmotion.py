@@ -12,8 +12,10 @@ periodic clips and repeats the preceding step otherwise.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -125,6 +127,23 @@ class ReferenceMotion:
     def positions(self) -> np.ndarray:
         """Absolute x per sample, anchored at 0 (exclusive prefix sum of dx)."""
         return np.concatenate(([0.0], np.cumsum(self.samples[:-1, 0])))
+
+    @cached_property
+    def _kernel_clip(self) -> ctypes.Array:
+        """The tracking kernel's copy, in `_physics.c`'s order: the top sample
+        index, 1.0 for a transient clip, the displacement, then per channel
+        the positions, the heights, the pitches, the left and the right
+        contacts of every sample."""
+        s = self.samples
+        packed = np.concatenate([
+            [self.length - 1, self.kind == TRANSIENT, self.displacement],
+            self.positions(), s[:, 1], s[:, 2], s[:, 3], s[:, 4],
+        ])
+        return (ctypes.c_double * packed.size)(*packed.tolist())
+
+    def __getstate__(self):
+        # ctypes arrays do not pickle; a copy rebuilds its own on first use.
+        return {k: v for k, v in self.__dict__.items() if k != "_kernel_clip"}
 
 
 @dataclass(frozen=True)

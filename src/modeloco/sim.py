@@ -34,10 +34,36 @@ front of the live list, in ascending row order, and their next observations
 written in that order. A run is the (T + 1, B, ROW) history of the batch
 plus the steps and the final status of each row.
 
-The steps, observations and statuses run in `_physics.c`, a C kernel built
-with `cc` on first use and loaded through ctypes for the life of the
-process. The kernel keeps a fixed floating-point operation order, so that
-trajectories, checkpoints and resumed runs replay bit for bit across
+Rewards score state rows after they are stepped, one kernel call per segment
+(`tracking_rewards`): a segment is the rows of one episode under one mode,
+and step k's reward scores its row k + 1 against the mode's clip. Each clip
+is packed once (`ReferenceMotion._kernel_clip`): its per-sample positions
+(the running sum of dx from 0), heights, pitches and contacts, its
+displacement, its top sample index and whether it is transient. The
+reference is anchored at the segment's first row: its x at that row's phase
+equals that row's x. A clip completes at each step whose phase is below the
+one before, and each completed clip adds the displacement. A phase outside
+[0, 1) is first reduced with float % 1.0. The reference at a phase
+interpolates each channel linearly between the samples around phase * top,
+as channel[i] * (1 - frac) + channel[i + 1] * frac, and takes the contacts
+of sample int(phase * top); once a clip has completed, a transient clip
+holds its last sample and its first clip's end x. The reward is
+
+    wp * exp(-kp * hypot(dx, dz)) + wo * exp(-ko * |dpitch|)
+    + wc * exp(-kc * hypot(ec_l, ec_r)),
+
+summed left to right, where dz is the height above the support minus the
+reference height and ec_* are 1.0 for a foot whose contact differs from the
+reference. Blowup rows are scored like any other. The planner's goal
+reward, exp(-hypot(goal_x - x, goal_z - z)) per row, runs in the same kernel
+(`goal_rewards`). exp is libm's, the call math.exp makes; hypot is a port of
+CPython's own math.hypot (its vector_norm), because libm's hypot and numpy's
+round some results differently.
+
+The steps, observations, statuses and rewards run in `_physics.c`, a C
+kernel built with `cc` on first use and loaded through ctypes for the life
+of the process. The kernel keeps a fixed floating-point operation order, so
+that trajectories, checkpoints and resumed runs replay bit for bit across
 versions of this package. Do not reorder or regroup its arithmetic: force
 and torque sums start from 0.0 (which fixes the sign of a zero total), a
 joint acceleration is (tau - damping * qdot + (jx * ft + jz * fn)) / inertia,
@@ -48,10 +74,11 @@ evaluation at those positions, since its expression and inputs are the same
 each time; the kernel does so. The compiler flags are part of the same
 contract: no -ffast-math, so every operation rounds as written;
 -ffp-contract=off, so no multiply-add is fused into one rounding; and
--fno-builtin, so sin, cos and fmod stay the libm calls that math.sin,
-math.cos and float % make, and sin and cos are not merged into sincos.
-tests/test_sim.py holds the plain Python references of the step, the
-observation and the termination that the kernel must match byte for byte.
+-fno-builtin, so sin, cos, exp and fmod stay the libm calls that math.sin,
+math.cos, math.exp and float % make, and sin and cos are not merged into
+sincos. tests/test_sim.py holds the plain Python references of the step, the
+observation, the termination, the tracking reward and math.hypot that the
+kernel must match byte for byte.
 """
 
 from __future__ import annotations
@@ -70,7 +97,6 @@ import numpy as np
 from .refmotion import (
     DEFAULT_CLIP_DURATION,
     DEFAULT_DT,
-    TRANSIENT,
     InvalidInputError,
     ReferenceMotion,
     finite_number,
@@ -181,6 +207,16 @@ class RewardConfig:
     @property
     def max_step_reward(self) -> float:
         return float(sum(self.weights))
+
+    @cached_property
+    def _kernel_reward(self) -> ctypes.Array:
+        """The tracking kernel's copy: the weights, then the sensitivities."""
+        values = (*self.weights, *REWARD_SENSITIVITIES)
+        return (ctypes.c_double * len(values))(*values)
+
+    def __getstate__(self):
+        # ctypes arrays do not pickle; a copy rebuilds its own on first use.
+        return {k: v for k, v in self.__dict__.items() if k != "_kernel_reward"}
 
 
 class Terrain:
@@ -427,8 +463,9 @@ _KERNEL_SOURCE = Path(__file__).with_name("_physics.c")
 _kernel = None
 
 
-def _build_kernel():
-    """Compile `_physics.c` into a temporary directory and load it.
+def _build_kernel(source: Path = _KERNEL_SOURCE):
+    """Compile `_physics.c`, or a C file that includes it, into a temporary
+    directory and load it.
 
     RuntimeError, quoting the compiler, if `cc` is missing or fails. The
     loaded library outlives its deleted file, so nothing stays on disk.
@@ -438,7 +475,7 @@ def _build_kernel():
     with tempfile.TemporaryDirectory() as tmp:
         library = Path(tmp) / "_physics.so"
         argv = ["cc", "-std=c99", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
-                "-fno-builtin", "-o", str(library), str(_KERNEL_SOURCE), "-lm"]
+                "-fno-builtin", "-o", str(library), str(source), "-lm"]
         try:
             done = subprocess.run(argv, capture_output=True, text=True)
         except OSError as exc:
@@ -449,16 +486,18 @@ def _build_kernel():
                 f"{done.stderr.strip()}"
             )
         kernel = ctypes.CDLL(str(library))
-    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    pointer, count, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     for name, argtypes in (
         ("sim_start", [pointer]),
         ("sim_lockstep", [pointer, count, count]),
         ("sim_observe", [count, pointer, pointer, count, pointer]),
         ("sim_status", [pointer, pointer]),
+        ("sim_track", [count, pointer, pointer, pointer, pointer]),
+        ("sim_goal_rewards", [count, pointer, double, double, pointer]),
     ):
         getattr(kernel, name).argtypes = argtypes
         getattr(kernel, name).restype = count
-    kernel.sim_observe.restype = None
+    kernel.sim_observe.restype = kernel.sim_goal_rewards.restype = None
     return kernel
 
 
@@ -594,83 +633,37 @@ def observe(state: SimState, latent: np.ndarray) -> np.ndarray:
     return observe_rows(state.row[None], latent)[0]
 
 
-# --- reference tracking and reward -------------------------------------------
+# --- rewards -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
-    """Target pose and contact pair at one instant; z is support-relative."""
+def tracking_rewards(
+    rows: np.ndarray, motion: ReferenceMotion, reward_cfg: RewardConfig
+) -> np.ndarray:
+    """The imitation reward of each step of a segment of state rows against
+    one library clip: entry k scores rows[k + 1]; the module docstring gives
+    the contract.
 
-    x: float
-    z: float
-    pitch: float
-    contact_left: float
-    contact_right: float
-
-
-class ModeTracker:
-    """Phase-indexed view of one reference motion, anchored in world x.
-
-    The anchor is chosen so that the reference x equals `anchor_x` at phase
-    `anchor_phase`; completed clips keep accumulating the clip displacement.
-    Transient motions hold their final sample once the first clip since entry
-    has completed.
+    rows is a C-contiguous float64 (n + 1, ROW) array with n >= 0.
+    ValueError, before the kernel writes anything, if a phase is not finite
+    or the first row's phase lies outside [0, 1].
     """
-
-    def __init__(self, motion: ReferenceMotion, anchor_x: float = 0.0, anchor_phase: float = 0.0):
-        self.motion = motion
-        self._pos = motion.positions()
-        self._z = motion.samples[:, 1]
-        self._pitch = motion.samples[:, 2]
-        self._contacts = motion.samples[:, 3:5]
-        self._top = motion.length - 1
-        self._displacement = motion.displacement
-        self.anchor_x = float(anchor_x)
-        self.anchor_phase = float(anchor_phase)
-        self._x0 = self.anchor_x - self._interp(self._pos, anchor_phase)
-
-    def _interp(self, channel: np.ndarray, phase: float) -> float:
-        u = phase * self._top
-        i = int(u)
-        if i >= self._top:
-            return float(channel[self._top])
-        frac = u - i
-        return float(channel[i] * (1.0 - frac) + channel[i + 1] * frac)
-
-    def at(self, phase: float, clips_completed: int = 0) -> ReferencePoint:
-        if not 0.0 <= phase < 1.0:
-            phase = phase % 1.0
-        if self.motion.kind == TRANSIENT and clips_completed >= 1:
-            i = self._top
-            return ReferencePoint(
-                x=self._x0 + self._displacement,
-                z=float(self._z[i]),
-                pitch=float(self._pitch[i]),
-                contact_left=float(self._contacts[i, 0]),
-                contact_right=float(self._contacts[i, 1]),
-            )
-        ci = min(int(phase * self._top), self._top)
-        return ReferencePoint(
-            x=self._x0 + clips_completed * self._displacement + self._interp(self._pos, phase),
-            z=self._interp(self._z, phase),
-            pitch=self._interp(self._pitch, phase),
-            contact_left=float(self._contacts[ci, 0]),
-            contact_right=float(self._contacts[ci, 1]),
-        )
+    if not _checked(rows, "state rows", (None, ROW)).shape[0]:
+        raise ValueError("a segment needs at least its first state row")
+    rewards = np.empty(rows.shape[0] - 1)
+    if _library().sim_track(
+        rewards.size, _address(rows), _address(motion._kernel_clip),
+        _address(reward_cfg._kernel_reward), _address(rewards),
+    ):
+        raise ValueError("tracking needs finite phases and a first phase in [0, 1], got "
+                         f"{rows[:, PHASE]!r}")
+    return rewards
 
 
-def reward(row: Sequence[float], ref: ReferencePoint, cfg: RewardConfig) -> float:
-    """Imitation reward of a state row: weighted exponentials of pose and
-    contact errors."""
-    dx = row[X] - ref.x
-    dz = (row[Z] - row[SUPPORT]) - ref.z
-    dpitch = row[PITCH] - ref.pitch
-    ec_l = float(row[CONTACT_LEFT] != ref.contact_left)
-    ec_r = float(row[CONTACT_RIGHT] != ref.contact_right)
-    wp, wo, wc = cfg.weights
-    kp, ko, kc = REWARD_SENSITIVITIES
-    return (
-        wp * math.exp(-kp * math.hypot(dx, dz))
-        + wo * math.exp(-ko * abs(dpitch))
-        + wc * math.exp(-kc * math.hypot(ec_l, ec_r))
-    )
+def goal_rewards(rows: np.ndarray, goal_x: float, goal_z: float) -> np.ndarray:
+    """The planner's reward exp(-hypot(goal_x - x, goal_z - z)) of each state
+    row of a C-contiguous (..., ROW) array, in the array's leading shape."""
+    _checked(rows, "state rows", (None,) * (rows.ndim - 1) + (ROW,))
+    rewards = np.empty(rows.shape[:-1])
+    _library().sim_goal_rewards(rewards.size, _address(rows), goal_x, goal_z,
+                                _address(rewards))
+    return rewards

@@ -1,5 +1,6 @@
 import copy
 import csv
+import functools
 import inspect
 import json
 from pathlib import Path
@@ -498,13 +499,14 @@ def test_plan_solve_seconds_time_every_trial(workdir, monkeypatch):
     pol = workdir / "policy.json"
     assert run("train-policy", "--library", str(lib), "--out", str(pol), "--updates", "0") == 0
     clock = [0.0]
-    real_q_learn = plan_mod.q_learn
+    real_trial = plan_mod._q_learning
 
-    def q_learn(*args, **kwargs):
-        clock[0] += 1.0
-        return real_q_learn(*args, **kwargs)
+    def trial(*args, **kwargs):
+        result = yield from real_trial(*args, **kwargs)
+        clock[0] += 1.0  # one second per trial, counted when the trial ends
+        return result
 
-    monkeypatch.setattr(plan_mod, "q_learn", q_learn)
+    monkeypatch.setattr(plan_mod, "_q_learning", trial)
     monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
     out = workdir / "plan.json"
     assert run(
@@ -787,3 +789,51 @@ def test_pipeline_rerun_writes_the_same_bytes(tmp_path):
     for name in names:
         assert content(first / name) == content(second / name), name
     assert content(first / "plan.json") != (first / "plan.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("gen-refs", ["--modeset", "pi2", "--out", "{missing}/library.json"]),
+        ("train-encoder", ["--library", "{library}", "--out", "{missing}/encoder.json"]),
+        ("train-policy", ["--library", "{library}", "--out", "{missing}/policy.json"]),
+        ("train-policy", ["--library", "{library}", "--log", "{missing}/train.csv"]),
+        ("train-policy", ["--library", "{library}", "--checkpoint", "{missing}/ck.json"]),
+        ("eval", ["--library", "{library}", "--policy", "{policy}",
+                  "--out", "{missing}/eval.json"]),
+        ("plan", ["--library", "{library}", "--policy", "{policy}",
+                  "--out", "{missing}/plan.json"]),
+        ("plan", ["--library", "{library}", "--policy", "{policy}"]),  # MODELOCO_OUT
+    ],
+    ids=["gen-refs", "train-encoder", "train-policy-out", "train-policy-log",
+         "train-policy-checkpoint", "eval", "plan-out", "plan-modeloco-out"],
+)
+def test_a_missing_output_directory_stops_the_command_before_any_work(
+    workdir, capsys, monkeypatch, command, flags
+):
+    library = _library_with_latents(workdir, [[0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 0.0]])
+    policy = workdir / "policy.json"
+    assert run("train-policy", "--library", str(library), "--out", str(policy),
+               "--updates", "0") == 0
+    before = sorted(p.name for p in workdir.iterdir())
+    capsys.readouterr()
+    missing = workdir / "no" / "such"
+    if "--out" not in flags:
+        monkeypatch.setenv("MODELOCO_OUT", str(missing))
+
+    def refused(fn):
+        @functools.wraps(fn)  # the parser reads the defaults of the signature
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking its output directory")
+
+        return no_work
+
+    for module, name in ((cli, "builtin_library"), (cli.enc_mod, "train_autoencoder"),
+                         (cli.train_mod, "run_training"), (cli.pol_mod, "evaluate_modes"),
+                         (cli.plan_mod, "parallel_trials")):
+        monkeypatch.setattr(module, name, refused(getattr(module, name)))
+    argv = [f.format(missing=missing, library=library, policy=policy) for f in flags]
+    assert run(command, *argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"output directory {missing} of " in err and "does not exist" in err
+    assert sorted(p.name for p in workdir.iterdir()) == before

@@ -11,14 +11,24 @@ from modeloco import refmotion as rm
 from modeloco import sim
 
 
+def goal_step_reward(x: float, z: float, goal_x: float, goal_z: float) -> float:
+    """Per-control-step reaching reward in (0, 1]: the Python form of the
+    kernel's goal reward, `sim.goal_rewards`."""
+    return math.exp(-math.hypot(goal_x - x, goal_z - z))
+
+
 def test_goal_step_reward_values():
-    assert pl.goal_step_reward(2.0, 0.5, 2.0, 0.5) == 1.0
-    assert pl.goal_step_reward(1.0, 0.5, 2.0, 0.5) == pytest.approx(
+    assert goal_step_reward(2.0, 0.5, 2.0, 0.5) == 1.0
+    assert goal_step_reward(1.0, 0.5, 2.0, 0.5) == pytest.approx(
         math.exp(-1.0), abs=1e-15
     )
-    assert pl.goal_step_reward(1.0, 1.0, 2.0, 0.5) == pytest.approx(
+    assert goal_step_reward(1.0, 1.0, 2.0, 0.5) == pytest.approx(
         math.exp(-math.hypot(1.0, 0.5)), abs=1e-15
     )
+    rows = np.zeros((3, sim.ROW))
+    rows[:, [sim.X, sim.Z]] = [[2.0, 0.5], [1.0, 0.5], [1.0, 1.0]]
+    want = [goal_step_reward(x, z, 2.0, 0.5) for x, z in rows[:, [sim.X, sim.Z]].tolist()]
+    assert sim.goal_rewards(rows, 2.0, 0.5).tobytes() == np.array(want).tobytes()
 
 
 # --- Q-learning on stubbed rollouts -----------------------------------------
@@ -161,7 +171,7 @@ def _reference_plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, trac
         for _ in range(steps_per_knot):
             obs = sim.observe(state, latents[knot])
             state = sim.step(state, pol.policy_mean(policy, obs), terrain, robot_cfg)
-            rewards[knot] += pl.goal_step_reward(state.x, state.z, cfg.goal_x, cfg.goal_z)
+            rewards[knot] += goal_step_reward(state.x, state.z, cfg.goal_x, cfg.goal_z)
             if trace is not None:
                 trace.append((state, rewards[knot], plan.mode_indices[knot]))
             if sim.termination(state, robot_cfg) != sim.RUNNING:
@@ -259,6 +269,71 @@ def test_trials_match_the_uncached_reference(monkeypatch, terrain):
     want_trace = []
     _reference_plan_rollout(best.plan, policy, lib, world, ROBOT, cfg, want_trace)
     _assert_same_trace(best.trace, want_trace)
+
+
+def _record_batches(monkeypatch) -> list:
+    """Record the planner's lockstep batches: per `_advance` call, the
+    (start row, latent) byte pairs of its rows, and its steps."""
+    batches = []
+    real_advance = pol._advance
+
+    def recording_advance(policy, latents, starts, *args, **kwargs):
+        run = real_advance(policy, latents, starts, *args, **kwargs)
+        rows = [(s.tobytes(), z.tobytes()) for s, z in zip(starts, latents)]
+        batches.append((rows, int(run.lengths.sum())))
+        return run
+
+    monkeypatch.setattr(pol, "_advance", recording_advance)
+    return batches
+
+
+def test_lockstep_trials_make_fewer_advance_calls(monkeypatch):
+    # The trials of parallel_trials step their knots together, so three
+    # trials take fewer `_advance` calls than the same trials run one after
+    # another through one cache, and the same env-steps.
+    lib = library_with_latents()
+    policy = pol.init_policy(np.random.default_rng(5), sim.observation_dim(4))
+    cfg = pl.PlannerConfig(knots=6, knot_dt=0.2, episodes=10, explore=0.5, seed=2)
+    batches = _record_batches(monkeypatch)
+    cache: pl.PrefixCache = {}
+    sequential = [
+        pl.q_learn(policy, lib, sim.Terrain.gap(), ROBOT, replace(cfg, seed=cfg.seed + i), cache)
+        for i in range(3)
+    ]
+    calls, steps = len(batches), sum(n for _, n in batches)
+    batches.clear()
+    best = pl.parallel_trials(policy, lib, sim.Terrain.gap(), ROBOT, cfg, trials=3)
+    assert len(batches) < calls
+    assert sum(n for _, n in batches) == steps
+    assert max(len(rows) for rows, _ in batches) > 1
+    winner = max(sequential, key=lambda r: r.best_return)  # the earliest of equal returns
+    assert best.plan == winner.plan
+    assert best.q_table.tobytes() == winner.q_table.tobytes()
+
+
+def test_a_prefix_two_trials_ask_for_at_one_knot_steps_once(monkeypatch):
+    # Two trials that are greedy from the start ask for the same plans in
+    # every round: each knot of their rounds steps one row, not two.
+    lib = library_with_latents()
+    policy = pol.init_policy(np.random.default_rng(5), sim.observation_dim(4))
+    cfg = pl.PlannerConfig(knots=4, knot_dt=0.2, episodes=3, explore=0.0, seed=2)
+    batches = _record_batches(monkeypatch)
+    plans = [pl.ModePlan((1, 2, 0, 3)), pl.ModePlan((1, 2, 0, 3)), pl.ModePlan((1, 0, 0, 3))]
+    cache: pl.PrefixCache = {}
+    got = pl._rollout_plans(plans, policy, lib, sim.Terrain.flat(), ROBOT, cfg, cache)
+    # Knot 0 steps (1,) once; knots 1 to 3 step the two distinct prefixes together.
+    assert [len(rows) for rows, _ in batches] == [1, 2, 2, 2]
+    assert all(len(set(rows)) == len(rows) for rows, _ in batches)
+    for plan, rewards in zip(plans, got):
+        alone = pl.plan_rollout(plan, policy, lib, sim.Terrain.flat(), ROBOT, cfg)
+        assert rewards.tobytes() == alone.tobytes()
+    batches.clear()
+    pl.parallel_trials(policy, lib, sim.Terrain.flat(), ROBOT, cfg, trials=2)
+    greedy_steps = sum(n for _, n in batches)
+    assert all(len(rows) == 1 for rows, _ in batches)
+    batches.clear()
+    pl.q_learn(policy, lib, sim.Terrain.flat(), ROBOT, cfg)
+    assert sum(n for _, n in batches) == greedy_steps
 
 
 @pytest.mark.parametrize("falls", [False, True])

@@ -7,6 +7,7 @@ from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
 from modeloco.sampler import EpisodeScript
+from test_sim import _ModeTracker, _reference_reward
 
 
 def library_with_latents(selector="pi2", seed=0):
@@ -311,7 +312,7 @@ def _reference_rollout(
     must reproduce."""
     latents = library.latents[[script.mode_from, script.mode_to]]
     state = sim.initial_state(robot_cfg, terrain, clock_rate=clock_rate)
-    tracker = sim.ModeTracker(
+    tracker = _ModeTracker(
         library.motions[script.mode_from], anchor_x=state.x, anchor_phase=state.phase
     )
     clips_done = 0
@@ -321,7 +322,7 @@ def _reference_rollout(
     for t in range(script.horizon):
         if t == script.switch_step and current == 0:
             current = 1
-            tracker = sim.ModeTracker(
+            tracker = _ModeTracker(
                 library.motions[script.mode_to], anchor_x=state.x, anchor_phase=state.phase
             )
             clips_done = 0
@@ -334,7 +335,7 @@ def _reference_rollout(
         new_state = sim.step(state, a, terrain, robot_cfg)
         if new_state.phase < state.phase:
             clips_done += 1
-        r = sim.reward(new_state.row, tracker.at(new_state.phase, clips_done), reward_cfg)
+        r = _reference_reward(new_state.row, tracker.at(new_state.phase, clips_done), reward_cfg)
         rew_list.append(r)
         if trace is not None:
             trace.append((new_state, r, script.mode_from if current == 0 else script.mode_to))

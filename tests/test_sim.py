@@ -1,8 +1,9 @@
+import ctypes
 import math
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -552,7 +553,107 @@ def test_observation_heading_velocity_in_base_frame():
     assert obs[13] == pytest.approx(0.5, abs=1e-15)  # vertical rate stays world-frame
 
 
-# --- reward ---------------------------------------------------------------------
+# --- reference tracking and reward -------------------------------------------------
+#
+# The Python forms of the tracker and the reward from before the kernel scored
+# segments. sim.tracking_rewards must match _reference_tracking_rewards byte
+# for byte.
+
+
+@dataclass(frozen=True)
+class _ReferencePoint:
+    """Target pose and contact pair at one instant; z is support-relative."""
+
+    x: float
+    z: float
+    pitch: float
+    contact_left: float
+    contact_right: float
+
+
+class _ModeTracker:
+    """Phase-indexed view of one reference motion, anchored in world x.
+
+    The anchor is chosen so that the reference x equals `anchor_x` at phase
+    `anchor_phase`; completed clips keep accumulating the clip displacement.
+    Transient motions hold their final sample once the first clip since entry
+    has completed.
+    """
+
+    def __init__(self, motion, anchor_x: float = 0.0, anchor_phase: float = 0.0):
+        self.motion = motion
+        self._pos = motion.positions()
+        self._z = motion.samples[:, 1]
+        self._pitch = motion.samples[:, 2]
+        self._contacts = motion.samples[:, 3:5]
+        self._top = motion.length - 1
+        self._displacement = motion.displacement
+        self.anchor_x = float(anchor_x)
+        self.anchor_phase = float(anchor_phase)
+        self._x0 = self.anchor_x - self._interp(self._pos, anchor_phase)
+
+    def _interp(self, channel: np.ndarray, phase: float) -> float:
+        u = phase * self._top
+        i = int(u)
+        if i >= self._top:
+            return float(channel[self._top])
+        frac = u - i
+        return float(channel[i] * (1.0 - frac) + channel[i + 1] * frac)
+
+    def at(self, phase: float, clips_completed: int = 0) -> _ReferencePoint:
+        if not 0.0 <= phase < 1.0:
+            phase = phase % 1.0
+        if self.motion.kind == rm.TRANSIENT and clips_completed >= 1:
+            i = self._top
+            return _ReferencePoint(
+                x=self._x0 + self._displacement,
+                z=float(self._z[i]),
+                pitch=float(self._pitch[i]),
+                contact_left=float(self._contacts[i, 0]),
+                contact_right=float(self._contacts[i, 1]),
+            )
+        ci = min(int(phase * self._top), self._top)
+        return _ReferencePoint(
+            x=self._x0 + clips_completed * self._displacement + self._interp(self._pos, phase),
+            z=self._interp(self._z, phase),
+            pitch=self._interp(self._pitch, phase),
+            contact_left=float(self._contacts[ci, 0]),
+            contact_right=float(self._contacts[ci, 1]),
+        )
+
+
+def _reference_reward(row, ref: _ReferencePoint, cfg: sim.RewardConfig) -> float:
+    """Imitation reward of a state row: weighted exponentials of pose and
+    contact errors."""
+    dx = row[sim.X] - ref.x
+    dz = (row[sim.Z] - row[sim.SUPPORT]) - ref.z
+    dpitch = row[sim.PITCH] - ref.pitch
+    ec_l = float(row[sim.CONTACT_LEFT] != ref.contact_left)
+    ec_r = float(row[sim.CONTACT_RIGHT] != ref.contact_right)
+    wp, wo, wc = cfg.weights
+    kp, ko, kc = sim.REWARD_SENSITIVITIES
+    return (
+        wp * math.exp(-kp * math.hypot(dx, dz))
+        + wo * math.exp(-ko * abs(dpitch))
+        + wc * math.exp(-kc * math.hypot(ec_l, ec_r))
+    )
+
+
+def _reference_tracking_rewards(rows: np.ndarray, motion, reward_cfg) -> list[float]:
+    """Per-step imitation rewards along the state rows `rows` for a tracker
+    anchored at the first.
+
+    Completed clips count from 0 and grow at each wrap of the phase clock.
+    """
+    rows = rows.tolist()
+    tracker = _ModeTracker(motion, anchor_x=rows[0][sim.X], anchor_phase=rows[0][sim.PHASE])
+    clips_done = 0
+    rewards = []
+    for prev, row in zip(rows, rows[1:]):
+        if row[sim.PHASE] < prev[sim.PHASE]:
+            clips_done += 1
+        rewards.append(_reference_reward(row, tracker.at(row[sim.PHASE], clips_done), reward_cfg))
+    return rewards
 
 
 def _state_at(x=0.0, z=0.5, pitch=0.0, cl=True, cr=True, support=0.0):
@@ -564,23 +665,23 @@ def _state_at(x=0.0, z=0.5, pitch=0.0, cl=True, cr=True, support=0.0):
 
 
 def test_reward_perfect_tracking():
-    ref = sim.ReferencePoint(x=0.0, z=0.5, pitch=0.0, contact_left=1.0, contact_right=1.0)
-    r = sim.reward(_state_at().row, ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
+    ref = _ReferencePoint(x=0.0, z=0.5, pitch=0.0, contact_left=1.0, contact_right=1.0)
+    r = _reference_reward(_state_at().row, ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
     assert r == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reward_position_error_hand_case():
     # |er_p| = 0.2 with k_p = 5: 0.5 e^-1 + 0.5
-    ref = sim.ReferencePoint(x=0.2, z=0.5, pitch=0.0, contact_left=1.0, contact_right=1.0)
-    r = sim.reward(_state_at().row, ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
+    ref = _ReferencePoint(x=0.2, z=0.5, pitch=0.0, contact_left=1.0, contact_right=1.0)
+    r = _reference_reward(_state_at().row, ref, sim.RewardConfig(weights=(0.5, 0.5, 0.0)))
     assert r == pytest.approx(0.5 * math.exp(-1.0) + 0.5, abs=1e-12)
     assert r == pytest.approx(0.6839397205857212, abs=1e-12)
 
 
 def test_reward_contact_mismatch_hand_case():
     # both feet wrong with pi3 gains: 0.35 + 0.35 + 0.3 e^{-2 sqrt(2)}
-    ref = sim.ReferencePoint(x=0.0, z=0.5, pitch=0.0, contact_left=0.0, contact_right=0.0)
-    r = sim.reward(
+    ref = _ReferencePoint(x=0.0, z=0.5, pitch=0.0, contact_left=0.0, contact_right=0.0)
+    r = _reference_reward(
         _state_at(cl=True, cr=True).row, ref, sim.RewardConfig(weights=(0.35, 0.35, 0.3))
     )
     assert r == pytest.approx(0.7 + 0.3 * math.exp(-2.0 * math.sqrt(2.0)), abs=1e-12)
@@ -592,31 +693,28 @@ def test_reward_bounds_and_translation_equivariance():
     cfg = sim.RewardConfig(weights=(0.4, 0.4, 0.2))
     for _ in range(500):
         x, z, p = rng.normal(size=3)
-        ref = sim.ReferencePoint(
+        ref = _ReferencePoint(
             x=rng.normal(), z=0.5 + rng.normal() * 0.1, pitch=rng.normal() * 0.3,
             contact_left=float(rng.integers(2)), contact_right=float(rng.integers(2)),
         )
         state = _state_at(x=x, z=0.5 + z * 0.1, pitch=p * 0.3)
-        r = sim.reward(state.row, ref, cfg)
+        r = _reference_reward(state.row, ref, cfg)
         assert 0.0 <= r <= cfg.max_step_reward + 1e-12
         shift = rng.normal() * 10.0
         shifted_state = _state_at(x=x + shift, z=0.5 + z * 0.1, pitch=p * 0.3)
-        shifted_ref = sim.ReferencePoint(
+        shifted_ref = _ReferencePoint(
             x=ref.x + shift, z=ref.z, pitch=ref.pitch,
             contact_left=ref.contact_left, contact_right=ref.contact_right,
         )
-        r2 = sim.reward(shifted_state.row, shifted_ref, cfg)
+        r2 = _reference_reward(shifted_state.row, shifted_ref, cfg)
         assert r2 == pytest.approx(r, abs=1e-9)
-
-
-# --- reference tracking -----------------------------------------------------------
 
 
 def test_reference_idle_constant():
     lib = rm.builtin_library("pi2")
     idle = lib.motions[lib.index_of("idle")]
     for phase in (0.0, 0.3, 0.77):
-        ref = sim.ModeTracker(idle, anchor_x=2.0).at(phase)
+        ref = _ModeTracker(idle, anchor_x=2.0).at(phase)
         assert ref.x == pytest.approx(2.0, abs=1e-15)
         assert ref.z == pytest.approx(0.5, abs=1e-15)
 
@@ -625,22 +723,22 @@ def test_reference_walk_midpoint():
     lib = rm.builtin_library("pi2")
     walk = lib.motions[lib.index_of("walk_f")]
     assert walk.displacement == pytest.approx(0.5, abs=1e-12)
-    ref = sim.ModeTracker(walk, anchor_x=1.0).at(0.5)
+    ref = _ModeTracker(walk, anchor_x=1.0).at(0.5)
     assert ref.x == pytest.approx(1.25, abs=1e-12)
 
 
 def test_reference_accumulates_over_clips():
     lib = rm.builtin_library("pi2")
     walk = lib.motions[lib.index_of("walk_f")]
-    ref = sim.ModeTracker(walk, anchor_x=1.0).at(0.5, 2)
+    ref = _ModeTracker(walk, anchor_x=1.0).at(0.5, 2)
     assert ref.x == pytest.approx(1.0 + 2 * 0.5 + 0.25, abs=1e-12)
 
 
 def test_transient_holds_final_sample_after_clip():
     lib = rm.builtin_library("pi2")
     launch = lib.motions[lib.index_of("launch")]
-    end = sim.ModeTracker(launch).at(0.0, 1)
-    again = sim.ModeTracker(launch).at(0.6, 3)
+    end = _ModeTracker(launch).at(0.0, 1)
+    again = _ModeTracker(launch).at(0.6, 3)
     assert end == again
     assert end.x == pytest.approx(launch.displacement, abs=1e-12)
     assert end.z == pytest.approx(launch.samples[-1, 1], abs=1e-12)
@@ -649,13 +747,132 @@ def test_transient_holds_final_sample_after_clip():
 def test_tracker_anchoring_matches_rebase():
     lib = rm.builtin_library("pi2")
     walk = lib.motions[lib.index_of("walk_f")]
-    tracker = sim.ModeTracker(walk, anchor_x=3.0, anchor_phase=0.5)
+    tracker = _ModeTracker(walk, anchor_x=3.0, anchor_phase=0.5)
     assert tracker.at(0.5).x == pytest.approx(3.0, abs=1e-12)
     assert tracker.at(0.7).x == pytest.approx(3.0 + 0.1, abs=1e-12)
     # continuity across the wrap
     just_before = tracker.at(0.999999)
     just_after = tracker.at(0.0, clips_completed=1)
     assert just_after.x == pytest.approx(just_before.x, abs=1e-4)
+
+
+def _segment(rng, steps, clock_rate, cycle_steps=50):
+    """State rows of a segment: a mid-phase anchor, the phase stepped as the
+    kernel steps it, random poses and contacts, and some non-finite x, z and
+    pitch values, as a blowup leaves them."""
+    rows = np.zeros((steps + 1, sim.ROW))
+    rows[0, sim.PHASE] = rng.uniform(0.05, 0.95)
+    for k in range(steps):
+        rows[k + 1, sim.PHASE] = (rows[k, sim.PHASE] + clock_rate / cycle_steps) % 1.0
+    rows[:, sim.X] = rng.uniform(-1.0, 3.0) + np.cumsum(rng.normal(0.01, 0.02, steps + 1))
+    rows[:, sim.Z] = rng.uniform(0.3, 0.6, steps + 1)
+    rows[:, sim.PITCH] = rng.normal(0.0, 0.3, steps + 1)
+    rows[:, sim.SUPPORT] = rng.choice([0.0, -1.0, 0.2], steps + 1)
+    rows[:, [sim.CONTACT_LEFT, sim.CONTACT_RIGHT]] = rng.integers(0, 2, (steps + 1, 2))
+    for k in rng.choice(np.arange(1, steps + 1), size=4, replace=False):
+        rows[k, rng.choice([sim.X, sim.Z, sim.PITCH])] = rng.choice([np.nan, np.inf, -np.inf])
+    return rows
+
+
+def test_tracking_rewards_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(21)
+    weights = [(0.35, 0.35, 0.3), (0.5, 0.5, 0.0), (0.0, 0.0, 1.0), (0.0, 0.7, 0.0)]
+    hits = {"transient_held": 0, "wraps": 0, "non_finite": 0, "nan_reward": 0}
+    mismatches = set()
+    for modeset in rm.MODESET_NAMES:
+        library = rm.builtin_library(modeset)
+        for motion in library.motions:
+            for clock_rate, steps in ((1.0, 130), (-0.7, 40), (2.3, 60)):
+                for w in weights:
+                    rows = _segment(rng, steps, clock_rate)
+                    cfg = sim.RewardConfig(weights=w)
+                    want = np.array(_reference_tracking_rewards(rows, motion, cfg))
+                    got = sim.tracking_rewards(rows, motion, cfg)
+                    assert got.tobytes() == want.tobytes(), (modeset, motion.name, clock_rate, w)
+                    wraps = int((rows[1:, sim.PHASE] < rows[:-1, sim.PHASE]).sum())
+                    hits["wraps"] = max(hits["wraps"], wraps)
+                    hits["transient_held"] += motion.kind == rm.TRANSIENT and wraps > 0
+                    hits["non_finite"] += not np.isfinite(rows).all()
+                    hits["nan_reward"] += bool(np.isnan(got).any())
+                    tracker = _ModeTracker(motion, rows[0, sim.X], rows[0, sim.PHASE])
+                    ref = tracker.at(rows[1, sim.PHASE])
+                    mismatches.add((rows[1, sim.CONTACT_LEFT] != ref.contact_left,
+                                    rows[1, sim.CONTACT_RIGHT] != ref.contact_right))
+    assert "launch" in rm.builtin_library("pi2").names
+    assert hits["transient_held"] > 0 and hits["wraps"] >= 2 and hits["nan_reward"] > 0
+    assert mismatches == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_tracking_rewards_reject_a_phase_the_reference_cannot_take():
+    motion = rm.builtin_library("pi2").motions[1]
+    cfg = sim.RewardConfig()
+    rows = _segment(np.random.default_rng(3), 10, 1.0)
+    for index, bad in ((0, 1.5), (0, -0.2), (0, np.nan), (4, np.inf), (7, np.nan)):
+        broken = rows.copy()
+        broken[index, sim.PHASE] = bad
+        with pytest.raises(ValueError, match="finite phases"):
+            sim.tracking_rewards(broken, motion, cfg)
+    assert sim.tracking_rewards(rows[:1], motion, cfg).shape == (0,)
+    with pytest.raises(ValueError, match="first state row"):
+        sim.tracking_rewards(rows[:0], motion, cfg)
+
+
+def test_goal_rewards_match_math_exp_of_math_hypot():
+    rng = np.random.default_rng(4)
+    rows = np.zeros((3, 500, sim.ROW))
+    rows[..., sim.X] = rng.normal(1.0, 2.0, (3, 500))
+    rows[..., sim.Z] = rng.normal(0.4, 0.5, (3, 500))
+    rows[0, :6, sim.X] = [np.nan, np.inf, -np.inf, 1e300, 2.0, 5e-324]
+    rows[0, :6, sim.Z] = [0.5, np.nan, 0.0, 1e-300, 0.5, np.nan]
+    got = sim.goal_rewards(rows, 2.0, 0.5)
+    assert got.shape == (3, 500)
+    want = [math.exp(-math.hypot(2.0 - x, 0.5 - z))
+            for x, z in rows[..., [sim.X, sim.Z]].reshape(-1, 2).tolist()]
+    assert got.tobytes() == np.array(want).reshape(3, 500).tobytes()
+
+
+def _kernel_with_hypot(tmp_path):
+    """The kernel, built as sim builds it, with an entry that runs its port of
+    math.hypot over two arrays."""
+    harness = tmp_path / "hypot_harness.c"
+    harness.write_text(
+        f'#include "{sim._KERNEL_SOURCE}"\n'
+        "void hypot_of(int64_t n, const double *x, const double *y, double *out)\n"
+        "{\n    for (int64_t k = 0; k < n; k++)\n"
+        "        out[k] = python_hypot(x[k], y[k]);\n}\n"
+    )
+    kernel = sim._build_kernel(harness)
+    kernel.hypot_of.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 3
+    kernel.hypot_of.restype = None
+    return kernel
+
+
+def test_the_kernel_hypot_is_math_hypot_bit_for_bit(tmp_path):
+    kernel = _kernel_with_hypot(tmp_path)
+    rng = np.random.default_rng(5)
+    n = 100_000
+    # Magnitudes across the whole double range, pairs a few decades apart,
+    # subnormal pairs, and plain normal pairs.
+    e = rng.uniform(-1074.0, 1023.0, n)
+    x = rng.uniform(0.5, 1.0, n) * np.exp2(e) * rng.choice([-1.0, 1.0], n)
+    y = (rng.uniform(0.5, 1.0, n) * np.exp2(np.clip(e + rng.normal(0.0, 30.0, n), -1074, 1023))
+         * rng.choice([-1.0, 1.0], n))
+    sub = rng.uniform(-1.0, 1.0, (2, 20_000)) * np.exp2(-1022 - rng.uniform(0, 52, (2, 20_000)))
+    normal = rng.normal(size=(2, 20_000))
+    tiny = sys.float_info.min
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 0.0),
+               np.nextafter(tiny, 1.0), tiny / 2, 2 * tiny, 1e-300, -1e-300, 1e300, -1e300,
+               sys.float_info.max, 1.0, 3.0, math.inf, -math.inf, math.nan, -math.nan]
+    sx, sy = np.array([(a, b) for a in special for b in special]).T
+    xs = np.concatenate([x, sub[0], normal[0], sx])
+    ys = np.concatenate([y, sub[1], normal[1], sy])
+    got = np.empty_like(xs)
+    kernel.hypot_of(xs.size, xs.ctypes.data, ys.ctypes.data, got.ctypes.data)
+    want = np.array([math.hypot(a, b) for a, b in zip(xs.tolist(), ys.tolist())])
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, [(xs[k], ys[k], got[k], want[k]) for k in differ[:5]]
+    inf_and_nan = np.isinf(xs) & np.isnan(ys)
+    assert inf_and_nan.any() and np.isinf(got[inf_and_nan]).all()
 
 
 # --- termination ------------------------------------------------------------------
