@@ -9,7 +9,7 @@ Q-learning to reach goals over gap, plateau, and block terrains.
 
 from .encoder import AutoencoderParams, EncoderTrainConfig, encode, train_autoencoder
 from .fileio import TOOL_VERSION as __version__
-from .planner import ModePlan, PlannerConfig, parallel_trials, plan_rollout, q_learn
+from .planner import ModePlan, PlannerConfig, parallel_trials, plan_rollout
 from .policy import PolicyParams, PpoConfig, Trajectory, evaluate_modes, ppo_update, rollout
 from .refmotion import (
     ContactPhase,
@@ -21,5 +21,5 @@ from .refmotion import (
     interpolate_keyframes,
 )
 from .sampler import EpisodeScript, SamplerState, returns_to_probs, sample_script, update_records
-from .sim import RewardConfig, RobotConfig, SimState, Terrain, observe, step
+from .sim import RewardConfig, RobotConfig, Terrain
 from .training import TrainConfig, run_training

@@ -1,12 +1,12 @@
-/* The planar biped's control steps and rewards: the kernel of sim.step, of
- * every lockstep batch that policy._advance runs, and of the tracking and
- * goal rewards that score those batches' state rows.
+/* The planar biped's control steps and rewards: the kernel of every
+ * lockstep batch that policy._advance runs, of the observations of state
+ * rows, and of the tracking and goal rewards that score those rows.
  *
  * sim.py compiles this file on first use with
  *
  *     cc -std=c99 -O2 -shared -fPIC -ffp-contract=off -fno-builtin ... -lm
  *
- * and calls sim_start, sim_lockstep, sim_observe, sim_status, sim_track and
+ * and calls sim_start, sim_lockstep, sim_observe, sim_track and
  * sim_goal_rewards through ctypes. The flags are part of the operation-order
  * contract that sim.py's module docstring states: no -ffast-math, so every
  * operation rounds as written; -ffp-contract=off, so no multiply-add is fused
@@ -519,12 +519,6 @@ void sim_observe(int64_t n, const double *rows, const double *latents, int64_t l
     const int64_t obs_dim = CLOCK_DIM + latent_dim + PROPRIO_DIM;
     for (int64_t k = 0; k < n; k++)
         observe_row(rows + k * ROW, latents + k * latent_dim, latent_dim, obs + k * obs_dim);
-}
-
-/* The termination status code of one state row. */
-int64_t sim_status(const double *row, const double *params)
-{
-    return status_of(row, params);
 }
 
 /* A library clip, as ReferenceMotion packs it: the top sample index, 1.0 for

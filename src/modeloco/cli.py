@@ -34,7 +34,19 @@ from .refmotion import (
     library_to_payload,
     modeset_from_spec,
 )
-from .sim import RewardConfig, RobotConfig, TERRAIN_PRESETS, Terrain, observation_dim
+from .sim import (
+    CONTACT_LEFT,
+    CONTACT_RIGHT,
+    PITCH,
+    Q,
+    QDOT,
+    TERRAIN_PRESETS,
+    TIME,
+    RewardConfig,
+    RobotConfig,
+    Terrain,
+    observation_dim,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -251,20 +263,22 @@ def cmd_eval(args) -> int:
         "traces": {},
     }
     # Per-mode traces: base height and heading velocity profiles.
+    # The q and qdot columns keep the numpy scalar repr they have always been
+    # written with.
     for i, name in enumerate(library.names):
-        trace = traces[i]
+        rows, rewards = traces[i]
         trace_path = Path(str(out) + f".{name}.csv")
         write_table(
             trace_path,
             ["t", "x", "z", "pitch", "hip_l", "knee_l", "hip_r", "knee_r",
              "vx", "vz", "pitch_rate", "dhip_l", "dknee_l", "dhip_r",
              "dknee_r", "contact_l", "contact_r", "reward", "mode_index"],
-            ([repr(state.t)] + [repr(v) for v in state.q] + [repr(v) for v in state.qdot]
-             + [int(state.contact_left), int(state.contact_right), repr(r), mode_idx]
-             for state, r, mode_idx in trace),
+            ([repr(float(row[TIME]))] + [repr(v) for v in row[Q:TIME]]
+             + [int(row[CONTACT_LEFT]), int(row[CONTACT_RIGHT]), repr(r), i]
+             for row, r in zip(rows, rewards)),
         )
-        heading = [float(np.cos(s.pitch) * s.qdot[0] + np.sin(s.pitch) * s.qdot[1])
-                   for s, _, _ in trace]
+        heading = [float(np.cos(row[PITCH]) * row[QDOT] + np.sin(row[PITCH]) * row[QDOT + 1])
+                   for row in rows]
         report["traces"][name] = {
             "file": trace_path.name,  # beside the report
             "mean_heading_velocity": float(np.mean(heading)) if heading else 0.0,
@@ -365,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--episodes-per-update", type=int, default=train_d.episodes_per_update)
     tp.add_argument("--horizon", type=int, default=train_d.horizon)
     tp.add_argument("--seed", type=int, default=train_d.seed)
-    tp.add_argument("--modeset", default=None, help="selects default reward gains")
+    tp.add_argument("--modeset", choices=MODESET_NAMES, default=None,
+                    help="selects default reward gains")
     tp.add_argument("--reward-weights", default=None,
                     help="three comma-separated tracking weights")
     tp.add_argument("--checkpoint", default=None)
@@ -388,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--rollouts", type=int, default=eval_d["rollouts_per_case"].default)
     e.add_argument("--clock-rate", type=float, default=eval_d["clock_rate"].default,
                    dest="clock_rate")
-    e.add_argument("--modeset", default=None)
+    e.add_argument("--modeset", choices=MODESET_NAMES, default=None)
     e.add_argument("--reward-weights", default=None)
     e.add_argument("--out", default=None)
     e.set_defaults(fn=cmd_eval)

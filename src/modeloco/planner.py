@@ -19,14 +19,15 @@ trials of a `parallel_trials` call and their greedy rollouts, and the winning
 plan's trace is read from it.
 
 Trials step in lockstep. Each trial's Q-learning is a generator that yields
-its next plan and receives that plan's rewards, so `q_learn` runs one trial
-and `parallel_trials` runs several through the same body. Each round rolls
-out the pending plan of every unfinished trial together, knot by knot, and
-at each knot every distinct uncached prefix steps in one `_advance` batch.
-Each trial sees the same rewards in the same order as it would alone, each
-distinct prefix is still simulated once, and lockstep rows never interact,
-so the results are those of trials run one after another. The per-step goal
-reward exp(-hypot(goal - (x, z))) comes from the kernel, `sim.goal_rewards`.
+its next plan and receives that plan's rewards. `parallel_trials`, the
+planner's one entry point, runs its trials through that body in rounds: each
+round rolls out the pending plan of every unfinished trial together, knot by
+knot, and at each knot every distinct uncached prefix steps in one
+`_advance` batch. Each trial sees the same rewards in the same order as it
+would alone, each distinct prefix is still simulated once, and lockstep rows
+never interact, so the results are those of trials run one after another.
+The per-step goal reward exp(-hypot(goal - (x, z))) comes from the kernel,
+`sim.goal_rewards`.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _rollout_plans(
     if steps_per_knot < 1:
         raise ValueError("knot duration shorter than one control step")
     rewards = [np.zeros(plan.k) for plan in plans]
-    states = [initial_state(robot_cfg, terrain).row] * len(plans)
+    states = [initial_state(robot_cfg, terrain)] * len(plans)
     running = [p for p, plan in enumerate(plans) if plan.k]
     knot = 0
     while running:
@@ -272,40 +273,6 @@ def _run_trials(
                 results[i] = done.value
                 del pending[i]
     return results
-
-
-def q_learn_core(
-    rollout_fn: Callable[[ModePlan], np.ndarray],
-    n_modes: int,
-    cfg: PlannerConfig,
-    rng: np.random.Generator,
-) -> QLearnResult:
-    """One Q-learning trial (see `_q_learning`) whose plans `rollout_fn`
-    rolls out one at a time."""
-    trial = _q_learning(n_modes, cfg, rng)
-    return _run_trials([trial], lambda plans: [rollout_fn(plan) for plan in plans])[0]
-
-
-def q_learn(
-    policy: PolicyParams,
-    library: ModeLibrary,
-    terrain: Terrain,
-    robot_cfg: RobotConfig,
-    cfg: PlannerConfig,
-    cache: PrefixCache | None = None,
-) -> QLearnResult:
-    """Q-learning over whole-plan rollouts in the biped environment.
-
-    This is one trial (see `_q_learning`) seeded with cfg.seed. Rollouts
-    share `cache` (a fresh one if None) with any other run of the same
-    policy, library, terrain, robot and knot settings.
-    """
-    cache = {} if cache is None else cache
-
-    def rollout_fn(plan: ModePlan) -> np.ndarray:
-        return plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, cache=cache)
-
-    return q_learn_core(rollout_fn, library.n, cfg, np.random.default_rng(cfg.seed))
 
 
 def parallel_trials(

@@ -33,7 +33,6 @@ from .sim import (
     Lockstep,
     RewardConfig,
     RobotConfig,
-    SimState,
     Terrain,
     initial_state,
     observe_rows,
@@ -455,7 +454,7 @@ def rollout(
         noise[b, : script.horizon] = std * rng.standard_normal((script.horizon, act_dim))
     switch = np.array([s.switch_step for s in scripts], dtype=np.int64)
 
-    start = initial_state(robot_cfg, terrain).row
+    start = initial_state(robot_cfg, terrain)
     first = _advance(
         policy, library.latents[[s.mode_from for s in scripts]],
         np.tile(start, (len(scripts), 1)), switch, terrain, robot_cfg, noise,
@@ -549,10 +548,12 @@ def evaluate_modes(
     tail is one `tracking_rewards` call. Returns are summed from the
     per-step reward array, as `Trajectory.episode_return` does.
 
-    When `traces` is a dict, traces[i] receives the per-step (state, reward,
-    mode index) records of the i -> i case that switches at TRACE_SWITCH,
-    which need not be in the grid; they equal that case's per-case episode.
-    When that switch lies past the episode's end, the trace is the trunk's.
+    When `traces` is a dict, traces[i] receives the (T, ROW) state rows after
+    each step and the T per-step rewards, as a list of floats, of the i -> i
+    case that switches at TRACE_SWITCH, which need not be in the grid; they
+    equal that case's per-case episode. The rows are the trunk's, since an
+    i -> i case steps no further states. When that switch lies past the
+    episode's end, the rewards are the trunk's too.
     """
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
@@ -569,7 +570,7 @@ def evaluate_modes(
     # The trace case needs no check: a switch past the trunk's end gives the trunk.
     trace_switch = round(TRACE_SWITCH * robot_cfg.cycle_steps)
     ceiling = horizon * reward_cfg.max_step_reward
-    start = initial_state(robot_cfg, terrain, clock_rate=clock_rate).row
+    start = initial_state(robot_cfg, terrain, clock_rate=clock_rate)
     trunks = _advance(
         policy, library.latents, np.tile(start, (n, 1)), np.full(n, horizon), terrain, robot_cfg
     )
@@ -603,8 +604,7 @@ def evaluate_modes(
                 [scores[k % len(scores)] for k in range(rollouts_per_case)]
             )
         if traces is not None:
-            rewards = case_rewards(i, trace_switch).tolist()
-            traces[i] = [(SimState.from_row(row), r, i) for row, r in zip(trunk[1:], rewards)]
+            traces[i] = (trunk[1:], case_rewards(i, trace_switch).tolist())
     return np.diag(transition_scores).copy(), transition_scores
 
 

@@ -184,12 +184,6 @@ class ModeLibrary:
     def names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.motions)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"no mode named {name!r} in library {self.names}") from None
-
     def with_latents(self, latents: np.ndarray) -> "ModeLibrary":
         return ModeLibrary(self.motions, latents)
 

@@ -1,23 +1,25 @@
 """Desk-scale planar biped environment.
 
 The base is a 3-DOF rigid body (x, z, pitch) acted on by gravity and by
-spring-damper ground forces at two point feet. Each leg is a hip-knee chain
-hanging from a hip point slightly below the base center; joints are damped
-double integrators driven by PD torques and by the contact force mapped
-through the foot Jacobian. Base and legs are deliberately decoupled (no leg
-inertia reaction on the torso), which keeps the stance/flight hybrid
-structure, PD semantics, and contact timing while staying small enough to
-integrate with plain scalar arithmetic.
+spring-damper ground forces at two point feet: a unilateral normal force with
+Coulomb-capped tangential drag. Each leg is a hip-knee chain hanging from a
+hip point slightly below the base center; joints are damped double
+integrators driven by PD torques toward the action's joint targets (clipped
+at the actuator limit, with no angle limits on the targets) and by the
+contact force mapped through the foot Jacobian. Base and legs are
+deliberately decoupled (no leg inertia reaction on the torso), which keeps
+the stance/flight hybrid structure, PD semantics, and contact timing while
+staying small enough to integrate with plain scalar arithmetic.
 
 Physics substeps use velocity-Verlet (kick-drift-kick), which reproduces
 ballistic flight exactly; control runs at 50 Hz over 20 substeps of 1 ms.
-State in, state out: stepping is a pure function and bit-deterministic.
+A step's outcome depends on the state row and the action alone, bit for bit.
 
 A state is a row of ROW doubles: q (x, z, pitch, hip_l, knee_l, hip_r,
 knee_r), qdot, the time t, the phase, the clock rate, the left and right
-contact flags as 0.0 or 1.0, and the support height under the base. SimState
-is the same state as a record, for the one-state functions step, observe and
-termination.
+contact flags as 0.0 or 1.0, and the support height under the base. It is
+the one state representation: every episode steps, observes, ends and is
+scored as rows of a (..., ROW) float64 array.
 
 Episodes step in lockstep batches (`Lockstep`): B rows, each with its own
 start row, latent, step budget and optional action noise, advance together,
@@ -111,7 +113,6 @@ BLOWUP = "blowup"
 STATUSES = (RUNNING, FALLEN, BLOWUP)
 
 NUM_JOINTS = 4
-BASE_DOF = 3  # x, z, pitch
 
 # The state row layout, `_physics.c`'s.
 Q, QDOT, TIME, PHASE, CLOCK_RATE, CONTACT_LEFT, CONTACT_RIGHT, SUPPORT, ROW = (
@@ -313,82 +314,23 @@ TERRAIN_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class SimState:
-    """Generalized coordinates plus the phase clock and contact bookkeeping."""
-
-    q: np.ndarray  # [x, z, pitch, hip_l, knee_l, hip_r, knee_r]
-    qdot: np.ndarray
-    t: float
-    phase: float
-    clock_rate: float
-    contact_left: bool
-    contact_right: bool
-    support: float  # terrain height under the base x
-
-    def __post_init__(self):
-        for name in ("q", "qdot"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (BASE_DOF + NUM_JOINTS,):
-                raise ValueError(f"{name} must have shape (7,)")
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    @property
-    def x(self) -> float:
-        return float(self.q[0])
-
-    @property
-    def z(self) -> float:
-        return float(self.q[1])
-
-    @property
-    def pitch(self) -> float:
-        return float(self.q[2])
-
-    @property
-    def height_above_support(self) -> float:
-        return self.z - self.support
-
-    @property
-    def row(self) -> np.ndarray:
-        """This state as a state row."""
-        return np.concatenate([self.q, self.qdot, [
-            self.t, self.phase, self.clock_rate, self.contact_left, self.contact_right,
-            self.support,
-        ]])
-
-    @staticmethod
-    def from_row(row: np.ndarray) -> "SimState":
-        """The state of a state row; q and qdot are read-only views of it."""
-        return SimState(
-            q=row[Q:QDOT], qdot=row[QDOT:TIME], t=float(row[TIME]), phase=float(row[PHASE]),
-            clock_rate=float(row[CLOCK_RATE]), contact_left=bool(row[CONTACT_LEFT]),
-            contact_right=bool(row[CONTACT_RIGHT]), support=float(row[SUPPORT]),
-        )
-
-
 def initial_state(
     cfg: RobotConfig,
     terrain: Terrain | None = None,
     clock_rate: float = 1.0,
-) -> SimState:
-    """Nominal standing pose at x = 0, with the contact springs pre-compressed."""
+) -> np.ndarray:
+    """The state row of the nominal standing pose at x = 0, at rest, with the
+    contact springs pre-compressed."""
     terrain = terrain or Terrain.flat()
     ground = terrain.height(0.0)
-    q = np.zeros(BASE_DOF + NUM_JOINTS)
-    q[1] = ground + cfg.nominal_height - cfg.settle_depth
-    left, right = _foot_states(q, np.zeros(7), cfg)
-    return SimState(
-        q=q,
-        qdot=np.zeros(BASE_DOF + NUM_JOINTS),
-        t=0.0,
-        phase=0.0,
-        clock_rate=clock_rate,
-        contact_left=left[1] < terrain.height(left[0]),
-        contact_right=right[1] < terrain.height(right[0]),
-        support=ground,
-    )
+    row = np.zeros(ROW)
+    row[Z] = ground + cfg.nominal_height - cfg.settle_depth
+    left, right = _foot_states(row[Q:QDOT], row[QDOT:TIME], cfg)
+    row[CLOCK_RATE] = clock_rate
+    row[CONTACT_LEFT] = left[1] < terrain.height(left[0])
+    row[CONTACT_RIGHT] = right[1] < terrain.height(right[0])
+    row[SUPPORT] = ground
+    return row
 
 
 def _foot_states(q: np.ndarray, qdot: np.ndarray, cfg: RobotConfig):
@@ -424,40 +366,6 @@ def _foot_states(q: np.ndarray, qdot: np.ndarray, cfg: RobotConfig):
     return out
 
 
-def step(state: SimState, action: np.ndarray, terrain: Terrain, cfg: RobotConfig) -> SimState:
-    """Advance one control period of physics substeps and the phase clock.
-
-    Each substep is a kick-drift-kick: the kernel runs 2 * substeps force
-    evaluations, half-kicks the velocities after every evaluation and drifts
-    the positions after every first evaluation of a pair, so only
-    substeps + 1 of the evaluations see new positions. The terms that depend
-    on the positions alone (the sines and cosines, foot positions, Jacobian
-    entries, terrain heights and penetrations, PD position terms and lever
-    arms) are computed when a drift has made them stale and reused by the
-    evaluation that follows; each evaluation computes the velocity terms
-    afresh. Both legs are written out inline: a unilateral spring-damper
-    normal force with Coulomb-capped tangential drag at each foot, and PD
-    torques toward the action's joint targets, clipped at the actuator limit
-    but with no angle limits on the targets.
-
-    This is a one-row `Lockstep` batch: the same kernel call that steps
-    every episode, in the operation order the module docstring fixes. The
-    kernel's first use builds it, and a missing or failing `cc` raises
-    RuntimeError.
-
-    A non-finite outcome is returned as-is; termination() classifies it as a
-    blowup so the caller can cut the episode. An infinite angle, which
-    math.sin cannot take, ends the substeps early with a NaN pitch.
-    """
-    action = np.asarray(action, dtype=float)
-    if action.shape != (NUM_JOINTS,):
-        raise ValueError(f"action must have {NUM_JOINTS} entries")
-    batch = Lockstep(state.row[None], np.zeros((1, 0)), [1], None, terrain, cfg)
-    batch.means[0] = action
-    batch.advance(0, 1)
-    return SimState.from_row(batch.history[1, 0])
-
-
 _KERNEL_SOURCE = Path(__file__).with_name("_physics.c")
 # The compiled kernel library; its first use builds it.
 _kernel = None
@@ -491,7 +399,6 @@ def _build_kernel(source: Path = _KERNEL_SOURCE):
         ("sim_start", [pointer]),
         ("sim_lockstep", [pointer, count, count]),
         ("sim_observe", [count, pointer, pointer, count, pointer]),
-        ("sim_status", [pointer, pointer]),
         ("sim_track", [count, pointer, pointer, pointer, pointer]),
         ("sim_goal_rewards", [count, pointer, double, double, pointer]),
     ):
@@ -595,12 +502,6 @@ class Lockstep:
         return self.history[: self.lengths[b] + 1, b].copy()
 
 
-def termination(state: SimState, cfg: RobotConfig) -> str:
-    """The kernel's status of one state: BLOWUP, FALLEN or RUNNING."""
-    row = state.row
-    return STATUSES[_library().sim_status(_address(row), _address(cfg._kernel_params))]
-
-
 # --- observation -------------------------------------------------------------
 
 CLOCK_DIM = 2
@@ -612,25 +513,20 @@ def observation_dim(latent_dim: int) -> int:
 
 
 def observe_rows(rows: np.ndarray, latents: np.ndarray) -> np.ndarray:
-    """The kernel's observation of each state row, row k under latents[k]."""
+    """The kernel's observation of each state row, row k under latents[k].
+
+    An observation is [clock, latent command, proprioception]; the clock is
+    the sine and cosine of 2 pi phase. The base x never appears: height is
+    support-relative and the linear velocity is expressed in the base frame,
+    so the observation is invariant to horizontal translation. An infinite
+    phase or pitch, whose sine math.sin cannot take, gives NaN in the
+    entries computed from it.
+    """
     n = _checked(rows, "state rows", (None, ROW)).shape[0]
     latent_dim = _checked(latents, "latents", (n, None)).shape[1]
     obs = np.empty((n, observation_dim(latent_dim)))
     _library().sim_observe(n, _address(rows), _address(latents), latent_dim, _address(obs))
     return obs
-
-
-def observe(state: SimState, latent: np.ndarray) -> np.ndarray:
-    """Policy observation [clock, latent command, proprioception].
-
-    The clock is the sine and cosine of 2 pi phase. The base x never appears:
-    height is support-relative and the linear velocity is expressed in the
-    base frame, so the observation is invariant to horizontal translation.
-    An infinite phase or pitch, whose sine math.sin cannot take, gives NaN
-    in the entries computed from it.
-    """
-    latent = np.array(latent, dtype=float, ndmin=2)
-    return observe_rows(state.row[None], latent)[0]
 
 
 # --- rewards -----------------------------------------------------------------

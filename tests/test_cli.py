@@ -127,8 +127,15 @@ def test_parser_defaults_are_the_config_defaults():
          "unrecognized arguments: --workers 2"),
         (["train-policy", "--library", "lib.json", "--updates", "ten"],
          "argument --updates: invalid int value: 'ten'"),
+        # The mode set picks the reward weights: a typo must not fall back
+        # to the default weights.
+        (["train-policy", "--library", "lib.json", "--modeset", "pi33"],
+         "argument --modeset: invalid choice: 'pi33'"),
+        (["eval", "--library", "lib.json", "--policy", "pol.json", "--modeset", "pi33"],
+         "argument --modeset: invalid choice: 'pi33'"),
     ],
-    ids=["train-policy-workers", "plan-workers", "updates-not-an-int"],
+    ids=["train-policy-workers", "plan-workers", "updates-not-an-int", "train-policy-modeset",
+         "eval-modeset"],
 )
 def test_usage_errors_are_validation_errors(capsys, argv, message):
     assert run(*argv) == cli.EXIT_VALIDATION

@@ -25,7 +25,7 @@ def motion_from(samples):
 def test_encode_deterministic_and_shape():
     lib = rm.builtin_library("pi2")
     e = tiny_params(channels=5, hidden=8, latent=4)
-    walk = lib.motions[lib.index_of("walk_f")]
+    walk = lib.motions[lib.names.index("walk_f")]
     z1 = enc.encode(e, walk)
     z2 = enc.encode(e, walk)
     assert np.array_equal(z1, z2)

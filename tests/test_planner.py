@@ -9,6 +9,7 @@ from modeloco import planner as pl
 from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
+from test_sim import step_row
 
 
 def goal_step_reward(x: float, z: float, goal_x: float, goal_z: float) -> float:
@@ -45,6 +46,12 @@ def table_stub(reward_table):
     return rollout_fn
 
 
+def one_trial(rollout_fn, n_modes, cfg, rng):
+    """A Q-learning trial whose plans `rollout_fn` rolls out one at a time."""
+    trial = pl._q_learning(n_modes, cfg, rng)
+    return pl._run_trials([trial], lambda plans: [rollout_fn(plan) for plan in plans])[0]
+
+
 def brute_force_best(rollout_fn, knots, n):
     best, best_val = None, -np.inf
     for plan in itertools.product(range(n), repeat=knots):
@@ -61,7 +68,7 @@ def test_q_learning_matches_enumeration_on_reward_tables():
         n = int(rng.integers(2, 4))
         table = rng.uniform(0.0, 1.0, size=(cfg.knots, n))
         fn = table_stub(table)
-        res = pl.q_learn_core(fn, n, cfg, np.random.default_rng(100 + i))
+        res = one_trial(fn, n, cfg, np.random.default_rng(100 + i))
         _, best_val = brute_force_best(fn, cfg.knots, n)
         assert res.best_return == pytest.approx(best_val, rel=1e-12)
 
@@ -69,7 +76,7 @@ def test_q_learning_matches_enumeration_on_reward_tables():
 def test_zero_alpha_learns_nothing():
     cfg = pl.PlannerConfig(knots=3, episodes=50, alpha=0.0, seed=0)
     table = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-    res = pl.q_learn_core(table_stub(table), 2, cfg, np.random.default_rng(0))
+    res = one_trial(table_stub(table), 2, cfg, np.random.default_rng(0))
     assert np.all(res.q_table == 0.0)
     assert res.plan.mode_indices == (0, 0, 0)  # argmax tie-break: lowest index
 
@@ -79,7 +86,7 @@ def test_greedy_tie_break_lowest_index():
     # exactly equal values and argmax must pick the lowest index
     cfg = pl.PlannerConfig(knots=2, episodes=100, alpha=1.0, seed=0)
     table = np.array([[0.5, 0.5, 0.2], [0.7, 0.7, 0.7]])
-    res = pl.q_learn_core(table_stub(table), 3, cfg, np.random.default_rng(1))
+    res = one_trial(table_stub(table), 3, cfg, np.random.default_rng(1))
     assert res.plan.mode_indices[0] == 0
     assert res.plan.mode_indices[1] == 0
 
@@ -96,13 +103,26 @@ def library_with_latents():
 ROBOT = sim.RobotConfig()
 
 
+def sequential_trials(policy, lib, terrain, configs, cache=None):
+    """Trials run one after another, trial c seeded with c.seed, their plans
+    rolled out one at a time through `plan_rollout` and one shared cache."""
+    cache = {} if cache is None else cache
+    return [
+        one_trial(
+            lambda plan, c=c: pl.plan_rollout(plan, policy, lib, terrain, ROBOT, c, cache=cache),
+            lib.n, c, np.random.default_rng(c.seed),
+        )
+        for c in configs
+    ]
+
+
 def test_plan_rollout_at_goal_with_idle_policy():
     lib = library_with_latents()
     policy = pol.init_policy(np.random.default_rng(1), sim.observation_dim(4))
     # goal at the settled standing position: per-step reward stays near 1
     start = sim.initial_state(ROBOT, sim.Terrain.flat())
     cfg = pl.PlannerConfig(
-        knots=3, knot_dt=0.3, goal_x=start.x, goal_z=start.z, episodes=1
+        knots=3, knot_dt=0.3, goal_x=start[sim.X], goal_z=start[sim.Z], episodes=1
     )
     plan = pl.ModePlan((0, 0, 0))
     rewards = pl.plan_rollout(plan, policy, lib, sim.Terrain.flat(), ROBOT, cfg)
@@ -134,7 +154,7 @@ def test_q_table_shape_matches_task():
     lib = library_with_latents()
     policy = pol.init_policy(np.random.default_rng(3), sim.observation_dim(4))
     cfg = pl.PlannerConfig(knots=11, knot_dt=0.3, episodes=2, seed=0)
-    res = pl.q_learn(policy, lib, sim.Terrain.gap(), ROBOT, cfg)
+    res = pl.parallel_trials(policy, lib, sim.Terrain.gap(), ROBOT, cfg, trials=1)
     assert res.q_table.shape == (11, 4)
     assert res.plan.k == 11
 
@@ -144,15 +164,15 @@ def test_parallel_trials_deterministic_and_degenerate():
     table = np.random.default_rng(8).uniform(size=(3, 2))
 
     def run_q(c):
-        return pl.q_learn_core(table_stub(table), 2, c, np.random.default_rng(c.seed))
+        return one_trial(table_stub(table), 2, c, np.random.default_rng(c.seed))
 
     single = run_q(cfg)
-    # trials=1 equals a plain q_learn run with the same seed
+    # trials=1 equals one trial with the same seed
     lib = library_with_latents()
     policy = pol.init_policy(np.random.default_rng(9), sim.observation_dim(4))
     env_cfg = pl.PlannerConfig(knots=2, knot_dt=0.1, episodes=3, seed=11)
     one = pl.parallel_trials(policy, lib, sim.Terrain.flat(), ROBOT, env_cfg, trials=1)
-    direct = pl.q_learn(policy, lib, sim.Terrain.flat(), ROBOT, env_cfg)
+    [direct] = sequential_trials(policy, lib, sim.Terrain.flat(), [env_cfg])
     assert one.plan == direct.plan
     assert one.best_return == direct.best_return
     # identical seeds: identical best plan
@@ -165,16 +185,18 @@ def _reference_plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, trac
     """The uncached plan rollout, as it ran before plans shared their prefixes."""
     latents = library.latents[list(plan.mode_indices)]
     steps_per_knot = round(cfg.knot_dt / robot_cfg.control_dt)
-    state = sim.initial_state(robot_cfg, terrain)
+    row = sim.initial_state(robot_cfg, terrain)
     rewards = np.zeros(plan.k)
     for knot in range(plan.k):
         for _ in range(steps_per_knot):
-            obs = sim.observe(state, latents[knot])
-            state = sim.step(state, pol.policy_mean(policy, obs), terrain, robot_cfg)
-            rewards[knot] += goal_step_reward(state.x, state.z, cfg.goal_x, cfg.goal_z)
+            obs = sim.observe_rows(row[None], latents[knot][None])[0]
+            row, status = step_row(row, pol.policy_mean(policy, obs), terrain, robot_cfg)
+            rewards[knot] += goal_step_reward(
+                float(row[sim.X]), float(row[sim.Z]), cfg.goal_x, cfg.goal_z
+            )
             if trace is not None:
-                trace.append((state, rewards[knot], plan.mode_indices[knot]))
-            if sim.termination(state, robot_cfg) != sim.RUNNING:
+                trace.append((row, rewards[knot], plan.mode_indices[knot]))
+            if status != sim.RUNNING:
                 return rewards
     return rewards
 
@@ -207,13 +229,13 @@ def _falling_policy():
 
 def _assert_same_trace(got, want):
     """got, a plan_rollout trace of (mode, knot trace) pairs, has one step per
-    (state, bucket, mode) record of want, with its t, x, z, pitch and bucket."""
+    (state row, bucket, mode) record of want, with its t, x, z, pitch and bucket."""
     steps = [(row, mode) for mode, knot in got for row in knot]
     assert len(steps) == len(want)
-    for (row, mode), (w_state, w_r, w_mode) in zip(steps, want):
+    for (row, mode), (w_row, w_r, w_mode) in zip(steps, want):
         assert mode == w_mode
         assert row.tobytes() == np.array(
-            [w_state.t, w_state.x, w_state.z, w_state.pitch, w_r]
+            [*w_row[[sim.TIME, sim.X, sim.Z, sim.PITCH]], w_r]
         ).tobytes()
 
 
@@ -233,14 +255,14 @@ def test_trials_match_the_uncached_reference(monkeypatch, terrain):
         return rewards
 
     want = [
-        pl.q_learn_core(reference_fn, lib.n, c, np.random.default_rng(c.seed))
+        one_trial(reference_fn, lib.n, c, np.random.default_rng(c.seed))
         for c in configs
     ]
     assert any(n < cfg.knots * 20 for _, n in runs)  # some plans fall
 
     steps = _count_steps(monkeypatch)
     cache: pl.PrefixCache = {}
-    got = [pl.q_learn(policy, lib, world, ROBOT, c, cache=cache) for c in configs]
+    got = sequential_trials(policy, lib, world, configs, cache)
     for g, w in zip(got, want):
         assert g.plan == w.plan
         assert g.q_table.tobytes() == w.q_table.tobytes()
@@ -295,11 +317,8 @@ def test_lockstep_trials_make_fewer_advance_calls(monkeypatch):
     policy = pol.init_policy(np.random.default_rng(5), sim.observation_dim(4))
     cfg = pl.PlannerConfig(knots=6, knot_dt=0.2, episodes=10, explore=0.5, seed=2)
     batches = _record_batches(monkeypatch)
-    cache: pl.PrefixCache = {}
-    sequential = [
-        pl.q_learn(policy, lib, sim.Terrain.gap(), ROBOT, replace(cfg, seed=cfg.seed + i), cache)
-        for i in range(3)
-    ]
+    configs = [replace(cfg, seed=cfg.seed + i) for i in range(3)]
+    sequential = sequential_trials(policy, lib, sim.Terrain.gap(), configs)
     calls, steps = len(batches), sum(n for _, n in batches)
     batches.clear()
     best = pl.parallel_trials(policy, lib, sim.Terrain.gap(), ROBOT, cfg, trials=3)
@@ -332,7 +351,7 @@ def test_a_prefix_two_trials_ask_for_at_one_knot_steps_once(monkeypatch):
     greedy_steps = sum(n for _, n in batches)
     assert all(len(rows) == 1 for rows, _ in batches)
     batches.clear()
-    pl.q_learn(policy, lib, sim.Terrain.flat(), ROBOT, cfg)
+    sequential_trials(policy, lib, sim.Terrain.flat(), [cfg])
     assert sum(n for _, n in batches) == greedy_steps
 
 

@@ -7,7 +7,7 @@ from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
 from modeloco.sampler import EpisodeScript
-from test_sim import _ModeTracker, _reference_reward
+from test_sim import _ModeTracker, _reference_reward, step_row
 
 
 def library_with_latents(selector="pi2", seed=0):
@@ -307,13 +307,14 @@ def _reference_rollout(
     every step, the bootstrap value on its own.
 
     It also runs what `rollout` does not: the deterministic policy, a clock
-    rate, no value network, and a per-step (state, reward, mode) trace. The
+    rate, no value network, and a per-step (state row, reward, mode) trace. The
     evaluation tests use these for the per-case episodes that `evaluate_modes`
     must reproduce."""
     latents = library.latents[[script.mode_from, script.mode_to]]
-    state = sim.initial_state(robot_cfg, terrain, clock_rate=clock_rate)
+    row = sim.initial_state(robot_cfg, terrain, clock_rate=clock_rate)
     tracker = _ModeTracker(
-        library.motions[script.mode_from], anchor_x=state.x, anchor_phase=state.phase
+        library.motions[script.mode_from], anchor_x=float(row[sim.X]),
+        anchor_phase=float(row[sim.PHASE]),
     )
     clips_done = 0
     current = 0
@@ -323,29 +324,31 @@ def _reference_rollout(
         if t == script.switch_step and current == 0:
             current = 1
             tracker = _ModeTracker(
-                library.motions[script.mode_to], anchor_x=state.x, anchor_phase=state.phase
+                library.motions[script.mode_to], anchor_x=float(row[sim.X]),
+                anchor_phase=float(row[sim.PHASE]),
             )
             clips_done = 0
-        o = sim.observe(state, latents[current])
+        o = sim.observe_rows(row[None], latents[current][None])[0]
         a, lp = _act(policy, o, stochastic, rng)
         obs_list.append(o)
         act_list.append(a)
         lp_list.append(lp)
         val_list.append(pol.value_of(value, o) if value is not None else 0.0)
-        new_state = sim.step(state, a, terrain, robot_cfg)
-        if new_state.phase < state.phase:
+        new_row, status = step_row(row, a, terrain, robot_cfg)
+        if new_row[sim.PHASE] < row[sim.PHASE]:
             clips_done += 1
-        r = _reference_reward(new_state.row, tracker.at(new_state.phase, clips_done), reward_cfg)
+        r = _reference_reward(
+            new_row, tracker.at(float(new_row[sim.PHASE]), clips_done), reward_cfg
+        )
         rew_list.append(r)
         if trace is not None:
-            trace.append((new_state, r, script.mode_from if current == 0 else script.mode_to))
-        state = new_state
-        status = sim.termination(state, robot_cfg)
+            trace.append((new_row, r, script.mode_from if current == 0 else script.mode_to))
+        row = new_row
         if status != sim.RUNNING:
             fell = status == sim.FALLEN
             blew_up = status == sim.BLOWUP
             break
-    final_obs = sim.observe(state, latents[current])
+    final_obs = sim.observe_rows(row[None], latents[current][None])[0]
     if fell or blew_up or value is None:
         bootstrap = 0.0
     else:
@@ -495,7 +498,7 @@ def test_a_lockstep_batch_equals_one_script_batches():
 
 def test_advance_checks_its_inputs_before_the_kernel():
     policy = pol.init_policy(np.random.default_rng(0), OBS_DIM)
-    start = sim.initial_state(ROBOT, sim.Terrain.flat()).row
+    start = sim.initial_state(ROBOT, sim.Terrain.flat())
     starts, latents = np.tile(start, (2, 1)), np.zeros((2, 4))
     args = (sim.Terrain.flat(), ROBOT)
     pol._advance(policy, latents, starts, [3, 0], *args)  # well formed
@@ -668,14 +671,11 @@ def test_evaluate_modes_matches_per_case_rollouts(
 
     assert sorted(traces) == list(range(lib.n))
     for i, want in want_traces.items():
-        assert len(traces[i]) == len(want)
-        for (state, r, mode), (w_state, w_r, w_mode) in zip(traces[i], want):
-            assert state.q.tobytes() == w_state.q.tobytes()
-            assert state.qdot.tobytes() == w_state.qdot.tobytes()
-            assert (state.t, state.phase, state.contact_left, state.contact_right) == (
-                w_state.t, w_state.phase, w_state.contact_left, w_state.contact_right
-            )
-            assert (repr(r), mode) == (repr(w_r), w_mode)
+        rows, rewards = traces[i]
+        assert len(rows) == len(rewards) == len(want)
+        for row, r, (w_row, w_r, w_mode) in zip(rows, rewards, want):
+            assert row.tobytes() == w_row.tobytes()
+            assert (repr(r), i) == (repr(w_r), w_mode)
 
 
 def test_evaluate_modes_rejects_a_switch_outside_the_episode():
@@ -698,9 +698,10 @@ def test_evaluate_modes_rejects_a_switch_outside_the_episode():
             stochastic=False, trace=want,
         )
         want = want[:60]
-        assert len(traces[i]) == len(want)
-        for (state, r, mode), (w_state, w_r, w_mode) in zip(traces[i], want):
-            assert state.q.tobytes() == w_state.q.tobytes()
-            assert (repr(r), mode) == (repr(w_r), w_mode)
+        rows, rewards = traces[i]
+        assert len(rows) == len(rewards) == len(want)
+        for row, r, (w_row, w_r, w_mode) in zip(rows, rewards, want):
+            assert row.tobytes() == w_row.tobytes()
+            assert (repr(r), i) == (repr(w_r), w_mode)
     with pytest.raises(ValueError, match="at least one rollout"):
         pol.evaluate_modes(*args, rollouts_per_case=0)

@@ -181,9 +181,9 @@ def test_builtin_pi1_has_nine_modes():
 def test_builtin_pi3_contact_schedules():
     lib = rm.builtin_library("pi3")
     assert lib.n == 4
-    walk = lib.motions[lib.index_of("walk_f")]
-    hop = lib.motions[lib.index_of("hop_f")]
-    leap = lib.motions[lib.index_of("leap_f")]
+    walk = lib.motions[lib.names.index("walk_f")]
+    hop = lib.motions[lib.names.index("hop_f")]
+    leap = lib.motions[lib.names.index("leap_f")]
     assert {tuple(p) for p in walk.samples[:, 3:5]} == {(1.0, 0.0), (0.0, 1.0)}
     assert {tuple(p) for p in hop.samples[:, 3:5]} == {(1.0, 1.0), (0.0, 0.0)}
     assert np.all(leap.samples[:, 3:5] == 0.0)

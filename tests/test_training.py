@@ -10,7 +10,7 @@ from modeloco import training as tm
 
 def two_mode_library(seed=0):
     lib = rm.builtin_library("pi2")
-    keep = [lib.index_of("idle"), lib.index_of("walk_f")]
+    keep = [lib.names.index("idle"), lib.names.index("walk_f")]
     motions = [lib.motions[i] for i in keep]
     rng = np.random.default_rng(seed)
     return rm.ModeLibrary(tuple(motions), rng.normal(size=(len(motions), 4)))
