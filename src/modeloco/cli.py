@@ -213,12 +213,7 @@ def cmd_train_policy(args) -> int:
         start=start,
         checkpoint_path=checkpoint_path,
     )
-    write_artifact(
-        out,
-        "policy",
-        pol_mod.policy_to_payload(result.state.policy, result.state.value),
-        cfg_hash,
-    )
+    write_artifact(out, "policy", pol_mod.policy_to_payload(result.state.policy), cfg_hash)
     _write_training_log(log_path, result.rows, library.n)
     returns = [r.normalized_return for r in result.rows[-4 * library.n :]]
     recent = (
@@ -236,7 +231,7 @@ def cmd_eval(args) -> int:
     out = _out_path(args.out, "eval.json")
     _check_out_dirs(out)  # the trace CSVs go beside it
     library = _load_encoded_library(args.library)
-    policy, _value = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
+    policy = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
     _check_policy_fits(policy, library, args.policy, args.library)
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
@@ -307,7 +302,7 @@ def cmd_plan(args) -> int:
     trace_path = Path(str(out) + ".trace.csv")
     _check_out_dirs(out, trace_path)
     library = _load_encoded_library(args.library)
-    policy, _value = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
+    policy = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
     _check_policy_fits(policy, library, args.policy, args.library)
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()

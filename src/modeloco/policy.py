@@ -7,11 +7,12 @@ log-std. Everything is handwritten numpy in float64: gradients are exact,
 updates are deterministic from seeds, and the surrogate gradient can be
 checked against finite differences.
 
-Each network is stored once, as the flat vector Adam steps. An MLP's vector
-holds its layers in order, each (out, in) weight raveled and then its bias;
-the policy's vector is its mean network's followed by the act_dim log-std
-entries. The per-layer weights, biases and log_std are reshaped views into
-that vector, and every gradient is a vector with the same layout.
+The actor and the critic are one parameter set, stored once as the flat
+vector Adam steps. An MLP's part holds its layers in order, each (out, in)
+weight raveled and then its bias; the policy's vector is its mean network's
+part, then the act_dim log-std entries, then the value network's part. The
+per-layer weights, biases and log_std are reshaped views into that vector,
+and every gradient is a vector with the same layout.
 """
 
 from __future__ import annotations
@@ -58,19 +59,27 @@ class MlpParams:
         self.weights, self.biases = views[0::2], views[1::2]
 
 
+def _mlp_size(dims: tuple[int, ...]) -> int:
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
 @dataclass
 class PolicyParams:
-    """The mean network and the state-independent log-std, views into flat."""
+    """The mean network, the state-independent log-std and the value network,
+    views into flat in that order."""
 
     flat: np.ndarray
     dims: tuple[int, ...]  # mean network widths, input first
+    value_dims: tuple[int, ...]  # value network widths, input first
     net: MlpParams = field(init=False)
     log_std: np.ndarray = field(init=False)
+    value: MlpParams = field(init=False)
 
     def __post_init__(self):
-        act_dim = self.dims[-1]
-        self.net = MlpParams(self.flat[:-act_dim], self.dims)
-        self.log_std = self.flat[-act_dim:]
+        sizes = (_mlp_size(self.dims), self.dims[-1], _mlp_size(self.value_dims))
+        net, self.log_std, value = split_views(self.flat, [(n,) for n in sizes])
+        self.net = MlpParams(net, self.dims)
+        self.value = MlpParams(value, self.value_dims)
 
     @property
     def action_dim(self) -> int:
@@ -96,18 +105,12 @@ def init_policy(
     hidden: tuple[int, ...] = (64, 64),
     log_std_init: float = -0.7,
 ) -> PolicyParams:
-    dims = (obs_dim, *hidden, act_dim)
+    """The mean network, then the value network, drawn from rng in that order."""
+    dims, value_dims = (obs_dim, *hidden, act_dim), (obs_dim, *hidden, 1)
     # Small final layer keeps the initial mean near zero, i.e. near the
     # straight-leg nominal pose.
-    parts = _init_mlp(rng, dims, final_scale=0.01)
-    return PolicyParams(np.concatenate(parts + [np.full(act_dim, log_std_init)]), dims)
-
-
-def init_value(
-    rng: np.random.Generator, obs_dim: int, hidden: tuple[int, ...] = (64, 64)
-) -> MlpParams:
-    dims = (obs_dim, *hidden, 1)
-    return MlpParams(np.concatenate(_init_mlp(rng, dims)), dims)
+    parts = _init_mlp(rng, dims, final_scale=0.01) + [np.full(act_dim, log_std_init)]
+    return PolicyParams(np.concatenate(parts + _init_mlp(rng, value_dims)), dims, value_dims)
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray):
@@ -151,7 +154,7 @@ def policy_mean(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
     return out[:, 0, :]
 
 
-def value_of(params: MlpParams, obs: np.ndarray) -> float | np.ndarray:
+def value_of(params: PolicyParams, obs: np.ndarray) -> float | np.ndarray:
     """The value of one observation, or of each row of a (B, in) batch.
 
     A batch runs as a (B, 1, in) stack of one-row matmuls, so row i equals the
@@ -159,9 +162,9 @@ def value_of(params: MlpParams, obs: np.ndarray) -> float | np.ndarray:
     may round differently.
     """
     if obs.ndim == 1:
-        out, _ = mlp_forward(params, obs[None, :])
+        out, _ = mlp_forward(params.value, obs[None, :])
         return float(out[0, 0])
-    out, _ = mlp_forward(params, obs[:, None, :])
+    out, _ = mlp_forward(params.value, obs[:, None, :])
     return out[:, 0, 0]
 
 
@@ -237,13 +240,11 @@ class PpoConfig:
             raise ValueError("clip_ratio must be positive")
 
 
-def ppo_loss_and_grad(
-    policy: PolicyParams, value: MlpParams, batch: dict, cfg: PpoConfig
-):
-    """Clipped surrogate plus value regression minus the entropy bonus, with gradients.
+def ppo_loss_and_grad(policy: PolicyParams, batch: dict, cfg: PpoConfig):
+    """Clipped surrogate plus value regression minus the entropy bonus, with its gradient.
 
-    Returns (loss, policy gradient, value gradient, surrogate, value term); each
-    gradient is a vector laid out like its network's flat.
+    Returns (loss, gradient, surrogate, value term); the gradient is a vector
+    laid out like policy.flat.
     """
     obs = batch["obs"]
     B = obs.shape[0]
@@ -264,34 +265,23 @@ def ppo_loss_and_grad(
     d_ratio = np.where(use_first, adv, np.where(inside, adv, 0.0)) * (-1.0 / B)
     d_lp = d_ratio * ratio
     d_mean = d_lp[:, None] * diff / var
-    g_policy = PolicyParams(np.empty_like(policy.flat), policy.dims)
-    g_policy.log_std[:] = (d_lp[:, None] * ((diff * diff) / var - 1.0)).sum(axis=0)
-    g_policy.log_std -= cfg.entropy_coef  # entropy bonus: dH/dlog_std = 1 per dim
-    mlp_backward(policy.net, acts_p, d_mean, g_policy.net)
+    grad = PolicyParams(np.empty_like(policy.flat), policy.dims, policy.value_dims)
+    grad.log_std[:] = (d_lp[:, None] * ((diff * diff) / var - 1.0)).sum(axis=0)
+    grad.log_std -= cfg.entropy_coef  # entropy bonus: dH/dlog_std = 1 per dim
+    mlp_backward(policy.net, acts_p, d_mean, grad.net)
 
-    v, acts_v = mlp_forward(value, obs)
+    v, acts_v = mlp_forward(policy.value, obs)
     err = v[:, 0] - batch["returns"]
     value_loss = float((err * err).mean())
     d_v = (2.0 * cfg.value_coef / B) * err[:, None]
-    g_value = MlpParams(np.empty_like(value.flat), value.dims)
-    mlp_backward(value, acts_v, d_v, g_value)
+    mlp_backward(policy.value, acts_v, d_v, grad.value)
 
     loss = (
         policy_loss
         + cfg.value_coef * value_loss
         - cfg.entropy_coef * entropy(policy)
     )
-    return loss, g_policy.flat, g_value.flat, policy_loss, value_loss
-
-
-@dataclass
-class PpoOptState:
-    policy: AdamState
-    value: AdamState
-
-    @staticmethod
-    def fresh(policy: PolicyParams, value: MlpParams) -> "PpoOptState":
-        return PpoOptState(AdamState.zeros(policy.flat.size), AdamState.zeros(value.flat.size))
+    return loss, grad.flat, policy_loss, value_loss
 
 
 @dataclass
@@ -307,17 +297,18 @@ class UpdateStats:
 
 def ppo_update(
     policy: PolicyParams,
-    value: MlpParams,
-    opt: PpoOptState,
+    opt: AdamState,
     trajectories: list[Trajectory],
     cfg: PpoConfig,
     rng: np.random.Generator,
-) -> tuple[PolicyParams, MlpParams, PpoOptState, UpdateStats]:
-    """One clipped-surrogate update over a batch of trajectories.
+) -> tuple[PolicyParams, AdamState, UpdateStats]:
+    """One clipped-surrogate update over a batch of trajectories, one Adam step
+    of the whole parameter set per minibatch.
 
     Advantages are GAE, normalized across the whole batch. A non-finite loss
-    rejects the update and returns the parameters unchanged. Each Adam step
-    makes new vectors, so the inputs are never written.
+    rejects the update and returns the inputs unchanged. The steps write one
+    copy of the parameters made here, and each Adam step makes new moments, so
+    the inputs are never written.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -335,9 +326,9 @@ def ppo_update(
 
     stats = UpdateStats(policy_loss=0.0, value_loss=0.0, entropy=entropy(policy))
 
-    opt_p, opt_v = opt.policy, opt.value
     n = obs.shape[0]
-    cur_policy, cur_value = policy, value
+    cur = PolicyParams(policy.flat.copy(), policy.dims, policy.value_dims)
+    cur_opt = opt
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for chunk in np.array_split(order, cfg.minibatches):
@@ -350,24 +341,15 @@ def ppo_update(
                 "advantages": adv[chunk],
                 "returns": returns[chunk],
             }
-            loss, g_p, g_v, policy_loss, value_loss = ppo_loss_and_grad(
-                cur_policy, cur_value, batch, cfg
-            )
-            if not (
-                math.isfinite(loss)
-                and np.isfinite(g_p).all()
-                and np.isfinite(g_v).all()
-            ):
+            loss, grad, policy_loss, value_loss = ppo_loss_and_grad(cur, batch, cfg)
+            if not (math.isfinite(loss) and np.isfinite(grad).all()):
                 stats.policy_loss = stats.value_loss = 0.0
                 stats.rejected = True
-                return policy, value, opt, stats
+                return policy, opt, stats
             stats.policy_loss, stats.value_loss = policy_loss, value_loss
-            flat_p, opt_p = adam_step(cur_policy.flat, g_p, opt_p, cfg.learning_rate)
-            flat_v, opt_v = adam_step(cur_value.flat, g_v, opt_v, cfg.learning_rate)
-            cur_policy = PolicyParams(flat_p, policy.dims)
-            cur_value = MlpParams(flat_v, value.dims)
-    stats.entropy = entropy(cur_policy)
-    return cur_policy, cur_value, PpoOptState(policy=opt_p, value=opt_v), stats
+            cur.flat[:], cur_opt = adam_step(cur.flat, grad, cur_opt, cfg.learning_rate)
+    stats.entropy = entropy(cur)
+    return cur, cur_opt, stats
 
 
 # --- episode rollout ----------------------------------------------------------
@@ -414,7 +396,6 @@ def _advance(
 
 def rollout(
     policy: PolicyParams,
-    value: MlpParams,
     library: ModeLibrary,
     scripts: list[EpisodeScript],
     terrain: Terrain,
@@ -488,7 +469,7 @@ def rollout(
         means = policy_mean(policy, obs[:-1])
         actions = means + noise[b, : len(rewards)]
         fell, blew_up = STATUSES[status] == FALLEN, STATUSES[status] == BLOWUP
-        values = value_of(value, obs)
+        values = value_of(policy, obs)
         if fell or blew_up:
             values[-1] = 0.0
         trajectories.append(Trajectory(
@@ -611,7 +592,7 @@ def evaluate_modes(
 # --- serialization -------------------------------------------------------------
 
 
-def policy_to_payload(policy: PolicyParams, value: MlpParams) -> dict:
+def policy_to_payload(policy: PolicyParams) -> dict:
     return {
         "obs_dim": policy.dims[0],
         "act_dim": policy.action_dim,
@@ -621,8 +602,8 @@ def policy_to_payload(policy: PolicyParams, value: MlpParams) -> dict:
             "log_std": array_to_payload(policy.log_std),
         },
         "value": {
-            "weights": [array_to_payload(w) for w in value.weights],
-            "biases": [array_to_payload(b) for b in value.biases],
+            "weights": [array_to_payload(w) for w in policy.value.weights],
+            "biases": [array_to_payload(b) for b in policy.value.biases],
         },
     }
 
@@ -646,8 +627,8 @@ def _layers_from_payload(payload: dict, key: str) -> tuple[list[np.ndarray], tup
     return arrays, tuple(dims)
 
 
-def policy_from_payload(payload: dict) -> tuple[PolicyParams, MlpParams]:
-    """The policy and value networks of a `policy_to_payload` payload;
+def policy_from_payload(payload: dict) -> PolicyParams:
+    """The parameter set of a `policy_to_payload` payload;
     InvalidInputError names the first missing or malformed entry, or an
     `obs_dim` or `act_dim` that differs from the network's widths."""
     arrays, dims = _layers_from_payload(payload, "policy")
@@ -665,5 +646,4 @@ def policy_from_payload(payload: dict) -> tuple[PolicyParams, MlpParams]:
             raise InvalidInputError(
                 f"policy: '{key}' is {stated!r}, but the network's width there is {width}"
             )
-    policy = PolicyParams(np.concatenate(arrays), dims)
-    return policy, MlpParams(np.concatenate(value_arrays), value_dims)
+    return PolicyParams(np.concatenate(arrays + value_arrays), dims, value_dims)

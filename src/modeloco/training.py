@@ -7,9 +7,13 @@ order. All randomness is derived from (seed, counter) pairs, so a run is
 bit-reproducible and resumable from a checkpoint.
 
 A checkpoint holds state only: parameters, optimizer moments, the sampler's
-return records and the counters. Every setting, the sampler's decays and floor
-included, comes from the `TrainConfig` of the run that loads it, so a run
-resumed with its original config replays the uninterrupted run exactly.
+return records and the counters. One Adam state steps the policy's whole
+parameter set, actor and critic; the checkpoint stores its moments in two
+entries, 'opt_policy' for the mean network and log-std and 'opt_value' for
+the value network, each with the shared step count. Every setting, the
+sampler's decays and floor included, comes from the `TrainConfig` of the run
+that loads it, so a run resumed with its original config replays the
+uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -100,8 +104,7 @@ class EpisodeRow:
 @dataclass
 class TrainState:
     policy: pol.PolicyParams
-    value: pol.MlpParams
-    opt: pol.PpoOptState
+    opt: AdamState
     sampler_state: SamplerState
     update_count: int = 0
     episode_count: int = 0
@@ -115,13 +118,10 @@ class TrainResult:
 
 def fresh_train_state(library: ModeLibrary, cfg: TrainConfig) -> TrainState:
     rng = derived_rng(cfg.seed, _STREAM_INIT, 0)
-    obs_dim = observation_dim(library.latents.shape[1])
-    policy = pol.init_policy(rng, obs_dim)
-    value = pol.init_value(rng, obs_dim)
+    policy = pol.init_policy(rng, observation_dim(library.latents.shape[1]))
     return TrainState(
         policy=policy,
-        value=value,
-        opt=pol.PpoOptState.fresh(policy, value),
+        opt=AdamState.zeros(policy.flat.size),
         sampler_state=SamplerState.fresh(library.n),
     )
 
@@ -166,16 +166,15 @@ def run_training(
             else:
                 scripts.append(uniform_script(library.n, cycle_steps, cfg.horizon, rng))
         trajectories = pol.rollout(
-            state.policy, state.value, library, scripts, terrain, robot_cfg, reward_cfg,
+            state.policy, library, scripts, terrain, robot_cfg, reward_cfg,
             [derived_rng(cfg.seed, _STREAM_EPISODE, state.episode_count + b)
              for b in range(len(scripts))],
         )
 
         update_rng = derived_rng(cfg.seed, _STREAM_UPDATE, state.update_count)
-        new_policy, new_value, new_opt, stats = pol.ppo_update(
-            state.policy, state.value, state.opt, trajectories, ppo_cfg, update_rng
+        state.policy, state.opt, stats = pol.ppo_update(
+            state.policy, state.opt, trajectories, ppo_cfg, update_rng
         )
-        state.policy, state.value, state.opt = new_policy, new_value, new_opt
 
         for b, (script, tr) in enumerate(zip(scripts, trajectories)):
             state.sampler_state = update_records(
@@ -216,8 +215,14 @@ def run_training(
 # --- checkpointing -----------------------------------------------------------
 
 
-def _opt_payload(s) -> dict:
-    return {"m": array_to_payload(s.m), "v": array_to_payload(s.v), "t": s.t}
+def _opt_parts(policy: pol.PolicyParams) -> tuple[tuple[str, slice], ...]:
+    """The checkpoint's Adam entries and the slices of the one state each holds."""
+    cut = policy.flat.size - policy.value.flat.size
+    return ("opt_policy", slice(None, cut)), ("opt_value", slice(cut, None))
+
+
+def _opt_payload(opt: AdamState, part: slice) -> dict:
+    return {"m": array_to_payload(opt.m[part]), "v": array_to_payload(opt.v[part]), "t": opt.t}
 
 
 def _count(entry: dict, key: str, where: str) -> int:
@@ -243,9 +248,8 @@ def _opt_from_payload(p: dict, key: str, size: int) -> AdamState:
 
 def checkpoint_payload(state: TrainState) -> dict:
     return {
-        "policy": pol.policy_to_payload(state.policy, state.value),
-        "opt_policy": _opt_payload(state.opt.policy),
-        "opt_value": _opt_payload(state.opt.value),
+        "policy": pol.policy_to_payload(state.policy),
+        **{key: _opt_payload(state.opt, part) for key, part in _opt_parts(state.policy)},
         "sampler": sampler_to_payload(state.sampler_state),
         "update_count": state.update_count,
         "episode_count": state.episode_count,
@@ -259,14 +263,20 @@ def checkpoint_from_payload(payload: dict) -> TrainState:
     def field(key: str):
         return _spec_field(payload, key, "the checkpoint", source="checkpoint")
 
-    policy, value = pol.policy_from_payload(field("policy"))
+    policy = pol.policy_from_payload(field("policy"))
+    opt_p, opt_v = (
+        _opt_from_payload(field(key), key, policy.flat[part].size)
+        for key, part in _opt_parts(policy)
+    )
+    if opt_p.t != opt_v.t:
+        raise InvalidInputError(
+            f"checkpoint: 'opt_policy' has taken {opt_p.t} Adam steps and 'opt_value' "
+            f"{opt_v.t}, but one optimizer steps both networks"
+        )
     return TrainState(
         policy=policy,
-        value=value,
-        opt=pol.PpoOptState(
-            policy=_opt_from_payload(field("opt_policy"), "opt_policy", policy.flat.size),
-            value=_opt_from_payload(field("opt_value"), "opt_value", value.flat.size),
-        ),
+        opt=AdamState(np.concatenate([opt_p.m, opt_v.m]), np.concatenate([opt_p.v, opt_v.v]),
+                      opt_p.t),
         sampler_state=sampler_from_payload(field("sampler")),
         update_count=_count(payload, "update_count", "the checkpoint"),
         episode_count=_count(payload, "episode_count", "the checkpoint"),

@@ -739,6 +739,8 @@ POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
          "written by version '0.0.9', this tool reads '0.1.0'"),
         ("checkpoint", ("version",), None,
          "written by version None, this tool reads '0.1.0'"),
+        ("checkpoint", ("payload", "opt_value", "t"), 3,
+         "checkpoint: 'opt_policy' has taken 0 Adam steps and 'opt_value' 3"),
     ],
     ids=["policy-without-value", "document-without-payload", "document-is-a-list",
          "short-log-std", "unchained-layers", "checkpoint-without-adam-state",
@@ -746,7 +748,8 @@ POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
          "empty-sampler", "non-numeric-sampler-record", "nan-sampler-record",
          "string-update-count",
          "bool-update-count", "negative-episode-count", "string-adam-step",
-         "float-episode-count", "other-version", "checkpoint-without-version"],
+         "float-episode-count", "other-version", "checkpoint-without-version",
+         "unequal-adam-step-counts"],
 )
 def test_malformed_policy_and_checkpoint_are_validation_errors(
     workdir, capsys, target, keys, value, problem

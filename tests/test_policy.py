@@ -6,6 +6,7 @@ import pytest
 from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
+from modeloco.optim import AdamState, adam_step
 from modeloco.sampler import EpisodeScript
 from test_sim import _ModeTracker, _reference_reward, step_row
 
@@ -127,10 +128,9 @@ def test_clipped_surrogate_equals_unclipped_inside_trust_region():
         "advantages": adv,
         "returns": rng.normal(size=6),
     }
-    value = pol.init_value(rng, 3, hidden=(4,))
     loose = pol.PpoConfig(clip_ratio=1e9)
-    assert pol.ppo_loss_and_grad(policy, value, batch, cfg)[0] == pytest.approx(
-        pol.ppo_loss_and_grad(policy, value, batch, loose)[0], abs=1e-12
+    assert pol.ppo_loss_and_grad(policy, batch, cfg)[0] == pytest.approx(
+        pol.ppo_loss_and_grad(policy, batch, loose)[0], abs=1e-12
     )
 
 
@@ -142,7 +142,6 @@ def test_surrogate_gradient_matches_finite_differences():
         act_dim = int(rng.integers(1, 4))
         cfg = pol.PpoConfig(clip_ratio=0.2, entropy_coef=0.01, value_coef=0.5)
         policy = pol.init_policy(rng, obs_dim, act_dim=act_dim, hidden=(3,))
-        value = pol.init_value(rng, obs_dim, hidden=(3,))
         B = 8
         batch = {
             "obs": rng.normal(size=(B, obs_dim)),
@@ -151,22 +150,23 @@ def test_surrogate_gradient_matches_finite_differences():
             "advantages": rng.normal(size=B),
             "returns": rng.normal(size=B),
         }
-        _, g_p, g_v, _, _ = pol.ppo_loss_and_grad(policy, value, batch, cfg)
+        _, grad, _, _ = pol.ppo_loss_and_grad(policy, batch, cfg)
         h = 1e-6
-        for params, grad in ((policy, g_p), (value, g_v)):
-            # The weights view flat, so moving an entry of flat moves the network.
-            flat = params.flat
-            fd = np.zeros_like(flat)
-            for i in range(flat.size):
-                base = flat[i]
-                flat[i] = base + h
-                lp_ = pol.ppo_loss_and_grad(policy, value, batch, cfg)[0]
-                flat[i] = base - h
-                lm_ = pol.ppo_loss_and_grad(policy, value, batch, cfg)[0]
-                flat[i] = base
-                fd[i] = (lp_ - lm_) / (2 * h)
-            rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
-            worst = max(worst, rel.max())
+        # The mean net, log-std and value net view flat, so moving an entry of
+        # flat moves the parameter; the gradient covers all of flat.
+        flat = policy.flat
+        fd = np.zeros_like(flat)
+        for i in range(flat.size):
+            base = flat[i]
+            flat[i] = base + h
+            lp_ = pol.ppo_loss_and_grad(policy, batch, cfg)[0]
+            flat[i] = base - h
+            lm_ = pol.ppo_loss_and_grad(policy, batch, cfg)[0]
+            flat[i] = base
+            fd[i] = (lp_ - lm_) / (2 * h)
+        assert grad.shape == flat.shape
+        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
+        worst = max(worst, rel.max())
     assert worst < 1e-4
 
 
@@ -185,18 +185,17 @@ def test_zero_advantages_leave_policy_mean_untouched():
     rng = np.random.default_rng(7)
     cfg = pol.PpoConfig(entropy_coef=0.0, epochs=2, minibatches=1, learning_rate=1e-2)
     policy = pol.init_policy(rng, 3, act_dim=2, hidden=(4,))
-    value = pol.init_value(rng, 3, hidden=(4,))
-    opt = pol.PpoOptState.fresh(policy, value)
+    opt = AdamState.zeros(policy.flat.size)
     # two trajectories whose GAE advantages are exactly zero:
     # reward == value(s_t) - gamma*value(s_{t+1}) makes every delta vanish
     trajs = []
     for _ in range(4):
         obs = rng.normal(size=3)
-        v = float(pol.value_of(value, obs))
+        v = float(pol.value_of(policy, obs))
         a = rng.normal(size=2)
         lp = float(pol.gaussian_log_prob(a, pol.policy_mean(policy, obs), policy.log_std)[0])
         trajs.append(_single_step_traj(obs, a, v - cfg.discount * 0.0, lp, v))
-    new_policy, _, _, _ = pol.ppo_update(policy, value, opt, trajs, cfg, rng)
+    new_policy, _, _ = pol.ppo_update(policy, opt, trajs, cfg, rng)
     for w1, w2 in zip(policy.net.weights, new_policy.net.weights):
         np.testing.assert_allclose(w1, w2, atol=1e-12)
     np.testing.assert_allclose(policy.log_std, new_policy.log_std, atol=1e-12)
@@ -210,16 +209,15 @@ def test_bandit_policy_mean_converges():
     )
     obs = np.zeros(1)
     policy = pol.init_policy(rng, 1, act_dim=1, hidden=(8,), log_std_init=-0.7)
-    value = pol.init_value(rng, 1, hidden=(8,))
-    opt = pol.PpoOptState.fresh(policy, value)
+    opt = AdamState.zeros(policy.flat.size)
     for update in range(200):
         trajs = []
         for _ in range(32):
             a, lp = _act(policy, obs, stochastic=True, rng=rng)
             r = -float((a[0] - 1.0) ** 2)
-            v = float(pol.value_of(value, obs))
+            v = float(pol.value_of(policy, obs))
             trajs.append(_single_step_traj(obs, a, r, lp, v))
-        policy, value, opt, _ = pol.ppo_update(policy, value, opt, trajs, cfg, rng)
+        policy, opt, _ = pol.ppo_update(policy, opt, trajs, cfg, rng)
     mean = float(pol.policy_mean(policy, obs)[0])
     assert abs(mean - 1.0) < 0.05
 
@@ -228,13 +226,70 @@ def test_non_finite_update_rejected():
     rng = np.random.default_rng(9)
     cfg = pol.PpoConfig()
     policy = pol.init_policy(rng, 3, act_dim=2, hidden=(4,))
-    value = pol.init_value(rng, 3, hidden=(4,))
-    opt = pol.PpoOptState.fresh(policy, value)
+    opt = AdamState.zeros(policy.flat.size)
     tr = _single_step_traj(np.zeros(3), np.zeros(2), float("nan"), 0.0, 0.0)
-    new_policy, new_value, _, stats = pol.ppo_update(policy, value, opt, [tr], cfg, rng)
+    new_policy, _, stats = pol.ppo_update(policy, opt, [tr], cfg, rng)
     assert stats.rejected
     assert np.array_equal(policy.flat, new_policy.flat)
-    assert np.array_equal(value.flat, new_value.flat)
+    assert np.array_equal(policy.value.flat, new_policy.value.flat)
+
+
+def test_one_adam_step_over_concatenated_parts_equals_one_step_per_part():
+    # One Adam state steps the mean net, the log-std and the value net
+    # together; every Adam operation is elementwise, so that is exact.
+    rng = np.random.default_rng(20)
+    for t in (0, 1, 2, 7, 100, 5000):
+        parts = [
+            (rng.normal(size=n), rng.normal(size=n),
+             AdamState(rng.normal(size=n), rng.uniform(0.0, 2.0, size=n), t))
+            for n in (57, 4, 41)
+        ]
+        joined = [np.concatenate(arrays) for arrays in zip(
+            *[(flat, grad, state.m, state.v) for flat, grad, state in parts]
+        )]
+        flat, state = adam_step(joined[0], joined[1], AdamState(*joined[2:], t), 3e-4)
+        steps = [adam_step(flat, grad, state, 3e-4) for flat, grad, state in parts]
+        assert flat.tobytes() == np.concatenate([f for f, _ in steps]).tobytes(), t
+        assert state.m.tobytes() == np.concatenate([s.m for _, s in steps]).tobytes(), t
+        assert state.v.tobytes() == np.concatenate([s.v for _, s in steps]).tobytes(), t
+        assert state.t == t + 1 and all(s.t == t + 1 for _, s in steps)
+
+
+def test_ppo_update_never_writes_its_inputs(monkeypatch):
+    rng = np.random.default_rng(10)
+    cfg = pol.PpoConfig(epochs=2, minibatches=2, learning_rate=1e-2)
+    policy = pol.init_policy(rng, 3, act_dim=2, hidden=(4,))
+    trajs = [
+        _single_step_traj(rng.normal(size=3), rng.normal(size=2), float(rng.normal()), -1.0, 0.0)
+        for _ in range(4)
+    ]
+    # Moments and a step count, as after an earlier update.
+    _, opt, _ = pol.ppo_update(
+        policy, AdamState.zeros(policy.flat.size), trajs, cfg, np.random.default_rng(0)
+    )
+    inputs = (policy.flat, opt.m, opt.v)
+    before = [a.tobytes() for a in inputs]
+
+    new_policy, new_opt, stats = pol.ppo_update(policy, opt, trajs, cfg, np.random.default_rng(1))
+    assert not stats.rejected
+    assert new_opt.t == opt.t + cfg.epochs * cfg.minibatches  # one step per minibatch
+    assert new_policy.flat.tobytes() != before[0]
+    assert [a.tobytes() for a in inputs] == before
+
+    # Rejected at the second minibatch, after the first one has stepped.
+    calls = []
+    loss_and_grad = pol.ppo_loss_and_grad
+
+    def nan_on_the_second_call(*args):
+        calls.append(args)
+        loss, *rest = loss_and_grad(*args)
+        return (float("nan") if len(calls) == 2 else loss, *rest)
+
+    monkeypatch.setattr(pol, "ppo_loss_and_grad", nan_on_the_second_call)
+    new_policy, new_opt, stats = pol.ppo_update(policy, opt, trajs, cfg, np.random.default_rng(1))
+    assert stats.rejected and len(calls) == 2
+    assert new_policy is policy and new_opt is opt
+    assert [a.tobytes() for a in inputs] == before
 
 
 # --- rollouts ------------------------------------------------------------------
@@ -244,11 +299,9 @@ ROBOT = sim.RobotConfig()
 REWARD = sim.RewardConfig()
 
 
-def _one_rollout(policy, value, library, script, terrain, robot_cfg, reward_cfg, rng):
+def _one_rollout(policy, library, script, terrain, robot_cfg, reward_cfg, rng):
     """`rollout` of a batch of one script."""
-    return pol.rollout(
-        policy, value, library, [script], terrain, robot_cfg, reward_cfg, [rng]
-    )[0]
+    return pol.rollout(policy, library, [script], terrain, robot_cfg, reward_cfg, [rng])[0]
 
 
 def _near_deterministic(policy):
@@ -261,10 +314,9 @@ def test_rollout_latent_switch_exact_step():
     lib = library_with_latents()
     rng = np.random.default_rng(0)
     policy = _near_deterministic(pol.init_policy(rng, OBS_DIM))
-    value = pol.init_value(rng, OBS_DIM)
     # clip_s=1, phi_s=0.25, 50-step cycle: switch at round(1.25 * 50) = 62
     script = EpisodeScript(mode_from=0, mode_to=2, switch_step=62, horizon=80)
-    tr = _one_rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
+    tr = _one_rollout(policy, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     z_from = lib.latents[0]
     z_to = lib.latents[2]
     assert tr.length == 80
@@ -277,9 +329,8 @@ def test_rollout_same_mode_keeps_latent_constant():
     lib = library_with_latents()
     rng = np.random.default_rng(1)
     policy = _near_deterministic(pol.init_policy(rng, OBS_DIM))
-    value = pol.init_value(rng, OBS_DIM)
     script = EpisodeScript(mode_from=1, mode_to=1, switch_step=25, horizon=60)
-    tr = _one_rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
+    tr = _one_rollout(policy, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     assert tr.length == 60
     for t in range(tr.length):
         np.testing.assert_array_equal(tr.obs[t, 2:6], lib.latents[1])
@@ -291,25 +342,23 @@ def test_rollout_fall_truncates_with_zero_bootstrap():
     policy = pol.init_policy(rng, OBS_DIM)
     # huge log-std makes the robot thrash and fall quickly
     policy.log_std[:] = 2.0
-    value = pol.init_value(rng, OBS_DIM)
     script = EpisodeScript(mode_from=0, mode_to=0, switch_step=25, horizon=200)
-    tr = _one_rollout(policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
+    tr = _one_rollout(policy, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     assert tr.fell
     assert tr.length < 200
     assert tr.values[-1] == 0.0
 
 
 def _reference_rollout(
-    policy, value, library, script, terrain, robot_cfg, reward_cfg,
+    policy, library, script, terrain, robot_cfg, reward_cfg,
     rng=None, stochastic=True, clock_rate=1.0, trace=None,
 ):
     """The rollout loop before its passes were batched: `_act` and `value_of` at
     every step, the bootstrap value on its own.
 
     It also runs what `rollout` does not: the deterministic policy, a clock
-    rate, no value network, and a per-step (state row, reward, mode) trace. The
-    evaluation tests use these for the per-case episodes that `evaluate_modes`
-    must reproduce."""
+    rate and a per-step (state row, reward, mode) trace. The evaluation tests
+    use these for the per-case episodes that `evaluate_modes` must reproduce."""
     latents = library.latents[[script.mode_from, script.mode_to]]
     row = sim.initial_state(robot_cfg, terrain, clock_rate=clock_rate)
     tracker = _ModeTracker(
@@ -333,7 +382,7 @@ def _reference_rollout(
         obs_list.append(o)
         act_list.append(a)
         lp_list.append(lp)
-        val_list.append(pol.value_of(value, o) if value is not None else 0.0)
+        val_list.append(pol.value_of(policy, o))
         new_row, status = step_row(row, a, terrain, robot_cfg)
         if new_row[sim.PHASE] < row[sim.PHASE]:
             clips_done += 1
@@ -349,10 +398,7 @@ def _reference_rollout(
             blew_up = status == sim.BLOWUP
             break
     final_obs = sim.observe_rows(row[None], latents[current][None])[0]
-    if fell or blew_up or value is None:
-        bootstrap = 0.0
-    else:
-        bootstrap = pol.value_of(value, final_obs)
+    bootstrap = 0.0 if fell or blew_up else pol.value_of(policy, final_obs)
     return pol.Trajectory(
         obs=np.vstack(obs_list + [final_obs]),
         actions=np.vstack(act_list),
@@ -379,12 +425,11 @@ def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
     lib = library_with_latents()
     rng = np.random.default_rng(seed)
     policy = pol.init_policy(rng, OBS_DIM)
-    value = pol.init_value(rng, OBS_DIM)
     script = EpisodeScript(
         mode_from=seed % 4, mode_to=(seed + 1) % 4,
         switch_step=12 if horizon < 50 else 25, horizon=horizon,
     )
-    args = (policy, value, lib, script, terrain, ROBOT, REWARD)
+    args = (policy, lib, script, terrain, ROBOT, REWARD)
     want = _reference_rollout(*args, rng=np.random.default_rng(100 + seed))
     got = _one_rollout(*args, np.random.default_rng(100 + seed))
     if ending == "falls":
@@ -406,14 +451,12 @@ def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_swi
     # run; a fall on the switch step ends the second run after one step.
     lib = library_with_latents()
     policy = _falling_policy()
-    value = pol.init_value(np.random.default_rng(8), OBS_DIM)
 
     def episode(switch_step, reference):
         script = EpisodeScript(mode_from=1, mode_to=3, switch_step=switch_step, horizon=200)
         run = _reference_rollout if reference else _one_rollout
         return run(
-            policy, value, lib, script, sim.Terrain.flat(), ROBOT, REWARD,
-            np.random.default_rng(21),
+            policy, lib, script, sim.Terrain.flat(), ROBOT, REWARD, np.random.default_rng(21),
         )
 
     # The constant policy ignores its observation, so its fall does not
@@ -431,11 +474,11 @@ def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_swi
 
 def test_batched_values_equal_single_rows():
     rng = np.random.default_rng(11)
-    value = pol.init_value(rng, OBS_DIM)
+    policy = pol.init_policy(rng, OBS_DIM)
     obs = rng.normal(size=(256, OBS_DIM))
-    single = np.array([pol.value_of(value, o) for o in obs])
+    single = np.array([pol.value_of(policy, o) for o in obs])
     for B in range(1, 257):
-        assert pol.value_of(value, obs[:B]).tobytes() == single[:B].tobytes(), B
+        assert pol.value_of(policy, obs[:B]).tobytes() == single[:B].tobytes(), B
 
 
 def test_batched_means_equal_single_rows():
@@ -462,13 +505,12 @@ def test_a_lockstep_batch_equals_one_script_batches():
     latents[3, :2] = 10.0
     lib = rm.ModeLibrary(full.motions, latents)
     policy = _blowing_up_policy()
-    value = pol.init_value(np.random.default_rng(8), OBS_DIM)
     world = sim.Terrain.flat()
 
     def run(scripts, seeds):
         rngs = [np.random.default_rng(seed) for seed in seeds]
         with np.errstate(over="ignore", invalid="ignore"):  # the blowups' inf - inf
-            return pol.rollout(policy, value, lib, scripts, world, ROBOT, REWARD, rngs)
+            return pol.rollout(policy, lib, scripts, world, ROBOT, REWARD, rngs)
 
     # The policy ignores finite observations, so a fall's step depends on the
     # noise alone; place switches around the fall of seed 31.
@@ -569,7 +611,7 @@ def _reference_evaluate_modes(
                     horizon=horizon,
                 )
                 tr = _reference_rollout(
-                    policy, None, library, script, terrain, robot_cfg, reward_cfg,
+                    policy, library, script, terrain, robot_cfg, reward_cfg,
                     stochastic=False, clock_rate=clock_rate,
                 )
                 cases.append((i, j, script.switch_step, tr))
@@ -649,7 +691,7 @@ def test_evaluate_modes_matches_per_case_rollouts(
         script = EpisodeScript(i, i, round(1.5 * cycle_steps), horizon)
         want_traces[i] = []
         _reference_rollout(
-            policy, None, lib, script, world, robot, REWARD,
+            policy, lib, script, world, robot, REWARD,
             stochastic=False, clock_rate=clock_rate, trace=want_traces[i],
         )
 
@@ -694,7 +736,7 @@ def test_evaluate_modes_rejects_a_switch_outside_the_episode():
     for i in range(lib.n):
         want = []
         _reference_rollout(
-            policy, None, lib, EpisodeScript(i, i, 60, 61), *args[2:],
+            policy, lib, EpisodeScript(i, i, 60, 61), *args[2:],
             stochastic=False, trace=want,
         )
         want = want[:60]

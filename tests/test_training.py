@@ -6,6 +6,7 @@ from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
 from modeloco import training as tm
+from modeloco.optim import AdamState
 
 
 def two_mode_library(seed=0):
@@ -39,7 +40,7 @@ def test_training_is_deterministic():
     r1 = small_run()
     r2 = small_run()
     assert np.array_equal(r1.state.policy.flat, r2.state.policy.flat)
-    assert np.array_equal(r1.state.value.flat, r2.state.value.flat)
+    assert np.array_equal(r1.state.policy.value.flat, r2.state.policy.value.flat)
     assert [row.episode_return for row in r1.rows] == [row.episode_return for row in r2.rows]
 
 
@@ -68,7 +69,10 @@ def test_checkpoint_resume_replays_identically(tmp_path):
     assert restored.update_count == 2
     resumed = small_run(updates=2, start=restored)
     assert np.array_equal(full.state.policy.flat, resumed.state.policy.flat)
-    assert np.array_equal(full.state.value.flat, resumed.state.value.flat)
+    assert np.array_equal(full.state.policy.value.flat, resumed.state.policy.value.flat)
+    for a, b in ((full.state.opt.m, resumed.state.opt.m), (full.state.opt.v, resumed.state.opt.v)):
+        assert a.tobytes() == b.tobytes()
+    assert full.state.opt.t == resumed.state.opt.t
     np.testing.assert_array_equal(
         full.state.sampler_state.mode_returns,
         resumed.state.sampler_state.mode_returns,
@@ -121,22 +125,20 @@ def _assert_views(flat, views, moments=()):
     assert all(m.shape == flat.shape for m in moments)
 
 
-def _assert_ppo_views(policy, value, opt=None):
+def _assert_policy_views(policy, opt=None):
     _assert_views(
-        policy.flat, policy.net.weights + policy.net.biases + [policy.log_std],
-        (opt.policy.m, opt.policy.v) if opt else (),
-    )
-    _assert_views(
-        value.flat, value.weights + value.biases, (opt.value.m, opt.value.v) if opt else ()
+        policy.flat,
+        policy.net.weights + policy.net.biases + [policy.log_std]
+        + policy.value.weights + policy.value.biases,
+        (opt.m, opt.v) if opt else (),
     )
 
 
 def test_every_parameter_is_a_view_into_its_network_vector(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     policy = pol.init_policy(rng, 19)
-    value = pol.init_value(rng, 19)
-    _assert_ppo_views(policy, value, pol.PpoOptState.fresh(policy, value))
-    _assert_ppo_views(*pol.policy_from_payload(pol.policy_to_payload(policy, value)))
+    _assert_policy_views(policy, AdamState.zeros(policy.flat.size))
+    _assert_policy_views(pol.policy_from_payload(pol.policy_to_payload(policy)))
 
     updates = []
 
@@ -153,10 +155,10 @@ def test_every_parameter_is_a_view_into_its_network_vector(tmp_path, monkeypatch
         checkpoint_path=str(path),
     )
     assert len(updates) == 2
-    for new_policy, new_value, opt, _ in updates:
-        _assert_ppo_views(new_policy, new_value, opt)
+    for new_policy, opt, _ in updates:
+        _assert_policy_views(new_policy, opt)
     state = tm.load_checkpoint(str(path))
-    _assert_ppo_views(state.policy, state.value, state.opt)
+    _assert_policy_views(state.policy, state.opt)
     assert np.array_equal(state.policy.flat, result.state.policy.flat)
 
     def assert_autoencoder_views(p, moments=()):
