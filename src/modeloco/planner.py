@@ -12,20 +12,20 @@ Plan rollouts share their prefixes. A deterministic policy in a deterministic
 simulator reaches the same state after the same knot prefix, and every knot's
 reward bucket starts at 0. So a prefix cache keyed by mode-index prefix runs
 each distinct prefix once, and rewards, Q-tables, plans and best returns stay
-bit-identical. An entry holds the state row at the knot boundary, that knot's
-bucket, whether the rollout ended there, and the knot's per-step trace. Cached
-arrays are read-only, so entries are shared safely. One cache serves all
-trials of a `parallel_trials` call and their greedy rollouts, and the winning
-plan's trace is read from it.
+bit-identical. An entry holds the state row at the knot boundary, whether the
+rollout ended there, and the knot's per-step trace, whose last bucket is the
+knot's reward. Cached arrays are read-only, so entries are shared safely. One
+cache serves all trials of a `parallel_trials` call and their greedy
+rollouts, and the winning plan's trace is read from it.
 
-Trials step in lockstep. Each trial's Q-learning is a generator that yields
-its next plan and receives that plan's rewards. `parallel_trials`, the
-planner's one entry point, runs its trials through that body in rounds: each
-round rolls out the pending plan of every unfinished trial together, knot by
-knot, and at each knot every distinct uncached prefix steps in one
-`_advance` batch. Each trial sees the same rewards in the same order as it
-would alone, each distinct prefix is still simulated once, and lockstep rows
-never interact, so the results are those of trials run one after another.
+Trials step in lockstep. Every trial of a call runs the same number of
+episodes, so `_q_learning` draws one plan per trial, rolls all of them out
+together, knot by knot, and then backs up each trial's rewards into its own
+Q-table; the greedy plans are rolled out together the same way. At each knot
+every distinct uncached prefix steps in one `_advance` batch. Each trial draws
+from its own rng and sees the same rewards in the same order as it would
+alone, each distinct prefix is still simulated once, and lockstep rows never
+interact, so the results are those of trials run one after another.
 The per-step goal reward exp(-hypot(goal - (x, z))) comes from the kernel,
 `sim.goal_rewards`.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable
 
 import numpy as np
 
@@ -54,10 +54,11 @@ from .sim import (
     initial_state,
 )
 
-# Mode-index prefix -> (state row at the end of its last knot, that knot's
-# reward bucket, whether the rollout ended in that knot, the knot's trace).
-# A knot's trace has one row per step: t, x, z, pitch and the bucket so far.
-PrefixCache = dict[tuple[int, ...], tuple[np.ndarray, float, bool, np.ndarray]]
+# Mode-index prefix -> (state row at the end of its last knot, whether the
+# rollout ended in that knot, the knot's trace). A knot's trace has one row
+# per step: t, x, z, pitch and the bucket so far; its last bucket is the knot's
+# reward.
+PrefixCache = dict[tuple[int, ...], tuple[np.ndarray, bool, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,7 @@ def _step_knots(
         end = run.history[n, b].copy()
         for a in (end, knot_trace):
             a.setflags(write=False)
-        cache[prefix] = (
-            end, float(knot_trace[-1, 4]), STATUSES[run.status[b]] != RUNNING, knot_trace
-        )
+        cache[prefix] = (end, STATUSES[run.status[b]] != RUNNING, knot_trace)
 
 
 def _rollout_plans(
@@ -145,7 +144,6 @@ def _rollout_plans(
     robot_cfg: RobotConfig,
     cfg: PlannerConfig,
     cache: PrefixCache,
-    traces: list[list] | None = None,
 ) -> list[np.ndarray]:
     """Execute plans side by side with the deterministic policy; the per-knot
     reward buckets of each.
@@ -155,8 +153,7 @@ def _rollout_plans(
     them step as one lockstep batch; every other knot is read from `cache`.
     The phase clock runs continuously; knot boundaries only swap the latent
     command. A fall ends a plan's rollout and leaves its remaining knots at
-    zero. When `traces` is given, traces[p] receives a (mode index, knot
-    trace) pair per knot that plan p ran; see PrefixCache.
+    zero.
     """
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
@@ -176,37 +173,24 @@ def _rollout_plans(
         if starts:
             _step_knots(starts, steps_per_knot, policy, library, terrain, robot_cfg, cfg, cache)
         for p, prefix in prefixes.items():
-            states[p], rewards[p][knot], ended, knot_trace = cache[prefix]
-            if traces is not None:
-                traces[p].append((prefix[-1], knot_trace))
+            states[p], ended, knot_trace = cache[prefix]
+            rewards[p][knot] = knot_trace[-1, 4]
             if ended or knot + 1 == plans[p].k:
                 running.remove(p)
         knot += 1
     return rewards
 
 
-def plan_rollout(
-    plan: ModePlan,
-    policy: PolicyParams,
-    library: ModeLibrary,
-    terrain: Terrain,
-    robot_cfg: RobotConfig,
-    cfg: PlannerConfig,
-    trace: list | None = None,
-    cache: PrefixCache | None = None,
-) -> np.ndarray:
-    """Execute a plan with the deterministic policy; per-knot reward buckets.
-
-    Each knot is a one-row `_advance` batch under the knot's latent, unless
-    its prefix is in `cache`, which then supplies it; a simulated knot is
-    added to `cache`. When `trace` is a list, it receives a (mode index, knot
-    trace) pair per knot run, cached or not. `_rollout_plans` gives the
-    details.
-    """
-    return _rollout_plans(
-        [plan], policy, library, terrain, robot_cfg, cfg, {} if cache is None else cache,
-        None if trace is None else [trace],
-    )[0]
+def _cached_trace(plan: ModePlan, cache: PrefixCache) -> list:
+    """The (mode index, knot trace) pair of each knot `plan` ran, read from
+    `cache`, which must hold the plan's rollout; see PrefixCache."""
+    trace = []
+    for knot, mode in enumerate(plan.mode_indices):
+        _, ended, knot_trace = cache[plan.mode_indices[: knot + 1]]
+        trace.append((mode, knot_trace))
+        if ended:
+            break
+    return trace
 
 
 @dataclass
@@ -218,61 +202,50 @@ class QLearnResult:
     trace: list | None = None
 
 
-# A Q-learning trial: it yields each plan it needs rolled out, receives that
-# plan's per-knot rewards, and returns its result.
-Trial = Generator[ModePlan, np.ndarray, QLearnResult]
-
-
-def _q_learning(n_modes: int, cfg: PlannerConfig, rng: np.random.Generator) -> Trial:
-    """Episodic Q-learning on the knot-index chain.
+def _q_learning(
+    n_modes: int,
+    cfg: PlannerConfig,
+    rngs: list[np.random.Generator],
+    rollout_fn: Callable[[list[ModePlan]], list[np.ndarray]],
+) -> list[QLearnResult]:
+    """Episodic Q-learning on the knot-index chain: one trial per rng, all in
+    lockstep, each with its own Q-table and visit counts.
 
     Transitions are deterministic (knot s to s+1, terminal after the last),
     so each episode is one full plan rollout followed by backups applied from
     the last knot backward, letting values propagate the whole chain per
-    episode. The step size starts at 1 on a pair's first visit and decays as
-    1/visits down to the configured floor alpha; alpha = 0 disables learning
-    entirely. Greedy extraction breaks ties toward the lowest mode index, and
-    the greedy plan's rollout gives the best return.
+    episode. Each episode, every trial draws its plan from its own rng, and
+    one `rollout_fn` call returns the per-knot rewards of all the plans. The
+    step size starts at 1 on a pair's first visit and decays as 1/visits down
+    to the configured floor alpha; alpha = 0 disables learning entirely.
+    Greedy extraction breaks ties toward the lowest mode index, and one more
+    `rollout_fn` call on the greedy plans gives the best returns.
     """
     knots = cfg.knots
-    q = np.zeros((knots + 1, n_modes))  # terminal row stays zero
-    visits = np.zeros((knots, n_modes), dtype=int)
+    q = np.zeros((len(rngs), knots + 1, n_modes))  # terminal rows stay zero
+    visits = np.zeros((len(rngs), knots, n_modes), dtype=int)
     for _ in range(cfg.episodes):
-        actions = []
-        for s in range(knots):
-            if rng.random() < cfg.explore:
-                actions.append(int(rng.integers(n_modes)))
-            else:
-                actions.append(int(np.argmax(q[s])))
-        rewards = yield ModePlan(tuple(actions))
-        for s in range(knots - 1, -1, -1):
-            a = actions[s]
-            visits[s, a] += 1
-            step_size = 0.0 if cfg.alpha == 0.0 else max(cfg.alpha, 1.0 / visits[s, a])
-            target = rewards[s] + q[s + 1].max()
-            q[s, a] += step_size * (target - q[s, a])
-    best = ModePlan(tuple(int(np.argmax(q[s])) for s in range(knots)))
-    best_return = float((yield best).sum())
-    return QLearnResult(q_table=q[:knots], plan=best, best_return=best_return)
-
-
-def _run_trials(
-    trials: list[Trial], rollout_fn: Callable[[list[ModePlan]], list[np.ndarray]]
-) -> list[QLearnResult]:
-    """Run trials in lockstep: each round rolls out the pending plan of every
-    unfinished trial with one `rollout_fn` call, then sends each trial its
-    plan's rewards. Returns the trials' results, in order."""
-    results: list = [None] * len(trials)
-    pending = {i: next(trial) for i, trial in enumerate(trials)}
-    while pending:
-        order = list(pending)
-        for i, rewards in zip(order, rollout_fn([pending[i] for i in order])):
-            try:
-                pending[i] = trials[i].send(rewards)
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
-    return results
+        plans = []
+        for rng, q_trial in zip(rngs, q):
+            actions = []
+            for s in range(knots):
+                if rng.random() < cfg.explore:
+                    actions.append(int(rng.integers(n_modes)))
+                else:
+                    actions.append(int(np.argmax(q_trial[s])))
+            plans.append(ModePlan(tuple(actions)))
+        for plan, rewards, q_trial, n_trial in zip(plans, rollout_fn(plans), q, visits):
+            for s in range(knots - 1, -1, -1):
+                a = plan.mode_indices[s]
+                n_trial[s, a] += 1
+                step_size = 0.0 if cfg.alpha == 0.0 else max(cfg.alpha, 1.0 / n_trial[s, a])
+                target = rewards[s] + q_trial[s + 1].max()
+                q_trial[s, a] += step_size * (target - q_trial[s, a])
+    best = [ModePlan(tuple(int(a) for a in np.argmax(q_trial[:knots], axis=1))) for q_trial in q]
+    return [
+        QLearnResult(q_table=q_trial[:knots], plan=plan, best_return=float(rewards.sum()))
+        for q_trial, plan, rewards in zip(q, best, rollout_fn(best))
+    ]
 
 
 def parallel_trials(
@@ -286,27 +259,24 @@ def parallel_trials(
     """Independent seeded Q-learning runs; the best-evaluated plan wins.
 
     Trial i uses seed cfg.seed + i. The trials run in lockstep through one
-    prefix cache: each round rolls out the next plan of every unfinished
-    trial together (`_rollout_plans`), so a knot steps all the trials' new
-    prefixes in one batch. Aggregation is by evaluated plan return with ties
-    going to the earliest trial. The winner's trace is read from the cache,
-    where its greedy rollout left every knot, with no stepping.
+    prefix cache: each episode rolls out the next plan of every trial
+    together (`_rollout_plans`), so a knot steps all the trials' new prefixes
+    in one batch. Aggregation is by evaluated plan return with ties going to
+    the earliest trial. The winner's trace is read from the cache, where its
+    greedy rollout left every knot, with no stepping.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     cache: PrefixCache = {}
-    results = _run_trials(
-        [_q_learning(library.n, cfg, np.random.default_rng(cfg.seed + i)) for i in range(trials)],
+    results = _q_learning(
+        library.n, cfg, [np.random.default_rng(cfg.seed + i) for i in range(trials)],
         lambda plans: _rollout_plans(plans, policy, library, terrain, robot_cfg, cfg, cache),
     )
     best = results[0]
     for r in results[1:]:
         if r.best_return > best.best_return:
             best = r
-    best.trace = []
-    plan_rollout(
-        best.plan, policy, library, terrain, robot_cfg, cfg, trace=best.trace, cache=cache
-    )
+    best.trace = _cached_trace(best.plan, cache)
     return best
 
 

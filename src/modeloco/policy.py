@@ -141,29 +141,18 @@ def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grad: MlpParams) -
 
 
 def policy_mean(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
-    """The action mean of one observation, or of each row of a (B, in) batch.
+    """The action mean of each row of a (B, in) batch.
 
-    A batch runs as a (B, 1, in) stack of one-row matmuls, so row i equals the
-    mean of obs[i] alone, bit for bit, whatever B is; a plain (B, in) matmul
-    may round differently.
+    The batch runs as a (B, 1, in) stack of one-row matmuls, so row i equals
+    the mean of obs[i] alone, bit for bit, whatever B is; a plain (B, in)
+    matmul may round differently.
     """
-    if obs.ndim == 1:
-        out, _ = mlp_forward(params.net, obs[None, :])
-        return out[0]
     out, _ = mlp_forward(params.net, obs[:, None, :])
     return out[:, 0, :]
 
 
-def value_of(params: PolicyParams, obs: np.ndarray) -> float | np.ndarray:
-    """The value of one observation, or of each row of a (B, in) batch.
-
-    A batch runs as a (B, 1, in) stack of one-row matmuls, so row i equals the
-    value of obs[i] alone, bit for bit, whatever B is; a plain (B, in) matmul
-    may round differently.
-    """
-    if obs.ndim == 1:
-        out, _ = mlp_forward(params.value, obs[None, :])
-        return float(out[0, 0])
+def value_of(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
+    """The value of each row of a (B, in) batch, stacked as in `policy_mean`."""
     out, _ = mlp_forward(params.value, obs[:, None, :])
     return out[:, 0, 0]
 

@@ -115,11 +115,6 @@ class ReferenceMotion:
         return self.samples.shape[0]
 
     @property
-    def duration(self) -> float:
-        """Clip duration in seconds, endpoints inclusive."""
-        return (self.length - 1) * self.dt
-
-    @property
     def displacement(self) -> float:
         """Total forward travel over one clip (last wrap step excluded)."""
         return float(self.samples[:-1, 0].sum())
@@ -140,10 +135,6 @@ class ReferenceMotion:
             self.positions(), s[:, 1], s[:, 2], s[:, 3], s[:, 4],
         ])
         return (ctypes.c_double * packed.size)(*packed.tolist())
-
-    def __getstate__(self):
-        # ctypes arrays do not pickle; a copy rebuilds its own on first use.
-        return {k: v for k, v in self.__dict__.items() if k != "_kernel_clip"}
 
 
 @dataclass(frozen=True)

@@ -184,10 +184,6 @@ class RobotConfig:
         )
         return (ctypes.c_double * len(values))(*values)
 
-    def __getstate__(self):
-        # ctypes arrays do not pickle; a copy rebuilds its own on first use.
-        return {k: v for k, v in self.__dict__.items() if k != "_kernel_params"}
-
 
 # Sensitivities of the position, pitch and contact reward terms.
 REWARD_SENSITIVITIES = (5.0, 5.0, 2.0)
@@ -215,10 +211,6 @@ class RewardConfig:
         values = (*self.weights, *REWARD_SENSITIVITIES)
         return (ctypes.c_double * len(values))(*values)
 
-    def __getstate__(self):
-        # ctypes arrays do not pickle; a copy rebuilds its own on first use.
-        return {k: v for k, v in self.__dict__.items() if k != "_kernel_reward"}
-
 
 class Terrain:
     """Piecewise-constant ground height h(x)."""
@@ -234,10 +226,6 @@ class Terrain:
         for pair in self.breakpoints:
             packed.extend(pair)
         return (ctypes.c_double * len(packed))(*packed)
-
-    def __getstate__(self):
-        # ctypes arrays do not pickle; a copy rebuilds its own on first use.
-        return {k: v for k, v in self.__dict__.items() if k != "_kernel_terrain"}
 
     def height(self, x: float) -> float:
         h = self.base_height

@@ -1,9 +1,10 @@
 """Policy training loop: adaptive or uniform episode sampling around PPO.
 
 Each iteration samples a batch of episode scripts from the current return
-records (or uniformly), rolls them out as one lockstep batch, applies one PPO
-update, and folds the episode returns back into the records in submission
-order. All randomness is derived from (seed, counter) pairs, so a run is
+records (or uniformly), rolls them out together (`policy.rollout`: one
+lockstep `_advance` call up to each episode's switch step, one after it),
+applies one PPO update, and folds the episode returns back into the records in
+submission order. All randomness is derived from (seed, counter) pairs, so a run is
 bit-reproducible and resumable from a checkpoint.
 
 A checkpoint holds state only: parameters, optimizer moments, the sampler's

@@ -506,14 +506,14 @@ def test_plan_solve_seconds_time_every_trial(workdir, monkeypatch):
     pol = workdir / "policy.json"
     assert run("train-policy", "--library", str(lib), "--out", str(pol), "--updates", "0") == 0
     clock = [0.0]
-    real_trial = plan_mod._q_learning
+    real_q_learning = plan_mod._q_learning
 
-    def trial(*args, **kwargs):
-        result = yield from real_trial(*args, **kwargs)
-        clock[0] += 1.0  # one second per trial, counted when the trial ends
-        return result
+    def q_learning(n_modes, cfg, rngs, rollout_fn):
+        results = real_q_learning(n_modes, cfg, rngs, rollout_fn)
+        clock[0] += len(rngs)  # one second per trial, counted when the trials end
+        return results
 
-    monkeypatch.setattr(plan_mod, "_q_learning", trial)
+    monkeypatch.setattr(plan_mod, "_q_learning", q_learning)
     monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
     out = workdir / "plan.json"
     assert run(
@@ -594,11 +594,12 @@ def test_missing_file_is_validation_error(workdir, capsys):
         ("eval", ["--clock-rate", "-1"], "clock rate must be positive and finite, got -1.0"),
         ("train-policy", ["--checkpoint-every", "-1"], "checkpoint_every must be >= 0, got -1"),
         ("plan", ["--episodes", "-1"], "episodes must be >= 0, got -1"),
+        ("plan", ["--trials", "0"], "need at least one trial"),
     ],
     ids=["eval-nan-weight", "train-inf-weight", "plan-nan-goal", "plan-nan-dt",
          "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f", "eval-nan-clock",
          "eval-inf-clock", "eval-zero-clock", "eval-negative-clock",
-         "train-negative-checkpoint-every", "plan-negative-episodes"],
+         "train-negative-checkpoint-every", "plan-negative-episodes", "plan-zero-trials"],
 )
 def test_non_finite_settings_are_validation_errors(workdir, capsys, command, flags, problem):
     lib, pol = _two_mode_policy(workdir)

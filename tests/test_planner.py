@@ -48,8 +48,7 @@ def table_stub(reward_table):
 
 def one_trial(rollout_fn, n_modes, cfg, rng):
     """A Q-learning trial whose plans `rollout_fn` rolls out one at a time."""
-    trial = pl._q_learning(n_modes, cfg, rng)
-    return pl._run_trials([trial], lambda plans: [rollout_fn(plan) for plan in plans])[0]
+    return pl._q_learning(n_modes, cfg, [rng], lambda plans: [rollout_fn(p) for p in plans])[0]
 
 
 def brute_force_best(rollout_fn, knots, n):
@@ -105,11 +104,11 @@ ROBOT = sim.RobotConfig()
 
 def sequential_trials(policy, lib, terrain, configs, cache=None):
     """Trials run one after another, trial c seeded with c.seed, their plans
-    rolled out one at a time through `plan_rollout` and one shared cache."""
+    rolled out one at a time through one shared cache."""
     cache = {} if cache is None else cache
     return [
         one_trial(
-            lambda plan, c=c: pl.plan_rollout(plan, policy, lib, terrain, ROBOT, c, cache=cache),
+            lambda plan, c=c: pl._rollout_plans([plan], policy, lib, terrain, ROBOT, c, cache)[0],
             lib.n, c, np.random.default_rng(c.seed),
         )
         for c in configs
@@ -125,7 +124,7 @@ def test_plan_rollout_at_goal_with_idle_policy():
         knots=3, knot_dt=0.3, goal_x=start[sim.X], goal_z=start[sim.Z], episodes=1
     )
     plan = pl.ModePlan((0, 0, 0))
-    rewards = pl.plan_rollout(plan, policy, lib, sim.Terrain.flat(), ROBOT, cfg)
+    rewards = pl._rollout_plans([plan], policy, lib, sim.Terrain.flat(), ROBOT, cfg, {})[0]
     steps_per_knot = round(cfg.knot_dt / ROBOT.control_dt)
     assert rewards.shape == (3,)
     assert np.all(rewards > 0.97 * steps_per_knot)
@@ -140,9 +139,9 @@ def test_plan_rollout_fall_zeroes_remaining_knots():
         w[:] = 0.0
     policy.net.biases[-1][:] = np.array([3.0, -2.5, -3.0, 2.5])
     cfg = pl.PlannerConfig(knots=11, knot_dt=0.3, goal_x=2.0, goal_z=0.5, episodes=1)
-    rewards = pl.plan_rollout(
-        pl.ModePlan(tuple([0] * 11)), policy, lib, sim.Terrain.flat(), ROBOT, cfg
-    )
+    rewards = pl._rollout_plans(
+        [pl.ModePlan(tuple([0] * 11))], policy, lib, sim.Terrain.flat(), ROBOT, cfg, {}
+    )[0]
     assert rewards[-1] == 0.0
     nonzero = np.flatnonzero(rewards)
     # once a knot is zero every later knot stays zero
@@ -190,7 +189,8 @@ def _reference_plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, trac
     for knot in range(plan.k):
         for _ in range(steps_per_knot):
             obs = sim.observe_rows(row[None], latents[knot][None])[0]
-            row, status = step_row(row, pol.policy_mean(policy, obs), terrain, robot_cfg)
+            mean = pol.mlp_forward(policy.net, obs[None, :])[0][0]
+            row, status = step_row(row, mean, terrain, robot_cfg)
             rewards[knot] += goal_step_reward(
                 float(row[sim.X]), float(row[sim.Z]), cfg.goal_x, cfg.goal_z
             )
@@ -228,7 +228,7 @@ def _falling_policy():
 
 
 def _assert_same_trace(got, want):
-    """got, a plan_rollout trace of (mode, knot trace) pairs, has one step per
+    """got, a plan's trace of (mode, knot trace) pairs, has one step per
     (state row, bucket, mode) record of want, with its t, x, z, pitch and bucket."""
     steps = [(row, mode) for mode, knot in got for row in knot]
     assert len(steps) == len(want)
@@ -344,7 +344,7 @@ def test_a_prefix_two_trials_ask_for_at_one_knot_steps_once(monkeypatch):
     assert [len(rows) for rows, _ in batches] == [1, 2, 2, 2]
     assert all(len(set(rows)) == len(rows) for rows, _ in batches)
     for plan, rewards in zip(plans, got):
-        alone = pl.plan_rollout(plan, policy, lib, sim.Terrain.flat(), ROBOT, cfg)
+        alone = pl._rollout_plans([plan], policy, lib, sim.Terrain.flat(), ROBOT, cfg, {})[0]
         assert rewards.tobytes() == alone.tobytes()
     batches.clear()
     pl.parallel_trials(policy, lib, sim.Terrain.flat(), ROBOT, cfg, trials=2)
@@ -370,20 +370,37 @@ def test_a_cached_plan_reruns_no_steps(monkeypatch, falls):
 
     steps = _count_steps(monkeypatch)
     cache: pl.PrefixCache = {}
-    args = (plan, policy, lib, sim.Terrain.gap(), ROBOT, cfg)
-    first = pl.plan_rollout(*args, cache=cache)
+    args = ([plan], policy, lib, sim.Terrain.gap(), ROBOT, cfg, cache)
+    [first] = pl._rollout_plans(*args)
     assert steps[0] == len(want_trace)
-    second = pl.plan_rollout(*args, cache=cache)
+    [second] = pl._rollout_plans(*args)
     assert steps[0] == len(want_trace)
     assert first.tobytes() == second.tobytes() == want.tobytes()
     assert len(cache) == -(-len(want_trace) // 10)
-    # Each entry keeps its knot's trace, so a traced rerun takes no steps and
-    # equals the reference trace.
-    trace = []
-    traced = pl.plan_rollout(*args, trace=trace, cache=cache)
+    # Each entry keeps its knot's trace, so the plan's trace is read from the
+    # cache with no steps and equals the reference trace.
+    trace = pl._cached_trace(plan, cache)
     assert steps[0] == len(want_trace)
-    assert traced.tobytes() == want.tobytes()
+    buckets = np.array([knot[-1, 4] for _, knot in trace])
+    assert buckets.tobytes() == want[: len(trace)].tobytes() and not want[len(trace):].any()
     _assert_same_trace(trace, want_trace)
+
+
+def test_zero_episodes_roll_out_the_all_zero_plan():
+    # With no episodes every Q-table stays zero, so each trial's greedy plan
+    # is mode 0 at every knot, and the winner is that plan's rollout.
+    lib = library_with_latents()
+    policy = pol.init_policy(np.random.default_rng(7), sim.observation_dim(4))
+    cfg = pl.PlannerConfig(knots=4, knot_dt=0.2, episodes=0)
+    best = pl.parallel_trials(policy, lib, sim.Terrain.gap(), ROBOT, cfg, trials=2)
+    assert best.plan.mode_indices == (0, 0, 0, 0)
+    assert best.q_table.shape == (4, lib.n) and not best.q_table.any()
+    want_trace = []
+    want = _reference_plan_rollout(
+        best.plan, policy, lib, sim.Terrain.gap(), ROBOT, cfg, want_trace
+    )
+    assert repr(best.best_return) == repr(float(want.sum()))
+    _assert_same_trace(best.trace, want_trace)
 
 
 def test_plan_serialization_roundtrip(tmp_path):

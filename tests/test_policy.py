@@ -20,10 +20,20 @@ def library_with_latents(selector="pi2", seed=0):
 OBS_DIM = sim.observation_dim(4)
 
 
+def _mean(params, obs):
+    """The action mean of one observation, as a plain one-row product."""
+    return pol.mlp_forward(params.net, obs[None, :])[0][0]
+
+
+def _value(params, obs):
+    """The value of one observation, as a plain one-row product."""
+    return float(pol.mlp_forward(params.value, obs[None, :])[0][0, 0])
+
+
 def _act(params, obs, stochastic, rng=None):
     """One step of the per-step sampling `rollout` did before it batched its passes:
     sample (or take the mean of) the action distribution at one observation."""
-    mean = pol.policy_mean(params, obs)
+    mean = _mean(params, obs)
     if stochastic:
         if rng is None:
             raise ValueError("stochastic sampling needs an rng")
@@ -58,7 +68,7 @@ def test_log_prob_matches_closed_form_density():
     params = pol.init_policy(rng, OBS_DIM)
     obs = rng.normal(size=OBS_DIM)
     a, lp = _act(params, obs, stochastic=True, rng=rng)
-    mean = pol.policy_mean(params, obs)
+    mean = pol.policy_mean(params, obs[None])[0]
     std = np.exp(params.log_std)
     # independent evaluation of the diagonal Gaussian density
     dens = np.prod(
@@ -191,9 +201,9 @@ def test_zero_advantages_leave_policy_mean_untouched():
     trajs = []
     for _ in range(4):
         obs = rng.normal(size=3)
-        v = float(pol.value_of(policy, obs))
+        v = float(pol.value_of(policy, obs[None])[0])
         a = rng.normal(size=2)
-        lp = float(pol.gaussian_log_prob(a, pol.policy_mean(policy, obs), policy.log_std)[0])
+        lp = float(pol.gaussian_log_prob(a, pol.policy_mean(policy, obs[None]), policy.log_std)[0])
         trajs.append(_single_step_traj(obs, a, v - cfg.discount * 0.0, lp, v))
     new_policy, _, _ = pol.ppo_update(policy, opt, trajs, cfg, rng)
     for w1, w2 in zip(policy.net.weights, new_policy.net.weights):
@@ -215,10 +225,10 @@ def test_bandit_policy_mean_converges():
         for _ in range(32):
             a, lp = _act(policy, obs, stochastic=True, rng=rng)
             r = -float((a[0] - 1.0) ** 2)
-            v = float(pol.value_of(policy, obs))
+            v = float(pol.value_of(policy, obs[None])[0])
             trajs.append(_single_step_traj(obs, a, r, lp, v))
         policy, opt, _ = pol.ppo_update(policy, opt, trajs, cfg, rng)
-    mean = float(pol.policy_mean(policy, obs)[0])
+    mean = float(pol.policy_mean(policy, obs[None])[0, 0])
     assert abs(mean - 1.0) < 0.05
 
 
@@ -353,7 +363,7 @@ def _reference_rollout(
     policy, library, script, terrain, robot_cfg, reward_cfg,
     rng=None, stochastic=True, clock_rate=1.0, trace=None,
 ):
-    """The rollout loop before its passes were batched: `_act` and `value_of` at
+    """The rollout loop before its passes were batched: `_act` and `_value` at
     every step, the bootstrap value on its own.
 
     It also runs what `rollout` does not: the deterministic policy, a clock
@@ -382,7 +392,7 @@ def _reference_rollout(
         obs_list.append(o)
         act_list.append(a)
         lp_list.append(lp)
-        val_list.append(pol.value_of(policy, o))
+        val_list.append(_value(policy, o))
         new_row, status = step_row(row, a, terrain, robot_cfg)
         if new_row[sim.PHASE] < row[sim.PHASE]:
             clips_done += 1
@@ -398,7 +408,7 @@ def _reference_rollout(
             blew_up = status == sim.BLOWUP
             break
     final_obs = sim.observe_rows(row[None], latents[current][None])[0]
-    bootstrap = 0.0 if fell or blew_up else pol.value_of(policy, final_obs)
+    bootstrap = 0.0 if fell or blew_up else _value(policy, final_obs)
     return pol.Trajectory(
         obs=np.vstack(obs_list + [final_obs]),
         actions=np.vstack(act_list),
@@ -476,7 +486,7 @@ def test_batched_values_equal_single_rows():
     rng = np.random.default_rng(11)
     policy = pol.init_policy(rng, OBS_DIM)
     obs = rng.normal(size=(256, OBS_DIM))
-    single = np.array([pol.value_of(policy, o) for o in obs])
+    single = np.array([_value(policy, o) for o in obs])
     for B in range(1, 257):
         assert pol.value_of(policy, obs[:B]).tobytes() == single[:B].tobytes(), B
 
@@ -485,7 +495,7 @@ def test_batched_means_equal_single_rows():
     rng = np.random.default_rng(12)
     policy = pol.init_policy(rng, OBS_DIM)
     obs = rng.normal(size=(256, OBS_DIM))
-    single = np.array([pol.policy_mean(policy, o) for o in obs])
+    single = np.array([_mean(policy, o) for o in obs])
     for B in range(1, 257):
         assert pol.policy_mean(policy, obs[:B]).tobytes() == single[:B].tobytes(), B
 
@@ -568,8 +578,8 @@ def test_fortran_ordered_latents_step_as_c_ordered_ones():
     got = pol.evaluate_modes(policy, flipped, world, ROBOT, REWARD, horizon=30)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     plan, cfg = pl.ModePlan((2, 0)), pl.PlannerConfig(knots=2)
-    assert (pl.plan_rollout(plan, policy, flipped, world, ROBOT, cfg).tobytes()
-            == pl.plan_rollout(plan, policy, lib, world, ROBOT, cfg).tobytes())
+    assert (pl._rollout_plans([plan], policy, flipped, world, ROBOT, cfg, {})[0].tobytes()
+            == pl._rollout_plans([plan], policy, lib, world, ROBOT, cfg, {})[0].tobytes())
 
 
 def test_evaluate_modes_shapes_and_range():

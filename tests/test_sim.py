@@ -1,6 +1,5 @@
 import ctypes
 import math
-import pickle
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -453,18 +452,6 @@ def test_infinite_angle_ends_the_step_with_a_nan_pitch(p, hl, kr):
     assert np.delete(new[Q:QDOT], 2).tobytes() == np.delete(q, 2).tobytes()
     assert new[QDOT:TIME].tobytes() == qd.tobytes()
     assert status == sim.BLOWUP
-
-
-def test_configs_that_have_stepped_still_pickle():
-    # The kernel's packed copies of a terrain and a config are not pickled;
-    # the copies rebuild them and step the same.
-    terrain = sim.Terrain.gap()
-    row = sim.initial_state(CFG, terrain)
-    first, _ = step_row(row, np.zeros(4), terrain, CFG)
-    terrain2, cfg2 = pickle.loads(pickle.dumps((terrain, CFG)))
-    assert cfg2 == CFG and terrain2.breakpoints == terrain.breakpoints
-    again, _ = step_row(row, np.zeros(4), terrain2, cfg2)
-    assert again.tobytes() == first.tobytes()
 
 
 def test_importing_the_cli_does_not_build_the_kernel():
