@@ -1,13 +1,15 @@
 /* The planar biped's control steps and rewards: the kernel of every
  * lockstep batch that policy._advance runs, of the observations of state
- * rows, and of the tracking and goal rewards that score those rows.
+ * rows, and of the tracking and goal rewards that score those rows. Its
+ * last section is not physics: repr_join writes arrays of doubles as the
+ * text CPython's repr gives, for the artifact writer (fileio.py).
  *
  * sim.py compiles this file on first use with
  *
  *     cc -std=c99 -O2 -shared -fPIC -ffp-contract=off -fno-builtin ... -lm
  *
- * and calls sim_start, sim_lockstep, sim_observe, sim_track and
- * sim_goal_rewards through ctypes. The flags are part of the operation-order
+ * and calls sim_start, sim_lockstep, sim_observe, sim_track,
+ * sim_goal_rewards and repr_join through ctypes. The flags are part of the operation-order
  * contract that sim.py's module docstring states: no -ffast-math, so every
  * operation rounds as written; -ffp-contract=off, so no multiply-add is fused
  * into one rounding; -fno-builtin, so sin, cos, exp and fmod stay calls into
@@ -629,4 +631,230 @@ void sim_goal_rewards(int64_t n, const double *rows, double goal_x, double goal_
         const double *s = rows + k * ROW;
         rewards[k] = exp(-python_hypot(goal_x - s[Q], goal_z - s[Q + 1]));
     }
+}
+
+/* ---- Float text --------------------------------------------------------
+ *
+ * repr_join writes doubles as CPython's repr(float) writes them: the
+ * shortest digits that read back as the same double, found by Ryu (Ulf
+ * Adams, "Ryu: fast float-to-string conversion", PLDI 2018), laid out like
+ * CPython's 'r' format. It does integer arithmetic alone, so the
+ * floating-point flags of the physics above never touch it.
+ *
+ * The caller passes Ryu's two tables of 125-bit powers of 5 as (low, high)
+ * uint64 pairs: pow5_inv[i] = 2 ** (bitlength(5 ** i) - 1 + 125) // 5 ** i + 1
+ * for i < 342, and pow5[i] = 5 ** i scaled by a power of 2 to 125 bits for
+ * i < 326. sim.py builds them from exact integers. */
+
+enum { POW5_BITS = 125 };
+
+typedef unsigned __int128 uint128;
+
+/* bitlength(5 ** e), or 1 at e = 0; 0 <= e <= 3528. */
+static int32_t pow5bits(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 1217359) >> 19) + 1;
+}
+
+/* floor(log10(2 ** e)); 0 <= e <= 1650. */
+static int32_t log10_pow2(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 78913) >> 18);
+}
+
+/* floor(log10(5 ** e)); 0 <= e <= 2620. */
+static int32_t log10_pow5(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 732923) >> 20);
+}
+
+/* Whether 5 ** p divides v, for v > 0. */
+static int multiple_of_pow5(uint64_t v, int32_t p)
+{
+    int32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+/* (m * mul) >> j for a (low, high) pair mul, 64 <= j. */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    const uint128 low = (uint128)m * mul[0];
+    const uint128 high = (uint128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* The shortest decimal d * 10 ** *exp10 that reads back as the positive
+ * finite double of these bits; Ryu's d2d. A tie between two shortest
+ * candidates goes to the one nearer the double, then to the even one. */
+static uint64_t shortest_digits(uint64_t mantissa, int32_t exponent, const uint64_t *pow5_inv,
+                                const uint64_t *pow5, int32_t *exp10)
+{
+    /* The double is mv * 2 ** e2; the reals that round to it lie in
+     * [mv - 1 - mm_shift, mv + 2] * 2 ** e2, ends included when m2 is even.
+     * vr, vp and vm are mv, the upper end and the lower end times
+     * 2 ** e2 * 10 ** -*exp10, truncated. */
+    const int32_t e2 = (exponent ? exponent : 1) - 1023 - 52 - 2;
+    const uint64_t m2 = exponent ? (UINT64_C(1) << 52) | mantissa : mantissa;
+    const int accept_bounds = (m2 & 1) == 0;
+    const uint64_t mv = 4 * m2;
+    const uint64_t mm_shift = mantissa != 0 || exponent <= 1;
+    const uint64_t *mul;
+    uint64_t vr, vp, vm;
+    int32_t q, j;
+    int vm_trailing_zeros = 0, vr_trailing_zeros = 0, last_removed = 0;
+
+    if (e2 >= 0) {
+        q = log10_pow2(e2) - (e2 > 3);
+        *exp10 = q;
+        mul = pow5_inv + 2 * q;
+        j = -e2 + q + POW5_BITS + pow5bits(q) - 1;
+    } else {
+        q = log10_pow5(-e2) - (-e2 > 1);
+        const int32_t i = -e2 - q;
+        *exp10 = q + e2;
+        mul = pow5 + 2 * i;
+        j = q - (pow5bits(i) - POW5_BITS);
+    }
+    vr = mul_shift(mv, mul, j);
+    vp = mul_shift(mv + 2, mul, j);
+    vm = mul_shift(mv - 1 - mm_shift, mul, j);
+
+    /* Whether the truncations dropped only zeros, where that can be so. */
+    if (e2 >= 0 && q <= 21) {
+        /* Only one of mv, mv + 2 and mv - 1 - mm_shift can be a multiple of 5. */
+        if (mv % 5 == 0)
+            vr_trailing_zeros = multiple_of_pow5(mv, q);
+        else if (accept_bounds)
+            vm_trailing_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+        else
+            vp -= multiple_of_pow5(mv + 2, q);
+    } else if (e2 < 0 && q <= 1) {
+        /* mv has two trailing zero bits, mv + 2 one, and mv - 1 - mm_shift
+         * one iff mm_shift. */
+        vr_trailing_zeros = 1;
+        if (accept_bounds)
+            vm_trailing_zeros = mm_shift == 1;
+        else
+            vp--;
+    } else if (e2 < 0 && q < 63) {
+        vr_trailing_zeros = (mv & ((UINT64_C(1) << q) - 1)) == 0;
+    }
+
+    /* Drop digits while the interval still holds a shorter decimal. */
+    while (vp / 10 > vm / 10) {
+        vm_trailing_zeros &= vm % 10 == 0;
+        vr_trailing_zeros &= last_removed == 0;
+        last_removed = (int)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        ++*exp10;
+    }
+    /* An included lower end that ends in zeros may drop more. */
+    if (vm_trailing_zeros) {
+        while (vm % 10 == 0) {
+            vr_trailing_zeros &= last_removed == 0;
+            last_removed = (int)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            ++*exp10;
+        }
+    }
+    if (vr_trailing_zeros && last_removed == 5 && vr % 2 == 0)
+        last_removed = 4; /* exactly halfway: round to even */
+    return vr + ((vr == vm && (!accept_bounds || !vm_trailing_zeros)) || last_removed >= 5);
+}
+
+/* Writes the text of x, as repr(x) gives it, at out (at most 24 bytes);
+ * returns its length, or -1 if x is not finite. The text is exponent form,
+ * d[.ddd]e+XX with at least two exponent digits, when the decimal point
+ * falls 4 or more places before the first digit or more than 16 after it;
+ * otherwise fixed form, with ".0" after an integral value. */
+static int64_t repr_double(double x, const uint64_t *pow5_inv, const uint64_t *pow5, char *out)
+{
+    uint64_t bits, d;
+    int32_t exponent, exp10, decpt, n = 0;
+    char digits[20];
+    char *p = out;
+
+    memcpy(&bits, &x, sizeof bits);
+    exponent = (int32_t)((bits >> 52) & 0x7ff);
+    if (exponent == 0x7ff)
+        return -1;
+    if (bits >> 63)
+        *p++ = '-';
+    if (!(bits << 1)) {
+        memcpy(p, "0.0", 3);
+        return p + 3 - out;
+    }
+    d = shortest_digits(bits & ((UINT64_C(1) << 52) - 1), exponent, pow5_inv, pow5, &exp10);
+    for (; d; d /= 10)
+        digits[19 - n++] = (char)('0' + d % 10);
+    memmove(digits, digits + 20 - n, (size_t)n);
+    decpt = exp10 + n; /* the value is 0.digits * 10 ** decpt */
+
+    if (decpt <= -4 || decpt > 16) {
+        int32_t e = decpt - 1;
+        *p++ = digits[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, (size_t)(n - 1));
+            p += n - 1;
+        }
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (e < 0)
+            e = -e;
+        if (e >= 100)
+            *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+    } else if (decpt <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', (size_t)-decpt);
+        p += -decpt;
+        memcpy(p, digits, (size_t)n);
+        p += n;
+    } else if (decpt < n) {
+        memcpy(p, digits, (size_t)decpt);
+        p += decpt;
+        *p++ = '.';
+        memcpy(p, digits + decpt, (size_t)(n - decpt));
+        p += n - decpt;
+    } else {
+        memcpy(p, digits, (size_t)n);
+        p += n;
+        memset(p, '0', (size_t)(decpt - n));
+        p += decpt - n;
+        memcpy(p, ".0", 2);
+        p += 2;
+    }
+    return p - out;
+}
+
+/* sep.join(map(repr, values)) for n doubles, written at out, which holds
+ * n * (24 + seplen) bytes. Returns the text's length, or -1 at the first
+ * value that is not finite. */
+int64_t repr_join(int64_t n, const double *values, const char *sep, int64_t seplen,
+                  const uint64_t *pow5_inv, const uint64_t *pow5, char *out)
+{
+    char *p = out;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t length;
+        if (k) {
+            memcpy(p, sep, (size_t)seplen);
+            p += seplen;
+        }
+        length = repr_double(values[k], pow5_inv, pow5, p);
+        if (length < 0)
+            return -1;
+        p += length;
+    }
+    return p - out;
 }

@@ -8,7 +8,12 @@ Byte format: an artifact's text is exactly
 makes reruns byte-identical, and floats keep the shortest-repr encoding of
 the json module, so they round-trip exactly. `write_artifact` produces that
 text without the pure-Python indenting encoder: it walks the dicts itself and
-hands each list of scalars to the C encoder in one call.
+hands each list of scalars to the C encoder in one call. The text of a list
+whose items are all finite and exactly of type float comes instead from
+`sim.repr_join`, which writes CPython's float repr, byte for byte, in the
+compiled physics kernel. It does so only once a command has loaded the
+kernel to step physics, so that a command which steps none pays no build to
+write; other commands, and every other list, keep the json path.
 
 Writes are atomic: the text goes to a temporary file in the target's
 directory, which then replaces the target, so a reader sees the old artifact
@@ -26,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sim
 from .refmotion import InvalidInputError, _spec_field, _spec_list
 
 TOOL_VERSION = "0.1.0"
@@ -63,6 +69,11 @@ def _encode(obj, level: int, parts: list[str]) -> None:
             return
         pad = "\n" + _INDENT * (level + 1)
         close = "\n" + _INDENT * level + "]"
+        if all(type(v) is float for v in obj):
+            text = sim.repr_join(obj, "," + pad)
+            if text is not None:
+                parts.append("[" + pad + text + close)
+                return
         if not isinstance(obj[0], (list, tuple, dict)):
             # The C encoder writes "[a,<pad>b]"; the indented form is
             # "[<pad>a,<pad>b<pad'>]". It indents a nested container wrongly, so
@@ -129,9 +140,13 @@ def read_artifact(path: str | Path, kind: str) -> dict:
     if not path.is_file():
         raise ArtifactError(f"{path} is not a regular file")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ArtifactError(f"{path} nests its JSON too deeply to read") from exc
     expected = f"modeloco/{kind}"
     found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
     if found != expected:

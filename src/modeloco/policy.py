@@ -597,6 +597,15 @@ def policy_to_payload(policy: PolicyParams) -> dict:
     }
 
 
+def _finite_array(p: dict, where: str) -> np.ndarray:
+    """The array of a policy payload entry; InvalidInputError names `where`
+    unless it is an array of finite numbers."""
+    a = array_from_payload(p, where)
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"policy: {where} must be finite")
+    return a
+
+
 def _layers_from_payload(payload: dict, key: str) -> tuple[list[np.ndarray], tuple[int, ...]]:
     """Network `key`'s arrays in flat order and its layer widths;
     InvalidInputError unless the layers chain."""
@@ -606,8 +615,8 @@ def _layers_from_payload(payload: dict, key: str) -> tuple[list[np.ndarray], tup
         raise InvalidInputError(f"policy: {where} needs one bias per weight, and a layer")
     arrays, dims = [], []
     for i, (w, b) in enumerate(zip(weights, biases)):
-        w = array_from_payload(w, f"weight {i} of {where}")
-        b = array_from_payload(b, f"bias {i} of {where}")
+        w = _finite_array(w, f"weight {i} of {where}")
+        b = _finite_array(b, f"bias {i} of {where}")
         if not (w.ndim == 2 and b.shape == w.shape[:1] and (not dims or w.shape[1] == dims[-1])):
             raise InvalidInputError(f"policy: the layers of {where} do not chain: layer {i} "
                                     f"has a {w.shape} weight and a {b.shape} bias after {dims}")
@@ -618,11 +627,11 @@ def _layers_from_payload(payload: dict, key: str) -> tuple[list[np.ndarray], tup
 
 def policy_from_payload(payload: dict) -> PolicyParams:
     """The parameter set of a `policy_to_payload` payload;
-    InvalidInputError names the first missing or malformed entry, or an
-    `obs_dim` or `act_dim` that differs from the network's widths."""
+    InvalidInputError names the first missing, malformed or non-finite entry,
+    or an `obs_dim` or `act_dim` that differs from the network's widths."""
     arrays, dims = _layers_from_payload(payload, "policy")
     log_std = _spec_field(payload["policy"], "log_std", "'policy'", source="policy")
-    arrays.append(array_from_payload(log_std, "'log_std' of 'policy'"))
+    arrays.append(_finite_array(log_std, "'log_std' of 'policy'"))
     value_arrays, value_dims = _layers_from_payload(payload, "value")
     if arrays[-1].shape != dims[-1:] or (value_dims[0], value_dims[-1]) != (dims[0], 1):
         raise InvalidInputError(

@@ -389,6 +389,7 @@ def _build_kernel(source: Path = _KERNEL_SOURCE):
         ("sim_observe", [count, pointer, pointer, count, pointer]),
         ("sim_track", [count, pointer, pointer, pointer, pointer]),
         ("sim_goal_rewards", [count, pointer, double, double, pointer]),
+        ("repr_join", [count, pointer, pointer, count, pointer, pointer, pointer]),
     ):
         getattr(kernel, name).argtypes = argtypes
         getattr(kernel, name).restype = count
@@ -401,6 +402,34 @@ def _library():
     if _kernel is None:
         _kernel = _build_kernel()
     return _kernel
+
+
+@functools.cache
+def _pow5_tables() -> tuple[ctypes.Array, ctypes.Array]:
+    """Ryu's 125-bit power-of-5 tables as (low, high) uint64 pairs, which
+    `repr_join` reads: 2 ** (bitlength(5 ** i) - 1 + 125) // 5 ** i + 1 for
+    i < 342, and 5 ** i shifted to 125 bits for i < 326."""
+    powers = [5**i for i in range(342)]
+    inverse = [(1 << p.bit_length() + 124) // p + 1 for p in powers]
+    scaled = [(p << 125) >> p.bit_length() for p in powers[:326]]
+    return tuple(
+        (ctypes.c_uint64 * (2 * len(table)))(*(w for v in table for w in (v & 2**64 - 1, v >> 64)))
+        for table in (inverse, scaled)
+    )
+
+
+def repr_join(values: Sequence[float], sep: str) -> str | None:
+    """`sep.join(map(repr, values))` for floats, written by the kernel; None
+    if a value is not finite or the kernel is not loaded. It never builds the
+    kernel, so a command that steps no physics pays no compile to write."""
+    if _kernel is None:
+        return None
+    data = np.fromiter(values, dtype=np.float64, count=len(values))
+    sep_bytes = sep.encode()
+    out = ctypes.create_string_buffer(len(data) * (24 + len(sep_bytes)))
+    length = _kernel.repr_join(len(data), data.ctypes.data, sep_bytes, len(sep_bytes),
+                               *_pow5_tables(), out)
+    return None if length < 0 else ctypes.string_at(out, length).decode()
 
 
 def _address(a) -> int:

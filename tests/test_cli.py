@@ -742,6 +742,13 @@ POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
          "written by version None, this tool reads '0.1.0'"),
         ("checkpoint", ("payload", "opt_value", "t"), 3,
          "checkpoint: 'opt_policy' has taken 0 Adam steps and 'opt_value' 3"),
+        ("policy", ("payload", "policy", "weights", 0, "data", 5), float("nan"),
+         "policy: weight 0 of 'policy' must be finite"),
+        ("checkpoint", ("payload", "policy", "value", "biases", 1, "data", 0), -float("inf"),
+         "policy: bias 1 of 'value' must be finite"),
+        ("policy", (), b"[" * 200_000, "policy.json nests its JSON too deeply to read"),
+        ("checkpoint", (), b'{"format": "modeloco/checkpoint", "x": "\xff"}',
+         "policy.json.checkpoint.json is not UTF-8 text"),
     ],
     ids=["policy-without-value", "document-without-payload", "document-is-a-list",
          "short-log-std", "unchained-layers", "checkpoint-without-adam-state",
@@ -750,14 +757,18 @@ POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
          "string-update-count",
          "bool-update-count", "negative-episode-count", "string-adam-step",
          "float-episode-count", "other-version", "checkpoint-without-version",
-         "unequal-adam-step-counts"],
+         "unequal-adam-step-counts", "nan-policy-weight", "infinite-value-bias",
+         "deeply-nested-document", "non-utf8-document"],
 )
 def test_malformed_policy_and_checkpoint_are_validation_errors(
     workdir, capsys, target, keys, value, problem
 ):
     lib, pol = _two_mode_policy(workdir)
     path = pol if target == "policy" else Path(str(pol) + ".checkpoint.json")
-    path.write_text(json.dumps(_edited(json.loads(path.read_text()), keys, value)))
+    if isinstance(value, bytes):
+        path.write_bytes(value)
+    else:
+        path.write_text(json.dumps(_edited(json.loads(path.read_text()), keys, value)))
     out = workdir / "out.json"
     if target == "policy":
         argv = ["eval", "--policy", str(pol), "--rollouts", "1"]

@@ -1,14 +1,25 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from modeloco import fileio
+from modeloco import fileio, sim
 
 
 def _indented(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def _both_float_writers(monkeypatch):
+    """Yields once with the kernel loaded, so flat float lists are written by
+    `sim.repr_join`, then once with `sim._kernel` None, so they are written
+    by json; whichever tests ran before, a check in the loop covers both."""
+    kernel = sim._library()
+    for loaded in (kernel, None):
+        monkeypatch.setattr(sim, "_kernel", loaded)
+        yield loaded
 
 
 @pytest.mark.parametrize(
@@ -27,13 +38,21 @@ def _indented(doc) -> str:
         {"tuple": (1.0, 2.0), "tuples": [(1, 2), (3,)]},
         {"numpy": np.arange(5, dtype=float).tolist(), "f64": np.float64(0.1)},
         {"deep": {"a": {"b": {"c": {"d": [1, [2, [3, [4]]]]}}}}},
+        {"f64_item": [0.5, np.float64(0.1)], "int_first": [1, 2.5], "bool_last": [0.5, True],
+         "tail_nan": [0.5, 1e16, float("nan")], "exponents": [1e-05, 123456789012345680.0, -0.0]},
     ],
 )
-def test_writer_text_equals_indented_json(doc):
-    assert fileio.dumps_artifact(doc) == _indented(doc)
+def test_writer_text_equals_indented_json(doc, monkeypatch):
+    for _ in _both_float_writers(monkeypatch):
+        assert fileio.dumps_artifact(doc) == _indented(doc)
 
 
-def test_writer_text_equals_indented_json_on_random_documents():
+def test_writer_text_equals_indented_json_on_random_documents(monkeypatch):
+    for _ in _both_float_writers(monkeypatch):
+        _check_random_documents()
+
+
+def _check_random_documents():
     rng = np.random.default_rng(0)
 
     def value(depth):
@@ -54,6 +73,43 @@ def test_writer_text_equals_indented_json_on_random_documents():
     for _ in range(200):
         doc = {"payload": value(0)}
         assert fileio.dumps_artifact(doc) == _indented(doc)
+
+
+def _edge_floats() -> list[float]:
+    """Every power of 2 and of 10 in the double range with its two
+    neighbours, subnormals included, and a few named extremes, both signs."""
+    centres = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    centres += [float(f"1e{k}") for k in range(-323, 309)]
+    values = [v for c in centres for v in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
+    values += [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+    return values + [-v for v in values]
+
+
+def test_kernel_float_text_is_repr():
+    sim._library()
+    rng = np.random.default_rng(1)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    values = [v for v in bits.tolist() if math.isfinite(v)] + _edge_floats()
+    values += np.round(rng.normal(size=20_000) * 1e4, 3).tolist()
+    values += rng.integers(-(2**60), 2**60, size=20_000).astype(float).tolist()
+    assert sim.repr_join(values, " ").split(" ") == [repr(v) for v in values]
+    assert sim.repr_join(values[:3], ",\n  ") == ",\n  ".join(map(repr, values[:3]))
+    assert sim.repr_join([], ",") == ""
+
+
+def test_kernel_float_text_is_none_for_a_non_finite_value():
+    sim._library()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        assert sim.repr_join([0.5, bad, 1.5], ",") is None
+        assert sim.repr_join([bad], ",") is None
+
+
+def test_writing_floats_with_no_kernel_loaded_builds_none(tmp_path, monkeypatch):
+    monkeypatch.setattr(sim, "_kernel", None)
+    payload = {"data": np.random.default_rng(0).normal(size=50_000).tolist()}
+    fileio.write_artifact(tmp_path / "a.json", "thing", payload)
+    assert sim._kernel is None
+    assert fileio.read_artifact(tmp_path / "a.json", "thing") == payload
 
 
 def test_write_artifact_writes_the_documented_bytes(tmp_path):
