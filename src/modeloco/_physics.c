@@ -2,17 +2,20 @@
  * lockstep batch that policy._advance runs, of the observations of state
  * rows, and of the tracking and goal rewards that score those rows. Its
  * last section is not physics: repr_join writes arrays of doubles as the
- * text CPython's repr gives, for the artifact writer (fileio.py).
+ * text CPython's repr gives, for the artifact writer (fileio.py), where the
+ * compiler has unsigned __int128.
  *
- * sim.py compiles this file on first use with
+ * sim.py compiles this file once per version of it, keeping the library in
+ * the package's __pycache__ for later processes, with
  *
  *     cc -std=c99 -O2 -shared -fPIC -ffp-contract=off -fno-builtin ... -lm
  *
- * and calls sim_start, sim_lockstep, sim_observe, sim_track,
- * sim_goal_rewards and repr_join through ctypes. The flags are part of the operation-order
- * contract that sim.py's module docstring states: no -ffast-math, so every
- * operation rounds as written; -ffp-contract=off, so no multiply-add is fused
- * into one rounding; -fno-builtin, so sin, cos, exp and fmod stay calls into
+ * sim.py calls sim_start, sim_lockstep, sim_observe, sim_track and
+ * sim_goal_rewards, and fileio.py calls repr_join, through ctypes. The
+ * flags are part of the operation-order contract that sim.py's module
+ * docstring states: no -ffast-math, so every operation rounds as written;
+ * -ffp-contract=off, so no multiply-add is fused into one rounding;
+ * -fno-builtin, so sin, cos, exp and fmod stay calls into
  * the libm that Python's math module and float type use, and sin and cos are
  * not merged into sincos. math.hypot is not libm's hypot, so python_hypot
  * below ports CPython's own. tests/test_sim.py holds the plain Python
@@ -644,7 +647,13 @@ void sim_goal_rewards(int64_t n, const double *rows, double goal_x, double goal_
  * The caller passes Ryu's two tables of 125-bit powers of 5 as (low, high)
  * uint64 pairs: pow5_inv[i] = 2 ** (bitlength(5 ** i) - 1 + 125) // 5 ** i + 1
  * for i < 342, and pow5[i] = 5 ** i scaled by a power of 2 to 125 bits for
- * i < 326. sim.py builds them from exact integers. */
+ * i < 326. fileio.py builds them from exact integers.
+ *
+ * The section needs unsigned __int128. Where the compiler has none, it is
+ * left out, the physics above still builds, and fileio.py writes floats
+ * with json. */
+
+#ifdef __SIZEOF_INT128__
 
 enum { POW5_BITS = 125 };
 
@@ -858,3 +867,5 @@ int64_t repr_join(int64_t n, const double *values, const char *sep, int64_t sepl
     }
     return p - out;
 }
+
+#endif /* __SIZEOF_INT128__ */

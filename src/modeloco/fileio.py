@@ -10,10 +10,11 @@ the json module, so they round-trip exactly. `write_artifact` produces that
 text without the pure-Python indenting encoder: it walks the dicts itself and
 hands each list of scalars to the C encoder in one call. The text of a list
 whose items are all finite and exactly of type float comes instead from
-`sim.repr_join`, which writes CPython's float repr, byte for byte, in the
-compiled physics kernel. It does so only once a command has loaded the
-kernel to step physics, so that a command which steps none pays no build to
-write; other commands, and every other list, keep the json path.
+`repr_join`, which has the compiled physics kernel (`_physics.c`) write
+CPython's float repr, byte for byte, without CPython's bignum dtoa. It
+does so only once a command has loaded the kernel to step physics, so that a
+command which steps none pays no load or build to write; other commands,
+and every other list, keep the json path, which gives the same text.
 
 Writes are atomic: the text goes to a temporary file in the target's
 directory, which then replaces the target, so a reader sees the old artifact
@@ -23,6 +24,8 @@ or table or the new one, never a partial file.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import hashlib
 import io
 import json
@@ -48,6 +51,39 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+@functools.cache
+def _pow5_tables() -> tuple[ctypes.Array, ctypes.Array]:
+    """Ryu's 125-bit power-of-5 tables as (low, high) uint64 pairs, which
+    the kernel's `repr_join` reads: 2 ** (bitlength(5 ** i) - 1 + 125) // 5 ** i + 1
+    for i < 342, and 5 ** i shifted to 125 bits for i < 326."""
+    powers = [5**i for i in range(342)]
+    inverse = [(1 << p.bit_length() + 124) // p + 1 for p in powers]
+    scaled = [(p << 125) >> p.bit_length() for p in powers[:326]]
+    return tuple(
+        (ctypes.c_uint64 * (2 * len(table)))(*(w for v in table for w in (v & 2**64 - 1, v >> 64)))
+        for table in (inverse, scaled)
+    )
+
+
+def repr_join(values, sep: str) -> str | None:
+    """`sep.join(map(repr, values))` for floats, written by the physics
+    kernel; None if a value is not finite, if this process has not loaded
+    the kernel, or if the kernel was built without a formatter. It never
+    loads the kernel, so a command that steps no physics pays nothing to
+    write."""
+    join = getattr(sim.loaded_kernel(), "repr_join", None)
+    if join is None:
+        return None
+    join.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64,
+                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    join.restype = ctypes.c_int64
+    data = np.fromiter(values, dtype=np.float64, count=len(values))
+    sep_bytes = sep.encode()
+    out = ctypes.create_string_buffer(len(data) * (24 + len(sep_bytes)))
+    length = join(len(data), data.ctypes.data, sep_bytes, len(sep_bytes), *_pow5_tables(), out)
+    return None if length < 0 else ctypes.string_at(out, length).decode()
+
+
 def _encode(obj, level: int, parts: list[str]) -> None:
     """Append the `indent=1`, `sort_keys=True` JSON text of obj at an indent level."""
     if isinstance(obj, dict):
@@ -70,7 +106,7 @@ def _encode(obj, level: int, parts: list[str]) -> None:
         pad = "\n" + _INDENT * (level + 1)
         close = "\n" + _INDENT * level + "]"
         if all(type(v) is float for v in obj):
-            text = sim.repr_join(obj, "," + pad)
+            text = repr_join(obj, "," + pad)
             if text is not None:
                 parts.append("[" + pad + text + close)
                 return

@@ -63,9 +63,11 @@ CPython's own math.hypot (its vector_norm), because libm's hypot and numpy's
 round some results differently.
 
 The steps, observations, statuses and rewards run in `_physics.c`, a C
-kernel built with `cc` on first use and loaded through ctypes for the life
-of the process. The kernel keeps a fixed floating-point operation order, so
-that trajectories, checkpoints and resumed runs replay bit for bit across
+kernel loaded through ctypes on first use for the life of the process. It
+is built with `cc` once per version of its source and kept in the package's
+`__pycache__`, so later processes load it without compiling (`_cached_kernel`).
+The kernel keeps a fixed floating-point operation order, so that
+trajectories, checkpoints and resumed runs replay bit for bit across
 versions of this package. Do not reorder or regroup its arithmetic: force
 and torque sums start from 0.0 (which fixes the sign of a zero total), a
 joint acceleration is (tau - damping * qdot + (jx * ft + jz * fn)) / inertia,
@@ -85,9 +87,13 @@ kernel must match byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import hashlib
 import math
+import os
+import platform
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -355,33 +361,34 @@ def _foot_states(q: np.ndarray, qdot: np.ndarray, cfg: RobotConfig):
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_physics.c")
-# The compiled kernel library; its first use builds it.
+_CC_FLAGS = ("-std=c99", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin")
+# Built libraries kept for later processes, beside the package's bytecode.
+_KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+# The compiled kernel library; its first use loads or builds it.
 _kernel = None
 
 
-def _build_kernel(source: Path = _KERNEL_SOURCE):
-    """Compile `_physics.c`, or a C file that includes it, into a temporary
-    directory and load it.
+def _compile(source: Path, library: Path) -> None:
+    """Compile a C file into the shared library at `library`.
 
-    RuntimeError, quoting the compiler, if `cc` is missing or fails. The
-    loaded library outlives its deleted file, so nothing stays on disk.
+    RuntimeError, quoting the compiler, if `cc` is missing or fails.
     """
     import subprocess  # imported by the build alone: importing the package skips it
 
-    with tempfile.TemporaryDirectory() as tmp:
-        library = Path(tmp) / "_physics.so"
-        argv = ["cc", "-std=c99", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
-                "-fno-builtin", "-o", str(library), str(source), "-lm"]
-        try:
-            done = subprocess.run(argv, capture_output=True, text=True)
-        except OSError as exc:
-            raise RuntimeError(f"cannot build the physics kernel: cc did not run: {exc}") from exc
-        if done.returncode != 0:
-            raise RuntimeError(
-                f"cannot build the physics kernel: cc exited {done.returncode}: "
-                f"{done.stderr.strip()}"
-            )
-        kernel = ctypes.CDLL(str(library))
+    argv = ["cc", *_CC_FLAGS, "-o", str(library), str(source), "-lm"]
+    try:
+        done = subprocess.run(argv, capture_output=True, text=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot build the physics kernel: cc did not run: {exc}") from exc
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"cannot build the physics kernel: cc exited {done.returncode}: "
+            f"{done.stderr.strip()}"
+        )
+
+
+def _declare(kernel):
+    """kernel, with the argument and result types of its physics entries."""
     pointer, count, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     for name, argtypes in (
         ("sim_start", [pointer]),
@@ -389,7 +396,6 @@ def _build_kernel(source: Path = _KERNEL_SOURCE):
         ("sim_observe", [count, pointer, pointer, count, pointer]),
         ("sim_track", [count, pointer, pointer, pointer, pointer]),
         ("sim_goal_rewards", [count, pointer, double, double, pointer]),
-        ("repr_join", [count, pointer, pointer, count, pointer, pointer, pointer]),
     ):
         getattr(kernel, name).argtypes = argtypes
         getattr(kernel, name).restype = count
@@ -397,39 +403,57 @@ def _build_kernel(source: Path = _KERNEL_SOURCE):
     return kernel
 
 
+def _build_kernel(source: Path = _KERNEL_SOURCE):
+    """Compile `_physics.c`, or a C file that includes it, into a temporary
+    directory and load it. The loaded library outlives its deleted file, so
+    nothing stays on disk."""
+    with tempfile.TemporaryDirectory() as tmp:
+        library = Path(tmp) / "_physics.so"
+        _compile(source, library)
+        return _declare(ctypes.CDLL(str(library)))
+
+
+def _cached_kernel(cache: Path = _KERNEL_CACHE):
+    """Load the `_physics.c` library kept in `cache`, compiling it there
+    first if it is missing or unreadable.
+
+    The file is named by a digest of the source, the flags and the machine,
+    so an edited source gets a new build and an older build is removed. It
+    is written under a temporary name and then renamed, so a process that
+    starts meanwhile loads a whole library or builds its own. Where `cache`
+    cannot be written, the kernel is built as `_build_kernel` builds it.
+    """
+    key = _KERNEL_SOURCE.read_bytes() + " ".join((*_CC_FLAGS, platform.machine())).encode()
+    library = cache / f"_physics.{hashlib.sha256(key).hexdigest()[:16]}.so"
+    with contextlib.suppress(OSError):
+        return _declare(ctypes.CDLL(str(library)))
+    with contextlib.suppress(OSError):
+        cache.mkdir(exist_ok=True)
+    if not os.access(cache, os.W_OK):
+        return _build_kernel()
+    partial = cache / f"{library.name}.{os.getpid()}.tmp"
+    try:
+        _compile(_KERNEL_SOURCE, partial)
+        os.replace(partial, library)
+    finally:
+        partial.unlink(missing_ok=True)
+    for stale in cache.glob("_physics.*.so"):
+        if stale != library:
+            stale.unlink(missing_ok=True)
+    return _declare(ctypes.CDLL(str(library)))
+
+
 def _library():
     global _kernel
     if _kernel is None:
-        _kernel = _build_kernel()
+        _kernel = _cached_kernel()
     return _kernel
 
 
-@functools.cache
-def _pow5_tables() -> tuple[ctypes.Array, ctypes.Array]:
-    """Ryu's 125-bit power-of-5 tables as (low, high) uint64 pairs, which
-    `repr_join` reads: 2 ** (bitlength(5 ** i) - 1 + 125) // 5 ** i + 1 for
-    i < 342, and 5 ** i shifted to 125 bits for i < 326."""
-    powers = [5**i for i in range(342)]
-    inverse = [(1 << p.bit_length() + 124) // p + 1 for p in powers]
-    scaled = [(p << 125) >> p.bit_length() for p in powers[:326]]
-    return tuple(
-        (ctypes.c_uint64 * (2 * len(table)))(*(w for v in table for w in (v & 2**64 - 1, v >> 64)))
-        for table in (inverse, scaled)
-    )
-
-
-def repr_join(values: Sequence[float], sep: str) -> str | None:
-    """`sep.join(map(repr, values))` for floats, written by the kernel; None
-    if a value is not finite or the kernel is not loaded. It never builds the
-    kernel, so a command that steps no physics pays no compile to write."""
-    if _kernel is None:
-        return None
-    data = np.fromiter(values, dtype=np.float64, count=len(values))
-    sep_bytes = sep.encode()
-    out = ctypes.create_string_buffer(len(data) * (24 + len(sep_bytes)))
-    length = _kernel.repr_join(len(data), data.ctypes.data, sep_bytes, len(sep_bytes),
-                               *_pow5_tables(), out)
-    return None if length < 0 else ctypes.string_at(out, length).decode()
+def loaded_kernel():
+    """The kernel library if this process has loaded it, else None. Never
+    loads or builds it."""
+    return _kernel
 
 
 def _address(a) -> int:

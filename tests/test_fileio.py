@@ -14,7 +14,7 @@ def _indented(doc) -> str:
 
 def _both_float_writers(monkeypatch):
     """Yields once with the kernel loaded, so flat float lists are written by
-    `sim.repr_join`, then once with `sim._kernel` None, so they are written
+    `fileio.repr_join`, then once with `sim._kernel` None, so they are written
     by json; whichever tests ran before, a check in the loop covers both."""
     kernel = sim._library()
     for loaded in (kernel, None):
@@ -92,16 +92,16 @@ def test_kernel_float_text_is_repr():
     values = [v for v in bits.tolist() if math.isfinite(v)] + _edge_floats()
     values += np.round(rng.normal(size=20_000) * 1e4, 3).tolist()
     values += rng.integers(-(2**60), 2**60, size=20_000).astype(float).tolist()
-    assert sim.repr_join(values, " ").split(" ") == [repr(v) for v in values]
-    assert sim.repr_join(values[:3], ",\n  ") == ",\n  ".join(map(repr, values[:3]))
-    assert sim.repr_join([], ",") == ""
+    assert fileio.repr_join(values, " ").split(" ") == [repr(v) for v in values]
+    assert fileio.repr_join(values[:3], ",\n  ") == ",\n  ".join(map(repr, values[:3]))
+    assert fileio.repr_join([], ",") == ""
 
 
 def test_kernel_float_text_is_none_for_a_non_finite_value():
     sim._library()
     for bad in (float("nan"), float("inf"), -float("inf")):
-        assert sim.repr_join([0.5, bad, 1.5], ",") is None
-        assert sim.repr_join([bad], ",") is None
+        assert fileio.repr_join([0.5, bad, 1.5], ",") is None
+        assert fileio.repr_join([bad], ",") is None
 
 
 def test_writing_floats_with_no_kernel_loaded_builds_none(tmp_path, monkeypatch):
@@ -110,6 +110,17 @@ def test_writing_floats_with_no_kernel_loaded_builds_none(tmp_path, monkeypatch)
     fileio.write_artifact(tmp_path / "a.json", "thing", payload)
     assert sim._kernel is None
     assert fileio.read_artifact(tmp_path / "a.json", "thing") == payload
+
+
+def test_a_kernel_built_without_int128_writes_floats_with_json(tmp_path, monkeypatch):
+    harness = tmp_path / "no_int128.c"
+    harness.write_text(f'#undef __SIZEOF_INT128__\n#include "{sim._KERNEL_SOURCE}"\n')
+    kernel = sim._build_kernel(harness)
+    assert not hasattr(kernel, "repr_join")
+    monkeypatch.setattr(sim, "_kernel", kernel)
+    doc = {"data": [0.1, 1e-05, -0.0, 1e16]}
+    assert fileio.repr_join(doc["data"], ",") is None
+    assert fileio.dumps_artifact(doc) == _indented(doc)
 
 
 def test_write_artifact_writes_the_documented_bytes(tmp_path):

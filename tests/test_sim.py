@@ -1,5 +1,6 @@
 import ctypes
 import math
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -474,6 +475,39 @@ def test_kernel_build_without_cc_is_a_runtime_error(monkeypatch):
     # The kernel already loaded keeps stepping.
     after, _ = step_row(row, np.zeros(4), FLAT, CFG)
     assert after.tobytes() == before.tobytes()
+
+
+def test_a_kept_kernel_loads_without_a_compiler(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "_physics.0123456789abcdef.so").write_bytes(b"an older build")
+    sim._cached_kernel(cache)
+    [library] = os.listdir(cache)  # the older build and the partial file are gone
+    monkeypatch.setenv("PATH", "")
+    row = airborne_state([0.3, -0.2, 0.1, 0.5, -0.5, 0.2, -0.2])
+    monkeypatch.setattr(sim, "_kernel", sim._cached_kernel(cache))
+    after, _ = step_row(row, np.zeros(4), FLAT, CFG)
+    monkeypatch.undo()
+    assert after.tobytes() == step_row(row, np.zeros(4), FLAT, CFG)[0].tobytes()
+    assert os.listdir(cache) == [library]
+
+
+def test_an_unreadable_kept_kernel_is_built_again(tmp_path):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    sim._cached_kernel(kept)
+    [name] = os.listdir(kept)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / name).write_bytes(b"not a library")
+    assert sim._cached_kernel(cache).sim_lockstep
+    assert (cache / name).read_bytes() == (kept / name).read_bytes()
+
+
+def test_a_kernel_cache_that_cannot_be_made_builds_in_a_temporary_directory(tmp_path):
+    (tmp_path / "file").write_text("")
+    assert sim._cached_kernel(tmp_path / "file" / "cache").sim_lockstep
+    assert os.listdir(tmp_path) == ["file"]
 
 
 def test_unilateral_contact_forces():
