@@ -427,13 +427,16 @@ static void observe_row(const double *s, const double *latent, int64_t latent_di
         at[9 + k] = s[QDOT + 3 + k];
 }
 
-/* One lockstep batch of B rows, as sim.Lockstep lays it out. */
+/* One lockstep batch of B rows, as sim.Lockstep lays it out. Row r observes
+ * under latents[r] before its switch step and under then[r] from it on
+ * (latent_at); a batch without a mode schedule passes its budgets as the
+ * switches and its latents as then. */
 struct batch {
     int64_t rows;           /* B */
     int64_t latent_dim;
     int64_t noise_steps;    /* the noise's second dimension */
     double *history;        /* (T + 1, B, ROW): row b's state after t steps */
-    const double *latents;  /* (B, latent_dim) */
+    const double *latents;  /* (B, latent_dim): each row's latent before its switch */
     const double *noise;    /* (B, noise_steps, NUM_JOINTS), or NULL */
     const int64_t *budgets; /* (B,): the steps each row may take */
     int64_t *live;          /* the live rows in ascending order */
@@ -443,7 +446,15 @@ struct batch {
     int64_t *status;        /* (B,): the status of each row's last state */
     const double *params;
     const double *terrain;
+    const int64_t *switches; /* (B,): the step from which each row observes then */
+    const double *then;     /* (B, latent_dim): each row's latent from its switch */
 };
+
+/* The latent of row r's observation at step t. */
+static const double *latent_at(const struct batch *b, int64_t r, int64_t t)
+{
+    return (t < b->switches[r] ? b->latents : b->then) + r * b->latent_dim;
+}
 
 /* Step the first m live rows of batch b from step t to t + 1 and return how
  * many stay live.
@@ -454,8 +465,8 @@ struct batch {
  * cycle_duration under Python's float %, the contacts and the support from
  * physics() (no contact and the old support for a non-finite state), and
  * its status set. The rows that are running with steps left are compacted
- * to the front of live, in order, and their observations at t + 1 written
- * to the front of obs. */
+ * to the front of live, in order, and their observations at t + 1, each
+ * under its latent at t + 1, written to the front of obs. */
 int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
 {
     const double *params = b->params;
@@ -489,8 +500,7 @@ int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
         b->status[r] = status;
         if (status == RUNNING && t + 1 < b->budgets[r]) {
             b->live[kept] = r;
-            observe_row(dst, b->latents + r * b->latent_dim, b->latent_dim,
-                        b->obs + kept * obs_dim);
+            observe_row(dst, latent_at(b, r, t + 1), b->latent_dim, b->obs + kept * obs_dim);
             kept++;
         }
     }
@@ -498,8 +508,8 @@ int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
 }
 
 /* Start batch b at step 0: every row running, with no steps taken. The rows
- * with a positive budget are live, in order, with their observations at the
- * front of obs. Returns how many are live. */
+ * with a positive budget are live, in order, with their observations at
+ * step 0 at the front of obs. Returns how many are live. */
 int64_t sim_start(const struct batch *b)
 {
     const int64_t obs_dim = CLOCK_DIM + b->latent_dim + PROPRIO_DIM;
@@ -509,7 +519,7 @@ int64_t sim_start(const struct batch *b)
         b->status[r] = RUNNING;
         if (b->budgets[r] > 0) {
             b->live[kept] = r;
-            observe_row(b->history + r * ROW, b->latents + r * b->latent_dim, b->latent_dim,
+            observe_row(b->history + r * ROW, latent_at(b, r, 0), b->latent_dim,
                         b->obs + kept * obs_dim);
             kept++;
         }

@@ -29,7 +29,6 @@ from .sampler import EpisodeScript, switch_steps
 from .sim import (
     BLOWUP,
     FALLEN,
-    RUNNING,
     STATUSES,
     Lockstep,
     RewardConfig,
@@ -352,9 +351,13 @@ def _advance(
     terrain: Terrain,
     robot_cfg: RobotConfig,
     noise: np.ndarray | None = None,
+    switches=None,
+    then: np.ndarray | None = None,
 ) -> Lockstep:
     """Step B episodes in lockstep, episode b from state row starts[b] under
-    latents[b] for steps[b] control steps or until a fall or blowup.
+    latents[b] for steps[b] control steps or until a fall or blowup; with
+    switch steps and then latents, episode b observes under then[b] from its
+    step switches[b] on.
 
     Each control step makes one stacked `policy_mean` call on the live rows'
     observations and one kernel call that steps them all; episode b's action
@@ -366,10 +369,11 @@ def _advance(
     history, the steps each episode took and its final status code. The
     inputs are checked before the kernel sees them: start rows (B, ROW),
     latents (B, latent_dim) with the policy's latent width, noise
-    (B, at least max(steps), act_dim), all C-contiguous float64, and
-    non-negative integer steps; ValueError names a bad one.
+    (B, at least max(steps), act_dim) and then latents of the latents' shape,
+    all C-contiguous float64, and non-negative integer steps and switches,
+    given together with then; ValueError names a bad one.
     """
-    batch = Lockstep(starts, latents, steps, noise, terrain, robot_cfg)
+    batch = Lockstep(starts, latents, steps, noise, terrain, robot_cfg, switches, then)
     if batch.obs.shape[1] != policy.dims[0]:
         raise ValueError(
             f"latents of width {latents.shape[1]} give {batch.obs.shape[1]} observations, "
@@ -395,14 +399,16 @@ def rollout(
     """Run a batch of scripted training episodes of the stochastic policy;
     episode b follows scripts[b] and draws from rngs[b].
 
-    The batch is two lockstep `_advance` calls: the first runs each episode
-    for its `switch_step` steps under its start mode's latent; the second
-    runs the episodes that have not ended for the rest of their horizons
-    under their end modes' latents. Each segment is scored by one
-    `tracking_rewards` call against its mode's clip, anchored at the
-    segment's first state, so at the switch the new mode's reference
-    continues from where the robot actually is. Falls and blowups truncate
-    the episode with a zero bootstrap value.
+    The batch is one lockstep `_advance` call: episode b runs for its
+    horizon, observing under its start mode's latent before its
+    `switch_step` and under its end mode's latent from there on. Each
+    episode is scored by one `tracking_rewards` call per segment against its
+    mode's clip: its states up to the switch step, then, if it ran past the
+    switch step, its states from there on, anchored at that state, so at the
+    switch the new mode's reference continues from where the robot actually
+    is. An episode that ends at its switch step keeps its start mode's latent
+    on its last observation. Falls and blowups truncate the episode with a
+    zero bootstrap value.
 
     Episode b draws horizon x act_dim standard normals from rngs[b] up
     front, one row per step, whether or not it runs to the horizon. The
@@ -422,42 +428,34 @@ def rollout(
     noise = np.zeros((len(scripts), max((s.horizon for s in scripts), default=0), act_dim))
     for b, (script, rng) in enumerate(zip(scripts, rngs)):
         noise[b, : script.horizon] = std * rng.standard_normal((script.horizon, act_dim))
-    switch = np.array([s.switch_step for s in scripts], dtype=np.int64)
 
-    start = initial_state(robot_cfg, terrain)
-    first = _advance(
+    batch = _advance(
         policy, library.latents[[s.mode_from for s in scripts]],
-        np.tile(start, (len(scripts), 1)), switch, terrain, robot_cfg, noise,
-    )
-    on = [b for b in range(len(scripts)) if STATUSES[first.status[b]] == RUNNING]
-    rest = np.array([scripts[b].horizon - switch[b] for b in on], dtype=np.int64)
-    later = np.zeros((len(on), rest.max(initial=0), act_dim))
-    for k, b in enumerate(on):
-        later[k, : rest[k]] = noise[b, switch[b] : scripts[b].horizon]
-    second = _advance(  # from each continuing episode's state at its switch step
-        policy, library.latents[[scripts[b].mode_to for b in on]],
-        first.history[switch[on], on], rest, terrain, robot_cfg, later,
+        np.tile(initial_state(robot_cfg, terrain), (len(scripts), 1)),
+        [s.horizon for s in scripts], terrain, robot_cfg, noise,
+        switches=[s.switch_step for s in scripts],
+        then=library.latents[[s.mode_to for s in scripts]],
     )
 
     trajectories = []
-    second_row = {b: k for k, b in enumerate(on)}
     for b, script in enumerate(scripts):
-        rows, status = first.rows(b), first.status[b]
-        rewards = tracking_rewards(rows, library.motions[script.mode_from], reward_cfg)
+        rows, switch = batch.rows(b), script.switch_step
+        rewards = tracking_rewards(rows[: switch + 1], library.motions[script.mode_from],
+                                   reward_cfg)
         modes = [script.mode_from] * len(rows)
-        if b in second_row:
-            more, status = second.rows(second_row[b]), second.status[second_row[b]]
+        if batch.lengths[b] > switch:
             rewards = np.concatenate([
-                rewards, tracking_rewards(more, library.motions[script.mode_to], reward_cfg)
+                rewards, tracking_rewards(rows[switch:], library.motions[script.mode_to],
+                                          reward_cfg)
             ])
-            rows = np.concatenate([rows[:-1], more])
-            modes = modes[:-1] + [script.mode_to] * len(more)
+            modes[switch:] = [script.mode_to] * (len(rows) - switch)
         # The observation of each state, under the latent in force there; the
         # last one is the bootstrap observation.
         obs = observe_rows(rows, library.latents[modes])
         means = policy_mean(policy, obs[:-1])
         actions = means + noise[b, : len(rewards)]
-        fell, blew_up = STATUSES[status] == FALLEN, STATUSES[status] == BLOWUP
+        status = STATUSES[batch.status[b]]
+        fell, blew_up = status == FALLEN, status == BLOWUP
         values = value_of(policy, obs)
         if fell or blew_up:
             values[-1] = 0.0

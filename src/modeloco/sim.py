@@ -23,18 +23,21 @@ scored as rows of a (..., ROW) float64 array.
 
 Episodes step in lockstep batches (`Lockstep`): B rows, each with its own
 start row, latent, step budget and optional action noise, advance together,
-one kernel call per control step. A call steps each live row: the action is
-the policy mean plus the row's noise at that step; the physics runs; t grows
-by control_dt; the phase becomes (phase + clock_rate * control_dt /
-cycle_duration) % 1.0, evaluated in that order under Python's float %
-(C's fmod, then the remainder takes the sign of 1.0, and a zero remainder
-is +0.0); the contacts and the support are set; and the status is set, a
-blowup (a value of q or qdot not finite) before fallen (the base below 0.3
-of the nominal height above the support, or pitched past 1 rad) before
-running. The rows still running with steps left are then compacted to the
-front of the live list, in ascending row order, and their next observations
-written in that order. A run is the (T + 1, B, ROW) history of the batch
-plus the steps and the final status of each row.
+one kernel call per control step. A row may also have a mode schedule: a
+switch step and a second latent, under which it observes from that step on,
+so that an episode whose command switches runs as one row of one batch. A
+call steps each live row: the action is the policy mean plus the row's noise
+at that step; the physics runs; t grows by control_dt; the phase becomes
+(phase + clock_rate * control_dt / cycle_duration) % 1.0, evaluated in that
+order under Python's float % (C's fmod, then the remainder takes the sign of
+1.0, and a zero remainder is +0.0); the contacts and the support are set;
+and the status is set, a blowup (a value of q or qdot not finite) before
+fallen (the base below 0.3 of the nominal height above the support, or
+pitched past 1 rad) before running. The rows still running with steps left
+are then compacted to the front of the live list, in ascending row order,
+and their next observations written in that order, each under the row's
+latent at that step. A run is the (T + 1, B, ROW) history of the batch plus
+the steps and the final status of each row.
 
 Rewards score state rows after they are stepped, one kernel call per segment
 (`tracking_rewards`): a segment is the rows of one episode under one mode,
@@ -471,20 +474,34 @@ def _checked(a, name: str, shape: tuple) -> np.ndarray:
     return a
 
 
+def _steps(a, name: str, rows: int) -> np.ndarray:
+    """a as an int64 array, if it holds `rows` non-negative integers;
+    ValueError otherwise, before the kernel reads it."""
+    a = np.asarray(a)
+    if a.shape != (rows,) or (a.size and a.dtype.kind not in "iu") or (a < 0).any():
+        raise ValueError(f"{name} must be {rows} non-negative integers, got {a!r}")
+    return a.astype(np.int64)
+
+
 class _Batch(ctypes.Structure):
     """`_physics.c`'s struct batch."""
 
     _fields_ = [(name, ctypes.c_int64) for name in ("rows", "latent_dim", "noise_steps")] + [
         (name, ctypes.c_void_p) for name in (
             "history", "latents", "noise", "budgets", "live", "means", "obs", "lengths",
-            "status", "params", "terrain",
+            "status", "params", "terrain", "switches", "then",
         )
     ]
 
 
 class Lockstep:
     """B state rows that step together, each under its own latent, step budget
-    and optional action noise; the module docstring gives the contract.
+    and optional action noise, and optionally a switch step and a second
+    latent; the module docstring gives the contract.
+
+    Row b observes under latents[b] before step switches[b] and under then[b]
+    from it on. Without a schedule (both None), each row keeps its latent:
+    its switch is its budget, past its last observation.
 
     history[t, b] is row b's state after t steps, lengths[b] the steps row b
     took and status[b] the status code (see STATUSES) of its last state.
@@ -503,14 +520,17 @@ class Lockstep:
         noise: np.ndarray | None,
         terrain: Terrain,
         cfg: RobotConfig,
+        switches=None,
+        then: np.ndarray | None = None,
     ):
         rows = _checked(starts, "start rows", (None, ROW)).shape[0]
         latent_dim = _checked(latents, "latents", (rows, None)).shape[1]
-        budgets = np.asarray(budgets)
-        if (budgets.shape != (rows,) or (budgets.size and budgets.dtype.kind not in "iu")
-                or (budgets < 0).any()):
-            raise ValueError(f"step budgets must be {rows} non-negative integers, got {budgets!r}")
-        self.budgets = budgets.astype(np.int64)
+        self.budgets = _steps(budgets, "step budgets", rows)
+        if (switches is None) != (then is None):
+            raise ValueError("a mode schedule needs both its switch steps and its then latents")
+        if switches is not None:
+            switches = _steps(switches, "switch steps", rows)
+            _checked(then, "then latents", latents.shape)
         steps = int(self.budgets.max(initial=0))
         if noise is not None:
             _checked(noise, "noise", (rows, None, NUM_JOINTS))
@@ -522,14 +542,18 @@ class Lockstep:
         self.means = np.empty((rows, NUM_JOINTS))
         self.obs = np.empty((rows, observation_dim(latent_dim)))
         # Held here, so that they live as long as the pointers the kernel reads.
-        self._inputs = (latents, noise, cfg._kernel_params, terrain._kernel_terrain)
-        self._batch = _Batch(
-            rows, latent_dim, 0 if noise is None else noise.shape[1],
-            *(0 if a is None else _address(a) for a in (
-                self.history, latents, noise, self.budgets, self.live, self.means, self.obs,
-                self.lengths, self.status, cfg._kernel_params, terrain._kernel_terrain,
-            )),
-        )
+        self._inputs = (latents, noise, switches, then, cfg._kernel_params,
+                        terrain._kernel_terrain)
+        pointers = [0 if a is None else _address(a) for a in (
+            self.history, latents, noise, self.budgets, self.live, self.means, self.obs,
+            self.lengths, self.status, cfg._kernel_params, terrain._kernel_terrain,
+        )]
+        # Without a schedule, each row switches at its budget to its own latent:
+        # the budgets' and the latents' addresses again, at no extra cost.
+        schedule =((pointers[3], pointers[1]) if switches is None
+                    else (_address(switches), _address(then)))
+        self._batch = _Batch(rows, latent_dim, 0 if noise is None else noise.shape[1],
+                             *pointers, *schedule)
         kernel, address = _library(), ctypes.addressof(self._batch)
         self.live_count = kernel.sim_start(address)
         self._call = functools.partial(kernel.sim_lockstep, address)

@@ -2,10 +2,11 @@
 
 Each iteration samples a batch of episode scripts from the current return
 records (or uniformly), rolls them out together (`policy.rollout`: one
-lockstep `_advance` call up to each episode's switch step, one after it),
-applies one PPO update, and folds the episode returns back into the records in
-submission order. All randomness is derived from (seed, counter) pairs, so a run is
-bit-reproducible and resumable from a checkpoint.
+lockstep `_advance` call, each episode switching its latent at its switch
+step inside the batch), applies one PPO update, and folds the episode returns
+back into the records in submission order. All randomness is derived from
+(seed, counter) pairs, so a run is bit-reproducible and resumable from a
+checkpoint.
 
 A checkpoint holds state only: parameters, optimizer moments, the sampler's
 return records and the counters. One Adam state steps the policy's whole
@@ -238,10 +239,14 @@ def _count(entry: dict, key: str, where: str) -> int:
 
 
 def _opt_from_payload(p: dict, key: str, size: int) -> AdamState:
-    """The Adam state under `key`, for a network of `size` parameters."""
+    """The Adam state under `key`, for a network of `size` parameters;
+    InvalidInputError unless its moments are `size` finite numbers each."""
     m, v = (_spec_field(p, k, f"'{key}'", source="checkpoint") for k in ("m", "v"))
     t = _count(p, "t", f"'{key}'")
     m, v = array_from_payload(m, f"'m' of '{key}'"), array_from_payload(v, f"'v' of '{key}'")
+    for name, moment in (("m", m), ("v", v)):
+        if not np.isfinite(moment).all():
+            raise InvalidInputError(f"checkpoint: '{name}' of '{key}' must be finite")
     if m.shape != (size,) or v.shape != (size,):
         raise InvalidInputError(f"checkpoint: '{key}' needs {size} moments, has {m.size}/{v.size}")
     return AdamState(m=m, v=v, t=t)

@@ -746,6 +746,10 @@ POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
          "policy: weight 0 of 'policy' must be finite"),
         ("checkpoint", ("payload", "policy", "value", "biases", 1, "data", 0), -float("inf"),
          "policy: bias 1 of 'value' must be finite"),
+        ("checkpoint", ("payload", "opt_policy", "m", "data", 3), float("nan"),
+         "checkpoint: 'm' of 'opt_policy' must be finite"),
+        ("checkpoint", ("payload", "opt_value", "v", "data", 0), float("inf"),
+         "checkpoint: 'v' of 'opt_value' must be finite"),
         ("policy", (), b"[" * 200_000, "policy.json nests its JSON too deeply to read"),
         ("checkpoint", (), b'{"format": "modeloco/checkpoint", "x": "\xff"}',
          "policy.json.checkpoint.json is not UTF-8 text"),
@@ -758,6 +762,7 @@ POLICY_SIZE = 20 * 64 + 65 * 64 + 65 * 4 + 4
          "bool-update-count", "negative-episode-count", "string-adam-step",
          "float-episode-count", "other-version", "checkpoint-without-version",
          "unequal-adam-step-counts", "nan-policy-weight", "infinite-value-bias",
+         "nan-adam-moment", "infinite-adam-moment",
          "deeply-nested-document", "non-utf8-document"],
 )
 def test_malformed_policy_and_checkpoint_are_validation_errors(

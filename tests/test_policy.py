@@ -456,9 +456,10 @@ def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
     "fall_after_switch", [-1, 0], ids=["falls-at-switch-minus-1", "falls-at-switch"]
 )
 def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_switch):
-    # `rollout` runs up to the switch step, then the rest of the horizon. A
-    # fall on the last step before the switch ends the episode in the first
-    # run; a fall on the switch step ends the second run after one step.
+    # `rollout` runs each episode as one lockstep row that switches its
+    # latent at the switch step. A fall on the last step before the switch
+    # ends the episode at the switch step, with the start mode's latent on its
+    # bootstrap observation; a fall on the switch step ends it one step later.
     lib = library_with_latents()
     policy = _falling_policy()
 
@@ -554,17 +555,28 @@ def test_advance_checks_its_inputs_before_the_kernel():
     starts, latents = np.tile(start, (2, 1)), np.zeros((2, 4))
     args = (sim.Terrain.flat(), ROBOT)
     pol._advance(policy, latents, starts, [3, 0], *args)  # well formed
-    for bad_starts, bad_latents, steps, noise, match in [
-        (starts[:, :-1].copy(), latents, [3, 3], None, "start rows"),
-        (starts, latents.astype(np.float32), [3, 3], None, "latents"),
-        (starts, latents, [3, -1], None, "step budgets"),
-        (starts, latents, [3.0, 3.0], None, "step budgets"),
-        (starts, latents[:, :3].copy(), [3, 3], None, "policy takes"),
-        (starts, latents, [3, 3], np.zeros((2, 2, 4)), "noise covers"),
-        (starts, latents, [3, 3], np.zeros((2, 3, 3)), "noise"),
+    pol._advance(policy, latents, starts, [3, 0], *args, None, [1, 5], latents + 1.0)
+    for bad_starts, bad_latents, steps, noise, schedule, match in [
+        (starts[:, :-1].copy(), latents, [3, 3], None, None, "start rows"),
+        (starts, latents.astype(np.float32), [3, 3], None, None, "latents"),
+        (starts, latents, [3, -1], None, None, "step budgets"),
+        (starts, latents, [3.0, 3.0], None, None, "step budgets"),
+        (starts, latents[:, :3].copy(), [3, 3], None, None, "policy takes"),
+        (starts, latents, [3, 3], np.zeros((2, 2, 4)), None, "noise covers"),
+        (starts, latents, [3, 3], np.zeros((2, 3, 3)), None, "noise"),
+        (starts, latents, [3, 3], None, ([1, -1], latents), "switch steps"),
+        (starts, latents, [3, 3], None, ([1.0, 1.0], latents), "switch steps"),
+        (starts, latents, [3, 3], None, ([1], latents), "switch steps"),
+        (starts, latents, [3, 3], None, ([1, 1], latents[:, :3].copy()), "then latents"),
+        (starts, latents, [3, 3], None, ([1, 1], latents.astype(np.float32)), "then latents"),
+        (starts, latents, [3, 3], None, ([1, 1], np.asfortranarray(np.ones((2, 4)))),
+         "then latents"),
+        (starts, latents, [3, 3], None, ([1, 1], None), "both"),
+        (starts, latents, [3, 3], None, (None, latents), "both"),
     ]:
         with pytest.raises(ValueError, match=match):
-            pol._advance(policy, bad_latents, bad_starts, steps, *args, noise)
+            pol._advance(policy, bad_latents, bad_starts, steps, *args, noise,
+                         *(schedule or (None, None)))
 
 
 def test_fortran_ordered_latents_step_as_c_ordered_ones():

@@ -455,6 +455,76 @@ def test_infinite_angle_ends_the_step_with_a_nan_pitch(p, hl, kr):
     assert status == sim.BLOWUP
 
 
+def _drive(batch):
+    """Step a lockstep batch to its end on means read off its observations,
+    element by element: the latent, plus a tenth of the joint rates."""
+    t, m = 0, batch.live_count
+    while m:
+        obs = batch.obs[:m]
+        batch.means[:m] = 0.4 * obs[:, CLOCK_DIM:CLOCK_DIM + 4] + 0.1 * obs[:, -4:]
+        m = batch.advance(t, m)
+        t += 1
+    return batch
+
+
+def _chained(starts, latents, then, budgets, switches, noise):
+    """A batch with a mode schedule as two chained `Lockstep`s: every row up
+    to its switch step under latents, then the rows still running there with
+    steps left, from their state at it, under then. Returns each row's
+    states, the lengths and the status codes."""
+    first = _drive(sim.Lockstep(starts, latents, np.minimum(budgets, switches), noise, FLAT,
+                                CFG))
+    on = [b for b in range(len(budgets)) if sim.STATUSES[first.status[b]] == RUNNING
+          and first.lengths[b] == switches[b] < budgets[b]]
+    rest = budgets[on] - switches[on]
+    later = np.zeros((len(on), rest.max(initial=0), 4))
+    for k, b in enumerate(on):
+        later[k, : rest[k]] = noise[b, switches[b] : budgets[b]]
+    second = _drive(sim.Lockstep(first.history[switches[on], on], then[on], rest, later, FLAT,
+                                 CFG))
+    rows = [first.rows(b) for b in range(len(budgets))]
+    lengths, status = first.lengths.copy(), first.status.copy()
+    for k, b in enumerate(on):
+        rows[b] = np.concatenate([rows[b][:-1], second.rows(k)])
+        lengths[b], status[b] = switches[b] + second.lengths[k], second.status[k]
+    return rows, lengths, status
+
+
+def test_a_switching_lockstep_row_equals_two_chained_batches():
+    rng = np.random.default_rng(5)
+    standing = sim.initial_state(CFG, FLAT)
+    # Airborne, the base pitches at a constant rate whatever the legs do
+    # (they are decoupled from it), so this row falls on a fixed step.
+    spinning = airborne_state(np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0]))
+    fall = sim.Lockstep(spinning[None], np.zeros((1, 4)), [30], None, FLAT, CFG)
+    fall = int(_drive(fall).lengths[0])
+    budgets = np.array([12, 12, 12, 12, 30, 30, 30, 0])
+    # Switch at 0, mid-episode, at the budget and past it; then rows that fall
+    # before, at and after their switch; and a row with no steps.
+    switches = np.array([0, 5, 12, 20, fall + 3, fall, fall - 3, 0])
+    starts = np.array([standing] * 4 + [spinning] * 3 + [standing])
+    latents, then = rng.uniform(-0.5, 0.5, size=(2, len(budgets), 4))
+    noise = rng.normal(0.0, 0.05, size=(len(budgets), 30, 4))
+
+    got = _drive(sim.Lockstep(starts, latents, budgets, noise, FLAT, CFG, switches, then))
+    rows, lengths, status = _chained(starts, latents, then, budgets, switches, noise)
+    assert [sim.STATUSES[c] for c in got.status] == [RUNNING] * 4 + [FALLEN] * 3 + [RUNNING]
+    assert got.lengths.tolist() == [12] * 4 + [fall] * 3 + [0]
+    assert (got.lengths.tobytes(), got.status.tobytes()) == (lengths.tobytes(), status.tobytes())
+    for b, want in enumerate(rows):
+        assert got.rows(b).tobytes() == want.tobytes(), b
+    # The latent switches: a row that switches at 0 differs from its unswitched run.
+    plain = _drive(sim.Lockstep(starts, latents, budgets, noise, FLAT, CFG))
+    assert got.rows(0).tobytes() != plain.rows(0).tobytes()
+
+    # Without a schedule, each row switches at its budget, to no effect.
+    scheduled = _drive(sim.Lockstep(starts, latents, budgets, noise, FLAT, CFG, budgets, then))
+    assert (plain.lengths.tobytes(), plain.status.tobytes()) == (
+        scheduled.lengths.tobytes(), scheduled.status.tobytes())
+    for b in range(len(budgets)):
+        assert plain.rows(b).tobytes() == scheduled.rows(b).tobytes(), b
+
+
 def test_importing_the_cli_does_not_build_the_kernel():
     # The kernel's first use builds it, so a command that never steps does
     # not pay for the compile, and none pays for it at start-up.
