@@ -5,12 +5,9 @@
  * text CPython's repr gives, for the artifact writer (fileio.py), where the
  * compiler has unsigned __int128.
  *
- * sim.py compiles this file once per version of it, keeping the library in
- * the package's __pycache__ for later processes, with
- *
- *     cc -std=c99 -O2 -shared -fPIC -ffp-contract=off -fno-builtin ... -lm
- *
- * sim.py calls sim_start, sim_lockstep, sim_observe, sim_track and
+ * sim.py compiles this file once per version of it, with the flags in
+ * sim._CC_FLAGS, keeping the library in the package's __pycache__ for later
+ * processes. sim.py calls sim_start, sim_lockstep, sim_observe, sim_track and
  * sim_goal_rewards, and fileio.py calls repr_join, through ctypes. The
  * flags are part of the operation-order contract that sim.py's module
  * docstring states: no -ffast-math, so every operation rounds as written;
@@ -67,6 +64,89 @@ static double terrain_height(const double *terrain, double x)
     return h;
 }
 
+/* v clipped to [-limit, limit]; a NaN v stays NaN. */
+static inline double clipped(double v, double limit)
+{
+    if (v > limit)
+        return limit;
+    if (v < -limit)
+        return -limit;
+    return v;
+}
+
+/* One leg's terms at the current positions and velocities. */
+struct leg {
+    /* Filled by leg_terms after each drift, from the positions alone: the
+     * foot Jacobian's columns for the knee, the hip and the pitch, the foot
+     * height, the terrain height under the foot, the penetration, the foot's
+     * offset from the base and the hip and knee PD position terms. */
+    double jxk, jzk, jxh, jzh, jxp, jzp, fz, g, pen, rx, rz, ph, pk;
+    /* Filled by leg_forces at each evaluation: the normal and tangential
+     * contact forces and the hip and knee accelerations. */
+    double fn, ft, ah, ak;
+};
+
+/* The parameters both legs share, read once per control step: the thigh and
+ * shank lengths, the PD gains, the torque limit, the contact stiffness,
+ * damping and friction, and the joint damping and inertia. */
+struct leg_params {
+    double l1, l2, kp, kd, lim, ks, cd, mu, jd, ji;
+};
+
+/* Fill the position terms of the leg whose hip and knee stand at hip and
+ * knee under the PD targets u[0] and u[1], on a base at x, z and pitch p,
+ * where ds0 and dc0 are the hip offset times sin(p) and cos(p). */
+static inline void leg_terms(struct leg *leg, double x, double z, double p, double ds0,
+                             double dc0, double hip, double knee, const double *u,
+                             const struct leg_params *lp, const double *terrain)
+{
+    const double l1 = lp->l1, l2 = lp->l2, kp = lp->kp;
+    const double a1 = p + hip;
+    const double a2 = a1 + knee;
+    const double s1 = sin(a1), c1 = cos(a1), s2 = sin(a2), c2 = cos(a2);
+    const double lc1 = l1 * c1, ls1 = l1 * s1;
+    double fx;
+
+    leg->jxk = l2 * c2;
+    leg->jzk = l2 * s2;
+    leg->jxh = lc1 + leg->jxk;
+    leg->jzh = ls1 + leg->jzk;
+    leg->jxp = dc0 + lc1 + leg->jxk;
+    leg->jzp = ds0 + ls1 + leg->jzk;
+    fx = x + ds0 + ls1 + leg->jzk;
+    leg->fz = z - dc0 - lc1 - leg->jxk;
+    leg->g = terrain_height(terrain, fx);
+    leg->pen = leg->g - leg->fz;
+    leg->rx = fx - x;
+    leg->rz = leg->fz - z;
+    leg->ph = kp * (u[0] - hip);
+    leg->pk = kp * (u[1] - knee);
+}
+
+/* The contact force and the hip and knee accelerations of a leg whose
+ * position terms are filled, at base velocities vx, vz and vp and hip and
+ * knee rates dh and dk. A foot with no penetration, or whose spring-damper
+ * would pull, has no force; a NaN penetration takes the contact branch. */
+static inline void leg_forces(struct leg *leg, double vx, double vz, double vp, double dh,
+                              double dk, const struct leg_params *lp)
+{
+    if (leg->pen <= 0.0) {
+        leg->fn = leg->ft = 0.0;
+    } else {
+        leg->fn = lp->ks * leg->pen
+            - lp->cd * (vz + leg->jzp * vp + leg->jzh * dh + leg->jzk * dk);
+        if (leg->fn <= 0.0)
+            leg->fn = leg->ft = 0.0;
+        else
+            leg->ft = clipped(-lp->cd * (vx + leg->jxp * vp + leg->jxh * dh + leg->jxk * dk),
+                              lp->mu * leg->fn);
+    }
+    leg->ah = (clipped(leg->ph - lp->kd * dh, lp->lim) - lp->jd * dh
+               + (leg->jxh * leg->ft + leg->jzh * leg->fn)) / lp->ji;
+    leg->ak = (clipped(leg->pk - lp->kd * dk, lp->lim) - lp->jd * dk
+               + (leg->jxk * leg->ft + leg->jzk * leg->fn)) / lp->ji;
+}
+
 /* Advance the q and qdot of state row s by one control step of 2 * substeps
  * kick-drift-kick evaluations under the PD targets in action, in place.
  *
@@ -83,30 +163,26 @@ static int physics(double *s, const double *action, const double *params,
     double hl = s[Q + 3], kl = s[Q + 4], hr = s[Q + 5], kr = s[Q + 6];
     double vx = s[QDOT], vz = s[QDOT + 1], vp = s[QDOT + 2];
     double dhl = s[QDOT + 3], dkl = s[QDOT + 4], dhr = s[QDOT + 5], dkr = s[QDOT + 6];
-    const double uhl = action[0], ukl = action[1];
-    const double uhr = action[2], ukr = action[3];
-    const double m = params[BASE_MASS], ib = params[BASE_INERTIA];
-    const double ji = params[JOINT_INERTIA], jd = params[JOINT_DAMPING];
-    const double kp = params[KP], kd = params[KD], lim = params[TORQUE_LIMIT];
-    const double ks = params[CONTACT_STIFFNESS], cd = params[CONTACT_DAMPING];
-    const double mu = params[FRICTION];
-    const double d = params[HIP_OFFSET], l1 = params[THIGH_LENGTH], l2 = params[SHANK_LENGTH];
+    const double m = params[BASE_MASS], ib = params[BASE_INERTIA], d = params[HIP_OFFSET];
     const double gravity = params[GRAVITY];
+    const struct leg_params lp = {
+        params[THIGH_LENGTH], params[SHANK_LENGTH], params[KP], params[KD],
+        params[TORQUE_LIMIT], params[CONTACT_STIFFNESS], params[CONTACT_DAMPING],
+        params[FRICTION], params[JOINT_DAMPING], params[JOINT_INERTIA],
+    };
     const long evaluations = 2 * (long)params[SUBSTEPS];
     const double h = params[CONTROL_DT] / params[SUBSTEPS];
     const double hh = 0.5 * h;
     int drift = 1;
     int stale = 1;
-    /* The terms that depend on the positions alone, computed when a drift
-     * has made them stale. */
-    double jxkl = 0.0, jzkl = 0.0, jxhl = 0.0, jzhl = 0.0, jxpl = 0.0, jzpl = 0.0;
-    double fzl = 0.0, gl = 0.0, penl = 0.0, rxl = 0.0, rzl = 0.0, phl = 0.0, pkl = 0.0;
-    double jxkr = 0.0, jzkr = 0.0, jxhr = 0.0, jzhr = 0.0, jxpr = 0.0, jzpr = 0.0;
-    double fzr = 0.0, gr = 0.0, penr = 0.0, rxr = 0.0, rzr = 0.0, phr = 0.0, pkr = 0.0;
+    /* Each leg's position terms, filled again when a drift has made them
+     * stale. */
+    struct leg left = {0}, right = {0};
 
     for (long i = 0; i < evaluations; i++) {
+        double torque;
         if (stale) {
-            double s0, c0, ds0, dc0, a1, a2, s1, c1, s2, c2, lc1, ls1, fxl, fxr;
+            double ds0, dc0;
             /* The angles whose sine and cosine follow: an infinite one means
              * the run has blown up. A NaN pitch keeps the returned state
              * non-finite even when the angle that overflowed was a sum of
@@ -116,134 +192,25 @@ static int physics(double *s, const double *action, const double *params,
                 p = NAN;
                 break;
             }
-            s0 = sin(p);
-            c0 = cos(p);
-            ds0 = d * s0;
-            dc0 = d * c0;
-
-            /* Left leg: foot kinematics, penetration, PD position terms. */
-            a1 = p + hl;
-            a2 = a1 + kl;
-            s1 = sin(a1);
-            c1 = cos(a1);
-            s2 = sin(a2);
-            c2 = cos(a2);
-            lc1 = l1 * c1;
-            ls1 = l1 * s1;
-            jxkl = l2 * c2;
-            jzkl = l2 * s2;
-            jxhl = lc1 + jxkl;
-            jzhl = ls1 + jzkl;
-            jxpl = dc0 + lc1 + jxkl;
-            jzpl = ds0 + ls1 + jzkl;
-            fxl = x + ds0 + ls1 + jzkl;
-            fzl = z - dc0 - lc1 - jxkl;
-            gl = terrain_height(terrain, fxl);
-            penl = gl - fzl;
-            rxl = fxl - x;
-            rzl = fzl - z;
-            phl = kp * (uhl - hl);
-            pkl = kp * (ukl - kl);
-
-            /* Right leg: the same, on the right joints. */
-            a1 = p + hr;
-            a2 = a1 + kr;
-            s1 = sin(a1);
-            c1 = cos(a1);
-            s2 = sin(a2);
-            c2 = cos(a2);
-            lc1 = l1 * c1;
-            ls1 = l1 * s1;
-            jxkr = l2 * c2;
-            jzkr = l2 * s2;
-            jxhr = lc1 + jxkr;
-            jzhr = ls1 + jzkr;
-            jxpr = dc0 + lc1 + jxkr;
-            jzpr = ds0 + ls1 + jzkr;
-            fxr = x + ds0 + ls1 + jzkr;
-            fzr = z - dc0 - lc1 - jxkr;
-            gr = terrain_height(terrain, fxr);
-            penr = gr - fzr;
-            rxr = fxr - x;
-            rzr = fzr - z;
-            phr = kp * (uhr - hr);
-            pkr = kp * (ukr - kr);
+            ds0 = d * sin(p);
+            dc0 = d * cos(p);
+            leg_terms(&left, x, z, p, ds0, dc0, hl, kl, action, &lp, terrain);
+            leg_terms(&right, x, z, p, ds0, dc0, hr, kr, action + 2, &lp, terrain);
             stale = 0;
         }
-
-        double fnl, ftl, fnr, ftr, fvx, fvz, cap, tau, ahl, akl, ahr, akr, torque;
-
-        /* Left leg: contact force, joint accelerations. */
-        if (penl <= 0.0) {
-            fnl = ftl = 0.0;
-        } else {
-            fvz = vz + jzpl * vp + jzhl * dhl + jzkl * dkl;
-            fnl = ks * penl - cd * fvz;
-            if (fnl <= 0.0) {
-                fnl = ftl = 0.0;
-            } else {
-                fvx = vx + jxpl * vp + jxhl * dhl + jxkl * dkl;
-                cap = mu * fnl;
-                ftl = -cd * fvx;
-                if (ftl > cap)
-                    ftl = cap;
-                else if (ftl < -cap)
-                    ftl = -cap;
-            }
-        }
-        tau = phl - kd * dhl;
-        if (tau > lim)
-            tau = lim;
-        else if (tau < -lim)
-            tau = -lim;
-        ahl = (tau - jd * dhl + (jxhl * ftl + jzhl * fnl)) / ji;
-        tau = pkl - kd * dkl;
-        if (tau > lim)
-            tau = lim;
-        else if (tau < -lim)
-            tau = -lim;
-        akl = (tau - jd * dkl + (jxkl * ftl + jzkl * fnl)) / ji;
-
-        /* Right leg: the same, on the right joints. */
-        if (penr <= 0.0) {
-            fnr = ftr = 0.0;
-        } else {
-            fvz = vz + jzpr * vp + jzhr * dhr + jzkr * dkr;
-            fnr = ks * penr - cd * fvz;
-            if (fnr <= 0.0) {
-                fnr = ftr = 0.0;
-            } else {
-                fvx = vx + jxpr * vp + jxhr * dhr + jxkr * dkr;
-                cap = mu * fnr;
-                ftr = -cd * fvx;
-                if (ftr > cap)
-                    ftr = cap;
-                else if (ftr < -cap)
-                    ftr = -cap;
-            }
-        }
-        tau = phr - kd * dhr;
-        if (tau > lim)
-            tau = lim;
-        else if (tau < -lim)
-            tau = -lim;
-        ahr = (tau - jd * dhr + (jxhr * ftr + jzhr * fnr)) / ji;
-        tau = pkr - kd * dkr;
-        if (tau > lim)
-            tau = lim;
-        else if (tau < -lim)
-            tau = -lim;
-        akr = (tau - jd * dkr + (jxkr * ftr + jzkr * fnr)) / ji;
+        leg_forces(&left, vx, vz, vp, dhl, dkl, &lp);
+        leg_forces(&right, vx, vz, vp, dhr, dkr, &lp);
 
         /* Base: the 0.0 starts of the sums fix the sign of a zero total. */
-        torque = 0.0 + (rxl * fnl - rzl * ftl) + (rxr * fnr - rzr * ftr);
-        vx = vx + hh * ((0.0 + ftl + ftr) / m);
-        vz = vz + hh * ((0.0 + fnl + fnr) / m - gravity);
+        torque = 0.0 + (left.rx * left.fn - left.rz * left.ft)
+            + (right.rx * right.fn - right.rz * right.ft);
+        vx = vx + hh * ((0.0 + left.ft + right.ft) / m);
+        vz = vz + hh * ((0.0 + left.fn + right.fn) / m - gravity);
         vp = vp + hh * (torque / ib);
-        dhl = dhl + hh * ahl;
-        dkl = dkl + hh * akl;
-        dhr = dhr + hh * ahr;
-        dkr = dkr + hh * akr;
+        dhl = dhl + hh * left.ah;
+        dkl = dkl + hh * left.ak;
+        dhr = dhr + hh * right.ah;
+        dkr = dkr + hh * right.ak;
         if (drift) {
             x = x + h * vx;
             z = z + h * vz;
@@ -278,7 +245,7 @@ static int physics(double *s, const double *action, const double *params,
     /* The evaluation after the last drift computed the feet at the final
      * positions. */
     s[SUPPORT] = terrain_height(terrain, x);
-    return (fzl < gl) | (fzr < gr) << 1;
+    return (left.fz < left.g) | (right.fz < right.g) << 1;
 }
 
 /* CPython's float_rem: x % y for floats, the remainder taking y's sign. */
@@ -382,16 +349,13 @@ static double python_hypot(double x, double y)
     return h / scale;
 }
 
-/* The termination status of state row s: a blowup if a value of q or qdot is
- * not finite, then fallen if the base is below 0.3 of the nominal height
- * above the support or pitched past 1 rad, else running. */
+/* The termination status of a stepped state row s whose q and qdot are
+ * finite (physics() has ruled out a blowup): fallen if the base is below 0.3
+ * of the nominal height above the support or pitched past 1 rad, else
+ * running. */
 static int64_t status_of(const double *s, const double *params)
 {
     const double nominal = params[HIP_OFFSET] + params[THIGH_LENGTH] + params[SHANK_LENGTH];
-    for (int k = Q; k < TIME; k++) {
-        if (!isfinite(s[k]))
-            return BLOWUP;
-    }
     if (s[Q + 1] - s[SUPPORT] < 0.3 * nominal)
         return FALLEN;
     if (fabs(s[Q + 2]) > 1.0)
@@ -464,7 +428,8 @@ static const double *latent_at(const struct batch *b, int64_t r, int64_t t)
  * advanced by control_dt, the phase by clock_rate * control_dt /
  * cycle_duration under Python's float %, the contacts and the support from
  * physics() (no contact and the old support for a non-finite state), and
- * its status set. The rows that are running with steps left are compacted
+ * its status set: a blowup where physics() found a non-finite state, else
+ * status_of. The rows that are running with steps left are compacted
  * to the front of live, in order, and their observations at t + 1, each
  * under its latent at t + 1, written to the front of obs. */
 int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
@@ -495,7 +460,7 @@ int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
             src[PHASE] + src[CLOCK_RATE] * params[CONTROL_DT] / params[CYCLE_DURATION], 1.0);
         dst[CONTACT_LEFT] = contacts >= 0 && (contacts & 1) ? 1.0 : 0.0;
         dst[CONTACT_RIGHT] = contacts >= 0 && (contacts & 2) ? 1.0 : 0.0;
-        status = status_of(dst, params);
+        status = contacts < 0 ? BLOWUP : status_of(dst, params);
         b->lengths[r] = t + 1;
         b->status[r] = status;
         if (status == RUNNING && t + 1 < b->budgets[r]) {

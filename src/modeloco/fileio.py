@@ -74,9 +74,6 @@ def repr_join(values, sep: str) -> str | None:
     join = getattr(sim.loaded_kernel(), "repr_join", None)
     if join is None:
         return None
-    join.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64,
-                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-    join.restype = ctypes.c_int64
     data = np.fromiter(values, dtype=np.float64, count=len(values))
     sep_bytes = sep.encode()
     out = ctypes.create_string_buffer(len(data) * (24 + len(sep_bytes)))

@@ -75,11 +75,11 @@ versions of this package. Do not reorder or regroup its arithmetic: force
 and torque sums start from 0.0 (which fixes the sign of a zero total), a
 joint acceleration is (tau - damping * qdot + (jx * ft + jz * fn)) / inertia,
 accelerations divide by the mass and inertias rather than multiply by
-reciprocals, and the half-kick uses 0.5 * h. A term that depends on the
-positions alone may be computed once per drift and reused by every
-evaluation at those positions, since its expression and inputs are the same
-each time; the kernel does so. The compiler flags are part of the same
-contract: no -ffast-math, so every operation rounds as written;
+reciprocals, and the half-kick uses 0.5 * h. One leg routine serves both
+legs; a leg's terms that depend on the positions alone are computed once per
+drift and reused by every evaluation at those positions, since their inputs
+are the same each time. The compiler flags (`_CC_FLAGS`) are part of the
+same contract: no -ffast-math, so every operation rounds as written;
 -ffp-contract=off, so no multiply-add is fused into one rounding; and
 -fno-builtin, so sin, cos, exp and fmod stay the libm calls that math.sin,
 math.cos, math.exp and float % make, and sin and cos are not merged into
@@ -391,7 +391,7 @@ def _compile(source: Path, library: Path) -> None:
 
 
 def _declare(kernel):
-    """kernel, with the argument and result types of its physics entries."""
+    """kernel, with the argument and result types of its entries."""
     pointer, count, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     for name, argtypes in (
         ("sim_start", [pointer]),
@@ -403,6 +403,10 @@ def _declare(kernel):
         getattr(kernel, name).argtypes = argtypes
         getattr(kernel, name).restype = count
     kernel.sim_observe.restype = kernel.sim_goal_rewards.restype = None
+    if hasattr(kernel, "repr_join"):  # absent where the compiler has no __int128
+        kernel.repr_join.argtypes = [count, pointer, ctypes.c_char_p, count, pointer, pointer,
+                                     pointer]
+        kernel.repr_join.restype = count
     return kernel
 
 

@@ -196,8 +196,9 @@ def test_step_determinism_bit_identical():
 # --- reference step ------------------------------------------------------------
 #
 # The plain-loop form of the physics: forces through sim._foot_states and
-# _contact_force, lists for the state. The kernel inlines the same arithmetic
-# in the same order and must match it byte for byte.
+# _contact_force, lists for the state. The kernel runs the same arithmetic in
+# the same order, once per leg through its leg routine (leg_terms after each
+# drift, leg_forces at each evaluation), and must match it byte for byte.
 
 
 def _reference_accelerations(q, qdot, action, terrain, cfg, hits):
@@ -211,6 +212,8 @@ def _reference_accelerations(q, qdot, action, terrain, cfg, hits):
         pen = terrain.height(fx) - fz
         fn, ft = _contact_force(pen, fvx, fvz, cfg)
         hits["airborne_foot"] += pen <= 0.0
+        hits["nan_penetration"] += math.isnan(pen)
+        hits["released_contact"] += pen > 0.0 and fn == 0.0
         hits["friction_capped"] += fn > 0.0 and abs(ft) == cfg.friction * fn
         fx_sum += ft
         fz_sum += fn
@@ -335,7 +338,8 @@ def test_step_matches_reference_bit_for_bit():
                 assert status == _reference_termination(got, cfg), (row, action, cfg)
             cases += 1
     assert cases >= 1000
-    for regime in ("airborne_foot", "friction_capped", "torque_saturated", "blowup", "raised"):
+    for regime in ("airborne_foot", "nan_penetration", "released_contact", "friction_capped",
+                   "torque_saturated", "blowup", "raised"):
         assert hits[regime] > 0, regime
 
 
