@@ -97,6 +97,12 @@ def _check_policy_fits(policy, library, policy_path: str, library_path: str) -> 
         )
 
 
+def _config(cls, args):
+    """The config dataclass cls with each field from the flag that sets it:
+    every field of cls is a flag whose dest is the field's name."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
 def _reward_config(args) -> RewardConfig:
     if args.reward_weights:
         w = tuple(float(v) for v in args.reward_weights.split(","))
@@ -128,9 +134,7 @@ def cmd_train_encoder(args) -> int:
     log_path = Path(str(out) + ".loss.csv")
     _check_out_dirs(out, log_path)
     library = library_from_payload(read_artifact(args.library, "library"))
-    cfg = enc_mod.EncoderTrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, seed=args.seed
-    )
+    cfg = _config(enc_mod.EncoderTrainConfig, args)
     result = enc_mod.train_autoencoder(library, cfg)
     cfg_hash = config_hash(dataclasses.asdict(cfg))
     write_artifact(out, "encoder", enc_mod.params_to_payload(result.params), cfg_hash)
@@ -145,22 +149,6 @@ def cmd_train_encoder(args) -> int:
         f"wrote {out}, updated latents in {args.library}, loss log {log_path}"
     )
     return EXIT_OK
-
-
-def _train_configs(args):
-    ppo = pol_mod.PpoConfig()
-    tc = train_mod.TrainConfig(
-        sampler=args.sampler,
-        mode_decay=args.gamma_i,
-        transition_decay=args.gamma_f,
-        floor=args.epsilon,
-        updates=args.updates,
-        episodes_per_update=args.episodes_per_update,
-        horizon=args.horizon,
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-    )
-    return ppo, tc
 
 
 def _write_training_log(path: Path, rows, n: int) -> None:
@@ -188,7 +176,7 @@ def cmd_train_policy(args) -> int:
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
     reward_cfg = _reward_config(args)
-    ppo, tc = _train_configs(args)
+    ppo, tc = pol_mod.PpoConfig(), _config(train_mod.TrainConfig, args)
     cfg_hash = config_hash(
         {"ppo": dataclasses.asdict(ppo), "train": dataclasses.asdict(tc)}
     )
@@ -244,7 +232,7 @@ def cmd_eval(args) -> int:
         robot,
         reward_cfg,
         horizon=args.horizon,
-        rollouts_per_case=args.rollouts,
+        rollouts_per_case=args.rollouts_per_case,
         clock_rate=args.clock_rate,
         traces=traces,
     )
@@ -284,19 +272,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _planner_config(args) -> plan_mod.PlannerConfig:
-    return plan_mod.PlannerConfig(
-        knots=args.knots,
-        knot_dt=args.dt,
-        goal_x=args.goal_x,
-        goal_z=args.goal_z,
-        alpha=args.alpha,
-        explore=args.explore,
-        episodes=args.episodes,
-        seed=args.seed,
-    )
-
-
 def cmd_plan(args) -> int:
     out = _out_path(args.out, "plan.json")
     trace_path = Path(str(out) + ".trace.csv")
@@ -306,7 +281,7 @@ def cmd_plan(args) -> int:
     _check_policy_fits(policy, library, args.policy, args.library)
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
-    cfg = _planner_config(args)
+    cfg = _config(plan_mod.PlannerConfig, args)
     cfg_hash = config_hash(dataclasses.asdict(cfg))
     print(
         f"planning: {cfg.knots} knots x {cfg.knot_dt}s, goal "
@@ -341,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     # Flags that set a config field or a function argument take its default
-    # from the dataclass or the function signature.
+    # from the dataclass or the function signature, and its name as their dest.
     enc_d = enc_mod.EncoderTrainConfig()
     train_d = train_mod.TrainConfig()
     plan_d = plan_mod.PlannerConfig()
@@ -358,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--library", required=True)
     t.add_argument("--out", default=None)
     t.add_argument("--epochs", type=int, default=enc_d.epochs)
-    t.add_argument("--lr", type=float, default=enc_d.learning_rate)
+    t.add_argument("--lr", type=float, default=enc_d.learning_rate, dest="learning_rate")
     t.add_argument("--seed", type=int, default=enc_d.seed)
     t.set_defaults(fn=cmd_train_encoder)
 
@@ -367,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--out", default=None)
     tp.add_argument("--terrain", default="flat")
     tp.add_argument("--sampler", choices=("adaptive", "uniform"), default=train_d.sampler)
-    tp.add_argument("--gamma-i", type=float, default=train_d.mode_decay, dest="gamma_i")
-    tp.add_argument("--gamma-f", type=float, default=train_d.transition_decay, dest="gamma_f")
-    tp.add_argument("--epsilon", type=float, default=train_d.floor)
+    tp.add_argument("--gamma-i", type=float, default=train_d.mode_decay, dest="mode_decay")
+    tp.add_argument("--gamma-f", type=float, default=train_d.transition_decay,
+                    dest="transition_decay")
+    tp.add_argument("--epsilon", type=float, default=train_d.floor, dest="floor")
     tp.add_argument("--updates", type=int, default=train_d.updates)
     tp.add_argument("--episodes-per-update", type=int, default=train_d.episodes_per_update)
     tp.add_argument("--horizon", type=int, default=train_d.horizon)
@@ -395,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--policy", required=True)
     e.add_argument("--terrain", default="flat")
     e.add_argument("--horizon", type=int, default=eval_d["horizon"].default)
-    e.add_argument("--rollouts", type=int, default=eval_d["rollouts_per_case"].default)
+    e.add_argument("--rollouts", type=int, default=eval_d["rollouts_per_case"].default,
+                   dest="rollouts_per_case")
     e.add_argument("--clock-rate", type=float, default=eval_d["clock_rate"].default,
                    dest="clock_rate")
     e.add_argument("--modeset", choices=MODESET_NAMES, default=None)
@@ -408,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--policy", required=True)
     pl.add_argument("--terrain", default="gap")
     pl.add_argument("--knots", type=int, default=plan_d.knots)
-    pl.add_argument("--dt", type=float, default=plan_d.knot_dt)
+    pl.add_argument("--dt", type=float, default=plan_d.knot_dt, dest="knot_dt")
     pl.add_argument("--goal-x", type=float, default=plan_d.goal_x, dest="goal_x")
     pl.add_argument("--goal-z", type=float, default=plan_d.goal_z, dest="goal_z")
     pl.add_argument("--alpha", type=float, default=plan_d.alpha)

@@ -7,14 +7,14 @@ Byte format: an artifact's text is exactly
 ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``. Keys are sorted, which
 makes reruns byte-identical, and floats keep the shortest-repr encoding of
 the json module, so they round-trip exactly. `write_artifact` produces that
-text without the pure-Python indenting encoder: it walks the dicts itself and
-hands each list of scalars to the C encoder in one call. The text of a list
-whose items are all finite and exactly of type float comes instead from
-`repr_join`, which has the compiled physics kernel (`_physics.c`) write
-CPython's float repr, byte for byte, without CPython's bignum dtoa. It
-does so only once a command has loaded the kernel to step physics, so that a
-command which steps none pays no load or build to write; other commands,
-and every other list, keep the json path, which gives the same text.
+text without the pure-Python indenting encoder: it walks the dicts and lists
+itself, and writes each list as its items' texts joined by a comma and the
+indent. The text of a list whose items are all finite and exactly of type
+float comes from `repr_join` in one call: the compiled physics kernel
+(`_physics.c`) writes it once a command has loaded the kernel to step
+physics, and `float.__repr__` writes it before that, so that a command which
+steps none pays no load or build to write. Either way it is CPython's float
+repr, the text json writes.
 
 Writes are atomic: the text goes to a temporary file in the target's
 directory, which then replaces the target, so a reader sees the old artifact
@@ -29,6 +29,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 
@@ -66,14 +67,14 @@ def _pow5_tables() -> tuple[ctypes.Array, ctypes.Array]:
 
 
 def repr_join(values, sep: str) -> str | None:
-    """`sep.join(map(repr, values))` for floats, written by the physics
-    kernel; None if a value is not finite, if this process has not loaded
-    the kernel, or if the kernel was built without a formatter. It never
-    loads the kernel, so a command that steps no physics pays nothing to
-    write."""
+    """`sep.join(map(repr, values))` for floats; None if a value is not
+    finite. Once this process has loaded the kernel, the kernel writes it,
+    without CPython's bignum dtoa; until then, or if the kernel was built
+    without a formatter, `float.__repr__` does. It never loads the kernel, so
+    a command that steps no physics pays nothing to write."""
     join = getattr(sim.loaded_kernel(), "repr_join", None)
     if join is None:
-        return None
+        return sep.join(map(float.__repr__, values)) if all(map(math.isfinite, values)) else None
     data = np.fromiter(values, dtype=np.float64, count=len(values))
     sep_bytes = sep.encode()
     out = ctypes.create_string_buffer(len(data) * (24 + len(sep_bytes)))
@@ -101,30 +102,16 @@ def _encode(obj, level: int, parts: list[str]) -> None:
             parts.append("[]")
             return
         pad = "\n" + _INDENT * (level + 1)
-        close = "\n" + _INDENT * level + "]"
-        if all(type(v) is float for v in obj):
-            text = repr_join(obj, "," + pad)
-            if text is not None:
-                parts.append("[" + pad + text + close)
-                return
-        if not isinstance(obj[0], (list, tuple, dict)):
-            # The C encoder writes "[a,<pad>b]"; the indented form is
-            # "[<pad>a,<pad>b<pad'>]". It indents a nested container wrongly, so
-            # a list whose text has a bracket after the opening one (maybe only
-            # in a string) is walked item by item if it holds a container.
-            flat = json.dumps(obj, separators=("," + pad, ": "))
-            if not (
-                (flat.find("[", 1) >= 0 or "{" in flat)
-                and any(isinstance(v, (list, tuple, dict)) for v in obj)
-            ):
-                parts.append("[" + pad + flat[1:-1] + close)
-                return
-        sep = "[" + pad
-        for v in obj:
-            parts.append(sep)
-            _encode(v, level + 1, parts)
-            sep = "," + pad
-        parts.append(close)
+        text = repr_join(obj, "," + pad) if all(type(v) is float for v in obj) else None
+        if text is not None:
+            parts.append("[" + pad + text)
+        else:
+            sep = "[" + pad
+            for v in obj:
+                parts.append(sep)
+                _encode(v, level + 1, parts)
+                sep = "," + pad
+        parts.append("\n" + _INDENT * level + "]")
     else:
         parts.append(json.dumps(obj))
 

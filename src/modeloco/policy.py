@@ -400,15 +400,14 @@ def rollout(
     episode b follows scripts[b] and draws from rngs[b].
 
     The batch is one lockstep `_advance` call: episode b runs for its
-    horizon, observing under its start mode's latent before its
-    `switch_step` and under its end mode's latent from there on. Each
-    episode is scored by one `tracking_rewards` call per segment against its
-    mode's clip: its states up to the switch step, then, if it ran past the
-    switch step, its states from there on, anchored at that state, so at the
-    switch the new mode's reference continues from where the robot actually
-    is. An episode that ends at its switch step keeps its start mode's latent
-    on its last observation. Falls and blowups truncate the episode with a
-    zero bootstrap value.
+    horizon, and each of its states, the last included, observes under its
+    start mode's latent before its `switch_step` and under its end mode's
+    latent from there on, the kernel's rule. Each episode is scored by one
+    `tracking_rewards` call per segment against its mode's clip: its states
+    up to the switch step, then, if it ran past the switch step, its states
+    from there on, anchored at that state, so at the switch the new mode's
+    reference continues from where the robot actually is. Falls and blowups
+    truncate the episode with a zero bootstrap value.
 
     Episode b draws horizon x act_dim standard normals from rngs[b] up
     front, one row per step, whether or not it runs to the horizon. The
@@ -442,15 +441,14 @@ def rollout(
         rows, switch = batch.rows(b), script.switch_step
         rewards = tracking_rewards(rows[: switch + 1], library.motions[script.mode_from],
                                    reward_cfg)
-        modes = [script.mode_from] * len(rows)
         if batch.lengths[b] > switch:
             rewards = np.concatenate([
                 rewards, tracking_rewards(rows[switch:], library.motions[script.mode_to],
                                           reward_cfg)
             ])
-            modes[switch:] = [script.mode_to] * (len(rows) - switch)
-        # The observation of each state, under the latent in force there; the
-        # last one is the bootstrap observation.
+        # The observation of each state, under the latent in force there (the
+        # kernel's rule); the last one is the bootstrap observation.
+        modes = np.where(np.arange(len(rows)) < switch, script.mode_from, script.mode_to)
         obs = observe_rows(rows, library.latents[modes])
         means = policy_mean(policy, obs[:-1])
         actions = means + noise[b, : len(rewards)]

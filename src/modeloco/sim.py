@@ -273,12 +273,6 @@ class Terrain:
     def gap_and_block() -> "Terrain":
         return Terrain.gap(0.6, 0.45)._with_range(1.4, 2.0, 0.4)
 
-    def to_payload(self) -> dict:
-        return {
-            "base_height": self.base_height,
-            "breakpoints": [[x, h] for x, h in self.breakpoints],
-        }
-
     @staticmethod
     def from_payload(payload: dict) -> "Terrain":
         """The terrain of a terrain file; InvalidInputError unless every
@@ -311,56 +305,23 @@ TERRAIN_PRESETS = {
 }
 
 
-def initial_state(
-    cfg: RobotConfig,
-    terrain: Terrain | None = None,
-    clock_rate: float = 1.0,
-) -> np.ndarray:
+def initial_state(cfg: RobotConfig, terrain: Terrain, clock_rate: float = 1.0) -> np.ndarray:
     """The state row of the nominal standing pose at x = 0, at rest, with the
-    contact springs pre-compressed."""
-    terrain = terrain or Terrain.flat()
+    contact springs pre-compressed.
+
+    Straight legs at zero pitch put both feet at x = 0, at the base height
+    less the hip offset, the thigh and the shank, subtracted in that order:
+    the kernel's leg kinematics at that pose, since cos 0 is 1.0 and sin 0 is
+    0.0 exactly. A foot below the ground there is in contact.
+    """
     ground = terrain.height(0.0)
     row = np.zeros(ROW)
     row[Z] = ground + cfg.nominal_height - cfg.settle_depth
-    left, right = _foot_states(row[Q:QDOT], row[QDOT:TIME], cfg)
+    foot_z = row[Z] - cfg.hip_offset - cfg.thigh_length - cfg.shank_length
     row[CLOCK_RATE] = clock_rate
-    row[CONTACT_LEFT] = left[1] < terrain.height(left[0])
-    row[CONTACT_RIGHT] = right[1] < terrain.height(right[0])
+    row[CONTACT_LEFT] = row[CONTACT_RIGHT] = foot_z < ground
     row[SUPPORT] = ground
     return row
-
-
-def _foot_states(q: np.ndarray, qdot: np.ndarray, cfg: RobotConfig):
-    """Positions, velocities, and Jacobian rows of both feet.
-
-    Returns per-leg tuples (fx, fz, vx, vz, jxh, jzh, jxk, jzk, jxp, jzp)
-    where j?h, j?k, j?p are partials wrt hip, knee, and pitch.
-    """
-    x, z, pitch = q[0], q[1], q[2]
-    vx, vz, vp = qdot[0], qdot[1], qdot[2]
-    d, l1, l2 = cfg.hip_offset, cfg.thigh_length, cfg.shank_length
-    out = []
-    for hip, knee, dhip, dknee in (
-        (q[3], q[4], qdot[3], qdot[4]),
-        (q[5], q[6], qdot[5], qdot[6]),
-    ):
-        a1 = pitch + hip
-        a2 = a1 + knee
-        s0, c0 = math.sin(pitch), math.cos(pitch)
-        s1, c1 = math.sin(a1), math.cos(a1)
-        s2, c2 = math.sin(a2), math.cos(a2)
-        fx = x + d * s0 + l1 * s1 + l2 * s2
-        fz = z - d * c0 - l1 * c1 - l2 * c2
-        jxp = d * c0 + l1 * c1 + l2 * c2
-        jzp = d * s0 + l1 * s1 + l2 * s2
-        jxh = l1 * c1 + l2 * c2
-        jzh = l1 * s1 + l2 * s2
-        jxk = l2 * c2
-        jzk = l2 * s2
-        fvx = vx + jxp * vp + jxh * dhip + jxk * dknee
-        fvz = vz + jzp * vp + jzh * dhip + jzk * dknee
-        out.append((fx, fz, fvx, fvz, jxh, jzh, jxk, jzk, jxp, jzp))
-    return out
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_physics.c")

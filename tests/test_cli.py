@@ -14,7 +14,7 @@ from modeloco import sampler
 from modeloco.encoder import EncoderTrainConfig
 from modeloco.fileio import read_artifact, write_artifact
 from modeloco.planner import PlannerConfig, parallel_trials
-from modeloco.policy import PpoConfig, evaluate_modes
+from modeloco.policy import evaluate_modes
 from modeloco.training import TrainConfig
 
 
@@ -104,15 +104,14 @@ def test_gen_refs_spec_null_number_is_validation_error(workdir, capsys, field, w
 def test_parser_defaults_are_the_config_defaults():
     parser = cli.build_parser()
     tp = parser.parse_args(["train-policy", "--library", "lib.json"])
-    assert cli._train_configs(tp) == (PpoConfig(), TrainConfig())
+    assert cli._config(TrainConfig, tp) == TrainConfig()
     pl = parser.parse_args(["plan", "--library", "lib.json", "--policy", "pol.json"])
-    assert cli._planner_config(pl) == PlannerConfig()
+    assert cli._config(PlannerConfig, pl) == PlannerConfig()
     te = parser.parse_args(["train-encoder", "--library", "lib.json"])
-    enc = EncoderTrainConfig()
-    assert (te.epochs, te.lr, te.seed) == (enc.epochs, enc.learning_rate, enc.seed)
+    assert cli._config(EncoderTrainConfig, te) == EncoderTrainConfig()
     ev = parser.parse_args(["eval", "--library", "lib.json", "--policy", "pol.json"])
     eval_d = inspect.signature(evaluate_modes).parameters
-    assert (ev.horizon, ev.rollouts, ev.clock_rate) == tuple(
+    assert (ev.horizon, ev.rollouts_per_case, ev.clock_rate) == tuple(
         eval_d[k].default for k in ("horizon", "rollouts_per_case", "clock_rate")
     )
     assert pl.trials == inspect.signature(parallel_trials).parameters["trials"].default

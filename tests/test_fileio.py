@@ -13,9 +13,10 @@ def _indented(doc) -> str:
 
 
 def _both_float_writers(monkeypatch):
-    """Yields once with the kernel loaded, so flat float lists are written by
-    `fileio.repr_join`, then once with `sim._kernel` None, so they are written
-    by json; whichever tests ran before, a check in the loop covers both."""
+    """Yields once with the kernel loaded, so `fileio.repr_join` has the kernel
+    write flat float lists, then once with `sim._kernel` None, so it has
+    `float.__repr__` write them; whichever tests ran before, a check in the
+    loop covers both."""
     kernel = sim._library()
     for loaded in (kernel, None):
         monkeypatch.setattr(sim, "_kernel", loaded)
@@ -119,7 +120,8 @@ def test_a_kernel_built_without_int128_writes_floats_with_json(tmp_path, monkeyp
     assert not hasattr(kernel, "repr_join")
     monkeypatch.setattr(sim, "_kernel", kernel)
     doc = {"data": [0.1, 1e-05, -0.0, 1e16]}
-    assert fileio.repr_join(doc["data"], ",") is None
+    assert fileio.repr_join(doc["data"], ",") == "0.1,1e-05,-0.0,1e+16"
+    assert fileio.repr_join([0.5, float("nan")], ",") is None
     assert fileio.dumps_artifact(doc) == _indented(doc)
 
 

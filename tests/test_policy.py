@@ -407,7 +407,10 @@ def _reference_rollout(
             fell = status == sim.FALLEN
             blew_up = status == sim.BLOWUP
             break
-    final_obs = sim.observe_rows(row[None], latents[current][None])[0]
+    # The last state observes under the latent in force at its step, like
+    # every other: the end mode's from the switch step on.
+    last = latents[int(len(obs_list) >= script.switch_step)]
+    final_obs = sim.observe_rows(row[None], last[None])[0]
     bootstrap = 0.0 if fell or blew_up else _value(policy, final_obs)
     return pol.Trajectory(
         obs=np.vstack(obs_list + [final_obs]),
@@ -458,8 +461,9 @@ def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
 def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_switch):
     # `rollout` runs each episode as one lockstep row that switches its
     # latent at the switch step. A fall on the last step before the switch
-    # ends the episode at the switch step, with the start mode's latent on its
-    # bootstrap observation; a fall on the switch step ends it one step later.
+    # ends the episode at the switch step, whose state observes under the end
+    # mode's latent like any state from the switch on; a fall on the switch
+    # step ends it one step later.
     lib = library_with_latents()
     policy = _falling_policy()
 

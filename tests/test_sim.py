@@ -195,10 +195,43 @@ def test_step_determinism_bit_identical():
 
 # --- reference step ------------------------------------------------------------
 #
-# The plain-loop form of the physics: forces through sim._foot_states and
+# The plain-loop form of the physics: forces through _foot_states and
 # _contact_force, lists for the state. The kernel runs the same arithmetic in
 # the same order, once per leg through its leg routine (leg_terms after each
 # drift, leg_forces at each evaluation), and must match it byte for byte.
+
+
+def _foot_states(q: np.ndarray, qdot: np.ndarray, cfg: RobotConfig):
+    """Positions, velocities, and Jacobian rows of both feet.
+
+    Returns per-leg tuples (fx, fz, vx, vz, jxh, jzh, jxk, jzk, jxp, jzp)
+    where j?h, j?k, j?p are partials wrt hip, knee, and pitch.
+    """
+    x, z, pitch = q[0], q[1], q[2]
+    vx, vz, vp = qdot[0], qdot[1], qdot[2]
+    d, l1, l2 = cfg.hip_offset, cfg.thigh_length, cfg.shank_length
+    out = []
+    for hip, knee, dhip, dknee in (
+        (q[3], q[4], qdot[3], qdot[4]),
+        (q[5], q[6], qdot[5], qdot[6]),
+    ):
+        a1 = pitch + hip
+        a2 = a1 + knee
+        s0, c0 = math.sin(pitch), math.cos(pitch)
+        s1, c1 = math.sin(a1), math.cos(a1)
+        s2, c2 = math.sin(a2), math.cos(a2)
+        fx = x + d * s0 + l1 * s1 + l2 * s2
+        fz = z - d * c0 - l1 * c1 - l2 * c2
+        jxp = d * c0 + l1 * c1 + l2 * c2
+        jzp = d * s0 + l1 * s1 + l2 * s2
+        jxh = l1 * c1 + l2 * c2
+        jzh = l1 * s1 + l2 * s2
+        jxk = l2 * c2
+        jzk = l2 * s2
+        fvx = vx + jxp * vp + jxh * dhip + jxk * dknee
+        fvz = vz + jzp * vp + jzh * dhip + jzk * dknee
+        out.append((fx, fz, fvx, fvz, jxh, jzh, jxk, jzk, jxp, jzp))
+    return out
 
 
 def _reference_accelerations(q, qdot, action, terrain, cfg, hits):
@@ -207,7 +240,7 @@ def _reference_accelerations(q, qdot, action, terrain, cfg, hits):
     fz_sum = 0.0
     torque_sum = 0.0
     acc = [0.0] * 7
-    feet = sim._foot_states(q, qdot, cfg)
+    feet = _foot_states(q, qdot, cfg)
     for leg, (fx, fz, fvx, fvz, jxh, jzh, jxk, jzk, _, _) in enumerate(feet):
         pen = terrain.height(fx) - fz
         fn, ft = _contact_force(pen, fvx, fvz, cfg)
@@ -251,7 +284,7 @@ def _reference_step(row, action, terrain, cfg, hits):
     qdot_arr = np.array(qdot)
     phase = (state[PHASE] + state[CLOCK_RATE] * cfg.control_dt / cfg.cycle_duration) % 1.0
     if np.isfinite(q_arr).all() and np.isfinite(qdot_arr).all():
-        left, right = sim._foot_states(q_arr, qdot_arr, cfg)
+        left, right = _foot_states(q_arr, qdot_arr, cfg)
         contact_l = left[1] < terrain.height(left[0])
         contact_r = right[1] < terrain.height(right[0])
         support = terrain.height(q[0])
@@ -264,6 +297,41 @@ def _reference_step(row, action, terrain, cfg, hits):
         clock_rate=state[CLOCK_RATE], contact_left=contact_l, contact_right=contact_r,
         support=support,
     )
+
+
+def _reference_initial_state(cfg, terrain, clock_rate):
+    """The standing row with both feet placed by _foot_states, each in contact
+    where it lies below the ground under it."""
+    ground = terrain.height(0.0)
+    q = np.zeros(7)
+    q[1] = ground + cfg.nominal_height - cfg.settle_depth
+    left, right = _foot_states(q, np.zeros(7), cfg)
+    return state_row(q, clock_rate=clock_rate,
+                     contact_left=left[1] < terrain.height(left[0]),
+                     contact_right=right[1] < terrain.height(right[0]), support=ground)
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    # Odd leg lengths, and a stiff spring whose settle depth of about 1e-6 m
+    # leaves the feet within a few roundings of the ground.
+    RobotConfig(hip_offset=0.0537, thigh_length=0.2113, shank_length=0.1931,
+                contact_stiffness=3.3e7),
+    # A settle depth of about 4e-17 m, below the rounding of the base height:
+    # each foot's contact turns on how its height rounds (here, it misses the
+    # gap floor alone), so a regrouped subtraction or a <= shows.
+    RobotConfig(hip_offset=0.1682, thigh_length=0.2866, shank_length=0.0689,
+                contact_stiffness=1e18),
+], ids=["default", "odd-stiff", "settle-below-rounding"])
+@pytest.mark.parametrize("terrain", [
+    FLAT,
+    sim.Terrain([(-0.4, 0.137), (0.3, 0.0)]),
+    sim.Terrain([(0.0, -0.21)]),
+    sim.Terrain.gap(0.0),
+], ids=["flat", "raised", "step-down-at-0", "gap-at-0"])
+def test_initial_state_equals_the_reference_standing_row(terrain, cfg):
+    want = _reference_initial_state(cfg, terrain, 0.7)
+    assert sim.initial_state(cfg, terrain, clock_rate=0.7).tobytes() == want.tobytes()
 
 
 def _reference_bytes(row, action, terrain, cfg, hits):
@@ -582,6 +650,44 @@ def test_a_kernel_cache_that_cannot_be_made_builds_in_a_temporary_directory(tmp_
     (tmp_path / "file").write_text("")
     assert sim._cached_kernel(tmp_path / "file" / "cache").sim_lockstep
     assert os.listdir(tmp_path) == ["file"]
+
+
+_ROW_NAMES = ("Q", "QDOT", "TIME", "PHASE", "CLOCK_RATE", "CONTACT_LEFT", "CONTACT_RIGHT",
+              "SUPPORT", "ROW")
+_DIM_NAMES = ("CLOCK_DIM", "PROPRIO_DIM", "NUM_JOINTS")
+
+
+def test_python_and_the_kernel_agree_on_the_struct_and_constant_layout(tmp_path):
+    # The kernel's own struct batch, enums and packed lengths, exported by a
+    # harness built as sim builds the kernel, against what sim.py and the
+    # packers hand it: a field or constant out of step on one side fails here.
+    fields = [name for name, _ in sim._Batch._fields_]
+    exports = {
+        "batch_offsets": [f"offsetof(struct batch, {name})" for name in fields],
+        "batch_size": ["sizeof(struct batch)"],
+        "row_layout": list(_ROW_NAMES),
+        "statuses": ["RUNNING", "FALLEN", "BLOWUP"],
+        "dims": list(_DIM_NAMES),
+        "lengths": ["CYCLE_DURATION + 1", "K_CONTACT + 1", "CLIP_SAMPLES"],
+    }
+    harness = tmp_path / "abi_harness.c"
+    harness.write_text(f'#include <stddef.h>\n#include "{sim._KERNEL_SOURCE}"\n' + "".join(
+        f"const int64_t abi_{name}[] = {{{', '.join(values)}}};\n"
+        for name, values in exports.items()
+    ))
+    kernel = sim._build_kernel(harness)
+    got = {name: list((ctypes.c_int64 * len(values)).in_dll(kernel, f"abi_{name}"))
+           for name, values in exports.items()}
+    motion = rm.builtin_library("pi3").motions[0]
+    assert got == {
+        "batch_offsets": [getattr(sim._Batch, name).offset for name in fields],
+        "batch_size": [ctypes.sizeof(sim._Batch)],
+        "row_layout": [getattr(sim, name) for name in _ROW_NAMES],
+        "statuses": [sim.STATUSES.index(s) for s in (RUNNING, FALLEN, BLOWUP)],
+        "dims": [getattr(sim, name) for name in _DIM_NAMES],
+        "lengths": [len(CFG._kernel_params), len(sim.RewardConfig()._kernel_reward),
+                    len(motion._kernel_clip) - 5 * motion.length],
+    }
 
 
 def test_unilateral_contact_forces():
@@ -1041,7 +1147,9 @@ def test_terrain_roundtrip(tmp_path):
 
     t = sim.Terrain.gap_and_block()
     path = tmp_path / "terrain.json"
-    write_artifact(path, "terrain", t.to_payload())
+    payload = {"base_height": 0.0,
+               "breakpoints": [[0.6, -1.0], [1.05, 0.0], [1.4, 0.4], [2.0, 0.0]]}
+    write_artifact(path, "terrain", payload)
     back = sim.Terrain.from_payload(read_artifact(path, "terrain"))
     for x in np.linspace(-1, 3, 101):
         assert back.height(float(x)) == t.height(float(x))
