@@ -16,6 +16,13 @@ physics, and `float.__repr__` writes it before that, so that a command which
 steps none pays no load or build to write. Either way it is CPython's float
 repr, the text json writes.
 
+A payload value may also be a float64 numpy array, as the "data" of an
+`array_to_payload` dict is. It is written as the JSON list of its values,
+the text json writes for its `tolist()`: `repr_join` formats a finite 1-D
+array straight from its buffer, with no list of Python floats in between,
+and an array holding a NaN or an infinity is written item by item, in
+json's text.
+
 Writes are atomic: the text goes to a temporary file in the target's
 directory, which then replaces the target, so a reader sees the old artifact
 or table or the new one, never a partial file.
@@ -67,15 +74,21 @@ def _pow5_tables() -> tuple[ctypes.Array, ctypes.Array]:
 
 
 def repr_join(values, sep: str) -> str | None:
-    """`sep.join(map(repr, values))` for floats; None if a value is not
-    finite. Once this process has loaded the kernel, the kernel writes it,
-    without CPython's bignum dtoa; until then, or if the kernel was built
-    without a formatter, `float.__repr__` does. It never loads the kernel, so
-    a command that steps no physics pays nothing to write."""
+    """`sep.join(map(repr, values))` for floats, given as a list or a 1-D
+    float64 array; None if a value is not finite. Once this process has
+    loaded the kernel, the kernel writes it, without CPython's bignum dtoa;
+    until then, or if the kernel was built without a formatter,
+    `float.__repr__` does. It never loads the kernel, so a command that
+    steps no physics pays nothing to write."""
     join = getattr(sim.loaded_kernel(), "repr_join", None)
     if join is None:
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
         return sep.join(map(float.__repr__, values)) if all(map(math.isfinite, values)) else None
-    data = np.fromiter(values, dtype=np.float64, count=len(values))
+    if isinstance(values, np.ndarray):
+        data = np.ascontiguousarray(values, dtype=np.float64)
+    else:
+        data = np.fromiter(values, dtype=np.float64, count=len(values))
     sep_bytes = sep.encode()
     out = ctypes.create_string_buffer(len(data) * (24 + len(sep_bytes)))
     length = join(len(data), data.ctypes.data, sep_bytes, len(sep_bytes), *_pow5_tables(), out)
@@ -97,12 +110,16 @@ def _encode(obj, level: int, parts: list[str]) -> None:
             _encode(obj[key], level + 1, parts)
             sep = "," + pad
         parts.append("\n" + _INDENT * level + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if len(obj) == 0:
             parts.append("[]")
             return
         pad = "\n" + _INDENT * (level + 1)
-        text = repr_join(obj, "," + pad) if all(type(v) is float for v in obj) else None
+        if isinstance(obj, np.ndarray):
+            floats = obj.dtype == np.float64 and obj.ndim == 1
+        else:
+            floats = all(type(v) is float for v in obj)
+        text = repr_join(obj, "," + pad) if floats else None
         if text is not None:
             parts.append("[" + pad + text)
         else:
@@ -179,14 +196,20 @@ def read_artifact(path: str | Path, kind: str) -> dict:
 
 
 def array_to_payload(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=float)
-    return {"shape": list(a.shape), "data": a.ravel().tolist()}
+    """{"shape": a's shape as a list, "data": a C-contiguous 1-D float64 copy
+    of a's values in C order}; the writer formats data straight from its buffer."""
+    a = np.array(a, dtype=np.float64, order="C")
+    return {"shape": list(a.shape), "data": a.reshape(-1)}
 
 
 def array_from_payload(p: dict, where: str = "an array") -> np.ndarray:
-    """The array of an `array_to_payload` dict; InvalidInputError names `where`
-    unless its data are numbers that fill its shape."""
-    data, shape = (_spec_list(p, k, where, source="artifact") for k in ("data", "shape"))
+    """The array of an `array_to_payload` dict, in memory (data an array) or
+    read back from its text (data a list), as a new array; InvalidInputError
+    names `where` unless its data are numbers that fill its shape."""
+    data = _spec_field(p, "data", where, source="artifact")
+    if not isinstance(data, (list, np.ndarray)):
+        raise InvalidInputError(f"artifact: 'data' of {where} must be a list")
+    shape = _spec_list(p, "shape", where, source="artifact")
     try:
         return np.array(data, dtype=float).reshape(shape)
     except (TypeError, ValueError) as exc:

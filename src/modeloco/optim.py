@@ -1,4 +1,10 @@
-"""Adam on flat float64 parameter vectors, and the views that give them shape."""
+"""Adam on flat float64 parameter vectors, and the views that give them shape.
+
+`adam_step` writes none of its inputs: the parameters, the gradient and the
+state's moments keep their values, and each step returns a new parameter
+vector and a new state with new moment arrays. A caller may therefore keep
+the old parameters and state to roll a step back, as the encoder's fit does.
+"""
 
 from __future__ import annotations
 
@@ -28,12 +34,30 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
+    """One Adam step (Kingma & Ba, 2015): the new parameters and state.
+
+    Each element is computed in the textbook order,
+    m = beta1 * m + (1 - beta1) * g, v = beta2 * v + ((1 - beta2) * g) * g,
+    params - (lr * m_hat) / (sqrt(v_hat) + eps), with beta ** t computed
+    in Python, so the result equals that expression bit for bit. The ufuncs
+    fill four new arrays, the two moments, one work buffer and the new
+    parameters, and write none of the inputs.
+    """
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    work = np.multiply(grad, 1.0 - beta1)
+    m = np.multiply(state.m, beta1)
+    np.add(m, work, out=m)
+    v = np.multiply(grad, 1.0 - beta2)
+    np.multiply(v, grad, out=v)
+    np.multiply(state.v, beta2, out=work)
+    np.add(work, v, out=v)
+    np.divide(m, 1.0 - beta1**t, out=work)  # m_hat
+    np.multiply(work, lr, out=work)
+    new_params = np.divide(v, 1.0 - beta2**t)  # v_hat
+    np.sqrt(new_params, out=new_params)
+    np.add(new_params, eps, out=new_params)
+    np.divide(work, new_params, out=work)
+    np.subtract(params, work, out=new_params)
     return new_params, AdamState(m=m, v=v, t=t)
 
 

@@ -118,9 +118,10 @@ def mlp_forward(p: MlpParams, x: np.ndarray):
     h = x
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        h = h @ w.T + b
+        h = h @ w.T
+        h += b
         if i < last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         acts.append(h)
     return h, acts
 
@@ -133,8 +134,8 @@ def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grad: MlpParams) -
     for i in range(last, -1, -1):
         if i < last:
             d = d * (1.0 - acts[i + 1] * acts[i + 1])
-        grad.weights[i][...] = d.T @ acts[i]
-        grad.biases[i][...] = d.sum(axis=0)
+        np.matmul(d.T, acts[i], out=grad.weights[i])
+        d.sum(axis=0, out=grad.biases[i])
         if i > 0:  # the gradient with respect to the input is not needed
             d = d @ p.weights[i]
 
@@ -160,11 +161,15 @@ def gaussian_log_prob(
     action: np.ndarray, mean: np.ndarray, log_std: np.ndarray
 ) -> np.ndarray:
     """Row-wise log density of a diagonal Gaussian."""
-    action = np.atleast_2d(action)
-    mean = np.atleast_2d(mean)
-    std = np.exp(log_std)
-    y = (action - mean) / std
-    return -0.5 * (y * y).sum(axis=1) - log_std.sum() - 0.5 * action.shape[1] * LOG_2PI
+    diff = np.atleast_2d(action) - np.atleast_2d(mean)
+    return _log_density(diff, log_std, np.exp(log_std))
+
+
+def _log_density(diff: np.ndarray, log_std: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """`gaussian_log_prob` of the (B, d) rows diff = action - mean, given
+    std = exp(log_std)."""
+    y = diff / std
+    return -0.5 * (y * y).sum(axis=1) - log_std.sum() - 0.5 * diff.shape[1] * LOG_2PI
 
 
 def entropy(params: PolicyParams) -> float:
@@ -228,39 +233,44 @@ class PpoConfig:
             raise ValueError("clip_ratio must be positive")
 
 
-def ppo_loss_and_grad(policy: PolicyParams, batch: dict, cfg: PpoConfig):
+def ppo_loss_and_grad(
+    policy: PolicyParams, batch: dict, cfg: PpoConfig, grad: PolicyParams | None = None
+):
     """Clipped surrogate plus value regression minus the entropy bonus, with its gradient.
 
     Returns (loss, gradient, surrogate, value term); the gradient is a vector
-    laid out like policy.flat.
+    laid out like policy.flat. It is grad.flat when a grad of policy's shape
+    is given, with every entry overwritten, and a new vector otherwise.
     """
     obs = batch["obs"]
     B = obs.shape[0]
     mean, acts_p = mlp_forward(policy.net, obs)
-    var = np.exp(policy.log_std) ** 2
+    std = np.exp(policy.log_std)
+    var = std**2
     diff = batch["actions"] - mean
-    lp = gaussian_log_prob(batch["actions"], mean, policy.log_std)
+    lp = _log_density(diff, policy.log_std, std)
     ratio = np.exp(lp - batch["old_log_probs"])
     adv = batch["advantages"]
     clipped = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
     s1 = ratio * adv
     s2 = clipped * adv
-    policy_loss = -float(np.minimum(s1, s2).mean())
+    policy_loss = -float(np.minimum(s1, s2).sum() / B)  # the mean, bit for bit
 
     # d policy_loss / d ratio: the active min branch; a clipped branch is flat.
     use_first = s1 <= s2
     inside = (ratio > 1.0 - cfg.clip_ratio) & (ratio < 1.0 + cfg.clip_ratio)
-    d_ratio = np.where(use_first, adv, np.where(inside, adv, 0.0)) * (-1.0 / B)
+    d_ratio = np.where(use_first | inside, adv, 0.0) * (-1.0 / B)
     d_lp = d_ratio * ratio
     d_mean = d_lp[:, None] * diff / var
-    grad = PolicyParams(np.empty_like(policy.flat), policy.dims, policy.value_dims)
-    grad.log_std[:] = (d_lp[:, None] * ((diff * diff) / var - 1.0)).sum(axis=0)
+    if grad is None:
+        grad = PolicyParams(np.empty_like(policy.flat), policy.dims, policy.value_dims)
+    (d_lp[:, None] * ((diff * diff) / var - 1.0)).sum(axis=0, out=grad.log_std)
     grad.log_std -= cfg.entropy_coef  # entropy bonus: dH/dlog_std = 1 per dim
     mlp_backward(policy.net, acts_p, d_mean, grad.net)
 
     v, acts_v = mlp_forward(policy.value, obs)
     err = v[:, 0] - batch["returns"]
-    value_loss = float((err * err).mean())
+    value_loss = float((err * err).sum() / B)
     d_v = (2.0 * cfg.value_coef / B) * err[:, None]
     mlp_backward(policy.value, acts_v, d_v, grad.value)
 
@@ -316,6 +326,8 @@ def ppo_update(
 
     n = obs.shape[0]
     cur = PolicyParams(policy.flat.copy(), policy.dims, policy.value_dims)
+    # Every minibatch's gradient overwrites this one buffer.
+    grad_buffer = PolicyParams(np.empty_like(policy.flat), policy.dims, policy.value_dims)
     cur_opt = opt
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -329,7 +341,7 @@ def ppo_update(
                 "advantages": adv[chunk],
                 "returns": returns[chunk],
             }
-            loss, grad, policy_loss, value_loss = ppo_loss_and_grad(cur, batch, cfg)
+            loss, grad, policy_loss, value_loss = ppo_loss_and_grad(cur, batch, cfg, grad_buffer)
             if not (math.isfinite(loss) and np.isfinite(grad).all()):
                 stats.policy_loss = stats.value_loss = 0.0
                 stats.rejected = True

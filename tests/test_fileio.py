@@ -53,6 +53,32 @@ def test_writer_text_equals_indented_json_on_random_documents(monkeypatch):
         _check_random_documents()
 
 
+def test_float_arrays_are_written_as_their_lists(tmp_path, monkeypatch):
+    arrays = [
+        np.random.default_rng(2).normal(size=500) * 10.0 ** np.arange(-250, 250),
+        np.array([]),
+        np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, 0.1]),
+        np.array([0.5, float("nan"), 1.5]),
+        np.array([float("inf"), -1.0, -float("inf")]),
+        np.array([[1.5, -0.0], [float("nan"), 1e16]]),
+    ]
+    for _ in _both_float_writers(monkeypatch):
+        for a in arrays:
+            payload = fileio.array_to_payload(a)
+            doc = {"payload": {"x": payload, "xs": [payload, a.ravel()]}, "data": a}
+            as_lists = {"payload": {"x": {"data": a.ravel().tolist(), "shape": list(a.shape)},
+                                    "xs": [{"data": a.ravel().tolist(), "shape": list(a.shape)},
+                                           a.ravel().tolist()]},
+                        "data": a.tolist()}
+            assert fileio.dumps_artifact(doc) == _indented(as_lists)
+
+            back = fileio.array_from_payload(payload)
+            assert back.shape == a.shape and back.tobytes() == a.tobytes()
+            fileio.write_artifact(tmp_path / "a.json", "thing", payload)
+            back = fileio.array_from_payload(fileio.read_artifact(tmp_path / "a.json", "thing"))
+            assert back.shape == a.shape and back.tobytes() == a.tobytes()
+
+
 def _check_random_documents():
     rng = np.random.default_rng(0)
 
@@ -123,6 +149,7 @@ def test_a_kernel_built_without_int128_writes_floats_with_json(tmp_path, monkeyp
     assert fileio.repr_join(doc["data"], ",") == "0.1,1e-05,-0.0,1e+16"
     assert fileio.repr_join([0.5, float("nan")], ",") is None
     assert fileio.dumps_artifact(doc) == _indented(doc)
+    assert fileio.dumps_artifact({"data": np.array(doc["data"])}) == _indented(doc)
 
 
 def test_write_artifact_writes_the_documented_bytes(tmp_path):

@@ -180,6 +180,32 @@ def test_surrogate_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
+def test_a_gradient_buffer_is_overwritten_in_full():
+    # A buffer of NaN, then one holding the previous minibatch's gradient:
+    # an entry left unwritten would show in the bytes.
+    rng = np.random.default_rng(24)
+    policy = pol.init_policy(rng, OBS_DIM)
+    cfg = pol.PpoConfig(entropy_coef=0.01)
+    buffer = pol.PolicyParams(np.full_like(policy.flat, np.nan), policy.dims, policy.value_dims)
+    for B in (16, 9):
+        mean, _ = pol.mlp_forward(policy.net, obs := rng.normal(size=(B, OBS_DIM)))
+        actions = mean + rng.normal(scale=0.5, size=mean.shape)
+        lp = pol.gaussian_log_prob(actions, mean, policy.log_std)
+        batch = {
+            "obs": obs,
+            "actions": actions,
+            # Ratios inside and outside the clip range.
+            "old_log_probs": lp - np.log(rng.uniform(0.5, 1.5, size=B)),
+            "advantages": rng.normal(size=B),
+            "returns": rng.normal(size=B),
+        }
+        fresh = pol.ppo_loss_and_grad(policy, batch, cfg)
+        buffered = pol.ppo_loss_and_grad(policy, batch, cfg, buffer)
+        assert buffered[1] is buffer.flat
+        assert buffered[1].tobytes() == fresh[1].tobytes()
+        assert [buffered[k] for k in (0, 2, 3)] == [fresh[k] for k in (0, 2, 3)]
+
+
 def _single_step_traj(obs, action, rew, lp, value_hat):
     return pol.Trajectory(
         obs=np.vstack([obs, obs]),
