@@ -4,8 +4,8 @@ Every command is deterministic given its configuration and seed, writes
 artifacts with a config-hash header, and exits 0 on success, 1 on input
 validation problems (usage errors included), and 2 on runtime failures. The
 output directory defaults to the MODELOCO_OUT environment variable, then the
-current directory; a command whose output directory is missing exits 1
-before it does any work.
+current directory; a command whose output directory is missing, or whose
+output path is a directory, exits 1 before it does any work.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import json
 import os
 import sys
 import time
@@ -25,7 +24,9 @@ from . import encoder as enc_mod
 from . import planner as plan_mod
 from . import policy as pol_mod
 from . import training as train_mod
-from .fileio import ArtifactError, config_hash, read_artifact, write_artifact, write_table
+from .fileio import (
+    ArtifactError, config_hash, read_artifact, read_json, write_artifact, write_table
+)
 from .refmotion import (
     InvalidInputError,
     MODESET_NAMES,
@@ -64,13 +65,14 @@ def _out_path(arg: str | None, default_name: str) -> Path:
     return Path(root) / default_name
 
 
-def _check_out_dirs(*paths) -> None:
-    """InvalidInputError naming the first missing directory that one of the
-    output paths lies in; commands call it before any work."""
-    for path in paths:
-        directory = Path(path).parent
-        if not directory.is_dir():
-            raise InvalidInputError(f"output directory {directory} of {path} does not exist")
+def _check_out_paths(*paths) -> None:
+    """InvalidInputError naming the first output path that lies in a missing
+    directory or is itself a directory; commands call it before any work."""
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            raise InvalidInputError(f"output directory {path.parent} of {path} does not exist")
+        if path.is_dir():
+            raise InvalidInputError(f"output path {path} is a directory")
 
 
 def _load_terrain(spec: str) -> Terrain:
@@ -116,9 +118,9 @@ def _reward_config(args) -> RewardConfig:
 
 def cmd_gen_refs(args) -> int:
     out = _out_path(args.out, "library.json")
-    _check_out_dirs(out)
+    _check_out_paths(out)
     if Path(args.modeset).is_file():
-        spec = json.loads(Path(args.modeset).read_text())
+        spec = read_json(args.modeset)
         library = modeset_from_spec(spec)
         cfg = {"modeset_file": spec}
     else:
@@ -132,7 +134,7 @@ def cmd_gen_refs(args) -> int:
 def cmd_train_encoder(args) -> int:
     out = _out_path(args.out, "encoder.json")
     log_path = Path(str(out) + ".loss.csv")
-    _check_out_dirs(out, log_path)
+    _check_out_paths(out, log_path)
     library = library_from_payload(read_artifact(args.library, "library"))
     cfg = _config(enc_mod.EncoderTrainConfig, args)
     result = enc_mod.train_autoencoder(library, cfg)
@@ -141,9 +143,7 @@ def cmd_train_encoder(args) -> int:
     write_artifact(
         args.library, "library", library_to_payload(result.library), cfg_hash
     )
-    write_table(
-        log_path, ["epoch", "loss"], ([i, repr(loss)] for i, loss in enumerate(result.losses))
-    )
+    write_table(log_path, ["epoch", "loss"], enumerate(result.losses))
     print(
         f"trained encoder on {library.n} modes: final loss {result.final_loss:.6e}; "
         f"wrote {out}, updated latents in {args.library}, loss log {log_path}"
@@ -159,10 +159,10 @@ def _write_training_log(path: Path, rows, n: int) -> None:
     header += [f"transition_return_{i}_{j}" for i in range(n) for j in range(n)]
     write_table(path, header, (
         [r.update, r.episode, r.mode_from, r.mode_to, r.switch_step,
-         repr(r.episode_return), repr(r.normalized_return), int(r.fell),
-         repr(r.policy_loss), repr(r.value_loss), repr(r.entropy)]
-        + [repr(v) for v in r.mode_returns]
-        + [repr(v) for v in r.transition_returns.ravel()]
+         r.episode_return, r.normalized_return, int(r.fell),
+         r.policy_loss, r.value_loss, r.entropy]
+        + r.mode_returns.tolist()
+        + r.transition_returns.ravel().tolist()
         for r in rows
     ))
 
@@ -171,7 +171,7 @@ def cmd_train_policy(args) -> int:
     out = _out_path(args.out, "policy.json")
     checkpoint_path = args.checkpoint or str(out) + ".checkpoint.json"
     log_path = Path(args.log or str(out) + ".train.csv")
-    _check_out_dirs(out, checkpoint_path, log_path)
+    _check_out_paths(out, checkpoint_path, log_path)
     library = _load_encoded_library(args.library)
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
@@ -217,8 +217,9 @@ def cmd_train_policy(args) -> int:
 
 def cmd_eval(args) -> int:
     out = _out_path(args.out, "eval.json")
-    _check_out_dirs(out)  # the trace CSVs go beside it
     library = _load_encoded_library(args.library)
+    trace_paths = [Path(str(out) + f".{name}.csv") for name in library.names]  # beside the report
+    _check_out_paths(out, *trace_paths)
     policy = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
     _check_policy_fits(policy, library, args.policy, args.library)
     terrain = _load_terrain(args.terrain)
@@ -239,31 +240,27 @@ def cmd_eval(args) -> int:
     report = {
         "mode_names": list(library.names),
         "clock_rate": args.clock_rate,
-        "mode_mra": mode_scores.tolist(),
-        "transition_mra": transition_scores.tolist(),
+        "mode_mra": mode_scores,
+        "transition_mra": transition_scores,
         "mean_mode_mra": float(mode_scores.mean()),
         "mean_transition_mra": float(transition_scores.mean()),
         "traces": {},
     }
     # Per-mode traces: base height and heading velocity profiles.
-    # The q and qdot columns keep the numpy scalar repr they have always been
-    # written with.
-    for i, name in enumerate(library.names):
+    for i, (name, trace_path) in enumerate(zip(library.names, trace_paths)):
         rows, rewards = traces[i]
-        trace_path = Path(str(out) + f".{name}.csv")
         write_table(
             trace_path,
             ["t", "x", "z", "pitch", "hip_l", "knee_l", "hip_r", "knee_r",
              "vx", "vz", "pitch_rate", "dhip_l", "dknee_l", "dhip_r",
              "dknee_r", "contact_l", "contact_r", "reward", "mode_index"],
-            ([repr(float(row[TIME]))] + [repr(v) for v in row[Q:TIME]]
-             + [int(row[CONTACT_LEFT]), int(row[CONTACT_RIGHT]), repr(r), i]
-             for row, r in zip(rows, rewards)),
+            ([row[TIME], *row[Q:TIME], int(row[CONTACT_LEFT]), int(row[CONTACT_RIGHT]), r, i]
+             for row, r in zip(rows.tolist(), rewards)),
         )
         heading = [float(np.cos(row[PITCH]) * row[QDOT] + np.sin(row[PITCH]) * row[QDOT + 1])
                    for row in rows]
         report["traces"][name] = {
-            "file": trace_path.name,  # beside the report
+            "file": trace_path.name,
             "mean_heading_velocity": float(np.mean(heading)) if heading else 0.0,
         }
     write_artifact(out, "eval", report, config_hash({"clock_rate": args.clock_rate}))
@@ -275,7 +272,7 @@ def cmd_eval(args) -> int:
 def cmd_plan(args) -> int:
     out = _out_path(args.out, "plan.json")
     trace_path = Path(str(out) + ".trace.csv")
-    _check_out_dirs(out, trace_path)
+    _check_out_paths(out, trace_path)
     library = _load_encoded_library(args.library)
     policy = pol_mod.policy_from_payload(read_artifact(args.policy, "policy"))
     _check_policy_fits(policy, library, args.policy, args.library)
@@ -293,14 +290,12 @@ def cmd_plan(args) -> int:
     payload = plan_mod.plan_to_payload(result.plan, library, cfg, cfg_hash)
     payload["best_return"] = result.best_return
     payload["solve_seconds"] = solve_seconds
-    payload["q_table"] = result.q_table.tolist()
+    payload["q_table"] = result.q_table
     write_artifact(out, "plan", payload, cfg_hash)
-    # The reward column keeps the numpy scalar repr it has always been written with.
     write_table(
         trace_path,
         ["t", "x", "z", "pitch", "reward", "mode_index"],
-        ([repr(t), repr(x), repr(z), repr(pitch), repr(np.float64(r)), mode_idx]
-         for mode_idx, knot in result.trace for t, x, z, pitch, r in knot.tolist()),
+        ([*point, mode_idx] for mode_idx, knot in result.trace for point in knot.tolist()),
     )
     names = " ".join(library.names[i] for i in result.plan.mode_indices)
     print(f"best plan (return {result.best_return:.2f}): {names}")

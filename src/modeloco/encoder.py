@@ -351,8 +351,8 @@ def params_to_payload(params: AutoencoderParams) -> dict:
         "hidden": params.hidden,
         "latent_dim": params.latent_dim,
         "input_dim": params.input_dim,
-        "norm_mean": params.norm_mean.tolist(),
-        "norm_scale": params.norm_scale.tolist(),
+        "norm_mean": params.norm_mean,
+        "norm_scale": params.norm_scale,
         "encoder": {f: array_to_payload(getattr(params, "enc_" + f)) for f in _ENC_FIELDS},
         "decoder": {f: array_to_payload(getattr(params, "dec_" + f)) for f in _DEC_FIELDS},
     }

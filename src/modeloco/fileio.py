@@ -7,21 +7,20 @@ Byte format: an artifact's text is exactly
 ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``. Keys are sorted, which
 makes reruns byte-identical, and floats keep the shortest-repr encoding of
 the json module, so they round-trip exactly. `write_artifact` produces that
-text without the pure-Python indenting encoder: it walks the dicts and lists
-itself, and writes each list as its items' texts joined by a comma and the
-indent. The text of a list whose items are all finite and exactly of type
-float comes from `repr_join` in one call: the compiled physics kernel
-(`_physics.c`) writes it once a command has loaded the kernel to step
-physics, and `float.__repr__` writes it before that, so that a command which
-steps none pays no load or build to write. Either way it is CPython's float
-repr, the text json writes.
+text without the pure-Python indenting encoder: it walks the dicts, lists
+and arrays itself, and writes each as its items' texts joined by a comma
+and the indent.
 
-A payload value may also be a float64 numpy array, as the "data" of an
-`array_to_payload` dict is. It is written as the JSON list of its values,
-the text json writes for its `tolist()`: `repr_join` formats a finite 1-D
-array straight from its buffer, with no list of Python floats in between,
-and an array holding a NaN or an infinity is written item by item, in
-json's text.
+One rule writes numbers. Float data in a payload is a float64 numpy array
+(the "data" of an `array_to_payload` dict, a library's samples), never a
+list of Python floats. A 1-D one is written, as the JSON list json writes
+for its `tolist()`, by `repr_join` straight from its buffer: the compiled
+physics kernel (`_physics.c`) formats it once a command has loaded the
+kernel to step physics, and `float.__repr__` before that, so that a command
+which steps none pays no load or build to write. Every other value is
+written item by item: a 2-D array row by row, and an array holding a NaN or
+an infinity in json's text. Tables follow the same rule: `write_table` takes
+Python numbers, so no cell holds a numpy scalar's repr.
 
 Writes are atomic: the text goes to a temporary file in the target's
 directory, which then replaces the target, so a reader sees the old artifact
@@ -73,22 +72,20 @@ def _pow5_tables() -> tuple[ctypes.Array, ctypes.Array]:
     )
 
 
-def repr_join(values, sep: str) -> str | None:
-    """`sep.join(map(repr, values))` for floats, given as a list or a 1-D
-    float64 array; None if a value is not finite. Once this process has
-    loaded the kernel, the kernel writes it, without CPython's bignum dtoa;
-    until then, or if the kernel was built without a formatter,
-    `float.__repr__` does. It never loads the kernel, so a command that
-    steps no physics pays nothing to write."""
+def repr_join(values: np.ndarray, sep: str) -> str | None:
+    """`sep.join(map(repr, values.tolist()))` for a 1-D float64 array; None if
+    a value is not finite. Once this process has loaded the kernel, the
+    kernel writes it, without CPython's bignum dtoa; until then, or if the
+    kernel was built without a formatter, `float.__repr__` does. It never
+    loads the kernel, so a command that steps no physics pays nothing to
+    write."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1):
+        raise TypeError("repr_join takes a 1-D float64 array")
     join = getattr(sim.loaded_kernel(), "repr_join", None)
     if join is None:
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
+        values = values.tolist()
         return sep.join(map(float.__repr__, values)) if all(map(math.isfinite, values)) else None
-    if isinstance(values, np.ndarray):
-        data = np.ascontiguousarray(values, dtype=np.float64)
-    else:
-        data = np.fromiter(values, dtype=np.float64, count=len(values))
+    data = np.ascontiguousarray(values)
     sep_bytes = sep.encode()
     out = ctypes.create_string_buffer(len(data) * (24 + len(sep_bytes)))
     length = join(len(data), data.ctypes.data, sep_bytes, len(sep_bytes), *_pow5_tables(), out)
@@ -115,10 +112,7 @@ def _encode(obj, level: int, parts: list[str]) -> None:
             parts.append("[]")
             return
         pad = "\n" + _INDENT * (level + 1)
-        if isinstance(obj, np.ndarray):
-            floats = obj.dtype == np.float64 and obj.ndim == 1
-        else:
-            floats = all(type(v) is float for v in obj)
+        floats = isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1
         text = repr_join(obj, "," + pad) if floats else None
         if text is not None:
             parts.append("[" + pad + text)
@@ -151,7 +145,9 @@ def write_artifact(path: str | Path, kind: str, payload: dict, cfg_hash: str = "
 
 
 def write_table(path: str | Path, header: list[str], rows) -> None:
-    """A CSV file of the header row, then one line per row, each ended by CRLF."""
+    """A CSV file of the header row, then one line per row, each ended by CRLF.
+    Cells are Python ints, floats and strings; csv writes a float as its
+    repr, so a caller passes an array's values through `tolist()`."""
     buf = io.StringIO()
     csv.writer(buf).writerows([header, *rows])
     _write_text(path, buf.getvalue())
@@ -170,20 +166,27 @@ def _write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def read_artifact(path: str | Path, kind: str) -> dict:
+def read_json(path: str | Path):
+    """The JSON value of a file; ArtifactError, naming the file, unless it is
+    a regular file of UTF-8 JSON text that nests no deeper than the parser
+    can follow."""
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"no such file: {path}")
     if not path.is_file():
         raise ArtifactError(f"{path} is not a regular file")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ArtifactError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ArtifactError(f"{path} nests its JSON too deeply to read") from exc
+
+
+def read_artifact(path: str | Path, kind: str) -> dict:
+    doc = read_json(path)
     expected = f"modeloco/{kind}"
     found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
     if found != expected:

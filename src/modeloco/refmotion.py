@@ -480,8 +480,8 @@ def library_to_payload(library: ModeLibrary) -> dict:
                 "name": m.name,
                 "kind": m.kind,
                 "dt": m.dt,
-                "samples": m.samples.tolist(),
-                "latent": None if library.latents is None else library.latents[i].tolist(),
+                "samples": m.samples,
+                "latent": None if library.latents is None else library.latents[i],
             }
             for i, m in enumerate(library.motions)
         ],

@@ -160,10 +160,7 @@ def update_records(
 
 
 def sampler_to_payload(state: SamplerState) -> dict:
-    return {
-        "mode_returns": state.mode_returns.tolist(),
-        "transition_returns": state.transition_returns.tolist(),
-    }
+    return {"mode_returns": state.mode_returns, "transition_returns": state.transition_returns}
 
 
 def sampler_from_payload(payload: dict) -> SamplerState:

@@ -87,6 +87,21 @@ def test_gen_refs_spec_without_modes_is_validation_error(workdir, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, problem",
+    [(b"[" * 100_000, "nests its JSON too deeply to read"),
+     (b'{"name": "caf\xe9"}', "is not UTF-8 text"),
+     (b'{"modes": [', "is not valid JSON")],
+    ids=["deeply-nested", "not-utf8", "not-json"],
+)
+def test_gen_refs_spec_file_must_be_utf8_json(workdir, capsys, text, problem):
+    spec_path = workdir / "bad.modes.json"
+    spec_path.write_bytes(text)
+    assert run("gen-refs", "--modeset", str(spec_path)) == cli.EXIT_VALIDATION
+    assert f"error: {spec_path} {problem}" in capsys.readouterr().err
+    assert not (workdir / "library.json").exists()
+
+
+@pytest.mark.parametrize(
     "field, where", [("time", "a keyframe of mode 1"), ("z", "a keyframe of mode 1"),
                      ("dt", "the modeset")],
 )
@@ -817,40 +832,78 @@ def test_pipeline_rerun_writes_the_same_bytes(tmp_path):
     assert content(first / "plan.json") != (first / "plan.json").read_bytes()
 
 
+def test_every_table_cell_is_a_plain_number(tmp_path):
+    """Each CSV the five stages write holds, below its header, cells that
+    parse as an int or a float: no numpy scalar repr such as `np.float64(0.5)`."""
+    _run_pipeline(tmp_path / "out")
+    tables = sorted((tmp_path / "out").glob("*.csv"))
+    assert len(tables) == 7
+    for path in tables:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert rows, path.name
+        for row in rows:
+            for cell in row:
+                assert "np." not in cell and "(" not in cell, (path.name, cell)
+                try:
+                    int(cell)
+                except ValueError:
+                    float(cell)
+
+
 @pytest.mark.parametrize(
-    "command, flags",
+    "command, flags, taken",
     [
-        ("gen-refs", ["--modeset", "pi2", "--out", "{missing}/library.json"]),
-        ("train-encoder", ["--library", "{library}", "--out", "{missing}/encoder.json"]),
-        ("train-policy", ["--library", "{library}", "--out", "{missing}/policy.json"]),
-        ("train-policy", ["--library", "{library}", "--log", "{missing}/train.csv"]),
-        ("train-policy", ["--library", "{library}", "--checkpoint", "{missing}/ck.json"]),
+        ("gen-refs", ["--modeset", "pi2", "--out", "{missing}/library.json"], None),
+        ("train-encoder", ["--library", "{library}", "--out", "{missing}/encoder.json"], None),
+        ("train-policy", ["--library", "{library}", "--out", "{missing}/policy.json"], None),
+        ("train-policy", ["--library", "{library}", "--log", "{missing}/train.csv"], None),
+        ("train-policy", ["--library", "{library}", "--checkpoint", "{missing}/ck.json"], None),
         ("eval", ["--library", "{library}", "--policy", "{policy}",
-                  "--out", "{missing}/eval.json"]),
+                  "--out", "{missing}/eval.json"], None),
         ("plan", ["--library", "{library}", "--policy", "{policy}",
-                  "--out", "{missing}/plan.json"]),
-        ("plan", ["--library", "{library}", "--policy", "{policy}"]),  # MODELOCO_OUT
+                  "--out", "{missing}/plan.json"], None),
+        ("plan", ["--library", "{library}", "--policy", "{policy}"], None),  # MODELOCO_OUT
+        # An output path that is an existing directory, `taken`.
+        ("gen-refs", ["--modeset", "pi2", "--out", "{taken}"], "out"),
+        ("train-encoder", ["--library", "{library}", "--out", "{taken}"], "out"),
+        ("train-encoder", ["--library", "{library}", "--out", "{workdir}/enc.json"],
+         "enc.json.loss.csv"),
+        ("train-policy", ["--library", "{library}", "--out", "{taken}"], "out"),
+        ("train-policy", ["--library", "{library}", "--log", "{taken}"], "log"),
+        ("train-policy", ["--library", "{library}", "--checkpoint", "{taken}"], "ck"),
+        ("eval", ["--library", "{library}", "--policy", "{policy}", "--out", "{taken}"], "out"),
+        ("eval", ["--library", "{library}", "--policy", "{policy}",
+                  "--out", "{workdir}/ev.json"], "ev.json.walk_f.csv"),
+        ("plan", ["--library", "{library}", "--policy", "{policy}", "--out", "{taken}"], "out"),
+        ("plan", ["--library", "{library}", "--policy", "{policy}"], "plan.json.trace.csv"),
     ],
     ids=["gen-refs", "train-encoder", "train-policy-out", "train-policy-log",
-         "train-policy-checkpoint", "eval", "plan-out", "plan-modeloco-out"],
+         "train-policy-checkpoint", "eval", "plan-out", "plan-modeloco-out",
+         "gen-refs-dir", "train-encoder-dir", "train-encoder-loss-log-dir",
+         "train-policy-out-dir", "train-policy-log-dir", "train-policy-checkpoint-dir",
+         "eval-dir", "eval-trace-dir", "plan-out-dir", "plan-modeloco-out-trace-dir"],
 )
 def test_a_missing_output_directory_stops_the_command_before_any_work(
-    workdir, capsys, monkeypatch, command, flags
+    workdir, capsys, monkeypatch, command, flags, taken
 ):
+    """So does an output path that is a directory."""
     library = _library_with_latents(workdir, [[0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 0.0]])
     policy = workdir / "policy.json"
     assert run("train-policy", "--library", str(library), "--out", str(policy),
                "--updates", "0") == 0
+    missing = workdir / "no" / "such"
+    if taken:
+        (workdir / taken).mkdir()
+    elif "--out" not in flags:
+        monkeypatch.setenv("MODELOCO_OUT", str(missing))
     before = sorted(p.name for p in workdir.iterdir())
     capsys.readouterr()
-    missing = workdir / "no" / "such"
-    if "--out" not in flags:
-        monkeypatch.setenv("MODELOCO_OUT", str(missing))
 
     def refused(fn):
         @functools.wraps(fn)  # the parser reads the defaults of the signature
         def no_work(*args, **kwargs):
-            raise AssertionError("the command ran before checking its output directory")
+            raise AssertionError("the command ran before checking its output paths")
 
         return no_work
 
@@ -858,8 +911,12 @@ def test_a_missing_output_directory_stops_the_command_before_any_work(
                          (cli.train_mod, "run_training"), (cli.pol_mod, "evaluate_modes"),
                          (cli.plan_mod, "parallel_trials")):
         monkeypatch.setattr(module, name, refused(getattr(module, name)))
-    argv = [f.format(missing=missing, library=library, policy=policy) for f in flags]
+    argv = [f.format(missing=missing, library=library, policy=policy, workdir=workdir,
+                     taken=workdir / str(taken)) for f in flags]
     assert run(command, *argv) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert f"output directory {missing} of " in err and "does not exist" in err
+    if taken:
+        assert f"error: output path {workdir / taken} is a directory" in err
+    else:
+        assert f"output directory {missing} of " in err and "does not exist" in err
     assert sorted(p.name for p in workdir.iterdir()) == before

@@ -28,10 +28,42 @@ def test_outputs_match_byte_for_byte_apart_from_the_plan_wall_time(tmp_path):
     (ref / "old.csv").write_text("x")
     (new / "new.csv").write_text("x")
     assert compare_parent.compare_outputs(ref, new) == [
-        ("eval.json", "bytes differ"),
+        ("eval.json", 'bytes differ from line 1, column 18\n'
+                      '  REF:       "solve_seconds": 1\n'
+                      '  this tree: "solve_seconds": 2'),
         ("new.csv", "only in this tree"),
         ("old.csv", "only in REF"),
     ]
+
+
+def test_a_difference_names_its_first_line_and_column(tmp_path):
+    ref, new = tmp_path / "ref", tmp_path / "new"
+    ref.mkdir()
+    new.mkdir()
+    # Lines after plan.json's ignored wall-time line keep their numbers.
+    plan = '{\n "solve_seconds": %s,\n "best_return": %s\n}\n'
+    (ref / "plan.json").write_text(plan % ("0.25", "1.5"))
+    (new / "plan.json").write_text(plan % ("0.5", "1.25"))
+    # A long line is cut to SHOWN characters from a little before the column.
+    row = "0.02," * 100
+    (ref / "a.csv").write_bytes(b"t,x\r\n" + (row + "np.float64(0.5)," + row + "\r\n").encode())
+    (new / "a.csv").write_bytes(b"t,x\r\n" + (row + "0.5," + row + "\r\n").encode())
+    # One output is the other with a line more.
+    (ref / "b.csv").write_text("t\n1\n")
+    (new / "b.csv").write_text("t\n1\n2\n")
+    shown = compare_parent.SHOWN
+    start = 500 - shown // 4
+    assert dict(compare_parent.compare_outputs(ref, new)) == {
+        "a.csv": "bytes differ from line 2, column 501\n"
+                 f"  REF:       ...{(row + 'np.float64(0.5),' + row)[start:start + shown]}...\n"
+                 f"  this tree: ...{(row + '0.5,' + row)[start:start + shown]}...",
+        "b.csv": "bytes differ from line 3, column 1\n"
+                 "  REF:       (no such line)\n"
+                 "  this tree: 2",
+        "plan.json": "bytes differ from line 3, column 19\n"
+                     '  REF:        "best_return": 1.5\n'
+                     '  this tree:  "best_return": 1.25',
+    }
 
 
 def test_a_deliberately_changed_output_is_reported(tmp_path):
@@ -54,4 +86,4 @@ def test_a_deliberately_changed_output_is_reported(tmp_path):
     assert {"library.json", "encoder.json", "encoder.json.loss.csv"}.isdisjoint(differing)
     assert {"policy.json", "resumed.json.checkpoint.json", "eval.json.walk_f.csv",
             "plan.json.trace.csv"} <= differing
-    assert all(how == "bytes differ" for _, how in differences)
+    assert all(how.startswith("bytes differ from line ") for _, how in differences)

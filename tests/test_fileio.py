@@ -14,7 +14,7 @@ def _indented(doc) -> str:
 
 def _both_float_writers(monkeypatch):
     """Yields once with the kernel loaded, so `fileio.repr_join` has the kernel
-    write flat float lists, then once with `sim._kernel` None, so it has
+    write 1-D float64 arrays, then once with `sim._kernel` None, so it has
     `float.__repr__` write them; whichever tests ran before, a check in the
     loop covers both."""
     kernel = sim._library()
@@ -119,24 +119,35 @@ def test_kernel_float_text_is_repr():
     values = [v for v in bits.tolist() if math.isfinite(v)] + _edge_floats()
     values += np.round(rng.normal(size=20_000) * 1e4, 3).tolist()
     values += rng.integers(-(2**60), 2**60, size=20_000).astype(float).tolist()
-    assert fileio.repr_join(values, " ").split(" ") == [repr(v) for v in values]
-    assert fileio.repr_join(values[:3], ",\n  ") == ",\n  ".join(map(repr, values[:3]))
-    assert fileio.repr_join([], ",") == ""
+    array = np.array(values)
+    assert fileio.repr_join(array, " ").split(" ") == [repr(v) for v in values]
+    assert fileio.repr_join(array[:3], ",\n  ") == ",\n  ".join(map(repr, values[:3]))
+    assert fileio.repr_join(np.array([]), ",") == ""
 
 
 def test_kernel_float_text_is_none_for_a_non_finite_value():
     sim._library()
     for bad in (float("nan"), float("inf"), -float("inf")):
-        assert fileio.repr_join([0.5, bad, 1.5], ",") is None
-        assert fileio.repr_join([bad], ",") is None
+        assert fileio.repr_join(np.array([0.5, bad, 1.5]), ",") is None
+        assert fileio.repr_join(np.array([bad]), ",") is None
+
+
+@pytest.mark.parametrize(
+    "values", [[0.5, 1.5], (0.5,), np.array([1, 2]), np.array([0.5], dtype=np.float32),
+               np.zeros((2, 2)), np.float64(0.5)],
+)
+def test_repr_join_takes_only_a_1d_float64_array(values, monkeypatch):
+    for _ in _both_float_writers(monkeypatch):
+        with pytest.raises(TypeError, match="1-D float64 array"):
+            fileio.repr_join(values, ",")
 
 
 def test_writing_floats_with_no_kernel_loaded_builds_none(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "_kernel", None)
-    payload = {"data": np.random.default_rng(0).normal(size=50_000).tolist()}
-    fileio.write_artifact(tmp_path / "a.json", "thing", payload)
+    data = np.random.default_rng(0).normal(size=50_000)
+    fileio.write_artifact(tmp_path / "a.json", "thing", {"data": data})
     assert sim._kernel is None
-    assert fileio.read_artifact(tmp_path / "a.json", "thing") == payload
+    assert fileio.read_artifact(tmp_path / "a.json", "thing") == {"data": data.tolist()}
 
 
 def test_a_kernel_built_without_int128_writes_floats_with_json(tmp_path, monkeypatch):
@@ -146,8 +157,8 @@ def test_a_kernel_built_without_int128_writes_floats_with_json(tmp_path, monkeyp
     assert not hasattr(kernel, "repr_join")
     monkeypatch.setattr(sim, "_kernel", kernel)
     doc = {"data": [0.1, 1e-05, -0.0, 1e16]}
-    assert fileio.repr_join(doc["data"], ",") == "0.1,1e-05,-0.0,1e+16"
-    assert fileio.repr_join([0.5, float("nan")], ",") is None
+    assert fileio.repr_join(np.array(doc["data"]), ",") == "0.1,1e-05,-0.0,1e+16"
+    assert fileio.repr_join(np.array([0.5, float("nan")]), ",") is None
     assert fileio.dumps_artifact(doc) == _indented(doc)
     assert fileio.dumps_artifact({"data": np.array(doc["data"])}) == _indented(doc)
 

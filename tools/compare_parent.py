@@ -13,7 +13,9 @@ match byte for byte, except the wall time on `plan.json`'s `solve_seconds`
 line. Digests committed to the repository would not do: they depend on the
 numpy, BLAS and libm build, while two trees on one machine share it.
 
-Prints one line per output that differs or exists in one tree only. Exits 0
+Prints one line per output that differs or exists in one tree only; for one
+that differs, also where its first differing line and column are, and that
+line in both trees, cut to `SHOWN` characters around the column. Exits 0
 when every output matches, 1 when some differ, 2 when a command fails.
 """
 
@@ -44,6 +46,9 @@ PIPELINE = (
 
 # The one output line that may differ: the planner's wall time.
 WALL_TIME_FILE, WALL_TIME_LINE = "plan.json", b'"solve_seconds":'
+
+# The characters shown of each side of a differing line.
+SHOWN = 100
 
 
 class PipelineError(RuntimeError):
@@ -86,13 +91,43 @@ def run_pipeline(tree: Path, out: Path) -> None:
             )
 
 
-def _content(path: Path) -> bytes | None:
+def _lines(path: Path) -> list[bytes] | None:
+    """The lines of an output, ends kept, with the wall-time line blanked so
+    that the lines after it keep their numbers."""
     if not path.exists():
         return None
-    data = path.read_bytes()
+    lines = path.read_bytes().splitlines(keepends=True)
     if path.name != WALL_TIME_FILE:
-        return data
-    return b"".join(line for line in data.splitlines(keepends=True) if WALL_TIME_LINE not in line)
+        return lines
+    return [b"\n" if WALL_TIME_LINE in line else line for line in lines]
+
+
+def _line(lines: list[bytes], n: int) -> str | None:
+    """Line n of lines as text, its end dropped; None past the last line."""
+    return lines[n].decode("utf-8", "replace").rstrip("\r\n") if n < len(lines) else None
+
+
+def _excerpt(text: str | None, start: int) -> str:
+    if text is None:
+        return "(no such line)"
+    cut = text[start:start + SHOWN]
+    return ("..." if start else "") + cut + ("..." if start + SHOWN < len(text) else "")
+
+
+def first_difference(a: list[bytes], b: list[bytes]) -> str:
+    """Where two different line lists first differ: the line and column, from
+    1, and that line of each, REF's first, cut to `SHOWN` characters from a
+    little before the column."""
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    x, y = _line(a, n), _line(b, n)
+    pairs = zip(x or "", y or "")
+    column = next((i for i, (p, q) in enumerate(pairs) if p != q), min(len(x or ""), len(y or "")))
+    start = max(0, column - SHOWN // 4)
+    return (f"bytes differ from line {n + 1}, column {column + 1}\n"
+            f"  REF:       {_excerpt(x, start)}\n"
+            f"  this tree: {_excerpt(y, start)}")
 
 
 def compare_outputs(ref: Path, new: Path) -> list[tuple[str, str]]:
@@ -101,11 +136,11 @@ def compare_outputs(ref: Path, new: Path) -> list[tuple[str, str]]:
     names = sorted({p.name for p in ref.iterdir()} | {p.name for p in new.iterdir()})
     differences = []
     for name in names:
-        a, b = _content(ref / name), _content(new / name)
+        a, b = _lines(ref / name), _lines(new / name)
         if a is None or b is None:
             differences.append((name, "only in " + ("this tree" if a is None else "REF")))
         elif a != b:
-            differences.append((name, "bytes differ"))
+            differences.append((name, first_difference(a, b)))
     return differences
 
 
