@@ -2,8 +2,8 @@
  * lockstep batch that policy._advance runs, of the observations of state
  * rows, and of the tracking and goal rewards that score those rows. Its
  * last section is not physics: repr_join writes arrays of doubles as the
- * text CPython's repr gives, for the artifact writer (fileio.py), where the
- * compiler has unsigned __int128.
+ * text CPython's repr gives, for the artifact and table writers (fileio.py),
+ * where the compiler has unsigned __int128.
  *
  * sim.py compiles this file once per version of it, with the flags in
  * sim._CC_FLAGS, keeping the library in the package's __pycache__ for later
@@ -391,37 +391,72 @@ static void observe_row(const double *s, const double *latent, int64_t latent_di
         at[9 + k] = s[QDOT + 3 + k];
 }
 
-/* One lockstep batch of B rows, as sim.Lockstep lays it out. Row r observes
- * under latents[r] before its switch step and under then[r] from it on
- * (latent_at); a batch without a mode schedule passes its budgets as the
- * switches and its latents as then. */
+/* One lockstep batch of B rows, as sim.Lockstep lays it out. Steps count
+ * from the batch's step 0. A row without a parent starts at step 0 from its
+ * start row, history[0][r]. A row r with parent p starts at step starts[r]
+ * from p's state there, if p is running there (running_at); otherwise it
+ * never runs, and its length stays 0. A parent precedes its rows. */
 struct batch {
     int64_t rows;           /* B */
     int64_t latent_dim;
     int64_t noise_steps;    /* the noise's second dimension */
-    double *history;        /* (T + 1, B, ROW): row b's state after t steps */
-    const double *latents;  /* (B, latent_dim): each row's latent before its switch */
-    const double *noise;    /* (B, noise_steps, NUM_JOINTS), or NULL */
+    double *history;        /* (T + 1, B, ROW): row r's state at step t */
+    const double *latents;  /* (B, latent_dim): the latent each row observes under */
+    const double *noise;    /* (B, noise_steps, NUM_JOINTS), by step, or NULL */
     const int64_t *budgets; /* (B,): the steps each row may take */
-    int64_t *live;          /* the live rows in ascending order */
+    int64_t *live;          /* the live rows */
     const double *means;    /* (B, NUM_JOINTS): the live rows' policy means */
     double *obs;            /* (B, obs_dim): the live rows' observations */
     int64_t *lengths;       /* (B,): the steps each row took */
     int64_t *status;        /* (B,): the status of each row's last state */
     const double *params;
     const double *terrain;
-    const int64_t *switches; /* (B,): the step from which each row observes then */
-    const double *then;     /* (B, latent_dim): each row's latent from its switch */
+    const int64_t *parents; /* (B,): the row each row continues, or -1 */
+    const int64_t *starts;  /* (B,): the step at which each row starts */
 };
 
-/* The latent of row r's observation at step t. */
-static const double *latent_at(const struct batch *b, int64_t r, int64_t t)
+/* Whether row r of batch b has a state at step t, and that state's status
+ * is running: r has reached t, is still running there, and has started, so
+ * its parent, if it has one, was running at its start. */
+static int running_at(const struct batch *b, int64_t r, int64_t t)
 {
-    return (t < b->switches[r] ? b->latents : b->then) + r * b->latent_dim;
+    for (;;) {
+        const int64_t end = b->starts[r] + b->lengths[r];
+        if (t < b->starts[r] || t > end || (t == end && b->status[r] != RUNNING))
+            return 0;
+        if (b->parents[r] < 0)
+            return 1;
+        t = b->starts[r];
+        r = b->parents[r];
+    }
+}
+
+/* Start the rows of batch b that start at step t, in ascending order, after
+ * the first kept live rows, and return the new live count. A row with a
+ * parent that is running at t copies the parent's state at t; a row that
+ * starts with steps left joins the live rows, with its observation at t. */
+static int64_t start_rows(const struct batch *b, int64_t t, int64_t kept)
+{
+    const int64_t obs_dim = CLOCK_DIM + b->latent_dim + PROPRIO_DIM;
+    double *at = b->history + t * b->rows * ROW;
+    for (int64_t r = 0; r < b->rows; r++) {
+        const int64_t p = b->parents[r];
+        if (p < 0 ? t != 0 : b->starts[r] != t || !running_at(b, p, t))
+            continue;
+        if (p >= 0)
+            memcpy(at + r * ROW, at + p * ROW, ROW * sizeof(double));
+        if (b->budgets[r] > 0) {
+            b->live[kept] = r;
+            observe_row(at + r * ROW, b->latents + r * b->latent_dim, b->latent_dim,
+                        b->obs + kept * obs_dim);
+            kept++;
+        }
+    }
+    return kept;
 }
 
 /* Step the first m live rows of batch b from step t to t + 1 and return how
- * many stay live.
+ * many are live at t + 1.
  *
  * Live row k, row r = live[k], acts on means[k], plus noise[r][t] if there is
  * noise. Its state at t + 1 is its state at t after physics(), with the time
@@ -430,8 +465,8 @@ static const double *latent_at(const struct batch *b, int64_t r, int64_t t)
  * physics() (no contact and the old support for a non-finite state), and
  * its status set: a blowup where physics() found a non-finite state, else
  * status_of. The rows that are running with steps left are compacted
- * to the front of live, in order, and their observations at t + 1, each
- * under its latent at t + 1, written to the front of obs. */
+ * to the front of live, in order, and their observations at t + 1 written
+ * to the front of obs; the rows that start at t + 1 follow (start_rows). */
 int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
 {
     const double *params = b->params;
@@ -461,35 +496,28 @@ int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
         dst[CONTACT_LEFT] = contacts >= 0 && (contacts & 1) ? 1.0 : 0.0;
         dst[CONTACT_RIGHT] = contacts >= 0 && (contacts & 2) ? 1.0 : 0.0;
         status = contacts < 0 ? BLOWUP : status_of(dst, params);
-        b->lengths[r] = t + 1;
+        b->lengths[r]++;
         b->status[r] = status;
-        if (status == RUNNING && t + 1 < b->budgets[r]) {
+        if (status == RUNNING && b->lengths[r] < b->budgets[r]) {
             b->live[kept] = r;
-            observe_row(dst, latent_at(b, r, t + 1), b->latent_dim, b->obs + kept * obs_dim);
-            kept++;
-        }
-    }
-    return kept;
-}
-
-/* Start batch b at step 0: every row running, with no steps taken. The rows
- * with a positive budget are live, in order, with their observations at
- * step 0 at the front of obs. Returns how many are live. */
-int64_t sim_start(const struct batch *b)
-{
-    const int64_t obs_dim = CLOCK_DIM + b->latent_dim + PROPRIO_DIM;
-    int64_t kept = 0;
-    for (int64_t r = 0; r < b->rows; r++) {
-        b->lengths[r] = 0;
-        b->status[r] = RUNNING;
-        if (b->budgets[r] > 0) {
-            b->live[kept] = r;
-            observe_row(b->history + r * ROW, latent_at(b, r, 0), b->latent_dim,
+            observe_row(dst, b->latents + r * b->latent_dim, b->latent_dim,
                         b->obs + kept * obs_dim);
             kept++;
         }
     }
-    return kept;
+    return start_rows(b, t + 1, kept);
+}
+
+/* Start batch b at step 0: every row running, with no steps taken, and the
+ * rows that start at step 0 started (start_rows). Returns how many are
+ * live. */
+int64_t sim_start(const struct batch *b)
+{
+    for (int64_t r = 0; r < b->rows; r++) {
+        b->lengths[r] = 0;
+        b->status[r] = RUNNING;
+    }
+    return start_rows(b, 0, 0);
 }
 
 /* The observations of n state rows, row k under latents[k], into obs. */
@@ -822,23 +850,32 @@ static int64_t repr_double(double x, const uint64_t *pow5_inv, const uint64_t *p
     return p - out;
 }
 
-/* sep.join(map(repr, values)) for n doubles, written at out, which holds
- * n * (24 + seplen) bytes. Returns the text's length, or -1 at the first
- * value that is not finite. */
-int64_t repr_join(int64_t n, const double *values, const char *sep, int64_t seplen,
+/* The n doubles as rows of width: each row's values joined by sep and
+ * followed by end, so that one row of all n values with an empty end is
+ * sep.join(map(repr, values)). A value is written as repr(value) writes it,
+ * or, in a column j whose ints[j] is nonzero (ints may be NULL), as
+ * str(int(value)) does, for an integral value below 1e16 in magnitude,
+ * whose repr is its integer digits and ".0". out holds
+ * n * (24 + max(seplen, endlen)) bytes. Returns the text's length, or -1 at
+ * the first value that is not finite. */
+int64_t repr_join(int64_t n, const double *values, int64_t width, const char *ints,
+                  const char *sep, int64_t seplen, const char *end, int64_t endlen,
                   const uint64_t *pow5_inv, const uint64_t *pow5, char *out)
 {
     char *p = out;
     for (int64_t k = 0; k < n; k++) {
-        int64_t length;
-        if (k) {
+        const int64_t j = k % width;
+        const int64_t length = repr_double(values[k], pow5_inv, pow5, p);
+        if (length < 0)
+            return -1;
+        p += ints && ints[j] ? length - 2 : length;
+        if (j + 1 == width) {
+            memcpy(p, end, (size_t)endlen);
+            p += endlen;
+        } else if (k + 1 < n) {
             memcpy(p, sep, (size_t)seplen);
             p += seplen;
         }
-        length = repr_double(values[k], pow5_inv, pow5, p);
-        if (length < 0)
-            return -1;
-        p += length;
     }
     return p - out;
 }

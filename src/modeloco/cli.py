@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import os
 import sys
@@ -143,7 +144,8 @@ def cmd_train_encoder(args) -> int:
     write_artifact(
         args.library, "library", library_to_payload(result.library), cfg_hash
     )
-    write_table(log_path, ["epoch", "loss"], enumerate(result.losses))
+    write_table(log_path, ["epoch", "loss"],
+                [np.arange(len(result.losses)), np.array(result.losses, dtype=np.float64)])
     print(
         f"trained encoder on {library.n} modes: final loss {result.final_loss:.6e}; "
         f"wrote {out}, updated latents in {args.library}, loss log {log_path}"
@@ -157,14 +159,12 @@ def _write_training_log(path: Path, rows, n: int) -> None:
               "policy_loss", "value_loss", "entropy"]
     header += [f"mode_return_{i}" for i in range(n)]
     header += [f"transition_return_{i}_{j}" for i in range(n) for j in range(n)]
-    write_table(path, header, (
-        [r.update, r.episode, r.mode_from, r.mode_to, r.switch_step,
-         r.episode_return, r.normalized_return, int(r.fell),
-         r.policy_loss, r.value_loss, r.entropy]
-        + r.mode_returns.tolist()
-        + r.transition_returns.ravel().tolist()
-        for r in rows
-    ))
+    ints = np.array([[r.update, r.episode, r.mode_from, r.mode_to, r.switch_step, r.fell]
+                     for r in rows], dtype=np.int64).reshape(-1, 6)
+    floats = np.array([[r.episode_return, r.normalized_return, r.policy_loss, r.value_loss,
+                        r.entropy, *r.mode_returns, *r.transition_returns.ravel()]
+                       for r in rows], dtype=np.float64).reshape(-1, 5 + n + n * n)
+    write_table(path, header, [ints[:, :5], floats[:, :2], ints[:, 5], floats[:, 2:]])
 
 
 def cmd_train_policy(args) -> int:
@@ -254,14 +254,14 @@ def cmd_eval(args) -> int:
             ["t", "x", "z", "pitch", "hip_l", "knee_l", "hip_r", "knee_r",
              "vx", "vz", "pitch_rate", "dhip_l", "dknee_l", "dhip_r",
              "dknee_r", "contact_l", "contact_r", "reward", "mode_index"],
-            ([row[TIME], *row[Q:TIME], int(row[CONTACT_LEFT]), int(row[CONTACT_RIGHT]), r, i]
-             for row, r in zip(rows.tolist(), rewards)),
+            [rows[:, TIME], rows[:, Q:TIME], rows[:, [CONTACT_LEFT, CONTACT_RIGHT]].astype(int),
+             np.array(rewards, dtype=np.float64), np.full(len(rows), i)],
         )
-        heading = [float(np.cos(row[PITCH]) * row[QDOT] + np.sin(row[PITCH]) * row[QDOT + 1])
-                   for row in rows]
+        pitch = rows[:, PITCH]
+        heading = np.cos(pitch) * rows[:, QDOT] + np.sin(pitch) * rows[:, QDOT + 1]
         report["traces"][name] = {
             "file": trace_path.name,
-            "mean_heading_velocity": float(np.mean(heading)) if heading else 0.0,
+            "mean_heading_velocity": float(np.mean(heading)) if len(heading) else 0.0,
         }
     write_artifact(out, "eval", report, config_hash({"clock_rate": args.clock_rate}))
     print(f"mode MRA: {np.array2string(mode_scores, precision=3)}")
@@ -292,11 +292,10 @@ def cmd_plan(args) -> int:
     payload["solve_seconds"] = solve_seconds
     payload["q_table"] = result.q_table
     write_artifact(out, "plan", payload, cfg_hash)
-    write_table(
-        trace_path,
-        ["t", "x", "z", "pitch", "reward", "mode_index"],
-        ([*point, mode_idx] for mode_idx, knot in result.trace for point in knot.tolist()),
-    )
+    write_table(trace_path, ["t", "x", "z", "pitch", "reward", "mode_index"], [
+        np.concatenate([knot for _, knot in result.trace]),
+        np.concatenate([np.full(len(knot), mode) for mode, knot in result.trace]),
+    ])
     names = " ".join(library.names[i] for i in result.plan.mode_indices)
     print(f"best plan (return {result.best_return:.2f}): {names}")
     print(f"wrote {out} and {trace_path}")
@@ -393,9 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: each `main` call parses into a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code == 0:  # --help
             raise

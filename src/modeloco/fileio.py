@@ -20,7 +20,8 @@ kernel to step physics, and `float.__repr__` before that, so that a command
 which steps none pays no load or build to write. Every other value is
 written item by item: a 2-D array row by row, and an array holding a NaN or
 an infinity in json's text. Tables follow the same rule: `write_table` takes
-Python numbers, so no cell holds a numpy scalar's repr.
+float64 and integer column arrays, and one `repr_join` call writes a table's
+rows, so no cell holds a numpy scalar's repr.
 
 Writes are atomic: the text goes to a temporary file in the target's
 directory, which then replaces the target, so a reader sees the old artifact
@@ -85,10 +86,20 @@ def repr_join(values: np.ndarray, sep: str) -> str | None:
     if join is None:
         values = values.tolist()
         return sep.join(map(float.__repr__, values)) if all(map(math.isfinite, values)) else None
+    return _kernel_rows(join, values, len(values), None, sep, "")
+
+
+def _kernel_rows(join, values: np.ndarray, width: int, ints: bytes | None, sep: str,
+                 end: str) -> str | None:
+    """The kernel formatter `join`'s text of the float64 values as rows of
+    `width`, each row's values joined by sep and followed by end, the values
+    of each column j with ints[j] set as the integers they hold; None if a
+    value is not finite."""
     data = np.ascontiguousarray(values)
-    sep_bytes = sep.encode()
-    out = ctypes.create_string_buffer(len(data) * (24 + len(sep_bytes)))
-    length = join(len(data), data.ctypes.data, sep_bytes, len(sep_bytes), *_pow5_tables(), out)
+    sep_bytes, end_bytes = sep.encode(), end.encode()
+    out = ctypes.create_string_buffer(len(data) * (24 + max(len(sep_bytes), len(end_bytes))))
+    length = join(len(data), data.ctypes.data, width, ints, sep_bytes, len(sep_bytes),
+                  end_bytes, len(end_bytes), *_pow5_tables(), out)
     return None if length < 0 else ctypes.string_at(out, length).decode()
 
 
@@ -144,12 +155,35 @@ def write_artifact(path: str | Path, kind: str, payload: dict, cfg_hash: str = "
     _write_text(path, dumps_artifact(doc) + "\n")
 
 
-def write_table(path: str | Path, header: list[str], rows) -> None:
-    """A CSV file of the header row, then one line per row, each ended by CRLF.
-    Cells are Python ints, floats and strings; csv writes a float as its
-    repr, so a caller passes an array's values through `tolist()`."""
+def write_table(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """A CSV file of the header row, then one line per table row, each ended
+    by CRLF: the text csv writes for rows of Python numbers.
+
+    `columns` holds the table's columns in header order, as arrays of one
+    length: a 1-D array is one column, a 2-D one a block of columns. Float64
+    columns are written as repr writes their values and integer ones, which
+    must lie within 2 ** 53 of 0, as str does. Once this process has loaded
+    the kernel, one `repr_join` call writes all the rows; until then, or for
+    a table with a value that is not finite, csv does."""
+    blocks = [block[:, None] if block.ndim == 1 else block for block in columns]
+    ints = bytes(block.dtype.kind in "iu" for block in blocks for _ in block.T)
+    for block in blocks:
+        if not (block.dtype == np.float64 or block.dtype.kind in "iu"):
+            raise TypeError(f"table columns must be float64 or integer arrays, got {block.dtype}")
+        if block.dtype.kind in "iu" and ((block > 2**53) | (block < -(2**53))).any():
+            raise ValueError("integer table cells must lie within 2 ** 53 of 0")
+    table = np.concatenate(blocks, axis=1, dtype=np.float64) if blocks else np.empty((0, 0))
+    join = getattr(sim.loaded_kernel(), "repr_join", None)
+    text = None if join is None else _kernel_rows(join, table.ravel(), len(ints), ints, ",",
+                                                     "\r\n")
     buf = io.StringIO()
-    csv.writer(buf).writerows([header, *rows])
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    if text is None:
+        writer.writerows([int(v) if i else v for v, i in zip(row, ints)]
+                         for row in table.tolist())
+    else:
+        buf.write(text)
     _write_text(path, buf.getvalue())
 
 

@@ -20,14 +20,18 @@ rollouts, and the winning plan's trace is read from it.
 
 Trials step in lockstep. Every trial of a call runs the same number of
 episodes, so `_q_learning` draws one plan per trial, rolls all of them out
-together, knot by knot, and then backs up each trial's rewards into its own
-Q-table; the greedy plans are rolled out together the same way. At each knot
-every distinct uncached prefix steps in one `_advance` batch. Each trial draws
-from its own rng and sees the same rewards in the same order as it would
-alone, each distinct prefix is still simulated once, and lockstep rows never
-interact, so the results are those of trials run one after another.
-The per-step goal reward exp(-hypot(goal - (x, z))) comes from the kernel,
-`sim.goal_rewards`.
+together, and then backs up each trial's rewards into its own Q-table; the
+greedy plans are rolled out together the same way. Each rollout call steps
+every distinct uncached prefix of all its plans in one `_advance` batch, one
+row per prefix: a prefix whose parent prefix is in the same batch continues
+that row at the knot boundary, and any other starts from its parent's cached
+end state. So a `parallel_trials` call makes at most episodes + 1 batches.
+Each trial draws from its own rng and sees the same rewards in the same
+order as it would alone, each distinct prefix is still simulated once, and
+lockstep rows never interact, so the results are those of trials run one
+after another. The per-step goal reward exp(-hypot(goal - (x, z))) comes
+from the kernel, `sim.goal_rewards`, one call per batch. The Q-tables and
+backups are Python floats, with numpy's argmax and max rules (`_top`).
 """
 
 from __future__ import annotations
@@ -102,8 +106,8 @@ class ModePlan:
         return len(self.mode_indices)
 
 
-def _step_knots(
-    starts: dict[tuple[int, ...], np.ndarray],
+def _step_prefixes(
+    plans: list[ModePlan],
     steps_per_knot: int,
     policy: PolicyParams,
     library: ModeLibrary,
@@ -112,28 +116,58 @@ def _step_knots(
     cfg: PlannerConfig,
     cache: PrefixCache,
 ) -> None:
-    """Simulate the last knot of each prefix in `starts` from its start row,
-    all in one lockstep `_advance` batch, and add each to `cache`.
+    """Simulate every prefix of `plans` that `cache` lacks and that a rollout
+    reaches, all in one lockstep `_advance` batch, and add each to `cache`.
 
-    One kernel call gives the goal reward of every stepped row, and a knot's
-    bucket column is their running sum, added left to right."""
-    prefixes = list(starts)
+    Each distinct uncached prefix is one row, under its last knot's latent
+    for one knot. A prefix whose parent prefix is also a row continues that
+    row at the knot boundary, and so runs only if the parent is running
+    there; any other starts from its parent's cached end state, or from the
+    initial state at knot 0. One kernel call gives the goal reward of every
+    stepped state, and a knot's bucket column is their running sum, added
+    left to right."""
+    index: dict[tuple[int, ...], int] = {}  # prefix -> its row
+    start_rows, parents, starts = [], [], []
+    initial = initial_state(robot_cfg, terrain)
+    for plan in plans:
+        start = initial
+        for knot in range(plan.k):
+            prefix = plan.mode_indices[: knot + 1]
+            if prefix in cache:
+                start, ended, _ = cache[prefix]
+                if ended:
+                    break
+            elif prefix not in index:
+                parent = index.get(prefix[:-1], -1)
+                index[prefix] = len(parents)
+                start_rows.append(start)  # never read for a continuation row
+                parents.append(parent)
+                starts.append(0 if parent < 0 else starts[parent] + steps_per_knot)
+    if not index:
+        return
     run = pol._advance(
-        policy, library.latents[[prefix[-1] for prefix in prefixes]],
-        np.array([starts[prefix] for prefix in prefixes]),
-        np.full(len(prefixes), steps_per_knot), terrain, robot_cfg,
+        policy, library.latents[[prefix[-1] for prefix in index]], np.array(start_rows),
+        np.full(len(index), steps_per_knot), terrain, robot_cfg, parents=parents, starts=starts,
     )
-    stepped = run.history[1:]
+    # The stepped states of each row, history[starts[r] + 1 : starts[r] +
+    # lengths[r] + 1, r], one row after another, and their rewards.
+    lengths = run.lengths
+    ends = np.cumsum(lengths)
+    stepped = run.history[
+        np.arange(ends[-1]) + np.repeat(run.starts + 1 - (ends - lengths), lengths),
+        np.repeat(np.arange(len(lengths)), lengths),
+    ]
     rewards = goal_rewards(stepped, cfg.goal_x, cfg.goal_z)
-    for b, prefix in enumerate(prefixes):
-        n = run.lengths[b]
-        knot_trace = np.empty((n, 5))
-        knot_trace[:, :4] = stepped[:n, b][:, [TIME, X, Z, PITCH]]
-        knot_trace[:, 4] = np.cumsum(rewards[:n, b])
-        end = run.history[n, b].copy()
-        for a in (end, knot_trace):
-            a.setflags(write=False)
-        cache[prefix] = (end, STATUSES[run.status[b]] != RUNNING, knot_trace)
+    traces = np.empty((len(stepped), 5))
+    traces[:, :4] = stepped[:, [TIME, X, Z, PITCH]]
+    for prefix, end, n, status in zip(index, ends.tolist(), lengths.tolist(),
+                                      run.status.tolist()):
+        if n:  # a prefix whose parent ended before it never ran
+            knot_trace, last = traces[end - n : end], stepped[end - 1].copy()
+            np.cumsum(rewards[end - n : end], out=knot_trace[:, 4])
+            for a in (last, knot_trace):
+                a.setflags(write=False)
+            cache[prefix] = (last, STATUSES[status] != RUNNING, knot_trace)
 
 
 def _rollout_plans(
@@ -148,36 +182,24 @@ def _rollout_plans(
     """Execute plans side by side with the deterministic policy; the per-knot
     reward buckets of each.
 
-    The plans advance knot by knot. At each knot, every distinct prefix that
-    a running plan reaches and `cache` lacks is simulated once, and all of
-    them step as one lockstep batch; every other knot is read from `cache`.
-    The phase clock runs continuously; knot boundaries only swap the latent
-    command. A fall ends a plan's rollout and leaves its remaining knots at
-    zero.
+    Every prefix that a plan reaches and `cache` lacks is simulated once, all
+    of them in one lockstep batch (`_step_prefixes`); then each plan's knots
+    are read from `cache`. The phase clock runs continuously; knot boundaries
+    only swap the latent command. A fall ends a plan's rollout and leaves its
+    remaining knots at zero.
     """
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
     steps_per_knot = round(cfg.knot_dt / robot_cfg.control_dt)
     if steps_per_knot < 1:
         raise ValueError("knot duration shorter than one control step")
-    rewards = [np.zeros(plan.k) for plan in plans]
-    states = [initial_state(robot_cfg, terrain)] * len(plans)
-    running = [p for p, plan in enumerate(plans) if plan.k]
-    knot = 0
-    while running:
-        prefixes = {p: plans[p].mode_indices[: knot + 1] for p in running}
-        starts = {}
-        for p, prefix in prefixes.items():
-            if prefix not in cache:
-                starts.setdefault(prefix, states[p])
-        if starts:
-            _step_knots(starts, steps_per_knot, policy, library, terrain, robot_cfg, cfg, cache)
-        for p, prefix in prefixes.items():
-            states[p], ended, knot_trace = cache[prefix]
-            rewards[p][knot] = knot_trace[-1, 4]
-            if ended or knot + 1 == plans[p].k:
-                running.remove(p)
-        knot += 1
+    _step_prefixes(plans, steps_per_knot, policy, library, terrain, robot_cfg, cfg, cache)
+    rewards = []
+    for plan in plans:
+        buckets = [0.0] * plan.k
+        for knot, (_, knot_trace) in enumerate(_cached_trace(plan, cache)):
+            buckets[knot] = knot_trace[-1, 4]
+        rewards.append(np.array(buckets))
     return rewards
 
 
@@ -222,8 +244,10 @@ def _q_learning(
     `rollout_fn` call on the greedy plans gives the best returns.
     """
     knots = cfg.knots
-    q = np.zeros((len(rngs), knots + 1, n_modes))  # terminal rows stay zero
-    visits = np.zeros((len(rngs), knots, n_modes), dtype=int)
+    # Per trial, one list of action values per knot, then a terminal one that
+    # stays zero, and the visit counts.
+    q = [[[0.0] * n_modes for _ in range(knots + 1)] for _ in rngs]
+    visits = [[[0] * n_modes for _ in range(knots)] for _ in rngs]
     for _ in range(cfg.episodes):
         plans = []
         for rng, q_trial in zip(rngs, q):
@@ -232,20 +256,32 @@ def _q_learning(
                 if rng.random() < cfg.explore:
                     actions.append(int(rng.integers(n_modes)))
                 else:
-                    actions.append(int(np.argmax(q_trial[s])))
+                    actions.append(_top(q_trial[s])[0])
             plans.append(ModePlan(tuple(actions)))
         for plan, rewards, q_trial, n_trial in zip(plans, rollout_fn(plans), q, visits):
+            rewards = rewards.tolist()
             for s in range(knots - 1, -1, -1):
                 a = plan.mode_indices[s]
-                n_trial[s, a] += 1
-                step_size = 0.0 if cfg.alpha == 0.0 else max(cfg.alpha, 1.0 / n_trial[s, a])
-                target = rewards[s] + q_trial[s + 1].max()
-                q_trial[s, a] += step_size * (target - q_trial[s, a])
-    best = [ModePlan(tuple(int(a) for a in np.argmax(q_trial[:knots], axis=1))) for q_trial in q]
+                n_trial[s][a] += 1
+                step_size = 0.0 if cfg.alpha == 0.0 else max(cfg.alpha, 1.0 / n_trial[s][a])
+                target = rewards[s] + _top(q_trial[s + 1])[1]
+                q_trial[s][a] += step_size * (target - q_trial[s][a])
+    best = [ModePlan(tuple(_top(values)[0] for values in q_trial[:knots])) for q_trial in q]
     return [
-        QLearnResult(q_table=q_trial[:knots], plan=plan, best_return=float(rewards.sum()))
+        QLearnResult(q_table=np.array(q_trial[:knots]), plan=plan,
+                     best_return=float(rewards.sum()))
         for q_trial, plan, rewards in zip(q, best, rollout_fn(best))
     ]
+
+
+def _top(values: list[float]) -> tuple[int, float]:
+    """numpy's argmax and max of a list of floats: the first NaN if there is
+    one, else the first largest value, with its index."""
+    for i, v in enumerate(values):
+        if v != v:
+            return i, v
+    top = max(values)
+    return values.index(top), top
 
 
 def parallel_trials(
@@ -260,10 +296,10 @@ def parallel_trials(
 
     Trial i uses seed cfg.seed + i. The trials run in lockstep through one
     prefix cache: each episode rolls out the next plan of every trial
-    together (`_rollout_plans`), so a knot steps all the trials' new prefixes
-    in one batch. Aggregation is by evaluated plan return with ties going to
-    the earliest trial. The winner's trace is read from the cache, where its
-    greedy rollout left every knot, with no stepping.
+    together (`_rollout_plans`), so an episode steps all the trials' new
+    prefixes in one batch. Aggregation is by evaluated plan return with ties
+    going to the earliest trial. The winner's trace is read from the cache,
+    where its greedy rollout left every knot, with no stepping.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

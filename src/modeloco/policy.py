@@ -358,34 +358,35 @@ def ppo_update(
 def _advance(
     policy: PolicyParams,
     latents: np.ndarray,
-    starts: np.ndarray,
+    start_rows: np.ndarray,
     steps,
     terrain: Terrain,
     robot_cfg: RobotConfig,
     noise: np.ndarray | None = None,
-    switches=None,
-    then: np.ndarray | None = None,
+    parents=None,
+    starts=None,
 ) -> Lockstep:
-    """Step B episodes in lockstep, episode b from state row starts[b] under
-    latents[b] for steps[b] control steps or until a fall or blowup; with
-    switch steps and then latents, episode b observes under then[b] from its
-    step switches[b] on.
+    """Step B rows in lockstep, row b under latents[b] for steps[b] control
+    steps or until a fall or blowup: from state row start_rows[b] at the
+    batch's step 0, or, with parents and start steps given and parents[b] =
+    p >= 0, from row p's state at step starts[b] if p is running there (a
+    continuation row; it never runs otherwise).
 
     Each control step makes one stacked `policy_mean` call on the live rows'
-    observations and one kernel call that steps them all; episode b's action
-    at its step t is the policy mean, plus noise[b, t] when noise is given.
-    Every episode in the package, in training, evaluation and planning, runs
-    through this loop.
+    observations and one kernel call that steps them all; row b's action at
+    the batch's step t is the policy mean, plus noise[b, t] when noise is
+    given. Every episode in the package, in training, evaluation and
+    planning, runs through this loop.
 
     Runs are arrays: the returned batch holds the (T + 1, B, ROW) state
-    history, the steps each episode took and its final status code. The
-    inputs are checked before the kernel sees them: start rows (B, ROW),
-    latents (B, latent_dim) with the policy's latent width, noise
-    (B, at least max(steps), act_dim) and then latents of the latents' shape,
-    all C-contiguous float64, and non-negative integer steps and switches,
-    given together with then; ValueError names a bad one.
+    history, the steps each row took and its final status code. The inputs
+    are checked before the kernel sees them: start rows (B, ROW), latents
+    (B, latent_dim) with the policy's latent width and noise (B, at least
+    the batch's last step, act_dim), all C-contiguous float64, non-negative
+    integer steps and start steps, and parents that precede their rows, given
+    together with the start steps; ValueError names a bad one.
     """
-    batch = Lockstep(starts, latents, steps, noise, terrain, robot_cfg, switches, then)
+    batch = Lockstep(start_rows, latents, steps, noise, terrain, robot_cfg, parents, starts)
     if batch.obs.shape[1] != policy.dims[0]:
         raise ValueError(
             f"latents of width {latents.shape[1]} give {batch.obs.shape[1]} observations, "
@@ -411,22 +412,25 @@ def rollout(
     """Run a batch of scripted training episodes of the stochastic policy;
     episode b follows scripts[b] and draws from rngs[b].
 
-    The batch is one lockstep `_advance` call: episode b runs for its
-    horizon, and each of its states, the last included, observes under its
-    start mode's latent before its `switch_step` and under its end mode's
-    latent from there on, the kernel's rule. Each episode is scored by one
-    `tracking_rewards` call per segment against its mode's clip: its states
-    up to the switch step, then, if it ran past the switch step, its states
-    from there on, anchored at that state, so at the switch the new mode's
-    reference continues from where the robot actually is. Falls and blowups
-    truncate the episode with a zero bootstrap value.
+    The batch is one lockstep `_advance` call, with two rows per episode: a
+    trunk under the start mode's latent from the start state to its
+    `switch_step`, and a continuation row under the end mode's latent from
+    the trunk's state at the switch step to the horizon, which runs only if
+    the trunk is running there. So each of the episode's states, the last
+    included, observes under the start mode's latent before the switch step
+    and under the end mode's latent from there on. Each episode is scored by
+    one `tracking_rewards` call per row against its mode's clip, the
+    continuation's anchored at its first state, so at the switch the new
+    mode's reference continues from where the robot actually is. Falls and
+    blowups truncate the episode with a zero bootstrap value.
 
     Episode b draws horizon x act_dim standard normals from rngs[b] up
-    front, one row per step, whether or not it runs to the horizon. The
-    observations, means and actions are recomputed from the state history
-    after the batch, and the log-probs and values, bootstrap included, come
-    from one batched call each per episode; all equal what the stepping used
-    and what per-step calls give, bit for bit.
+    front, one row per step, whether or not it runs to the horizon; both of
+    its rows act on that noise at each step. The observations, means and
+    actions are recomputed from the state history after the batch, and the
+    log-probs and values, bootstrap included, come from one batched call each
+    per episode; all equal what the stepping used and what per-step calls
+    give, bit for bit.
     """
     if len(scripts) != len(rngs):
         raise ValueError(f"need one rng per script, got {len(rngs)} for {len(scripts)}")
@@ -436,35 +440,39 @@ def rollout(
         raise ValueError("library has no latents; train the encoder")
     act_dim = policy.action_dim
     std = np.exp(policy.log_std)
-    noise = np.zeros((len(scripts), max((s.horizon for s in scripts), default=0), act_dim))
+    # Rows 2b and 2b + 1 are episode b's trunk and continuation; both act on
+    # the episode's noise.
+    noise = np.zeros((len(scripts), 2, max((s.horizon for s in scripts), default=0), act_dim))
     for b, (script, rng) in enumerate(zip(scripts, rngs)):
-        noise[b, : script.horizon] = std * rng.standard_normal((script.horizon, act_dim))
-
+        noise[b, :, : script.horizon] = std * rng.standard_normal((script.horizon, act_dim))
     batch = _advance(
-        policy, library.latents[[s.mode_from for s in scripts]],
-        np.tile(initial_state(robot_cfg, terrain), (len(scripts), 1)),
-        [s.horizon for s in scripts], terrain, robot_cfg, noise,
-        switches=[s.switch_step for s in scripts],
-        then=library.latents[[s.mode_to for s in scripts]],
+        policy, library.latents[[m for s in scripts for m in (s.mode_from, s.mode_to)]],
+        np.tile(initial_state(robot_cfg, terrain), (2 * len(scripts), 1)),
+        [n for s in scripts for n in (s.switch_step, s.horizon - s.switch_step)],
+        terrain, robot_cfg, noise.reshape(2 * len(scripts), noise.shape[2], act_dim),
+        parents=[p for b in range(len(scripts)) for p in (-1, 2 * b)],
+        starts=[t for s in scripts for t in (0, s.switch_step)],
     )
 
     trajectories = []
     for b, script in enumerate(scripts):
-        rows, switch = batch.rows(b), script.switch_step
-        rewards = tracking_rewards(rows[: switch + 1], library.motions[script.mode_from],
-                                   reward_cfg)
-        if batch.lengths[b] > switch:
+        rows, switch = batch.rows(2 * b), script.switch_step
+        rewards = tracking_rewards(rows, library.motions[script.mode_from], reward_cfg)
+        last = 2 * b  # the row the episode ends on
+        if batch.lengths[2 * b + 1]:  # the trunk was running at the switch step
+            last += 1
+            after = batch.rows(last)
             rewards = np.concatenate([
-                rewards, tracking_rewards(rows[switch:], library.motions[script.mode_to],
-                                          reward_cfg)
+                rewards, tracking_rewards(after, library.motions[script.mode_to], reward_cfg)
             ])
-        # The observation of each state, under the latent in force there (the
-        # kernel's rule); the last one is the bootstrap observation.
+            rows = np.concatenate([rows[:-1], after])
+        # The observation of each state, under the latent in force there; the
+        # last one is the bootstrap observation.
         modes = np.where(np.arange(len(rows)) < switch, script.mode_from, script.mode_to)
         obs = observe_rows(rows, library.latents[modes])
         means = policy_mean(policy, obs[:-1])
-        actions = means + noise[b, : len(rewards)]
-        status = STATUSES[batch.status[b]]
+        actions = means + noise[b, 0, : len(rewards)]
+        status = STATUSES[batch.status[last]]
         fell, blew_up = status == FALLEN, status == BLOWUP
         values = value_of(policy, obs)
         if fell or blew_up:

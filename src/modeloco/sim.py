@@ -22,22 +22,27 @@ the one state representation: every episode steps, observes, ends and is
 scored as rows of a (..., ROW) float64 array.
 
 Episodes step in lockstep batches (`Lockstep`): B rows, each with its own
-start row, latent, step budget and optional action noise, advance together,
-one kernel call per control step. A row may also have a mode schedule: a
-switch step and a second latent, under which it observes from that step on,
-so that an episode whose command switches runs as one row of one batch. A
-call steps each live row: the action is the policy mean plus the row's noise
-at that step; the physics runs; t grows by control_dt; the phase becomes
-(phase + clock_rate * control_dt / cycle_duration) % 1.0, evaluated in that
-order under Python's float % (C's fmod, then the remainder takes the sign of
-1.0, and a zero remainder is +0.0); the contacts and the support are set;
-and the status is set, a blowup (a value of q or qdot not finite) before
-fallen (the base below 0.3 of the nominal height above the support, or
-pitched past 1 rad) before running. The rows still running with steps left
-are then compacted to the front of the live list, in ascending row order,
-and their next observations written in that order, each under the row's
-latent at that step. A run is the (T + 1, B, ROW) history of the batch plus
-the steps and the final status of each row.
+latent, step budget and optional action noise, advance together, one kernel
+call per control step, and each row observes under its own latent. Steps
+count from the batch's step 0, where a row without a parent starts from its
+start row. A continuation row has a parent row p and a start step s: it
+starts at s from p's state there, if p is running there, so that an episode
+whose command switches is a trunk row and a continuation row of one batch,
+and a planner prefix continues its parent prefix's row; otherwise it never
+runs. A call steps each live row: the action is the policy mean plus the
+row's noise at that step; the physics runs; t grows by control_dt; the phase
+becomes (phase + clock_rate * control_dt / cycle_duration) % 1.0, evaluated
+in that order under Python's float % (C's fmod, then the remainder takes the
+sign of 1.0, and a zero remainder is +0.0); the contacts and the support are
+set; and the status is set, a blowup (a value of q or qdot not finite)
+before fallen (the base below 0.3 of the nominal height above the support,
+or pitched past 1 rad) before running. The rows still running with steps
+left are then compacted to the front of the live list, in order, followed by
+the rows that start at the new step, in ascending row order, and their next
+observations written in that order. A row's result depends on its start
+state, latent, budget and noise alone, not on the other rows of its batch
+or their order. A run is the (T + 1, B, ROW) history of the batch plus the
+steps and the final status of each row.
 
 Rewards score state rows after they are stepped, one kernel call per segment
 (`tracking_rewards`): a segment is the rows of one episode under one mode,
@@ -365,8 +370,9 @@ def _declare(kernel):
         getattr(kernel, name).restype = count
     kernel.sim_observe.restype = kernel.sim_goal_rewards.restype = None
     if hasattr(kernel, "repr_join"):  # absent where the compiler has no __int128
-        kernel.repr_join.argtypes = [count, pointer, ctypes.c_char_p, count, pointer, pointer,
-                                     pointer]
+        text = ctypes.c_char_p
+        kernel.repr_join.argtypes = [count, pointer, count, text, text, count, text, count,
+                                     pointer, pointer, pointer]
         kernel.repr_join.restype = count
     return kernel
 
@@ -439,12 +445,12 @@ def _checked(a, name: str, shape: tuple) -> np.ndarray:
     return a
 
 
-def _steps(a, name: str, rows: int) -> np.ndarray:
-    """a as an int64 array, if it holds `rows` non-negative integers;
+def _steps(a, name: str, rows: int, least: int = 0) -> np.ndarray:
+    """a as an int64 array, if it holds `rows` integers of at least `least`;
     ValueError otherwise, before the kernel reads it."""
     a = np.asarray(a)
-    if a.shape != (rows,) or (a.size and a.dtype.kind not in "iu") or (a < 0).any():
-        raise ValueError(f"{name} must be {rows} non-negative integers, got {a!r}")
+    if a.shape != (rows,) or (a.size and a.dtype.kind not in "iu") or (a < least).any():
+        raise ValueError(f"{name} must be {rows} integers of at least {least}, got {a!r}")
     return a.astype(np.int64)
 
 
@@ -454,71 +460,81 @@ class _Batch(ctypes.Structure):
     _fields_ = [(name, ctypes.c_int64) for name in ("rows", "latent_dim", "noise_steps")] + [
         (name, ctypes.c_void_p) for name in (
             "history", "latents", "noise", "budgets", "live", "means", "obs", "lengths",
-            "status", "params", "terrain", "switches", "then",
+            "status", "params", "terrain", "parents", "starts",
         )
     ]
 
 
 class Lockstep:
     """B state rows that step together, each under its own latent, step budget
-    and optional action noise, and optionally a switch step and a second
-    latent; the module docstring gives the contract.
+    and optional action noise, and optionally continuing another row; the
+    module docstring gives the contract.
 
-    Row b observes under latents[b] before step switches[b] and under then[b]
-    from it on. Without a schedule (both None), each row keeps its latent:
-    its switch is its budget, past its last observation.
+    A row without a parent, parents[b] = -1 (every row when parents and
+    starts are None), starts at step starts[b] = 0 from start_rows[b]. A row
+    with a parent p = parents[b] < b starts at step starts[b] from p's state
+    there, if p is running there, and its start row is never read; otherwise
+    it never runs.
 
-    history[t, b] is row b's state after t steps, lengths[b] the steps row b
-    took and status[b] the status code (see STATUSES) of its last state.
-    Rows past a row's length are never written. A row is live while it is
-    running and has steps left: live[:m] holds the m live rows, ascending,
-    and obs[:m] their observations, live_count of them at the start.
-    advance(t, m) steps them from t to t + 1 on the policy means in
-    means[:m] and returns the new m.
+    history[t, b] is row b's state at step t, lengths[b] the steps row b
+    took and status[b] the status code (see STATUSES) of its last state, so
+    row b's states are history[starts[b] : starts[b] + lengths[b] + 1, b] once
+    it has started. A row that never runs keeps length 0 and status running.
+    No other entry of history is written. A row is live while it is running
+    and has steps left: live[:m] holds the m live rows and obs[:m] their
+    observations, live_count of them at the start. advance(t, m) steps them
+    from t to t + 1 on the policy means in means[:m] and returns the new m.
+    Step t's noise is noise[b, t], so noise covers the batch's last step.
     """
 
     def __init__(
         self,
-        starts: np.ndarray,
+        start_rows: np.ndarray,
         latents: np.ndarray,
         budgets,
         noise: np.ndarray | None,
         terrain: Terrain,
         cfg: RobotConfig,
-        switches=None,
-        then: np.ndarray | None = None,
+        parents=None,
+        starts=None,
     ):
-        rows = _checked(starts, "start rows", (None, ROW)).shape[0]
+        rows = _checked(start_rows, "start rows", (None, ROW)).shape[0]
         latent_dim = _checked(latents, "latents", (rows, None)).shape[1]
-        self.budgets = _steps(budgets, "step budgets", rows)
-        if (switches is None) != (then is None):
-            raise ValueError("a mode schedule needs both its switch steps and its then latents")
-        if switches is not None:
-            switches = _steps(switches, "switch steps", rows)
-            _checked(then, "then latents", latents.shape)
-        steps = int(self.budgets.max(initial=0))
+        # The kernel's integer arrays, in one block.
+        block = np.empty((6, rows), dtype=np.int64)
+        self.budgets, self.live, self.lengths, self.status, self.parents, self.starts = block
+        self.budgets[:] = _steps(budgets, "step budgets", rows)
+        if (parents is None) != (starts is None):
+            raise ValueError("continuation rows need both their parents and their start steps")
+        if parents is None:
+            self.parents.fill(-1)
+            self.starts.fill(0)
+        else:
+            self.parents[:] = _steps(parents, "parents", rows, -1)
+            self.starts[:] = _steps(starts, "start steps", rows)
+            if (self.parents >= np.arange(rows)).any():
+                raise ValueError(f"each parent must precede its row, got {self.parents!r}")
+            if self.starts[self.parents < 0].any():
+                raise ValueError(f"a row without a parent starts at 0, got {self.starts!r}")
+        steps = int((self.starts + self.budgets).max(initial=0))
         if noise is not None:
             _checked(noise, "noise", (rows, None, NUM_JOINTS))
             if noise.shape[1] < steps:
                 raise ValueError(f"noise covers {noise.shape[1]} steps of {steps}")
         self.history = np.empty((steps + 1, rows, ROW))
-        self.history[0] = starts
-        self.live, self.lengths, self.status = np.empty((3, rows), dtype=np.int64)
+        self.history[0] = start_rows
         self.means = np.empty((rows, NUM_JOINTS))
         self.obs = np.empty((rows, observation_dim(latent_dim)))
         # Held here, so that they live as long as the pointers the kernel reads.
-        self._inputs = (latents, noise, switches, then, cfg._kernel_params,
-                        terrain._kernel_terrain)
-        pointers = [0 if a is None else _address(a) for a in (
-            self.history, latents, noise, self.budgets, self.live, self.means, self.obs,
-            self.lengths, self.status, cfg._kernel_params, terrain._kernel_terrain,
-        )]
-        # Without a schedule, each row switches at its budget to its own latent:
-        # the budgets' and the latents' addresses again, at no extra cost.
-        schedule =((pointers[3], pointers[1]) if switches is None
-                    else (_address(switches), _address(then)))
-        self._batch = _Batch(rows, latent_dim, 0 if noise is None else noise.shape[1],
-                             *pointers, *schedule)
+        self._inputs = (latents, noise, cfg._kernel_params, terrain._kernel_terrain)
+        budgets, live, lengths, status, parents, starts = (
+            _address(block) + k * block.strides[0] for k in range(len(block)))
+        self._batch = _Batch(
+            rows, latent_dim, 0 if noise is None else noise.shape[1], _address(self.history),
+            _address(latents), 0 if noise is None else _address(noise), budgets, live,
+            _address(self.means), _address(self.obs), lengths, status,
+            _address(cfg._kernel_params), _address(terrain._kernel_terrain), parents, starts,
+        )
         kernel, address = _library(), ctypes.addressof(self._batch)
         self.live_count = kernel.sim_start(address)
         self._call = functools.partial(kernel.sim_lockstep, address)
@@ -528,8 +544,9 @@ class Lockstep:
 
     def rows(self, b: int) -> np.ndarray:
         """Row b's states, the start first: a C-contiguous copy of
-        history[: lengths[b] + 1, b]."""
-        return self.history[: self.lengths[b] + 1, b].copy()
+        history[starts[b] : starts[b] + lengths[b] + 1, b]."""
+        start = self.starts[b]
+        return self.history[start : start + self.lengths[b] + 1, b].copy()
 
 
 # --- observation -------------------------------------------------------------

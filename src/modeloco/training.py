@@ -2,11 +2,11 @@
 
 Each iteration samples a batch of episode scripts from the current return
 records (or uniformly), rolls them out together (`policy.rollout`: one
-lockstep `_advance` call, each episode switching its latent at its switch
-step inside the batch), applies one PPO update, and folds the episode returns
-back into the records in submission order. All randomness is derived from
-(seed, counter) pairs, so a run is bit-reproducible and resumable from a
-checkpoint.
+lockstep `_advance` call, each episode a trunk row under its start mode and a
+continuation row under its end mode from its switch step), applies one PPO
+update, and folds the episode returns back into the records in submission
+order. All randomness is derived from (seed, counter) pairs, so a run is
+bit-reproducible and resumable from a checkpoint.
 
 A checkpoint holds state only: parameters, optimizer moments, the sampler's
 return records and the counters. One Adam state steps the policy's whole

@@ -132,6 +132,38 @@ def test_parser_defaults_are_the_config_defaults():
     assert pl.trials == inspect.signature(parallel_trials).parameters["trials"].default
 
 
+def test_main_builds_one_parser_and_parses_each_call_into_its_own_namespace(monkeypatch):
+    builds, seen = [], []
+    real_build = cli.build_parser
+
+    def counted_build():
+        builds.append(1)
+        return real_build()
+
+    def record(args):
+        seen.append(args)
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    for name in ("cmd_gen_refs", "cmd_plan"):
+        monkeypatch.setattr(cli, name, record)
+    cli._parser.cache_clear()  # so that the parser is built with the recorders
+    try:
+        assert run("gen-refs", "--modeset", "pi1", "--out", "a.json") == cli.EXIT_OK
+        assert run("plan", "--library", "l.json", "--policy", "p.json", "--knots", "3",
+                   "--trials", "2") == cli.EXIT_OK
+        assert run("gen-refs", "--modeset", "pi2") == cli.EXIT_OK
+    finally:
+        cli._parser.cache_clear()  # the next test's call builds the real parser
+    assert len(builds) == 1
+    first, plan, second = seen
+    assert len({id(first), id(plan), id(second)}) == 3
+    assert (first.command, first.modeset, first.out) == ("gen-refs", "pi1", "a.json")
+    assert (second.command, second.modeset, second.out) == ("gen-refs", "pi2", None)
+    assert (plan.command, plan.knots, plan.trials, plan.out) == ("plan", 3, 2, None)
+    assert not hasattr(plan, "modeset") and not hasattr(first, "knots")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -176,7 +176,7 @@ def test_write_artifact_writes_the_documented_bytes(tmp_path):
 def test_write_is_atomic_when_the_replace_fails(tmp_path, monkeypatch):
     writers = {
         "a.json": lambda path, v: fileio.write_artifact(path, "thing", {"v": v}),
-        "a.csv": lambda path, v: fileio.write_table(path, ["v"], [[v]]),
+        "a.csv": lambda path, v: fileio.write_table(path, ["v"], [np.array([v])]),
     }
     for name, write in writers.items():
         write(tmp_path / name, 1)
@@ -195,8 +195,39 @@ def test_write_is_atomic_when_the_replace_fails(tmp_path, monkeypatch):
 
 def test_write_table_writes_csv_bytes(tmp_path):
     path = tmp_path / "t.csv"
-    fileio.write_table(path, ["epoch", "loss"], ([i, repr(0.1 * i)] for i in range(2)))
+    fileio.write_table(path, ["epoch", "loss"], [np.arange(2), 0.1 * np.arange(2)])
     assert path.read_bytes() == b"epoch,loss\r\n0,0.0\r\n1,0.1\r\n"
+
+
+def test_a_table_is_the_text_csv_writes_for_its_rows(tmp_path, monkeypatch):
+    # Columns of ints and floats, some in 2-D blocks, against csv's text for
+    # the same rows of Python numbers, with and without the kernel, and with
+    # and without values that are not finite.
+    import csv
+    import io
+
+    rng = np.random.default_rng(3)
+    finite = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, 123456789012345680.0, 2.0**53]
+    header = ["a", "b,c", 'quote"d', "e", "f", "g", "h"]
+    for n, specials in [(0, []), (1, finite), (9, finite), (9, [math.nan, -math.inf])]:
+        ints = rng.integers(-50, 50, size=(n, 2))
+        ints[:1, 0] = 2**53
+        floats = rng.normal(0.0, 10.0 ** rng.integers(-8, 18, size=(n, 4)))
+        if n:
+            floats.flat[rng.permutation(floats.size)[: len(specials)]] = specials[: floats.size]
+        flags = rng.integers(0, 2, size=n).astype(np.uint8)
+        columns = [floats[:, 0], ints, floats[:, 1:], flags]
+        rows = [[f[0], *i, *f[1:], c] for f, i, c in zip(floats.tolist(), ints.tolist(),
+                                                          flags.tolist())]
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        for _ in _both_float_writers(monkeypatch):
+            fileio.write_table(tmp_path / "t.csv", header, columns)
+            assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode(), n
+    with pytest.raises(TypeError, match="float64 or integer"):
+        fileio.write_table(tmp_path / "t.csv", ["x"], [np.zeros(2, dtype=np.float32)])
+    with pytest.raises(ValueError, match="within 2 \\*\\* 53"):
+        fileio.write_table(tmp_path / "t.csv", ["x"], [np.array([-(2**53) - 1])])
 
 
 def test_non_string_keys_are_rejected(tmp_path):

@@ -294,14 +294,17 @@ def test_trials_match_the_uncached_reference(monkeypatch, terrain):
 
 
 def _record_batches(monkeypatch) -> list:
-    """Record the planner's lockstep batches: per `_advance` call, the
-    (start row, latent) byte pairs of its rows, and its steps."""
+    """Record the planner's lockstep batches: per `_advance` call, one
+    (parent, start step, start row bytes, latent bytes) record per row, with
+    no start row for a continuation row, and the batch's steps."""
     batches = []
     real_advance = pol._advance
 
-    def recording_advance(policy, latents, starts, *args, **kwargs):
-        run = real_advance(policy, latents, starts, *args, **kwargs)
-        rows = [(s.tobytes(), z.tobytes()) for s, z in zip(starts, latents)]
+    def recording_advance(policy, latents, start_rows, *args, **kwargs):
+        run = real_advance(policy, latents, start_rows, *args, **kwargs)
+        rows = [(p, s, None if p >= 0 else start.tobytes(), z.tobytes())
+                for p, s, start, z in zip(run.parents.tolist(), run.starts.tolist(),
+                                          start_rows, latents)]
         batches.append((rows, int(run.lengths.sum())))
         return run
 
@@ -332,7 +335,7 @@ def test_lockstep_trials_make_fewer_advance_calls(monkeypatch):
 
 def test_a_prefix_two_trials_ask_for_at_one_knot_steps_once(monkeypatch):
     # Two trials that are greedy from the start ask for the same plans in
-    # every round: each knot of their rounds steps one row, not two.
+    # every round: each of their prefixes steps one row, not two.
     lib = library_with_latents()
     policy = pol.init_policy(np.random.default_rng(5), sim.observation_dim(4))
     cfg = pl.PlannerConfig(knots=4, knot_dt=0.2, episodes=3, explore=0.0, seed=2)
@@ -340,19 +343,46 @@ def test_a_prefix_two_trials_ask_for_at_one_knot_steps_once(monkeypatch):
     plans = [pl.ModePlan((1, 2, 0, 3)), pl.ModePlan((1, 2, 0, 3)), pl.ModePlan((1, 0, 0, 3))]
     cache: pl.PrefixCache = {}
     got = pl._rollout_plans(plans, policy, lib, sim.Terrain.flat(), ROBOT, cfg, cache)
-    # Knot 0 steps (1,) once; knots 1 to 3 step the two distinct prefixes together.
-    assert [len(rows) for rows, _ in batches] == [1, 2, 2, 2]
-    assert all(len(set(rows)) == len(rows) for rows, _ in batches)
+    # One batch: (1,) from the start state, then (1, 2), (1, 2, 0), (1, 2, 0, 3)
+    # and (1, 0), (1, 0, 0), (1, 0, 0, 3), each continuing its parent's row.
+    [(rows, steps)] = batches
+    assert [(p, s) for p, s, _, _ in rows] == [(-1, 0), (0, 10), (1, 20), (2, 30),
+                                               (0, 10), (4, 20), (5, 30)]
+    assert len(set(rows)) == len(rows)
+    assert steps == sum(len(knot_trace) for _, _, knot_trace in cache.values())
     for plan, rewards in zip(plans, got):
         alone = pl._rollout_plans([plan], policy, lib, sim.Terrain.flat(), ROBOT, cfg, {})[0]
         assert rewards.tobytes() == alone.tobytes()
     batches.clear()
     pl.parallel_trials(policy, lib, sim.Terrain.flat(), ROBOT, cfg, trials=2)
-    greedy_steps = sum(n for _, n in batches)
-    assert all(len(rows) == 1 for rows, _ in batches)
+    two_trials = list(batches)
+    assert all(len(set(rows)) == len(rows) for rows, _ in two_trials)
     batches.clear()
     sequential_trials(policy, lib, sim.Terrain.flat(), [cfg])
-    assert sum(n for _, n in batches) == greedy_steps
+    assert two_trials == batches
+
+
+def test_a_bench_plan_makes_at_most_one_batch_per_episode(monkeypatch):
+    # The bench's plan: pi3 with seeded latents, a seeded initial policy, the
+    # gap, 11 knots of 0.3 s and 2 trials of 40 episodes. Each rollout call
+    # is one batch, and the env-steps are those of the trials run one after
+    # another.
+    rng = np.random.default_rng(1)
+    lib = rm.builtin_library("pi3")
+    lib = lib.with_latents(rng.normal(size=(lib.n, 4)))
+    policy = pol.init_policy(rng, sim.observation_dim(4))
+    cfg = pl.PlannerConfig(knots=11, knot_dt=0.3, episodes=40, seed=1)
+    batches = _record_batches(monkeypatch)
+    best = pl.parallel_trials(policy, lib, sim.Terrain.gap(), ROBOT, cfg, trials=2)
+    assert len(batches) <= cfg.episodes + 1
+    steps = sum(n for _, n in batches)
+    batches.clear()
+    configs = [replace(cfg, seed=cfg.seed + i) for i in range(2)]
+    sequential = sequential_trials(policy, lib, sim.Terrain.gap(), configs)
+    assert steps == sum(n for _, n in batches)
+    winner = max(sequential, key=lambda r: r.best_return)
+    assert best.plan == winner.plan
+    assert best.q_table.tobytes() == winner.q_table.tobytes()
 
 
 @pytest.mark.parametrize("falls", [False, True])

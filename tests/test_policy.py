@@ -485,11 +485,11 @@ def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
     "fall_after_switch", [-1, 0], ids=["falls-at-switch-minus-1", "falls-at-switch"]
 )
 def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_switch):
-    # `rollout` runs each episode as one lockstep row that switches its
-    # latent at the switch step. A fall on the last step before the switch
-    # ends the episode at the switch step, whose state observes under the end
-    # mode's latent like any state from the switch on; a fall on the switch
-    # step ends it one step later.
+    # `rollout` runs each episode as a trunk row to the switch step and a
+    # continuation row from there. A fall on the last step before the switch
+    # ends the episode at the switch step, so the continuation never runs,
+    # and that state observes under the end mode's latent like any state from
+    # the switch on; a fall on the switch step ends it one step later.
     lib = library_with_latents()
     policy = _falling_policy()
 
@@ -585,8 +585,8 @@ def test_advance_checks_its_inputs_before_the_kernel():
     starts, latents = np.tile(start, (2, 1)), np.zeros((2, 4))
     args = (sim.Terrain.flat(), ROBOT)
     pol._advance(policy, latents, starts, [3, 0], *args)  # well formed
-    pol._advance(policy, latents, starts, [3, 0], *args, None, [1, 5], latents + 1.0)
-    for bad_starts, bad_latents, steps, noise, schedule, match in [
+    pol._advance(policy, latents, starts, [3, 0], *args, None, [-1, 0], [0, 2])
+    for bad_starts, bad_latents, steps, noise, chain, match in [
         (starts[:, :-1].copy(), latents, [3, 3], None, None, "start rows"),
         (starts, latents.astype(np.float32), [3, 3], None, None, "latents"),
         (starts, latents, [3, -1], None, None, "step budgets"),
@@ -594,19 +594,22 @@ def test_advance_checks_its_inputs_before_the_kernel():
         (starts, latents[:, :3].copy(), [3, 3], None, None, "policy takes"),
         (starts, latents, [3, 3], np.zeros((2, 2, 4)), None, "noise covers"),
         (starts, latents, [3, 3], np.zeros((2, 3, 3)), None, "noise"),
-        (starts, latents, [3, 3], None, ([1, -1], latents), "switch steps"),
-        (starts, latents, [3, 3], None, ([1.0, 1.0], latents), "switch steps"),
-        (starts, latents, [3, 3], None, ([1], latents), "switch steps"),
-        (starts, latents, [3, 3], None, ([1, 1], latents[:, :3].copy()), "then latents"),
-        (starts, latents, [3, 3], None, ([1, 1], latents.astype(np.float32)), "then latents"),
-        (starts, latents, [3, 3], None, ([1, 1], np.asfortranarray(np.ones((2, 4)))),
-         "then latents"),
-        (starts, latents, [3, 3], None, ([1, 1], None), "both"),
-        (starts, latents, [3, 3], None, (None, latents), "both"),
+        # The batch's last step is a continuation row's start plus its budget.
+        (starts, latents, [3, 3], np.zeros((2, 3, 4)), ([-1, 0], [0, 1]), "noise covers"),
+        (starts, latents, [3, 3], None, ([-1, -2], [0, 1]), "parents"),
+        (starts, latents, [3, 3], None, ([-1, 0.0], [0, 1]), "parents"),
+        (starts, latents, [3, 3], None, ([-1], [0, 1]), "parents"),
+        (starts, latents, [3, 3], None, ([-1, 1], [0, 1]), "precede"),
+        (starts, latents, [3, 3], None, ([1, -1], [1, 0]), "precede"),
+        (starts, latents, [3, 3], None, ([-1, 0], [0, -1]), "start steps"),
+        (starts, latents, [3, 3], None, ([-1, 0], [0, 1.0]), "start steps"),
+        (starts, latents, [3, 3], None, ([-1, -1], [0, 1]), "starts at 0"),
+        (starts, latents, [3, 3], None, ([-1, 0], None), "both"),
+        (starts, latents, [3, 3], None, (None, [0, 1]), "both"),
     ]:
         with pytest.raises(ValueError, match=match):
             pol._advance(policy, bad_latents, bad_starts, steps, *args, noise,
-                         *(schedule or (None, None)))
+                         *(chain or (None, None)))
 
 
 def test_fortran_ordered_latents_step_as_c_ordered_ones():

@@ -562,14 +562,20 @@ def _chained(starts, latents, then, budgets, switches, noise):
     return rows, lengths, status
 
 
-def test_a_switching_lockstep_row_equals_two_chained_batches():
-    rng = np.random.default_rng(5)
-    standing = sim.initial_state(CFG, FLAT)
-    # Airborne, the base pitches at a constant rate whatever the legs do
-    # (they are decoupled from it), so this row falls on a fixed step.
+def _spinning_fall():
+    """An airborne start row that pitches at a constant rate whatever the legs
+    do (they are decoupled from it), and the step on which it falls."""
     spinning = airborne_state(np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0]))
     fall = sim.Lockstep(spinning[None], np.zeros((1, 4)), [30], None, FLAT, CFG)
-    fall = int(_drive(fall).lengths[0])
+    return spinning, int(_drive(fall).lengths[0])
+
+
+def test_a_switching_lockstep_row_equals_two_chained_batches():
+    # An episode that switches its latent is a trunk row plus a continuation
+    # row from the trunk's state at the switch step, in one batch.
+    rng = np.random.default_rng(5)
+    standing = sim.initial_state(CFG, FLAT)
+    spinning, fall = _spinning_fall()
     budgets = np.array([12, 12, 12, 12, 30, 30, 30, 0])
     # Switch at 0, mid-episode, at the budget and past it; then rows that fall
     # before, at and after their switch; and a row with no steps.
@@ -578,23 +584,91 @@ def test_a_switching_lockstep_row_equals_two_chained_batches():
     latents, then = rng.uniform(-0.5, 0.5, size=(2, len(budgets), 4))
     noise = rng.normal(0.0, 0.05, size=(len(budgets), 30, 4))
 
-    got = _drive(sim.Lockstep(starts, latents, budgets, noise, FLAT, CFG, switches, then))
+    n = len(budgets)
+    got = _drive(sim.Lockstep(
+        np.concatenate([starts, starts]), np.concatenate([latents, then]),
+        np.concatenate([np.minimum(budgets, switches), np.maximum(budgets - switches, 0)]),
+        np.concatenate([noise, noise]), FLAT, CFG,
+        parents=np.concatenate([np.full(n, -1), np.arange(n)]),
+        starts=np.concatenate([np.zeros(n, dtype=int), switches]),
+    ))
     rows, lengths, status = _chained(starts, latents, then, budgets, switches, noise)
-    assert [sim.STATUSES[c] for c in got.status] == [RUNNING] * 4 + [FALLEN] * 3 + [RUNNING]
-    assert got.lengths.tolist() == [12] * 4 + [fall] * 3 + [0]
-    assert (got.lengths.tobytes(), got.status.tobytes()) == (lengths.tobytes(), status.tobytes())
-    for b, want in enumerate(rows):
-        assert got.rows(b).tobytes() == want.tobytes(), b
+    for b in range(n):
+        last = n + b if got.lengths[n + b] else b  # the row the episode ends on
+        episode = got.rows(b) if last == b else np.concatenate([got.rows(b)[:-1], got.rows(last)])
+        assert episode.tobytes() == rows[b].tobytes(), b
+        assert (len(episode) - 1, got.status[last]) == (lengths[b], status[b]), b
+    assert [sim.STATUSES[c] for c in status] == [RUNNING] * 4 + [FALLEN] * 3 + [RUNNING]
+    assert lengths.tolist() == [12] * 4 + [fall] * 3 + [0]
     # The latent switches: a row that switches at 0 differs from its unswitched run.
     plain = _drive(sim.Lockstep(starts, latents, budgets, noise, FLAT, CFG))
-    assert got.rows(0).tobytes() != plain.rows(0).tobytes()
+    assert rows[0].tobytes() != plain.rows(0).tobytes()
+    # The trunks step as they do in a batch without continuation rows.
+    trunks = _drive(sim.Lockstep(starts, latents, np.minimum(budgets, switches), noise, FLAT,
+                                 CFG))
+    for b in range(n):
+        assert trunks.rows(b).tobytes() == got.rows(b).tobytes(), b
+        assert (trunks.lengths[b], trunks.status[b]) == (got.lengths[b], got.status[b])
 
-    # Without a schedule, each row switches at its budget, to no effect.
-    scheduled = _drive(sim.Lockstep(starts, latents, budgets, noise, FLAT, CFG, budgets, then))
-    assert (plain.lengths.tobytes(), plain.status.tobytes()) == (
-        scheduled.lengths.tobytes(), scheduled.status.tobytes())
-    for b in range(len(budgets)):
-        assert plain.rows(b).tobytes() == scheduled.rows(b).tobytes(), b
+
+def test_a_continuation_row_equals_a_row_started_from_its_parents_state():
+    rng = np.random.default_rng(9)
+    standing = sim.initial_state(CFG, FLAT)
+    spinning, fall = _spinning_fall()
+    # (parent, start step, budget) of each row; -1 is a row started at 0 from
+    # its start row.
+    rows = [
+        (-1, 0, 12),          # 0: a standing root
+        (-1, 0, 30),          # 1: a spinning root, which falls
+        (0, 0, 10),           # 2: continues 0 from step 0
+        (0, 8, 5),            # 3: continues 0 mid-run
+        (3, 13, 6),           # 4: continues 3, a continuation itself
+        (1, fall - 2, 5),     # 5: continues 1 just before its fall
+        (1, fall, 5),         # 6: never runs: 1 falls at its start
+        (1, fall + 2, 5),     # 7: never runs: 1 fell before its start
+        (0, 12, 4),           # 8: continues 0 at its last step, still running
+        (0, 13, 4),           # 9: never runs: 0 ran out of steps before its start
+        (6, fall + 1, 3),     # 10: never runs: its parent never ran
+        (2, 10, 0),           # 11: starts with no steps to take
+    ]
+    parents, starts, budgets = (np.array(c) for c in zip(*rows))
+    start_rows = np.array([standing, spinning] + [standing] * (len(rows) - 2))
+    latents = rng.uniform(-0.5, 0.5, size=(len(rows), 4))
+    noise = rng.normal(0.0, 0.05, size=(len(rows), 40, 4))
+
+    def run(order):
+        """The batch of the rows in `order`, which puts each parent first; the
+        run of each, in ascending row order."""
+        at = {k: i for i, k in enumerate(order)}
+        batch = _drive(sim.Lockstep(
+            start_rows[order], latents[order], budgets[order], noise[order], FLAT, CFG,
+            parents=[at.get(p, -1) for p in parents[order]], starts=starts[order],
+        ))
+        return [(batch.rows(at[k]), batch.lengths[at[k]], batch.status[at[k]])
+                for k in sorted(order)]
+
+    got = run(list(range(len(rows))))
+    ran = [k for k, (_, n, _) in enumerate(got) if n]
+    assert ran == [0, 1, 2, 3, 4, 5, 8]
+    assert (got[0][1], got[1][1], got[5][1]) == (12, fall, 2)
+    for k in (6, 7, 9, 10, 11):
+        assert got[k][1:] == (0, sim.STATUSES.index(RUNNING)), k
+    for k, (states, n, status) in enumerate(got):
+        if k in ran or k == 11:  # started, 11 with no steps
+            parent, start = parents[k], starts[k]
+            first = start_rows[k] if parent < 0 else got[parent][0][start - starts[parent]]
+            alone = _drive(sim.Lockstep(
+                first[None].copy(), latents[k][None], [budgets[k]],
+                noise[k][None, start:].copy(), FLAT, CFG,
+            ))
+            assert states.tobytes() == alone.rows(0).tobytes(), k
+            assert (n, status) == (alone.lengths[0], alone.status[0]), k
+    # Neither the rows' order nor the other rows in the batch change a row.
+    for order in ([1, 0, 5, 6, 7, 10, 9, 8, 3, 4, 2, 11], [1, 5, 6, 10, 7]):
+        for k, (states, n, status) in zip(sorted(order), run(order)):
+            assert (n, status) == got[k][1:], (order, k)
+            if k in ran:
+                assert states.tobytes() == got[k][0].tobytes(), (order, k)
 
 
 def test_importing_the_cli_does_not_build_the_kernel():
