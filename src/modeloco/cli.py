@@ -279,6 +279,7 @@ def cmd_plan(args) -> int:
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
     cfg = _config(plan_mod.PlannerConfig, args)
+    plan_mod.check_trials(args.trials)
     cfg_hash = config_hash(dataclasses.asdict(cfg))
     print(
         f"planning: {cfg.knots} knots x {cfg.knot_dt}s, goal "

@@ -14,16 +14,20 @@ checked against central finite differences.
 One AutoencoderParams holds both networks: its flat vector, the one Adam
 steps, lays out the encoder's w_x, w_h, b and w_z, then the decoder's w_x,
 w_h, b and w_y, each raveled, and its weight matrices are reshaped views into
-it. autoencoder_gradient is the only forward pass of the whole autoencoder:
-it returns the loss and a gradient vector of the same layout.
+it. _forward_batch is the only forward pass of the whole autoencoder: it
+returns the loss and the caches that the backward pass reads.
+autoencoder_gradient runs the forward pass, then the backward pass, and
+returns the loss and a gradient vector of the same layout.
 
 Training runs one forward pass per epoch: each proposed step is scored by
-autoencoder_gradient, whose loss decides acceptance and whose gradient, when
-the step is kept, drives the next step. A rejected step reuses the current
-gradient, since the parameters it was computed at did not change. The LSTM
-loops keep a fixed floating-point operation order, so losses, weights and
-latents replay bit for bit across versions of this module;
-tests/test_encoder.py holds the per-step reference they must match.
+the forward pass alone, and its loss decides acceptance. Only a kept step
+runs the backward pass, over that forward pass's caches, and its gradient
+drives the next step. A rejected step skips the backward pass and reuses the
+current gradient, since the parameters it was computed at did not change.
+The LSTM loops keep a fixed floating-point operation order, and every matrix
+product keeps its operands' layout, so losses, weights and latents replay
+bit for bit across versions of this module; tests/test_encoder.py holds the
+per-step reference they must match.
 """
 
 from __future__ import annotations
@@ -99,6 +103,8 @@ class EncoderTrainConfig:
             raise ValueError("learning rate must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def init_params(
@@ -124,33 +130,46 @@ def _lstm_forward(w_x, w_h, b, xs, x_proj=None):
 
     x_proj, when given, is the input projection xs[t] @ w_x.T that every
     step shares (a repeated input such as the decoder's latent); xs then only
-    sets the shapes and may be a broadcast view. The cell cache cs holds
-    c_t in cs[0] and tanh(c_t), which the backward pass reuses, in cs[1].
+    sets the shapes and may be a broadcast view. Otherwise one stacked matmul
+    projects every step's input; its slices equal the per-step products bit
+    for bit. gates holds each step's i, f, g and o as four contiguous (B, H)
+    blocks. The cell cache cs holds c_t in cs[0] and tanh(c_t), which the
+    backward pass reuses, in cs[1].
     """
     T, B, _ = xs.shape
     H = w_h.shape[1]
-    w_xT = w_x.T
     w_hT = w_h.T
+    proj = np.matmul(xs, w_x.T) if x_proj is None else None
+    b_rows = np.broadcast_to(b, (B, 4 * H)).copy()
     hs = np.zeros((T + 1, B, H))
     cs = np.zeros((2, T + 1, B, H))
     cells, tanh_cells = cs
-    gates = np.zeros((T, B, 4 * H))
+    gates = np.zeros((T, 4, B, H))
+    gates_i, gates_f, gates_g, gates_o = gates.transpose(1, 0, 2, 3)
+    a = np.empty((B, 4 * H))
+    a_as_blocks = a.reshape(B, 4, H).transpose(1, 0, 2)
+    a_blocks = np.empty((4, B, H))
+    ig = np.empty((B, H))
     for t in range(T):
-        proj = xs[t] @ w_xT if x_proj is None else x_proj
-        a = proj + hs[t] @ w_hT + b
+        gt, g = gates[t], gates_g[t]
+        # proj + h @ w_h.T + b; a sum of two terms is the same either way round.
+        np.matmul(hs[t], w_hT, out=a)
+        a += x_proj if proj is None else proj[t]
+        a += b_rows
         # Sigmoid 0.5 * (1 + tanh(0.5 * a)) over all four blocks, then tanh
         # overwrites the g block.
-        gt = gates[t]
-        np.multiply(a, 0.5, out=gt)
+        np.copyto(a_blocks, a_as_blocks)
+        np.multiply(a_blocks, 0.5, out=gt)
         np.tanh(gt, out=gt)
         gt += 1.0
         gt *= 0.5
-        np.tanh(a[:, 2 * H : 3 * H], out=gt[:, 2 * H : 3 * H])
+        np.tanh(a_blocks[2], out=g)
         c = cells[t + 1]
-        np.multiply(gt[:, H : 2 * H], cells[t], out=c)
-        c += gt[:, :H] * gt[:, 2 * H : 3 * H]
+        np.multiply(gates_f[t], cells[t], out=c)
+        np.multiply(gates_i[t], g, out=ig)
+        c += ig
         np.tanh(c, out=tanh_cells[t + 1])
-        np.multiply(tanh_cells[t + 1], gt[:, 3 * H :], out=hs[t + 1])
+        np.multiply(tanh_cells[t + 1], gates_o[t], out=hs[t + 1])
     return hs, cs, gates
 
 
@@ -160,7 +179,9 @@ def _lstm_backward(w_x, w_h, xs, hs, cs, gates, dhs, input_grad=True):
     dhs has shape (T, B, H): the gradient arriving at each step's hidden
     output from outside the recurrence. Returns gradients for the cell
     weights and for the inputs xs; the last is None when input_grad is
-    false, as for the encoder, whose inputs are data.
+    false, as for the encoder, whose inputs are data. Each step works in the
+    (B, .) buffers allocated here, gate by gate in contiguous blocks, and
+    adds its weight products to the sums one step at a time.
     """
     T, B, _ = xs.shape
     H = w_h.shape[1]
@@ -172,32 +193,54 @@ def _lstm_backward(w_x, w_h, xs, hs, cs, gates, dhs, input_grad=True):
     d_xs = np.zeros(xs.shape) if input_grad else None
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
-    da = np.empty((B, 4 * H))
+    dh, dc, tmp = np.zeros((3, B, H))
+    da_blocks = np.zeros((4, B, H))
+    da_i, da_f, da_g, da_o = da_blocks
+    one_minus = np.zeros((4, B, H))  # 1 - s, then 1 - g * g in the g block
+    one_minus_g = one_minus[2]
+    # The products below take da as one (B, 4H) matrix.
+    da = np.zeros((B, 4 * H))
+    da_T = da.T
+    da_as_blocks = da.reshape(B, 4, H).transpose(1, 0, 2)
+    prod_x = np.zeros_like(w_x)
+    prod_h = np.zeros_like(w_h)
+    prod_b = np.zeros(4 * H)
     cells, tanh_cells = cs
+    gates_i, gates_f, gates_g, gates_o = gates.transpose(1, 0, 2, 3)
     for t in range(T - 1, -1, -1):
-        gt = gates[t]
-        i = gt[:, :H]
-        f = gt[:, H : 2 * H]
-        g = gt[:, 2 * H : 3 * H]
+        gt, i, g = gates[t], gates_i[t], gates_g[t]
         tanh_c = tanh_cells[t + 1]
-        dh = dhs[t] + dh_next
-        dc = dh * gt[:, 3 * H :] * (1.0 - tanh_c * tanh_c) + dc_next
+        np.add(dhs[t], dh_next, out=dh)
+        # dc = dh * o * (1 - tanh_c * tanh_c) + dc_next
+        np.multiply(dh, gates_o[t], out=dc)
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dc *= tmp
+        dc += dc_next
         # Gate pre-activation gradients: sigmoid blocks get
         # (d * s) * (1 - s) at full width, then the g block is overwritten
-        # with its tanh derivative.
-        np.multiply(dc, g, out=da[:, :H])
-        np.multiply(dc, cells[t], out=da[:, H : 2 * H])
-        np.multiply(dh, tanh_c, out=da[:, 3 * H :])
-        da *= gt
-        da *= 1.0 - gt
-        np.multiply(dc * i, 1.0 - g * g, out=da[:, 2 * H : 3 * H])
-        d_wx += da.T @ xs[t]
-        d_wh += da.T @ hs[t]
-        d_b += da.sum(axis=0)
+        # with its tanh derivative (dc * i) * (1 - g * g).
+        np.multiply(dc, g, out=da_i)
+        np.multiply(dc, cells[t], out=da_f)
+        np.multiply(dh, tanh_c, out=da_o)
+        da_blocks *= gt
+        np.subtract(1.0, gt, out=one_minus)
+        da_blocks *= one_minus
+        np.multiply(g, g, out=one_minus_g)
+        np.subtract(1.0, one_minus_g, out=one_minus_g)
+        np.multiply(dc, i, out=tmp)
+        np.multiply(tmp, one_minus_g, out=da_g)
+        np.copyto(da_as_blocks, da_blocks)
+        np.matmul(da_T, xs[t], out=prod_x)
+        d_wx += prod_x
+        np.matmul(da_T, hs[t], out=prod_h)
+        d_wh += prod_h
+        np.add.reduce(da, axis=0, out=prod_b)
+        d_b += prod_b
         if input_grad:
-            d_xs[t] = da @ w_x
-        dh_next = da @ w_h
-        dc_next = dc * f
+            np.matmul(da, w_x, out=d_xs[t])
+        np.matmul(da, w_h, out=dh_next)
+        np.multiply(dc, gates_f[t], out=dc_next)
     return d_wx, d_wh, d_b, d_xs
 
 
@@ -251,24 +294,24 @@ def _length_groups(sequences: list[np.ndarray]) -> list[np.ndarray]:
     return [np.stack(group, axis=1) for group in by_len.values()]
 
 
-def autoencoder_gradient(
-    p: AutoencoderParams, sequences: list[np.ndarray]
-) -> tuple[float, np.ndarray]:
-    """Mean per-sequence reconstruction MSE and its gradient, by backpropagation
-    through time.
-
-    sequences are normalized (T, C) arrays; lengths may differ. The gradient
-    is one vector laid out like p.flat (normalization stats are not
-    differentiated).
-    """
-    g = replace(p, flat=np.zeros(p.flat.size))
+def _forward(p: AutoencoderParams, groups: list[np.ndarray]) -> tuple[float, list]:
+    """Mean per-sequence loss over the length groups, and each group's caches."""
     total = 0.0
-    n_seq = len(sequences)
-    for xs in _length_groups(sequences):
+    caches = []
+    for xs in groups:
         loss, cache = _forward_batch(p, xs)
+        total += loss * xs.shape[1]
+        caches.append(cache)
+    return total / sum(xs.shape[1] for xs in groups), caches
+
+
+def _backward(p: AutoencoderParams, groups: list[np.ndarray], caches: list) -> np.ndarray:
+    """The gradient of _forward's loss, laid out like p.flat, from its caches."""
+    g = replace(p, flat=np.zeros(p.flat.size))
+    n_seq = sum(xs.shape[1] for xs in groups)
+    for xs, cache in zip(groups, caches):
         e_hs, e_cs, e_gates, d_in, d_hs, d_cs, d_gates, diff = cache
         T, B, C = xs.shape
-        total += loss * B
         # d(mean over all sequences of per-sequence MSE)
         d_ys = 2.0 * diff / (T * C) / n_seq
         g.dec_w_y += np.einsum("tbc,tbh->ch", d_ys, d_hs[1:])
@@ -289,7 +332,22 @@ def autoencoder_gradient(
         g.enc_w_x += dwx
         g.enc_w_h += dwh
         g.enc_b += db
-    return total / n_seq, g.flat
+    return g.flat
+
+
+def autoencoder_gradient(
+    p: AutoencoderParams, sequences: list[np.ndarray]
+) -> tuple[float, np.ndarray]:
+    """Mean per-sequence reconstruction MSE and its gradient, by backpropagation
+    through time: the forward pass, then the backward pass over its caches.
+
+    sequences are normalized (T, C) arrays; lengths may differ. The gradient
+    is one vector laid out like p.flat (normalization stats are not
+    differentiated).
+    """
+    groups = _length_groups(sequences)
+    loss, caches = _forward(p, groups)
+    return loss, _backward(p, groups, caches)
 
 
 @dataclass
@@ -306,21 +364,24 @@ class TrainResult:
 def train_autoencoder(library: ModeLibrary, cfg: EncoderTrainConfig) -> TrainResult:
     """Fit the autoencoder on every clip in the library and fill in the latents.
 
-    Full-batch Adam, deterministic from cfg.seed. Each proposed step is kept
-    only if it does not increase the loss beyond ROLLBACK_TOLERANCE;
-    rejected steps halve an internal step-size scale, so the recorded loss
-    history is non-increasing.
+    Full-batch Adam, deterministic from cfg.seed. Each proposed step is
+    scored by a forward pass alone and kept only if it does not increase the
+    loss beyond ROLLBACK_TOLERANCE; only a kept step is differentiated, from
+    that pass's caches. Rejected steps halve an internal step-size scale, so
+    the recorded loss history is non-increasing.
     """
     if library.n == 0:
         raise ValueError("library is empty")
     mean, scale = normalization_stats(library)
-    sequences = [normalize(m.samples, mean, scale) for m in library.motions]
+    groups = _length_groups([normalize(m.samples, mean, scale) for m in library.motions])
 
     params = replace(init_params(np.random.default_rng(cfg.seed)), norm_mean=mean, norm_scale=scale)
     opt = AdamState.zeros(params.flat.size)
     lr_scale = 1.0
 
-    loss, grad = autoencoder_gradient(params, sequences)
+    loss, caches = _forward(params, groups)
+    grad = _backward(params, groups, caches)
+    del caches
     losses = [loss]
     for epoch in range(cfg.epochs):
         if not np.isfinite(grad).all():
@@ -329,14 +390,17 @@ def train_autoencoder(library: ModeLibrary, cfg: EncoderTrainConfig) -> TrainRes
         lr = cfg.learning_rate * (FINAL_LR_FRACTION + (1.0 - FINAL_LR_FRACTION) * cos)
         flat_try, opt_try = adam_step(params.flat, grad, opt, lr * lr_scale)
         params_try = replace(params, flat=flat_try)
-        loss_try, grad_try = autoencoder_gradient(params_try, sequences)
+        loss_try, caches = _forward(params_try, groups)
         if not math.isfinite(loss_try):
             raise TrainingFailure(f"non-finite loss at epoch {len(losses) - 1}")
         if loss_try <= loss + ROLLBACK_TOLERANCE:
-            params, opt, loss, grad = params_try, opt_try, loss_try, grad_try
+            params, opt, loss = params_try, opt_try, loss_try
+            grad = _backward(params, groups, caches)
             lr_scale = min(1.0, lr_scale * 1.05)
         else:
             lr_scale *= 0.5
+        # A rejected step's caches go before the next forward pass allocates.
+        del caches
         losses.append(loss)
 
     latents = np.array([encode(params, motion) for motion in library.motions])

@@ -89,6 +89,8 @@ class PlannerConfig:
             raise ValueError("explore rate must lie in [0, 1]")
         if self.episodes < 0:
             raise ValueError(f"episodes must be >= 0, got {self.episodes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -284,6 +286,11 @@ def _top(values: list[float]) -> tuple[int, float]:
     return values.index(top), top
 
 
+def check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+
+
 def parallel_trials(
     policy: PolicyParams,
     library: ModeLibrary,
@@ -301,8 +308,7 @@ def parallel_trials(
     going to the earliest trial. The winner's trace is read from the cache,
     where its greedy rollout left every knot, with no stepping.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    check_trials(trials)
     cache: PrefixCache = {}
     results = _q_learning(
         library.n, cfg, [np.random.default_rng(cfg.seed + i) for i in range(trials)],

@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError("need a positive episode batch and non-negative updates")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.mode_decay <= 1.0 and 0.0 <= self.transition_decay <= 1.0):
             raise ValueError(
                 f"decay factors must lie in [0, 1], got {self.mode_decay} and "

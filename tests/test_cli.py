@@ -233,16 +233,24 @@ def _train_policy(workdir, lib, out, *extra):
     )
 
 
-@pytest.mark.parametrize("flag", [("--lr", "nan"), ("--epochs", "-1")])
+@pytest.mark.parametrize("flag", [("--lr", "nan"), ("--epochs", "-1"), ("--seed", "-1")])
 def test_train_encoder_rejects_bad_config(workdir, capsys, flag):
+    problem = {
+        "--lr": "learning rate must be positive and finite",
+        "--epochs": "epochs must be >= 0",
+        "--seed": "seed must be >= 0, got -1",
+    }[flag[0]]
     lib = workdir / "library.json"
     assert run("gen-refs", "--modeset", "pi2", "--out", str(lib)) == 0
+    capsys.readouterr()
     before = lib.read_bytes()
     enc = workdir / "encoder.json"
     assert run(
         "train-encoder", "--library", str(lib), "--out", str(enc), *flag
     ) == cli.EXIT_VALIDATION
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and problem in captured.err
+    assert captured.out == ""
     assert not enc.exists()
     assert lib.read_bytes() == before
 
@@ -640,12 +648,15 @@ def test_missing_file_is_validation_error(workdir, capsys):
         ("eval", ["--clock-rate", "-1"], "clock rate must be positive and finite, got -1.0"),
         ("train-policy", ["--checkpoint-every", "-1"], "checkpoint_every must be >= 0, got -1"),
         ("plan", ["--episodes", "-1"], "episodes must be >= 0, got -1"),
-        ("plan", ["--trials", "0"], "need at least one trial"),
+        ("plan", ["--trials", "0"], "need at least one trial, got 0"),
+        ("train-policy", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("plan", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
     ids=["eval-nan-weight", "train-inf-weight", "plan-nan-goal", "plan-nan-dt",
          "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f", "eval-nan-clock",
          "eval-inf-clock", "eval-zero-clock", "eval-negative-clock",
-         "train-negative-checkpoint-every", "plan-negative-episodes", "plan-zero-trials"],
+         "train-negative-checkpoint-every", "plan-negative-episodes", "plan-zero-trials",
+         "train-negative-seed", "plan-negative-seed"],
 )
 def test_non_finite_settings_are_validation_errors(workdir, capsys, command, flags, problem):
     lib, pol = _two_mode_policy(workdir)
@@ -654,7 +665,9 @@ def test_non_finite_settings_are_validation_errors(workdir, capsys, command, fla
     inputs = ["--library", str(lib), "--out", str(out)]
     inputs += ["--updates", "1"] if command == "train-policy" else ["--policy", str(pol)]
     assert run(command, *inputs, *flags) == cli.EXIT_VALIDATION
-    assert problem in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert captured.out == ""  # no banner before the error
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,7 @@ def test_training_fills_latents_distinctly():
         {"learning_rate": float("inf")},
         {"learning_rate": 0.0},
         {"epochs": -1},
+        {"seed": -1},
     ],
 )
 def test_train_config_rejects_bad_values(bad):
@@ -389,6 +391,81 @@ def test_training_runs_one_forward_pass_per_epoch(monkeypatch):
     # pi2's clips share one length, so each forward pass is one batch.
     enc.train_autoencoder(rm.builtin_library("pi2"), enc.EncoderTrainConfig(epochs=12, seed=7))
     assert len(calls) == 13
+
+
+def _counted(monkeypatch, name, result=None):
+    """Patch enc.<name> to record its calls; result(n, value), when given,
+    replaces the value the n-th call (from 1) returns."""
+    calls = []
+    fn = getattr(enc, name)
+
+    def counted(*args):
+        calls.append(None)
+        value = fn(*args)
+        return value if result is None else result(len(calls), value)
+
+    monkeypatch.setattr(enc, name, counted)
+    return calls
+
+
+def test_training_differentiates_only_kept_steps(monkeypatch):
+    lib = rm.builtin_library("pi2")
+    cfg = enc.EncoderTrainConfig(epochs=40, seed=7, learning_rate=5e-2)
+    want = enc.train_autoencoder(lib, cfg).losses
+    backward = _counted(monkeypatch, "_backward")
+    losses = enc.train_autoencoder(lib, cfg).losses
+    assert np.array(losses).tobytes() == np.array(want).tobytes()
+    # A rejected step leaves the loss exactly as it was.
+    kept = sum(a != b for a, b in zip(losses, losses[1:]))
+    assert 0 < kept < cfg.epochs
+    assert len(backward) == 1 + kept
+
+
+def test_non_finite_loss_names_its_epoch(monkeypatch):
+    # The first forward pass scores the initial parameters; the fourth scores
+    # the step proposed at epoch 2.
+    _counted(monkeypatch, "_forward",
+             lambda n, value: (math.nan, value[1]) if n == 4 else value)
+    with pytest.raises(enc.TrainingFailure, match="non-finite loss at epoch 2"):
+        enc.train_autoencoder(rm.builtin_library("pi2"), enc.EncoderTrainConfig(epochs=5))
+
+
+def test_non_finite_gradient_names_its_epoch(monkeypatch):
+    lib = rm.builtin_library("pi2")
+    cfg = enc.EncoderTrainConfig(epochs=8, seed=7, learning_rate=5e-2)
+    losses = enc.train_autoencoder(lib, cfg).losses
+    # The second gradient is taken at the first kept step; the next epoch
+    # starts from it.
+    first_kept = next(k for k, (a, b) in enumerate(zip(losses, losses[1:])) if a != b)
+    _counted(monkeypatch, "_backward",
+             lambda n, value: np.full_like(value, np.inf) if n == 2 else value)
+    with pytest.raises(enc.TrainingFailure,
+                       match=f"non-finite gradient at epoch {first_kept + 1}$"):
+        enc.train_autoencoder(lib, cfg)
+
+
+def test_gradient_peak_memory_stays_near_the_forward_caches():
+    """The traced peak of one gradient at pi1's shapes is bounded by a multiple
+    of the bytes the forward pass must keep for the backward pass, so no
+    per-time-step work array of the backward pass goes unnoticed."""
+    lib = rm.builtin_library("pi1")
+    mean, scale = enc.normalization_stats(lib)
+    seqs = [enc.normalize(m.samples, mean, scale) for m in lib.motions]
+    p = enc.init_params(np.random.default_rng(0))
+    (xs,) = enc._length_groups(seqs)
+    T, B, C = xs.shape
+    H = p.hidden
+    # Per LSTM: hs and the two cell caches over T + 1 steps, four gates over
+    # T; plus the reconstruction error.
+    cache_bytes = 8 * (2 * (3 * (T + 1) * B * H + T * 4 * B * H) + T * B * C)
+    enc.autoencoder_gradient(p, seqs)
+    tracemalloc.start()
+    try:
+        enc.autoencoder_gradient(p, seqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cache_bytes, (peak, cache_bytes)
 
 
 def test_broadcast_decoder_input_matches_contiguous():
