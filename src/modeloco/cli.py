@@ -255,7 +255,7 @@ def cmd_eval(args) -> int:
              "vx", "vz", "pitch_rate", "dhip_l", "dknee_l", "dhip_r",
              "dknee_r", "contact_l", "contact_r", "reward", "mode_index"],
             [rows[:, TIME], rows[:, Q:TIME], rows[:, [CONTACT_LEFT, CONTACT_RIGHT]].astype(int),
-             np.array(rewards, dtype=np.float64), np.full(len(rows), i)],
+             rewards, np.full(len(rows), i)],
         )
         pitch = rows[:, PITCH]
         heading = np.cos(pitch) * rows[:, QDOT] + np.sin(pitch) * rows[:, QDOT + 1]
@@ -279,6 +279,7 @@ def cmd_plan(args) -> int:
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
     cfg = _config(plan_mod.PlannerConfig, args)
+    plan_mod.knot_steps(cfg, robot)
     plan_mod.check_trials(args.trials)
     cfg_hash = config_hash(dataclasses.asdict(cfg))
     print(

@@ -192,9 +192,7 @@ def _rollout_plans(
     """
     if library.latents is None:
         raise ValueError("library has no latents; train the encoder")
-    steps_per_knot = round(cfg.knot_dt / robot_cfg.control_dt)
-    if steps_per_knot < 1:
-        raise ValueError("knot duration shorter than one control step")
+    steps_per_knot = knot_steps(cfg, robot_cfg)
     _step_prefixes(plans, steps_per_knot, policy, library, terrain, robot_cfg, cfg, cache)
     rewards = []
     for plan in plans:
@@ -284,6 +282,17 @@ def _top(values: list[float]) -> tuple[int, float]:
             return i, v
     top = max(values)
     return values.index(top), top
+
+
+def knot_steps(cfg: PlannerConfig, robot_cfg: RobotConfig) -> int:
+    """The control steps of one knot; ValueError names a knot duration that
+    gives fewer than one or too many to count."""
+    steps = cfg.knot_dt / robot_cfg.control_dt
+    if not math.isfinite(steps):
+        raise ValueError(f"knot duration {cfg.knot_dt} s gives too many control steps to count")
+    if round(steps) < 1:
+        raise ValueError("knot duration shorter than one control step")
+    return round(steps)
 
 
 def check_trials(trials: int) -> None:

@@ -363,28 +363,30 @@ def _advance(
     terrain: Terrain,
     robot_cfg: RobotConfig,
     noise: np.ndarray | None = None,
-    parents=None,
-    starts=None,
+    *,
+    parents,
+    starts,
 ) -> Lockstep:
     """Step B rows in lockstep, row b under latents[b] for steps[b] control
-    steps or until a fall or blowup: from state row start_rows[b] at the
-    batch's step 0, or, with parents and start steps given and parents[b] =
-    p >= 0, from row p's state at step starts[b] if p is running there (a
-    continuation row; it never runs otherwise).
+    steps or until a fall or blowup. A root row, parents[b] = -1 and
+    starts[b] = 0, starts from state row start_rows[b] at the batch's step 0;
+    a continuation row, parents[b] = p >= 0, starts from row p's state at
+    step starts[b] if p is running there, and never runs otherwise.
 
     Each control step makes one stacked `policy_mean` call on the live rows'
     observations and one kernel call that steps them all; row b's action at
     the batch's step t is the policy mean, plus noise[b, t] when noise is
-    given. Every episode in the package, in training, evaluation and
-    planning, runs through this loop.
+    given. Every episode in the package runs through this loop, and a
+    training batch, an evaluation's source mode or a planner episode is one
+    call.
 
     Runs are arrays: the returned batch holds the (T + 1, B, ROW) state
     history, the steps each row took and its final status code. The inputs
     are checked before the kernel sees them: start rows (B, ROW), latents
     (B, latent_dim) with the policy's latent width and noise (B, at least
     the batch's last step, act_dim), all C-contiguous float64, non-negative
-    integer steps and start steps, and parents that precede their rows, given
-    together with the start steps; ValueError names a bad one.
+    integer steps and start steps, and parents that precede their rows;
+    ValueError names a bad one.
     """
     batch = Lockstep(start_rows, latents, steps, noise, terrain, robot_cfg, parents, starts)
     if batch.obs.shape[1] != policy.dims[0]:
@@ -523,19 +525,22 @@ def evaluate_modes(
     Rollouts share their prefixes, and every score is bit-identical to the
     one a deterministic per-case episode would give. The deterministic
     dynamics depend only on the latent schedule, and the reference is
-    re-anchored only at the switch. So each source mode i runs one trunk
-    under latent i, to the horizon or a fall; the n trunks step as one
-    lockstep `_advance` batch. An i -> j case with j != i branches from the
-    trunk's state at its switch step, with the reference re-anchored there;
-    the branches of one trunk step as one batch, one row per distinct
-    (j, switch) pair. An i -> i case reuses the trunk's states and only
-    rescores them after its switch, with no physics. A case whose episode
-    ends before its switch is the trunk. Every trunk, branch and rescored
-    tail is one `tracking_rewards` call. Returns are summed from the
-    per-step reward array, as `Trajectory.episode_return` does.
+    re-anchored only at the switch. So each source mode i is one lockstep
+    `_advance` batch: its trunk, the root row, runs under latent i to the
+    horizon or a fall, and each i -> j case with j != i is a branch, a
+    continuation row of the trunk from its switch step under latent j, one
+    per distinct (j, switch), with the reference re-anchored there. One
+    batch for all n trunks would hold n + n(n - 1)k rows for k distinct
+    switches, so its state history would grow with n^2; a batch per source
+    mode holds 1 + (n - 1)k. An i -> i case
+    reuses the trunk's states and only rescores them after its switch, with
+    no physics. A case whose episode ends before its switch is the trunk.
+    Every trunk, branch and rescored tail is one `tracking_rewards` call.
+    Returns are summed from the per-step reward array, as
+    `Trajectory.episode_return` does.
 
     When `traces` is a dict, traces[i] receives the (T, ROW) state rows after
-    each step and the T per-step rewards, as a list of floats, of the i -> i
+    each step and the T per-step rewards, a float64 array, of the i -> i
     case that switches at TRACE_SWITCH, which need not be in the grid; they
     equal that case's per-case episode. The rows are the trunk's, since an
     i -> i case steps no further states. When that switch lies past the
@@ -557,25 +562,24 @@ def evaluate_modes(
     trace_switch = round(TRACE_SWITCH * robot_cfg.cycle_steps)
     ceiling = horizon * reward_cfg.max_step_reward
     start = initial_state(robot_cfg, terrain, clock_rate=clock_rate)
-    trunks = _advance(
-        policy, library.latents, np.tile(start, (n, 1)), np.full(n, horizon), terrain, robot_cfg
-    )
     transition_scores = np.zeros((n, n))
     for i in range(n):
-        trunk = trunks.rows(i)
-        steps = trunks.lengths[i]
-        trunk_rewards = tracking_rewards(trunk, library.motions[i], reward_cfg)
-        cases = [(j, s) for j in range(n) if j != i for s in dict.fromkeys(switches) if s < steps]
-        branches = _advance(
-            policy, library.latents[[j for j, _ in cases]], trunk[[s for _, s in cases]],
-            np.array([horizon - s for _, s in cases], dtype=np.int64), terrain, robot_cfg,
+        cases = [(j, s) for j in range(n) if j != i for s in dict.fromkeys(switches)]
+        run = _advance(
+            policy, library.latents[[i, *(j for j, _ in cases)]],
+            np.tile(start, (1 + len(cases), 1)),
+            [horizon, *(horizon - s for _, s in cases)], terrain, robot_cfg,
+            parents=[-1] + [0] * len(cases), starts=[0, *(s for _, s in cases)],
         )
-        branch = {case: branches.rows(k) for k, case in enumerate(cases)}
+        branch = {case: k for k, case in enumerate(cases, 1)}
+        trunk = run.rows(0)
+        steps = run.lengths[0]
+        trunk_rewards = tracking_rewards(trunk, library.motions[i], reward_cfg)
 
         def case_rewards(j: int, switch: int) -> np.ndarray:
             if switch >= steps:  # the trunk ended before the switch
                 return trunk_rewards
-            after = trunk[switch:] if j == i else branch[j, switch]
+            after = trunk[switch:] if j == i else run.rows(branch[j, switch])
             return np.concatenate([
                 trunk_rewards[:switch], tracking_rewards(after, library.motions[j], reward_cfg)
             ])
@@ -590,7 +594,7 @@ def evaluate_modes(
                 [scores[k % len(scores)] for k in range(rollouts_per_case)]
             )
         if traces is not None:
-            traces[i] = (trunk[1:], case_rewards(i, trace_switch).tolist())
+            traces[i] = (trunk[1:], case_rewards(i, trace_switch))
     return np.diag(transition_scores).copy(), transition_scores
 
 

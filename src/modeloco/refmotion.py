@@ -198,8 +198,12 @@ def interpolate_keyframes(
     if not (np.diff(times) > 0.0).all():
         raise InvalidInputError(f"keyframe times must be strictly increasing, got {times}")
 
-    duration = times[-1] - times[0]
-    steps = int(round(duration / dt))
+    # A float quotient: an overflow gives inf without a numpy warning.
+    steps = float(times[-1] - times[0]) / dt
+    if not math.isfinite(steps):
+        raise InvalidInputError(f"mode {name!r}: keyframes from {times[0]} s to {times[-1]} s "
+                                f"at dt {dt} give too many samples to count")
+    steps = int(round(steps))
     if steps < 1:
         raise InvalidInputError("clip shorter than one sample step")
     grid = times[0] + np.arange(steps + 1) * dt

@@ -24,12 +24,13 @@ scored as rows of a (..., ROW) float64 array.
 Episodes step in lockstep batches (`Lockstep`): B rows, each with its own
 latent, step budget and optional action noise, advance together, one kernel
 call per control step, and each row observes under its own latent. Steps
-count from the batch's step 0, where a row without a parent starts from its
-start row. A continuation row has a parent row p and a start step s: it
-starts at s from p's state there, if p is running there, so that an episode
-whose command switches is a trunk row and a continuation row of one batch,
-and a planner prefix continues its parent prefix's row; otherwise it never
-runs. A call steps each live row: the action is the policy mean plus the
+count from the batch's step 0, and every row names its parent. A root row
+(parent -1) starts at step 0 from its start row. A continuation row has a
+parent row p and a start step s: it starts at s from p's state there, if p
+is running there, and never runs otherwise. So an episode whose command
+switches, and an evaluation's i -> j case, are a trunk row and a
+continuation row of one batch; a planner prefix continues its parent's row.
+A call steps each live row: the action is the policy mean plus the
 row's noise at that step; the physics runs; t grows by control_dt; the phase
 becomes (phase + clock_rate * control_dt / cycle_duration) % 1.0, evaluated
 in that order under Python's float % (C's fmod, then the remainder takes the
@@ -467,14 +468,13 @@ class _Batch(ctypes.Structure):
 
 class Lockstep:
     """B state rows that step together, each under its own latent, step budget
-    and optional action noise, and optionally continuing another row; the
-    module docstring gives the contract.
+    and optional action noise, and each naming its parent; the module
+    docstring gives the contract.
 
-    A row without a parent, parents[b] = -1 (every row when parents and
-    starts are None), starts at step starts[b] = 0 from start_rows[b]. A row
-    with a parent p = parents[b] < b starts at step starts[b] from p's state
-    there, if p is running there, and its start row is never read; otherwise
-    it never runs.
+    A root row, parents[b] = -1, starts at step starts[b] = 0 from
+    start_rows[b]. A continuation row, with a parent p = parents[b] < b,
+    starts at step starts[b] from p's state there, if p is running there,
+    and its start row is never read; otherwise it never runs.
 
     history[t, b] is row b's state at step t, lengths[b] the steps row b
     took and status[b] the status code (see STATUSES) of its last state, so
@@ -495,8 +495,8 @@ class Lockstep:
         noise: np.ndarray | None,
         terrain: Terrain,
         cfg: RobotConfig,
-        parents=None,
-        starts=None,
+        parents,
+        starts,
     ):
         rows = _checked(start_rows, "start rows", (None, ROW)).shape[0]
         latent_dim = _checked(latents, "latents", (rows, None)).shape[1]
@@ -504,18 +504,12 @@ class Lockstep:
         block = np.empty((6, rows), dtype=np.int64)
         self.budgets, self.live, self.lengths, self.status, self.parents, self.starts = block
         self.budgets[:] = _steps(budgets, "step budgets", rows)
-        if (parents is None) != (starts is None):
-            raise ValueError("continuation rows need both their parents and their start steps")
-        if parents is None:
-            self.parents.fill(-1)
-            self.starts.fill(0)
-        else:
-            self.parents[:] = _steps(parents, "parents", rows, -1)
-            self.starts[:] = _steps(starts, "start steps", rows)
-            if (self.parents >= np.arange(rows)).any():
-                raise ValueError(f"each parent must precede its row, got {self.parents!r}")
-            if self.starts[self.parents < 0].any():
-                raise ValueError(f"a row without a parent starts at 0, got {self.starts!r}")
+        self.parents[:] = _steps(parents, "parents", rows, -1)
+        self.starts[:] = _steps(starts, "start steps", rows)
+        if (self.parents >= np.arange(rows)).any():
+            raise ValueError(f"each parent must precede its row, got {self.parents!r}")
+        if self.starts[self.parents < 0].any():
+            raise ValueError(f"a row without a parent starts at 0, got {self.starts!r}")
         steps = int((self.starts + self.budgets).max(initial=0))
         if noise is not None:
             _checked(noise, "noise", (rows, None, NUM_JOINTS))

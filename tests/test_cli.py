@@ -102,18 +102,24 @@ def test_gen_refs_spec_file_must_be_utf8_json(workdir, capsys, text, problem):
 
 
 @pytest.mark.parametrize(
-    "field, where", [("time", "a keyframe of mode 1"), ("z", "a keyframe of mode 1"),
-                     ("dt", "the modeset")],
+    "field, value, problem",
+    [("time", None, "'time' of a keyframe of mode 1 must be a finite number, got None"),
+     ("z", None, "'z' of a keyframe of mode 1 must be a finite number, got None"),
+     ("dt", None, "'dt' of the modeset must be a finite number, got None"),
+     # Finite numbers whose sample count overflows a float, with no numpy warning.
+     ("dt", 1e-320, "mode 'idle': keyframes from 0.0 s to 1.0 s at dt 1e-320 give too many"),
+     ("time", 1e308, "mode 'walk_f': keyframes from 0.0 s to 1e+308 s at dt 0.02 give too many")],
+    ids=["time-a keyframe of mode 1", "z-a keyframe of mode 1", "dt-the modeset",
+         "dt-overflowing", "time-overflowing"],
 )
-def test_gen_refs_spec_null_number_is_validation_error(workdir, capsys, field, where):
+def test_gen_refs_spec_null_number_is_validation_error(workdir, capsys, field, value, problem):
     spec = copy.deepcopy(TWO_MODE_SPEC)
-    entry = spec if field == "dt" else spec["modes"][1]["keyframes"][0]
-    entry[field] = None
+    entry = spec if field == "dt" else spec["modes"][1]["keyframes"][-1]
+    entry[field] = value
     spec_path = workdir / "null.json"
     spec_path.write_text(json.dumps(spec))
     assert run("gen-refs", "--modeset", str(spec_path)) == cli.EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert f"'{field}' of {where} must be a finite number, got None" in err
+    assert problem in capsys.readouterr().err
 
 
 def test_parser_defaults_are_the_config_defaults():
@@ -651,12 +657,13 @@ def test_missing_file_is_validation_error(workdir, capsys):
         ("plan", ["--trials", "0"], "need at least one trial, got 0"),
         ("train-policy", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("plan", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("plan", ["--dt", "1e308"], "knot duration 1e+308 s gives too many control steps"),
     ],
     ids=["eval-nan-weight", "train-inf-weight", "plan-nan-goal", "plan-nan-dt",
          "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f", "eval-nan-clock",
          "eval-inf-clock", "eval-zero-clock", "eval-negative-clock",
          "train-negative-checkpoint-every", "plan-negative-episodes", "plan-zero-trials",
-         "train-negative-seed", "plan-negative-seed"],
+         "train-negative-seed", "plan-negative-seed", "plan-overflowing-dt"],
 )
 def test_non_finite_settings_are_validation_errors(workdir, capsys, command, flags, problem):
     lib, pol = _two_mode_policy(workdir)

@@ -584,8 +584,11 @@ def test_advance_checks_its_inputs_before_the_kernel():
     start = sim.initial_state(ROBOT, sim.Terrain.flat())
     starts, latents = np.tile(start, (2, 1)), np.zeros((2, 4))
     args = (sim.Terrain.flat(), ROBOT)
-    pol._advance(policy, latents, starts, [3, 0], *args)  # well formed
-    pol._advance(policy, latents, starts, [3, 0], *args, None, [-1, 0], [0, 2])
+    roots = ([-1, -1], [0, 0])
+    pol._advance(policy, latents, starts, [3, 0], *args, parents=roots[0], starts=roots[1])
+    pol._advance(policy, latents, starts, [3, 0], *args, parents=[-1, 0], starts=[0, 2])
+    with pytest.raises(TypeError, match="parents"):  # every row names its parent
+        pol._advance(policy, latents, starts, [3, 0], *args)
     for bad_starts, bad_latents, steps, noise, chain, match in [
         (starts[:, :-1].copy(), latents, [3, 3], None, None, "start rows"),
         (starts, latents.astype(np.float32), [3, 3], None, None, "latents"),
@@ -604,12 +607,13 @@ def test_advance_checks_its_inputs_before_the_kernel():
         (starts, latents, [3, 3], None, ([-1, 0], [0, -1]), "start steps"),
         (starts, latents, [3, 3], None, ([-1, 0], [0, 1.0]), "start steps"),
         (starts, latents, [3, 3], None, ([-1, -1], [0, 1]), "starts at 0"),
-        (starts, latents, [3, 3], None, ([-1, 0], None), "both"),
-        (starts, latents, [3, 3], None, (None, [0, 1]), "both"),
+        (starts, latents, [3, 3], None, ([-1, 0], None), "start steps"),
+        (starts, latents, [3, 3], None, (None, [0, 1]), "parents"),
     ]:
+        parents, start_steps = chain or roots
         with pytest.raises(ValueError, match=match):
             pol._advance(policy, bad_latents, bad_starts, steps, *args, noise,
-                         *(chain or (None, None)))
+                         parents=parents, starts=start_steps)
 
 
 def test_fortran_ordered_latents_step_as_c_ordered_ones():
@@ -685,20 +689,32 @@ def _falling_policy():
 
 
 def _count_steps(monkeypatch) -> list:
-    """Count the simulator steps the policy module takes; returns a one-item counter.
+    """Count the simulator steps the policy module takes and record the rows
+    of each `_advance` batch; returns a [steps, rows per batch] counter.
 
     Every episode steps through `_advance`, so the count sums the steps of
     each batch it returns."""
-    count = [0]
+    count = [0, []]
     real_advance = pol._advance
 
     def counting_advance(*args, **kwargs):
         run = real_advance(*args, **kwargs)
         count[0] += int(run.lengths.sum())
+        count[1].append(len(run.lengths))
         return run
 
     monkeypatch.setattr(pol, "_advance", counting_advance)
     return count
+
+
+def _assert_trace(trace, want, mode):
+    """An `evaluate_modes` trace equals the per-step (row, reward, mode) list
+    of a reference rollout under `mode` alone, byte for byte."""
+    rows, rewards = trace
+    assert len(rows) == len(want) and rewards.dtype == np.float64
+    assert rows.tobytes() == np.array([w_row for w_row, _, _ in want]).tobytes()
+    assert rewards.tobytes() == np.array([w_r for _, w_r, _ in want]).tobytes()
+    assert {w_mode for *_, w_mode in want} <= {mode}
 
 
 @pytest.mark.parametrize(
@@ -765,14 +781,14 @@ def test_evaluate_modes_matches_per_case_rollouts(
     branches = {(i, j, s): tr.length - s for i, j, s, tr in cases if j != i and s < trunk[i]}
     assert steps[0] == sum(trunk.values()) + sum(branches.values())
     assert steps[0] < sum(tr.length for *_, tr in cases)
+    # One batch per source mode: its trunk and a branch row per other mode
+    # and distinct switch, so a batch's rows grow with n, not n^2.
+    rows = 1 + (lib.n - 1) * len({s for _, _, s, _ in cases})
+    assert steps[1] == [rows] * lib.n
 
     assert sorted(traces) == list(range(lib.n))
     for i, want in want_traces.items():
-        rows, rewards = traces[i]
-        assert len(rows) == len(rewards) == len(want)
-        for row, r, (w_row, w_r, w_mode) in zip(rows, rewards, want):
-            assert row.tobytes() == w_row.tobytes()
-            assert (repr(r), i) == (repr(w_r), w_mode)
+        _assert_trace(traces[i], want, i)
 
 
 def test_evaluate_modes_rejects_a_switch_outside_the_episode():
@@ -794,11 +810,6 @@ def test_evaluate_modes_rejects_a_switch_outside_the_episode():
             policy, lib, EpisodeScript(i, i, 60, 61), *args[2:],
             stochastic=False, trace=want,
         )
-        want = want[:60]
-        rows, rewards = traces[i]
-        assert len(rows) == len(rewards) == len(want)
-        for row, r, (w_row, w_r, w_mode) in zip(rows, rewards, want):
-            assert row.tobytes() == w_row.tobytes()
-            assert (repr(r), i) == (repr(w_r), w_mode)
+        _assert_trace(traces[i], want[:60], i)
     with pytest.raises(ValueError, match="at least one rollout"):
         pol.evaluate_modes(*args, rollouts_per_case=0)

@@ -42,12 +42,17 @@ def state_row(q, qdot=None, t=0.0, phase=0.0, clock_rate=1.0, contact_left=False
     return np.concatenate([q, qdot, [t, phase, clock_rate, contact_left, contact_right, support]])
 
 
+def roots(n):
+    """The parents and start steps of n root rows: -1 and 0."""
+    return np.full(n, -1), np.zeros(n, dtype=np.int64)
+
+
 def step_row(row, action, terrain, cfg):
     """One control step of state row `row` under the PD targets `action`, as a
     one-row `sim.Lockstep` batch: the kernel call that steps every episode.
     Returns the new row and its status."""
     batch = sim.Lockstep(np.array(row, dtype=float, ndmin=2), np.zeros((1, 0)), [1], None,
-                         terrain, cfg)
+                         terrain, cfg, *roots(1))
     batch.means[0] = action
     batch.advance(0, 1)
     return batch.history[1, 0], sim.STATUSES[batch.status[0]]
@@ -545,7 +550,7 @@ def _chained(starts, latents, then, budgets, switches, noise):
     steps left, from their state at it, under then. Returns each row's
     states, the lengths and the status codes."""
     first = _drive(sim.Lockstep(starts, latents, np.minimum(budgets, switches), noise, FLAT,
-                                CFG))
+                                CFG, *roots(len(budgets))))
     on = [b for b in range(len(budgets)) if sim.STATUSES[first.status[b]] == RUNNING
           and first.lengths[b] == switches[b] < budgets[b]]
     rest = budgets[on] - switches[on]
@@ -553,7 +558,7 @@ def _chained(starts, latents, then, budgets, switches, noise):
     for k, b in enumerate(on):
         later[k, : rest[k]] = noise[b, switches[b] : budgets[b]]
     second = _drive(sim.Lockstep(first.history[switches[on], on], then[on], rest, later, FLAT,
-                                 CFG))
+                                 CFG, *roots(len(on))))
     rows = [first.rows(b) for b in range(len(budgets))]
     lengths, status = first.lengths.copy(), first.status.copy()
     for k, b in enumerate(on):
@@ -566,7 +571,7 @@ def _spinning_fall():
     """An airborne start row that pitches at a constant rate whatever the legs
     do (they are decoupled from it), and the step on which it falls."""
     spinning = airborne_state(np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0]))
-    fall = sim.Lockstep(spinning[None], np.zeros((1, 4)), [30], None, FLAT, CFG)
+    fall = sim.Lockstep(spinning[None], np.zeros((1, 4)), [30], None, FLAT, CFG, *roots(1))
     return spinning, int(_drive(fall).lengths[0])
 
 
@@ -601,11 +606,11 @@ def test_a_switching_lockstep_row_equals_two_chained_batches():
     assert [sim.STATUSES[c] for c in status] == [RUNNING] * 4 + [FALLEN] * 3 + [RUNNING]
     assert lengths.tolist() == [12] * 4 + [fall] * 3 + [0]
     # The latent switches: a row that switches at 0 differs from its unswitched run.
-    plain = _drive(sim.Lockstep(starts, latents, budgets, noise, FLAT, CFG))
+    plain = _drive(sim.Lockstep(starts, latents, budgets, noise, FLAT, CFG, *roots(n)))
     assert rows[0].tobytes() != plain.rows(0).tobytes()
     # The trunks step as they do in a batch without continuation rows.
     trunks = _drive(sim.Lockstep(starts, latents, np.minimum(budgets, switches), noise, FLAT,
-                                 CFG))
+                                 CFG, *roots(n)))
     for b in range(n):
         assert trunks.rows(b).tobytes() == got.rows(b).tobytes(), b
         assert (trunks.lengths[b], trunks.status[b]) == (got.lengths[b], got.status[b])
@@ -659,7 +664,7 @@ def test_a_continuation_row_equals_a_row_started_from_its_parents_state():
             first = start_rows[k] if parent < 0 else got[parent][0][start - starts[parent]]
             alone = _drive(sim.Lockstep(
                 first[None].copy(), latents[k][None], [budgets[k]],
-                noise[k][None, start:].copy(), FLAT, CFG,
+                noise[k][None, start:].copy(), FLAT, CFG, *roots(1),
             ))
             assert states.tobytes() == alone.rows(0).tobytes(), k
             assert (n, status) == (alone.lengths[0], alone.status[0]), k
