@@ -1,21 +1,24 @@
 /* The planar biped's control steps and rewards: the kernel of every
- * lockstep batch that policy._advance runs, of the observations of state
- * rows, and of the tracking and goal rewards that score those rows. Its
- * last section is not physics: repr_join writes arrays of doubles as the
- * text CPython's repr gives, for the artifact and table writers (fileio.py),
- * where the compiler has unsigned __int128.
+ * lockstep batch that policy._advance runs, policy mean included, of the
+ * observations of state rows, and of the tracking and goal rewards that score
+ * those rows. Its last section is not physics: repr_join writes arrays of
+ * doubles as the text CPython's repr gives, for the artifact and table writers
+ * (fileio.py), where the compiler has unsigned __int128.
  *
  * sim.py compiles this file once per version of it, with the flags in
  * sim._CC_FLAGS, keeping the library in the package's __pycache__ for later
- * processes. sim.py calls sim_start, sim_lockstep, sim_observe, sim_track and
- * sim_goal_rewards, and fileio.py calls repr_join, through ctypes. The
- * flags are part of the operation-order contract that sim.py's module
- * docstring states: no -ffast-math, so every operation rounds as written;
- * -ffp-contract=off, so no multiply-add is fused into one rounding;
+ * processes. sim.py calls sim_start, sim_lockstep, sim_run, sim_observe,
+ * sim_track and sim_goal_rewards, and fileio.py calls repr_join, through
+ * ctypes. The flags are part of the operation-order contract that sim.py's
+ * module docstring states: no -ffast-math, so every operation rounds as
+ * written; -ffp-contract=off, so no multiply-add is fused into one rounding;
  * -fno-builtin, so sin, cos, exp and fmod stay calls into
  * the libm that Python's math module and float type use, and sin and cos are
  * not merged into sincos. math.hypot is not libm's hypot, so python_hypot
- * below ports CPython's own. tests/test_sim.py holds the plain Python
+ * below ports CPython's own. The policy mean's matrix products and tanh are
+ * not this file's arithmetic: they call numpy's own float64 loops for
+ * np.matmul and np.tanh, which sim.py looks up and passes in (struct policy),
+ * so the mean keeps numpy's bits. tests/test_sim.py holds the plain Python
  * references that this code must match byte for byte. Do not reorder or
  * regroup its arithmetic.
  */
@@ -405,7 +408,7 @@ struct batch {
     const double *noise;    /* (B, noise_steps, NUM_JOINTS), by step, or NULL */
     const int64_t *budgets; /* (B,): the steps each row may take */
     int64_t *live;          /* the live rows */
-    const double *means;    /* (B, NUM_JOINTS): the live rows' policy means */
+    double *means;          /* (B, NUM_JOINTS): the live rows' policy means */
     double *obs;            /* (B, obs_dim): the live rows' observations */
     int64_t *lengths;       /* (B,): the steps each row took */
     int64_t *status;        /* (B,): the status of each row's last state */
@@ -518,6 +521,74 @@ int64_t sim_start(const struct batch *b)
         b->status[r] = RUNNING;
     }
     return start_rows(b, 0, 0);
+}
+
+/* A numpy ufunc inner loop, numpy's PyUFuncGenericFunction: the argument
+ * pointers, the loop dimensions and the byte steps, and the loop's data. */
+typedef void (*ufunc_loop)(char **args, const intptr_t *dimensions, const intptr_t *steps,
+                           void *data);
+
+/* A tanh MLP, policy.MlpParams, as sim.Lockstep.run lays it out: every layer
+ * but the last is followed by tanh. params holds each layer's (out, in)
+ * weight, row by row, then its bias. */
+struct policy {
+    int64_t layers;        /* L */
+    const int64_t *widths; /* (L + 1,): the input width first, the output width last */
+    const double *params;
+    double *work;          /* 2 * B * the widest hidden width */
+    ufunc_loop matmul;     /* np.matmul's 'dd->d' loop */
+    void *matmul_data;
+    ufunc_loop tanh;       /* np.tanh's first 'd->d' loop */
+    void *tanh_data;
+};
+
+/* The outputs of policy p for the m rows of obs, into out, as
+ * policy.policy_mean computes them: per layer, numpy's matmul loop called as
+ * numpy calls it for a C-contiguous (m, 1, in) stack times the transposed
+ * (out, in) weight, then the bias added, then, before the last layer,
+ * numpy's tanh loop in place over the contiguous m x out block. The hidden
+ * layers alternate between the two halves of p's work block. */
+static void policy_mean(const struct policy *p, int64_t m, const double *obs, double *out)
+{
+    const intptr_t size = sizeof(double);
+    const double *in = obs, *weight = p->params;
+    int64_t widest = 0;
+    for (int64_t i = 1; i < p->layers; i++) {
+        if (p->widths[i] > widest)
+            widest = p->widths[i];
+    }
+    for (int64_t i = 0; i < p->layers; i++) {
+        const intptr_t k = p->widths[i], n = p->widths[i + 1];
+        const double *bias = weight + n * k;
+        double *h = i + 1 == p->layers ? out : p->work + (i % 2) * m * widest;
+        char *args[3] = {(char *)in, (char *)weight, (char *)h};
+        const intptr_t dims[4] = {m, 1, k, n};
+        const intptr_t steps[9] = {k * size, 0, n * size, 0, size, size, k * size, 0, size};
+        p->matmul(args, dims, steps, p->matmul_data);
+        for (int64_t r = 0; r < m; r++) {
+            for (intptr_t j = 0; j < n; j++)
+                h[r * n + j] = h[r * n + j] + bias[j];
+        }
+        if (i + 1 < p->layers) {
+            char *inplace[2] = {(char *)h, (char *)h};
+            const intptr_t count = m * n, unit[2] = {size, size};
+            p->tanh(inplace, &count, unit, p->tanh_data);
+        }
+        in = h;
+        weight = bias + n;
+    }
+}
+
+/* Run batch b from step 0 to its end on policy p: sim_start, then per step
+ * the live rows' policy means of their observations, into means, and
+ * sim_lockstep, until no row is live. */
+void sim_run(const struct batch *b, const struct policy *p)
+{
+    int64_t m = sim_start(b);
+    for (int64_t t = 0; m; t++) {
+        policy_mean(p, m, b->obs, b->means);
+        m = sim_lockstep(b, m, t);
+    }
 }
 
 /* The observations of n state rows, row k under latents[k], into obs. */

@@ -39,6 +39,7 @@ from .refmotion import (
 from .sim import (
     CONTACT_LEFT,
     CONTACT_RIGHT,
+    NUM_JOINTS,
     PITCH,
     Q,
     QDOT,
@@ -90,13 +91,19 @@ def _load_encoded_library(path: str):
 
 
 def _check_policy_fits(policy, library, policy_path: str, library_path: str) -> None:
-    """The policy's input size must be the observation size the library's latents give."""
+    """The policy's input size must be the observation size the library's
+    latents give, and its action size the biped's joint count."""
     latent_dim = library.latents.shape[1]
     want = observation_dim(latent_dim)
     if policy.dims[0] != want:
         raise InvalidInputError(
             f"policy {policy_path} takes {policy.dims[0]} observation inputs, but the "
             f"{latent_dim}-dimensional latents of library {library_path} give {want}"
+        )
+    if policy.action_dim != NUM_JOINTS:
+        raise InvalidInputError(
+            f"policy {policy_path} gives {policy.action_dim} actions, but the biped has "
+            f"{NUM_JOINTS} joints"
         )
 
 

@@ -373,32 +373,24 @@ def _advance(
     a continuation row, parents[b] = p >= 0, starts from row p's state at
     step starts[b] if p is running there, and never runs otherwise.
 
-    Each control step makes one stacked `policy_mean` call on the live rows'
-    observations and one kernel call that steps them all; row b's action at
-    the batch's step t is the policy mean, plus noise[b, t] when noise is
-    given. Every episode in the package runs through this loop, and a
-    training batch, an evaluation's source mode or a planner episode is one
-    call.
+    The batch is one kernel call (`Lockstep.run`): at each control step it
+    computes the live rows' policy means, as `policy_mean` does, bit for
+    bit, and steps them all; row b's action at the batch's step t is the
+    policy mean, plus noise[b, t] when noise is given. Every episode in the
+    package runs through this call, and a training batch, an evaluation's
+    source mode or a planner episode is one call.
 
     Runs are arrays: the returned batch holds the (T + 1, B, ROW) state
     history, the steps each row took and its final status code. The inputs
     are checked before the kernel sees them: start rows (B, ROW), latents
     (B, latent_dim) with the policy's latent width and noise (B, at least
     the batch's last step, act_dim), all C-contiguous float64, non-negative
-    integer steps and start steps, and parents that precede their rows;
-    ValueError names a bad one.
+    integer steps and start steps, parents that precede their rows, and a
+    policy from that observation width to NUM_JOINTS actions; ValueError
+    names a bad one.
     """
     batch = Lockstep(start_rows, latents, steps, noise, terrain, robot_cfg, parents, starts)
-    if batch.obs.shape[1] != policy.dims[0]:
-        raise ValueError(
-            f"latents of width {latents.shape[1]} give {batch.obs.shape[1]} observations, "
-            f"but the policy takes {policy.dims[0]}"
-        )
-    t, m = 0, batch.live_count
-    while m:
-        batch.means[:m] = policy_mean(policy, batch.obs[:m])
-        m = batch.advance(t, m)
-        t += 1
+    batch.run(policy.net)
     return batch
 
 
@@ -414,25 +406,25 @@ def rollout(
     """Run a batch of scripted training episodes of the stochastic policy;
     episode b follows scripts[b] and draws from rngs[b].
 
-    The batch is one lockstep `_advance` call, with two rows per episode: a
-    trunk under the start mode's latent from the start state to its
-    `switch_step`, and a continuation row under the end mode's latent from
-    the trunk's state at the switch step to the horizon, which runs only if
-    the trunk is running there. So each of the episode's states, the last
-    included, observes under the start mode's latent before the switch step
-    and under the end mode's latent from there on. Each episode is scored by
-    one `tracking_rewards` call per row against its mode's clip, the
-    continuation's anchored at its first state, so at the switch the new
-    mode's reference continues from where the robot actually is. Falls and
-    blowups truncate the episode with a zero bootstrap value.
+    The batch is one lockstep `_advance` call, so one kernel call, with two
+    rows per episode: a trunk under the start mode's latent from the start
+    state to its `switch_step`, and a continuation row under the end mode's
+    latent from the trunk's state at the switch step to the horizon, which
+    runs only if the trunk is running there. So each of the episode's
+    states, the last included, observes under the start mode's latent before
+    the switch step and under the end mode's latent from there on. Each
+    episode is scored by one `tracking_rewards` call per row against its
+    mode's clip, the continuation's anchored at its first state, so at the
+    switch the new mode's reference continues from where the robot actually
+    is. Falls and blowups truncate the episode with a zero bootstrap value.
 
     Episode b draws horizon x act_dim standard normals from rngs[b] up
     front, one row per step, whether or not it runs to the horizon; both of
     its rows act on that noise at each step. The observations, means and
     actions are recomputed from the state history after the batch, and the
     log-probs and values, bootstrap included, come from one batched call each
-    per episode; all equal what the stepping used and what per-step calls
-    give, bit for bit.
+    per episode; all equal what the kernel's stepping used and what per-step
+    calls give, bit for bit.
     """
     if len(scripts) != len(rngs):
         raise ValueError(f"need one rng per script, got {len(rngs)} for {len(scripts)}")

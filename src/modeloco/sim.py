@@ -22,28 +22,29 @@ the one state representation: every episode steps, observes, ends and is
 scored as rows of a (..., ROW) float64 array.
 
 Episodes step in lockstep batches (`Lockstep`): B rows, each with its own
-latent, step budget and optional action noise, advance together, one kernel
-call per control step, and each row observes under its own latent. Steps
-count from the batch's step 0, and every row names its parent. A root row
-(parent -1) starts at step 0 from its start row. A continuation row has a
-parent row p and a start step s: it starts at s from p's state there, if p
-is running there, and never runs otherwise. So an episode whose command
-switches, and an evaluation's i -> j case, are a trunk row and a
-continuation row of one batch; a planner prefix continues its parent's row.
-A call steps each live row: the action is the policy mean plus the
-row's noise at that step; the physics runs; t grows by control_dt; the phase
-becomes (phase + clock_rate * control_dt / cycle_duration) % 1.0, evaluated
-in that order under Python's float % (C's fmod, then the remainder takes the
-sign of 1.0, and a zero remainder is +0.0); the contacts and the support are
-set; and the status is set, a blowup (a value of q or qdot not finite)
-before fallen (the base below 0.3 of the nominal height above the support,
-or pitched past 1 rad) before running. The rows still running with steps
-left are then compacted to the front of the live list, in order, followed by
-the rows that start at the new step, in ascending row order, and their next
-observations written in that order. A row's result depends on its start
-state, latent, budget and noise alone, not on the other rows of its batch
-or their order. A run is the (T + 1, B, ROW) history of the batch plus the
-steps and the final status of each row.
+latent, step budget and optional action noise, advance together, and each row
+observes under its own latent. A batch runs in one kernel call
+(`Lockstep.run`), which alternates the live rows' policy means with the
+control step that moves them. Steps count from the batch's step 0, and every
+row names its parent. A root row (parent -1) starts at step 0 from its start
+row. A continuation row has a parent row p and a start step s: it starts at s
+from p's state there, if p is running there, and never runs otherwise. So an
+episode whose command switches, and an evaluation's i -> j case, are a trunk
+row and a continuation row of one batch; a planner prefix continues its
+parent's row. Each control step steps each live row: the action is the policy
+mean plus the row's noise at that step; the physics runs; t grows by
+control_dt; the phase becomes (phase + clock_rate * control_dt /
+cycle_duration) % 1.0, evaluated in that order under Python's float % (C's
+fmod, then the remainder takes the sign of 1.0, and a zero remainder is +0.0);
+the contacts and the support are set; and the status is set, a blowup (a value
+of q or qdot not finite) before fallen (the base below 0.3 of the nominal
+height above the support, or pitched past 1 rad) before running. The rows
+still running with steps left are then compacted to the front of the live
+list, in order, followed by the rows that start at the new step, in ascending
+row order, and their next observations written in that order. A row's result
+depends on its start state, latent, budget and noise alone, not on the other
+rows of its batch or their order. A run is the (T + 1, B, ROW) history of the
+batch plus the steps and the final status of each row.
 
 Rewards score state rows after they are stepped, one kernel call per segment
 (`tracking_rewards`): a segment is the rows of one episode under one mode,
@@ -71,27 +72,37 @@ reward, exp(-hypot(goal_x - x, goal_z - z)) per row, runs in the same kernel
 CPython's own math.hypot (its vector_norm), because libm's hypot and numpy's
 round some results differently.
 
-The steps, observations, statuses and rewards run in `_physics.c`, a C
-kernel loaded through ctypes on first use for the life of the process. It
-is built with `cc` once per version of its source and kept in the package's
-`__pycache__`, so later processes load it without compiling (`_cached_kernel`).
-The kernel keeps a fixed floating-point operation order, so that
-trajectories, checkpoints and resumed runs replay bit for bit across
-versions of this package. Do not reorder or regroup its arithmetic: force
-and torque sums start from 0.0 (which fixes the sign of a zero total), a
-joint acceleration is (tau - damping * qdot + (jx * ft + jz * fn)) / inertia,
+The steps, policy means, observations, statuses and rewards run in
+`_physics.c`, a C kernel loaded through ctypes on first use for the life of
+the process. It is built with `cc` once per version of its source and kept in
+the package's `__pycache__`, so later processes load it without compiling
+(`_cached_kernel`). The kernel keeps a fixed floating-point operation order,
+so that trajectories, checkpoints and resumed runs replay bit for bit across
+versions of this package. Do not reorder or regroup its arithmetic: force and
+torque sums start from 0.0 (which fixes the sign of a zero total), a joint
+acceleration is (tau - damping * qdot + (jx * ft + jz * fn)) / inertia,
 accelerations divide by the mass and inertias rather than multiply by
-reciprocals, and the half-kick uses 0.5 * h. One leg routine serves both
-legs; a leg's terms that depend on the positions alone are computed once per
-drift and reused by every evaluation at those positions, since their inputs
-are the same each time. The compiler flags (`_CC_FLAGS`) are part of the
-same contract: no -ffast-math, so every operation rounds as written;
+reciprocals, and the half-kick uses 0.5 * h. One leg routine serves both legs;
+a leg's terms that depend on the positions alone are computed once per drift
+and reused by every evaluation at those positions, since their inputs are the
+same each time. The compiler flags (`_CC_FLAGS`) are part of the same
+contract: no -ffast-math, so every operation rounds as written;
 -ffp-contract=off, so no multiply-add is fused into one rounding; and
 -fno-builtin, so sin, cos, exp and fmod stay the libm calls that math.sin,
 math.cos, math.exp and float % make, and sin and cos are not merged into
-sincos. tests/test_sim.py holds the plain Python references of the step, the
-observation, the termination, the tracking reward and math.hypot that the
-kernel must match byte for byte.
+sincos. The policy mean is numpy's arithmetic, not the kernel's: the kernel
+calls the float64 loops that np.matmul and np.tanh run, np.matmul's 'dd->d'
+loop and np.tanh's first 'd->d' loop, read from numpy's public ufunc struct on
+first use (`_numpy_loops`), with the dimensions and steps numpy passes them in
+`policy.policy_mean`, and it adds each bias in C, where IEEE addition rounds
+as numpy's does. So those two loops are part of the contract too: a numpy
+whose loops cannot be found, or differ from np.matmul and np.tanh on a fixed
+probe, is a RuntimeError. A tanh of the kernel's own would not do: libm's tanh
+rounds many results differently from np.tanh. tests/test_sim.py holds the
+plain Python references of the step, the observation, the termination, the
+tracking reward and math.hypot that the kernel must match byte for byte, and
+tests/test_policy.py checks the kernel's policy means against
+`policy.policy_mean`.
 """
 
 from __future__ import annotations
@@ -363,13 +374,14 @@ def _declare(kernel):
     for name, argtypes in (
         ("sim_start", [pointer]),
         ("sim_lockstep", [pointer, count, count]),
+        ("sim_run", [pointer, pointer]),
         ("sim_observe", [count, pointer, pointer, count, pointer]),
         ("sim_track", [count, pointer, pointer, pointer, pointer]),
         ("sim_goal_rewards", [count, pointer, double, double, pointer]),
     ):
         getattr(kernel, name).argtypes = argtypes
         getattr(kernel, name).restype = count
-    kernel.sim_observe.restype = kernel.sim_goal_rewards.restype = None
+    kernel.sim_observe.restype = kernel.sim_goal_rewards.restype = kernel.sim_run.restype = None
     if hasattr(kernel, "repr_join"):  # absent where the compiler has no __int128
         text = ctypes.c_char_p
         kernel.repr_join.argtypes = [count, pointer, count, text, text, count, text, count,
@@ -431,6 +443,78 @@ def loaded_kernel():
     return _kernel
 
 
+class _UfuncPrefix(ctypes.Structure):
+    """The leading fields of numpy's PyUFuncObject, public C API
+    (numpy/ufuncobject.h): the object header, then the loop tables."""
+
+    _fields_ = [
+        ("header", ctypes.c_char * object.__basicsize__),
+        ("nin", ctypes.c_int), ("nout", ctypes.c_int), ("nargs", ctypes.c_int),
+        ("identity", ctypes.c_int),
+        ("functions", ctypes.POINTER(ctypes.c_void_p)),
+        ("data", ctypes.POINTER(ctypes.c_void_p)),
+        ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int),
+        ("name", ctypes.c_char_p),
+        ("types", ctypes.POINTER(ctypes.c_ubyte)),
+    ]
+
+
+# numpy's inner loop type, PyUFuncGenericFunction.
+_UFUNC_LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
+                               ctypes.POINTER(ctypes.c_ssize_t), ctypes.POINTER(ctypes.c_ssize_t),
+                               ctypes.c_void_p)
+
+
+def _ufunc_loop(ufunc, name: str, signature: str) -> tuple[int, int]:
+    """The function and data pointers of the first loop of `ufunc` whose
+    types are `signature` ('dd->d'), read from its struct: RuntimeError,
+    naming numpy's version, unless ufunc is a numpy ufunc whose struct names
+    it `name` and agrees with its Python attributes on the count of loops,
+    the count of arguments and that loop's type codes."""
+    codes = [np.dtype(c).num for c in signature.replace("->", "")]
+    if isinstance(ufunc, np.ufunc) and signature in ufunc.types:
+        k = ufunc.types.index(signature)
+        prefix = _UfuncPrefix.from_address(id(ufunc))
+        if (prefix.name == name.encode() and prefix.ntypes == ufunc.ntypes
+                and prefix.nargs == ufunc.nargs == len(codes)
+                and [prefix.types[k * len(codes) + a] for a in range(len(codes))] == codes):
+            return prefix.functions[k], prefix.data[k] or 0
+    raise RuntimeError(f"cannot find the {signature!r} loop of numpy {np.__version__}'s "
+                       f"{name} in {ufunc!r}")
+
+
+@functools.cache
+def _numpy_loops() -> tuple[int, int, int, int]:
+    """The function and data pointers of np.matmul's 'dd->d' loop and of
+    np.tanh's first 'd->d' loop, which the kernel's policy mean calls.
+
+    Each loop is called once on a fixed probe, as the kernel calls it, and
+    must give the bits np.matmul and np.tanh give; RuntimeError, naming
+    numpy's version, otherwise.
+    """
+    matmul, matmul_data = _ufunc_loop(np.matmul, "matmul", "dd->d")
+    tanh, tanh_data = _ufunc_loop(np.tanh, "tanh", "d->d")
+    # A (3, 1, 5) stack times a transposed (4, 5) weight, and tanh over
+    # [-20, 20], tails included.
+    x = np.linspace(-2.0, 3.0, 15).reshape(3, 1, 5)
+    w = np.linspace(-1.5, 1.0, 20).reshape(4, 5)
+    product = np.empty((3, 1, 4))
+    _UFUNC_LOOP(matmul)(
+        (ctypes.c_void_p * 3)(_address(x), _address(w), _address(product)),
+        (ctypes.c_ssize_t * 4)(3, 1, 5, 4), (ctypes.c_ssize_t * 9)(40, 0, 32, 0, 8, 8, 40, 0, 8),
+        matmul_data,
+    )
+    angles = np.linspace(-20.0, 20.0, 4001)
+    tanhs = angles.copy()
+    _UFUNC_LOOP(tanh)((ctypes.c_void_p * 2)(_address(tanhs), _address(tanhs)),
+                      (ctypes.c_ssize_t * 1)(tanhs.size), (ctypes.c_ssize_t * 2)(8, 8), tanh_data)
+    if (product.tobytes() != (x @ w.T).tobytes()
+            or tanhs.tobytes() != np.tanh(angles).tobytes()):
+        raise RuntimeError(f"numpy {np.__version__}'s matmul and tanh loops, called as "
+                           "the physics kernel calls them, differ from np.matmul and np.tanh")
+    return matmul, matmul_data, tanh, tanh_data
+
+
 def _address(a) -> int:
     return a.ctypes.data if isinstance(a, np.ndarray) else ctypes.addressof(a)
 
@@ -466,6 +550,15 @@ class _Batch(ctypes.Structure):
     ]
 
 
+class _Policy(ctypes.Structure):
+    """`_physics.c`'s struct policy."""
+
+    _fields_ = [("layers", ctypes.c_int64)] + [
+        (name, ctypes.c_void_p)
+        for name in ("widths", "params", "work", "matmul", "matmul_data", "tanh", "tanh_data")
+    ]
+
+
 class Lockstep:
     """B state rows that step together, each under its own latent, step budget
     and optional action noise, and each naming its parent; the module
@@ -480,11 +573,15 @@ class Lockstep:
     took and status[b] the status code (see STATUSES) of its last state, so
     row b's states are history[starts[b] : starts[b] + lengths[b] + 1, b] once
     it has started. A row that never runs keeps length 0 and status running.
-    No other entry of history is written. A row is live while it is running
-    and has steps left: live[:m] holds the m live rows and obs[:m] their
-    observations, live_count of them at the start. advance(t, m) steps them
-    from t to t + 1 on the policy means in means[:m] and returns the new m.
-    Step t's noise is noise[b, t], so noise covers the batch's last step.
+    No other entry of history is written. Step t's noise is noise[b, t], so
+    noise covers the batch's last step.
+
+    run(net) runs the whole batch on a policy's mean network in one kernel
+    call. advance steps it one control step at a time on means written from
+    Python: a row is live while it is running and has steps left, live[:m]
+    holds the m live rows and obs[:m] their observations, live_count of them
+    at the start, and advance(t, m) steps them from t to t + 1 on the means
+    in means[:m] and returns the new m.
     """
 
     def __init__(
@@ -535,6 +632,32 @@ class Lockstep:
 
     def advance(self, t: int, m: int) -> int:
         return self._call(m, t)
+
+    def run(self, net) -> None:
+        """Run the batch from step 0 to its end in one kernel call, each live
+        row acting on the mean that `net` gives for its observation: net is a
+        tanh MLP, `policy.MlpParams`, whose flat parameter vector holds each
+        layer's (out, in) weight, raveled, then its bias. The means are
+        `policy.policy_mean`'s, bit for bit. A run starts the batch afresh,
+        so it may follow advance calls or another run.
+
+        ValueError, before the kernel runs, unless net takes the batch's
+        observations and gives NUM_JOINTS actions, and its parameters are a
+        C-contiguous float64 vector of the size its widths need.
+        """
+        widths = np.array(net.dims, dtype=np.int64)
+        if widths[0] != self.obs.shape[1] or widths[-1] != NUM_JOINTS:
+            raise ValueError(
+                f"the batch's {self.obs.shape[1]} observations and {NUM_JOINTS} joints need a "
+                f"policy of widths ({self.obs.shape[1]}, ..., {NUM_JOINTS}), but the policy "
+                f"takes {widths[0]} and gives {widths[-1]}"
+            )
+        size = int((widths[:-1] + 1) @ widths[1:])
+        _checked(net.flat, "policy parameters", (size,))
+        work = np.empty(2 * len(self.obs) * widths[1:-1].max(initial=0))
+        policy = _Policy(len(widths) - 1, _address(widths), _address(net.flat), _address(work),
+                         *_numpy_loops())
+        _library().sim_run(ctypes.addressof(self._batch), ctypes.addressof(policy))
 
     def rows(self, b: int) -> np.ndarray:
         """Row b's states, the start first: a C-contiguous copy of

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import functools
 import inspect
 import json
@@ -10,9 +11,12 @@ import pytest
 
 from modeloco import cli
 from modeloco import planner as plan_mod
+from modeloco import policy as pol_mod
 from modeloco import sampler
+from modeloco import training as train_mod
 from modeloco.encoder import EncoderTrainConfig
 from modeloco.fileio import read_artifact, write_artifact
+from modeloco.optim import AdamState
 from modeloco.planner import PlannerConfig, parallel_trials
 from modeloco.policy import evaluate_modes
 from modeloco.training import TrainConfig
@@ -332,6 +336,31 @@ def test_policy_must_fit_the_library_latents(workdir, capsys, command):
     assert run(command, "--library", str(lib), *argv) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "takes 18 observation inputs" in err and "give 19" in err
+    assert not (workdir / "p.json").exists() and not (workdir / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "plan", "train-policy"])
+def test_policy_must_give_one_action_per_joint(workdir, capsys, command):
+    lib = _library_with_latents(workdir, [[0.1, 0.2, 0.3, 0.4]] * 2)
+    good = workdir / "policy.json"
+    assert run("train-policy", "--library", str(lib), "--out", str(good), "--updates", "0") == 0
+    checkpoint = train_mod.load_checkpoint(str(good) + ".checkpoint.json")
+    three = pol_mod.init_policy(np.random.default_rng(0), checkpoint.policy.dims[0], act_dim=3)
+    if command == "train-policy":
+        bad = workdir / "three.checkpoint.json"
+        zeros = np.zeros_like(three.flat)
+        train_mod.save_checkpoint(str(bad), dataclasses.replace(
+            checkpoint, policy=three, opt=AdamState(zeros, zeros.copy(), 0)))
+        argv = ["--resume", str(bad), "--out", str(workdir / "p.json")]
+    else:
+        bad = workdir / "three.json"
+        write_artifact(bad, "policy", pol_mod.policy_to_payload(three))
+        argv = ["--policy", str(bad), "--out", str(workdir / "out.json")]
+    capsys.readouterr()
+    assert run(command, "--library", str(lib), *argv) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""  # no banner
+    assert f"policy {bad} gives 3 actions" in err and "has 4 joints" in err
     assert not (workdir / "p.json").exists() and not (workdir / "out.json").exists()
 
 

@@ -8,7 +8,7 @@ from modeloco import refmotion as rm
 from modeloco import sim
 from modeloco.optim import AdamState, adam_step
 from modeloco.sampler import EpisodeScript
-from test_sim import _ModeTracker, _reference_reward, step_row
+from test_sim import _ModeTracker, _reference_reward, roots, step_row
 
 
 def library_with_latents(selector="pi2", seed=0):
@@ -531,6 +531,81 @@ def test_batched_means_equal_single_rows():
         assert pol.policy_mean(policy, obs[:B]).tobytes() == single[:B].tobytes(), B
 
 
+def _kernel_means(policy, obs_rows, latents):
+    """The policy means the kernel computes at step 0 of a batch of one-step
+    rows, with their observations: row b starts at obs_rows[b] under
+    latents[b]."""
+    batch = sim.Lockstep(obs_rows, latents, [1] * len(obs_rows), None, sim.Terrain.flat(),
+                         ROBOT, *roots(len(obs_rows)))
+    batch.run(policy.net)
+    return batch.means, sim.observe_rows(obs_rows, latents)
+
+
+@pytest.mark.parametrize("hidden, gain", [((64, 64), 1.0), ((5, 3), 6.0), ((3, 5, 8), 2.0),
+                                          ((), 1.0)])
+def test_the_kernel_policy_mean_is_policy_mean_bit_for_bit(hidden, gain):
+    # The kernel's forward pass calls numpy's own matmul and tanh loops, so
+    # its means are policy_mean's whatever the widths and the batch size. A
+    # gain on the hidden weights drives tanh into its tails.
+    rng = np.random.default_rng(len(hidden))
+    policy = pol.init_policy(rng, OBS_DIM, hidden=hidden)
+    for w in policy.net.weights[:-1]:
+        w *= gain
+    policy.net.biases[-1][:] = rng.normal(size=4)
+    for B in (1, 2, 3, 7, 24):
+        rows = np.concatenate([rng.normal(0.0, 2.0, size=(B, sim.ROW - 1)),
+                               np.zeros((B, 1))], axis=1)  # the support
+        rows[:, sim.Z] += 1.0
+        means, obs = _kernel_means(policy, rows, rng.uniform(-3.0, 3.0, size=(B, 4)))
+        assert means.tobytes() == pol.policy_mean(policy, obs).tobytes(), (hidden, B)
+    if gain > 1.0:
+        layer = np.tanh(obs @ policy.net.weights[0].T + policy.net.biases[0])
+        assert (np.abs(layer) > 0.999).mean() > 0.2  # the tails were reached
+
+
+def _reference_run(batch, policy):
+    """Step a lockstep batch to its end one control step at a time: a
+    `policy_mean` call on the live rows' observations, then `advance`."""
+    t, m = 0, batch.live_count
+    while m:
+        with np.errstate(over="ignore", invalid="ignore"):  # a blowup's inf - inf
+            batch.means[:m] = pol.policy_mean(policy, batch.obs[:m])
+        m = batch.advance(t, m)
+        t += 1
+    return batch
+
+
+def test_a_run_equals_the_per_step_policy_mean_loop():
+    policy = _blowing_up_policy()
+    rng = np.random.default_rng(13)
+    calm, blowing = rng.uniform(-0.5, 0.5, size=4), np.array([10.0, 10.0, 0.0, 0.0])
+    # (parent, start step, budget, latent) of each row; the falling policy
+    # falls at about step 15 under a calm latent and blows up under `blowing`.
+    rows = [
+        (-1, 0, 30, calm),     # 0: falls
+        (-1, 0, 30, blowing),  # 1: blows up on its first step
+        (0, 5, 20, calm),      # 2: continues 0, and falls
+        (0, 28, 2, calm),      # 3: never runs: 0 fell before its start
+        (2, 8, 10, blowing),   # 4: continues 2, then blows up
+        (-1, 0, 3, calm),      # 5: runs to its budget
+    ]
+    parents, starts, budgets, latents = (list(c) for c in zip(*rows))
+    args = (np.tile(sim.initial_state(ROBOT, sim.Terrain.flat()), (len(rows), 1)),
+            np.array(latents), budgets, rng.normal(0.0, 0.3, size=(len(rows), 30, 4)),
+            sim.Terrain.flat(), ROBOT, parents, starts)
+    want = _reference_run(sim.Lockstep(*args), policy)
+    got = sim.Lockstep(*args)
+    for _ in range(2):  # a second run starts the batch afresh
+        got.run(policy.net)
+        statuses = [sim.STATUSES[c] for c in got.status]
+        assert statuses == ["fallen", "blowup", "fallen", "running", "blowup", "running"]
+        assert got.lengths[[1, 3, 5]].tolist() == [1, 0, 3]
+        assert got.lengths.tobytes() == want.lengths.tobytes()
+        assert got.status.tobytes() == want.status.tobytes()
+        for b in (0, 1, 2, 4, 5):  # the rows that started; 3's states are never written
+            assert got.rows(b).tobytes() == want.rows(b).tobytes(), b
+
+
 def _blowing_up_policy():
     """The falling policy, whose mean turns NaN, and so blows the episode up,
     under a latent whose first two entries are both 10: the first hidden
@@ -589,6 +664,9 @@ def test_advance_checks_its_inputs_before_the_kernel():
     pol._advance(policy, latents, starts, [3, 0], *args, parents=[-1, 0], starts=[0, 2])
     with pytest.raises(TypeError, match="parents"):  # every row names its parent
         pol._advance(policy, latents, starts, [3, 0], *args)
+    three = pol.init_policy(np.random.default_rng(0), OBS_DIM, act_dim=3)
+    with pytest.raises(ValueError, match="gives 3"):  # the kernel writes 4 means a row
+        pol._advance(three, latents, starts, [3, 0], *args, parents=roots[0], starts=roots[1])
     for bad_starts, bad_latents, steps, noise, chain, match in [
         (starts[:, :-1].copy(), latents, [3, 3], None, None, "start rows"),
         (starts, latents.astype(np.float32), [3, 3], None, None, "latents"),

@@ -1,6 +1,7 @@
 import ctypes
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -741,9 +742,12 @@ def test_python_and_the_kernel_agree_on_the_struct_and_constant_layout(tmp_path)
     # harness built as sim builds the kernel, against what sim.py and the
     # packers hand it: a field or constant out of step on one side fails here.
     fields = [name for name, _ in sim._Batch._fields_]
+    policy_fields = [name for name, _ in sim._Policy._fields_]
     exports = {
         "batch_offsets": [f"offsetof(struct batch, {name})" for name in fields],
         "batch_size": ["sizeof(struct batch)"],
+        "policy_offsets": [f"offsetof(struct policy, {name})" for name in policy_fields],
+        "policy_size": ["sizeof(struct policy)"],
         "row_layout": list(_ROW_NAMES),
         "statuses": ["RUNNING", "FALLEN", "BLOWUP"],
         "dims": list(_DIM_NAMES),
@@ -761,12 +765,36 @@ def test_python_and_the_kernel_agree_on_the_struct_and_constant_layout(tmp_path)
     assert got == {
         "batch_offsets": [getattr(sim._Batch, name).offset for name in fields],
         "batch_size": [ctypes.sizeof(sim._Batch)],
+        "policy_offsets": [getattr(sim._Policy, name).offset for name in policy_fields],
+        "policy_size": [ctypes.sizeof(sim._Policy)],
         "row_layout": [getattr(sim, name) for name in _ROW_NAMES],
         "statuses": [sim.STATUSES.index(s) for s in (RUNNING, FALLEN, BLOWUP)],
         "dims": [getattr(sim, name) for name in _DIM_NAMES],
         "lengths": [len(CFG._kernel_params), len(sim.RewardConfig()._kernel_reward),
                     len(motion._kernel_clip) - 5 * motion.length],
     }
+
+
+def test_the_numpy_loop_lookup_refuses_what_it_cannot_check(monkeypatch):
+    version = re.escape(np.__version__)
+    for ufunc, name, signature in [
+        (np.add, "matmul", "dd->d"),  # the struct names another ufunc
+        (np.tanh, "tanh", "dd->d"),  # no loop of that signature
+        (np.tanh, "tanh", "q->q"),
+        (np.linalg.norm, "norm", "d->d"),  # not a ufunc
+    ]:
+        with pytest.raises(RuntimeError, match=version):
+            sim._ufunc_loop(ufunc, name, signature)
+    # A loop whose bits differ from np.tanh's fails the probe: np.sin's, here.
+    real = sim._ufunc_loop
+    monkeypatch.setattr(sim, "_ufunc_loop", lambda ufunc, name, signature: real(
+        np.sin, "sin", signature) if name == "tanh" else real(ufunc, name, signature))
+    sim._numpy_loops.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=f"numpy {version}'s matmul and tanh loops"):
+            sim._numpy_loops()
+    finally:
+        sim._numpy_loops.cache_clear()
 
 
 def test_unilateral_contact_forces():
