@@ -7,12 +7,12 @@
  *
  * sim.py compiles this file once per version of it, with the flags in
  * sim._CC_FLAGS, keeping the library in the package's __pycache__ for later
- * processes. sim.py calls sim_start, sim_lockstep, sim_run, sim_observe,
+ * processes. sim.py calls sim_run, which runs a whole batch, sim_observe,
  * sim_track and sim_goal_rewards, and fileio.py calls repr_join, through
- * ctypes. The flags are part of the operation-order contract that sim.py's
- * module docstring states: no -ffast-math, so every operation rounds as
- * written; -ffp-contract=off, so no multiply-add is fused into one rounding;
- * -fno-builtin, so sin, cos, exp and fmod stay calls into
+ * ctypes; nothing else is exported. The flags are part of the operation-order
+ * contract that sim.py's module docstring states: no -ffast-math, so every
+ * operation rounds as written; -ffp-contract=off, so no multiply-add is fused
+ * into one rounding; -fno-builtin, so sin, cos, exp and fmod stay calls into
  * the libm that Python's math module and float type use, and sin and cos are
  * not merged into sincos. math.hypot is not libm's hypot, so python_hypot
  * below ports CPython's own. The policy mean's matrix products and tanh are
@@ -25,6 +25,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The parameter vector, in the order RobotConfig packs it. */
@@ -406,14 +407,11 @@ struct batch {
     double *history;        /* (T + 1, B, ROW): row r's state at step t */
     const double *latents;  /* (B, latent_dim): the latent each row observes under */
     const double *noise;    /* (B, noise_steps, NUM_JOINTS), by step, or NULL */
-    const int64_t *budgets; /* (B,): the steps each row may take */
-    int64_t *live;          /* the live rows */
-    double *means;          /* (B, NUM_JOINTS): the live rows' policy means */
-    double *obs;            /* (B, obs_dim): the live rows' observations */
-    int64_t *lengths;       /* (B,): the steps each row took */
-    int64_t *status;        /* (B,): the status of each row's last state */
     const double *params;
     const double *terrain;
+    const int64_t *budgets; /* (B,): the steps each row may take, >= 1 with a parent */
+    int64_t *lengths;       /* (B,): the steps each row took */
+    int64_t *status;        /* (B,): the status of each row's last state */
     const int64_t *parents; /* (B,): the row each row continues, or -1 */
     const int64_t *starts;  /* (B,): the step at which each row starts */
 };
@@ -437,8 +435,10 @@ static int running_at(const struct batch *b, int64_t r, int64_t t)
 /* Start the rows of batch b that start at step t, in ascending order, after
  * the first kept live rows, and return the new live count. A row with a
  * parent that is running at t copies the parent's state at t; a row that
- * starts with steps left joins the live rows, with its observation at t. */
-static int64_t start_rows(const struct batch *b, int64_t t, int64_t kept)
+ * starts with steps left joins the live rows, with its observation at t in
+ * obs, which holds one observation per live row. */
+static int64_t start_rows(const struct batch *b, int64_t *live, double *obs, int64_t t,
+                          int64_t kept)
 {
     const int64_t obs_dim = CLOCK_DIM + b->latent_dim + PROPRIO_DIM;
     double *at = b->history + t * b->rows * ROW;
@@ -449,9 +449,9 @@ static int64_t start_rows(const struct batch *b, int64_t t, int64_t kept)
         if (p >= 0)
             memcpy(at + r * ROW, at + p * ROW, ROW * sizeof(double));
         if (b->budgets[r] > 0) {
-            b->live[kept] = r;
+            live[kept] = r;
             observe_row(at + r * ROW, b->latents + r * b->latent_dim, b->latent_dim,
-                        b->obs + kept * obs_dim);
+                        obs + kept * obs_dim);
             kept++;
         }
     }
@@ -470,7 +470,8 @@ static int64_t start_rows(const struct batch *b, int64_t t, int64_t kept)
  * status_of. The rows that are running with steps left are compacted
  * to the front of live, in order, and their observations at t + 1 written
  * to the front of obs; the rows that start at t + 1 follow (start_rows). */
-int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
+static int64_t sim_lockstep(const struct batch *b, int64_t *live, double *obs,
+                            const double *means, int64_t m, int64_t t)
 {
     const double *params = b->params;
     const int64_t obs_dim = CLOCK_DIM + b->latent_dim + PROPRIO_DIM;
@@ -479,7 +480,7 @@ int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
     int64_t kept = 0;
 
     for (int64_t k = 0; k < m; k++) {
-        const int64_t r = b->live[k];
+        const int64_t r = live[k];
         const double *src = now + r * ROW;
         double *dst = next + r * ROW;
         double action[NUM_JOINTS];
@@ -487,7 +488,7 @@ int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
         int64_t status;
 
         for (int j = 0; j < NUM_JOINTS; j++) {
-            action[j] = b->means[k * NUM_JOINTS + j];
+            action[j] = means[k * NUM_JOINTS + j];
             if (b->noise)
                 action[j] = action[j] + b->noise[(r * b->noise_steps + t) * NUM_JOINTS + j];
         }
@@ -502,25 +503,25 @@ int64_t sim_lockstep(const struct batch *b, int64_t m, int64_t t)
         b->lengths[r]++;
         b->status[r] = status;
         if (status == RUNNING && b->lengths[r] < b->budgets[r]) {
-            b->live[kept] = r;
+            live[kept] = r;
             observe_row(dst, b->latents + r * b->latent_dim, b->latent_dim,
-                        b->obs + kept * obs_dim);
+                        obs + kept * obs_dim);
             kept++;
         }
     }
-    return start_rows(b, t + 1, kept);
+    return start_rows(b, live, obs, t + 1, kept);
 }
 
 /* Start batch b at step 0: every row running, with no steps taken, and the
  * rows that start at step 0 started (start_rows). Returns how many are
  * live. */
-int64_t sim_start(const struct batch *b)
+static int64_t sim_start(const struct batch *b, int64_t *live, double *obs)
 {
     for (int64_t r = 0; r < b->rows; r++) {
         b->lengths[r] = 0;
         b->status[r] = RUNNING;
     }
-    return start_rows(b, 0, 0);
+    return start_rows(b, live, obs, 0, 0);
 }
 
 /* A numpy ufunc inner loop, numpy's PyUFuncGenericFunction: the argument
@@ -535,7 +536,6 @@ struct policy {
     int64_t layers;        /* L */
     const int64_t *widths; /* (L + 1,): the input width first, the output width last */
     const double *params;
-    double *work;          /* 2 * B * the widest hidden width */
     ufunc_loop matmul;     /* np.matmul's 'dd->d' loop */
     void *matmul_data;
     ufunc_loop tanh;       /* np.tanh's first 'd->d' loop */
@@ -547,20 +547,16 @@ struct policy {
  * numpy calls it for a C-contiguous (m, 1, in) stack times the transposed
  * (out, in) weight, then the bias added, then, before the last layer,
  * numpy's tanh loop in place over the contiguous m x out block. The hidden
- * layers alternate between the two halves of p's work block. */
-static void policy_mean(const struct policy *p, int64_t m, const double *obs, double *out)
+ * layers alternate between two halves of work, m x p's widest hidden width. */
+static void policy_mean(const struct policy *p, double *work, int64_t widest, int64_t m,
+                        const double *obs, double *out)
 {
     const intptr_t size = sizeof(double);
     const double *in = obs, *weight = p->params;
-    int64_t widest = 0;
-    for (int64_t i = 1; i < p->layers; i++) {
-        if (p->widths[i] > widest)
-            widest = p->widths[i];
-    }
     for (int64_t i = 0; i < p->layers; i++) {
         const intptr_t k = p->widths[i], n = p->widths[i + 1];
         const double *bias = weight + n * k;
-        double *h = i + 1 == p->layers ? out : p->work + (i % 2) * m * widest;
+        double *h = i + 1 == p->layers ? out : work + (i % 2) * m * widest;
         char *args[3] = {(char *)in, (char *)weight, (char *)h};
         const intptr_t dims[4] = {m, 1, k, n};
         const intptr_t steps[9] = {k * size, 0, n * size, 0, size, size, k * size, 0, size};
@@ -580,15 +576,32 @@ static void policy_mean(const struct policy *p, int64_t m, const double *obs, do
 }
 
 /* Run batch b from step 0 to its end on policy p: sim_start, then per step
- * the live rows' policy means of their observations, into means, and
- * sim_lockstep, until no row is live. */
-void sim_run(const struct batch *b, const struct policy *p)
+ * the live rows' policy means and sim_lockstep, until no row is live. The
+ * scratch they use is one allocation, freed before the return. Returns 0,
+ * or -1, having run nothing, if the allocation fails. */
+int64_t sim_run(const struct batch *b, const struct policy *p)
 {
-    int64_t m = sim_start(b);
-    for (int64_t t = 0; m; t++) {
-        policy_mean(p, m, b->obs, b->means);
-        m = sim_lockstep(b, m, t);
+    const int64_t rows = b->rows, obs_dim = CLOCK_DIM + b->latent_dim + PROPRIO_DIM;
+    int64_t widest = 0, *live;
+    double *obs, *means, *work;
+    for (int64_t i = 1; i < p->layers; i++) {
+        if (p->widths[i] > widest)
+            widest = p->widths[i];
     }
+    /* A byte more, so that an empty batch's block is not NULL. */
+    live = malloc(rows * (sizeof(int64_t) + (obs_dim + NUM_JOINTS + 2 * widest) * sizeof(double))
+                  + 1);
+    if (!live)
+        return -1;
+    obs = (double *)(live + rows);
+    means = obs + rows * obs_dim;
+    work = means + rows * NUM_JOINTS;
+    for (int64_t t = 0, m = sim_start(b, live, obs); m; t++) {
+        policy_mean(p, work, widest, m, obs, means);
+        m = sim_lockstep(b, live, obs, means, m, t);
+    }
+    free(live);
+    return 0;
 }
 
 /* The observations of n state rows, row k under latents[k], into obs. */

@@ -36,6 +36,7 @@ from .refmotion import (
     library_to_payload,
     modeset_from_spec,
 )
+from .sampler import switch_steps
 from .sim import (
     CONTACT_LEFT,
     CONTACT_RIGHT,
@@ -115,10 +116,11 @@ def _config(cls, args):
 
 def _reward_config(args) -> RewardConfig:
     if args.reward_weights:
-        w = tuple(float(v) for v in args.reward_weights.split(","))
-        if len(w) != 3:
-            raise InvalidInputError("reward weights must be three comma-separated values")
-        return RewardConfig(weights=w)
+        try:
+            return RewardConfig(weights=tuple(map(float, args.reward_weights.split(","))))
+        except ValueError as exc:
+            raise InvalidInputError(f"--reward-weights takes three comma-separated weights, "
+                                    f"got {args.reward_weights!r}: {exc}") from exc
     if args.modeset in MODESET_REWARD_WEIGHTS:
         return RewardConfig(weights=MODESET_REWARD_WEIGHTS[args.modeset])
     return RewardConfig()
@@ -232,6 +234,11 @@ def cmd_eval(args) -> int:
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
     reward_cfg = _reward_config(args)
+    for k, switch in enumerate(switch_steps(robot.cycle_steps)[: max(args.rollouts_per_case, 0)]):
+        if switch >= args.horizon:
+            raise InvalidInputError(f"--horizon {args.horizon} ends before step {switch}, where "
+                                    f"rollout {k + 1} of --rollouts {args.rollouts_per_case} "
+                                    "switches modes; it must switch inside the episode")
     traces: dict = {}
     mode_scores, transition_scores = pol_mod.evaluate_modes(
         policy,

@@ -385,9 +385,9 @@ def _advance(
     are checked before the kernel sees them: start rows (B, ROW), latents
     (B, latent_dim) with the policy's latent width and noise (B, at least
     the batch's last step, act_dim), all C-contiguous float64, non-negative
-    integer steps and start steps, parents that precede their rows, and a
-    policy from that observation width to NUM_JOINTS actions; ValueError
-    names a bad one.
+    integer steps and start steps, at least one step for a continuation row,
+    parents that precede their rows, and a policy from that observation
+    width to NUM_JOINTS actions; ValueError names a bad one.
     """
     batch = Lockstep(start_rows, latents, steps, noise, terrain, robot_cfg, parents, starts)
     batch.run(policy.net)

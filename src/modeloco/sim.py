@@ -27,24 +27,27 @@ observes under its own latent. A batch runs in one kernel call
 (`Lockstep.run`), which alternates the live rows' policy means with the
 control step that moves them. Steps count from the batch's step 0, and every
 row names its parent. A root row (parent -1) starts at step 0 from its start
-row. A continuation row has a parent row p and a start step s: it starts at s
-from p's state there, if p is running there, and never runs otherwise. So an
-episode whose command switches, and an evaluation's i -> j case, are a trunk
-row and a continuation row of one batch; a planner prefix continues its
-parent's row. Each control step steps each live row: the action is the policy
-mean plus the row's noise at that step; the physics runs; t grows by
-control_dt; the phase becomes (phase + clock_rate * control_dt /
-cycle_duration) % 1.0, evaluated in that order under Python's float % (C's
-fmod, then the remainder takes the sign of 1.0, and a zero remainder is +0.0);
-the contacts and the support are set; and the status is set, a blowup (a value
-of q or qdot not finite) before fallen (the base below 0.3 of the nominal
-height above the support, or pitched past 1 rad) before running. The rows
-still running with steps left are then compacted to the front of the live
-list, in order, followed by the rows that start at the new step, in ascending
-row order, and their next observations written in that order. A row's result
-depends on its start state, latent, budget and noise alone, not on the other
-rows of its batch or their order. A run is the (T + 1, B, ROW) history of the
-batch plus the steps and the final status of each row.
+row. A continuation row has a parent row p, a start step s and a budget of at
+least one step: it starts at s from p's state there, if p is running there,
+and never runs otherwise. So an episode whose command switches, and an
+evaluation's i -> j case, are a trunk row and a continuation row of one batch;
+a planner prefix continues its parent's row. Each control step steps each live
+row: the action is the policy mean plus the row's noise at that step; the
+physics runs; t grows by control_dt; the phase becomes
+(phase + clock_rate * control_dt / cycle_duration) % 1.0, evaluated in that
+order under Python's float % (C's fmod, then the remainder takes the sign of
+1.0, and a zero remainder is +0.0); the contacts and the support are set; and
+the status is set, a blowup (a value of q or qdot not finite) before fallen
+(the base below 0.3 of the nominal height above the support, or pitched past 1
+rad) before running. The rows still running with steps left are then compacted
+to the front of the live list, in order, followed by the rows that start at
+the new step, in ascending row order, and their next observations written in
+that order. A row's result depends on its start state, latent, budget and
+noise alone, not on the other rows of its batch or their order. A run is the
+(T + 1, B, ROW) history of the batch plus the steps and the final status of
+each row. The kernel allocates the run's scratch (the live rows, their
+observations and means, and the policy's work block) and frees it before it
+returns.
 
 Rewards score state rows after they are stepped, one kernel call per segment
 (`tracking_rewards`): a segment is the rows of one episode under one mode,
@@ -368,25 +371,24 @@ def _compile(source: Path, library: Path) -> None:
         )
 
 
+_P, _N, _D, _T = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_char_p
+# The kernel's entries, the only symbols it exports: the argument types and
+# the result type of each. repr_join is absent where the compiler has no
+# __int128.
+_ENTRIES = {
+    "sim_run": ([_P, _P], _N),
+    "sim_observe": ([_N, _P, _P, _N, _P], None),
+    "sim_track": ([_N, _P, _P, _P, _P], _N),
+    "sim_goal_rewards": ([_N, _P, _D, _D, _P], None),
+    "repr_join": ([_N, _P, _N, _T, _T, _N, _T, _N, _P, _P, _P], _N),
+}
+
+
 def _declare(kernel):
     """kernel, with the argument and result types of its entries."""
-    pointer, count, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    for name, argtypes in (
-        ("sim_start", [pointer]),
-        ("sim_lockstep", [pointer, count, count]),
-        ("sim_run", [pointer, pointer]),
-        ("sim_observe", [count, pointer, pointer, count, pointer]),
-        ("sim_track", [count, pointer, pointer, pointer, pointer]),
-        ("sim_goal_rewards", [count, pointer, double, double, pointer]),
-    ):
-        getattr(kernel, name).argtypes = argtypes
-        getattr(kernel, name).restype = count
-    kernel.sim_observe.restype = kernel.sim_goal_rewards.restype = kernel.sim_run.restype = None
-    if hasattr(kernel, "repr_join"):  # absent where the compiler has no __int128
-        text = ctypes.c_char_p
-        kernel.repr_join.argtypes = [count, pointer, count, text, text, count, text, count,
-                                     pointer, pointer, pointer]
-        kernel.repr_join.restype = count
+    for name, (argtypes, restype) in _ENTRIES.items():
+        if name != "repr_join" or hasattr(kernel, name):
+            getattr(kernel, name).argtypes, getattr(kernel, name).restype = argtypes, restype
     return kernel
 
 
@@ -544,8 +546,8 @@ class _Batch(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_int64) for name in ("rows", "latent_dim", "noise_steps")] + [
         (name, ctypes.c_void_p) for name in (
-            "history", "latents", "noise", "budgets", "live", "means", "obs", "lengths",
-            "status", "params", "terrain", "parents", "starts",
+            "history", "latents", "noise", "params", "terrain", "budgets", "lengths", "status",
+            "parents", "starts",
         )
     ]
 
@@ -555,7 +557,7 @@ class _Policy(ctypes.Structure):
 
     _fields_ = [("layers", ctypes.c_int64)] + [
         (name, ctypes.c_void_p)
-        for name in ("widths", "params", "work", "matmul", "matmul_data", "tanh", "tanh_data")
+        for name in ("widths", "params", "matmul", "matmul_data", "tanh", "tanh_data")
     ]
 
 
@@ -565,23 +567,18 @@ class Lockstep:
     docstring gives the contract.
 
     A root row, parents[b] = -1, starts at step starts[b] = 0 from
-    start_rows[b]. A continuation row, with a parent p = parents[b] < b,
-    starts at step starts[b] from p's state there, if p is running there,
-    and its start row is never read; otherwise it never runs.
+    start_rows[b]. A continuation row, with a parent p = parents[b] < b and
+    a step budget of at least 1, starts at step starts[b] from p's state
+    there, if p is running there, and its start row is never read; otherwise
+    it never runs. So a row has started when it is a root or took a step.
 
-    history[t, b] is row b's state at step t, lengths[b] the steps row b
-    took and status[b] the status code (see STATUSES) of its last state, so
-    row b's states are history[starts[b] : starts[b] + lengths[b] + 1, b] once
-    it has started. A row that never runs keeps length 0 and status running.
-    No other entry of history is written. Step t's noise is noise[b, t], so
-    noise covers the batch's last step.
-
-    run(net) runs the whole batch on a policy's mean network in one kernel
-    call. advance steps it one control step at a time on means written from
-    Python: a row is live while it is running and has steps left, live[:m]
-    holds the m live rows and obs[:m] their observations, live_count of them
-    at the start, and advance(t, m) steps them from t to t + 1 on the means
-    in means[:m] and returns the new m.
+    run(net) runs the batch in one kernel call. Then history[t, b] is row
+    b's state at step t, lengths[b] the steps row b took and status[b] the
+    status code (see STATUSES) of its last state, so a started row's states
+    are history[starts[b] : starts[b] + lengths[b] + 1, b]. A row that never
+    runs keeps length 0 and status running. No other entry of history is
+    written. Step t's noise is noise[b, t], so noise covers the batch's last
+    step.
     """
 
     def __init__(
@@ -597,9 +594,9 @@ class Lockstep:
     ):
         rows = _checked(start_rows, "start rows", (None, ROW)).shape[0]
         latent_dim = _checked(latents, "latents", (rows, None)).shape[1]
-        # The kernel's integer arrays, in one block.
-        block = np.empty((6, rows), dtype=np.int64)
-        self.budgets, self.live, self.lengths, self.status, self.parents, self.starts = block
+        # The kernel's integer arrays, in one block: no row has run yet.
+        block = np.zeros((5, rows), dtype=np.int64)
+        self.budgets, self.lengths, self.status, self.parents, self.starts = block
         self.budgets[:] = _steps(budgets, "step budgets", rows)
         self.parents[:] = _steps(parents, "parents", rows, -1)
         self.starts[:] = _steps(starts, "start steps", rows)
@@ -607,6 +604,9 @@ class Lockstep:
             raise ValueError(f"each parent must precede its row, got {self.parents!r}")
         if self.starts[self.parents < 0].any():
             raise ValueError(f"a row without a parent starts at 0, got {self.starts!r}")
+        if not self.budgets[self.parents >= 0].all():
+            raise ValueError(f"a row with a parent needs a step budget of at least 1, got "
+                             f"{self.budgets!r}")
         steps = int((self.starts + self.budgets).max(initial=0))
         if noise is not None:
             _checked(noise, "noise", (rows, None, NUM_JOINTS))
@@ -614,24 +614,14 @@ class Lockstep:
                 raise ValueError(f"noise covers {noise.shape[1]} steps of {steps}")
         self.history = np.empty((steps + 1, rows, ROW))
         self.history[0] = start_rows
-        self.means = np.empty((rows, NUM_JOINTS))
-        self.obs = np.empty((rows, observation_dim(latent_dim)))
         # Held here, so that they live as long as the pointers the kernel reads.
         self._inputs = (latents, noise, cfg._kernel_params, terrain._kernel_terrain)
-        budgets, live, lengths, status, parents, starts = (
-            _address(block) + k * block.strides[0] for k in range(len(block)))
         self._batch = _Batch(
             rows, latent_dim, 0 if noise is None else noise.shape[1], _address(self.history),
-            _address(latents), 0 if noise is None else _address(noise), budgets, live,
-            _address(self.means), _address(self.obs), lengths, status,
-            _address(cfg._kernel_params), _address(terrain._kernel_terrain), parents, starts,
+            _address(latents), 0 if noise is None else _address(noise),
+            _address(cfg._kernel_params), _address(terrain._kernel_terrain),
+            *map(_address, block),
         )
-        kernel, address = _library(), ctypes.addressof(self._batch)
-        self.live_count = kernel.sim_start(address)
-        self._call = functools.partial(kernel.sim_lockstep, address)
-
-    def advance(self, t: int, m: int) -> int:
-        return self._call(m, t)
 
     def run(self, net) -> None:
         """Run the batch from step 0 to its end in one kernel call, each live
@@ -639,31 +629,36 @@ class Lockstep:
         tanh MLP, `policy.MlpParams`, whose flat parameter vector holds each
         layer's (out, in) weight, raveled, then its bias. The means are
         `policy.policy_mean`'s, bit for bit. A run starts the batch afresh,
-        so it may follow advance calls or another run.
+        so it may follow another run.
 
         ValueError, before the kernel runs, unless net takes the batch's
         observations and gives NUM_JOINTS actions, and its parameters are a
-        C-contiguous float64 vector of the size its widths need.
+        C-contiguous float64 vector of the size its widths need. MemoryError
+        if the kernel cannot allocate the run's scratch.
         """
         widths = np.array(net.dims, dtype=np.int64)
-        if widths[0] != self.obs.shape[1] or widths[-1] != NUM_JOINTS:
+        inputs = observation_dim(self._batch.latent_dim)
+        if widths[0] != inputs or widths[-1] != NUM_JOINTS:
             raise ValueError(
-                f"the batch's {self.obs.shape[1]} observations and {NUM_JOINTS} joints need a "
-                f"policy of widths ({self.obs.shape[1]}, ..., {NUM_JOINTS}), but the policy "
-                f"takes {widths[0]} and gives {widths[-1]}"
+                f"the batch's {inputs} observations and {NUM_JOINTS} joints need a policy of "
+                f"widths ({inputs}, ..., {NUM_JOINTS}), but the policy takes {widths[0]} and "
+                f"gives {widths[-1]}"
             )
         size = int((widths[:-1] + 1) @ widths[1:])
         _checked(net.flat, "policy parameters", (size,))
-        work = np.empty(2 * len(self.obs) * widths[1:-1].max(initial=0))
-        policy = _Policy(len(widths) - 1, _address(widths), _address(net.flat), _address(work),
-                         *_numpy_loops())
-        _library().sim_run(ctypes.addressof(self._batch), ctypes.addressof(policy))
+        policy = _Policy(len(widths) - 1, _address(widths), _address(net.flat), *_numpy_loops())
+        if _library().sim_run(ctypes.addressof(self._batch), ctypes.addressof(policy)):
+            raise MemoryError(f"the physics kernel cannot allocate the scratch of a run of "
+                              f"{self._batch.rows} rows")
 
     def rows(self, b: int) -> np.ndarray:
-        """Row b's states, the start first: a C-contiguous copy of
-        history[starts[b] : starts[b] + lengths[b] + 1, b]."""
-        start = self.starts[b]
-        return self.history[start : start + self.lengths[b] + 1, b].copy()
+        """Row b's states, the start first, if it has started: a C-contiguous
+        copy of history[starts[b] : starts[b] + lengths[b] + 1, b]; otherwise
+        an empty (0, ROW) array."""
+        start, steps = self.starts[b], self.lengths[b]
+        if self.parents[b] >= 0 and not steps:
+            return np.empty((0, ROW))
+        return self.history[start : start + steps + 1, b].copy()
 
 
 # --- observation -------------------------------------------------------------

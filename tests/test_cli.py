@@ -495,11 +495,14 @@ def test_eval_short_horizon_needs_only_the_grid_inside_the_episode(workdir, caps
         with open(out.parent / report["traces"][name]["file"]) as f:
             assert 0 < len(list(csv.DictReader(f))) <= 60
     # The first grid switch, step 12, lies outside a 10-step episode.
+    capsys.readouterr()
     assert run(
         "eval", "--library", str(lib), "--policy", str(pol), "--horizon", "10",
         "--rollouts", "1", "--out", str(workdir / "eval10.json"),
     ) == cli.EXIT_VALIDATION
-    assert "got 12 of 10" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --horizon 10 ends before step 12, where rollout 1 of --rollouts 1 switches "
+        "modes; it must switch inside the episode\n")
 
 
 def test_every_artifact_is_the_indented_json_text(workdir):
@@ -672,6 +675,8 @@ def test_missing_file_is_validation_error(workdir, capsys):
     [
         ("eval", ["--reward-weights", "nan,0.5,0.5"], "weights must be finite"),
         ("train-policy", ["--reward-weights", "inf,0,0"], "weights must be finite"),
+        ("eval", ["--reward-weights", "1,1,x"],
+         "--reward-weights takes three comma-separated weights, got '1,1,x'"),
         ("plan", ["--goal-x", "nan"], "goal must be finite"),
         ("plan", ["--dt", "nan"], "knot duration must be positive and finite"),
         ("train-policy", ["--epsilon", "nan"], "floor must be finite"),
@@ -688,8 +693,9 @@ def test_missing_file_is_validation_error(workdir, capsys):
         ("plan", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("plan", ["--dt", "1e308"], "knot duration 1e+308 s gives too many control steps"),
     ],
-    ids=["eval-nan-weight", "train-inf-weight", "plan-nan-goal", "plan-nan-dt",
-         "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f", "eval-nan-clock",
+    ids=["eval-nan-weight", "train-inf-weight", "eval-malformed-weight", "plan-nan-goal",
+         "plan-nan-dt", "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f",
+         "eval-nan-clock",
          "eval-inf-clock", "eval-zero-clock", "eval-negative-clock",
          "train-negative-checkpoint-every", "plan-negative-episodes", "plan-zero-trials",
          "train-negative-seed", "plan-negative-seed", "plan-overflowing-dt"],

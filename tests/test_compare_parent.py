@@ -68,7 +68,8 @@ def test_a_difference_names_its_first_line_and_column(tmp_path):
 
 def test_a_deliberately_changed_output_is_reported(tmp_path):
     """REF is a commit whose physics use another gravity: every output the
-    physics feed is named, and the library and encoder outputs are not."""
+    physics feed is named, and the library and encoder outputs are not. The
+    near gap changes what eval and plan do on flat ground."""
     repo = tmp_path / "repo"
     shutil.copytree(ROOT / "src" / "modeloco", repo / "src" / "modeloco",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -81,9 +82,17 @@ def test_a_deliberately_changed_output_is_reported(tmp_path):
     names, differences = compare_parent.compare_trees(
         tmp_path / "ref-tree", ROOT, tmp_path / "work"
     )
-    assert len(names) == 16
+    assert len(names) == 24
     differing = {name for name, _ in differences}
-    assert {"library.json", "encoder.json", "encoder.json.loss.csv"}.isdisjoint(differing)
+    assert {"library.json", "encoder.json", "encoder.json.loss.csv",
+            "near_gap.json"}.isdisjoint(differing)
     assert {"policy.json", "resumed.json.checkpoint.json", "eval.json.walk_f.csv",
-            "plan.json.trace.csv"} <= differing
+            "plan.json.trace.csv", "eval_near_gap.json.walk_f.csv",
+            "plan_near_gap.json.trace.csv"} <= differing
     assert all(how.startswith("bytes differ from line ") for _, how in differences)
+    new = tmp_path / "work" / "new"
+    flat = sorted(name for name in names if name.startswith(("eval.json.", "plan.json.")))
+    assert len(flat) == 5
+    for name in flat:
+        near = name.replace(".json.", "_near_gap.json.")
+        assert (new / near).read_bytes() != (new / name).read_bytes(), name

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from modeloco import refmotion as rm
 from modeloco import sim
 from modeloco.optim import AdamState, adam_step
 from modeloco.sampler import EpisodeScript
-from test_sim import _ModeTracker, _reference_reward, roots, step_row
+from test_sim import _ModeTracker, _reference_reward, drive, kernel_harness, roots, step_row
 
 
 def library_with_latents(selector="pi2", seed=0):
@@ -531,14 +532,17 @@ def test_batched_means_equal_single_rows():
         assert pol.policy_mean(policy, obs[:B]).tobytes() == single[:B].tobytes(), B
 
 
-def _kernel_means(policy, obs_rows, latents):
-    """The policy means the kernel computes at step 0 of a batch of one-step
-    rows, with their observations: row b starts at obs_rows[b] under
-    latents[b]."""
-    batch = sim.Lockstep(obs_rows, latents, [1] * len(obs_rows), None, sim.Terrain.flat(),
-                         ROBOT, *roots(len(obs_rows)))
-    batch.run(policy.net)
-    return batch.means, sim.observe_rows(obs_rows, latents)
+def _kernel_means(policy, obs):
+    """The kernel's policy_mean of the rows of obs, through the harness, on a
+    work block of two halves of B times the widest hidden width."""
+    widths = np.array(policy.dims, dtype=np.int64)
+    widest = max(policy.dims[1:-1], default=0)
+    means, work = np.empty((len(obs), sim.NUM_JOINTS)), np.empty(2 * len(obs) * widest)
+    net = sim._Policy(len(widths) - 1, widths.ctypes.data, policy.net.flat.ctypes.data,
+                      *sim._numpy_loops())
+    kernel_harness().harness_mean(ctypes.addressof(net), work.ctypes.data, widest, len(obs),
+                                  obs.ctypes.data, means.ctypes.data)
+    return means
 
 
 @pytest.mark.parametrize("hidden, gain", [((64, 64), 1.0), ((5, 3), 6.0), ((3, 5, 8), 2.0),
@@ -546,7 +550,8 @@ def _kernel_means(policy, obs_rows, latents):
 def test_the_kernel_policy_mean_is_policy_mean_bit_for_bit(hidden, gain):
     # The kernel's forward pass calls numpy's own matmul and tanh loops, so
     # its means are policy_mean's whatever the widths and the batch size. A
-    # gain on the hidden weights drives tanh into its tails.
+    # gain on the hidden weights drives tanh into its tails. A run sizes its
+    # own work block: its first step acts on those means too.
     rng = np.random.default_rng(len(hidden))
     policy = pol.init_policy(rng, OBS_DIM, hidden=hidden)
     for w in policy.net.weights[:-1]:
@@ -556,8 +561,15 @@ def test_the_kernel_policy_mean_is_policy_mean_bit_for_bit(hidden, gain):
         rows = np.concatenate([rng.normal(0.0, 2.0, size=(B, sim.ROW - 1)),
                                np.zeros((B, 1))], axis=1)  # the support
         rows[:, sim.Z] += 1.0
-        means, obs = _kernel_means(policy, rows, rng.uniform(-3.0, 3.0, size=(B, 4)))
+        latents = rng.uniform(-3.0, 3.0, size=(B, 4))
+        obs = sim.observe_rows(rows, latents)
+        means = _kernel_means(policy, obs)
         assert means.tobytes() == pol.policy_mean(policy, obs).tobytes(), (hidden, B)
+        args = (rows, latents, [1] * B, None, sim.Terrain.flat(), ROBOT, *roots(B))
+        run = sim.Lockstep(*args)
+        run.run(policy.net)
+        want = _reference_run(sim.Lockstep(*args), policy)
+        assert run.history.tobytes() == want.history.tobytes(), (hidden, B)
     if gain > 1.0:
         layer = np.tanh(obs @ policy.net.weights[0].T + policy.net.biases[0])
         assert (np.abs(layer) > 0.999).mean() > 0.2  # the tails were reached
@@ -565,14 +577,10 @@ def test_the_kernel_policy_mean_is_policy_mean_bit_for_bit(hidden, gain):
 
 def _reference_run(batch, policy):
     """Step a lockstep batch to its end one control step at a time: a
-    `policy_mean` call on the live rows' observations, then `advance`."""
-    t, m = 0, batch.live_count
-    while m:
-        with np.errstate(over="ignore", invalid="ignore"):  # a blowup's inf - inf
-            batch.means[:m] = pol.policy_mean(policy, batch.obs[:m])
-        m = batch.advance(t, m)
-        t += 1
-    return batch
+    `policy_mean` call on the live rows' observations, then the kernel's
+    step."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a blowup's inf - inf
+        return drive(batch, lambda obs: pol.policy_mean(policy, obs))
 
 
 def test_a_run_equals_the_per_step_policy_mean_loop():
@@ -602,8 +610,27 @@ def test_a_run_equals_the_per_step_policy_mean_loop():
         assert got.lengths[[1, 3, 5]].tolist() == [1, 0, 3]
         assert got.lengths.tobytes() == want.lengths.tobytes()
         assert got.status.tobytes() == want.status.tobytes()
-        for b in (0, 1, 2, 4, 5):  # the rows that started; 3's states are never written
+        assert got.rows(3).shape == (0, sim.ROW)
+        for b in range(len(rows)):
             assert got.rows(b).tobytes() == want.rows(b).tobytes(), b
+
+
+def test_a_run_whose_scratch_cannot_be_allocated_is_a_memory_error(monkeypatch):
+    policy = pol.init_policy(np.random.default_rng(0), OBS_DIM)
+    batch = sim.Lockstep(np.tile(sim.initial_state(ROBOT, sim.Terrain.flat()), (2, 1)),
+                         np.zeros((2, 4)), [3, 3], None, sim.Terrain.flat(), ROBOT, *roots(2))
+    harness = kernel_harness()
+    fail = ctypes.c_int64.in_dll(harness, "harness_fail_alloc")
+    monkeypatch.setattr(sim, "_kernel", harness)
+    fail.value = 1
+    try:
+        with pytest.raises(MemoryError, match="2 rows"):
+            batch.run(policy.net)
+    finally:
+        fail.value = 0
+    assert batch.lengths.tolist() == [0, 0]  # nothing ran
+    batch.run(policy.net)
+    assert batch.lengths.tolist() == [3, 3]
 
 
 def _blowing_up_policy():
@@ -661,7 +688,7 @@ def test_advance_checks_its_inputs_before_the_kernel():
     args = (sim.Terrain.flat(), ROBOT)
     roots = ([-1, -1], [0, 0])
     pol._advance(policy, latents, starts, [3, 0], *args, parents=roots[0], starts=roots[1])
-    pol._advance(policy, latents, starts, [3, 0], *args, parents=[-1, 0], starts=[0, 2])
+    pol._advance(policy, latents, starts, [3, 1], *args, parents=[-1, 0], starts=[0, 2])
     with pytest.raises(TypeError, match="parents"):  # every row names its parent
         pol._advance(policy, latents, starts, [3, 0], *args)
     three = pol.init_policy(np.random.default_rng(0), OBS_DIM, act_dim=3)
@@ -683,6 +710,7 @@ def test_advance_checks_its_inputs_before_the_kernel():
         (starts, latents, [3, 3], None, ([-1, 1], [0, 1]), "precede"),
         (starts, latents, [3, 3], None, ([1, -1], [1, 0]), "precede"),
         (starts, latents, [3, 3], None, ([-1, 0], [0, -1]), "start steps"),
+        (starts, latents, [3, 0], None, ([-1, 0], [0, 2]), "budget of at least 1"),
         (starts, latents, [3, 3], None, ([-1, 0], [0, 1.0]), "start steps"),
         (starts, latents, [3, 3], None, ([-1, -1], [0, 1]), "starts at 0"),
         (starts, latents, [3, 3], None, ([-1, 0], None), "start steps"),

@@ -1,11 +1,14 @@
 import ctypes
+import functools
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,14 +51,70 @@ def roots(n):
     return np.full(n, -1), np.zeros(n, dtype=np.int64)
 
 
+@functools.cache
+def kernel_harness():
+    """The kernel, built once per session as sim builds it, with entries that
+    reach its static functions: harness_start, harness_lockstep and
+    harness_mean call sim_start, sim_lockstep and policy_mean, and hypot_of
+    runs python_hypot over two arrays. While its harness_fail_alloc is
+    nonzero, its allocations fail."""
+    with tempfile.TemporaryDirectory() as tmp:
+        harness = Path(tmp) / "harness.c"
+        harness.write_text(
+            "#include <stdint.h>\n#include <stdlib.h>\n"
+            "int64_t harness_fail_alloc;\n"
+            "static void *harness_malloc(size_t n)\n"
+            "{\n    return harness_fail_alloc ? NULL : malloc(n);\n}\n"
+            "#define malloc harness_malloc\n"
+            f'#include "{sim._KERNEL_SOURCE}"\n'
+            "int64_t harness_start(const struct batch *b, int64_t *live, double *obs)\n"
+            "{\n    return sim_start(b, live, obs);\n}\n"
+            "int64_t harness_lockstep(const struct batch *b, int64_t *live, double *obs,\n"
+            "                         const double *means, int64_t m, int64_t t)\n"
+            "{\n    return sim_lockstep(b, live, obs, means, m, t);\n}\n"
+            "void harness_mean(const struct policy *p, double *work, int64_t widest, int64_t m,\n"
+            "                  const double *obs, double *out)\n"
+            "{\n    policy_mean(p, work, widest, m, obs, out);\n}\n"
+            "void hypot_of(int64_t n, const double *x, const double *y, double *out)\n"
+            "{\n    for (int64_t k = 0; k < n; k++)\n"
+            "        out[k] = python_hypot(x[k], y[k]);\n}\n"
+        )
+        kernel = sim._build_kernel(harness)
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    for name, argtypes, restype in (
+        ("harness_start", [pointer, pointer, pointer], count),
+        ("harness_lockstep", [pointer, pointer, pointer, pointer, count, count], count),
+        ("harness_mean", [pointer, pointer, count, count, pointer, pointer], None),
+        ("hypot_of", [count, pointer, pointer, pointer], None),
+    ):
+        getattr(kernel, name).argtypes, getattr(kernel, name).restype = argtypes, restype
+    return kernel
+
+
+def drive(batch, means_of):
+    """Step a lockstep batch to its end one control step at a time, through
+    the kernel's own sim_start and sim_lockstep: at each step the live rows
+    act on means_of(their observations), a (live, NUM_JOINTS) array. Returns
+    the batch."""
+    kernel, rows = kernel_harness(), batch.history.shape[1]
+    live = np.empty(rows, dtype=np.int64)
+    obs = np.empty((rows, sim.observation_dim(batch._batch.latent_dim)))
+    means = np.empty((rows, sim.NUM_JOINTS))
+    args = (ctypes.addressof(batch._batch), live.ctypes.data, obs.ctypes.data)
+    t, m = 0, kernel.harness_start(*args)
+    while m:
+        means[:m] = means_of(obs[:m])
+        m = kernel.harness_lockstep(*args, means.ctypes.data, m, t)
+        t += 1
+    return batch
+
+
 def step_row(row, action, terrain, cfg):
     """One control step of state row `row` under the PD targets `action`, as a
-    one-row `sim.Lockstep` batch: the kernel call that steps every episode.
-    Returns the new row and its status."""
+    one-row `sim.Lockstep` batch. Returns the new row and its status."""
     batch = sim.Lockstep(np.array(row, dtype=float, ndmin=2), np.zeros((1, 0)), [1], None,
                          terrain, cfg, *roots(1))
-    batch.means[0] = action
-    batch.advance(0, 1)
+    drive(batch, lambda obs: action)
     return batch.history[1, 0], sim.STATUSES[batch.status[0]]
 
 
@@ -536,13 +595,7 @@ def test_infinite_angle_ends_the_step_with_a_nan_pitch(p, hl, kr):
 def _drive(batch):
     """Step a lockstep batch to its end on means read off its observations,
     element by element: the latent, plus a tenth of the joint rates."""
-    t, m = 0, batch.live_count
-    while m:
-        obs = batch.obs[:m]
-        batch.means[:m] = 0.4 * obs[:, CLOCK_DIM:CLOCK_DIM + 4] + 0.1 * obs[:, -4:]
-        m = batch.advance(t, m)
-        t += 1
-    return batch
+    return drive(batch, lambda obs: 0.4 * obs[:, CLOCK_DIM:CLOCK_DIM + 4] + 0.1 * obs[:, -4:])
 
 
 def _chained(starts, latents, then, budgets, switches, noise):
@@ -591,16 +644,21 @@ def test_a_switching_lockstep_row_equals_two_chained_batches():
     noise = rng.normal(0.0, 0.05, size=(len(budgets), 30, 4))
 
     n = len(budgets)
+    # Episode b's continuation is row n + k for b = on[k], the episodes with
+    # steps left after their switch.
+    on = np.flatnonzero(budgets > switches)
     got = _drive(sim.Lockstep(
-        np.concatenate([starts, starts]), np.concatenate([latents, then]),
-        np.concatenate([np.minimum(budgets, switches), np.maximum(budgets - switches, 0)]),
-        np.concatenate([noise, noise]), FLAT, CFG,
-        parents=np.concatenate([np.full(n, -1), np.arange(n)]),
-        starts=np.concatenate([np.zeros(n, dtype=int), switches]),
+        np.concatenate([starts, starts[on]]), np.concatenate([latents, then[on]]),
+        np.concatenate([np.minimum(budgets, switches), budgets[on] - switches[on]]),
+        np.concatenate([noise, noise[on]]), FLAT, CFG,
+        parents=np.concatenate([np.full(n, -1), on]),
+        starts=np.concatenate([np.zeros(n, dtype=int), switches[on]]),
     ))
     rows, lengths, status = _chained(starts, latents, then, budgets, switches, noise)
+    continuation = dict(zip(on.tolist(), range(n, n + len(on))))
     for b in range(n):
-        last = n + b if got.lengths[n + b] else b  # the row the episode ends on
+        c = continuation.get(b)
+        last = c if c is not None and got.lengths[c] else b  # the row the episode ends on
         episode = got.rows(b) if last == b else np.concatenate([got.rows(b)[:-1], got.rows(last)])
         assert episode.tobytes() == rows[b].tobytes(), b
         assert (len(episode) - 1, got.status[last]) == (lengths[b], status[b]), b
@@ -635,7 +693,6 @@ def test_a_continuation_row_equals_a_row_started_from_its_parents_state():
         (0, 12, 4),           # 8: continues 0 at its last step, still running
         (0, 13, 4),           # 9: never runs: 0 ran out of steps before its start
         (6, fall + 1, 3),     # 10: never runs: its parent never ran
-        (2, 10, 0),           # 11: starts with no steps to take
     ]
     parents, starts, budgets = (np.array(c) for c in zip(*rows))
     start_rows = np.array([standing, spinning] + [standing] * (len(rows) - 2))
@@ -657,10 +714,11 @@ def test_a_continuation_row_equals_a_row_started_from_its_parents_state():
     ran = [k for k, (_, n, _) in enumerate(got) if n]
     assert ran == [0, 1, 2, 3, 4, 5, 8]
     assert (got[0][1], got[1][1], got[5][1]) == (12, fall, 2)
-    for k in (6, 7, 9, 10, 11):
+    for k in (6, 7, 9, 10):  # never started, so no states
         assert got[k][1:] == (0, sim.STATUSES.index(RUNNING)), k
+        assert got[k][0].shape == (0, sim.ROW), k
     for k, (states, n, status) in enumerate(got):
-        if k in ran or k == 11:  # started, 11 with no steps
+        if k in ran:
             parent, start = parents[k], starts[k]
             first = start_rows[k] if parent < 0 else got[parent][0][start - starts[parent]]
             alone = _drive(sim.Lockstep(
@@ -670,11 +728,14 @@ def test_a_continuation_row_equals_a_row_started_from_its_parents_state():
             assert states.tobytes() == alone.rows(0).tobytes(), k
             assert (n, status) == (alone.lengths[0], alone.status[0]), k
     # Neither the rows' order nor the other rows in the batch change a row.
-    for order in ([1, 0, 5, 6, 7, 10, 9, 8, 3, 4, 2, 11], [1, 5, 6, 10, 7]):
+    for order in ([1, 0, 5, 6, 7, 10, 9, 8, 3, 4, 2], [1, 5, 6, 10, 7]):
         for k, (states, n, status) in zip(sorted(order), run(order)):
             assert (n, status) == got[k][1:], (order, k)
-            if k in ran:
-                assert states.tobytes() == got[k][0].tobytes(), (order, k)
+            assert states.tobytes() == got[k][0].tobytes(), (order, k)
+    # A row with a parent takes at least one step: one with none is refused.
+    with pytest.raises(ValueError, match="budget of at least 1"):
+        sim.Lockstep(start_rows[:3], latents[:3], [12, 10, 0], None, FLAT, CFG,
+                     parents=[-1, 0, 1], starts=[0, 0, 10])
 
 
 def test_importing_the_cli_does_not_build_the_kernel():
@@ -688,15 +749,24 @@ def test_importing_the_cli_does_not_build_the_kernel():
     assert out.stdout.strip() == "None"
 
 
+def _run_one_step(row):
+    """One control step of state row `row` through `Lockstep.run`, on the
+    kernel the package has loaded, under a policy whose weights and biases
+    are all 0."""
+    batch = sim.Lockstep(row[None].copy(), np.zeros((1, 0)), [1], None, FLAT, CFG, *roots(1))
+    inputs = sim.observation_dim(0)
+    batch.run(SimpleNamespace(dims=(inputs, 4), flat=np.zeros((inputs + 1) * 4)))
+    return batch.history[1, 0]
+
+
 def test_kernel_build_without_cc_is_a_runtime_error(monkeypatch):
     row = airborne_state([0.3, -0.2, 0.1, 0.5, -0.5, 0.2, -0.2])
-    before, _ = step_row(row, np.zeros(4), FLAT, CFG)
+    before = _run_one_step(row)
     monkeypatch.setenv("PATH", "")
     with pytest.raises(RuntimeError, match=r"\bcc\b"):
         sim._build_kernel()
     # The kernel already loaded keeps stepping.
-    after, _ = step_row(row, np.zeros(4), FLAT, CFG)
-    assert after.tobytes() == before.tobytes()
+    assert _run_one_step(row).tobytes() == before.tobytes()
 
 
 def test_a_kept_kernel_loads_without_a_compiler(tmp_path, monkeypatch):
@@ -708,9 +778,9 @@ def test_a_kept_kernel_loads_without_a_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", "")
     row = airborne_state([0.3, -0.2, 0.1, 0.5, -0.5, 0.2, -0.2])
     monkeypatch.setattr(sim, "_kernel", sim._cached_kernel(cache))
-    after, _ = step_row(row, np.zeros(4), FLAT, CFG)
+    after = _run_one_step(row)
     monkeypatch.undo()
-    assert after.tobytes() == step_row(row, np.zeros(4), FLAT, CFG)[0].tobytes()
+    assert after.tobytes() == _run_one_step(row).tobytes()
     assert os.listdir(cache) == [library]
 
 
@@ -722,13 +792,13 @@ def test_an_unreadable_kept_kernel_is_built_again(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / name).write_bytes(b"not a library")
-    assert sim._cached_kernel(cache).sim_lockstep
+    assert sim._cached_kernel(cache).sim_run
     assert (cache / name).read_bytes() == (kept / name).read_bytes()
 
 
 def test_a_kernel_cache_that_cannot_be_made_builds_in_a_temporary_directory(tmp_path):
     (tmp_path / "file").write_text("")
-    assert sim._cached_kernel(tmp_path / "file" / "cache").sim_lockstep
+    assert sim._cached_kernel(tmp_path / "file" / "cache").sim_run
     assert os.listdir(tmp_path) == ["file"]
 
 
@@ -1138,24 +1208,8 @@ def test_goal_rewards_match_math_exp_of_math_hypot():
     assert got.tobytes() == np.array(want).reshape(3, 500).tobytes()
 
 
-def _kernel_with_hypot(tmp_path):
-    """The kernel, built as sim builds it, with an entry that runs its port of
-    math.hypot over two arrays."""
-    harness = tmp_path / "hypot_harness.c"
-    harness.write_text(
-        f'#include "{sim._KERNEL_SOURCE}"\n'
-        "void hypot_of(int64_t n, const double *x, const double *y, double *out)\n"
-        "{\n    for (int64_t k = 0; k < n; k++)\n"
-        "        out[k] = python_hypot(x[k], y[k]);\n}\n"
-    )
-    kernel = sim._build_kernel(harness)
-    kernel.hypot_of.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 3
-    kernel.hypot_of.restype = None
-    return kernel
-
-
-def test_the_kernel_hypot_is_math_hypot_bit_for_bit(tmp_path):
-    kernel = _kernel_with_hypot(tmp_path)
+def test_the_kernel_hypot_is_math_hypot_bit_for_bit():
+    kernel = kernel_harness()
     rng = np.random.default_rng(5)
     n = 100_000
     # Magnitudes across the whole double range, pairs a few decades apart,

@@ -7,11 +7,12 @@
 REF is any git revision: a commit, a branch or a merge base. Its `src` is
 extracted with `git archive` into a temporary directory, so the check is
 local, needs no network and registers no worktree. This tree is taken as it
-is on disk, uncommitted edits included. Both trees run the same argv
-(`PIPELINE`) in fresh interpreters with one BLAS thread; the 16 outputs must
-match byte for byte, except the wall time on `plan.json`'s `solve_seconds`
-line. Digests committed to the repository would not do: they depend on the
-numpy, BLAS and libm build, while two trees on one machine share it.
+is on disk, uncommitted edits included. Both trees write the same terrain file
+(`NEAR_GAP`) and run the same argv (`PIPELINE`) in fresh interpreters with one
+BLAS thread; the 24 outputs must match byte for byte, except the wall time on
+the `solve_seconds` line of each plan. Digests committed to the repository
+would not do: they depend on the numpy, BLAS and libm build, while two trees
+on one machine share it.
 
 Prints one line per output that differs or exists in one tree only; for one
 that differs, also where its first differing line and column are, and that
@@ -30,7 +31,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The five stages on pi3, with a checkpoint resume: 16 output files.
+# A terrain file that the pipeline's policy reaches, so that contacts with a
+# gap's edge are compared: a gap from x = 0.02 to 0.47. Each tree writes it
+# with its own artifact writer, into the output directory.
+NEAR_GAP = "near_gap.json"
+WRITE_NEAR_GAP = ("from modeloco.fileio import write_artifact; write_artifact("
+                  f"{NEAR_GAP!r}, 'terrain', {{'breakpoints': [[0.02, -1.0], [0.47, 0.0]]}})")
+
+# The five stages on pi3, with a checkpoint resume, and eval and plan on flat
+# ground and on the near gap: 24 output files with the terrain file.
 PIPELINE = (
     ("gen-refs", "--modeset", "pi3", "--out", "library.json"),
     ("train-encoder", "--library", "library.json", "--out", "encoder.json", "--epochs", "60"),
@@ -40,12 +49,16 @@ PIPELINE = (
      "--resume", "policy.json.checkpoint.json", "--updates", "3"),
     ("eval", "--library", "library.json", "--policy", "policy.json", "--rollouts", "6",
      "--out", "eval.json"),
-    ("plan", "--library", "library.json", "--policy", "policy.json", "--terrain", "gap",
+    ("plan", "--library", "library.json", "--policy", "policy.json", "--terrain", "flat",
      "--out", "plan.json"),
+    ("eval", "--library", "library.json", "--policy", "policy.json", "--rollouts", "6",
+     "--terrain", NEAR_GAP, "--out", "eval_near_gap.json"),
+    ("plan", "--library", "library.json", "--policy", "policy.json", "--terrain", NEAR_GAP,
+     "--out", "plan_near_gap.json"),
 )
 
-# The one output line that may differ: the planner's wall time.
-WALL_TIME_FILE, WALL_TIME_LINE = "plan.json", b'"solve_seconds":'
+# The one output line that may differ, in each plan: the planner's wall time.
+WALL_TIME_FILES, WALL_TIME_LINE = ("plan.json", "plan_near_gap.json"), b'"solve_seconds":'
 
 # The characters shown of each side of a differing line.
 SHOWN = 100
@@ -70,7 +83,8 @@ def extract_src(repo: Path, ref: str, dest: Path) -> None:
 
 
 def run_pipeline(tree: Path, out: Path) -> None:
-    """Run `PIPELINE` on `tree`'s `src/modeloco`, writing into `out`."""
+    """Write `NEAR_GAP` and run `PIPELINE` with `tree`'s `src/modeloco`, in
+    `out`."""
     out.mkdir(parents=True)
     env = dict(
         os.environ,
@@ -80,24 +94,23 @@ def run_pipeline(tree: Path, out: Path) -> None:
         OMP_NUM_THREADS="1",
         MKL_NUM_THREADS="1",
     )
-    for argv in PIPELINE:
+    for argv in [("-c", WRITE_NEAR_GAP)] + [("-m", "modeloco.cli", *a) for a in PIPELINE]:
         done = subprocess.run(
-            [sys.executable, "-m", "modeloco.cli", *argv],
-            cwd=out, env=env, capture_output=True, text=True,
+            [sys.executable, *argv], cwd=out, env=env, capture_output=True, text=True,
         )
         if done.returncode != 0:
             raise PipelineError(
-                f"{tree}: modeloco {' '.join(argv)} exited {done.returncode}: {done.stderr}"
+                f"{tree}: python {' '.join(argv)} exited {done.returncode}: {done.stderr}"
             )
 
 
 def _lines(path: Path) -> list[bytes] | None:
-    """The lines of an output, ends kept, with the wall-time line blanked so
-    that the lines after it keep their numbers."""
+    """The lines of an output, ends kept, with a plan's wall-time line blanked
+    so that the lines after it keep their numbers."""
     if not path.exists():
         return None
     lines = path.read_bytes().splitlines(keepends=True)
-    if path.name != WALL_TIME_FILE:
+    if path.name not in WALL_TIME_FILES:
         return lines
     return [b"\n" if WALL_TIME_LINE in line else line for line in lines]
 
@@ -171,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"DIFFERS {name}: {how}")
     same = len(set(names) - {name for name, _ in differences})
     print(f"{same} of {len(names)} outputs identical to {ref}, "
-          f"apart from the {WALL_TIME_FILE} wall time")
+          "apart from the plans' wall times")
     return 1 if differences else 0
 
 
