@@ -1,20 +1,20 @@
 /* The planar biped's control steps and rewards: the kernel of every
- * lockstep batch that policy._advance runs, policy mean included, of the
- * observations of state rows, and of the tracking and goal rewards that score
- * those rows. Its last section is not physics: repr_join writes arrays of
- * doubles as the text CPython's repr gives, for the artifact and table writers
- * (fileio.py), where the compiler has unsigned __int128.
+ * lockstep batch that policy._advance runs, policy mean and observations
+ * included, and of the tracking and goal rewards that score its rows. Its
+ * last section is not physics: repr_join writes arrays of doubles as the text
+ * CPython's repr gives, for the artifact and table writers (fileio.py), where
+ * the compiler has unsigned __int128.
  *
  * sim.py compiles this file once per version of it, with the flags in
  * sim._CC_FLAGS, keeping the library in the package's __pycache__ for later
- * processes. sim.py calls sim_run, which runs a whole batch, sim_observe,
- * sim_track and sim_goal_rewards, and fileio.py calls repr_join, through
- * ctypes; nothing else is exported. The flags are part of the operation-order
- * contract that sim.py's module docstring states: no -ffast-math, so every
- * operation rounds as written; -ffp-contract=off, so no multiply-add is fused
- * into one rounding; -fno-builtin, so sin, cos, exp and fmod stay calls into
- * the libm that Python's math module and float type use, and sin and cos are
- * not merged into sincos. math.hypot is not libm's hypot, so python_hypot
+ * processes. sim.py calls sim_run, which runs a whole batch, sim_track and
+ * sim_goal_rewards, and fileio.py calls repr_join, through ctypes; nothing
+ * else is exported. The flags are part of the operation-order contract that
+ * sim.py's module docstring states: no -ffast-math, so every operation rounds
+ * as written; -ffp-contract=off, so no multiply-add is fused into one
+ * rounding; -fno-builtin, so sin, cos, exp and fmod stay calls into the libm
+ * that Python's math module and float type use, and sin and cos are not
+ * merged into sincos. math.hypot is not libm's hypot, so python_hypot
  * below ports CPython's own. The policy mean's matrix products and tanh are
  * not this file's arithmetic: they call numpy's own float64 loops for
  * np.matmul and np.tanh, which sim.py looks up and passes in (struct policy),
@@ -405,6 +405,8 @@ struct batch {
     int64_t latent_dim;
     int64_t noise_steps;    /* the noise's second dimension */
     double *history;        /* (T + 1, B, ROW): row r's state at step t */
+    double *observed;       /* (T + 1, B, obs_dim): history's observations, or NULL */
+    double *means;          /* (T, B, NUM_JOINTS): the mean row r acted on at t, or NULL */
     const double *latents;  /* (B, latent_dim): the latent each row observes under */
     const double *noise;    /* (B, noise_steps, NUM_JOINTS), by step, or NULL */
     const double *params;
@@ -576,7 +578,9 @@ static void policy_mean(const struct policy *p, double *work, int64_t widest, in
 }
 
 /* Run batch b from step 0 to its end on policy p: sim_start, then per step
- * the live rows' policy means and sim_lockstep, until no row is live. The
+ * the live rows' policy means and sim_lockstep, until no row is live. A
+ * batch that records copies each step's live observations and means, and
+ * then observes each started row's last state, which no step observed. The
  * scratch they use is one allocation, freed before the return. Returns 0,
  * or -1, having run nothing, if the allocation fails. */
 int64_t sim_run(const struct batch *b, const struct policy *p)
@@ -598,19 +602,21 @@ int64_t sim_run(const struct batch *b, const struct policy *p)
     work = means + rows * NUM_JOINTS;
     for (int64_t t = 0, m = sim_start(b, live, obs); m; t++) {
         policy_mean(p, work, widest, m, obs, means);
+        for (int64_t k = 0; b->observed && k < m; k++) {
+            const int64_t at = t * rows + live[k];
+            memcpy(b->observed + at * obs_dim, obs + k * obs_dim, obs_dim * sizeof(double));
+            memcpy(b->means + at * NUM_JOINTS, means + k * NUM_JOINTS, NUM_JOINTS * sizeof(double));
+        }
         m = sim_lockstep(b, live, obs, means, m, t);
+    }
+    for (int64_t r = 0; b->observed && r < rows; r++) {
+        const int64_t at = (b->starts[r] + b->lengths[r]) * rows + r;
+        if (b->parents[r] < 0 || b->lengths[r])
+            observe_row(b->history + at * ROW, b->latents + r * b->latent_dim, b->latent_dim,
+                        b->observed + at * obs_dim);
     }
     free(live);
     return 0;
-}
-
-/* The observations of n state rows, row k under latents[k], into obs. */
-void sim_observe(int64_t n, const double *rows, const double *latents, int64_t latent_dim,
-                 double *obs)
-{
-    const int64_t obs_dim = CLOCK_DIM + latent_dim + PROPRIO_DIM;
-    for (int64_t k = 0; k < n; k++)
-        observe_row(rows + k * ROW, latents + k * latent_dim, latent_dim, obs + k * obs_dim);
 }
 
 /* A library clip, as ReferenceMotion packs it: the top sample index, 1.0 for

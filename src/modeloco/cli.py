@@ -108,6 +108,12 @@ def _check_policy_fits(policy, library, policy_path: str, library_path: str) -> 
         )
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    """InvalidInputError naming `flag` unless its value is at least 1."""
+    if value < 1:
+        raise InvalidInputError(f"{flag} must be at least 1, got {value}")
+
+
 def _config(cls, args):
     """The config dataclass cls with each field from the flag that sets it:
     every field of cls is a flag whose dest is the field's name."""
@@ -225,6 +231,7 @@ def cmd_train_policy(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _at_least_one("--rollouts", args.rollouts_per_case)
     out = _out_path(args.out, "eval.json")
     library = _load_encoded_library(args.library)
     trace_paths = [Path(str(out) + f".{name}.csv") for name in library.names]  # beside the report
@@ -234,7 +241,7 @@ def cmd_eval(args) -> int:
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
     reward_cfg = _reward_config(args)
-    for k, switch in enumerate(switch_steps(robot.cycle_steps)[: max(args.rollouts_per_case, 0)]):
+    for k, switch in enumerate(switch_steps(robot.cycle_steps)[: args.rollouts_per_case]):
         if switch >= args.horizon:
             raise InvalidInputError(f"--horizon {args.horizon} ends before step {switch}, where "
                                     f"rollout {k + 1} of --rollouts {args.rollouts_per_case} "
@@ -284,6 +291,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    _at_least_one("--knots", args.knots)
+    _at_least_one("--trials", args.trials)
     out = _out_path(args.out, "plan.json")
     trace_path = Path(str(out) + ".trace.csv")
     _check_out_paths(out, trace_path)
@@ -294,7 +303,6 @@ def cmd_plan(args) -> int:
     robot = RobotConfig()
     cfg = _config(plan_mod.PlannerConfig, args)
     plan_mod.knot_steps(cfg, robot)
-    plan_mod.check_trials(args.trials)
     cfg_hash = config_hash(dataclasses.asdict(cfg))
     print(
         f"planning: {cfg.knots} knots x {cfg.knot_dt}s, goal "

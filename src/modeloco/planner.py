@@ -295,11 +295,6 @@ def knot_steps(cfg: PlannerConfig, robot_cfg: RobotConfig) -> int:
     return round(steps)
 
 
-def check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-
-
 def parallel_trials(
     policy: PolicyParams,
     library: ModeLibrary,
@@ -317,7 +312,8 @@ def parallel_trials(
     going to the earliest trial. The winner's trace is read from the cache,
     where its greedy rollout left every knot, with no stepping.
     """
-    check_trials(trials)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     cache: PrefixCache = {}
     results = _q_learning(
         library.n, cfg, [np.random.default_rng(cfg.seed + i) for i in range(trials)],

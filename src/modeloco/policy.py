@@ -35,7 +35,6 @@ from .sim import (
     RobotConfig,
     Terrain,
     initial_state,
-    observe_rows,
     tracking_rewards,
 )
 
@@ -181,7 +180,8 @@ def entropy(params: PolicyParams) -> float:
 
 @dataclass
 class Trajectory:
-    """One episode: per-step records plus the final observation and bootstrap."""
+    """One episode: per-step records, the observations and actions as its steps
+    took them, plus the final observation and bootstrap."""
 
     obs: np.ndarray  # (T+1, obs_dim), last row is the final observation
     actions: np.ndarray  # (T, act_dim)
@@ -381,13 +381,14 @@ def _advance(
     source mode or a planner episode is one call.
 
     Runs are arrays: the returned batch holds the (T + 1, B, ROW) state
-    history, the steps each row took and its final status code. The inputs
-    are checked before the kernel sees them: start rows (B, ROW), latents
-    (B, latent_dim) with the policy's latent width and noise (B, at least
-    the batch's last step, act_dim), all C-contiguous float64, non-negative
-    integer steps and start steps, at least one step for a continuation row,
-    parents that precede their rows, and a policy from that observation
-    width to NUM_JOINTS actions; ValueError names a bad one.
+    history, the steps each row took, its final status code and, given
+    noise, the observations and means the steps used (`Lockstep`). The
+    inputs are checked before the kernel sees them: start rows (B, ROW),
+    latents (B, latent_dim) with the policy's latent width and noise (B, at
+    least the batch's last step, act_dim), all C-contiguous float64,
+    non-negative integer steps and start steps, at least one step for a
+    continuation row, parents that precede their rows, and a policy from
+    that observation width to NUM_JOINTS actions; ValueError names a bad one.
     """
     batch = Lockstep(start_rows, latents, steps, noise, terrain, robot_cfg, parents, starts)
     batch.run(policy.net)
@@ -410,21 +411,21 @@ def rollout(
     rows per episode: a trunk under the start mode's latent from the start
     state to its `switch_step`, and a continuation row under the end mode's
     latent from the trunk's state at the switch step to the horizon, which
-    runs only if the trunk is running there. So each of the episode's
-    states, the last included, observes under the start mode's latent before
-    the switch step and under the end mode's latent from there on. Each
-    episode is scored by one `tracking_rewards` call per row against its
-    mode's clip, the continuation's anchored at its first state, so at the
-    switch the new mode's reference continues from where the robot actually
-    is. Falls and blowups truncate the episode with a zero bootstrap value.
+    runs only if the trunk is running there. So a state the episode acts in
+    observes under the start mode's latent before the switch step and under
+    the end mode's from there on, and its last state under its last row's,
+    the trunk's if the trunk ends on the switch step. Each episode is scored
+    by one `tracking_rewards` call per row against its mode's clip, the
+    continuation's anchored at its first state, so at the switch the new
+    mode's reference continues from where the robot actually is. Falls and
+    blowups truncate the episode with a zero bootstrap value.
 
     Episode b draws horizon x act_dim standard normals from rngs[b] up
     front, one row per step, whether or not it runs to the horizon; both of
-    its rows act on that noise at each step. The observations, means and
-    actions are recomputed from the state history after the batch, and the
-    log-probs and values, bootstrap included, come from one batched call each
-    per episode; all equal what the kernel's stepping used and what per-step
-    calls give, bit for bit.
+    its rows act on that noise at each step. The observations and means are
+    the batch's records of what its steps used, gathered for all episodes at
+    once, and the values, bootstrap included, and log-probs come from one
+    call each; all equal what per-step calls give, bit for bit.
     """
     if len(scripts) != len(rngs):
         raise ValueError(f"need one rng per script, got {len(rngs)} for {len(scripts)}")
@@ -448,39 +449,37 @@ def rollout(
         starts=[t for s in scripts for t in (0, s.switch_step)],
     )
 
+    # Every episode's states in one gather, episode after episode: state t of
+    # episode b is its continuation's from the switch step on if that ran (the
+    # trunk was running at the switch step), and its trunk's otherwise.
+    switched = batch.lengths[1::2] > 0
+    steps = batch.lengths[0::2] + batch.lengths[1::2]
+    episode = np.repeat(np.arange(len(scripts)), steps + 1)
+    t = np.arange(episode.size) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
+    row = 2 * episode + (switched[episode] & (t >= batch.starts[2 * episode + 1]))
+    acted = t < steps[episode]  # every state but each episode's last
+    obs = batch.observed[t, row]
+    means = batch.means[t[acted], row[acted]]
+    actions = means + noise[episode[acted], 0, t[acted]]
+    values = value_of(policy, obs)
+    log_probs = gaussian_log_prob(actions, means, policy.log_std)
+    per_state, per_step = np.cumsum(steps + 1)[:-1], np.cumsum(steps)[:-1]
+
     trajectories = []
-    for b, script in enumerate(scripts):
-        rows, switch = batch.rows(2 * b), script.switch_step
-        rewards = tracking_rewards(rows, library.motions[script.mode_from], reward_cfg)
-        last = 2 * b  # the row the episode ends on
-        if batch.lengths[2 * b + 1]:  # the trunk was running at the switch step
-            last += 1
-            after = batch.rows(last)
-            rewards = np.concatenate([
-                rewards, tracking_rewards(after, library.motions[script.mode_to], reward_cfg)
-            ])
-            rows = np.concatenate([rows[:-1], after])
-        # The observation of each state, under the latent in force there; the
-        # last one is the bootstrap observation.
-        modes = np.where(np.arange(len(rows)) < switch, script.mode_from, script.mode_to)
-        obs = observe_rows(rows, library.latents[modes])
-        means = policy_mean(policy, obs[:-1])
-        actions = means + noise[b, 0, : len(rewards)]
-        status = STATUSES[batch.status[last]]
+    for b, (script, obs_b, values_b, actions_b, log_probs_b) in enumerate(zip(
+        scripts, np.split(obs, per_state), np.split(values, per_state),
+        np.split(actions, per_step), np.split(log_probs, per_step),
+    )):
+        rewards = tracking_rewards(batch.rows(2 * b), library.motions[script.mode_from], reward_cfg)
+        if switched[b]:
+            rewards = np.concatenate([rewards, tracking_rewards(
+                batch.rows(2 * b + 1), library.motions[script.mode_to], reward_cfg)])
+        status = STATUSES[batch.status[2 * b + switched[b]]]
         fell, blew_up = status == FALLEN, status == BLOWUP
-        values = value_of(policy, obs)
         if fell or blew_up:
-            values[-1] = 0.0
-        trajectories.append(Trajectory(
-            obs=obs,
-            actions=actions,
-            rewards=rewards,
-            log_probs=gaussian_log_prob(actions, means, policy.log_std),
-            values=values,
-            script=script,
-            fell=fell,
-            blew_up=blew_up,
-        ))
+            values_b[-1] = 0.0
+        trajectories.append(Trajectory(obs_b, actions_b, rewards, log_probs_b, values_b, script,
+                                       fell=fell, blew_up=blew_up))
     return trajectories
 
 

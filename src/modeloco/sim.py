@@ -39,15 +39,17 @@ order under Python's float % (C's fmod, then the remainder takes the sign of
 1.0, and a zero remainder is +0.0); the contacts and the support are set; and
 the status is set, a blowup (a value of q or qdot not finite) before fallen
 (the base below 0.3 of the nominal height above the support, or pitched past 1
-rad) before running. The rows still running with steps left are then compacted
-to the front of the live list, in order, followed by the rows that start at
-the new step, in ascending row order, and their next observations written in
-that order. A row's result depends on its start state, latent, budget and
-noise alone, not on the other rows of its batch or their order. A run is the
-(T + 1, B, ROW) history of the batch plus the steps and the final status of
-each row. The kernel allocates the run's scratch (the live rows, their
-observations and means, and the policy's work block) and frees it before it
-returns.
+rad) before running. A row's result depends on its start state, latent,
+budget and noise alone, not on the other rows of its batch or their order. A
+run is the (T + 1, B, ROW) history of the batch plus the steps and the final
+status of each row. A batch with noise, a training batch, also records
+beside its history the observation of each state of each started row, its
+last included, and the mean each live row acted on. An observation is
+[clock, latent, proprioception], with no base x, so it is invariant to
+horizontal translation; an infinite phase or pitch gives NaN in the entries
+computed from it. The kernel allocates the run's scratch (the live rows,
+their observations and means, and the policy's work block) and frees it
+before it returns.
 
 Rewards score state rows after they are stepped, one kernel call per segment
 (`tracking_rewards`): a segment is the rows of one episode under one mode,
@@ -142,6 +144,14 @@ BLOWUP = "blowup"
 STATUSES = (RUNNING, FALLEN, BLOWUP)
 
 NUM_JOINTS = 4
+# The observation's widths before and after the latent.
+CLOCK_DIM = 2
+PROPRIO_DIM = 13
+
+
+def observation_dim(latent_dim: int) -> int:
+    return CLOCK_DIM + latent_dim + PROPRIO_DIM
+
 
 # The state row layout, `_physics.c`'s.
 Q, QDOT, TIME, PHASE, CLOCK_RATE, CONTACT_LEFT, CONTACT_RIGHT, SUPPORT, ROW = (
@@ -377,7 +387,6 @@ _P, _N, _D, _T = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_char
 # __int128.
 _ENTRIES = {
     "sim_run": ([_P, _P], _N),
-    "sim_observe": ([_N, _P, _P, _N, _P], None),
     "sim_track": ([_N, _P, _P, _P, _P], _N),
     "sim_goal_rewards": ([_N, _P, _D, _D, _P], None),
     "repr_join": ([_N, _P, _N, _T, _T, _N, _T, _N, _P, _P, _P], _N),
@@ -546,8 +555,8 @@ class _Batch(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_int64) for name in ("rows", "latent_dim", "noise_steps")] + [
         (name, ctypes.c_void_p) for name in (
-            "history", "latents", "noise", "params", "terrain", "budgets", "lengths", "status",
-            "parents", "starts",
+            "history", "observed", "means", "latents", "noise", "params", "terrain", "budgets",
+            "lengths", "status", "parents", "starts",
         )
     ]
 
@@ -579,6 +588,10 @@ class Lockstep:
     runs keeps length 0 and status running. No other entry of history is
     written. Step t's noise is noise[b, t], so noise covers the batch's last
     step.
+
+    A batch with noise records: observed[t, b] is the observation of each
+    started row's state history[t, b] under latents[b], and means[t, b] the
+    mean row b acted on at step t. A batch without noise has None for both.
     """
 
     def __init__(
@@ -614,10 +627,14 @@ class Lockstep:
                 raise ValueError(f"noise covers {noise.shape[1]} steps of {steps}")
         self.history = np.empty((steps + 1, rows, ROW))
         self.history[0] = start_rows
+        self.observed, self.means = (None, None) if noise is None else (
+            np.empty((steps + 1, rows, observation_dim(latent_dim))),
+            np.empty((steps, rows, NUM_JOINTS)))
         # Held here, so that they live as long as the pointers the kernel reads.
         self._inputs = (latents, noise, cfg._kernel_params, terrain._kernel_terrain)
         self._batch = _Batch(
             rows, latent_dim, 0 if noise is None else noise.shape[1], _address(self.history),
+            *(0 if a is None else _address(a) for a in (self.observed, self.means)),
             _address(latents), 0 if noise is None else _address(noise),
             _address(cfg._kernel_params), _address(terrain._kernel_terrain),
             *map(_address, block),
@@ -659,33 +676,6 @@ class Lockstep:
         if self.parents[b] >= 0 and not steps:
             return np.empty((0, ROW))
         return self.history[start : start + steps + 1, b].copy()
-
-
-# --- observation -------------------------------------------------------------
-
-CLOCK_DIM = 2
-PROPRIO_DIM = 13
-
-
-def observation_dim(latent_dim: int) -> int:
-    return CLOCK_DIM + latent_dim + PROPRIO_DIM
-
-
-def observe_rows(rows: np.ndarray, latents: np.ndarray) -> np.ndarray:
-    """The kernel's observation of each state row, row k under latents[k].
-
-    An observation is [clock, latent command, proprioception]; the clock is
-    the sine and cosine of 2 pi phase. The base x never appears: height is
-    support-relative and the linear velocity is expressed in the base frame,
-    so the observation is invariant to horizontal translation. An infinite
-    phase or pitch, whose sine math.sin cannot take, gives NaN in the
-    entries computed from it.
-    """
-    n = _checked(rows, "state rows", (None, ROW)).shape[0]
-    latent_dim = _checked(latents, "latents", (n, None)).shape[1]
-    obs = np.empty((n, observation_dim(latent_dim)))
-    _library().sim_observe(n, _address(rows), _address(latents), latent_dim, _address(obs))
-    return obs
 
 
 # --- rewards -----------------------------------------------------------------

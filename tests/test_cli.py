@@ -688,7 +688,9 @@ def test_missing_file_is_validation_error(workdir, capsys):
         ("eval", ["--clock-rate", "-1"], "clock rate must be positive and finite, got -1.0"),
         ("train-policy", ["--checkpoint-every", "-1"], "checkpoint_every must be >= 0, got -1"),
         ("plan", ["--episodes", "-1"], "episodes must be >= 0, got -1"),
-        ("plan", ["--trials", "0"], "need at least one trial, got 0"),
+        ("plan", ["--trials", "0"], "--trials must be at least 1, got 0"),
+        ("plan", ["--knots", "0"], "--knots must be at least 1, got 0"),
+        ("eval", ["--rollouts", "0"], "--rollouts must be at least 1, got 0"),
         ("train-policy", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("plan", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("plan", ["--dt", "1e308"], "knot duration 1e+308 s gives too many control steps"),
@@ -698,6 +700,7 @@ def test_missing_file_is_validation_error(workdir, capsys):
          "eval-nan-clock",
          "eval-inf-clock", "eval-zero-clock", "eval-negative-clock",
          "train-negative-checkpoint-every", "plan-negative-episodes", "plan-zero-trials",
+         "plan-zero-knots", "eval-zero-rollouts",
          "train-negative-seed", "plan-negative-seed", "plan-overflowing-dt"],
 )
 def test_non_finite_settings_are_validation_errors(workdir, capsys, command, flags, problem):

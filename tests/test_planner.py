@@ -9,7 +9,7 @@ from modeloco import planner as pl
 from modeloco import policy as pol
 from modeloco import refmotion as rm
 from modeloco import sim
-from test_sim import step_row
+from test_sim import observe, step_row
 
 
 def goal_step_reward(x: float, z: float, goal_x: float, goal_z: float) -> float:
@@ -188,7 +188,7 @@ def _reference_plan_rollout(plan, policy, library, terrain, robot_cfg, cfg, trac
     rewards = np.zeros(plan.k)
     for knot in range(plan.k):
         for _ in range(steps_per_knot):
-            obs = sim.observe_rows(row[None], latents[knot][None])[0]
+            obs = observe(row, latents[knot])
             mean = pol.mlp_forward(policy.net, obs[None, :])[0][0]
             row, status = step_row(row, mean, terrain, robot_cfg)
             rewards[knot] += goal_step_reward(

@@ -9,7 +9,16 @@ from modeloco import refmotion as rm
 from modeloco import sim
 from modeloco.optim import AdamState, adam_step
 from modeloco.sampler import EpisodeScript
-from test_sim import _ModeTracker, _reference_reward, drive, kernel_harness, roots, step_row
+from test_sim import (
+    _ModeTracker,
+    _reference_observe,
+    _reference_reward,
+    drive,
+    kernel_harness,
+    observe,
+    roots,
+    step_row,
+)
 
 
 def library_with_latents(selector="pi2", seed=0):
@@ -414,7 +423,7 @@ def _reference_rollout(
                 anchor_phase=float(row[sim.PHASE]),
             )
             clips_done = 0
-        o = sim.observe_rows(row[None], latents[current][None])[0]
+        o = observe(row, latents[current])
         a, lp = _act(policy, o, stochastic, rng)
         obs_list.append(o)
         act_list.append(a)
@@ -434,10 +443,11 @@ def _reference_rollout(
             fell = status == sim.FALLEN
             blew_up = status == sim.BLOWUP
             break
-    # The last state observes under the latent in force at its step, like
-    # every other: the end mode's from the switch step on.
-    last = latents[int(len(obs_list) >= script.switch_step)]
-    final_obs = sim.observe_rows(row[None], last[None])[0]
+    # The last state observes under the latent of the last step: the end
+    # mode's once a step from the switch step on has run, else the start
+    # mode's, even when that step ended the episode at the switch step.
+    last = latents[int(len(obs_list) > script.switch_step)]
+    final_obs = observe(row, last)
     bootstrap = 0.0 if fell or blew_up else _value(policy, final_obs)
     return pol.Trajectory(
         obs=np.vstack(obs_list + [final_obs]),
@@ -458,8 +468,10 @@ def _reference_rollout(
         # The gap starts within a foot's reach of the start pose.
         (sim.Terrain.gap(0.05), 0, 200, "falls"),
         (sim.Terrain.flat(), 1, 26, "horizon"),
+        (sim.Terrain.flat(), 0, 200, "falls-at-switch"),
     ],
-    ids=["flat-stochastic-falls", "gap-stochastic-falls", "flat-stochastic-horizon"],
+    ids=["flat-stochastic-falls", "gap-stochastic-falls", "flat-stochastic-horizon",
+         "flat-stochastic-falls-at-switch"],
 )
 def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
     lib = library_with_latents()
@@ -469,10 +481,23 @@ def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
         mode_from=seed % 4, mode_to=(seed + 1) % 4,
         switch_step=12 if horizon < 50 else 25, horizon=horizon,
     )
+    if ending == "falls-at-switch":
+        # Before its switch an episode steps as it would with a later switch,
+        # so a switch at the step a switch-free episode falls at meets the fall:
+        # the trunk's last step ends the episode at its switch step.
+        late = EpisodeScript(script.mode_from, script.mode_to, horizon - 1, horizon)
+        fall = _reference_rollout(policy, lib, late, terrain, ROBOT, REWARD,
+                                  rng=np.random.default_rng(100 + seed))
+        assert fall.fell and fall.length < late.switch_step
+        script = EpisodeScript(script.mode_from, script.mode_to, fall.length, horizon)
     args = (policy, lib, script, terrain, ROBOT, REWARD)
     want = _reference_rollout(*args, rng=np.random.default_rng(100 + seed))
     got = _one_rollout(*args, np.random.default_rng(100 + seed))
-    if ending == "falls":
+    if ending == "falls-at-switch":
+        # The fallen state observes under the start mode's latent, the trunk's.
+        assert want.fell and want.length == script.switch_step
+        assert got.obs[-1, 2:6].tobytes() == lib.latents[script.mode_from].tobytes()
+    elif ending == "falls":
         assert want.fell and want.length < horizon
     else:
         assert not want.fell and want.length == horizon
@@ -489,8 +514,8 @@ def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_swi
     # `rollout` runs each episode as a trunk row to the switch step and a
     # continuation row from there. A fall on the last step before the switch
     # ends the episode at the switch step, so the continuation never runs,
-    # and that state observes under the end mode's latent like any state from
-    # the switch on; a fall on the switch step ends it one step later.
+    # and that state observes under the trunk's latent, the start mode's; a
+    # fall on the switch step ends it one step later, under the end mode's.
     lib = library_with_latents()
     policy = _falling_policy()
 
@@ -562,7 +587,7 @@ def test_the_kernel_policy_mean_is_policy_mean_bit_for_bit(hidden, gain):
                                np.zeros((B, 1))], axis=1)  # the support
         rows[:, sim.Z] += 1.0
         latents = rng.uniform(-3.0, 3.0, size=(B, 4))
-        obs = sim.observe_rows(rows, latents)
+        obs = np.array([observe(row, latent) for row, latent in zip(rows, latents)])
         means = _kernel_means(policy, obs)
         assert means.tobytes() == pol.policy_mean(policy, obs).tobytes(), (hidden, B)
         args = (rows, latents, [1] * B, None, sim.Terrain.flat(), ROBOT, *roots(B))
@@ -573,6 +598,44 @@ def test_the_kernel_policy_mean_is_policy_mean_bit_for_bit(hidden, gain):
     if gain > 1.0:
         layer = np.tanh(obs @ policy.net.weights[0].T + policy.net.biases[0])
         assert (np.abs(layer) > 0.999).mean() > 0.2  # the tails were reached
+
+    # A batch with noise records the observation of each state of each
+    # started row, under the row's latent, and the mean of each step.
+    start = sim.initial_state(ROBOT, sim.Terrain.flat())
+    pitched, overflowing = start.copy(), start.copy()
+    pitched[sim.PITCH] = 1.2  # past 1 rad
+    overflowing[sim.Q + 3 : sim.Q + 5] = 1e308  # the left leg's angle overflows
+    # (parent, start step, budget, start row) of each row.
+    cases = [
+        (-1, 0, 4, start),        # 0: runs to its budget
+        (0, 2, 2, start),         # 1: continues 0, and runs to its budget
+        (-1, 0, 4, pitched),      # 2: falls
+        (-1, 0, 4, overflowing),  # 3: blows up
+        (2, 3, 1, start),         # 4: never starts: 2 fell before its start
+        (-1, 0, 0, start),        # 5: starts with no steps
+    ]
+    parents, starts, budgets, start_rows = (list(c) for c in zip(*cases))
+    latents = rng.uniform(-3.0, 3.0, size=(len(cases), 4))
+    args = (np.array(start_rows), latents, budgets, rng.normal(0.0, 0.3, size=(len(cases), 4, 4)),
+            sim.Terrain.flat(), ROBOT, parents, starts)
+    run = sim.Lockstep(*args)
+    run.run(policy.net)
+    assert [sim.STATUSES[c] for c in run.status] == [
+        "running", "running", "fallen", "blowup", "running", "running"]
+    assert run.lengths.tolist() == [4, 2, 1, 1, 0, 0]
+    steps = []
+    for b, latent in enumerate(latents):
+        states = run.rows(b)
+        if b != 4:
+            recorded = run.observed[starts[b] : starts[b] + run.lengths[b] + 1, b]
+            assert recorded.tobytes() == np.array(
+                [_reference_observe(s, latent) for s in states]).tobytes(), (hidden, b)
+        steps += [(starts[b] + k, b) for k in range(run.lengths[b])]
+    t, b = np.array(steps).T
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing row's observation
+        want = pol.policy_mean(policy, run.observed[t, b])
+    assert run.means[t, b].tobytes() == want.tobytes(), hidden
+    assert sim.Lockstep(*args[:3], None, *args[4:]).observed is None
 
 
 def _reference_run(batch, policy):

@@ -54,10 +54,10 @@ def roots(n):
 @functools.cache
 def kernel_harness():
     """The kernel, built once per session as sim builds it, with entries that
-    reach its static functions: harness_start, harness_lockstep and
-    harness_mean call sim_start, sim_lockstep and policy_mean, and hypot_of
-    runs python_hypot over two arrays. While its harness_fail_alloc is
-    nonzero, its allocations fail."""
+    reach its static functions: harness_start, harness_lockstep,
+    harness_mean and harness_observe call sim_start, sim_lockstep,
+    policy_mean and observe_row, and hypot_of runs python_hypot over two
+    arrays. While its harness_fail_alloc is nonzero, its allocations fail."""
     with tempfile.TemporaryDirectory() as tmp:
         harness = Path(tmp) / "harness.c"
         harness.write_text(
@@ -75,6 +75,9 @@ def kernel_harness():
             "void harness_mean(const struct policy *p, double *work, int64_t widest, int64_t m,\n"
             "                  const double *obs, double *out)\n"
             "{\n    policy_mean(p, work, widest, m, obs, out);\n}\n"
+            "void harness_observe(const double *s, const double *latent, int64_t latent_dim,\n"
+            "                     double *obs)\n"
+            "{\n    observe_row(s, latent, latent_dim, obs);\n}\n"
             "void hypot_of(int64_t n, const double *x, const double *y, double *out)\n"
             "{\n    for (int64_t k = 0; k < n; k++)\n"
             "        out[k] = python_hypot(x[k], y[k]);\n}\n"
@@ -85,10 +88,21 @@ def kernel_harness():
         ("harness_start", [pointer, pointer, pointer], count),
         ("harness_lockstep", [pointer, pointer, pointer, pointer, count, count], count),
         ("harness_mean", [pointer, pointer, count, count, pointer, pointer], None),
+        ("harness_observe", [pointer, pointer, count, pointer], None),
         ("hypot_of", [count, pointer, pointer, pointer], None),
     ):
         getattr(kernel, name).argtypes, getattr(kernel, name).restype = argtypes, restype
     return kernel
+
+
+def observe(row, latent):
+    """The kernel's observation of state row `row` under `latent`, through
+    its observe_row."""
+    row, latent = (np.ascontiguousarray(a, dtype=float) for a in (row, latent))
+    obs = np.empty(sim.observation_dim(latent.size))
+    kernel_harness().harness_observe(row.ctypes.data, latent.ctypes.data, latent.size,
+                                     obs.ctypes.data)
+    return obs
 
 
 def drive(batch, means_of):
@@ -564,7 +578,7 @@ def test_observe_and_termination_match_reference_bit_for_bit():
                 after, status = step_row(s, action, terrain, cfg)
                 statuses[status] += 1
                 assert status == _reference_termination(after, cfg), after
-                got = sim.observe_rows(s[None], latent[None])[0]
+                got = observe(s, latent)
                 try:
                     expected = _reference_observe(s, latent)
                 except ValueError:  # math.sin or math.cos of an infinite angle
@@ -892,33 +906,33 @@ def test_contact_force_zero_above_terrain_in_flight():
 
 def test_observation_clock_values():
     row = sim.initial_state(CFG, FLAT)
-    z = np.zeros((1, 4))
-    obs = sim.observe_rows(row[None], z)[0]
+    z = np.zeros(4)
+    obs = observe(row, z)
     assert obs[0] == pytest.approx(0.0, abs=1e-15)  # sin 0
     assert obs[1] == pytest.approx(1.0, abs=1e-15)  # cos 0
     row = state_row(row[Q:QDOT], row[QDOT:TIME], phase=0.25, contact_left=True,
                     contact_right=True)
-    obs = sim.observe_rows(row[None], z)[0]
+    obs = observe(row, z)
     assert obs[0] == pytest.approx(1.0, abs=1e-12)
     assert obs[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_observation_layout_and_translation_invariance():
-    latent = np.array([[0.1, -0.2, 0.3, 0.4]])
+    latent = np.array([0.1, -0.2, 0.3, 0.4])
     q = np.array([5.0, 0.9, 0.1, 0.2, -0.1, 0.05, -0.3])
     qd = np.arange(7, dtype=float) / 10.0
     terrain = sim.Terrain.block(start=4.0, length=2.0, height=0.4)
     row = state_row(q, qd, t=1.0, phase=0.5, contact_left=True, support=terrain.height(5.0))
-    obs = sim.observe_rows(row[None], latent)[0]
+    obs = observe(row, latent)
     assert obs.shape == (sim.observation_dim(4),) == (19,)
-    np.testing.assert_array_equal(obs[2:6], latent[0])
+    np.testing.assert_array_equal(obs[2:6], latent)
     # support-relative height: standing on the 0.4 block at absolute 0.9
     assert obs[6] == pytest.approx(0.5, abs=1e-12)
     # shifting x (and the support lookup staying equal) changes nothing
     q2 = q.copy()
     q2[0] = -3.0
     row2 = state_row(q2, qd, t=1.0, phase=0.5, contact_left=True, support=0.4)
-    np.testing.assert_array_equal(obs, sim.observe_rows(row2[None], latent)[0])
+    np.testing.assert_array_equal(obs, observe(row2, latent))
     # joint angles and rates appear verbatim
     np.testing.assert_array_equal(obs[8:12], q[3:])
     np.testing.assert_array_equal(obs[15:19], qd[3:])
@@ -927,7 +941,7 @@ def test_observation_layout_and_translation_invariance():
 def test_observation_heading_velocity_in_base_frame():
     q = np.array([0.0, 0.5, 0.3, 0, 0, 0, 0])
     qd = np.array([1.0, 0.5, 0.0, 0, 0, 0, 0])
-    obs = sim.observe_rows(state_row(q, qd)[None], np.zeros((1, 4)))[0]
+    obs = observe(state_row(q, qd), np.zeros(4))
     expected = math.cos(0.3) * 1.0 + math.sin(0.3) * 0.5
     assert obs[12] == pytest.approx(expected, abs=1e-12)
     assert obs[13] == pytest.approx(0.5, abs=1e-15)  # vertical rate stays world-frame
