@@ -10,7 +10,7 @@ Q-learning to reach goals over gap, plateau, and block terrains.
 from .encoder import AutoencoderParams, EncoderTrainConfig, encode, train_autoencoder
 from .fileio import TOOL_VERSION as __version__
 from .planner import ModePlan, PlannerConfig, parallel_trials
-from .policy import PolicyParams, PpoConfig, Trajectory, evaluate_modes, ppo_update, rollout
+from .policy import PolicyParams, PpoConfig, Rollout, evaluate_modes, ppo_update, rollout
 from .refmotion import (
     ContactPhase,
     Keyframe,

@@ -29,9 +29,12 @@ from .fileio import (
     ArtifactError, config_hash, read_artifact, read_json, write_artifact, write_table
 )
 from .refmotion import (
+    AT_LEAST_ONE,
+    FieldError,
     InvalidInputError,
     MODESET_NAMES,
     builtin_library,
+    check_fields,
     library_from_payload,
     library_to_payload,
     modeset_from_spec,
@@ -106,12 +109,6 @@ def _check_policy_fits(policy, library, policy_path: str, library_path: str) -> 
             f"policy {policy_path} gives {policy.action_dim} actions, but the biped has "
             f"{NUM_JOINTS} joints"
         )
-
-
-def _at_least_one(flag: str, value: int) -> None:
-    """InvalidInputError naming `flag` unless its value is at least 1."""
-    if value < 1:
-        raise InvalidInputError(f"{flag} must be at least 1, got {value}")
 
 
 def _config(cls, args):
@@ -231,7 +228,7 @@ def cmd_train_policy(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _at_least_one("--rollouts", args.rollouts_per_case)
+    check_fields(args, rollouts_per_case=AT_LEAST_ONE)
     out = _out_path(args.out, "eval.json")
     library = _load_encoded_library(args.library)
     trace_paths = [Path(str(out) + f".{name}.csv") for name in library.names]  # beside the report
@@ -291,8 +288,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    _at_least_one("--knots", args.knots)
-    _at_least_one("--trials", args.trials)
+    check_fields(args, trials=AT_LEAST_ONE)
+    cfg = _config(plan_mod.PlannerConfig, args)
     out = _out_path(args.out, "plan.json")
     trace_path = Path(str(out) + ".trace.csv")
     _check_out_paths(out, trace_path)
@@ -301,7 +298,6 @@ def cmd_plan(args) -> int:
     _check_policy_fits(policy, library, args.policy, args.library)
     terrain = _load_terrain(args.terrain)
     robot = RobotConfig()
-    cfg = _config(plan_mod.PlannerConfig, args)
     plan_mod.knot_steps(cfg, robot)
     cfg_hash = config_hash(dataclasses.asdict(cfg))
     print(
@@ -413,6 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--seed", type=int, default=plan_d.seed)
     pl.add_argument("--out", default=None)
     pl.set_defaults(fn=cmd_plan)
+    # Each command's flags by their dests: `main` names the flag of a rejected setting.
+    for command in sub.choices.values():
+        command.set_defaults(flags={a.dest: a.option_strings[0] for a in command._actions})
     return p
 
 
@@ -431,6 +430,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION  # argparse has printed the usage error
     try:
         return args.fn(args)
+    except FieldError as exc:  # a setting: name the flag that set it
+        field, rule, value = exc.args
+        print(f"error: {args.flags.get(field, field)} {rule}, got {value}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (InvalidInputError, ArtifactError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

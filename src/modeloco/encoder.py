@@ -39,7 +39,9 @@ import numpy as np
 
 from .fileio import array_to_payload
 from .optim import AdamState, adam_step, split_views
-from .refmotion import NUM_CHANNELS, ModeLibrary, ReferenceMotion
+from .refmotion import (
+    NON_NEGATIVE, NUM_CHANNELS, POSITIVE_FINITE, ModeLibrary, ReferenceMotion, check_fields,
+)
 
 DEFAULT_HIDDEN = 32
 DEFAULT_LATENT_DIM = 4
@@ -99,12 +101,7 @@ class EncoderTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError("learning rate must be positive and finite")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_fields(self, learning_rate=POSITIVE_FINITE, epochs=NON_NEGATIVE, seed=NON_NEGATIVE)
 
 
 def init_params(

@@ -44,7 +44,10 @@ import numpy as np
 
 from . import policy as pol
 from .policy import PolicyParams
-from .refmotion import ModeLibrary
+from .refmotion import (
+    AT_LEAST_ONE, FINITE, IN_UNIT_INTERVAL, NON_NEGATIVE, POSITIVE_FINITE, ModeLibrary,
+    check_fields,
+)
 from .sim import (
     PITCH,
     RUNNING,
@@ -77,20 +80,9 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.knots < 1:
-            raise ValueError("need at least one knot")
-        if not (math.isfinite(self.knot_dt) and self.knot_dt > 0.0):
-            raise ValueError(f"knot duration must be positive and finite, got {self.knot_dt}")
-        if not (math.isfinite(self.goal_x) and math.isfinite(self.goal_z)):
-            raise ValueError(f"goal must be finite, got ({self.goal_x}, {self.goal_z})")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 <= self.explore <= 1.0:
-            raise ValueError("explore rate must lie in [0, 1]")
-        if self.episodes < 0:
-            raise ValueError(f"episodes must be >= 0, got {self.episodes}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_fields(self, knots=AT_LEAST_ONE, knot_dt=POSITIVE_FINITE, goal_x=FINITE,
+                     goal_z=FINITE, alpha=IN_UNIT_INTERVAL, explore=IN_UNIT_INTERVAL,
+                     episodes=NON_NEGATIVE, seed=NON_NEGATIVE)
 
 
 @dataclass(frozen=True)

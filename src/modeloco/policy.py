@@ -175,30 +175,33 @@ def entropy(params: PolicyParams) -> float:
     return float(params.log_std.sum() + 0.5 * params.action_dim * (1.0 + LOG_2PI))
 
 
-# --- trajectories and advantage estimation -----------------------------------
+# --- rollout records and advantage estimation ---------------------------------
 
 
 @dataclass
-class Trajectory:
-    """One episode: per-step records, the observations and actions as its steps
-    took them, plus the final observation and bootstrap."""
+class Rollout:
+    """E episodes of N steps in all, back to back in script order: each
+    episode's T + 1 states, its last included, and its T steps."""
 
-    obs: np.ndarray  # (T+1, obs_dim), last row is the final observation
-    actions: np.ndarray  # (T, act_dim)
-    rewards: np.ndarray  # (T,)
-    log_probs: np.ndarray  # (T,)
-    values: np.ndarray  # (T+1,), last entry is the bootstrap value
-    script: EpisodeScript
-    fell: bool = False
-    blew_up: bool = False
+    scripts: list[EpisodeScript]
+    lengths: np.ndarray  # (E,) steps per episode
+    obs: np.ndarray  # (N + E, obs_dim)
+    values: np.ndarray  # (N + E,); an episode's last is its bootstrap, 0 after a fall or blowup
+    actions: np.ndarray  # (N, act_dim)
+    log_probs: np.ndarray  # (N,)
+    rewards: np.ndarray  # (N,)
+    fell: np.ndarray  # (E,) bool
+    blew_up: np.ndarray  # (E,) bool
 
-    @property
-    def length(self) -> int:
-        return self.rewards.shape[0]
+    def slices(self) -> list[tuple[slice, slice]]:
+        """Each episode's (steps, states) slices of the per-step and per-state arrays."""
+        ends = np.cumsum(self.lengths).tolist()
+        return [(slice(end - n, end), slice(end - n + b, end + b + 1))
+                for b, (n, end) in enumerate(zip(self.lengths.tolist(), ends))]
 
-    @property
-    def episode_return(self) -> float:
-        return float(self.rewards.sum())
+    def episode_returns(self) -> list[float]:
+        """Each episode's return, the sum of its own slice of the rewards."""
+        return [float(self.rewards[steps].sum()) for steps, _ in self.slices()]
 
 
 def compute_gae(
@@ -296,30 +299,29 @@ class UpdateStats:
 def ppo_update(
     policy: PolicyParams,
     opt: AdamState,
-    trajectories: list[Trajectory],
+    batch: Rollout,
     cfg: PpoConfig,
     rng: np.random.Generator,
 ) -> tuple[PolicyParams, AdamState, UpdateStats]:
-    """One clipped-surrogate update over a batch of trajectories, one Adam step
+    """One clipped-surrogate update over a batch of episodes, one Adam step
     of the whole parameter set per minibatch.
 
-    Advantages are GAE, normalized across the whole batch. A non-finite loss
-    rejects the update and returns the inputs unchanged. The steps write one
-    copy of the parameters made here, and each Adam step makes new moments, so
-    the inputs are never written.
+    The samples are the batch's steps, each with the state it acted in.
+    Advantages are GAE over each episode's own slice, normalized across the
+    whole batch. A non-finite loss rejects the update and returns the inputs
+    unchanged. The steps write one copy of the parameters made here, and
+    each Adam step makes new moments, so the inputs are never written.
     """
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    obs = np.concatenate([tr.obs[:-1] for tr in trajectories])
-    actions = np.concatenate([tr.actions for tr in trajectories])
-    old_lp = np.concatenate([tr.log_probs for tr in trajectories])
-    adv = np.concatenate(
-        [
-            compute_gae(tr.rewards, tr.values, cfg.discount, cfg.gae_lambda)
-            for tr in trajectories
-        ]
-    )
-    returns = adv + np.concatenate([tr.values[:-1] for tr in trajectories])
+    if not batch.scripts:
+        raise ValueError("need at least one episode")
+    acted = np.ones(batch.values.shape[0], dtype=bool)
+    acted[np.cumsum(batch.lengths + 1) - 1] = False
+    obs = batch.obs[acted]
+    adv = np.concatenate([
+        compute_gae(batch.rewards[steps], batch.values[states], cfg.discount, cfg.gae_lambda)
+        for steps, states in batch.slices()
+    ])
+    returns = adv + batch.values[acted]
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     stats = UpdateStats(policy_loss=0.0, value_loss=0.0, entropy=entropy(policy))
@@ -334,14 +336,15 @@ def ppo_update(
         for chunk in np.array_split(order, cfg.minibatches):
             if chunk.size == 0:
                 continue
-            batch = {
+            minibatch = {
                 "obs": obs[chunk],
-                "actions": actions[chunk],
-                "old_log_probs": old_lp[chunk],
+                "actions": batch.actions[chunk],
+                "old_log_probs": batch.log_probs[chunk],
                 "advantages": adv[chunk],
                 "returns": returns[chunk],
             }
-            loss, grad, policy_loss, value_loss = ppo_loss_and_grad(cur, batch, cfg, grad_buffer)
+            loss, grad, policy_loss, value_loss = ppo_loss_and_grad(
+                cur, minibatch, cfg, grad_buffer)
             if not (math.isfinite(loss) and np.isfinite(grad).all()):
                 stats.policy_loss = stats.value_loss = 0.0
                 stats.rejected = True
@@ -403,7 +406,7 @@ def rollout(
     robot_cfg: RobotConfig,
     reward_cfg: RewardConfig,
     rngs: list[np.random.Generator],
-) -> list[Trajectory]:
+) -> Rollout:
     """Run a batch of scripted training episodes of the stochastic policy;
     episode b follows scripts[b] and draws from rngs[b].
 
@@ -425,7 +428,8 @@ def rollout(
     its rows act on that noise at each step. The observations and means are
     the batch's records of what its steps used, gathered for all episodes at
     once, and the values, bootstrap included, and log-probs come from one
-    call each; all equal what per-step calls give, bit for bit.
+    call each; all equal what per-step calls give, bit for bit, and are the
+    returned `Rollout`'s arrays as they were gathered.
     """
     if len(scripts) != len(rngs):
         raise ValueError(f"need one rng per script, got {len(rngs)} for {len(scripts)}")
@@ -440,8 +444,9 @@ def rollout(
     noise = np.zeros((len(scripts), 2, max((s.horizon for s in scripts), default=0), act_dim))
     for b, (script, rng) in enumerate(zip(scripts, rngs)):
         noise[b, :, : script.horizon] = std * rng.standard_normal((script.horizon, act_dim))
+    modes = [m for s in scripts for m in (s.mode_from, s.mode_to)]
     batch = _advance(
-        policy, library.latents[[m for s in scripts for m in (s.mode_from, s.mode_to)]],
+        policy, library.latents[modes],
         np.tile(initial_state(robot_cfg, terrain), (2 * len(scripts), 1)),
         [n for s in scripts for n in (s.switch_step, s.horizon - s.switch_step)],
         terrain, robot_cfg, noise.reshape(2 * len(scripts), noise.shape[2], act_dim),
@@ -463,30 +468,22 @@ def rollout(
     actions = means + noise[episode[acted], 0, t[acted]]
     values = value_of(policy, obs)
     log_probs = gaussian_log_prob(actions, means, policy.log_std)
-    per_state, per_step = np.cumsum(steps + 1)[:-1], np.cumsum(steps)[:-1]
-
-    trajectories = []
-    for b, (script, obs_b, values_b, actions_b, log_probs_b) in enumerate(zip(
-        scripts, np.split(obs, per_state), np.split(values, per_state),
-        np.split(actions, per_step), np.split(log_probs, per_step),
-    )):
-        rewards = tracking_rewards(batch.rows(2 * b), library.motions[script.mode_from], reward_cfg)
-        if switched[b]:
-            rewards = np.concatenate([rewards, tracking_rewards(
-                batch.rows(2 * b + 1), library.motions[script.mode_to], reward_cfg)])
-        status = STATUSES[batch.status[2 * b + switched[b]]]
-        fell, blew_up = status == FALLEN, status == BLOWUP
-        if fell or blew_up:
-            values_b[-1] = 0.0
-        trajectories.append(Trajectory(obs_b, actions_b, rewards, log_probs_b, values_b, script,
-                                       fell=fell, blew_up=blew_up))
-    return trajectories
+    # Every row that ran, scored against its mode's clip: episode after
+    # episode, the trunk's steps and then the continuation's.
+    rewards = np.concatenate([np.zeros(0)] + [
+        tracking_rewards(batch.rows(r), library.motions[modes[r]], reward_cfg)
+        for r in np.flatnonzero(batch.lengths)
+    ])
+    ended = np.array(STATUSES)[batch.status[2 * np.arange(len(scripts)) + switched]]
+    fell, blew_up = ended == FALLEN, ended == BLOWUP
+    values[np.cumsum(steps + 1)[fell | blew_up] - 1] = 0.0
+    return Rollout(list(scripts), steps, obs, values, actions, log_probs, rewards, fell, blew_up)
 
 
-def normalized_return(tr: Trajectory, reward_cfg: RewardConfig) -> float:
-    """Episode return divided by the best possible sum over the full horizon."""
-    ceiling = tr.script.horizon * reward_cfg.max_step_reward
-    return tr.episode_return / ceiling if ceiling > 0 else 0.0
+def normalized_return(batch: Rollout, reward_cfg: RewardConfig) -> list[float]:
+    """Each episode's return divided by the best possible sum over its full horizon."""
+    ceilings = [script.horizon * reward_cfg.max_step_reward for script in batch.scripts]
+    return [ret / c if c > 0 else 0.0 for c, ret in zip(ceilings, batch.episode_returns())]
 
 
 # Switch of the same-mode case that `evaluate_modes` hands back as a per-step
@@ -528,7 +525,7 @@ def evaluate_modes(
     no physics. A case whose episode ends before its switch is the trunk.
     Every trunk, branch and rescored tail is one `tracking_rewards` call.
     Returns are summed from the per-step reward array, as
-    `Trajectory.episode_return` does.
+    `Rollout.episode_returns` does.
 
     When `traces` is a dict, traces[i] receives the (T, ROW) state rows after
     each step and the T per-step rewards, a float64 array, of the i -> i

@@ -16,7 +16,7 @@ import ctypes
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,28 @@ MODESET_NAMES = ("pi1", "pi2", "pi3")
 
 class InvalidInputError(ValueError):
     """Raised when a construction precondition is violated."""
+
+
+class FieldError(ValueError):
+    """A setting out of range; args: the field's name, what it must be, its value."""
+
+    def __str__(self):
+        return "{} {}, got {}".format(*self.args)
+
+
+def check_fields(config, **rules: tuple[Callable, str]) -> None:
+    """FieldError for the first field of config, in the order of rules, whose
+    value fails its rule: (a test of the value, what the test asks)."""
+    for name, (test, rule) in rules.items():
+        if not test(value := getattr(config, name)):
+            raise FieldError(name, rule, value)
+
+
+AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+IN_UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+FINITE = (math.isfinite, "must be finite")
+POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0.0, "must be positive and finite")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@
 Each iteration samples a batch of episode scripts from the current return
 records (or uniformly), rolls them out together (`policy.rollout`: one
 lockstep `_advance` call, each episode a trunk row under its start mode and a
-continuation row under its end mode from its switch step), applies one PPO
-update, and folds the episode returns back into the records in submission
-order. All randomness is derived from (seed, counter) pairs, so a run is
-bit-reproducible and resumable from a checkpoint.
+continuation row under its end mode from its switch step) into one `Rollout`,
+applies one PPO update to it, and folds the episode returns back into the
+records in submission order. All randomness is derived from (seed, counter)
+pairs, so a run is bit-reproducible and resumable from a checkpoint.
 
 A checkpoint holds state only: parameters, optimizer moments, the sampler's
 return records and the counters. One Adam state steps the policy's whole
@@ -28,7 +28,10 @@ import numpy as np
 from . import policy as pol
 from .fileio import array_from_payload, array_to_payload, read_artifact, write_artifact
 from .optim import AdamState
-from .refmotion import InvalidInputError, ModeLibrary, _spec_field
+from .refmotion import (
+    AT_LEAST_ONE, IN_UNIT_INTERVAL, NON_NEGATIVE, InvalidInputError, ModeLibrary, _spec_field,
+    check_fields,
+)
 from .sampler import (
     SamplerState,
     sample_script,
@@ -69,21 +72,14 @@ class TrainConfig:
     checkpoint_every: int = 25
 
     def __post_init__(self):
-        if self.sampler not in (ADAPTIVE, UNIFORM):
-            raise ValueError(f"sampler must be '{ADAPTIVE}' or '{UNIFORM}'")
-        if self.episodes_per_update < 1 or self.updates < 0:
-            raise ValueError("need a positive episode batch and non-negative updates")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 <= self.mode_decay <= 1.0 and 0.0 <= self.transition_decay <= 1.0):
-            raise ValueError(
-                f"decay factors must lie in [0, 1], got {self.mode_decay} and "
-                f"{self.transition_decay}"
-            )
-        if not (math.isfinite(self.floor) and self.floor >= 0.0):
-            raise ValueError(f"floor must be finite and non-negative, got {self.floor}")
+        check_fields(
+            self,
+            sampler=(lambda v: v in (ADAPTIVE, UNIFORM), f"must be '{ADAPTIVE}' or '{UNIFORM}'"),
+            episodes_per_update=AT_LEAST_ONE, updates=NON_NEGATIVE,
+            checkpoint_every=NON_NEGATIVE, seed=NON_NEGATIVE,
+            mode_decay=IN_UNIT_INTERVAL, transition_decay=IN_UNIT_INTERVAL,
+            floor=(lambda v: math.isfinite(v) and v >= 0.0, "must be finite and non-negative"),
+        )
 
 
 @dataclass
@@ -169,7 +165,7 @@ def run_training(
                 )
             else:
                 scripts.append(uniform_script(library.n, cycle_steps, cfg.horizon, rng))
-        trajectories = pol.rollout(
+        batch = pol.rollout(
             state.policy, library, scripts, terrain, robot_cfg, reward_cfg,
             [derived_rng(cfg.seed, _STREAM_EPISODE, state.episode_count + b)
              for b in range(len(scripts))],
@@ -177,31 +173,23 @@ def run_training(
 
         update_rng = derived_rng(cfg.seed, _STREAM_UPDATE, state.update_count)
         state.policy, state.opt, stats = pol.ppo_update(
-            state.policy, state.opt, trajectories, ppo_cfg, update_rng
+            state.policy, state.opt, batch, ppo_cfg, update_rng
         )
 
-        for b, (script, tr) in enumerate(zip(scripts, trajectories)):
+        returns, normalized = batch.episode_returns(), pol.normalized_return(batch, reward_cfg)
+        for b, script in enumerate(scripts):
             state.sampler_state = update_records(
-                state.sampler_state, script, tr.episode_return,
-                cfg.mode_decay, cfg.transition_decay,
+                state.sampler_state, script, returns[b], cfg.mode_decay, cfg.transition_decay
             )
-            rows.append(
-                EpisodeRow(
-                    update=state.update_count,
-                    episode=state.episode_count + b,
-                    mode_from=script.mode_from,
-                    mode_to=script.mode_to,
-                    switch_step=script.switch_step,
-                    episode_return=tr.episode_return,
-                    normalized_return=pol.normalized_return(tr, reward_cfg),
-                    fell=tr.fell,
-                    policy_loss=stats.policy_loss,
-                    value_loss=stats.value_loss,
-                    entropy=stats.entropy,
-                    mode_returns=np.array(state.sampler_state.mode_returns),
-                    transition_returns=np.array(state.sampler_state.transition_returns),
-                )
-            )
+            rows.append(EpisodeRow(
+                update=state.update_count, episode=state.episode_count + b,
+                mode_from=script.mode_from, mode_to=script.mode_to, switch_step=script.switch_step,
+                episode_return=returns[b], normalized_return=normalized[b],
+                fell=bool(batch.fell[b]), policy_loss=stats.policy_loss,
+                value_loss=stats.value_loss, entropy=stats.entropy,
+                mode_returns=np.array(state.sampler_state.mode_returns),
+                transition_returns=np.array(state.sampler_state.transition_returns),
+            ))
         state.episode_count += cfg.episodes_per_update
         state.update_count += 1
         saved = bool(

@@ -243,13 +243,16 @@ def _train_policy(workdir, lib, out, *extra):
     )
 
 
-@pytest.mark.parametrize("flag", [("--lr", "nan"), ("--epochs", "-1"), ("--seed", "-1")])
+@pytest.mark.parametrize(
+    "flag", [("--lr", "nan"), ("--epochs", "-1"), ("--seed", "-1"), ("--lr", "0")]
+)
 def test_train_encoder_rejects_bad_config(workdir, capsys, flag):
     problem = {
-        "--lr": "learning rate must be positive and finite",
-        "--epochs": "epochs must be >= 0",
-        "--seed": "seed must be >= 0, got -1",
-    }[flag[0]]
+        ("--lr", "nan"): "--lr must be positive and finite, got nan",
+        ("--epochs", "-1"): "--epochs must be >= 0, got -1",
+        ("--seed", "-1"): "--seed must be >= 0, got -1",
+        ("--lr", "0"): "--lr must be positive and finite, got 0.0",
+    }[flag]
     lib = workdir / "library.json"
     assert run("gen-refs", "--modeset", "pi2", "--out", str(lib)) == 0
     capsys.readouterr()
@@ -677,23 +680,32 @@ def test_missing_file_is_validation_error(workdir, capsys):
         ("train-policy", ["--reward-weights", "inf,0,0"], "weights must be finite"),
         ("eval", ["--reward-weights", "1,1,x"],
          "--reward-weights takes three comma-separated weights, got '1,1,x'"),
-        ("plan", ["--goal-x", "nan"], "goal must be finite"),
-        ("plan", ["--dt", "nan"], "knot duration must be positive and finite"),
-        ("train-policy", ["--epsilon", "nan"], "floor must be finite"),
-        ("train-policy", ["--epsilon", "inf"], "floor must be finite"),
-        ("train-policy", ["--gamma-f", "nan"], "decay factors must lie in [0, 1]"),
+        ("plan", ["--goal-x", "nan"], "--goal-x must be finite, got nan"),
+        ("plan", ["--dt", "nan"], "--dt must be positive and finite, got nan"),
+        ("train-policy", ["--epsilon", "nan"],
+         "--epsilon must be finite and non-negative, got nan"),
+        ("train-policy", ["--epsilon", "inf"],
+         "--epsilon must be finite and non-negative, got inf"),
+        ("train-policy", ["--gamma-f", "nan"], "--gamma-f must lie in [0, 1], got nan"),
         ("eval", ["--clock-rate", "nan"], "clock rate must be positive and finite, got nan"),
         ("eval", ["--clock-rate", "inf"], "clock rate must be positive and finite, got inf"),
         ("eval", ["--clock-rate", "0"], "clock rate must be positive and finite, got 0.0"),
         ("eval", ["--clock-rate", "-1"], "clock rate must be positive and finite, got -1.0"),
-        ("train-policy", ["--checkpoint-every", "-1"], "checkpoint_every must be >= 0, got -1"),
-        ("plan", ["--episodes", "-1"], "episodes must be >= 0, got -1"),
+        ("train-policy", ["--checkpoint-every", "-1"], "--checkpoint-every must be >= 0, got -1"),
+        ("plan", ["--episodes", "-1"], "--episodes must be >= 0, got -1"),
         ("plan", ["--trials", "0"], "--trials must be at least 1, got 0"),
         ("plan", ["--knots", "0"], "--knots must be at least 1, got 0"),
         ("eval", ["--rollouts", "0"], "--rollouts must be at least 1, got 0"),
-        ("train-policy", ["--seed", "-1"], "seed must be >= 0, got -1"),
-        ("plan", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("train-policy", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ("plan", ["--seed", "-1"], "--seed must be >= 0, got -1"),
         ("plan", ["--dt", "1e308"], "knot duration 1e+308 s gives too many control steps"),
+        ("train-policy", ["--gamma-i", "2"], "--gamma-i must lie in [0, 1], got 2.0"),
+        ("train-policy", ["--episodes-per-update", "0"],
+         "--episodes-per-update must be at least 1, got 0"),
+        ("train-policy", ["--updates", "-1"], "--updates must be >= 0, got -1"),
+        ("plan", ["--alpha", "2"], "--alpha must lie in [0, 1], got 2.0"),
+        ("plan", ["--explore", "2"], "--explore must lie in [0, 1], got 2.0"),
+        ("plan", ["--goal-z", "inf"], "--goal-z must be finite, got inf"),
     ],
     ids=["eval-nan-weight", "train-inf-weight", "eval-malformed-weight", "plan-nan-goal",
          "plan-nan-dt", "train-nan-epsilon", "train-inf-epsilon", "train-nan-gamma-f",
@@ -701,7 +713,9 @@ def test_missing_file_is_validation_error(workdir, capsys):
          "eval-inf-clock", "eval-zero-clock", "eval-negative-clock",
          "train-negative-checkpoint-every", "plan-negative-episodes", "plan-zero-trials",
          "plan-zero-knots", "eval-zero-rollouts",
-         "train-negative-seed", "plan-negative-seed", "plan-overflowing-dt"],
+         "train-negative-seed", "plan-negative-seed", "plan-overflowing-dt",
+         "train-gamma-i-above-one", "train-zero-episodes-per-update", "train-negative-updates",
+         "plan-alpha-above-one", "plan-explore-above-one", "plan-inf-goal-z"],
 )
 def test_non_finite_settings_are_validation_errors(workdir, capsys, command, flags, problem):
     lib, pol = _two_mode_policy(workdir)
@@ -759,7 +773,7 @@ def test_resume_rejects_an_out_of_range_decay(workdir, capsys):
     out = workdir / "resumed.json"
     ckpt = str(pol) + ".checkpoint.json"
     assert _resume(workdir, lib, ckpt, out, "--gamma-i", "1.5") == cli.EXIT_VALIDATION
-    assert "decay factors must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert "--gamma-i must lie in [0, 1], got 1.5" in capsys.readouterr().err
     assert not out.exists()
 
 

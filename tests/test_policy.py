@@ -216,14 +216,21 @@ def test_a_gradient_buffer_is_overwritten_in_full():
         assert [buffered[k] for k in (0, 2, 3)] == [fresh[k] for k in (0, 2, 3)]
 
 
-def _single_step_traj(obs, action, rew, lp, value_hat):
-    return pol.Trajectory(
-        obs=np.vstack([obs, obs]),
-        actions=np.atleast_2d(action),
-        rewards=np.array([rew]),
-        log_probs=np.array([lp]),
-        values=np.array([value_hat, 0.0]),
-        script=EpisodeScript(0, 0, 1, 2),  # ppo_update does not read the script
+def _single_step_traj(episodes):
+    """A record of one-step episodes, each given as (obs, action, reward,
+    log-prob, value): both its states are obs, and its bootstrap is 0."""
+    obs, actions, rewards, log_probs, values = map(np.array, zip(*episodes))
+    n = len(episodes)
+    return pol.Rollout(
+        scripts=[EpisodeScript(0, 0, 1, 2)] * n,  # ppo_update does not read the scripts
+        lengths=np.ones(n, dtype=np.int64),
+        obs=np.repeat(obs, 2, axis=0),
+        values=np.column_stack([values, np.zeros(n)]).ravel(),
+        actions=actions,
+        log_probs=log_probs,
+        rewards=rewards,
+        fell=np.zeros(n, dtype=bool),
+        blew_up=np.zeros(n, dtype=bool),
     )
 
 
@@ -232,16 +239,16 @@ def test_zero_advantages_leave_policy_mean_untouched():
     cfg = pol.PpoConfig(entropy_coef=0.0, epochs=2, minibatches=1, learning_rate=1e-2)
     policy = pol.init_policy(rng, 3, act_dim=2, hidden=(4,))
     opt = AdamState.zeros(policy.flat.size)
-    # two trajectories whose GAE advantages are exactly zero:
+    # four episodes whose GAE advantages are exactly zero:
     # reward == value(s_t) - gamma*value(s_{t+1}) makes every delta vanish
-    trajs = []
+    episodes = []
     for _ in range(4):
         obs = rng.normal(size=3)
         v = float(pol.value_of(policy, obs[None])[0])
         a = rng.normal(size=2)
         lp = float(pol.gaussian_log_prob(a, pol.policy_mean(policy, obs[None]), policy.log_std)[0])
-        trajs.append(_single_step_traj(obs, a, v - cfg.discount * 0.0, lp, v))
-    new_policy, _, _ = pol.ppo_update(policy, opt, trajs, cfg, rng)
+        episodes.append((obs, a, v - cfg.discount * 0.0, lp, v))
+    new_policy, _, _ = pol.ppo_update(policy, opt, _single_step_traj(episodes), cfg, rng)
     for w1, w2 in zip(policy.net.weights, new_policy.net.weights):
         np.testing.assert_allclose(w1, w2, atol=1e-12)
     np.testing.assert_allclose(policy.log_std, new_policy.log_std, atol=1e-12)
@@ -257,13 +264,13 @@ def test_bandit_policy_mean_converges():
     policy = pol.init_policy(rng, 1, act_dim=1, hidden=(8,), log_std_init=-0.7)
     opt = AdamState.zeros(policy.flat.size)
     for update in range(200):
-        trajs = []
+        episodes = []
         for _ in range(32):
             a, lp = _act(policy, obs, stochastic=True, rng=rng)
             r = -float((a[0] - 1.0) ** 2)
             v = float(pol.value_of(policy, obs[None])[0])
-            trajs.append(_single_step_traj(obs, a, r, lp, v))
-        policy, opt, _ = pol.ppo_update(policy, opt, trajs, cfg, rng)
+            episodes.append((obs, a, r, lp, v))
+        policy, opt, _ = pol.ppo_update(policy, opt, _single_step_traj(episodes), cfg, rng)
     mean = float(pol.policy_mean(policy, obs[None])[0, 0])
     assert abs(mean - 1.0) < 0.05
 
@@ -273,8 +280,8 @@ def test_non_finite_update_rejected():
     cfg = pol.PpoConfig()
     policy = pol.init_policy(rng, 3, act_dim=2, hidden=(4,))
     opt = AdamState.zeros(policy.flat.size)
-    tr = _single_step_traj(np.zeros(3), np.zeros(2), float("nan"), 0.0, 0.0)
-    new_policy, _, stats = pol.ppo_update(policy, opt, [tr], cfg, rng)
+    tr = _single_step_traj([(np.zeros(3), np.zeros(2), float("nan"), 0.0, 0.0)])
+    new_policy, _, stats = pol.ppo_update(policy, opt, tr, cfg, rng)
     assert stats.rejected
     assert np.array_equal(policy.flat, new_policy.flat)
     assert np.array_equal(policy.value.flat, new_policy.value.flat)
@@ -305,18 +312,18 @@ def test_ppo_update_never_writes_its_inputs(monkeypatch):
     rng = np.random.default_rng(10)
     cfg = pol.PpoConfig(epochs=2, minibatches=2, learning_rate=1e-2)
     policy = pol.init_policy(rng, 3, act_dim=2, hidden=(4,))
-    trajs = [
-        _single_step_traj(rng.normal(size=3), rng.normal(size=2), float(rng.normal()), -1.0, 0.0)
+    batch = _single_step_traj([
+        (rng.normal(size=3), rng.normal(size=2), float(rng.normal()), -1.0, 0.0)
         for _ in range(4)
-    ]
+    ])
     # Moments and a step count, as after an earlier update.
     _, opt, _ = pol.ppo_update(
-        policy, AdamState.zeros(policy.flat.size), trajs, cfg, np.random.default_rng(0)
+        policy, AdamState.zeros(policy.flat.size), batch, cfg, np.random.default_rng(0)
     )
     inputs = (policy.flat, opt.m, opt.v)
     before = [a.tobytes() for a in inputs]
 
-    new_policy, new_opt, stats = pol.ppo_update(policy, opt, trajs, cfg, np.random.default_rng(1))
+    new_policy, new_opt, stats = pol.ppo_update(policy, opt, batch, cfg, np.random.default_rng(1))
     assert not stats.rejected
     assert new_opt.t == opt.t + cfg.epochs * cfg.minibatches  # one step per minibatch
     assert new_policy.flat.tobytes() != before[0]
@@ -332,7 +339,7 @@ def test_ppo_update_never_writes_its_inputs(monkeypatch):
         return (float("nan") if len(calls) == 2 else loss, *rest)
 
     monkeypatch.setattr(pol, "ppo_loss_and_grad", nan_on_the_second_call)
-    new_policy, new_opt, stats = pol.ppo_update(policy, opt, trajs, cfg, np.random.default_rng(1))
+    new_policy, new_opt, stats = pol.ppo_update(policy, opt, batch, cfg, np.random.default_rng(1))
     assert stats.rejected and len(calls) == 2
     assert new_policy is policy and new_opt is opt
     assert [a.tobytes() for a in inputs] == before
@@ -347,7 +354,27 @@ REWARD = sim.RewardConfig()
 
 def _one_rollout(policy, library, script, terrain, robot_cfg, reward_cfg, rng):
     """`rollout` of a batch of one script."""
-    return pol.rollout(policy, library, [script], terrain, robot_cfg, reward_cfg, [rng])[0]
+    return pol.rollout(policy, library, [script], terrain, robot_cfg, reward_cfg, [rng])
+
+
+def _episodes(batch):
+    """Each episode of a `Rollout` as its own slices of the record's arrays
+    and its (fell, blew up, script) entries."""
+    return [
+        {"obs": batch.obs[states], "actions": batch.actions[steps],
+         "rewards": batch.rewards[steps], "log_probs": batch.log_probs[steps],
+         "values": batch.values[states],
+         "ending": (bool(batch.fell[b]), bool(batch.blew_up[b]), batch.scripts[b])}
+        for b, (steps, states) in enumerate(batch.slices())
+    ]
+
+
+def _assert_same_episode(got, want):
+    """Two `_episodes` entries are equal, every array byte for byte."""
+    for name in ("obs", "actions", "rewards", "log_probs", "values"):
+        w, g = want[name], got[name]
+        assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), name
+    assert got["ending"] == want["ending"]
 
 
 def _near_deterministic(policy):
@@ -365,7 +392,7 @@ def test_rollout_latent_switch_exact_step():
     tr = _one_rollout(policy, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
     z_from = lib.latents[0]
     z_to = lib.latents[2]
-    assert tr.length == 80
+    assert tr.lengths.tolist() == [80]
     np.testing.assert_array_equal(tr.obs[61, 2:6], z_from)
     np.testing.assert_array_equal(tr.obs[62, 2:6], z_to)
     np.testing.assert_array_equal(tr.obs[79, 2:6], z_to)
@@ -377,8 +404,8 @@ def test_rollout_same_mode_keeps_latent_constant():
     policy = _near_deterministic(pol.init_policy(rng, OBS_DIM))
     script = EpisodeScript(mode_from=1, mode_to=1, switch_step=25, horizon=60)
     tr = _one_rollout(policy, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
-    assert tr.length == 60
-    for t in range(tr.length):
+    assert tr.lengths.tolist() == [60]
+    for t in range(60):
         np.testing.assert_array_equal(tr.obs[t, 2:6], lib.latents[1])
 
 
@@ -390,8 +417,8 @@ def test_rollout_fall_truncates_with_zero_bootstrap():
     policy.log_std[:] = 2.0
     script = EpisodeScript(mode_from=0, mode_to=0, switch_step=25, horizon=200)
     tr = _one_rollout(policy, lib, script, sim.Terrain.flat(), ROBOT, REWARD, rng)
-    assert tr.fell
-    assert tr.length < 200
+    assert tr.fell.tolist() == [True]
+    assert tr.lengths[0] < 200 and tr.values.shape == (tr.lengths[0] + 1,)
     assert tr.values[-1] == 0.0
 
 
@@ -449,15 +476,16 @@ def _reference_rollout(
     last = latents[int(len(obs_list) > script.switch_step)]
     final_obs = observe(row, last)
     bootstrap = 0.0 if fell or blew_up else _value(policy, final_obs)
-    return pol.Trajectory(
+    return pol.Rollout(
+        scripts=[script],
+        lengths=np.array([len(rew_list)]),
         obs=np.vstack(obs_list + [final_obs]),
-        actions=np.vstack(act_list),
-        rewards=np.array(rew_list),
-        log_probs=np.array(lp_list),
         values=np.array(val_list + [bootstrap]),
-        script=script,
-        fell=fell,
-        blew_up=blew_up,
+        actions=np.vstack(act_list),
+        log_probs=np.array(lp_list),
+        rewards=np.array(rew_list),
+        fell=np.array([fell]),
+        blew_up=np.array([blew_up]),
     )
 
 
@@ -488,23 +516,25 @@ def test_rollout_matches_per_step_reference(terrain, seed, horizon, ending):
         late = EpisodeScript(script.mode_from, script.mode_to, horizon - 1, horizon)
         fall = _reference_rollout(policy, lib, late, terrain, ROBOT, REWARD,
                                   rng=np.random.default_rng(100 + seed))
-        assert fall.fell and fall.length < late.switch_step
-        script = EpisodeScript(script.mode_from, script.mode_to, fall.length, horizon)
+        fall_step = int(fall.lengths[0])
+        assert fall.fell[0] and fall_step < late.switch_step
+        script = EpisodeScript(script.mode_from, script.mode_to, fall_step, horizon)
     args = (policy, lib, script, terrain, ROBOT, REWARD)
     want = _reference_rollout(*args, rng=np.random.default_rng(100 + seed))
     got = _one_rollout(*args, np.random.default_rng(100 + seed))
+    (want,), (got,) = _episodes(want), _episodes(got)
+    fell, length = want["ending"][0], want["rewards"].shape[0]
     if ending == "falls-at-switch":
         # The fallen state observes under the start mode's latent, the trunk's.
-        assert want.fell and want.length == script.switch_step
-        assert got.obs[-1, 2:6].tobytes() == lib.latents[script.mode_from].tobytes()
+        assert fell and length == script.switch_step
+        assert got["obs"][-1, 2:6].tobytes() == lib.latents[script.mode_from].tobytes()
     elif ending == "falls":
-        assert want.fell and want.length < horizon
+        assert fell and length < horizon
     else:
-        assert not want.fell and want.length == horizon
-    for name in ("obs", "actions", "rewards", "log_probs", "values"):
-        w, g = getattr(want, name), getattr(got, name)
-        assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), name
-    assert (got.fell, got.blew_up, got.script) == (want.fell, want.blew_up, want.script)
+        assert not fell and length == horizon
+    # A fall's bootstrap is zero; otherwise it is the last state's value.
+    assert (got["values"][-1] == 0.0) == fell
+    _assert_same_episode(got, want)
 
 
 @pytest.mark.parametrize(
@@ -528,15 +558,17 @@ def test_rollout_matches_reference_when_the_fall_meets_the_switch(fall_after_swi
 
     # The constant policy ignores its observation, so its fall does not
     # depend on the switch step; the switch is placed around it.
-    fall_step = episode(150, reference=True).length - 1
+    fall_step = int(episode(150, reference=True).lengths[0]) - 1
     switch_step = fall_step - fall_after_switch
-    want = episode(switch_step, reference=True)
-    got = episode(switch_step, reference=False)
-    assert want.fell and want.length == fall_step + 1
-    for name in ("obs", "actions", "rewards", "log_probs", "values"):
-        w, g = getattr(want, name), getattr(got, name)
-        assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), name
-    assert (got.fell, got.blew_up, got.script) == (want.fell, want.blew_up, want.script)
+    (want,) = _episodes(episode(switch_step, reference=True))
+    (got,) = _episodes(episode(switch_step, reference=False))
+    assert want["ending"][0] and want["rewards"].shape == (fall_step + 1,)
+    # The fallen state observes under the latent of the row that took the
+    # last step, and its bootstrap is zero.
+    last_mode = 3 if fall_after_switch == 0 else 1
+    assert got["obs"][-1, 2:6].tobytes() == lib.latents[last_mode].tobytes()
+    assert got["values"][-1] == 0.0
+    _assert_same_episode(got, want)
 
 
 def test_batched_values_equal_single_rows():
@@ -720,7 +752,7 @@ def test_a_lockstep_batch_equals_one_script_batches():
 
     # The policy ignores finite observations, so a fall's step depends on the
     # noise alone; place switches around the fall of seed 31.
-    fall = run([EpisodeScript(0, 1, 40, 60)], [31])[0].length
+    fall = int(run([EpisodeScript(0, 1, 40, 60)], [31]).lengths[0])
     scripts = [
         EpisodeScript(0, 1, 5, 60),  # falls after its switch
         EpisodeScript(1, 2, 40, 60),  # falls before its switch
@@ -732,16 +764,20 @@ def test_a_lockstep_batch_equals_one_script_batches():
     ]
     seeds = [30, 32, 31, 31, 33, 34, 35]
     batch = run(scripts, seeds)
-    assert [tr.fell for tr in batch] == [True] * 4 + [False] * 3
-    assert [tr.blew_up for tr in batch] == [False] * 4 + [True] * 2 + [False]
-    assert (batch[2].length, batch[3].length, batch[-1].length) == (fall, fall, 8)
-    assert (batch[4].length, batch[5].length) == (5, 1)
-    for script, seed, got in zip(scripts, seeds, batch):
-        want = run([script], [seed])[0]
-        for name in ("obs", "actions", "rewards", "log_probs", "values"):
-            w, g = getattr(want, name), getattr(got, name)
-            assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), name
-        assert (got.fell, got.blew_up, got.script) == (want.fell, want.blew_up, want.script)
+    assert batch.fell.tolist() == [True] * 4 + [False] * 3
+    assert batch.blew_up.tolist() == [False] * 4 + [True] * 2 + [False]
+    lengths = batch.lengths.tolist()
+    assert (lengths[2], lengths[3], lengths[4], lengths[5], lengths[6]) == (fall, fall, 5, 1, 8)
+    n = sum(lengths)
+    assert (batch.obs.shape[0], batch.values.shape, batch.rewards.shape) == (n + 7, (n + 7,), (n,))
+    for b, (script, seed, got) in enumerate(zip(scripts, seeds, _episodes(batch))):
+        (want,) = _episodes(run([script], [seed]))
+        _assert_same_episode(got, want)
+        # The last state observes under the end mode's latent once a step from
+        # the switch step on has run; a fall or blowup bootstraps from zero.
+        last_mode = script.mode_to if lengths[b] > script.switch_step else script.mode_from
+        assert got["obs"][-1, 2:6].tobytes() == lib.latents[last_mode].tobytes()
+        assert (got["values"][-1] == 0.0) == (b < 6)
 
 
 def test_advance_checks_its_inputs_before_the_kernel():
@@ -818,7 +854,7 @@ def _reference_evaluate_modes(
     """The per-case loop evaluate_modes ran before rollouts shared their prefixes.
 
     Returns the mode scores, the transition table and, in order, every case
-    as (i, j, switch step, trajectory).
+    as (i, j, switch step, one-episode `Rollout`).
     """
     from modeloco.sampler import SWITCH_CLIPS, SWITCH_PHASES
 
@@ -843,7 +879,7 @@ def _reference_evaluate_modes(
                     stochastic=False, clock_rate=clock_rate,
                 )
                 cases.append((i, j, script.switch_step, tr))
-                vals.append(pol.normalized_return(tr, reward_cfg))
+                vals.append(pol.normalized_return(tr, reward_cfg)[0])
             transition_scores[i, j] = np.mean(vals)
     return np.diag(transition_scores).copy(), transition_scores, cases
 
@@ -918,13 +954,13 @@ def test_evaluate_modes_matches_per_case_rollouts(
         *args, horizon, rollouts, clock_rate
     )
     if ending == "falls":
-        assert all(tr.fell for *_, tr in cases)
+        assert all(tr.fell[0] for *_, tr in cases)
     elif ending == "horizon":
-        assert all(tr.length == horizon for *_, tr in cases)
+        assert all(tr.lengths[0] == horizon for *_, tr in cases)
     elif ending == "before_switch":
-        assert any(s > tr.length for _, _, s, tr in cases)
+        assert any(s > tr.lengths[0] for _, _, s, tr in cases)
     else:
-        assert any(s == tr.length and tr.fell for _, _, s, tr in cases)
+        assert any(s == tr.lengths[0] and tr.fell[0] for _, _, s, tr in cases)
     cycle_steps = round(cycle_duration / robot.control_dt)
     want_traces = {}
     for i in range(lib.n):
@@ -946,10 +982,10 @@ def test_evaluate_modes_matches_per_case_rollouts(
 
     # One trunk per source mode, plus one branch per distinct switch to
     # another mode that the trunk reaches; same-mode cases take no steps.
-    trunk = {i: tr.length for i, j, _, tr in cases if i == j}
-    branches = {(i, j, s): tr.length - s for i, j, s, tr in cases if j != i and s < trunk[i]}
+    trunk = {i: tr.lengths[0] for i, j, _, tr in cases if i == j}
+    branches = {(i, j, s): tr.lengths[0] - s for i, j, s, tr in cases if j != i and s < trunk[i]}
     assert steps[0] == sum(trunk.values()) + sum(branches.values())
-    assert steps[0] < sum(tr.length for *_, tr in cases)
+    assert steps[0] < sum(tr.lengths[0] for *_, tr in cases)
     # One batch per source mode: its trunk and a branch row per other mode
     # and distinct switch, so a batch's rows grow with n, not n^2.
     rows = 1 + (lib.n - 1) * len({s for _, _, s, _ in cases})

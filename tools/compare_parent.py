@@ -39,14 +39,17 @@ WRITE_NEAR_GAP = ("from modeloco.fileio import write_artifact; write_artifact("
                   f"{NEAR_GAP!r}, 'terrain', {{'breakpoints': [[0.02, -1.0], [0.47, 0.0]]}})")
 
 # The five stages on pi3, with a checkpoint resume, and eval and plan on flat
-# ground and on the near gap: 24 output files with the terrain file.
+# ground and on the near gap: 24 output files with the terrain file. The
+# resumed run takes 3 episodes per update, so that its batches' episodes do
+# not line up with the PPO update's 4 minibatches.
 PIPELINE = (
     ("gen-refs", "--modeset", "pi3", "--out", "library.json"),
     ("train-encoder", "--library", "library.json", "--out", "encoder.json", "--epochs", "60"),
     ("train-policy", "--library", "library.json", "--out", "policy.json",
      "--updates", "6", "--checkpoint-every", "2"),
     ("train-policy", "--library", "library.json", "--out", "resumed.json",
-     "--resume", "policy.json.checkpoint.json", "--updates", "3"),
+     "--resume", "policy.json.checkpoint.json", "--updates", "3",
+     "--episodes-per-update", "3"),
     ("eval", "--library", "library.json", "--policy", "policy.json", "--rollouts", "6",
      "--out", "eval.json"),
     ("plan", "--library", "library.json", "--policy", "policy.json", "--terrain", "flat",
